@@ -30,8 +30,8 @@ use rayon::prelude::*;
 
 const PERIODS: usize = 250;
 
-/// Receive window for the TCP engines (stale lanes wait at most this
-/// long per period).
+/// Receive window for the TCP engines (a frame written to a socket is
+/// awaited at most this long; partitioned lanes are not waited for).
 const RECV_WINDOW: Duration = Duration::from_millis(5);
 
 #[derive(Clone, Copy, PartialEq)]

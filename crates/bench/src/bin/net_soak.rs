@@ -15,7 +15,9 @@
 //!
 //! Every configuration must finish with **zero frame-decode errors** and
 //! zero controller errors — a single corrupted or torn frame fails the
-//! run.  Stats land in `results/net_soak.csv`, which records the engine
+//! run — and the lossy/delayed soak within 3× the wall time of its ideal
+//! twin: a period waits for frames in flight, never for frames the lane
+//! model dropped or is holding.  Stats land in `results/net_soak.csv`, which records the engine
 //! and the core count alongside the counters.
 //!
 //! ```text
@@ -84,12 +86,15 @@ fn parse_args() -> Args {
 
 struct Soak {
     name: &'static str,
+    /// Carries modelled loss/delay; timed against the ideal TCP soak
+    /// that ran before it.
+    lossy: bool,
     configure: fn(DistributedLoopBuilder) -> DistributedLoopBuilder,
 }
 
 /// Receive window for the TCP soaks: long enough that delivery is
-/// deterministic on loaded machines, short enough that the lossy soak's
-/// stale periods don't dominate wall time.
+/// deterministic on loaded machines.  Modelled losses and delays are
+/// never waited for, so its length does not show in the lossy soak.
 const RECV_WINDOW: Duration = Duration::from_millis(5);
 
 fn soaks(engine: Engine) -> Vec<Soak> {
@@ -97,14 +102,17 @@ fn soaks(engine: Engine) -> Vec<Soak> {
         Engine::Pair => vec![
             Soak {
                 name: "channel ideal",
+                lossy: false,
                 configure: |b| b.channel(4),
             },
             Soak {
                 name: "tcp ideal",
+                lossy: false,
                 configure: |b| b.tcp(TcpConfig::default()).recv_timeout(RECV_WINDOW),
             },
             Soak {
                 name: "tcp 10% report loss + cmd delay 1",
+                lossy: true,
                 configure: |b| {
                     b.tcp(TcpConfig::default())
                         .report_lanes(LaneModel::lossy(0.1, 77))
@@ -116,10 +124,12 @@ fn soaks(engine: Engine) -> Vec<Soak> {
         Engine::Poll => vec![
             Soak {
                 name: "tcp-poll ideal",
+                lossy: false,
                 configure: |b| b.tcp_poll(TcpConfig::default()).recv_timeout(RECV_WINDOW),
             },
             Soak {
                 name: "tcp-poll 10% report loss + cmd delay 1",
+                lossy: true,
                 configure: |b| {
                     b.tcp_poll(TcpConfig::default())
                         .report_lanes(LaneModel::lossy(0.1, 77))
@@ -260,6 +270,7 @@ fn main() {
         engine.name()
     );
     let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut ideal_elapsed = Duration::ZERO;
     for soak in soaks(engine) {
         let builder = DistributedLoop::builder(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5).seed(args.seed))
@@ -288,6 +299,19 @@ fn main() {
             "'{}': no frames arrived — the lanes are dead",
             soak.name
         );
+        if soak.lossy {
+            // The slack absorbs one scheduler hiccup on a soak of a few
+            // tens of milliseconds; waiting the window out on every
+            // modelled loss would cost seconds.
+            assert!(
+                elapsed <= 3 * ideal_elapsed + Duration::from_millis(250),
+                "'{}' took {elapsed:?}, over 3x the ideal soak's {ideal_elapsed:?}: \
+                 periods are waiting on frames the lane model holds",
+                soak.name
+            );
+        } else {
+            ideal_elapsed = elapsed;
+        }
 
         rows.push(vec![
             soak.name.to_string(),

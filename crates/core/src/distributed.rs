@@ -13,14 +13,18 @@
 //! Two backends ship (see `eucon-net`): bounded in-process channels —
 //! the *ideal lane*, whose closed-loop traces are bit-identical to the
 //! single-process [`ClosedLoop`] — and real loopback TCP with reconnect
-//! and backpressure.  Network effects (per-lane delay and loss) compose
-//! over either backend as [`DelayLoss`] middleware configured through
-//! the same [`LaneModel`] the single-process loop uses.
+//! and backpressure.  Network effects (per-lane delay and loss) sit in
+//! front of either backend as per-lane [`DelayLossGate`]s configured
+//! through the same [`LaneModel`] the single-process loop uses.
 //!
-//! Lost or late frames never stall the loop: a lane that stays silent
-//! past the receive window is marked stale, the controller reuses the
-//! lane's last delivered utilization (zero before the first delivery,
-//! exactly like [`LaneModel`] loss), and the watchdog is notified via
+//! Lost or late frames never stall the loop.  Each exchange waits for
+//! exactly the frames it wrote to a transport this period and has not
+//! yet seen on the other end — a frame the lane model dropped or still
+//! holds cannot arrive and is never waited for, so the receive window
+//! bounds real transport latency only.  A lane that delivered nothing is
+//! marked stale, the controller reuses the lane's last delivered
+//! utilization (zero before the first delivery, exactly like
+//! [`LaneModel`] loss), and the watchdog is notified via
 //! [`RateController::note_stale`] so a dead lane eventually trips the
 //! same degraded mode as a dead monitor.
 //!
@@ -36,8 +40,8 @@ use std::time::{Duration, Instant};
 
 use eucon_math::Vector;
 use eucon_net::{
-    channel_pair, tcp_lane_fabric, tcp_pair, DelayLoss, DelayLossGate, Frame, FrameKind,
-    LaneFabric, TcpConfig, Transport, TransportStats,
+    channel_pair, tcp_lane_fabric, tcp_pair, DelayLossGate, Frame, FrameKind, LaneFabric,
+    TcpConfig, Transport, TransportStats,
 };
 use eucon_sim::{FaultPlan, SimConfig};
 use eucon_tasks::TaskSet;
@@ -91,10 +95,13 @@ pub struct NetConfig {
     pub report_lanes: LaneModel,
     /// Delay/loss applied to rate commands (controller → processor).
     pub command_lanes: LaneModel,
-    /// How long each period's exchange waits for outstanding frames
-    /// before declaring the silent lanes stale.  In-process channels
-    /// deliver synchronously and want [`Duration::ZERO`]; TCP needs a
-    /// small window for the kernel round trip.
+    /// The bound on real transport latency: how long an exchange waits
+    /// for frames *written to a transport this period* and not yet seen
+    /// on the other end.  Frames the lane model dropped or still delays
+    /// are never waited for, so the window costs nothing unless a frame
+    /// is genuinely late.  In-process channels deliver synchronously and
+    /// want [`Duration::ZERO`]; TCP needs a small window for the kernel
+    /// round trip.
     pub recv_timeout: Duration,
 }
 
@@ -160,64 +167,236 @@ impl Default for NetConfig {
     }
 }
 
-/// Layers the configured delay/loss middleware over a lane endpoint
-/// (ideal models stay unwrapped: zero overhead, and `tick` is a no-op).
-fn wrap(inner: Box<dyn Transport>, model: &LaneModel, lane: usize) -> Box<dyn Transport> {
-    if model.report_delay == 0 && model.loss_probability == 0.0 {
-        inner
-    } else {
-        Box::new(DelayLoss::new(
-            inner,
-            model.report_delay,
-            model.loss_probability,
-            model.seed.wrapping_add(lane as u64),
-        ))
+/// Which way a frame crosses its lane.
+#[derive(Clone, Copy)]
+enum Dir {
+    /// Processor → controller: utilization reports.
+    Up,
+    /// Controller → processor: rate commands.
+    Down,
+}
+
+impl Dir {
+    fn kind(self) -> FrameKind {
+        match self {
+            Dir::Up => FrameKind::UtilizationReport,
+            Dir::Down => FrameKind::RateCommand,
+        }
+    }
+
+    fn frame(self, seq: u64, period: u64, values: Vec<f64>) -> Frame {
+        match self {
+            Dir::Up => Frame::UtilizationReport {
+                seq,
+                period,
+                values,
+            },
+            Dir::Down => Frame::RateCommand {
+                seq,
+                period,
+                rates: values,
+            },
+        }
     }
 }
 
 /// The lane substrate of a distributed loop: either one boxed transport
 /// pair per lane ([`LaneEngine::Pair`]) or two poll engines multiplexing
-/// every lane ([`LaneEngine::Poll`]).
+/// every lane ([`LaneEngine::Poll`]).  Both carry bare frames — the
+/// delay/loss model sits in front of them, in [`Direction::gates`].
 enum Lanes {
-    /// One `Transport` object per endpoint; network-effect middleware is
-    /// layered per lane via [`DelayLoss`].
     Pair {
-        /// Controller-node endpoint of each lane (receives reports,
-        /// sends commands; command middleware wraps this side).
+        /// Controller-node endpoint of each lane (reports in, commands out).
         ctrl: Vec<Box<dyn Transport>>,
-        /// Processor-node endpoint of each lane (sends reports, receives
-        /// commands; report middleware wraps this side).
+        /// Processor-node endpoint of each lane (reports out, commands in).
         proc: Vec<Box<dyn Transport>>,
     },
     /// Every lane a token on one [`eucon_net::PollEngine`] per node.
-    /// Network effects run through bare [`DelayLossGate`]s (empty when
-    /// the models are ideal), seeded exactly like the pair middleware so
-    /// the loss draws match draw-for-draw.
-    Poll {
-        fabric: Box<LaneFabric>,
-        /// Per-lane report-direction gates (processor → controller).
-        report_gates: Vec<DelayLossGate>,
-        /// Per-lane command-direction gates (controller → processor).
-        command_gates: Vec<DelayLossGate>,
-    },
+    Poll(Box<LaneFabric>),
 }
 
-/// Builds the per-lane gates of one direction (none when the model is
-/// ideal — the transparent path costs nothing).  Lane `p` draws from
-/// `model.seed + p`, matching [`wrap`].
-fn gates(model: &LaneModel, lanes: usize) -> Vec<DelayLossGate> {
-    if model.report_delay == 0 && model.loss_probability == 0.0 {
-        Vec::new()
-    } else {
-        (0..lanes)
-            .map(|p| {
-                DelayLossGate::new(
-                    model.report_delay,
-                    model.loss_probability,
-                    model.seed.wrapping_add(p as u64),
-                )
-            })
-            .collect()
+impl Lanes {
+    /// Encodes one frame onto lane `p`'s sending end; `true` when the
+    /// transport took it.  Failures surface in the endpoint stats; the
+    /// lane is simply stale this period.
+    fn send(
+        &mut self,
+        dir: Dir,
+        p: usize,
+        seq: u64,
+        period: u64,
+        values: impl ExactSizeIterator<Item = f64>,
+    ) -> bool {
+        match (self, dir) {
+            // Allocation-free hot path: the values stream straight into
+            // the encoder.
+            (Lanes::Poll(f), Dir::Up) => f.proc.send(p, dir.kind(), seq, period, 0, values).is_ok(),
+            (Lanes::Poll(f), Dir::Down) => {
+                f.ctrl.send(p, dir.kind(), seq, period, 0, values).is_ok()
+            }
+            (pair, _) => pair.send_frame(dir, p, dir.frame(seq, period, values.collect())),
+        }
+    }
+
+    /// Writes an already-built frame (one that crossed a gate) to lane
+    /// `p`'s sending end; `true` when the transport took it.
+    fn send_frame(&mut self, dir: Dir, p: usize, frame: Frame) -> bool {
+        match (self, dir) {
+            (Lanes::Pair { proc, .. }, Dir::Up) => proc[p].send(frame).is_ok(),
+            (Lanes::Pair { ctrl, .. }, Dir::Down) => ctrl[p].send(frame).is_ok(),
+            (Lanes::Poll(f), Dir::Up) => f.proc.send_frame(p, &frame).is_ok(),
+            (Lanes::Poll(f), Dir::Down) => f.ctrl.send_frame(p, &frame).is_ok(),
+        }
+    }
+
+    /// Hands every frame of `dir`'s kind waiting on lane `p`'s receiving
+    /// end to `f` as `(seq, period, len, value-at-index)`.  Receive and
+    /// decode errors tear the lane down inside the transport; the loop
+    /// sees a stale lane.
+    fn drain(
+        &mut self,
+        dir: Dir,
+        p: usize,
+        mut f: impl FnMut(u64, u64, usize, &dyn Fn(usize) -> f64),
+    ) {
+        let kind = dir.kind();
+        let rx = match (self, dir) {
+            (Lanes::Pair { ctrl, .. }, Dir::Up) => &mut ctrl[p],
+            (Lanes::Pair { proc, .. }, Dir::Down) => &mut proc[p],
+            (Lanes::Poll(fabric), _) => {
+                let engine = match dir {
+                    Dir::Up => &mut fabric.ctrl,
+                    Dir::Down => &mut fabric.proc,
+                };
+                let _ = engine.drain(p, |view| {
+                    if view.kind() == kind {
+                        f(view.seq(), view.period(), view.len(), &|i| view.value(i));
+                    }
+                });
+                return;
+            }
+        };
+        while let Ok(Some(frame)) = rx.try_recv() {
+            if frame.kind() == kind {
+                let values = frame.values();
+                f(frame.seq(), frame.period(), values.len(), &|i| values[i]);
+            }
+        }
+    }
+}
+
+/// One direction of every lane: its delay/loss gates and the sequence
+/// bookkeeping that tells a frame in flight from one the model is holding.
+struct Direction {
+    dir: Dir,
+    /// Per-lane gates, empty when the model is ideal (the transparent
+    /// path costs nothing).  Lane `p` draws from `model.seed + p`, the
+    /// same on both lane engines, so their loss draws match draw-for-draw.
+    gates: Vec<DelayLossGate>,
+    /// Sequence number of the newest frame offered.
+    seq: u64,
+    /// Newest sequence a transport accepted per lane: direct sends and
+    /// frames a gate released count; modelled losses, still-delayed
+    /// frames and sends that failed on a dead lane do not.
+    wire_seq: Vec<u64>,
+    /// Newest sequence seen on the receiving end per lane (late
+    /// duplicates never roll a lane backwards).
+    seen_seq: Vec<u64>,
+}
+
+impl Direction {
+    fn new(dir: Dir, model: &LaneModel, lanes: usize) -> Self {
+        let gates = if model.report_delay == 0 && model.loss_probability == 0.0 {
+            Vec::new()
+        } else {
+            (0..lanes)
+                .map(|p| {
+                    DelayLossGate::new(
+                        model.report_delay,
+                        model.loss_probability,
+                        model.seed.wrapping_add(p as u64),
+                    )
+                })
+                .collect()
+        };
+        Direction {
+            dir,
+            gates,
+            seq: 0,
+            wire_seq: vec![0; lanes],
+            seen_seq: vec![0; lanes],
+        }
+    }
+
+    /// A gated direction reports offers as sends and folds loss draws
+    /// into drops, regardless of what reached the transport.
+    fn mirror_into(&self, sender: &mut TransportStats) {
+        if !self.gates.is_empty() {
+            sender.sent = self.gates.iter().map(DelayLossGate::accepted).sum();
+            sender.dropped += self.gates.iter().map(DelayLossGate::lost).sum::<u64>();
+        }
+    }
+}
+
+/// One direction of one period on every reachable lane: offer this
+/// period's frame (`payload(p)`, built as lane `p` sends), tick the
+/// gates — the lane model's clock — then drain the receiving ends into
+/// `deliver` until every frame a transport accepted has been seen or
+/// `window` closes.  A frame the model dropped or still holds cannot
+/// arrive and is never waited for; in-process channels deliver
+/// synchronously, so their first pass suffices.
+///
+/// Returns whether the window closed on a written frame still unseen.
+fn exchange<I: ExactSizeIterator<Item = f64>>(
+    lanes: &mut Lanes,
+    d: &mut Direction,
+    k: usize,
+    window: Duration,
+    partitioned: &[usize],
+    mut payload: impl FnMut(usize) -> I,
+    mut deliver: impl FnMut(usize, u64, usize, &dyn Fn(usize) -> f64),
+) -> bool {
+    let (dir, period) = (d.dir, k as u64);
+    d.seq += 1;
+    let seq = d.seq;
+    let wire_seq = &mut d.wire_seq;
+    let mut note = |p: usize, seq: u64, accepted: bool| {
+        if accepted {
+            wire_seq[p] = wire_seq[p].max(seq);
+        }
+    };
+    for p in (0..d.seen_seq.len()).filter(|p| !partitioned.contains(p)) {
+        if let Some(gate) = d.gates.get_mut(p) {
+            if let Some(frame) = gate.offer(dir.frame(seq, period, payload(p).collect())) {
+                note(p, seq, lanes.send_frame(dir, p, frame));
+            }
+        } else {
+            note(p, seq, lanes.send(dir, p, seq, period, payload(p)));
+        }
+    }
+    for (p, gate) in d.gates.iter_mut().enumerate() {
+        gate.tick(|frame| note(p, frame.seq(), lanes.send_frame(dir, p, frame)));
+    }
+    let deadline = Instant::now() + window;
+    loop {
+        let mut in_flight = false;
+        for p in (0..d.seen_seq.len()).filter(|p| !partitioned.contains(p)) {
+            let seen = &mut d.seen_seq[p];
+            lanes.drain(dir, p, |seq, period, len, value| {
+                // A delayed frame still counts as the delivery — the
+                // receiver acts on it k − d periods late, exactly like
+                // the in-loop lane model.
+                if seq >= *seen {
+                    *seen = seq;
+                    deliver(p, period, len, value);
+                }
+            });
+            in_flight |= *seen < d.wire_seq[p];
+        }
+        if !in_flight || Instant::now() >= deadline {
+            return in_flight;
+        }
+        std::thread::yield_now();
     }
 }
 
@@ -230,24 +409,18 @@ fn gates(model: &LaneModel, lanes: usize) -> Vec<DelayLossGate> {
 /// through the lanes without duplicating the loop itself.
 pub(crate) struct NetRuntime {
     lanes: Lanes,
+    reports: Direction,
+    commands: Direction,
     backend_name: &'static str,
     recv_timeout: Duration,
     /// Tasks whose rate modulator lives on each processor, ascending —
     /// the payload layout of that lane's [`Frame::RateCommand`].
     tasks_of: Vec<Vec<usize>>,
-    report_seq: u64,
-    cmd_seq: u64,
     /// Last utilization each lane delivered (zeros before the first
     /// delivery) — what a stale lane's entry falls back to.
     hold: Vector,
     /// Whether a report arrived on the lane this period.
     fresh: Vec<bool>,
-    /// Newest report / command sequence seen per lane (late duplicates
-    /// never roll a lane backwards).
-    last_report_seq: Vec<u64>,
-    last_cmd_seq: Vec<u64>,
-    /// Which lanes received this period's command (drain-loop exit).
-    cmd_got: Vec<bool>,
     /// When this period's report left each processor node — the start of
     /// the lane's RTT measurement.
     sent_at: Vec<Option<Instant>>,
@@ -259,6 +432,13 @@ pub(crate) struct NetRuntime {
     period_partition_lost: u64,
     /// Lanes whose hold value was reused this period.
     period_stale: u64,
+    /// Wall time of this period's report / command exchange, nanoseconds
+    /// (the command span stays 0 in a period where no command crossed).
+    period_reports_ns: u64,
+    period_commands_ns: u64,
+    /// Whether a receive window closed this period with a written frame
+    /// still unseen.
+    period_window_expired: bool,
     /// Aggregate endpoint stats at the last observation (delta source).
     last_stats: TransportStats,
 }
@@ -291,17 +471,13 @@ impl NetRuntime {
                 backend_name = "tcp-poll";
                 let fabric =
                     tcp_lane_fabric(tcp, num_procs).map_err(eucon_net::TransportError::from)?;
-                Lanes::Poll {
-                    fabric: Box::new(fabric),
-                    report_gates: gates(&cfg.report_lanes, num_procs),
-                    command_gates: gates(&cfg.command_lanes, num_procs),
-                }
+                Lanes::Poll(Box::new(fabric))
             }
             (LaneEngine::Pair, _) => {
                 let mut ctrl: Vec<Box<dyn Transport>> = Vec::with_capacity(num_procs);
                 let mut proc: Vec<Box<dyn Transport>> = Vec::with_capacity(num_procs);
                 for lane in 0..num_procs {
-                    let (c, p): (Box<dyn Transport>, Box<dyn Transport>) = match &cfg.backend {
+                    match &cfg.backend {
                         NetBackend::Channel { capacity } => {
                             if *capacity == 0 {
                                 return Err(CoreError::Config(
@@ -309,7 +485,8 @@ impl NetRuntime {
                                 ));
                             }
                             let (a, b) = channel_pair(*capacity);
-                            (Box::new(a), Box::new(b))
+                            ctrl.push(Box::new(a));
+                            proc.push(Box::new(b));
                         }
                         NetBackend::Tcp(tcp) => {
                             backend_name = "tcp";
@@ -321,11 +498,10 @@ impl NetRuntime {
                             };
                             let (acceptor, connector) =
                                 tcp_pair(&per_lane).map_err(eucon_net::TransportError::from)?;
-                            (Box::new(acceptor), Box::new(connector))
+                            ctrl.push(Box::new(acceptor));
+                            proc.push(Box::new(connector));
                         }
-                    };
-                    ctrl.push(wrap(c, &cfg.command_lanes, lane));
-                    proc.push(wrap(p, &cfg.report_lanes, lane));
+                    }
                 }
                 Lanes::Pair { ctrl, proc }
             }
@@ -336,21 +512,21 @@ impl NetRuntime {
         }
         Ok(NetRuntime {
             lanes,
+            reports: Direction::new(Dir::Up, &cfg.report_lanes, num_procs),
+            commands: Direction::new(Dir::Down, &cfg.command_lanes, num_procs),
             backend_name,
             recv_timeout: cfg.recv_timeout,
             tasks_of,
-            report_seq: 0,
-            cmd_seq: 0,
             hold: Vector::zeros(num_procs),
             fresh: vec![false; num_procs],
-            last_report_seq: vec![0; num_procs],
-            last_cmd_seq: vec![0; num_procs],
-            cmd_got: vec![false; num_procs],
             sent_at: vec![None; num_procs],
             rtt_scratch: Vec::with_capacity(num_procs),
             cmd_scratch: Vector::zeros(head_proc.len()),
             period_partition_lost: 0,
             period_stale: 0,
+            period_reports_ns: 0,
+            period_commands_ns: 0,
+            period_window_expired: false,
             last_stats: TransportStats::default(),
         })
     }
@@ -379,134 +555,33 @@ impl NetRuntime {
         u_report: &Vector,
         partitioned: &[usize],
     ) -> Option<Vector> {
-        let n = self.fresh.len();
+        let started = Instant::now();
         self.rtt_scratch.clear();
-        self.period_partition_lost = 0;
-        self.report_seq += 1;
-        let seq = self.report_seq;
-        let hold = &mut self.hold;
-        let fresh = &mut self.fresh;
-        let last_report_seq = &mut self.last_report_seq;
-        let sent_at = &mut self.sent_at;
-        let period_partition_lost = &mut self.period_partition_lost;
-        match &mut self.lanes {
-            Lanes::Pair { ctrl, proc } => {
-                for p in 0..n {
-                    fresh[p] = false;
-                    if partitioned.contains(&p) {
-                        *period_partition_lost += 1;
-                        sent_at[p] = None;
-                        continue;
-                    }
-                    sent_at[p] = Some(Instant::now());
-                    // Send failures surface in the endpoint stats; the
-                    // lane is simply stale this period.
-                    let _ = proc[p].send(Frame::UtilizationReport {
-                        seq,
-                        period: k as u64,
-                        values: vec![u_report[p]],
-                    });
+        self.period_partition_lost = partitioned.len() as u64;
+        self.fresh.fill(false);
+        self.sent_at.fill(None);
+        let (hold, fresh, sent_at) = (&mut self.hold, &mut self.fresh, &mut self.sent_at);
+        self.period_window_expired = exchange(
+            &mut self.lanes,
+            &mut self.reports,
+            k,
+            self.recv_timeout,
+            partitioned,
+            |p| {
+                sent_at[p] = Some(Instant::now());
+                std::iter::once(u_report[p])
+            },
+            |p, _, len, value| {
+                if len > 0 {
+                    hold[p] = value(0);
+                    fresh[p] = true;
                 }
-                // One tick per period after the sends: the middleware clock.
-                for t in proc.iter_mut() {
-                    t.tick();
-                }
-                // Controller node: drain until every reachable lane
-                // delivered at least one report or the receive window
-                // closes.  In-process channels deliver synchronously, so
-                // the first pass suffices.
-                let deadline = Instant::now() + self.recv_timeout;
-                loop {
-                    for p in 0..n {
-                        if partitioned.contains(&p) {
-                            continue;
-                        }
-                        while let Ok(Some(frame)) = ctrl[p].try_recv() {
-                            if let Frame::UtilizationReport { seq, values, .. } = frame {
-                                // A delayed frame still counts as the
-                                // delivery — the controller acts on
-                                // u(k − d), exactly like the in-loop lane
-                                // model.
-                                if seq >= last_report_seq[p] && !values.is_empty() {
-                                    last_report_seq[p] = seq;
-                                    hold[p] = values[0];
-                                    fresh[p] = true;
-                                }
-                            }
-                        }
-                    }
-                    let missing = (0..n).any(|p| !fresh[p] && !partitioned.contains(&p));
-                    if !missing || Instant::now() >= deadline {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-            }
-            Lanes::Poll {
-                fabric,
-                report_gates,
-                ..
-            } => {
-                for p in 0..n {
-                    fresh[p] = false;
-                    if partitioned.contains(&p) {
-                        *period_partition_lost += 1;
-                        sent_at[p] = None;
-                        continue;
-                    }
-                    sent_at[p] = Some(Instant::now());
-                    if report_gates.is_empty() {
-                        // Ideal lanes take the allocation-free hot path:
-                        // the value is encoded straight onto the socket.
-                        let _ = fabric.proc.send(
-                            p,
-                            FrameKind::UtilizationReport,
-                            seq,
-                            k as u64,
-                            0,
-                            std::iter::once(u_report[p]),
-                        );
-                    } else if let Some(frame) = report_gates[p].offer(Frame::UtilizationReport {
-                        seq,
-                        period: k as u64,
-                        values: vec![u_report[p]],
-                    }) {
-                        let _ = fabric.proc.send_frame(p, &frame);
-                    }
-                }
-                for (p, gate) in report_gates.iter_mut().enumerate() {
-                    gate.tick(|frame| {
-                        let _ = fabric.proc.send_frame(p, &frame);
-                    });
-                }
-                let deadline = Instant::now() + self.recv_timeout;
-                loop {
-                    for p in 0..n {
-                        if partitioned.contains(&p) {
-                            continue;
-                        }
-                        // Decode errors tear the lane down inside the
-                        // engine; the loop sees it as a stale lane.
-                        let _ = fabric.ctrl.drain(p, |view| {
-                            if view.kind() == FrameKind::UtilizationReport
-                                && view.seq() >= last_report_seq[p]
-                                && !view.is_empty()
-                            {
-                                last_report_seq[p] = view.seq();
-                                hold[p] = view.value(0);
-                                fresh[p] = true;
-                            }
-                        });
-                    }
-                    let missing = (0..n).any(|p| !fresh[p] && !partitioned.contains(&p));
-                    if !missing || Instant::now() >= deadline {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-            }
-        }
+            },
+        );
         self.period_stale = self.fresh.iter().filter(|f| !**f).count() as u64;
+        self.period_reports_ns = started.elapsed().as_nanos() as u64;
+        self.period_commands_ns = 0;
+        let n = self.fresh.len();
         let identical = (0..n).all(|p| self.hold[p].to_bits() == u_report[p].to_bits());
         if identical {
             None
@@ -532,139 +607,38 @@ impl NetRuntime {
         in_force: &[f64],
         partitioned: &[usize],
     ) -> &Vector {
-        let n = self.cmd_got.len();
+        let started = Instant::now();
         self.cmd_scratch.copy_from_slice(in_force);
-        self.cmd_seq += 1;
-        let seq = self.cmd_seq;
-        let cmd_scratch = &mut self.cmd_scratch;
-        let cmd_got = &mut self.cmd_got;
-        let last_cmd_seq = &mut self.last_cmd_seq;
-        let sent_at = &mut self.sent_at;
-        let rtt_scratch = &mut self.rtt_scratch;
+        self.period_partition_lost += partitioned.len() as u64;
         let tasks_of = &self.tasks_of;
-        let period_partition_lost = &mut self.period_partition_lost;
-        match &mut self.lanes {
-            Lanes::Pair { ctrl, proc } => {
-                for p in 0..n {
-                    cmd_got[p] = false;
-                    if partitioned.contains(&p) {
-                        *period_partition_lost += 1;
-                        continue;
-                    }
-                    let rates = tasks_of[p].iter().map(|&t| cmd[t]).collect();
-                    let _ = ctrl[p].send(Frame::RateCommand {
-                        seq,
-                        period: k as u64,
-                        rates,
-                    });
-                }
-                for t in ctrl.iter_mut() {
-                    t.tick();
-                }
-                let deadline = Instant::now() + self.recv_timeout;
-                loop {
-                    for p in 0..n {
-                        if partitioned.contains(&p) {
-                            continue;
-                        }
-                        while let Ok(Some(frame)) = proc[p].try_recv() {
-                            if let Frame::RateCommand { seq, period, rates } = frame {
-                                if seq < last_cmd_seq[p] {
-                                    continue;
-                                }
-                                last_cmd_seq[p] = seq;
-                                // A command delayed past its period still
-                                // takes effect when it arrives (honest
-                                // lane delay).
-                                if rates.len() == tasks_of[p].len() {
-                                    for (i, &t) in tasks_of[p].iter().enumerate() {
-                                        cmd_scratch[t] = rates[i];
-                                    }
-                                }
-                                if period == k as u64 {
-                                    cmd_got[p] = true;
-                                    if let Some(at) = sent_at[p].take() {
-                                        rtt_scratch.push(at.elapsed().as_nanos() as u64);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    let missing = (0..n).any(|p| !cmd_got[p] && !partitioned.contains(&p));
-                    if !missing || Instant::now() >= deadline {
-                        break;
-                    }
-                    std::thread::yield_now();
-                }
-            }
-            Lanes::Poll {
-                fabric,
-                command_gates,
-                ..
-            } => {
-                for p in 0..n {
-                    cmd_got[p] = false;
-                    if partitioned.contains(&p) {
-                        *period_partition_lost += 1;
-                        continue;
-                    }
-                    if command_gates.is_empty() {
-                        // Allocation-free hot path: the per-lane rate
-                        // slice streams straight into the encoder.
-                        let _ = fabric.ctrl.send(
-                            p,
-                            FrameKind::RateCommand,
-                            seq,
-                            k as u64,
-                            0,
-                            tasks_of[p].iter().map(|&t| cmd[t]),
-                        );
-                    } else if let Some(frame) = command_gates[p].offer(Frame::RateCommand {
-                        seq,
-                        period: k as u64,
-                        rates: tasks_of[p].iter().map(|&t| cmd[t]).collect(),
-                    }) {
-                        let _ = fabric.ctrl.send_frame(p, &frame);
+        let (cmd_scratch, sent_at, rtt_scratch) = (
+            &mut self.cmd_scratch,
+            &mut self.sent_at,
+            &mut self.rtt_scratch,
+        );
+        self.period_window_expired |= exchange(
+            &mut self.lanes,
+            &mut self.commands,
+            k,
+            self.recv_timeout,
+            partitioned,
+            move |p| tasks_of[p].iter().map(move |&t| cmd[t]),
+            |p, period, len, value| {
+                // A command delayed past its period still takes effect
+                // when it arrives (honest lane delay).
+                if len == tasks_of[p].len() {
+                    for (i, &t) in tasks_of[p].iter().enumerate() {
+                        cmd_scratch[t] = value(i);
                     }
                 }
-                for (p, gate) in command_gates.iter_mut().enumerate() {
-                    gate.tick(|frame| {
-                        let _ = fabric.ctrl.send_frame(p, &frame);
-                    });
-                }
-                let deadline = Instant::now() + self.recv_timeout;
-                loop {
-                    for p in 0..n {
-                        if partitioned.contains(&p) {
-                            continue;
-                        }
-                        let _ = fabric.proc.drain(p, |view| {
-                            if view.kind() != FrameKind::RateCommand || view.seq() < last_cmd_seq[p]
-                            {
-                                return;
-                            }
-                            last_cmd_seq[p] = view.seq();
-                            if view.len() == tasks_of[p].len() {
-                                for (i, &t) in tasks_of[p].iter().enumerate() {
-                                    cmd_scratch[t] = view.value(i);
-                                }
-                            }
-                            if view.period() == k as u64 {
-                                cmd_got[p] = true;
-                                if let Some(at) = sent_at[p].take() {
-                                    rtt_scratch.push(at.elapsed().as_nanos() as u64);
-                                }
-                            }
-                        });
+                if period == k as u64 {
+                    if let Some(at) = sent_at[p].take() {
+                        rtt_scratch.push(at.elapsed().as_nanos() as u64);
                     }
-                    let missing = (0..n).any(|p| !cmd_got[p] && !partitioned.contains(&p));
-                    if !missing || Instant::now() >= deadline {
-                        break;
-                    }
-                    std::thread::yield_now();
                 }
-            }
-        }
+            },
+        );
+        self.period_commands_ns = started.elapsed().as_nanos() as u64;
         &self.cmd_scratch
     }
 
@@ -672,38 +646,17 @@ impl NetRuntime {
     /// report and command traffic are both counted once, at the sender
     /// and the receiver respectively).
     pub(crate) fn aggregate_stats(&self) -> TransportStats {
-        match &self.lanes {
-            Lanes::Pair { ctrl, proc } => {
-                let mut agg = TransportStats::default();
-                for t in ctrl {
-                    agg = agg.merge(&t.stats());
-                }
-                for t in proc {
-                    agg = agg.merge(&t.stats());
-                }
-                agg
-            }
-            Lanes::Poll {
-                fabric,
-                report_gates,
-                command_gates,
-            } => {
-                // Mirror the DelayLoss accounting: a gated direction
-                // reports offers as sends and folds loss draws into
-                // drops, regardless of what reached the socket.
-                let mut proc = fabric.proc.stats();
-                if !report_gates.is_empty() {
-                    proc.sent = report_gates.iter().map(DelayLossGate::accepted).sum();
-                    proc.dropped += report_gates.iter().map(DelayLossGate::lost).sum::<u64>();
-                }
-                let mut ctrl = fabric.ctrl.stats();
-                if !command_gates.is_empty() {
-                    ctrl.sent = command_gates.iter().map(DelayLossGate::accepted).sum();
-                    ctrl.dropped += command_gates.iter().map(DelayLossGate::lost).sum::<u64>();
-                }
-                ctrl.merge(&proc)
-            }
-        }
+        let sum = |ends: &[Box<dyn Transport>]| {
+            ends.iter()
+                .fold(TransportStats::default(), |agg, t| agg.merge(&t.stats()))
+        };
+        let (mut ctrl, mut proc) = match &self.lanes {
+            Lanes::Pair { ctrl, proc } => (sum(ctrl), sum(proc)),
+            Lanes::Poll(fabric) => (fabric.ctrl.stats(), fabric.proc.stats()),
+        };
+        self.reports.mirror_into(&mut proc);
+        self.commands.mirror_into(&mut ctrl);
+        ctrl.merge(&proc)
     }
 
     /// Lanes whose hold value was reused in the last exchange — the
@@ -718,7 +671,7 @@ impl NetRuntime {
 
     /// This period's transport activity for the telemetry registry
     /// (per-period deltas of the cumulative endpoint stats, plus the
-    /// period-local stale/partition/RTT bookkeeping).
+    /// period-local stale/partition/RTT/span bookkeeping).
     pub(crate) fn period_observation(&mut self) -> NetPeriod<'_> {
         let agg = self.aggregate_stats();
         let last = self.last_stats;
@@ -731,6 +684,9 @@ impl NetRuntime {
             decode_errors: agg.decode_errors.saturating_sub(last.decode_errors),
             stale_reuse: self.period_stale,
             rtt_ns: &self.rtt_scratch,
+            exchange_reports_ns: self.period_reports_ns,
+            exchange_commands_ns: self.period_commands_ns,
+            recv_window_expired: self.period_window_expired,
         }
     }
 }
@@ -1205,6 +1161,40 @@ mod tests {
         let pair = run(false);
         let poll = run(true);
         assert_eq!(pair.trace, poll.trace, "engines diverged under loss");
+    }
+
+    #[test]
+    fn a_dead_poll_lane_goes_stale_without_costing_a_window_each_period() {
+        let window = Duration::from_millis(100);
+        let mut dl = DistributedLoop::builder(workloads::simple())
+            .sim_config(SimConfig::constant_etf(0.5))
+            .controller(ControllerSpec::Eucon(MpcConfig::simple()))
+            .tcp_poll(TcpConfig::default())
+            .recv_timeout(window)
+            .build()
+            .unwrap();
+        for _ in 0..10 {
+            dl.step();
+        }
+        let net = dl.inner.net.as_mut().unwrap();
+        let Lanes::Poll(fabric) = &mut net.lanes else {
+            panic!("tcp_poll builds poll lanes");
+        };
+        fabric.proc.deregister(1);
+        let started = Instant::now();
+        for _ in 0..30 {
+            dl.step();
+            let net = dl.inner.net.as_ref().unwrap();
+            assert!(net.lane_stale(1) && !net.lane_stale(0));
+        }
+        // Sends on the dead lane fail, so nothing is in flight on it; at
+        // most the period that discovers the hangup waits a window out.
+        let wall = started.elapsed();
+        assert!(wall < 3 * window, "30 periods took {wall:?}");
+        let result = dl.into_result();
+        assert_eq!(result.control_errors, 0);
+        assert_eq!(result.telemetry.counter("stale_report_reuse"), Some(30));
+        assert!(result.telemetry.counter("recv_window_expired").unwrap() <= 2);
     }
 
     #[test]

@@ -61,6 +61,14 @@ pub(crate) struct NetPeriod<'a> {
     /// End-to-end lane round trips completed this period (report sent →
     /// matching rate command received), in nanoseconds.
     pub rtt_ns: &'a [u64],
+    /// Wall time of the report exchange (send, gate tick, drain).
+    pub exchange_reports_ns: u64,
+    /// Wall time of the command exchange (0 when no command crossed the
+    /// lanes this period).
+    pub exchange_commands_ns: u64,
+    /// A receive window closed with a frame written to a transport still
+    /// unseen — a genuinely late frame, never a modelled loss.
+    pub recv_window_expired: bool,
 }
 
 /// One sampling period's runtime-membership activity — per-period deltas
@@ -144,6 +152,7 @@ pub(crate) struct LoopTelemetry {
     c_lane_reconnects: CounterId,
     c_frame_decode_errors: CounterId,
     c_stale_reuse: CounterId,
+    c_window_expired: CounterId,
     // Runtime-membership counters (all zero in a churn-free loop).
     c_tasks_admitted: CounterId,
     c_tasks_rejected: CounterId,
@@ -174,6 +183,8 @@ pub(crate) struct LoopTelemetry {
     h_control: HistogramId,
     h_actuate: HistogramId,
     h_lane_rtt: HistogramId,
+    h_exchange_reports: HistogramId,
+    h_exchange_commands: HistogramId,
     h_model_update: HistogramId,
     // State for turning cumulative inputs into per-period increments.
     last_engine: EngineCounters,
@@ -246,6 +257,7 @@ impl LoopTelemetry {
         let c_lane_reconnects = b.counter("lane_reconnects");
         let c_frame_decode_errors = b.counter("frame_decode_errors");
         let c_stale_reuse = b.counter("stale_report_reuse");
+        let c_window_expired = b.counter("recv_window_expired");
         let c_tasks_admitted = b.counter("tasks_admitted");
         let c_tasks_rejected = b.counter("tasks_rejected");
         let c_tasks_deferred = b.counter("tasks_deferred");
@@ -275,6 +287,8 @@ impl LoopTelemetry {
         let h_control = b.histogram("span_control_ns", &SPAN_BOUNDS);
         let h_actuate = b.histogram("span_actuate_ns", &SPAN_BOUNDS);
         let h_lane_rtt = b.histogram("lane_rtt_ns", &SPAN_BOUNDS);
+        let h_exchange_reports = b.histogram("span_exchange_reports_ns", &SPAN_BOUNDS);
+        let h_exchange_commands = b.histogram("span_exchange_commands_ns", &SPAN_BOUNDS);
         let h_model_update = b.histogram("model_update_ns", &SPAN_BOUNDS);
         LoopTelemetry {
             registry: b.build(),
@@ -299,6 +313,7 @@ impl LoopTelemetry {
             c_lane_reconnects,
             c_frame_decode_errors,
             c_stale_reuse,
+            c_window_expired,
             c_tasks_admitted,
             c_tasks_rejected,
             c_tasks_deferred,
@@ -324,6 +339,8 @@ impl LoopTelemetry {
             h_control,
             h_actuate,
             h_lane_rtt,
+            h_exchange_reports,
+            h_exchange_commands,
             h_model_update,
             last_engine: EngineCounters::default(),
             last_act_drops: 0,
@@ -422,6 +439,11 @@ impl LoopTelemetry {
             reg.add(self.c_lane_reconnects, net.reconnects);
             reg.add(self.c_frame_decode_errors, net.decode_errors);
             reg.add(self.c_stale_reuse, net.stale_reuse);
+            reg.add(self.c_window_expired, u64::from(net.recv_window_expired));
+            reg.observe(self.h_exchange_reports, net.exchange_reports_ns as f64);
+            if net.exchange_commands_ns > 0 {
+                reg.observe(self.h_exchange_commands, net.exchange_commands_ns as f64);
+            }
             for &rtt in net.rtt_ns {
                 reg.observe(self.h_lane_rtt, rtt as f64);
             }
@@ -598,7 +620,7 @@ mod tests {
         // Registry state and the pushed rows must agree.
         assert_eq!(
             lt.registry().columns().len(),
-            lt.snapshot().entries().len() + 2 * 9
+            lt.snapshot().entries().len() + 2 * 11
         );
         assert_eq!(lt.snapshot().counter("sink_errors"), Some(0));
     }
@@ -618,6 +640,9 @@ mod tests {
             decode_errors: 0,
             stale_reuse: 2,
             rtt_ns: &rtts,
+            exchange_reports_ns: 30_000,
+            exchange_commands_ns: 20_000,
+            recv_window_expired: true,
         });
         lt.record_period(o);
         let snap = lt.snapshot();
@@ -627,6 +652,13 @@ mod tests {
         assert_eq!(snap.counter("lane_reconnects"), Some(1));
         assert_eq!(snap.counter("stale_report_reuse"), Some(2));
         assert_eq!(snap.histogram("lane_rtt_ns").unwrap().count, 2);
+        assert_eq!(snap.counter("recv_window_expired"), Some(1));
+        let span = snap.histogram("span_exchange_reports_ns").unwrap();
+        assert_eq!((span.count, span.max), (1, 30_000.0));
+        assert_eq!(
+            snap.histogram("span_exchange_commands_ns").unwrap().count,
+            1
+        );
     }
 
     #[test]

@@ -16,11 +16,12 @@
 
 mod trace_hash;
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use eucon_control::MpcConfig;
 use eucon_core::{
-    ControlService, ControllerSpec, EvictionPolicy, TenantEvent, TenantHealth, TenantSpec,
+    ControlService, ControllerSpec, EvictionPolicy, LaneModel, TenantEvent, TenantHealth,
+    TenantSpec,
 };
 use eucon_sim::{FaultPlan, SimConfig};
 use eucon_tasks::workloads;
@@ -104,6 +105,49 @@ fn a_dying_tenant_never_perturbs_its_neighbour_trace() {
         )),
         "tenant A was degraded: {:?}",
         svc.events()
+    );
+}
+
+/// A tenant's lossy lanes cost its neighbours nothing: a modelled loss
+/// is never waited for, so a service period with one lossy tenant among
+/// eight takes about as long as one with none (waiting a 5 ms window out
+/// on every lost report would multiply it).  Best of three alternating
+/// rounds per side, so a busy host does not decide the comparison.
+#[test]
+fn a_lossy_tenant_does_not_stall_the_service_period() {
+    const PERIODS: u32 = 200;
+    let service_period = |lossy: bool| {
+        let mut svc = ControlService::new(EvictionPolicy {
+            quarantine_after: u32::MAX,
+            evict_after: u32::MAX,
+        });
+        for i in 0..8 {
+            let mut spec = TenantSpec::new(format!("t{i}"), workloads::simple())
+                .sim_config(SimConfig::constant_etf(0.5))
+                .controller(ControllerSpec::Eucon(MpcConfig::simple()));
+            if lossy && i == 0 {
+                spec = spec.report_lanes(LaneModel::lossy(0.3, 5));
+            }
+            svc.attach(spec).expect("tenant attaches");
+        }
+        svc.run(20);
+        let started = Instant::now();
+        svc.run(PERIODS as usize);
+        let per_period = started.elapsed() / PERIODS;
+        if lossy {
+            let stats = svc.transport_stats(svc.tenant_ids()[0]).unwrap();
+            assert!(stats.dropped > 0, "the lossy tenant must lose reports");
+        }
+        per_period
+    };
+    let (mut ideal, mut lossy) = (Duration::MAX, Duration::MAX);
+    for _ in 0..3 {
+        ideal = ideal.min(service_period(false));
+        lossy = lossy.min(service_period(true));
+    }
+    assert!(
+        lossy <= 2 * ideal,
+        "service period {lossy:?} with one lossy tenant vs {ideal:?} all-ideal"
     );
 }
 

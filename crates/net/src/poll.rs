@@ -252,7 +252,9 @@ fn write_encoded(slot: &mut Slot, out: &[u8], cfg: &TcpConfig) -> Result<(), Tra
     Ok(())
 }
 
-/// Pulls every readable byte off the slot's socket into its reader.
+/// Pulls every readable byte off the slot's socket into its reader.  A
+/// short read means the socket is drained: no second `read` is spent on
+/// learning `WouldBlock` (callers that wait re-drain anyway).
 fn fill_slot(slot: &mut Slot) {
     let Some(stream) = slot.stream.as_mut() else {
         return;
@@ -268,6 +270,9 @@ fn fill_slot(slot: &mut Slot) {
             Ok(n) => {
                 slot.stats.bytes_received += n as u64;
                 slot.reader.extend(&chunk[..n]);
+                if n < chunk.len() {
+                    return;
+                }
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,

@@ -761,8 +761,11 @@ impl Simulator {
         let Some(running) = self.procs[p].running() else {
             return;
         };
-        if running.remaining > TIME_EPS {
-            // Stale wake-up after floating-point drift; reschedule.
+        if running.remaining > TIME_EPS && self.now + running.remaining > self.now {
+            // Stale wake-up after floating-point drift; reschedule — unless
+            // the remainder is below the clock's resolution at `now` (past
+            // t = 2^24 an ulp exceeds TIME_EPS), where re-arming would fire
+            // at this same instant forever: the job completes here.
             self.stale_wakeups += 1;
             self.reschedule_completion(p);
             return;

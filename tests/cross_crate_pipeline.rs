@@ -165,3 +165,40 @@ fn graceful_saturation_when_infeasible() {
     let tail = metrics::window(&result.trace.utilization_series(0), 40, 80);
     assert!(tail.mean > 0.95, "P1 saturates: {:.3}", tail.mean);
 }
+
+/// Past simulated time 2²⁴ (period 16 778 at the default `Ts`) one ulp of
+/// the clock exceeds the engine's time tolerance; a stale completion
+/// wake-up must then complete the job instead of re-arming at the same
+/// instant forever.  The loops run on their own threads so a regression
+/// fails the test instead of hanging it.
+#[test]
+fn loops_run_past_the_clock_resolution_horizon() {
+    const PERIODS: usize = 17_500;
+    let (tx, rx) = std::sync::mpsc::channel();
+    for (name, set, mpc) in [
+        ("simple", workloads::simple(), MpcConfig::simple()),
+        ("medium", workloads::medium(), MpcConfig::medium()),
+    ] {
+        let tx = tx.clone();
+        std::thread::spawn(move || {
+            let mut cl = LoopBuilder::new(set)
+                .sim_config(
+                    SimConfig::constant_etf(0.5).exec_model(ExecModel::Uniform { half_width: 0.2 }),
+                )
+                .controller(ControllerSpec::Eucon(mpc))
+                .record_trace(false)
+                .local()
+                .expect("loop");
+            for _ in 0..PERIODS {
+                cl.step();
+            }
+            let _ = tx.send((name, cl.control_errors()));
+        });
+    }
+    for _ in 0..2 {
+        let (name, errors) = rx
+            .recv_timeout(std::time::Duration::from_secs(300))
+            .expect("a loop stopped making progress (stale wake-up livelock)");
+        assert_eq!(errors, 0, "{name}");
+    }
+}

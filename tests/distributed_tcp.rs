@@ -4,22 +4,25 @@
 //! as separate nodes joined by per-processor TCP feedback lanes.  These
 //! tests run that topology for real — controller endpoint and processor
 //! endpoints exchanging versioned binary frames over `127.0.0.1` — and
-//! pin the two properties that make it trustworthy:
+//! pin the three properties that make it trustworthy:
 //!
 //! * **smoke** — over ideal TCP lanes every frame arrives, decodes, and
 //!   the loop finishes with zero controller errors (seed selectable via
 //!   `EUCON_TCP_SEED` so CI can run a seed matrix);
 //! * **acceptance** — with 20% report loss on every lane, the MEDIUM
 //!   workload still converges to within ±0.03 of every processor's RMS
-//!   set point by period 150, with zero controller errors.
+//!   set point by period 150, with zero controller errors;
+//! * **window independence** — a period waits for the frames written to
+//!   a socket, never for frames the lane model dropped or is holding, so
+//!   neither the trace nor the run time depends on the receive window.
 
 use std::time::Duration;
 
 use eucon::prelude::*;
 
 /// Generous per-period receive window: loopback frames land in
-/// microseconds, so this only bounds the stall when a report is lost,
-/// while keeping delivery deterministic on loaded CI machines.
+/// microseconds and a modelled loss is never waited for, so this costs
+/// nothing — it only keeps delivery deterministic on loaded CI machines.
 const RECV_WINDOW: Duration = Duration::from_millis(50);
 
 fn tcp_seed() -> u64 {
@@ -88,6 +91,41 @@ fn medium_over_lossy_tcp_converges_to_every_set_point() {
             (s.mean - b).abs() < 0.03,
             "processor {p}: mean {:.3} vs set point {b:.3} under 20% report loss",
             s.mean
+        );
+    }
+}
+
+#[test]
+fn trace_and_run_time_do_not_depend_on_the_receive_window() {
+    let run = |net: NetConfig, window: Duration| {
+        let started = std::time::Instant::now();
+        let mut dl = LoopBuilder::new(workloads::medium())
+            .sim_config(
+                SimConfig::constant_etf(1.0)
+                    .exec_model(ExecModel::Uniform { half_width: 0.2 })
+                    .seed(1),
+            )
+            .controller(ControllerSpec::Eucon(MpcConfig::medium()))
+            .distributed(
+                net.report_lanes(LaneModel::lossy(0.2, 21))
+                    .command_lanes(LaneModel::delayed(1))
+                    .recv_timeout(window),
+            )
+            .expect("distributed loop over lossy TCP");
+        let result = dl.run(200);
+        assert_eq!(result.control_errors, 0);
+        assert!(dl.transport_stats().dropped > 0, "the lanes must be lossy");
+        (result.trace, started.elapsed())
+    };
+    for net in [NetConfig::tcp_poll, NetConfig::tcp] {
+        let (short, _) = run(net(), Duration::from_millis(2));
+        let (long, wall) = run(net(), Duration::from_millis(200));
+        assert_eq!(short, long, "the trace moved with the receive window");
+        // Every period holds a lost report or a delayed command: waiting
+        // those out would cost 2 × 200 ms × 200 periods.
+        assert!(
+            wall < Duration::from_secs(2),
+            "200 periods took {wall:?} at a 200 ms window"
         );
     }
 }
