@@ -274,6 +274,7 @@ impl RateController for DecentralizedController {
         for local in &self.locals {
             let lt = local.mpc.telemetry();
             t.qp_iterations += lt.qp_iterations;
+            t.warm_retained += lt.warm_retained;
             t.active_set_size += lt.active_set_size;
             t.active_churn += lt.active_churn;
             t.warm_start |= lt.warm_start;

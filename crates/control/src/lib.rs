@@ -88,8 +88,13 @@ pub enum ControlMode {
 pub struct ControllerTelemetry {
     /// Active-set iterations spent by the QP solver this period.
     pub qp_iterations: usize,
-    /// The solve started from a non-empty warm-started active set.
+    /// The solve was offered a non-empty active-set guess (any shard's,
+    /// for a team).  Not a measure of how useful the guess was — see
+    /// `warm_retained`.
     pub warm_start: bool,
+    /// Rows of the guess the QP solver kept as its starting active set
+    /// (summed across a team's local solves, like `qp_iterations`).
+    pub warm_retained: usize,
     /// The warm-started attempt failed and the solver re-ran cold.
     pub cold_retry: bool,
     /// The hard utilization constraints were dropped (infeasible period).

@@ -22,9 +22,15 @@ pub struct MpcStepInfo {
     pub relaxed_utilization: bool,
     /// Residual norm of the least-squares objective at the optimum.
     pub residual: f64,
-    /// The committed solve started from a non-empty warm-started active
-    /// set (false on the first period and right after a reset).
+    /// The committed solve was *offered* a non-empty active-set guess
+    /// (false on the first period and right after a reset).  Says nothing
+    /// about how much of the guess the solver could use — that is
+    /// [`warm_retained`](MpcStepInfo::warm_retained).
     pub warm_start: bool,
+    /// Rows of the guess the committed solve kept as its starting active
+    /// set; the rest were dropped as dual infeasible or no longer binding
+    /// before the first iteration.
+    pub warm_retained: usize,
     /// The warm-started attempt failed and the problem was re-solved
     /// cold before the verdict was believed.
     pub cold_retry: bool,
@@ -108,6 +114,9 @@ pub struct MpcController {
     /// solve takes zero iterations.
     warm_util: Vec<usize>,
     warm_rate: Vec<usize>,
+    /// The period's QP solution, written in place by the solver (its
+    /// buffers are reused, so a steady-state step allocates nothing).
+    sol: LsqSolution,
 }
 
 impl MpcController {
@@ -198,6 +207,7 @@ impl MpcController {
             err_buf,
             warm_util: Vec::new(),
             warm_rate: Vec::new(),
+            sol: LsqSolution::default(),
         })
     }
 
@@ -260,9 +270,10 @@ impl MpcController {
 
     /// The allocation-free core of [`MpcController::step`]: commits the new
     /// rates into `self.rates` instead of returning a fresh vector.  All
-    /// per-period right-hand sides and the tracking error are rewritten in
-    /// long-lived scratch buffers (the QP solver still allocates its
-    /// solution internally).
+    /// per-period right-hand sides, the tracking error and the QP solution
+    /// are rewritten in long-lived buffers, and the solver works in its
+    /// own per-instance workspace: once those have grown to the sizes the
+    /// problem reaches, a step performs no heap allocation.
     pub(crate) fn step_in_place(&mut self, u: &Vector) -> Result<(), ControlError> {
         if u.len() != self.pred.n {
             return Err(ControlError::DimensionMismatch(format!(
@@ -302,12 +313,13 @@ impl MpcController {
                     &self.d_buf,
                     &self.h_util,
                     &mut self.warm_util,
+                    &mut self.sol,
                 ))
             }
             None => None,
         };
-        let (solution, stats) = match primary {
-            Some(Ok(sol)) => sol,
+        let stats = match primary {
+            Some(Ok(stats)) => stats,
             Some(Err(QpError::Infeasible)) | None => {
                 relaxed = self.solver_util.is_some();
                 constraint_rhs_into(
@@ -326,6 +338,7 @@ impl MpcController {
                     &self.d_buf,
                     &self.h_rate,
                     &mut self.warm_rate,
+                    &mut self.sol,
                 )
                 .map_err(ControlError::Optimization)?
             }
@@ -334,6 +347,7 @@ impl MpcController {
 
         // Receding horizon: apply only the first move (the leading `m`
         // entries of the optimal move trajectory), in place.
+        let solution = &self.sol;
         let m = self.pred.m;
         for t in 0..m {
             let nr = (self.rates[t] + solution.x[t]).clamp(self.rmin[t], self.rmax[t]);
@@ -345,6 +359,7 @@ impl MpcController {
             relaxed_utilization: relaxed,
             residual: solution.residual,
             warm_start: stats.warm_start,
+            warm_retained: solution.warm_retained,
             cold_retry: stats.cold_retry,
             active_set_size: solution.active.len(),
             active_churn: stats.active_churn,
@@ -543,6 +558,7 @@ impl MpcController {
                 err_buf: Vector::zeros(n),
                 warm_util: migrate_warm(&self.warm_util, &keep_util),
                 warm_rate: migrate_warm(&self.warm_rate, &keep_rate),
+                sol: LsqSolution::default(),
                 f,
                 pred,
                 solver_util,
@@ -666,6 +682,7 @@ impl MpcController {
                 err_buf: Vector::zeros(n),
                 warm_util,
                 warm_rate,
+                sol: LsqSolution::default(),
                 f,
                 pred,
                 solver_util,
@@ -704,20 +721,21 @@ struct SolveStats {
     active_churn: usize,
 }
 
-/// One amortized solve: warm-start from the previous active set, retry
-/// cold if the (extremely rare) warm path hits the iteration limit, and
-/// record the new active set for the next period.
+/// One amortized solve into `sol`: warm-start from the previous active
+/// set, retry cold if the (extremely rare) warm path hits the iteration
+/// limit, and record the new active set for the next period.
 fn solve_amortized(
     solver: &PreparedLsq,
     d: &Vector,
     h: &Vector,
     warm: &mut Vec<usize>,
-) -> Result<(LsqSolution, SolveStats), QpError> {
+    sol: &mut LsqSolution,
+) -> Result<SolveStats, QpError> {
     let mut stats = SolveStats {
         warm_start: !warm.is_empty(),
         ..SolveStats::default()
     };
-    let attempt = solver.solve_with(d, h, warm);
+    let attempt = solver.solve_into(d, h, warm, sol);
     let result = match attempt {
         // The warm start is only a heuristic: a stale active set can make
         // the dual iteration wander (iteration limit) or misreport
@@ -726,15 +744,18 @@ fn solve_amortized(
         // decisions must not depend on the previous period's guess.
         Err(_) if !warm.is_empty() => {
             stats.cold_retry = true;
-            solver.solve_with(d, h, &[])
+            solver.solve_into(d, h, &[], sol)
         }
         other => other,
     };
-    let sol = result?;
+    result?;
     stats.active_churn = symmetric_difference(warm, &sol.active);
+    // Room for every row an active set can hold, so the guess does not
+    // reallocate each time the set outgrows its past sizes.
     warm.clear();
+    warm.reserve(solver.num_vars());
     warm.extend_from_slice(&sol.active);
-    Ok((sol, stats))
+    Ok(stats)
 }
 
 /// Size of the symmetric difference of two small index sets (the active
@@ -763,6 +784,7 @@ impl RateController for MpcController {
         ControllerTelemetry {
             qp_iterations: self.last_info.qp_iterations,
             warm_start: self.last_info.warm_start,
+            warm_retained: self.last_info.warm_retained,
             cold_retry: self.last_info.cold_retry,
             relaxed_utilization: self.last_info.relaxed_utilization,
             active_set_size: self.last_info.active_set_size,
@@ -1030,6 +1052,46 @@ mod tests {
         assert!(c.prev_move.approx_eq(&prev_move_before, 0.0));
         // The controller keeps working normally afterwards.
         let _ = c.step(&Vector::from_slice(&[0.4, 0.4])).unwrap();
+    }
+
+    #[test]
+    fn non_finite_qp_inputs_are_an_error_that_leaves_the_state_untouched() {
+        // A NaN set point passes the sample check (the sample is fine) and
+        // reaches the solver as a non-finite target and right-hand side.
+        let mut c = simple_controller();
+        let u = Vector::from_slice(&[0.9, 0.9]);
+        for _ in 0..3 {
+            let _ = c.step(&u).unwrap();
+        }
+        let good = c.set_points().clone();
+        let rates = rate_bits(&c);
+        let prev_move = c.prev_move.clone();
+        let (warm_util, warm_rate) = (c.warm_util.clone(), c.warm_rate.clone());
+        let info = c.last_step_info();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            c.set_set_points(Vector::from_slice(&[good[0], bad]));
+            let err = c.step(&u).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ControlError::Optimization(QpError::NonFiniteInput { .. })
+                ),
+                "got {err:?}"
+            );
+            assert_eq!(rate_bits(&c), rates);
+            assert!(c.prev_move.approx_eq(&prev_move, 0.0));
+            assert_eq!((&c.warm_util, &c.warm_rate), (&warm_util, &warm_rate));
+            assert_eq!(c.last_step_info(), info);
+        }
+        // With the set points restored it continues exactly like a
+        // controller that never saw the bad ones.
+        c.set_set_points(good);
+        let mut twin = simple_controller();
+        for _ in 0..3 {
+            let _ = twin.step(&u).unwrap();
+        }
+        let _ = (c.step(&u).unwrap(), twin.step(&u).unwrap());
+        assert_eq!(rate_bits(&c), rate_bits(&twin));
     }
 
     #[test]

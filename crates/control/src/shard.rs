@@ -322,6 +322,10 @@ struct ShardController {
     /// Per-shard view of boundary utilizations, indexed like
     /// `boundary_procs`.
     view_u: Vec<f64>,
+    /// Per-period scratch, indexed like `neighborhood`: the coupling
+    /// `foreign · moves` and the local utilization sample built from it.
+    disturbance: Vector,
+    u_local: Vector,
 }
 
 /// Cluster-scale sharded EUCON: per-shard local MPCs coordinating by
@@ -358,6 +362,15 @@ pub struct ShardedController {
     /// neighborhood (min 1) — tracking errors are split by this count so
     /// the team's collective correction sums to the needed one.
     actuator_count: Vec<usize>,
+    /// Per-period staging, so an update allocates nothing: the team's
+    /// result is assembled here and swapped in only after every local
+    /// solve succeeded.
+    staged_rates: Vector,
+    staged_moves: Vector,
+    /// In-process sweep: the moves each shard assumes of its peers.
+    predicted_moves: Vector,
+    /// Bus sweep: one shard's publish/fetch payload at a time.
+    bus_scratch: Vec<f64>,
 }
 
 impl ShardedController {
@@ -456,6 +469,7 @@ impl ShardedController {
             // than a phantom disturbance.
             let view_u: Vec<f64> = boundary_procs.iter().map(|&q| set_points[q]).collect();
 
+            let neighborhood_len = neighborhood.len();
             controllers.push(ShardController {
                 shard: s,
                 owned,
@@ -466,6 +480,8 @@ impl ShardedController {
                 boundary_procs,
                 view_moves: Vector::zeros(m),
                 view_u,
+                disturbance: Vector::zeros(neighborhood_len),
+                u_local: Vector::zeros(neighborhood_len),
             });
         }
 
@@ -482,10 +498,14 @@ impl ShardedController {
         Ok(ShardedController {
             plan,
             controllers,
+            staged_rates: r0.clone(),
             rates: r0,
             last_moves: Vector::zeros(m),
             num_processors: n,
             actuator_count,
+            staged_moves: Vector::zeros(m),
+            predicted_moves: Vector::zeros(m),
+            bus_scratch: Vec::new(),
         })
     }
 
@@ -580,68 +600,75 @@ impl ShardedController {
             )));
         }
         bus.begin_period();
+        let ShardedController {
+            plan,
+            controllers,
+            rates,
+            last_moves,
+            actuator_count,
+            staged_rates: new_rates,
+            staged_moves: new_moves,
+            bus_scratch: scratch,
+            ..
+        } = self;
         // Phase A: every shard publishes its home utilizations —
         // including shards that own no tasks, whose processors may still
         // sit on a peer's boundary.
-        let mut u_home: Vec<f64> = Vec::new();
-        for (s, home) in self.plan.shards().iter().enumerate() {
-            u_home.clear();
-            u_home.extend(home.iter().map(|&p| u[p]));
-            bus.publish_utilization(s, home, &u_home);
+        for (s, home) in plan.shards().iter().enumerate() {
+            scratch.clear();
+            scratch.extend(home.iter().map(|&p| u[p]));
+            bus.publish_utilization(s, home, scratch);
         }
 
         // Phase B: the Gauss–Seidel sweep, with each shard's boundary
         // view refreshed from the bus immediately before its solve and
         // its committed moves published immediately after.
-        let mut new_rates = self.rates.clone();
-        let mut new_moves = Vector::zeros(self.rates.len());
-        let actuator_count = self.actuator_count.clone();
-        let mut moves_scratch: Vec<f64> = Vec::new();
-        let mut published: Vec<f64> = Vec::new();
-        for ctrl in &mut self.controllers {
-            moves_scratch.clear();
-            moves_scratch.extend(ctrl.boundary_tasks.iter().map(|&j| ctrl.view_moves[j]));
+        new_rates.copy_from(rates);
+        new_moves.as_mut_slice().fill(0.0);
+        for ctrl in controllers.iter_mut() {
+            scratch.clear();
+            scratch.extend(ctrl.boundary_tasks.iter().map(|&j| ctrl.view_moves[j]));
             bus.fetch(
                 ctrl.shard,
                 &ctrl.boundary_tasks,
-                &mut moves_scratch,
+                scratch,
                 &ctrl.boundary_procs,
                 &mut ctrl.view_u,
             );
             for (i, &j) in ctrl.boundary_tasks.iter().enumerate() {
-                ctrl.view_moves[j] = moves_scratch[i];
+                ctrl.view_moves[j] = scratch[i];
             }
-            let disturbance = ctrl.foreign.mul_vec(&ctrl.view_moves);
-            let home = &self.plan.shards()[ctrl.shard];
-            let view_u = &ctrl.view_u;
-            let boundary_procs = &ctrl.boundary_procs;
-            let u_local = Vector::from_iter(ctrl.neighborhood.iter().enumerate().map(|(r, &q)| {
+            ctrl.foreign
+                .mul_vec_into(&ctrl.view_moves, &mut ctrl.disturbance);
+            let home = &plan.shards()[ctrl.shard];
+            for (r, &q) in ctrl.neighborhood.iter().enumerate() {
                 let b = ctrl.mpc.set_points()[r];
                 let uq = if home.contains(&q) {
                     u[q]
                 } else {
-                    let i = boundary_procs
+                    let i = ctrl
+                        .boundary_procs
                         .iter()
                         .position(|&bp| bp == q)
                         .expect("non-home neighborhood processor is a boundary processor");
-                    view_u[i]
+                    ctrl.view_u[i]
                 };
-                let err = uq + disturbance[r] - b;
-                (b + err / actuator_count[q] as f64).clamp(0.0, 1.0)
-            }));
-            ctrl.mpc.step_in_place(&u_local)?;
+                let err = uq + ctrl.disturbance[r] - b;
+                ctrl.u_local[r] = (b + err / actuator_count[q] as f64).clamp(0.0, 1.0);
+            }
+            ctrl.mpc.step_in_place(&ctrl.u_local)?;
             let r_local = ctrl.mpc.rates();
-            published.clear();
+            scratch.clear();
             for (c, &j) in ctrl.owned.iter().enumerate() {
-                let mv = r_local[c] - self.rates[j];
+                let mv = r_local[c] - rates[j];
                 new_moves[j] = mv;
                 new_rates[j] = r_local[c];
-                published.push(mv);
+                scratch.push(mv);
             }
-            bus.publish_moves(ctrl.shard, &ctrl.owned, &published);
+            bus.publish_moves(ctrl.shard, &ctrl.owned, scratch);
         }
-        self.last_moves = new_moves;
-        self.rates = new_rates;
+        std::mem::swap(last_moves, new_moves);
+        std::mem::swap(rates, new_rates);
         Ok(())
     }
 }
@@ -659,30 +686,40 @@ impl RateController for ShardedController {
         // `DecentralizedController::update`, over shard controllers
         // instead of per-processor ones.  Stage the team's result and
         // commit only after every local solve succeeded.
-        let mut new_rates = self.rates.clone();
+        let ShardedController {
+            controllers,
+            rates,
+            last_moves,
+            actuator_count,
+            staged_rates: new_rates,
+            staged_moves: new_moves,
+            predicted_moves,
+            ..
+        } = self;
+        new_rates.copy_from(rates);
         // Gauss–Seidel coordination: shards act in a fixed order; each
         // sees the moves already committed this period by earlier shards
         // and predicts the not-yet-acting ones by their previous move.
-        let mut predicted_moves = self.last_moves.clone();
-        let mut new_moves = Vector::zeros(self.rates.len());
-        let actuator_count = self.actuator_count.clone();
-        for ctrl in &mut self.controllers {
-            let disturbance = ctrl.foreign.mul_vec(&predicted_moves);
-            let u_local = Vector::from_iter(ctrl.neighborhood.iter().enumerate().map(|(r, &q)| {
+        predicted_moves.copy_from(last_moves);
+        new_moves.as_mut_slice().fill(0.0);
+        for ctrl in controllers.iter_mut() {
+            ctrl.foreign
+                .mul_vec_into(predicted_moves, &mut ctrl.disturbance);
+            for (r, &q) in ctrl.neighborhood.iter().enumerate() {
                 let b = ctrl.mpc.set_points()[r];
-                let err = u[q] + disturbance[r] - b;
-                (b + err / actuator_count[q] as f64).clamp(0.0, 1.0)
-            }));
-            ctrl.mpc.step_in_place(&u_local)?;
+                let err = u[q] + ctrl.disturbance[r] - b;
+                ctrl.u_local[r] = (b + err / actuator_count[q] as f64).clamp(0.0, 1.0);
+            }
+            ctrl.mpc.step_in_place(&ctrl.u_local)?;
             let r_local = ctrl.mpc.rates();
             for (c, &j) in ctrl.owned.iter().enumerate() {
-                new_moves[j] = r_local[c] - self.rates[j];
+                new_moves[j] = r_local[c] - rates[j];
                 predicted_moves[j] = new_moves[j];
                 new_rates[j] = r_local[c];
             }
         }
-        self.last_moves = new_moves;
-        self.rates = new_rates;
+        std::mem::swap(last_moves, new_moves);
+        std::mem::swap(rates, new_rates);
         Ok(())
     }
 
@@ -701,6 +738,7 @@ impl RateController for ShardedController {
         for ctrl in &self.controllers {
             let lt = ctrl.mpc.telemetry();
             t.qp_iterations += lt.qp_iterations;
+            t.warm_retained += lt.warm_retained;
             t.active_set_size += lt.active_set_size;
             t.active_churn += lt.active_churn;
             t.warm_start |= lt.warm_start;

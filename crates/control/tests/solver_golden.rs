@@ -1,0 +1,64 @@
+//! Controller-level golden hashes over a script that forces active-set
+//! churn (ISSUE 13).
+//!
+//! The SIMPLE/MEDIUM closed-loop goldens in `eucon-core` never spend more
+//! than 8 active-set iterations in a solve; these two drive the solver
+//! where the benchmark does — a 120-variable × 320-row centralized QP and
+//! a banded 16-processor shard QP, tens of iterations a solve — and pin
+//! every commanded rate bit.  The constants were captured on the commit
+//! before the solver read sparse rows or used a workspace: any reordering
+//! of its arithmetic changes them.
+
+mod common;
+
+use common::{central_20p, one_shard_16p, script_into};
+use eucon_control::RateController;
+use eucon_math::Vector;
+use eucon_tasks::TaskSet;
+
+/// Steps of the script the hashes cover.
+const SCRIPT_STEPS: usize = 300;
+
+const CENTRAL_20P_RATE_HASH: u64 = 0xe471_6172_5ea9_2143;
+const SHARD_16P_RATE_HASH: u64 = 0x69de_0128_ab8a_838c;
+
+/// FNV-1a over the bit patterns of every rate commanded along the script,
+/// plus the largest per-period iteration count seen.
+fn drive(set: &TaskSet, ctrl: &mut dyn RateController) -> (u64, usize) {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut max_iters = 0;
+    let mut u = Vector::zeros(set.num_processors());
+    for k in 0..SCRIPT_STEPS {
+        script_into(k, set, ctrl.rates(), &mut u);
+        ctrl.update(&u).expect("script step solves");
+        max_iters = max_iters.max(ctrl.telemetry().qp_iterations);
+        for r in ctrl.rates() {
+            for byte in r.to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    (hash, max_iters)
+}
+
+#[test]
+fn central_20p_rates_are_pinned_through_active_set_churn() {
+    let (set, mut ctrl) = central_20p();
+    let (hash, max_iters) = drive(&set, &mut ctrl);
+    assert!(
+        max_iters > 8,
+        "script must churn harder than the closed-loop goldens (max {max_iters} iterations)"
+    );
+    assert_eq!(hash, CENTRAL_20P_RATE_HASH, "rate hash {hash:#018x}");
+}
+
+#[test]
+fn one_16p_shard_rates_are_pinned_through_active_set_churn() {
+    let (set, mut ctrl) = one_shard_16p();
+    let (hash, max_iters) = drive(&set, &mut ctrl);
+    assert!(
+        max_iters > 8,
+        "script must churn harder than the closed-loop goldens (max {max_iters} iterations)"
+    );
+    assert_eq!(hash, SHARD_16P_RATE_HASH, "rate hash {hash:#018x}");
+}

@@ -178,6 +178,7 @@ pub(crate) struct LoopTelemetry {
     h_tracking: HistogramId,
     h_overshoot: HistogramId,
     h_qp_iters: HistogramId,
+    h_qp_warm_retained: HistogramId,
     h_simulate: HistogramId,
     h_sample: HistogramId,
     h_control: HistogramId,
@@ -282,6 +283,7 @@ impl LoopTelemetry {
         let h_tracking = b.histogram("tracking_error", &ERROR_BOUNDS);
         let h_overshoot = b.histogram("overshoot", &ERROR_BOUNDS);
         let h_qp_iters = b.histogram("qp_iterations_hist", &ITER_BOUNDS);
+        let h_qp_warm_retained = b.histogram("qp_warm_retained", &ITER_BOUNDS);
         let h_simulate = b.histogram("span_simulate_ns", &SPAN_BOUNDS);
         let h_sample = b.histogram("span_sample_ns", &SPAN_BOUNDS);
         let h_control = b.histogram("span_control_ns", &SPAN_BOUNDS);
@@ -334,6 +336,7 @@ impl LoopTelemetry {
             h_tracking,
             h_overshoot,
             h_qp_iters,
+            h_qp_warm_retained,
             h_simulate,
             h_sample,
             h_control,
@@ -428,6 +431,7 @@ impl LoopTelemetry {
         reg.set(self.g_degradations, ct.degradations as f64);
         reg.set(self.g_reengagements, ct.reengagements as f64);
         reg.observe(self.h_qp_iters, ct.qp_iterations as f64);
+        reg.observe(self.h_qp_warm_retained, ct.warm_retained as f64);
         reg.observe(self.h_simulate, obs.timings.simulate_ns as f64);
         reg.observe(self.h_sample, obs.timings.sample_ns as f64);
         reg.observe(self.h_control, obs.timings.control_ns as f64);
@@ -620,7 +624,7 @@ mod tests {
         // Registry state and the pushed rows must agree.
         assert_eq!(
             lt.registry().columns().len(),
-            lt.snapshot().entries().len() + 2 * 11
+            lt.snapshot().entries().len() + 2 * 12
         );
         assert_eq!(lt.snapshot().counter("sink_errors"), Some(0));
     }

@@ -20,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use eucon_core::{ClosedLoop, ControllerSpec};
-use eucon_sim::SimConfig;
+use eucon_sim::{ExecModel, SimConfig};
 use eucon_tasks::workloads;
 
 /// Passes every request to the system allocator, counting them.
@@ -156,12 +156,14 @@ fn fault_free_steady_state_period_is_allocation_free() {
          (got {churn_steady} over 50 periods)"
     );
 
-    // 3. EUCON (MPC): the controller's scratch buffers are persistent,
-    // but the QP solver allocates its solution internally — the honest
-    // claim is *bounded and steady*, not zero.  Two consecutive windows
-    // must cost the same (no drift, no accumulation).
+    // 3. EUCON (MPC) under ±20 % execution-time noise, so the active set
+    // keeps changing and the QP solver runs real iterations every period:
+    // zero as well.  The solver works in a per-controller workspace whose
+    // buffers are sized to the problem's bound the first time a solve
+    // needs them, and writes its solution into a buffer the controller
+    // keeps — after the warm-up no period touches the heap.
     let mut eucon = ClosedLoop::builder(workloads::medium())
-        .sim_config(SimConfig::constant_etf(0.5))
+        .sim_config(SimConfig::constant_etf(0.5).exec_model(ExecModel::Uniform { half_width: 0.2 }))
         .controller(ControllerSpec::Eucon(eucon_control::MpcConfig::medium()))
         .record_trace(false)
         .build()
@@ -169,10 +171,23 @@ fn fault_free_steady_state_period_is_allocation_free() {
     for _ in 0..40 {
         eucon.step();
     }
-    let w1 = measure(&mut eucon, 50);
-    let w2 = measure(&mut eucon, 50);
-    assert!(
-        w2 <= w1 + w1 / 10 + 8,
-        "EUCON per-period allocations must be steady: {w1} then {w2}"
+    let iterations_before = qp_iterations(&eucon);
+    let steady = measure(&mut eucon, 100);
+    assert_eq!(
+        steady, 0,
+        "EUCON steady state must not allocate (got {steady} over 100 periods)"
     );
+    assert!(
+        qp_iterations(&eucon) > iterations_before,
+        "the measured periods really iterated in the QP solver"
+    );
+}
+
+/// Total active-set iterations the loop's controller has reported so far.
+fn qp_iterations(cl: &ClosedLoop) -> f64 {
+    cl.telemetry()
+        .snapshot()
+        .histogram("qp_iterations_hist")
+        .expect("declared by every loop")
+        .sum
 }

@@ -148,6 +148,18 @@ impl Cholesky {
     /// Returns [`MathError::DimensionMismatch`] when `b` has the wrong
     /// length.
     pub fn solve(&self, b: &Vector) -> Result<Vector, MathError> {
+        let mut x = Vector::zeros(0);
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// [`Cholesky::solve`] into a caller-owned vector: `x` is resized to
+    /// the system order and overwritten, reusing its allocation.
+    ///
+    /// # Errors
+    ///
+    /// Same condition as [`Cholesky::solve`]; `x` is untouched on error.
+    pub fn solve_into(&self, b: &Vector, x: &mut Vector) -> Result<(), MathError> {
         let n = self.l.rows();
         if b.len() != n {
             return Err(MathError::DimensionMismatch(format!(
@@ -158,7 +170,8 @@ impl Cholesky {
         // Both sweeps only visit the band of `L`; out-of-band entries are
         // exactly zero, so the skipped terms contribute nothing.
         // L·y = b
-        let mut y = b.clone();
+        x.clone_from(b);
+        let y = x;
         for i in 0..n {
             let row = self.l.row(i);
             let mut acc = y[i];
@@ -176,7 +189,7 @@ impl Cholesky {
             }
             y[i] = acc / self.l[(i, i)];
         }
-        Ok(y)
+        Ok(())
     }
 
     /// Determinant of the original matrix (product of squared diagonals).
@@ -240,6 +253,23 @@ mod tests {
             chol.solve(&Vector::zeros(1)),
             Err(MathError::DimensionMismatch(_))
         ));
+    }
+
+    #[test]
+    fn solve_into_overwrites_whatever_the_output_held() {
+        let a = Matrix::from_rows(&[&[6.0, 2.0, 0.0], &[2.0, 5.0, 1.0], &[0.0, 1.0, 4.0]]);
+        let chol = Cholesky::decompose(&a).unwrap();
+        let mut x = Vector::from_slice(&[9.0; 7]);
+        for b in [[1.0, -3.0, 0.5], [0.0, 2.0, -1.0]] {
+            let b = Vector::from_slice(&b);
+            chol.solve_into(&b, &mut x).unwrap();
+            assert_eq!(x.as_slice(), chol.solve(&b).unwrap().as_slice());
+        }
+        assert!(matches!(
+            chol.solve_into(&Vector::zeros(2), &mut x),
+            Err(MathError::DimensionMismatch(_))
+        ));
+        assert_eq!(x.len(), 3, "untouched on error");
     }
 
     #[test]

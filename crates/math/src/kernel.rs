@@ -8,6 +8,22 @@
 //! the exact left-to-right order of the textbook loop it replaces.
 //! That makes the substitution bit-exact — no reassociation — which the
 //! golden closed-loop trace hashes in `eucon-core` pin down.
+//!
+//! The contract extends to the sparse form,
+//! [`SparseRows::dot`](crate::SparseRows::dot): same single accumulator,
+//! same ascending column order, with the terms whose *matrix* entry is an
+//! exact `±0.0` left out.  For finite `x` that changes no bit:
+//!
+//! 1. a left-out term `0·x` is `±0.0`;
+//! 2. the accumulator starts at `+0.0` and, under round-to-nearest, a sum
+//!    is `−0.0` only when both operands are — so it is never `−0.0`, and
+//!    adding `±0.0` to it returns it unchanged, whether it is `+0.0` or
+//!    nonzero;
+//! 3. the remaining terms are the same products, added in the same order.
+//!
+//! The precondition — finite operands; `0·∞` is NaN — is enforced by the
+//! callers: `eucon-qp` rejects non-finite per-solve inputs and the
+//! factorizations reject non-finite matrices.
 
 /// Unroll width for the kernels below.
 ///

@@ -8,6 +8,8 @@
 //!
 //! * [`Matrix`] and [`Vector`] — simple row-major dense containers with the
 //!   usual arithmetic.
+//! * [`SparseRows`] — a compressed-row view of a [`Matrix`] whose row
+//!   products are bit-identical to the dense ones and read only nonzeros.
 //! * [`Lu`] — LU decomposition with partial pivoting (solves, determinant,
 //!   inverse).
 //! * [`Qr`] — Householder QR (least squares, orthonormal bases).
@@ -45,6 +47,7 @@ pub mod kernel;
 mod lu;
 mod matrix;
 mod qr;
+mod sparse;
 mod vector;
 
 pub use cholesky::Cholesky;
@@ -53,6 +56,7 @@ pub use error::MathError;
 pub use lu::Lu;
 pub use matrix::Matrix;
 pub use qr::Qr;
+pub use sparse::SparseRows;
 pub use vector::Vector;
 
 /// Default absolute tolerance used by the comparison helpers in this crate.

@@ -37,6 +37,19 @@ pub struct Lu {
     singular: bool,
 }
 
+impl Default for Lu {
+    /// The factorization of the empty (0×0) matrix, which counts as
+    /// singular; a placeholder to [`refactor`](Lu::refactor) into.
+    fn default() -> Self {
+        Lu {
+            lu: Matrix::zeros(0, 0),
+            perm: Vec::new(),
+            perm_sign: 1.0,
+            singular: true,
+        }
+    }
+}
+
 /// Relative threshold below which a pivot is considered zero.
 const PIVOT_RTOL: f64 = 1e-13;
 
@@ -53,6 +66,27 @@ impl Lu {
     /// Returns [`MathError::NotSquare`] for non-square input and
     /// [`MathError::NonFinite`] when the input contains NaN or infinities.
     pub fn decompose(a: &Matrix) -> Result<Lu, MathError> {
+        let mut lu = Lu::default();
+        lu.refactor(a)?;
+        Ok(lu)
+    }
+
+    /// Reserves room for factors of order `n` without changing the stored
+    /// factorization, so later [`refactor`](Lu::refactor) calls up to that
+    /// order do not allocate.
+    pub fn reserve(&mut self, n: usize) {
+        self.lu.reserve(n, n);
+        self.perm.reserve(n.saturating_sub(self.perm.len()));
+    }
+
+    /// Replaces the stored factorization with that of `a`, reusing the
+    /// factor's allocations — [`Lu::decompose`] without the fresh `Lu`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Lu::decompose`]; on error the stored factor
+    /// is left unchanged.
+    pub fn refactor(&mut self, a: &Matrix) -> Result<(), MathError> {
         if !a.is_square() {
             return Err(MathError::NotSquare {
                 rows: a.rows(),
@@ -63,8 +97,10 @@ impl Lu {
             return Err(MathError::NonFinite);
         }
         let n = a.rows();
-        let mut lu = a.clone();
-        let mut perm: Vec<usize> = (0..n).collect();
+        self.lu.clone_from(a);
+        self.perm.clear();
+        self.perm.extend(0..n);
+        let Lu { lu, perm, .. } = self;
         let mut perm_sign = 1.0;
         let mut singular = n == 0;
         let scale = a.max_abs().max(1.0);
@@ -103,12 +139,9 @@ impl Lu {
                 }
             }
         }
-        Ok(Lu {
-            lu,
-            perm,
-            perm_sign,
-            singular,
-        })
+        self.perm_sign = perm_sign;
+        self.singular = singular;
+        Ok(())
     }
 
     /// Returns `true` when the factored matrix is (numerically) singular.
@@ -131,6 +164,18 @@ impl Lu {
     /// Returns [`MathError::Singular`] when the matrix was singular and
     /// [`MathError::DimensionMismatch`] when `b` has the wrong length.
     pub fn solve(&self, b: &Vector) -> Result<Vector, MathError> {
+        let mut x = Vector::zeros(0);
+        self.solve_into(b, &mut x)?;
+        Ok(x)
+    }
+
+    /// [`Lu::solve`] into a caller-owned vector: `x` is resized to the
+    /// system order and overwritten, reusing its allocation.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Lu::solve`]; `x` is untouched on error.
+    pub fn solve_into(&self, b: &Vector, x: &mut Vector) -> Result<(), MathError> {
         let n = self.lu.rows();
         if b.len() != n {
             return Err(MathError::DimensionMismatch(format!(
@@ -142,7 +187,10 @@ impl Lu {
             return Err(MathError::Singular);
         }
         // Forward substitution with permuted rhs: L·y = P·b.
-        let mut x = Vector::from_iter(self.perm.iter().map(|&p| b[p]));
+        x.resize(n);
+        for (xi, &p) in x.as_mut_slice().iter_mut().zip(&self.perm) {
+            *xi = b[p];
+        }
         for i in 1..n {
             let mut acc = x[i];
             for j in 0..i {
@@ -158,7 +206,7 @@ impl Lu {
             }
             x[i] = acc / self.lu[(i, i)];
         }
-        Ok(x)
+        Ok(())
     }
 
     /// Computes the inverse of the original matrix column by column.
@@ -241,6 +289,40 @@ mod tests {
             lu.solve(&Vector::zeros(3)),
             Err(MathError::DimensionMismatch(_))
         ));
+    }
+
+    #[test]
+    fn refactor_and_solve_into_reuse_one_factor_across_orders() {
+        // Grow, shrink, grow: every refactor must equal a fresh
+        // decomposition bit for bit, whatever the factor held before.
+        let systems = [
+            Matrix::from_rows(&[&[4.0, 1.0, 0.0], &[1.0, 3.0, 1.0], &[0.0, 1.0, 2.0]]),
+            Matrix::from_rows(&[&[0.0, 2.0], &[1.0, 1.0]]),
+            Matrix::from_rows(&[
+                &[2.0, -1.0, 0.5, 0.0],
+                &[1.0, 0.0, 3.0, 1.0],
+                &[0.0, 4.0, 1.0, -2.0],
+                &[1.5, 1.0, 0.0, 1.0],
+            ]),
+        ];
+        let mut lu = Lu::default();
+        assert!(lu.is_singular(), "the placeholder factors nothing");
+        let mut x = Vector::zeros(0);
+        for a in &systems {
+            let b = Vector::from_iter((0..a.rows()).map(|i| 1.0 + i as f64));
+            lu.refactor(a).unwrap();
+            lu.solve_into(&b, &mut x).unwrap();
+            let fresh = Lu::decompose(a).unwrap();
+            assert_eq!(x.as_slice(), fresh.solve(&b).unwrap().as_slice());
+            assert_eq!(lu.det().to_bits(), fresh.det().to_bits());
+        }
+        // A rejected input leaves the stored factor usable.
+        let mut nan = Matrix::identity(2);
+        nan[(0, 1)] = f64::NAN;
+        assert!(matches!(lu.refactor(&nan), Err(MathError::NonFinite)));
+        let b = Vector::from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        lu.solve_into(&b, &mut x).unwrap();
+        assert!(residual(&systems[2], &x, &b) < 1e-12);
     }
 
     #[test]

@@ -23,11 +23,30 @@ use crate::{Lu, MathError, Qr, Vector};
 /// assert_eq!(f.cols(), 3);
 /// assert_eq!(f[(0, 1)], 35.0);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
+}
+
+// Not derived, for the same reason as `Vector`'s: `clone_from` must reuse
+// the destination's allocation (the QP solver refactors its subproblem
+// matrices into long-lived scratch every active-set change).
+impl Clone for Matrix {
+    fn clone(&self) -> Self {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.rows = source.rows;
+        self.cols = source.cols;
+        self.data.clone_from(&source.data);
+    }
 }
 
 impl Matrix {
@@ -45,6 +64,24 @@ impl Matrix {
             cols,
             data: vec![0.0; rows * cols],
         }
+    }
+
+    /// Reserves room for a `rows × cols` shape without changing the
+    /// matrix, so later [`reset_zeros`](Matrix::reset_zeros) /
+    /// [`clone_from`](Clone::clone_from) calls up to that size do not
+    /// allocate.  Reserved memory is not touched until used.
+    pub fn reserve(&mut self, rows: usize, cols: usize) {
+        self.data
+            .reserve((rows * cols).saturating_sub(self.data.len()));
+    }
+
+    /// Makes `self` a `rows × cols` matrix of zeros, reusing its
+    /// allocation when the new shape fits.
+    pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, 0.0);
     }
 
     /// Creates the `n × n` identity matrix.

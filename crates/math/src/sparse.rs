@@ -1,0 +1,218 @@
+//! Compressed-row view of a dense matrix.
+
+use crate::{Matrix, Vector};
+
+/// The nonzero entries of a [`Matrix`], row by row (compressed sparse
+/// row: row offsets, column indices, values).
+///
+/// Built once from a dense matrix whose rows are then multiplied many
+/// times — the QP constraint matrix `G` (a few percent nonzero: every
+/// rate-bound row has one or two entries) and the least-squares matrix
+/// `C`.  [`dot`](SparseRows::dot) accumulates with a single accumulator in
+/// ascending column order, exactly like [`kernel::dot`](crate::kernel::dot)
+/// on the dense row, and only leaves out the terms whose matrix entry is
+/// an exact zero.  For finite `x` that is bit-identical to the dense dot
+/// (see the [`kernel`](crate::kernel) module docs), so the view replaces
+/// the dense row products without moving a single rounding.
+///
+/// # Example
+///
+/// ```
+/// use eucon_math::{Matrix, SparseRows};
+///
+/// let g = Matrix::from_rows(&[&[1.0, 0.0, 0.0], &[0.0, -2.0, 0.5]]);
+/// let rows = SparseRows::from_matrix(&g);
+/// assert_eq!(rows.nnz(), 3);
+/// assert_eq!(rows.dot(1, &[4.0, 1.0, 2.0]), -1.0);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct SparseRows {
+    cols: usize,
+    /// Row `i` owns entries `offsets[i]..offsets[i + 1]`.
+    offsets: Vec<usize>,
+    col_idx: Vec<usize>,
+    values: Vec<f64>,
+}
+
+impl SparseRows {
+    /// Collects the entries of `m` that are not exactly zero (`±0.0`).
+    pub fn from_matrix(m: &Matrix) -> Self {
+        let nnz = m.as_slice().iter().filter(|&&v| v != 0.0).count();
+        let mut offsets = Vec::with_capacity(m.rows() + 1);
+        let mut col_idx = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        offsets.push(0);
+        for i in 0..m.rows() {
+            for (j, &v) in m.row(i).iter().enumerate() {
+                if v != 0.0 {
+                    col_idx.push(j);
+                    values.push(v);
+                }
+            }
+            offsets.push(values.len());
+        }
+        SparseRows {
+            cols: m.cols(),
+            offsets,
+            col_idx,
+            values,
+        }
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Number of columns of the matrix the view was built from.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Number of stored (nonzero) entries.
+    pub fn nnz(&self) -> usize {
+        self.values.len()
+    }
+
+    /// `row_i · x`, accumulated left to right over the stored entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.rows()` or `x.len() != self.cols()`.
+    #[inline]
+    pub fn dot(&self, i: usize, x: &[f64]) -> f64 {
+        assert_eq!(x.len(), self.cols, "dot requires one entry per column");
+        let span = self.offsets[i]..self.offsets[i + 1];
+        let mut acc = 0.0;
+        for (&j, &v) in self.col_idx[span.clone()].iter().zip(&self.values[span]) {
+            acc += v * x[j];
+        }
+        acc
+    }
+
+    /// Writes `self · x` into `out` without allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.cols()` or `out.len() != self.rows()`.
+    pub fn mul_vec_into(&self, x: &Vector, out: &mut Vector) {
+        assert_eq!(
+            out.len(),
+            self.rows(),
+            "mul_vec_into: output length {} does not match {} rows",
+            out.len(),
+            self.rows()
+        );
+        let xs = x.as_slice();
+        for (i, o) in out.as_mut_slice().iter_mut().enumerate() {
+            *o = self.dot(i, xs);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::kernel;
+
+    #[test]
+    fn stores_only_nonzeros_and_keeps_the_shape() {
+        let m = Matrix::from_rows(&[&[0.0, 2.0, -0.0], &[0.0, 0.0, 0.0], &[1.0, 0.0, 3.0]]);
+        let rows = SparseRows::from_matrix(&m);
+        assert_eq!((rows.rows(), rows.cols(), rows.nnz()), (3, 3, 3));
+        let x = [1.0, 10.0, 100.0];
+        assert_eq!(rows.dot(0, &x), 20.0);
+        assert_eq!(rows.dot(1, &x).to_bits(), 0.0f64.to_bits());
+        assert_eq!(rows.dot(2, &x), 301.0);
+    }
+
+    #[test]
+    fn empty_matrices_are_fine() {
+        let rows = SparseRows::from_matrix(&Matrix::zeros(0, 4));
+        assert_eq!((rows.rows(), rows.cols(), rows.nnz()), (0, 4, 0));
+        rows.mul_vec_into(&Vector::zeros(4), &mut Vector::zeros(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "one entry per column")]
+    fn dot_checks_the_operand_length() {
+        let rows = SparseRows::from_matrix(&Matrix::identity(2));
+        let _ = rows.dot(0, &[1.0]);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Finite operands that stress the zero-skip identity: signed
+        /// zeros, subnormals, magnitudes whose products underflow to
+        /// `±0.0`, cancelling pairs, and ordinary values.
+        fn entry() -> impl Strategy<Value = f64> {
+            (0..12u64, -4.0..4.0f64).prop_map(|(kind, v)| match kind {
+                0..=3 => 0.0,
+                4 => -0.0,
+                5 => f64::from_bits(1 + (v.abs() * 1e3) as u64).copysign(v),
+                6 => v * 1e-200,
+                7 => v * 1e-300,
+                8 => v.signum() * 1e16,
+                _ => v,
+            })
+        }
+
+        const MAX_ROWS: usize = 5;
+        const MAX_COLS: usize = 13;
+
+        /// The leading `r × c` block of `data`; `fill` makes a row all
+        /// zero (0), fully dense (1) or leaves it mixed.
+        fn matrix(r: usize, c: usize, data: &[f64], fill: &[u64]) -> Matrix {
+            Matrix::from_fn(r, c, |i, j| {
+                let v = data[i * MAX_COLS + j];
+                match fill[i] {
+                    0 => 0.0,
+                    1 if v == 0.0 => 1.5,
+                    _ => v,
+                }
+            })
+        }
+
+        proptest! {
+            #[test]
+            fn dot_is_bit_identical_to_the_dense_kernel(
+                r in 1..MAX_ROWS + 1,
+                c in 1..MAX_COLS + 1,
+                data in proptest::collection::vec(entry(), MAX_ROWS * MAX_COLS),
+                fill in proptest::collection::vec(0..3u64, MAX_ROWS),
+                x in proptest::collection::vec(entry(), MAX_COLS),
+            ) {
+                let m = matrix(r, c, &data, &fill);
+                let rows = SparseRows::from_matrix(&m);
+                for i in 0..r {
+                    prop_assert_eq!(
+                        rows.dot(i, &x[..c]).to_bits(),
+                        kernel::dot(m.row(i), &x[..c]).to_bits(),
+                        "row {}", i
+                    );
+                }
+            }
+
+            #[test]
+            fn mul_vec_into_is_bit_identical_to_the_dense_product(
+                r in 1..MAX_ROWS + 1,
+                c in 1..MAX_COLS + 1,
+                data in proptest::collection::vec(entry(), MAX_ROWS * MAX_COLS),
+                fill in proptest::collection::vec(0..3u64, MAX_ROWS),
+                x in proptest::collection::vec(entry(), MAX_COLS),
+            ) {
+                let m = matrix(r, c, &data, &fill);
+                let x = Vector::from_slice(&x[..c]);
+                let mut dense = Vector::zeros(r);
+                let mut sparse = Vector::zeros(r);
+                m.mul_vec_into(&x, &mut dense);
+                SparseRows::from_matrix(&m).mul_vec_into(&x, &mut sparse);
+                for i in 0..r {
+                    prop_assert_eq!(sparse[i].to_bits(), dense[i].to_bits(), "row {}", i);
+                }
+            }
+        }
+    }
+}

@@ -103,6 +103,19 @@ impl Vector {
         self.data.push(value);
     }
 
+    /// Reserves room for `n` entries without changing the vector, so
+    /// later [`resize`](Vector::resize) / [`clone_from`](Clone::clone_from)
+    /// calls up to that length do not allocate.
+    pub fn reserve(&mut self, n: usize) {
+        self.data.reserve(n.saturating_sub(self.data.len()));
+    }
+
+    /// Sets the length to `n`, truncating or padding with zeros; reuses
+    /// the allocation when `n` fits its capacity.
+    pub fn resize(&mut self, n: usize) {
+        self.data.resize(n, 0.0);
+    }
+
     /// Copies the entries of `source` into `self` without allocating.
     ///
     /// # Panics

@@ -21,6 +21,18 @@ pub enum QpError {
         /// Number of active-set changes attempted.
         iterations: usize,
     },
+    /// A per-solve input vector has a NaN or infinite entry.  Such a value
+    /// would not fail loudly on its own: a NaN right-hand side silently
+    /// drops its constraint, one `+inf` makes the feasibility tolerance
+    /// infinite and disables all of them, and a non-finite linear term
+    /// comes back as a non-finite "minimizer".
+    NonFiniteInput {
+        /// Which input: `"f"` (linear term), `"h"` (constraint right-hand
+        /// side) or `"d"` (least-squares target).
+        what: &'static str,
+        /// Position of the first offending entry.
+        index: usize,
+    },
     /// An underlying linear-algebra operation failed.
     Math(MathError),
 }
@@ -41,6 +53,9 @@ impl fmt::Display for QpError {
                     f,
                     "active-set iteration limit reached after {iterations} steps"
                 )
+            }
+            QpError::NonFiniteInput { what, index } => {
+                write!(f, "input {what}[{index}] is not finite")
             }
             QpError::Math(e) => write!(f, "linear algebra failure: {e}"),
         }
@@ -79,6 +94,14 @@ mod tests {
         assert!(QpError::Math(MathError::Singular)
             .to_string()
             .contains("singular"));
+        assert_eq!(
+            QpError::NonFiniteInput {
+                what: "h",
+                index: 3
+            }
+            .to_string(),
+            "input h[3] is not finite"
+        );
     }
 
     #[test]

@@ -19,6 +19,12 @@
 //!   each solve can warm-start from the previous active set.  This is the
 //!   controller hot path: once the closed loop settles, the active set
 //!   stops changing and a solve costs two triangular back-substitutions.
+//!   Their `solve_into` forms write into a caller-owned solution and work
+//!   in a per-instance workspace, so a steady-state solve does not
+//!   allocate; constraint rows are read through their nonzeros only.
+//!
+//! Per-solve inputs must be finite: a NaN or infinite entry of `f`, `h` or
+//! `d` is [`QpError::NonFiniteInput`], not a quietly wrong answer.
 //!
 //! Solutions report the active constraint set and Lagrange multipliers so
 //! callers (and the test-suite) can verify the KKT conditions directly.

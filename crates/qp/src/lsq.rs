@@ -2,9 +2,9 @@
 
 use std::sync::Arc;
 
-use eucon_math::{Matrix, Vector};
+use eucon_math::{Matrix, SparseRows, Vector};
 
-use crate::solver::{factorize, solve_with_chol};
+use crate::solver::{check_finite, copy_active_set, factorize, solve_one_shot};
 use crate::{PreparedQp, QpError, QpSolution};
 
 /// Constrained linear least-squares problem, shaped like MATLAB's `lsqlin`:
@@ -48,7 +48,7 @@ pub struct ConstrainedLsq {
 }
 
 /// Solution of a [`ConstrainedLsq`] problem.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct LsqSolution {
     /// The minimizer.
     pub x: Vector,
@@ -59,6 +59,9 @@ pub struct LsqSolution {
     /// Indices of active constraints, in the order rows were added
     /// (inequality rows first, then upper-bound rows, then lower-bound rows).
     pub active: Vec<usize>,
+    /// Rows of the warm-start guess the QP solver kept as its starting
+    /// active set (see [`QpSolution::warm_retained`]).
+    pub warm_retained: usize,
 }
 
 impl ConstrainedLsq {
@@ -183,8 +186,7 @@ impl ConstrainedLsq {
             return Ok(LsqSolution {
                 x: Vector::zeros(0),
                 residual: self.d.norm(),
-                iterations: 0,
-                active: Vec::new(),
+                ..LsqSolution::default()
             });
         }
         let ct = self.c.transpose();
@@ -196,14 +198,16 @@ impl ConstrainedLsq {
             x,
             active,
             iterations,
+            warm_retained,
             ..
-        } = solve_with_chol(&chol, &f, &self.g, &self.h, base_scale, None, &[], None)?;
+        } = solve_one_shot(&chol, &f, &self.g, &self.h, base_scale, &[])?;
         let residual = (&self.c.mul_vec(&x) - &self.d).norm();
         Ok(LsqSolution {
             x,
             residual,
             iterations,
             active,
+            warm_retained,
         })
     }
 }
@@ -266,12 +270,33 @@ fn gauss_normal_matrix(ct: &Matrix, c: &Matrix, regularization: f64) -> Matrix {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PreparedLsq {
-    /// Objective matrix and its transpose, shared across clones like the
-    /// QP core: fanning a homogeneous model out to a fleet copies two
-    /// `Arc`s, not two matrices.
-    c: Arc<Matrix>,
-    ct: Arc<Matrix>,
+    /// The objective matrix, shared across clones like the QP core:
+    /// fanning a homogeneous model out to a fleet copies an `Arc`, not
+    /// matrices.
+    objective: Arc<Objective>,
     qp: PreparedQp,
+}
+
+/// `C` as [`PreparedLsq`] uses it per solve: the nonzeros of its rows
+/// (for the residual `C·x − d`) and of its columns (for `f = −Cᵀd`).
+/// The dense matrix stays for [`PreparedLsq::retain`].
+#[derive(Debug)]
+struct Objective {
+    c: Matrix,
+    c_rows: SparseRows,
+    ct_rows: SparseRows,
+}
+
+impl Objective {
+    /// Consumes `c` and its transpose (which the caller needed for the
+    /// Gauss normal matrix).
+    fn new(c: Matrix, ct: &Matrix) -> Arc<Self> {
+        Arc::new(Objective {
+            c_rows: SparseRows::from_matrix(&c),
+            ct_rows: SparseRows::from_matrix(ct),
+            c,
+        })
+    }
 }
 
 impl PreparedLsq {
@@ -288,15 +313,14 @@ impl PreparedLsq {
         let hess = gauss_normal_matrix(&ct, &c, regularization);
         let qp = PreparedQp::new(hess, g)?;
         Ok(PreparedLsq {
-            c: Arc::new(c),
-            ct: Arc::new(ct),
+            objective: Objective::new(c, &ct),
             qp,
         })
     }
 
     /// Number of decision variables.
     pub fn num_vars(&self) -> usize {
-        self.c.cols()
+        self.objective.c.cols()
     }
 
     /// Number of inequality constraints.
@@ -320,7 +344,7 @@ impl PreparedLsq {
     /// and the prepared QP core) — true exactly for clones of a common
     /// ancestor (see [`PreparedQp::shares_model`]).
     pub fn shares_model(&self, other: &PreparedLsq) -> bool {
-        Arc::ptr_eq(&self.c, &other.c) && self.qp.shares_model(&other.qp)
+        Arc::ptr_eq(&self.objective, &other.objective) && self.qp.shares_model(&other.qp)
     }
 
     /// Incremental membership shrink: retains the objective rows,
@@ -358,8 +382,9 @@ impl PreparedLsq {
         keep_vars: &[bool],
         keep_constraints: &[bool],
     ) -> Result<PreparedLsq, QpError> {
-        if keep_rows.len() != self.c.rows()
-            || keep_vars.len() != self.c.cols()
+        let full_c = &self.objective.c;
+        if keep_rows.len() != full_c.rows()
+            || keep_vars.len() != full_c.cols()
             || keep_constraints.len() != self.qp.num_constraints()
         {
             return Err(QpError::DimensionMismatch(format!(
@@ -367,8 +392,8 @@ impl PreparedLsq {
                 keep_rows.len(),
                 keep_vars.len(),
                 keep_constraints.len(),
-                self.c.rows(),
-                self.c.cols(),
+                full_c.rows(),
+                full_c.cols(),
                 self.qp.num_constraints()
             )));
         }
@@ -377,7 +402,7 @@ impl PreparedLsq {
                 continue;
             }
             for (j, &kv) in keep_vars.iter().enumerate() {
-                if kv && self.c[(r, j)] != 0.0 {
+                if kv && full_c[(r, j)] != 0.0 {
                     return Err(QpError::DimensionMismatch(format!(
                         "dropped objective row {r} has a nonzero entry in retained column {j}; \
                          the Gauss normal matrix of the retained block cannot be extracted"
@@ -388,7 +413,7 @@ impl PreparedLsq {
         let rows: Vec<usize> = mask_indices(keep_rows);
         let vars: Vec<usize> = mask_indices(keep_vars);
         let cons: Vec<usize> = mask_indices(keep_constraints);
-        let c = Matrix::from_fn(rows.len(), vars.len(), |r, j| self.c[(rows[r], vars[j])]);
+        let c = Matrix::from_fn(rows.len(), vars.len(), |r, j| full_c[(rows[r], vars[j])]);
         let ct = c.transpose();
         let full_h = self.qp.hessian();
         let hess = Matrix::from_fn(vars.len(), vars.len(), |a, b| full_h[(vars[a], vars[b])]);
@@ -396,15 +421,16 @@ impl PreparedLsq {
         let g = Matrix::from_fn(cons.len(), vars.len(), |r, j| full_g[(cons[r], vars[j])]);
         let qp = PreparedQp::new(hess, g)?;
         Ok(PreparedLsq {
-            c: Arc::new(c),
-            ct: Arc::new(ct),
+            objective: Objective::new(c, &ct),
             qp,
         })
     }
 
     /// Solves for a new target `d` and constraint rhs `h`, optionally
     /// warm-starting from a previous active set (see
-    /// [`PreparedQp::solve`]).
+    /// [`PreparedQp::solve`]).  Allocates the returned solution;
+    /// [`solve_into`](PreparedLsq::solve_into) is the same solve into a
+    /// caller-owned one.
     ///
     /// # Errors
     ///
@@ -421,36 +447,64 @@ impl PreparedLsq {
         h: &Vector,
         warm: &[usize],
     ) -> Result<LsqSolution, QpError> {
+        let mut sol = LsqSolution::default();
+        self.solve_into(d, h, warm, &mut sol)?;
+        Ok(sol)
+    }
+
+    /// [`solve_with`](PreparedLsq::solve_with) into a caller-owned
+    /// solution whose buffers are reused — the controller's per-period
+    /// call, allocation-free in steady state (see
+    /// [`PreparedQp::solve_into`]).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`PreparedLsq::solve_with`]; `out` is untouched
+    /// on error.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`PreparedLsq::solve_with`].
+    pub fn solve_into(
+        &self,
+        d: &Vector,
+        h: &Vector,
+        warm: &[usize],
+        out: &mut LsqSolution,
+    ) -> Result<(), QpError> {
+        let Objective { c, c_rows, ct_rows } = &*self.objective;
         assert_eq!(
             d.len(),
-            self.c.rows(),
+            c.rows(),
             "rhs length must equal the number of rows of C"
         );
-        let mut f = self.ct.mul_vec(d);
+        check_finite("d", d)?;
+        let ws = &mut *self.qp.workspace();
+        // f = −Cᵀd, staged in the workspace (taken out for the solve, which
+        // borrows the rest of it).
+        let mut f = std::mem::take(&mut ws.f);
+        f.resize(c.cols());
+        ct_rows.mul_vec_into(d, &mut f);
         for v in f.as_mut_slice() {
             *v *= -1.0;
         }
-        let QpSolution {
-            x,
-            active,
-            iterations,
-            ..
-        } = self.qp.solve(&f, h, warm)?;
+        let solved = self.qp.solve_in(ws, &f, h, warm);
+        ws.f = f;
+        let stats = solved?;
         // ‖C·x − d‖ accumulated row by row; same per-row dots and the same
-        // left-to-right sum of squares as the allocating
-        // `(&self.c.mul_vec(&x) - d).norm()`, without the two temporaries.
+        // left-to-right sum of squares as `(&c.mul_vec(&x) - d).norm()`,
+        // without the two temporaries.
         let mut acc = 0.0;
-        for i in 0..self.c.rows() {
-            let diff = eucon_math::kernel::dot(self.c.row(i), x.as_slice()) - d[i];
+        for i in 0..c.rows() {
+            let diff = c_rows.dot(i, ws.x.as_slice()) - d[i];
             acc += diff * diff;
         }
-        let residual = acc.sqrt();
-        Ok(LsqSolution {
-            x,
-            residual,
-            iterations,
-            active,
-        })
+        out.x.clone_from(&ws.x);
+        out.residual = acc.sqrt();
+        out.iterations = stats.iterations;
+        copy_active_set(&ws.active, c.cols(), &mut out.active);
+        out.warm_retained = stats.warm_retained;
+        Ok(())
     }
 }
 
@@ -668,6 +722,61 @@ mod tests {
         assert_eq!(a.x[1].to_bits(), b.x[1].to_bits());
         assert_eq!(a.x[2].to_bits(), b.x[2].to_bits());
         assert_eq!(a.active, b.active);
+    }
+
+    #[test]
+    fn prepared_rejects_non_finite_targets_and_slacks() {
+        let (_, _, p) = churn_shaped_prepared();
+        let d = Vector::from_slice(&[1.0, 2.0, 0.0, 0.0, 0.0]);
+        let h = Vector::from_slice(&[0.5; 6]);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad_d = d.clone();
+            // Row 2 of C is zero in columns 1 and 2: a product the sparse
+            // `Cᵀd` never forms, so `d` is checked before it is used.
+            bad_d[2] = bad;
+            let mut bad_h = h.clone();
+            bad_h[5] = bad;
+            assert_eq!(
+                p.solve_with(&bad_d, &h, &[]).unwrap_err(),
+                QpError::NonFiniteInput {
+                    what: "d",
+                    index: 2
+                }
+            );
+            assert_eq!(
+                p.solve_with(&d, &bad_h, &[0]).unwrap_err(),
+                QpError::NonFiniteInput {
+                    what: "h",
+                    index: 5
+                }
+            );
+        }
+        assert!(p.solve_with(&d, &h, &[]).is_ok());
+    }
+
+    #[test]
+    fn solve_into_matches_solve_with_through_one_reused_output() {
+        let (c, g, p) = churn_shaped_prepared();
+        let h = Vector::from_slice(&[0.2, 0.3, 0.9, 0.9, 0.4, 0.1]);
+        let mut out = LsqSolution::default();
+        let mut warm: Vec<usize> = Vec::new();
+        for k in 0..10 {
+            let s = k as f64;
+            let d = Vector::from_slice(&[1.5 - 0.4 * s, -0.7 + 0.3 * s, 0.2, -0.4, 0.1 * s]);
+            p.solve_into(&d, &h, &warm, &mut out).unwrap();
+            let fresh = PreparedLsq::new(c.clone(), g.clone(), 1e-9).unwrap();
+            let reference = fresh.solve_with(&d, &h, &warm).unwrap();
+            let bits = |v: &Vector| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+            assert_eq!(bits(&out.x), bits(&reference.x), "step {k}");
+            assert_eq!(out.residual.to_bits(), reference.residual.to_bits());
+            assert_eq!(out.active, reference.active);
+            assert_eq!(out.iterations, reference.iterations);
+            assert_eq!(out.warm_retained, reference.warm_retained);
+            // The dense formula the sparse products replaced.
+            let dense = (&c.mul_vec(&out.x) - &d).norm();
+            assert_eq!(out.residual.to_bits(), dense.to_bits());
+            warm.clone_from(&out.active);
+        }
     }
 
     #[test]

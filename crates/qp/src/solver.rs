@@ -1,9 +1,9 @@
 //! Dual active-set quadratic-program solver (Goldfarb–Idnani).
 
-use std::cell::RefCell;
+use std::cell::{RefCell, RefMut};
 use std::sync::Arc;
 
-use eucon_math::{Cholesky, Lu, MathError, Matrix, Vector};
+use eucon_math::{Cholesky, Lu, MathError, Matrix, SparseRows, Vector};
 
 use crate::QpError;
 
@@ -12,7 +12,7 @@ use crate::QpError;
 const TOL: f64 = 1e-10;
 
 /// Solution of a [`QuadProg`] problem.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QpSolution {
     /// The minimizer.
     pub x: Vector,
@@ -24,6 +24,10 @@ pub struct QpSolution {
     /// Number of active-set changes the solver performed.  A warm start
     /// that already identifies the optimal active set reports zero.
     pub iterations: usize,
+    /// Rows of the warm-start guess the solver kept as its starting
+    /// active set (dual feasible, and not within tolerance of inactive);
+    /// zero for a cold start or a rejected guess.
+    pub warm_retained: usize,
 }
 
 impl QpSolution {
@@ -151,6 +155,8 @@ impl QuadProg {
     /// # Errors
     ///
     /// * [`QpError::NotStrictlyConvex`] — `H` has a non-positive eigenvalue.
+    /// * [`QpError::NonFiniteInput`] — `f` or `h` has a NaN or infinite
+    ///   entry.
     /// * [`QpError::Infeasible`] — no point satisfies all constraints.
     /// * [`QpError::IterationLimit`] — active-set cycling (should not occur
     ///   for well-scaled inputs).
@@ -171,14 +177,9 @@ impl QuadProg {
     ///
     /// Same conditions as [`QuadProg::solve`].
     pub fn solve_warm(&self, warm: &[usize]) -> Result<QpSolution, QpError> {
-        if self.num_vars() == 0 {
-            return Ok(empty_solution(self.num_constraints()));
-        }
         let chol = factorize(&self.h)?;
         let base_scale = self.g.max_abs().max(self.h.max_abs()).max(1.0);
-        solve_with_chol(
-            &chol, &self.f, &self.g, &self.hvec, base_scale, None, warm, None,
-        )
+        solve_one_shot(&chol, &self.f, &self.g, &self.hvec, base_scale, warm)
     }
 
     /// Maximum KKT residual of a candidate solution: stationarity,
@@ -194,7 +195,7 @@ impl QuadProg {
         }
         let mut worst = grad.max_abs();
         for i in 0..self.num_constraints() {
-            let slack = self.hvec[i] - dot_row(&self.g, i, &sol.x);
+            let slack = self.hvec[i] - eucon_math::kernel::dot(self.g.row(i), sol.x.as_slice());
             // Primal feasibility.
             worst = worst.max(-slack);
             // Dual feasibility.
@@ -204,6 +205,32 @@ impl QuadProg {
         }
         worst
     }
+}
+
+/// One solve of a problem nobody prepared: builds the sparse view of `g`
+/// and a fresh workspace for this call (as the caller just factorized `H`
+/// for it), and returns the solution owned.
+pub(crate) fn solve_one_shot(
+    chol: &Cholesky,
+    f: &Vector,
+    g: &Matrix,
+    hvec: &Vector,
+    base_scale: f64,
+    warm: &[usize],
+) -> Result<QpSolution, QpError> {
+    let rows = SparseRows::from_matrix(g);
+    let model = Model {
+        chol,
+        g,
+        rows: &rows,
+        base_scale,
+        cache: None,
+    };
+    let mut ws = QpWorkspace::default();
+    let stats = solve_with_chol(&model, f, hvec, warm, &mut WarmFactors::default(), &mut ws)?;
+    let mut sol = QpSolution::default();
+    ws.write_solution(g.rows(), stats, &mut sol);
+    Ok(sol)
 }
 
 /// Per-constraint quantities that depend only on `H` and `G`, precomputed
@@ -223,18 +250,33 @@ pub(crate) struct ConstraintCache {
 }
 
 impl ConstraintCache {
-    fn build(chol: &Cholesky, g: &Matrix) -> Result<Self, QpError> {
+    /// Extends `prior` (the cache of the leading `prior.hinv_n.len()` rows
+    /// of `g`, or `None`) to all of `g`: back-solves for the new rows,
+    /// Gram entries for every pair that involves one.  Both triangles of
+    /// `d` are computed on their own — `d[(a, b)]` and `d[(b, a)]` round
+    /// separately, and the memoized subproblem factors depend on both.
+    fn extend(
+        prior: Option<&ConstraintCache>,
+        chol: &Cholesky,
+        g: &Matrix,
+        rows: &SparseRows,
+    ) -> Result<Self, QpError> {
         let m = g.rows();
-        let mut hinv_n = Vec::with_capacity(m);
-        for i in 0..m {
+        let m0 = prior.map_or(0, |c| c.hinv_n.len());
+        let mut hinv_n = prior.map_or_else(Vec::new, |c| c.hinv_n.clone());
+        hinv_n.reserve(m - m0);
+        for i in m0..m {
             let ni = Vector::from_iter(g.row(i).iter().map(|v| -v));
             hinv_n.push(chol.solve(&ni)?);
         }
         let mut d = Matrix::zeros(m, m);
         for a in 0..m {
             for b in 0..m {
-                // n_a · H⁻¹n_b = −g_a · H⁻¹n_b.
-                d[(a, b)] = -dot_row(g, a, &hinv_n[b]);
+                d[(a, b)] = match prior {
+                    Some(c) if a < m0 && b < m0 => c.d[(a, b)],
+                    // n_a · H⁻¹n_b = −g_a · H⁻¹n_b.
+                    _ => -rows.dot(a, hinv_n[b].as_slice()),
+                };
             }
         }
         Ok(ConstraintCache { hinv_n, d })
@@ -248,7 +290,7 @@ impl ConstraintCache {
 /// controller hot path the active set is usually *identical* between
 /// consecutive periods — only the right-hand side moves.  Re-using the
 /// factor turns the per-period `O(q³)` decomposition into an `O(q²)`
-/// back-substitution.  Because [`Lu::decompose`] is deterministic, a
+/// back-substitution.  Because [`Lu::refactor`] is deterministic, a
 /// cache hit yields bit-identical multipliers to a fresh factorization,
 /// so solver trajectories (and the golden trace hashes built on them) are
 /// unchanged.
@@ -256,13 +298,552 @@ impl ConstraintCache {
 pub(crate) struct WarmFactors {
     /// Active set (deduplicated, in guess order) the factors belong to.
     cand: Vec<usize>,
-    /// LU factor of the full subproblem matrix over `cand`.
-    full: Option<Lu>,
+    /// LU factor of the full subproblem matrix over `cand`, when
+    /// `full_valid`; the `Lu` itself is kept and refactored in place.
+    full: Lu,
+    full_valid: bool,
     /// Position within `cand` whose removal `reduced` corresponds to.
     reduced_weakest: usize,
     /// LU factor of the tentative-drop subproblem (`cand` minus
-    /// `reduced_weakest`), used by the degeneracy alignment step.
-    reduced: Option<Lu>,
+    /// `reduced_weakest`), used by the degeneracy alignment step, when
+    /// `reduced_valid`.
+    reduced: Lu,
+    reduced_valid: bool,
+}
+
+/// Every temporary of one solve, owned per [`PreparedQp`] instance so a
+/// steady-state solve allocates nothing.
+///
+/// Buffers start empty.  Each is given room for the problem's bound the
+/// first time a solve needs it — `n` entries for whatever follows the
+/// active set, `n × n` for the subproblem the first time the active set
+/// is non-empty — and is never shrunk, so which solve first reaches a
+/// given active-set size does not matter: after the first solve that
+/// takes a code path, that path allocates nothing.  (Reserved room is
+/// untouched memory until a solve's `q × q` actually fills it.)  Nothing
+/// in here carries meaning from one solve to the next — a fresh workspace
+/// and a used one give the same bits — so [`PreparedQp::clone`] hands the
+/// clone an empty one instead of copying scratch.  After a successful
+/// solve `x`, `active` and `u` hold the solution.
+#[derive(Debug, Default)]
+pub(crate) struct QpWorkspace {
+    /// Linear term of the least-squares front end (`−Cᵀd`), staged here
+    /// by [`PreparedLsq`](crate::PreparedLsq).
+    pub(crate) f: Vector,
+    /// The iterate; the minimizer on return.
+    pub(crate) x: Vector,
+    /// Active constraints and their multipliers, parallel.
+    pub(crate) active: Vec<usize>,
+    pub(crate) u: Vec<f64>,
+    /// Unconstrained minimum `−H⁻¹f`.
+    x0: Vector,
+    /// Membership mirror of `active` for O(1) tests.
+    in_active: Vec<bool>,
+    /// Primal step direction and dual step of the current iteration.
+    z: Vector,
+    r: Vector,
+    /// Equality subproblem of the current active set: matrix, its factor,
+    /// right-hand side.
+    sub: Matrix,
+    lu: Lu,
+    rhs: Vector,
+    /// Warm start: dedup marks, candidate set, its multipliers, and the
+    /// tentative-drop system's right-hand side, multipliers and optimum.
+    seen: Vec<bool>,
+    cand: Vec<usize>,
+    wu: Vector,
+    rr: Vector,
+    ur: Vector,
+    xr: Vector,
+}
+
+impl QpWorkspace {
+    /// Empties the active set and gives every buffer that follows it room
+    /// for `n` entries (at most `n` constraints are linearly independent).
+    fn begin(&mut self, n: usize) {
+        self.active.clear();
+        self.u.clear();
+        self.cand.clear();
+        self.active.reserve(n);
+        self.u.reserve(n);
+        self.cand.reserve(n);
+        for v in [
+            &mut self.r,
+            &mut self.rhs,
+            &mut self.wu,
+            &mut self.rr,
+            &mut self.ur,
+        ] {
+            v.reserve(n);
+        }
+    }
+
+    /// Copies the solution of the solve that just returned `stats` into
+    /// `out`, reusing `out`'s buffers.
+    fn write_solution(&self, m: usize, stats: SolveStats, out: &mut QpSolution) {
+        out.x.clone_from(&self.x);
+        out.multipliers.resize(m);
+        out.multipliers.as_mut_slice().fill(0.0);
+        for (&c, &uc) in self.active.iter().zip(&self.u) {
+            out.multipliers[c] = uc;
+        }
+        copy_active_set(&self.active, self.x.len(), &mut out.active);
+        out.iterations = stats.iterations;
+        out.warm_retained = stats.warm_retained;
+    }
+}
+
+/// Copies an active set into `dst`, first giving `dst` room for the
+/// `n` rows an active set can hold — so a destination reused across
+/// solves allocates once, not each time the set outgrows its past sizes.
+pub(crate) fn copy_active_set(active: &[usize], n: usize, dst: &mut Vec<usize>) {
+    dst.clear();
+    dst.reserve(n);
+    dst.extend_from_slice(active);
+}
+
+/// What a solve reports besides the solution left in its workspace.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SolveStats {
+    pub(crate) iterations: usize,
+    pub(crate) warm_retained: usize,
+}
+
+/// The fixed side of a solve: `H` through its Cholesky factor, `G` dense
+/// (for the constraint normals of the uncached path) and as the sparse
+/// rows every `g_i · v` goes through, the tolerance scale
+/// `max(|G|, |H|, 1)`, and the precomputed back-solves when `H`/`G` are
+/// fixed across calls.
+pub(crate) struct Model<'a> {
+    pub(crate) chol: &'a Cholesky,
+    pub(crate) g: &'a Matrix,
+    pub(crate) rows: &'a SparseRows,
+    pub(crate) base_scale: f64,
+    pub(crate) cache: Option<&'a ConstraintCache>,
+}
+
+impl Model<'_> {
+    /// `H⁻¹n_i` for the normal `n_i = −g_iᵀ`, solved on the spot (the
+    /// uncached path).
+    fn hinv_normal(&self, i: usize) -> Result<Vector, MathError> {
+        let ni = Vector::from_iter(self.g.row(i).iter().map(|v| -v));
+        self.chol.solve(&ni)
+    }
+
+    /// `n_a · H⁻¹n_b`, where `hinv_b` must equal `H⁻¹n_b`; reads the
+    /// precomputed Gram table when one is available.
+    fn cross(&self, a: usize, b: usize, hinv_b: &Vector) -> f64 {
+        match self.cache {
+            Some(c) => c.d[(a, b)],
+            None => -self.rows.dot(a, hinv_b.as_slice()),
+        }
+    }
+
+    /// `H⁻¹n` of the constraint at position `b` of `idx`: a borrow from
+    /// the shared back-solve table when one exists, else from the
+    /// solver's own parallel array (which is only populated in that case).
+    fn hinv_at<'a>(&'a self, owned: &'a [Vector], idx: &[usize], b: usize) -> &'a Vector {
+        match self.cache {
+            Some(c) => &c.hinv_n[idx[b]],
+            None => &owned[b],
+        }
+    }
+
+    /// Writes the subproblem matrix `M = NᵀH⁻¹N` over the constraints
+    /// `idx` into `out`, leaving out position `skip` when given (the
+    /// tentative-drop system).  `owned` are the back-solves parallel to
+    /// `idx` (uncached path only).
+    fn subproblem_into(
+        &self,
+        idx: &[usize],
+        owned: &[Vector],
+        skip: Option<usize>,
+        out: &mut Matrix,
+    ) {
+        let k = idx.len() - usize::from(skip.is_some());
+        out.reset_zeros(k, k);
+        for ra in 0..k {
+            let a = ra + usize::from(skip.is_some_and(|s| ra >= s));
+            for rb in 0..k {
+                let b = rb + usize::from(skip.is_some_and(|s| rb >= s));
+                out[(ra, rb)] = self.cross(idx[a], idx[b], self.hinv_at(owned, idx, b));
+            }
+        }
+    }
+}
+
+/// Rejects non-finite entries of a per-solve input vector.
+pub(crate) fn check_finite(what: &'static str, v: &Vector) -> Result<(), QpError> {
+    match v.iter().position(|e| !e.is_finite()) {
+        Some(index) => Err(QpError::NonFiniteInput { what, index }),
+        None => Ok(()),
+    }
+}
+
+/// Shared Goldfarb–Idnani core used by [`QuadProg`], [`PreparedQp`] and the
+/// least-squares front ends.  `factors` memoizes the warm-start
+/// subproblem factorization across calls with a stable active set (a
+/// one-shot caller passes a fresh one); the solution is left in `ws`.
+pub(crate) fn solve_with_chol(
+    model: &Model<'_>,
+    f: &Vector,
+    hvec: &Vector,
+    warm: &[usize],
+    factors: &mut WarmFactors,
+    ws: &mut QpWorkspace,
+) -> Result<SolveStats, QpError> {
+    // `0 · ±inf` is the one product a skipped zero would have changed,
+    // and a NaN or infinite entry silently disables constraints (an
+    // infinite `tol`) or poisons `x`: finite inputs only.
+    check_finite("f", f)?;
+    check_finite("h", hvec)?;
+    let n = f.len();
+    let m = model.rows.rows();
+    let rows = model.rows;
+    ws.begin(n);
+    if n == 0 {
+        // No variables: the empty minimizer, whatever the constraints say.
+        ws.x.resize(0);
+        return Ok(SolveStats {
+            iterations: 0,
+            warm_retained: 0,
+        });
+    }
+    // Unconstrained minimum `−H⁻¹f`, with `x` as the staging buffer for
+    // `−f`.
+    ws.x.clone_from(f);
+    for v in ws.x.as_mut_slice() {
+        *v = -*v;
+    }
+    model.chol.solve_into(&ws.x, &mut ws.x0)?;
+    let tol = TOL * model.base_scale.max(hvec.max_abs());
+    let max_iter = 50 * (m + 1);
+
+    ws.x.clone_from(&ws.x0);
+    // `active` and `u` stay parallel throughout; `in_active` mirrors
+    // membership for O(1) tests.  `hinv_act` (= H⁻¹n_j for each active j)
+    // is maintained only without a constraint cache — with one, the
+    // back-solves are read from the shared table instead of being cloned
+    // per active-set change (see [`Model::hinv_at`]).
+    ws.in_active.clear();
+    ws.in_active.resize(m, false);
+    let mut hinv_act: Vec<Vector> = Vec::new();
+
+    if !warm.is_empty() {
+        if let Some(hinv) = try_warm_start(model, hvec, warm, tol, n, factors, ws) {
+            hinv_act = hinv;
+            for &a in &ws.active {
+                ws.in_active[a] = true;
+            }
+        }
+    }
+    let warm_retained = ws.active.len();
+    let QpWorkspace {
+        x,
+        active,
+        u,
+        in_active,
+        z,
+        r,
+        sub,
+        lu,
+        rhs,
+        ..
+    } = ws;
+
+    let mut iterations = 0;
+
+    'outer: loop {
+        // Most violated inactive constraint (g_p·x − h_p > tol).
+        let mut p = None;
+        let mut worst = tol;
+        for i in 0..m {
+            if in_active[i] {
+                continue;
+            }
+            let viol = rows.dot(i, x.as_slice()) - hvec[i];
+            if viol > worst {
+                worst = viol;
+                p = Some(i);
+            }
+        }
+        let Some(p) = p else {
+            return Ok(SolveStats {
+                iterations,
+                warm_retained,
+            });
+        };
+
+        // H⁻¹n_p for the normal n_p = −g_pᵀ of constraint p in `≥`
+        // orientation; fixed while p is being added, so hoisted out of the
+        // inner loop.
+        let hinv_np_owned;
+        let hinv_np: &Vector = match model.cache {
+            Some(c) => &c.hinv_n[p],
+            None => {
+                hinv_np_owned = model.hinv_normal(p)?;
+                &hinv_np_owned
+            }
+        };
+        let mut u_p = 0.0;
+
+        loop {
+            iterations += 1;
+            if iterations > max_iter {
+                return Err(QpError::IterationLimit { iterations });
+            }
+
+            // z: primal step direction; r: dual step for active set.
+            let q = active.len();
+            z.clone_from(hinv_np);
+            r.resize(q);
+            if q > 0 {
+                // M = Nᵀ H⁻¹ N, rhs = Nᵀ H⁻¹ n_p, from the cache when
+                // available, else from the stored back-solves.
+                sub.reserve(n, n);
+                lu.reserve(n);
+                model.subproblem_into(active, &hinv_act, None, sub);
+                rhs.resize(q);
+                for a in 0..q {
+                    rhs[a] = model.cross(active[a], p, hinv_np);
+                }
+                lu.refactor(sub).map_err(QpError::Math)?;
+                lu.solve_into(rhs, r).map_err(QpError::Math)?;
+                for b in 0..q {
+                    z.axpy(-r[b], model.hinv_at(&hinv_act, active, b));
+                }
+            }
+
+            // Maximum step preserving non-negative multipliers.
+            let mut t1 = f64::INFINITY;
+            let mut drop_idx = None;
+            for (j, &rj) in r.iter().enumerate() {
+                if rj > tol {
+                    let ratio = u[j] / rj;
+                    if ratio < t1 {
+                        t1 = ratio;
+                        drop_idx = Some(j);
+                    }
+                }
+            }
+
+            // z·n_p = −g_p·z.
+            let ztnp = -rows.dot(p, z.as_slice());
+            if ztnp <= tol {
+                // Constraint p cannot be satisfied by a primal move.
+                if t1.is_infinite() {
+                    return Err(QpError::Infeasible);
+                }
+                // Dual-only step: relax a blocking constraint.
+                for (j, rj) in r.iter().enumerate() {
+                    u[j] -= t1 * rj;
+                }
+                u_p += t1;
+                let j = drop_idx.expect("finite t1 implies a blocking index");
+                in_active[active[j]] = false;
+                active.remove(j);
+                u.remove(j);
+                if model.cache.is_none() {
+                    hinv_act.remove(j);
+                }
+                continue;
+            }
+
+            // Full step length: drive the violation of p to zero.
+            let s_p = rows.dot(p, x.as_slice()) - hvec[p];
+            let t2 = s_p / ztnp;
+            let t = t1.min(t2);
+
+            x.axpy(t, z);
+            for (j, rj) in r.iter().enumerate() {
+                u[j] -= t * rj;
+            }
+            u_p += t;
+
+            if t2 <= t1 {
+                active.push(p);
+                u.push(u_p);
+                if model.cache.is_none() {
+                    hinv_act.push(hinv_np.clone());
+                }
+                in_active[p] = true;
+                continue 'outer;
+            }
+            let j = drop_idx.expect("t1 < t2 implies a blocking index");
+            in_active[active[j]] = false;
+            active.remove(j);
+            u.remove(j);
+            if model.cache.is_none() {
+                hinv_act.remove(j);
+            }
+        }
+    }
+}
+
+/// Attempts to start the dual iteration from a guessed active set.
+///
+/// Solves the equality-constrained subproblem for the guess, dropping the
+/// most negative multiplier until the remaining set is dual feasible
+/// (`u ≥ 0`).  The resulting `(x, active, u)` — written into `ws` —
+/// satisfies the dual method's invariant — `x` minimizes the objective
+/// over the span of the active constraints with non-negative multipliers —
+/// so the main loop can resume from it as if it had built that set itself.
+/// Returns the active rows' back-solves (empty with a constraint cache),
+/// or `None` (cold start, `ws.x`/`active`/`u` untouched) when the
+/// subproblem is singular, e.g. for a stale guess with linearly dependent
+/// rows.
+fn try_warm_start(
+    model: &Model<'_>,
+    hvec: &Vector,
+    warm: &[usize],
+    tol: f64,
+    n: usize,
+    factors: &mut WarmFactors,
+    ws: &mut QpWorkspace,
+) -> Option<Vec<Vector>> {
+    let rows = model.rows;
+    let m = rows.rows();
+    let QpWorkspace {
+        x,
+        active,
+        u: u_out,
+        x0,
+        sub,
+        rhs,
+        seen,
+        cand,
+        wu: u,
+        rr,
+        ur,
+        xr,
+        ..
+    } = ws;
+    seen.clear();
+    seen.resize(m, false);
+    // (`cand` was emptied by `QpWorkspace::begin`.)
+    for &a in warm {
+        if a < m && !seen[a] {
+            seen[a] = true;
+            cand.push(a);
+        }
+    }
+    // More than n active constraints cannot be linearly independent.
+    cand.truncate(n);
+
+    loop {
+        if cand.is_empty() {
+            return None;
+        }
+        let q = cand.len();
+        // With a constraint cache the back-solves `H⁻¹n_a` are read from
+        // the shared table (no per-solve copies); without one they are
+        // computed and owned here.
+        let mut hinv: Vec<Vector> = Vec::new();
+        if model.cache.is_none() {
+            hinv.reserve(q);
+            for &a in cand.iter() {
+                hinv.push(model.hinv_normal(a).ok()?);
+            }
+        }
+
+        // M u = b_A − Nᵀx0, with b_a = −hvec[a] and n_a = −g_aᵀ, i.e.
+        // rhs[a] = g_a·x0 − hvec[a].
+        rhs.resize(q);
+        for a in 0..q {
+            rhs[a] = rows.dot(cand[a], x0.as_slice()) - hvec[cand[a]];
+        }
+        // `M` depends only on the candidate set, so its LU factor is
+        // memoized across solves (`Lu::refactor` is deterministic: a
+        // cache hit is bit-identical to refactoring).  On the controller
+        // hot path the active set repeats period after period, turning the
+        // O(q³) decomposition into an O(q²) back-substitution.
+        if factors.cand != *cand {
+            copy_active_set(cand, n, &mut factors.cand);
+            factors.full_valid = false;
+            factors.reduced_valid = false;
+        }
+        if !factors.full_valid {
+            sub.reserve(n, n);
+            factors.full.reserve(n);
+            model.subproblem_into(cand, &hinv, None, sub);
+            factors.full.refactor(sub).ok()?;
+            factors.full_valid = true;
+        }
+        factors.full.solve_into(rhs, u).ok()?;
+
+        // Drop the most negative multiplier and re-solve, until the guess
+        // is dual feasible.
+        let mut worst_j = None;
+        let mut worst_u = -tol;
+        for j in 0..q {
+            if u[j] < worst_u {
+                worst_u = u[j];
+                worst_j = Some(j);
+            }
+        }
+        if let Some(j) = worst_j {
+            cand.remove(j);
+            continue;
+        }
+
+        // Dual feasibility alone is not enough to match the cold start on
+        // degenerate problems: a guess row whose hyperplane passes within
+        // tolerance of the true optimum is retained here with a small
+        // positive multiplier, while a cold start never adds it (its
+        // violation stays under `tol`) — two answers that differ at
+        // tolerance level.  Align the two by applying the cold start's own
+        // criterion: tentatively drop the weakest constraint and keep the
+        // drop whenever the main loop would not re-add the row (violation
+        // at the reduced optimum ≤ `tol`).  A genuinely active constraint
+        // fails that test on the first try, so this costs one extra
+        // subproblem solve in the common case.
+        let mut weakest = 0;
+        for j in 1..q {
+            if u[j] < u[weakest] {
+                weakest = j;
+            }
+        }
+        let dropped = cand[weakest];
+        let qr = q - 1;
+        let viol_without = if qr == 0 {
+            rows.dot(dropped, x0.as_slice()) - hvec[dropped]
+        } else {
+            rr.resize(qr);
+            for a in 0..qr {
+                let ca = cand[a + usize::from(a >= weakest)];
+                rr[a] = rows.dot(ca, x0.as_slice()) - hvec[ca];
+            }
+            // The reduced factor is memoized under the same rule,
+            // keyed by (candidate set, dropped position).
+            if !factors.reduced_valid || factors.reduced_weakest != weakest {
+                factors.reduced_weakest = weakest;
+                factors.reduced_valid = false;
+                factors.reduced.reserve(n);
+                model.subproblem_into(cand, &hinv, Some(weakest), sub);
+                factors.reduced.refactor(sub).ok()?;
+                factors.reduced_valid = true;
+            }
+            factors.reduced.solve_into(rr, ur).ok()?;
+            xr.clone_from(x0);
+            for b in 0..qr {
+                let hb = b + usize::from(b >= weakest);
+                xr.axpy(ur[b], model.hinv_at(&hinv, cand, hb));
+            }
+            rows.dot(dropped, xr.as_slice()) - hvec[dropped]
+        };
+        if viol_without <= tol {
+            cand.remove(weakest);
+            continue;
+        }
+
+        x.clone_from(x0);
+        for b in 0..q {
+            x.axpy(u[b], model.hinv_at(&hinv, cand, b));
+        }
+        active.extend_from_slice(cand);
+        u_out.extend_from_slice(u.as_slice());
+        return Some(hinv);
+    }
 }
 
 /// The immutable heart of a [`PreparedQp`]: everything fixed at
@@ -273,11 +854,14 @@ pub(crate) struct WarmFactors {
 /// homogeneous fleet's shared model out to thousands of loops — shares
 /// one copy of the expensive factorizations instead of deep-copying them.
 /// Nothing in here ever mutates after construction; all per-solve mutable
-/// state (the warm-start memo) lives outside the `Arc`, per clone.
+/// state (the warm-start memo, the solver workspace) lives outside the
+/// `Arc`, per clone.
 #[derive(Debug)]
 struct QpCore {
     h: Matrix,
     g: Matrix,
+    /// The nonzeros of `g`: every `g_i · v` of a solve reads these.
+    g_rows: SparseRows,
     chol: Cholesky,
     cache: ConstraintCache,
     /// `max(|G|, |H|, 1)`; the per-solve tolerance also folds in `|h|`.
@@ -295,10 +879,12 @@ struct QpCore {
 /// the set-point error (`f`) and constraint slacks (`h`) do.
 ///
 /// Cloning is cheap: the immutable model ([`QpCore`]) is shared through an
-/// `Arc`, and only the per-instance warm-start memo is copied — so N
-/// homogeneous controllers hold one factorization, not N.  A clone's
-/// solves are bit-identical to the original's regardless of sharing
-/// (the shared state never mutates; the memo is deterministic).
+/// `Arc`, only the per-instance warm-start memo is copied, and the clone
+/// starts with an empty solver workspace — so N homogeneous controllers
+/// hold one factorization, not N.  A clone's solves are bit-identical to
+/// the original's regardless of sharing (the shared state never mutates;
+/// the memo is deterministic; the workspace carries nothing between
+/// solves).
 #[derive(Debug)]
 pub struct PreparedQp {
     core: Arc<QpCore>,
@@ -307,15 +893,22 @@ pub struct PreparedQp {
     /// callable through a shared reference.  Per clone, outside the
     /// shared core.
     warm_factors: RefCell<WarmFactors>,
+    /// Every temporary of a solve (see [`QpWorkspace`]).  Per clone like
+    /// the memo, and for the same reason: two loops sharing one model
+    /// must not share mutable scratch.
+    workspace: RefCell<QpWorkspace>,
 }
 
 impl Clone for PreparedQp {
     /// Shares the immutable model; copies the warm-start memo state as-is
-    /// (a pristine instance clones to a pristine instance).
+    /// (a pristine instance clones to a pristine instance).  The workspace
+    /// is not copied: it holds no state a solve reads, and a fleet of
+    /// clones should each grow only the scratch their own solves reach.
     fn clone(&self) -> Self {
         PreparedQp {
             core: Arc::clone(&self.core),
             warm_factors: RefCell::new(self.warm_factors.borrow().clone()),
+            workspace: RefCell::default(),
         }
     }
 }
@@ -340,18 +933,32 @@ impl PreparedQp {
             )));
         }
         let chol = factorize(&h)?;
-        let cache = ConstraintCache::build(&chol, &g)?;
+        let g_rows = SparseRows::from_matrix(&g);
+        let cache = ConstraintCache::extend(None, &chol, &g, &g_rows)?;
+        Ok(Self::from_parts(h, g, g_rows, chol, cache))
+    }
+
+    /// A pristine instance (empty memo, empty workspace) over a new core.
+    fn from_parts(
+        h: Matrix,
+        g: Matrix,
+        g_rows: SparseRows,
+        chol: Cholesky,
+        cache: ConstraintCache,
+    ) -> Self {
         let base_scale = g.max_abs().max(h.max_abs()).max(1.0);
-        Ok(PreparedQp {
+        PreparedQp {
             core: Arc::new(QpCore {
                 h,
                 g,
+                g_rows,
                 chol,
                 cache,
                 base_scale,
             }),
-            warm_factors: RefCell::new(WarmFactors::default()),
-        })
+            warm_factors: RefCell::default(),
+            workspace: RefCell::default(),
+        }
     }
 
     /// Number of decision variables.
@@ -428,17 +1035,14 @@ impl PreparedQp {
         let d = Matrix::from_fn(kept.len(), kept.len(), |a, b| {
             core.cache.d[(kept[a], kept[b])]
         });
-        let base_scale = g.max_abs().max(core.h.max_abs()).max(1.0);
-        Ok(PreparedQp {
-            core: Arc::new(QpCore {
-                h: core.h.clone(),
-                g,
-                chol: core.chol.clone(),
-                cache: ConstraintCache { hinv_n, d },
-                base_scale,
-            }),
-            warm_factors: RefCell::new(WarmFactors::default()),
-        })
+        let g_rows = SparseRows::from_matrix(&g);
+        Ok(Self::from_parts(
+            core.h.clone(),
+            g,
+            g_rows,
+            core.chol.clone(),
+            ConstraintCache { hinv_n, d },
+        ))
     }
 
     /// Incremental constraint-set growth: appends the rows of `extra` to
@@ -462,46 +1066,28 @@ impl PreparedQp {
             )));
         }
         let core = &self.core;
-        let m0 = core.g.rows();
-        let g = if m0 == 0 {
+        let g = if core.g.rows() == 0 {
             extra.clone()
         } else {
             core.g.vstack(extra)
         };
-        let m = g.rows();
-        let mut hinv_n = core.cache.hinv_n.clone();
-        hinv_n.reserve(m - m0);
-        for i in m0..m {
-            let ni = Vector::from_iter(g.row(i).iter().map(|v| -v));
-            hinv_n.push(core.chol.solve(&ni)?);
-        }
-        let mut d = Matrix::zeros(m, m);
-        for a in 0..m {
-            for b in 0..m {
-                d[(a, b)] = if a < m0 && b < m0 {
-                    core.cache.d[(a, b)]
-                } else {
-                    -dot_row(&g, a, &hinv_n[b])
-                };
-            }
-        }
-        let base_scale = g.max_abs().max(core.h.max_abs()).max(1.0);
-        Ok(PreparedQp {
-            core: Arc::new(QpCore {
-                h: core.h.clone(),
-                g,
-                chol: core.chol.clone(),
-                cache: ConstraintCache { hinv_n, d },
-                base_scale,
-            }),
-            warm_factors: RefCell::new(WarmFactors::default()),
-        })
+        let g_rows = SparseRows::from_matrix(&g);
+        let cache = ConstraintCache::extend(Some(&core.cache), &core.chol, &g, &g_rows)?;
+        Ok(Self::from_parts(
+            core.h.clone(),
+            g,
+            g_rows,
+            core.chol.clone(),
+            cache,
+        ))
     }
 
     /// Solves `min ½xᵀHx + fᵀx` s.t. `Gx ≤ hvec` for the prepared `H`, `G`.
     ///
     /// `warm` seeds the active set (see [`QuadProg::solve_warm`]); pass an
-    /// empty slice for a cold start.
+    /// empty slice for a cold start.  Allocates the returned solution;
+    /// [`solve_into`](PreparedQp::solve_into) is the same solve into a
+    /// caller-owned one.
     ///
     /// # Errors
     ///
@@ -514,6 +1100,52 @@ impl PreparedQp {
     /// Panics if `f` or `hvec` have lengths inconsistent with the prepared
     /// problem.
     pub fn solve(&self, f: &Vector, hvec: &Vector, warm: &[usize]) -> Result<QpSolution, QpError> {
+        let mut sol = QpSolution::default();
+        self.solve_into(f, hvec, warm, &mut sol)?;
+        Ok(sol)
+    }
+
+    /// [`solve`](PreparedQp::solve) into a caller-owned solution whose
+    /// buffers are reused: once they and this instance's workspace have
+    /// grown to the sizes the problem reaches, a solve performs no heap
+    /// allocation.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`PreparedQp::solve`]; `out` is untouched on
+    /// error.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`PreparedQp::solve`].
+    pub fn solve_into(
+        &self,
+        f: &Vector,
+        hvec: &Vector,
+        warm: &[usize],
+        out: &mut QpSolution,
+    ) -> Result<(), QpError> {
+        let ws = &mut *self.workspace();
+        let stats = self.solve_in(ws, f, hvec, warm)?;
+        ws.write_solution(self.num_constraints(), stats, out);
+        Ok(())
+    }
+
+    /// This instance's workspace (the least-squares front end stages its
+    /// linear term there and reads the solution from it).
+    pub(crate) fn workspace(&self) -> RefMut<'_, QpWorkspace> {
+        self.workspace.borrow_mut()
+    }
+
+    /// The solve itself, leaving the solution in `ws` (which must be this
+    /// instance's workspace or a fresh one).
+    pub(crate) fn solve_in(
+        &self,
+        ws: &mut QpWorkspace,
+        f: &Vector,
+        hvec: &Vector,
+        warm: &[usize],
+    ) -> Result<SolveStats, QpError> {
         assert_eq!(
             f.len(),
             self.num_vars(),
@@ -524,28 +1156,22 @@ impl PreparedQp {
             self.num_constraints(),
             "rhs length must match constraint count"
         );
-        if self.num_vars() == 0 {
-            return Ok(empty_solution(self.num_constraints()));
-        }
+        let core = &*self.core;
+        let model = Model {
+            chol: &core.chol,
+            g: &core.g,
+            rows: &core.g_rows,
+            base_scale: core.base_scale,
+            cache: Some(&core.cache),
+        };
         solve_with_chol(
-            &self.core.chol,
+            &model,
             f,
-            &self.core.g,
             hvec,
-            self.core.base_scale,
-            Some(&self.core.cache),
             warm,
-            Some(&self.warm_factors),
+            &mut self.warm_factors.borrow_mut(),
+            ws,
         )
-    }
-}
-
-fn empty_solution(m: usize) -> QpSolution {
-    QpSolution {
-        x: Vector::zeros(0),
-        multipliers: Vector::zeros(m),
-        active: Vec::new(),
-        iterations: 0,
     }
 }
 
@@ -554,412 +1180,6 @@ pub(crate) fn factorize(h: &Matrix) -> Result<Cholesky, QpError> {
         MathError::NotPositiveDefinite => QpError::NotStrictlyConvex,
         other => QpError::Math(other),
     })
-}
-
-/// Shared Goldfarb–Idnani core used by [`QuadProg`], [`PreparedQp`] and the
-/// least-squares front end.  `base_scale` is `max(|G|, |H|, 1)`; `cache`
-/// supplies precomputed back-solves when `H`/`G` are fixed across calls,
-/// and `factors` memoizes the warm-start subproblem factorization across
-/// calls with a stable active set.
-#[allow(clippy::too_many_arguments)] // internal plumbing shared by three front ends
-pub(crate) fn solve_with_chol(
-    chol: &Cholesky,
-    f: &Vector,
-    g: &Matrix,
-    hvec: &Vector,
-    base_scale: f64,
-    cache: Option<&ConstraintCache>,
-    warm: &[usize],
-    factors: Option<&RefCell<WarmFactors>>,
-) -> Result<QpSolution, QpError> {
-    let n = f.len();
-    let m = g.rows();
-    // Unconstrained minimum.
-    let x0 = chol.solve(&(-f))?;
-    let tol = TOL * base_scale.max(hvec.max_abs());
-    let max_iter = 50 * (m + 1);
-
-    let mut x = x0.clone();
-    // `active` and `u` stay parallel throughout; `in_active` mirrors
-    // membership for O(1) tests.  `hinv_act` (= H⁻¹n_j for each active j)
-    // is maintained only without a constraint cache — with one, the
-    // back-solves are read from the shared table instead of being cloned
-    // per active-set change (see [`hinv_at`]).
-    let mut active: Vec<usize> = Vec::new();
-    let mut u: Vec<f64> = Vec::new();
-    let mut hinv_act: Vec<Vector> = Vec::new();
-    let mut in_active = vec![false; m];
-
-    if !warm.is_empty() {
-        if let Some((wx, wa, wu, wh)) =
-            try_warm_start(chol, g, hvec, cache, &x0, warm, tol, n, factors)
-        {
-            x = wx;
-            active = wa;
-            u = wu;
-            hinv_act = wh;
-            for &a in &active {
-                in_active[a] = true;
-            }
-        }
-    }
-
-    let mut iterations = 0;
-
-    'outer: loop {
-        // Most violated inactive constraint (g_p·x − h_p > tol).
-        let mut p = None;
-        let mut worst = tol;
-        for i in 0..m {
-            if in_active[i] {
-                continue;
-            }
-            let viol = dot_row(g, i, &x) - hvec[i];
-            if viol > worst {
-                worst = viol;
-                p = Some(i);
-            }
-        }
-        let Some(p) = p else {
-            let mut multipliers = Vector::zeros(m);
-            for (idx, &c) in active.iter().enumerate() {
-                multipliers[c] = u[idx];
-            }
-            return Ok(QpSolution {
-                x,
-                multipliers,
-                active,
-                iterations,
-            });
-        };
-
-        // H⁻¹n_p for the normal n_p = −g_pᵀ of constraint p in `≥`
-        // orientation; fixed while p is being added, so hoisted out of the
-        // inner loop.
-        let hinv_np_owned;
-        let hinv_np: &Vector = match cache {
-            Some(c) => &c.hinv_n[p],
-            None => {
-                let np = Vector::from_iter(g.row(p).iter().map(|v| -v));
-                hinv_np_owned = chol.solve(&np)?;
-                &hinv_np_owned
-            }
-        };
-        let mut u_p = 0.0;
-
-        loop {
-            iterations += 1;
-            if iterations > max_iter {
-                return Err(QpError::IterationLimit { iterations });
-            }
-
-            // z: primal step direction; r: dual step for active set.
-            let q = active.len();
-            let (z, r) = if q == 0 {
-                (hinv_np.clone(), Vec::new())
-            } else {
-                // M = Nᵀ H⁻¹ N, rhs = Nᵀ H⁻¹ n_p, from the cache when
-                // available, else from the stored back-solves.
-                let mut mmat = Matrix::zeros(q, q);
-                let mut rhs = Vector::zeros(q);
-                for a in 0..q {
-                    for b in 0..q {
-                        mmat[(a, b)] = cross(
-                            g,
-                            cache,
-                            active[a],
-                            active[b],
-                            hinv_at(cache, &hinv_act, &active, b),
-                        );
-                    }
-                    rhs[a] = cross(g, cache, active[a], p, hinv_np);
-                }
-                let r = mmat.solve(&rhs).map_err(QpError::Math)?;
-                let mut z = hinv_np.clone();
-                for b in 0..q {
-                    z.axpy(-r[b], hinv_at(cache, &hinv_act, &active, b));
-                }
-                (z, r.into_vec())
-            };
-
-            // Maximum step preserving non-negative multipliers.
-            let mut t1 = f64::INFINITY;
-            let mut drop_idx = None;
-            for (j, &rj) in r.iter().enumerate() {
-                if rj > tol {
-                    let ratio = u[j] / rj;
-                    if ratio < t1 {
-                        t1 = ratio;
-                        drop_idx = Some(j);
-                    }
-                }
-            }
-
-            // z·n_p = −g_p·z.
-            let ztnp = -dot_row(g, p, &z);
-            if ztnp <= tol {
-                // Constraint p cannot be satisfied by a primal move.
-                if t1.is_infinite() {
-                    return Err(QpError::Infeasible);
-                }
-                // Dual-only step: relax a blocking constraint.
-                for (j, rj) in r.iter().enumerate() {
-                    u[j] -= t1 * rj;
-                }
-                u_p += t1;
-                let j = drop_idx.expect("finite t1 implies a blocking index");
-                in_active[active[j]] = false;
-                active.remove(j);
-                u.remove(j);
-                if cache.is_none() {
-                    hinv_act.remove(j);
-                }
-                continue;
-            }
-
-            // Full step length: drive the violation of p to zero.
-            let s_p = dot_row(g, p, &x) - hvec[p];
-            let t2 = s_p / ztnp;
-            let t = t1.min(t2);
-
-            x.axpy(t, &z);
-            for (j, rj) in r.iter().enumerate() {
-                u[j] -= t * rj;
-            }
-            u_p += t;
-
-            if t2 <= t1 {
-                active.push(p);
-                u.push(u_p);
-                if cache.is_none() {
-                    hinv_act.push(hinv_np.clone());
-                }
-                in_active[p] = true;
-                continue 'outer;
-            }
-            let j = drop_idx.expect("t1 < t2 implies a blocking index");
-            in_active[active[j]] = false;
-            active.remove(j);
-            u.remove(j);
-            if cache.is_none() {
-                hinv_act.remove(j);
-            }
-        }
-    }
-}
-
-/// `n_a · H⁻¹n_b`, where `hinv_b` must equal `H⁻¹n_b`; reads the
-/// precomputed Gram table when one is available.
-fn cross(g: &Matrix, cache: Option<&ConstraintCache>, a: usize, b: usize, hinv_b: &Vector) -> f64 {
-    match cache {
-        Some(c) => c.d[(a, b)],
-        None => -dot_row(g, a, hinv_b),
-    }
-}
-
-/// Attempts to start the dual iteration from a guessed active set.
-///
-/// Solves the equality-constrained subproblem for the guess, dropping the
-/// most negative multiplier until the remaining set is dual feasible
-/// (`u ≥ 0`).  The resulting `(x, active, u)` satisfies the dual method's
-/// invariant — `x` minimizes the objective over the span of the active
-/// constraints with non-negative multipliers — so the main loop can resume
-/// from it as if it had built that set itself.  Returns `None` (cold
-/// start) when the subproblem is singular, e.g. for a stale guess with
-/// linearly dependent rows.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
-fn try_warm_start(
-    chol: &Cholesky,
-    g: &Matrix,
-    hvec: &Vector,
-    cache: Option<&ConstraintCache>,
-    x0: &Vector,
-    warm: &[usize],
-    tol: f64,
-    n: usize,
-    factors: Option<&RefCell<WarmFactors>>,
-) -> Option<(Vector, Vec<usize>, Vec<f64>, Vec<Vector>)> {
-    let m = g.rows();
-    let mut seen = vec![false; m];
-    let mut cand: Vec<usize> = Vec::new();
-    for &a in warm {
-        if a < m && !seen[a] {
-            seen[a] = true;
-            cand.push(a);
-        }
-    }
-    // More than n active constraints cannot be linearly independent.
-    cand.truncate(n);
-
-    loop {
-        if cand.is_empty() {
-            return None;
-        }
-        let q = cand.len();
-        // With a constraint cache the back-solves `H⁻¹n_a` are read from
-        // the shared table (no per-solve copies); without one they are
-        // computed and owned here.
-        let mut hinv: Vec<Vector> = Vec::new();
-        if cache.is_none() {
-            hinv.reserve(q);
-            for &a in &cand {
-                let na = Vector::from_iter(g.row(a).iter().map(|v| -v));
-                hinv.push(chol.solve(&na).ok()?);
-            }
-        }
-        // Subproblem matrix over the candidates, minus position `skip`
-        // when given (the tentative-drop system).  Entries come from the
-        // Gram table when cached, else from the owned back-solves — the
-        // same values and order as assembling `M = NᵀH⁻¹N` directly.
-        let build_m = |skip: Option<usize>| -> Matrix {
-            let k = q - usize::from(skip.is_some());
-            let mut mm = Matrix::zeros(k, k);
-            for ra in 0..k {
-                let a = ra + usize::from(skip.is_some_and(|s| ra >= s));
-                for rb in 0..k {
-                    let b = rb + usize::from(skip.is_some_and(|s| rb >= s));
-                    mm[(ra, rb)] = match cache {
-                        Some(c) => c.d[(cand[a], cand[b])],
-                        None => -dot_row(g, cand[a], &hinv[b]),
-                    };
-                }
-            }
-            mm
-        };
-
-        // M u = b_A − Nᵀx0, with b_a = −hvec[a] and n_a = −g_aᵀ, i.e.
-        // rhs[a] = g_a·x0 − hvec[a].
-        let mut rhs = Vector::zeros(q);
-        for a in 0..q {
-            rhs[a] = dot_row(g, cand[a], x0) - hvec[cand[a]];
-        }
-        // `M` depends only on the candidate set, so its LU factor is
-        // memoized across solves (`Lu::decompose` is deterministic: a
-        // cache hit is bit-identical to refactoring).  On the controller
-        // hot path the active set repeats period after period, turning the
-        // O(q³) decomposition into an O(q²) back-substitution.
-        let solved = if let Some(fc) = factors {
-            let mut fcb = fc.borrow_mut();
-            if fcb.cand != cand {
-                fcb.cand.clear();
-                fcb.cand.extend_from_slice(&cand);
-                fcb.full = None;
-                fcb.reduced = None;
-            }
-            if fcb.full.is_none() {
-                fcb.full = Some(Lu::decompose(&build_m(None)).ok()?);
-            }
-            fcb.full.as_ref().expect("factor set above").solve(&rhs)
-        } else {
-            build_m(None).solve(&rhs)
-        };
-        let Ok(u) = solved else {
-            return None;
-        };
-
-        // Drop the most negative multiplier and re-solve, until the guess
-        // is dual feasible.
-        let mut worst_j = None;
-        let mut worst_u = -tol;
-        for j in 0..q {
-            if u[j] < worst_u {
-                worst_u = u[j];
-                worst_j = Some(j);
-            }
-        }
-        if let Some(j) = worst_j {
-            cand.remove(j);
-            continue;
-        }
-
-        // Dual feasibility alone is not enough to match the cold start on
-        // degenerate problems: a guess row whose hyperplane passes within
-        // tolerance of the true optimum is retained here with a small
-        // positive multiplier, while a cold start never adds it (its
-        // violation stays under `tol`) — two answers that differ at
-        // tolerance level.  Align the two by applying the cold start's own
-        // criterion: tentatively drop the weakest constraint and keep the
-        // drop whenever the main loop would not re-add the row (violation
-        // at the reduced optimum ≤ `tol`).  A genuinely active constraint
-        // fails that test on the first try, so this costs one extra
-        // subproblem solve in the common case.
-        if q > 0 {
-            let mut weakest = 0;
-            for j in 1..q {
-                if u[j] < u[weakest] {
-                    weakest = j;
-                }
-            }
-            let dropped = cand[weakest];
-            let qr = q - 1;
-            let viol_without = if qr == 0 {
-                dot_row(g, dropped, x0) - hvec[dropped]
-            } else {
-                let mut rr = Vector::zeros(qr);
-                for a in 0..qr {
-                    let ca = cand[a + usize::from(a >= weakest)];
-                    rr[a] = dot_row(g, ca, x0) - hvec[ca];
-                }
-                // The reduced factor is memoized under the same rule,
-                // keyed by (candidate set, dropped position).
-                let solved = if let Some(fc) = factors {
-                    let mut fcb = fc.borrow_mut();
-                    if fcb.reduced.is_none() || fcb.reduced_weakest != weakest {
-                        fcb.reduced_weakest = weakest;
-                        match Lu::decompose(&build_m(Some(weakest))) {
-                            Ok(lu) => fcb.reduced = Some(lu),
-                            Err(_) => {
-                                fcb.reduced = None;
-                                return None;
-                            }
-                        }
-                    }
-                    fcb.reduced.as_ref().expect("factor set above").solve(&rr)
-                } else {
-                    build_m(Some(weakest)).solve(&rr)
-                };
-                let Ok(ur) = solved else {
-                    return None;
-                };
-                let mut xr = x0.clone();
-                for b in 0..qr {
-                    let hb = b + usize::from(b >= weakest);
-                    xr.axpy(ur[b], hinv_at(cache, &hinv, &cand, hb));
-                }
-                dot_row(g, dropped, &xr) - hvec[dropped]
-            };
-            if viol_without <= tol {
-                cand.remove(weakest);
-                continue;
-            }
-        }
-
-        let mut x = x0.clone();
-        for b in 0..q {
-            x.axpy(u[b], hinv_at(cache, &hinv, &cand, b));
-        }
-        return Some((x, cand, u.into_vec(), hinv));
-    }
-}
-
-/// `H⁻¹n` of the constraint at position `b` of `idx`: a borrow from the
-/// shared back-solve table when one exists, else from the solver's own
-/// parallel array (which is only populated in that case).
-fn hinv_at<'a>(
-    cache: Option<&'a ConstraintCache>,
-    owned: &'a [Vector],
-    idx: &[usize],
-    b: usize,
-) -> &'a Vector {
-    match cache {
-        Some(c) => &c.hinv_n[idx[b]],
-        None => &owned[b],
-    }
-}
-
-fn dot_row(g: &Matrix, i: usize, x: &Vector) -> f64 {
-    // Single-accumulator unrolled kernel: bit-identical to the naive sum.
-    eucon_math::kernel::dot(g.row(i), x.as_slice())
 }
 
 #[cfg(test)]
@@ -1327,6 +1547,90 @@ mod tests {
         let f = Vector::from_slice(&[-1.0, 0.0, 0.5]);
         let sol = none.solve(&f, &Vector::zeros(0), &[]).unwrap();
         assert!(sol.active.is_empty());
+    }
+
+    #[test]
+    fn non_finite_inputs_are_rejected_on_every_front_end() {
+        let (h, g, qp) = coupled_prepared();
+        let f = Vector::from_slice(&[-3.0, 2.0, -1.5]);
+        let hvec = Vector::from_slice(&[0.4, 0.8, 0.3, 0.9, 0.9, 2.0]);
+        let one_shot = |f: &Vector, hvec: &Vector| {
+            QuadProg::new(h.clone(), f.clone())
+                .unwrap()
+                .ineq(g.clone(), hvec.clone())
+                .solve()
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut bad_f = f.clone();
+            bad_f[1] = bad;
+            let mut bad_h = hvec.clone();
+            bad_h[4] = bad;
+            let in_f = QpError::NonFiniteInput {
+                what: "f",
+                index: 1,
+            };
+            let in_h = QpError::NonFiniteInput {
+                what: "h",
+                index: 4,
+            };
+            assert_eq!(qp.solve(&bad_f, &hvec, &[]).unwrap_err(), in_f);
+            assert_eq!(qp.solve(&f, &bad_h, &[0, 5]).unwrap_err(), in_h);
+            assert_eq!(one_shot(&bad_f, &hvec).unwrap_err(), in_f);
+            assert_eq!(one_shot(&f, &bad_h).unwrap_err(), in_h);
+        }
+        // A rejected call leaves the instance as it was: the next solve
+        // matches a fresh build bit for bit.
+        let (_, _, fresh) = coupled_prepared();
+        assert_bit_identical(
+            &qp.solve(&f, &hvec, &[]).unwrap(),
+            &fresh.solve(&f, &hvec, &[]).unwrap(),
+        );
+    }
+
+    #[test]
+    fn solve_into_matches_solve_through_one_reused_output() {
+        // One output and one workspace across a drifting problem (the
+        // active set grows, shrinks and changes), against a fresh instance
+        // and an allocating `solve` per step.
+        let (_, _, qp) = coupled_prepared();
+        let hvec = Vector::from_slice(&[0.4, 0.8, 0.3, 0.9, 0.9, 2.0]);
+        let mut out = QpSolution::default();
+        let mut warm: Vec<usize> = Vec::new();
+        for k in 0..12 {
+            let s = k as f64;
+            let f = Vector::from_slice(&[-3.0 + 0.7 * s, 2.0 - 0.5 * s, -1.5 + 0.3 * s]);
+            qp.solve_into(&f, &hvec, &warm, &mut out).unwrap();
+            let (_, _, fresh) = coupled_prepared();
+            assert_bit_identical(&out, &fresh.solve(&f, &hvec, &warm).unwrap());
+            assert!(out.warm_retained <= warm.len());
+            warm.clone_from(&out.active);
+        }
+        // An error leaves the output untouched.
+        let before = out.clone();
+        let nan = Vector::from_slice(&[f64::NAN, 0.0, 0.0]);
+        assert!(qp.solve_into(&nan, &hvec, &warm, &mut out).is_err());
+        assert_bit_identical(&before, &out);
+    }
+
+    #[test]
+    fn warm_retained_counts_the_rows_the_guess_contributed() {
+        // min ½‖x − [2,2]‖² s.t. x ≤ 1 per coordinate: both rows active.
+        let qp = QuadProg::new(Matrix::identity(2), Vector::from_slice(&[-2.0, -2.0]))
+            .unwrap()
+            .ineq_rows(&[&[1.0, 0.0], &[0.0, 1.0]], &[1.0, 1.0]);
+        let cold = qp.solve().unwrap();
+        assert_eq!(cold.warm_retained, 0);
+        let exact = qp.solve_warm(&cold.active).unwrap();
+        assert_eq!((exact.warm_retained, exact.iterations), (2, 0));
+        // Row 1 alone is a correct partial guess: kept, one row to add.
+        let partial = qp.solve_warm(&[1]).unwrap();
+        assert_eq!((partial.warm_retained, partial.iterations), (1, 1));
+        // With the target inside the box no row binds: the guess is
+        // offered, nothing of it survives.
+        let inside = QuadProg::new(Matrix::identity(2), Vector::from_slice(&[-0.5, -0.5]))
+            .unwrap()
+            .ineq_rows(&[&[1.0, 0.0], &[0.0, 1.0]], &[1.0, 1.0]);
+        assert_eq!(inside.solve_warm(&[0, 1]).unwrap().warm_retained, 0);
     }
 
     mod properties {
