@@ -6,15 +6,15 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use eucon_control::{ControlPenalty, MpcConfig};
-use eucon_core::{ClosedLoop, ControllerSpec};
+use eucon_core::{ControllerSpec, LoopBuilder};
 use eucon_sim::SimConfig;
 use eucon_tasks::workloads;
 
 fn run_periods(spec: ControllerSpec, periods: usize) -> f64 {
-    let mut cl = ClosedLoop::builder(workloads::medium())
+    let mut cl = LoopBuilder::new(workloads::medium())
         .sim_config(SimConfig::constant_etf(0.5).seed(1))
         .controller(spec)
-        .build()
+        .local()
         .expect("loop");
     let result = cl.run(periods);
     result

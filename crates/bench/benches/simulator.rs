@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use eucon_control::MpcConfig;
-use eucon_core::{ClosedLoop, ControllerSpec};
+use eucon_core::{ControllerSpec, LoopBuilder};
 use eucon_sim::{ExecModel, SimConfig, Simulator};
 use eucon_tasks::workloads;
 
@@ -48,10 +48,10 @@ fn bench_closed_loop(c: &mut Criterion) {
             let cfg = SimConfig::constant_etf(1.0)
                 .exec_model(ExecModel::Uniform { half_width: 0.2 })
                 .seed(1);
-            let mut cl = ClosedLoop::builder(workloads::medium())
+            let mut cl = LoopBuilder::new(workloads::medium())
                 .sim_config(cfg)
                 .controller(ControllerSpec::Eucon(MpcConfig::medium()))
-                .build()
+                .local()
                 .expect("closed loop");
             black_box(cl.run(30))
         })
@@ -67,10 +67,10 @@ fn bench_closed_loop(c: &mut Criterion) {
             let cfg = SimConfig::constant_etf(1.0)
                 .exec_model(ExecModel::Uniform { half_width: 0.2 })
                 .seed(1);
-            let mut cl = ClosedLoop::builder(workloads::medium())
+            let mut cl = LoopBuilder::new(workloads::medium())
                 .sim_config(cfg)
                 .controller(ControllerSpec::Pid { kp: 0.5, ki: 0.05 })
-                .build()
+                .local()
                 .expect("closed loop");
             black_box(cl.run(60))
         })
@@ -81,10 +81,10 @@ fn bench_closed_loop(c: &mut Criterion) {
             let cfg = SimConfig::constant_etf(1.0)
                 .exec_model(ExecModel::Uniform { half_width: 0.2 })
                 .seed(1);
-            let mut cl = ClosedLoop::builder(workloads::medium())
+            let mut cl = LoopBuilder::new(workloads::medium())
                 .sim_config(cfg)
                 .controller(ControllerSpec::Open)
-                .build()
+                .local()
                 .expect("closed loop");
             black_box(cl.run(60))
         })

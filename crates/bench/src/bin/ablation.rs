@@ -114,7 +114,7 @@ fn main() {
 /// solves — the table quantifies what that costs in settling time and
 /// steady-state tracking error.
 fn shard_ablation() {
-    use eucon_core::{BoundaryMode, ClosedLoop};
+    use eucon_core::{BoundaryMode, LoopBuilder};
     use eucon_sim::SimConfig;
     use eucon_tasks::workloads::RandomWorkload;
 
@@ -165,14 +165,14 @@ fn shard_ablation() {
     let rows: Vec<Vec<String>> = variants
         .into_par_iter()
         .map(|(name, spec)| {
-            let mut cl = ClosedLoop::builder(set.clone())
+            let mut cl = LoopBuilder::new(set.clone())
                 .sim_config(
                     SimConfig::constant_etf(0.9)
                         .exec_model(ExecModel::Uniform { half_width: 0.2 })
                         .seed(7),
                 )
                 .controller(spec)
-                .build()
+                .local()
                 .expect("loop");
             let result = cl.run(periods);
             let mut worst_err: f64 = 0.0;
@@ -235,7 +235,7 @@ fn shard_ablation() {
 /// controller redistributes load through the local tasks, while the
 /// decoupled PID cannot.
 fn coupling_stress() {
-    use eucon_core::ClosedLoop;
+    use eucon_core::LoopBuilder;
     use eucon_sim::SimConfig;
 
     let set = workloads::medium();
@@ -260,11 +260,11 @@ fn coupling_stress() {
     let mut rows: Vec<Vec<String>> = specs
         .into_par_iter()
         .map(|spec| {
-            let mut cl = ClosedLoop::builder(set.clone())
+            let mut cl = LoopBuilder::new(set.clone())
                 .sim_config(SimConfig::constant_etf(0.5).seed(1))
                 .controller(spec.1)
                 .set_points(b.clone())
-                .build()
+                .local()
                 .expect("loop");
             let result = cl.run(300);
             let mut row = vec![spec.0];

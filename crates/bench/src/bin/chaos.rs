@@ -22,8 +22,7 @@ use std::time::Duration;
 
 use eucon_control::{MpcConfig, SupervisorConfig};
 use eucon_core::telemetry::{CsvSink, JsonlSink, Snapshot};
-use eucon_core::{metrics, render, ClosedLoop, ControllerSpec, DistributedLoop, RunResult};
-use eucon_net::TcpConfig;
+use eucon_core::{metrics, render, ControllerSpec, LoopBuilder, NetConfig};
 use eucon_sim::{FaultPlan, SensorFaultKind, SimConfig};
 use eucon_tasks::{rms_set_points, workloads};
 use rayon::prelude::*;
@@ -163,48 +162,28 @@ fn evaluate(
     // The acceptance scenario streams its full per-period telemetry —
     // one CSV and one JSONL row per sampling period.
     let stream_telemetry = scenario == TELEMETRY_SCENARIO && label == "SUP-EUCON";
-    let result: RunResult = if engine == Engine::Local {
-        let mut builder = ClosedLoop::builder(set)
-            .sim_config(SimConfig::constant_etf(0.5))
-            .controller(spec)
-            .faults(plan);
-        if stream_telemetry {
-            builder = builder
-                .telemetry_sink(
-                    CsvSink::create(eucon_bench::results_dir().join("telemetry_chaos.csv"))
-                        .expect("create telemetry csv"),
-                )
-                .telemetry_sink(
-                    JsonlSink::create(eucon_bench::results_dir().join("telemetry_chaos.jsonl"))
-                        .expect("create telemetry jsonl"),
-                );
-        }
-        let mut cl = builder.build().expect("controller builds");
-        cl.run(PERIODS)
-    } else {
-        let mut builder = DistributedLoop::builder(set)
-            .sim_config(SimConfig::constant_etf(0.5))
-            .controller(spec)
-            .faults(plan)
-            .recv_timeout(RECV_WINDOW);
-        builder = match engine {
-            Engine::Pair => builder.tcp(TcpConfig::default()),
-            _ => builder.tcp_poll(TcpConfig::default()),
-        };
-        if stream_telemetry {
-            builder = builder
-                .telemetry_sink(
-                    CsvSink::create(eucon_bench::results_dir().join("telemetry_chaos.csv"))
-                        .expect("create telemetry csv"),
-                )
-                .telemetry_sink(
-                    JsonlSink::create(eucon_bench::results_dir().join("telemetry_chaos.jsonl"))
-                        .expect("create telemetry jsonl"),
-                );
-        }
-        let mut dl = builder.build().expect("controller builds");
-        dl.run(PERIODS)
-    };
+    let mut builder = LoopBuilder::new(set)
+        .sim_config(SimConfig::constant_etf(0.5))
+        .controller(spec)
+        .faults(plan);
+    if stream_telemetry {
+        builder = builder
+            .telemetry_sink(
+                CsvSink::create(eucon_bench::results_dir().join("telemetry_chaos.csv"))
+                    .expect("create telemetry csv"),
+            )
+            .telemetry_sink(
+                JsonlSink::create(eucon_bench::results_dir().join("telemetry_chaos.jsonl"))
+                    .expect("create telemetry jsonl"),
+            );
+    }
+    let mut lp = match engine {
+        Engine::Local => builder.local(),
+        Engine::Pair => builder.distributed(NetConfig::tcp().recv_timeout(RECV_WINDOW)),
+        Engine::Poll => builder.distributed(NetConfig::tcp_poll().recv_timeout(RECV_WINDOW)),
+    }
+    .expect("controller builds");
+    let result = lp.run(PERIODS);
     let non_finite = result
         .trace
         .steps()

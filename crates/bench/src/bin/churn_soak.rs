@@ -30,7 +30,7 @@
 use std::time::Instant;
 
 use eucon_control::{MpcConfig, SupervisorConfig};
-use eucon_core::{render, AdmissionPolicy, ChurnPlan, ChurnSummary, ClosedLoop, ControllerSpec};
+use eucon_core::{render, AdmissionPolicy, ChurnPlan, ChurnSummary, ControllerSpec, LoopBuilder};
 use eucon_sim::{FaultPlan, SimConfig};
 use eucon_tasks::{workloads, ProcessorId, Task, TaskSet};
 
@@ -140,14 +140,14 @@ struct Outcome {
 }
 
 fn soak(sc: Scenario, periods: usize) -> Outcome {
-    let mut cl = ClosedLoop::builder(sc.set)
+    let mut cl = LoopBuilder::new(sc.set)
         .sim_config(sc.sim)
         .controller(sc.controller)
         .faults(sc.faults)
         .churn(sc.churn)
         .admission(sc.policy)
         .record_trace(false)
-        .build()
+        .local()
         .expect("loop builds");
     let warmup = periods / 10;
     let started = Instant::now();

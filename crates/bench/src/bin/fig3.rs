@@ -4,17 +4,17 @@
 
 use eucon_control::MpcConfig;
 use eucon_core::svg::{self, ChartConfig, Series};
-use eucon_core::{metrics, render, ClosedLoop, ControllerSpec};
+use eucon_core::{metrics, render, ControllerSpec, LoopBuilder};
 use eucon_sim::SimConfig;
 use eucon_tasks::workloads;
 
 const PERIODS: usize = 300;
 
 fn run(etf: f64) -> eucon_core::RunResult {
-    let mut cl = ClosedLoop::builder(workloads::simple())
+    let mut cl = LoopBuilder::new(workloads::simple())
         .sim_config(SimConfig::constant_etf(etf).seed(1))
         .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-        .build()
+        .local()
         .expect("loop construction");
     cl.run(PERIODS)
 }

@@ -27,7 +27,7 @@
 use std::time::{Duration, Instant};
 
 use eucon_control::MpcConfig;
-use eucon_core::{render, ControllerSpec, DistributedLoop, DistributedLoopBuilder, LaneModel};
+use eucon_core::{render, ControllerSpec, LaneModel, LoopBuilder, NetConfig};
 use eucon_net::{tcp_lane_fabric, FrameKind, LaneFabric, TcpConfig};
 use eucon_sim::SimConfig;
 use eucon_tasks::workloads;
@@ -89,7 +89,7 @@ struct Soak {
     /// Carries modelled loss/delay; timed against the ideal TCP soak
     /// that ran before it.
     lossy: bool,
-    configure: fn(DistributedLoopBuilder) -> DistributedLoopBuilder,
+    net: NetConfig,
 }
 
 /// Receive window for the TCP soaks: long enough that delivery is
@@ -98,46 +98,46 @@ struct Soak {
 const RECV_WINDOW: Duration = Duration::from_millis(5);
 
 fn soaks(engine: Engine) -> Vec<Soak> {
+    let lossy = |net: NetConfig| {
+        net.report_lanes(LaneModel::lossy(0.1, 77))
+            .command_lanes(LaneModel::delayed(1))
+    };
     match engine {
-        Engine::Pair => vec![
-            Soak {
-                name: "channel ideal",
-                lossy: false,
-                configure: |b| b.channel(4),
-            },
-            Soak {
-                name: "tcp ideal",
-                lossy: false,
-                configure: |b| b.tcp(TcpConfig::default()).recv_timeout(RECV_WINDOW),
-            },
-            Soak {
-                name: "tcp 10% report loss + cmd delay 1",
-                lossy: true,
-                configure: |b| {
-                    b.tcp(TcpConfig::default())
-                        .report_lanes(LaneModel::lossy(0.1, 77))
-                        .command_lanes(LaneModel::delayed(1))
-                        .recv_timeout(RECV_WINDOW)
+        Engine::Pair => {
+            let tcp = NetConfig::tcp().recv_timeout(RECV_WINDOW);
+            vec![
+                Soak {
+                    name: "channel ideal",
+                    lossy: false,
+                    net: NetConfig::channel(),
                 },
-            },
-        ],
-        Engine::Poll => vec![
-            Soak {
-                name: "tcp-poll ideal",
-                lossy: false,
-                configure: |b| b.tcp_poll(TcpConfig::default()).recv_timeout(RECV_WINDOW),
-            },
-            Soak {
-                name: "tcp-poll 10% report loss + cmd delay 1",
-                lossy: true,
-                configure: |b| {
-                    b.tcp_poll(TcpConfig::default())
-                        .report_lanes(LaneModel::lossy(0.1, 77))
-                        .command_lanes(LaneModel::delayed(1))
-                        .recv_timeout(RECV_WINDOW)
+                Soak {
+                    name: "tcp ideal",
+                    lossy: false,
+                    net: tcp.clone(),
                 },
-            },
-        ],
+                Soak {
+                    name: "tcp 10% report loss + cmd delay 1",
+                    lossy: true,
+                    net: lossy(tcp),
+                },
+            ]
+        }
+        Engine::Poll => {
+            let poll = NetConfig::tcp_poll().recv_timeout(RECV_WINDOW);
+            vec![
+                Soak {
+                    name: "tcp-poll ideal",
+                    lossy: false,
+                    net: poll.clone(),
+                },
+                Soak {
+                    name: "tcp-poll 10% report loss + cmd delay 1",
+                    lossy: true,
+                    net: lossy(poll),
+                },
+            ]
+        }
     }
 }
 
@@ -272,10 +272,11 @@ fn main() {
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut ideal_elapsed = Duration::ZERO;
     for soak in soaks(engine) {
-        let builder = DistributedLoop::builder(workloads::simple())
+        let mut dl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5).seed(args.seed))
-            .controller(ControllerSpec::Eucon(MpcConfig::simple()));
-        let mut dl = (soak.configure)(builder).build().expect("loop builds");
+            .controller(ControllerSpec::Eucon(MpcConfig::simple()))
+            .distributed(soak.net)
+            .expect("loop builds");
         let started = Instant::now();
         let result = dl.run(periods);
         let elapsed = started.elapsed();

@@ -9,10 +9,8 @@
 
 use std::time::Instant;
 
-use eucon_control::{
-    DecentralizedController, MpcConfig, MpcController, RateController, ShardedController,
-};
-use eucon_core::{metrics, render, BoundaryMode, ClosedLoop, ControllerSpec};
+use eucon_control::{MpcConfig, MpcController, RateController, ShardedController};
+use eucon_core::{metrics, render, BoundaryMode, ControllerSpec, LoopBuilder};
 use eucon_math::Vector;
 use eucon_sim::{ExecModel, SimConfig, Simulator};
 use eucon_tasks::{rms_set_points, workloads::RandomWorkload, TaskSet};
@@ -43,7 +41,7 @@ fn main() {
             .expect("centralized controller");
         let central_us = step_cost(&mut central, &u, 21);
 
-        let mut team = DecentralizedController::new(&set, b.clone(), MpcConfig::medium())
+        let mut team = ShardedController::singleton(&set, b.clone(), MpcConfig::medium())
             .expect("decentralized team");
         let team_us = step_cost(&mut team, &u, 21);
         // Per-node cost: the team runs sequentially here, but each node
@@ -51,10 +49,10 @@ fn main() {
         let per_node_us = team_us / team.num_controllers() as f64;
 
         // Convergence check (quality must not silently degrade at scale).
-        let mut cl = ClosedLoop::builder(set.clone())
+        let mut cl = LoopBuilder::new(set.clone())
             .sim_config(SimConfig::constant_etf(0.5).seed(1))
             .controller(ControllerSpec::Decentralized(MpcConfig::medium()))
-            .build()
+            .local()
             .expect("loop");
         let result = cl.run(120);
         let mut worst = 0.0f64;
@@ -75,7 +73,7 @@ fn main() {
             format!("{central_us:.0}"),
             format!("{team_us:.0}"),
             format!("{per_node_us:.0}"),
-            team.max_local_tasks().to_string(),
+            team.max_shard_tasks().to_string(),
             render::f4(worst),
         ]);
     }
@@ -214,7 +212,7 @@ fn shard_scaling() {
 
             // Convergence under the stochastic execution model: windowed
             // mean over the settled tail, worst processor.
-            let mut cl = ClosedLoop::builder(set.clone())
+            let mut cl = LoopBuilder::new(set.clone())
                 .sim_config(
                     SimConfig::constant_etf(0.9)
                         .exec_model(ExecModel::Uniform { half_width: 0.2 })
@@ -225,7 +223,7 @@ fn shard_scaling() {
                     shard_size,
                     boundary: BoundaryMode::InProcess,
                 })
-                .build()
+                .local()
                 .expect("loop");
             let result = cl.run(periods);
             let mut worst = 0.0f64;

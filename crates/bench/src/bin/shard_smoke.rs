@@ -18,7 +18,7 @@
 //! ```
 
 use eucon_control::MpcConfig;
-use eucon_core::{metrics, render, BoundaryMode, ClosedLoop, ControllerSpec};
+use eucon_core::{metrics, render, BoundaryMode, ControllerSpec, LoopBuilder};
 use eucon_sim::{ExecModel, SimConfig};
 use eucon_tasks::{rms_set_points, workloads::RandomWorkload};
 
@@ -70,7 +70,7 @@ fn main() {
         ),
     ];
     for (name, boundary) in scenarios {
-        let mut cl = ClosedLoop::builder(set.clone())
+        let mut cl = LoopBuilder::new(set.clone())
             .sim_config(
                 SimConfig::constant_etf(0.9)
                     .exec_model(ExecModel::Uniform { half_width: 0.2 })
@@ -81,7 +81,7 @@ fn main() {
                 shard_size: SHARD_SIZE,
                 boundary,
             })
-            .build()
+            .local()
             .expect("closed loop");
         let result = cl.run(PERIODS);
         let mut worst = 0.0f64;

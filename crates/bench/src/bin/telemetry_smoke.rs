@@ -10,7 +10,7 @@
 
 use eucon_control::MpcConfig;
 use eucon_core::telemetry::JsonlSink;
-use eucon_core::{ClosedLoop, ControllerSpec};
+use eucon_core::{ControllerSpec, LoopBuilder};
 use eucon_sim::SimConfig;
 use eucon_tasks::workloads;
 
@@ -35,11 +35,11 @@ fn keys(line: &str) -> Vec<String> {
 fn main() {
     println!("== Telemetry schema smoke: MEDIUM, {PERIODS} periods, JSONL ==\n");
     let path = eucon_bench::results_dir().join("telemetry_medium.jsonl");
-    let mut cl = ClosedLoop::builder(workloads::medium())
+    let mut cl = LoopBuilder::new(workloads::medium())
         .sim_config(SimConfig::constant_etf(0.5))
         .controller(ControllerSpec::Eucon(MpcConfig::medium()))
         .telemetry_sink(JsonlSink::create(&path).expect("create jsonl sink"))
-        .build()
+        .local()
         .expect("loop builds");
     let result = cl.run(PERIODS);
     assert_eq!(result.telemetry.counter("sink_errors"), Some(0));

@@ -157,13 +157,13 @@ mod tests {
 
     #[test]
     fn telemetry_lines_are_flat_json_objects() {
-        use eucon_core::{ClosedLoop, ControllerSpec};
+        use eucon_core::{ControllerSpec, LoopBuilder};
         use eucon_sim::SimConfig;
         use eucon_tasks::workloads;
-        let mut cl = ClosedLoop::builder(workloads::simple())
+        let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
             .controller(ControllerSpec::Open)
-            .build()
+            .local()
             .unwrap();
         let result = cl.run(5);
         let line = telemetry_jsonl_line("smoke \"run\"", &result.telemetry);

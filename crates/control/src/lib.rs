@@ -13,9 +13,10 @@
 //!   re-derivation; the paper reports 5.95 — see `stability` module docs).
 //! * [`OpenLoop`] — the paper's OPEN baseline; [`IndependentPid`] — a
 //!   decoupled per-processor baseline for ablation.
-//! * [`DecentralizedController`] — the paper's future-work direction: a
-//!   team of per-processor local MPCs coordinating by last-move exchange
-//!   (DEUCON-style).
+//! * [`ShardedController`] — the paper's future-work direction: a team of
+//!   local MPCs, one per processor group, coordinating by boundary-state
+//!   exchange; [`ShardedController::singleton`] is the per-processor
+//!   (DEUCON-style) team.
 //!
 //! All controllers implement [`RateController`] so experiments can swap
 //! them uniformly.
@@ -41,7 +42,6 @@
 
 mod baselines;
 mod config;
-mod decentralized;
 mod error;
 mod mpc;
 mod prediction;
@@ -51,7 +51,6 @@ mod supervisor;
 
 pub use baselines::{IndependentPid, OpenLoop};
 pub use config::{ControlPenalty, MoveHold, MpcConfig};
-pub use decentralized::DecentralizedController;
 pub use error::ControlError;
 pub use mpc::{ModelUpdate, MpcController, MpcStepInfo};
 pub use shard::{BoundaryBus, ShardPlan, ShardPlanner, ShardedController};

@@ -234,17 +234,6 @@ impl<C: RateController> Supervised<C> {
         self
     }
 
-    /// Deprecated spelling of [`Supervised::safe_rates`] — builder
-    /// options are bare setters throughout the workspace (one-release
-    /// deprecation policy; removed next release).
-    #[deprecated(
-        since = "0.3.0",
-        note = "renamed to safe_rates for builder-method consistency"
-    )]
-    pub fn with_safe_rates(self, safe: Vector) -> Self {
-        self.safe_rates(safe)
-    }
-
     /// The wrapper's accumulated counters.
     pub fn report(&self) -> SupervisorReport {
         self.report

@@ -7,7 +7,7 @@
 //! These tests pin all three links: detection, the banded loops actually
 //! being in effect, and bit-identity against the forced-dense reference.
 
-use eucon_control::{DecentralizedController, MpcConfig, ShardedController};
+use eucon_control::{MpcConfig, ShardedController};
 use eucon_math::Cholesky;
 use eucon_tasks::{rms_set_points, workloads::RandomWorkload, TaskSet};
 
@@ -65,11 +65,11 @@ fn decentralized_hessians_stay_narrow() {
     // the 2·192-variable centralized problem.
     let set = rack();
     let b = rms_set_points(&set);
-    let team =
-        DecentralizedController::new(&set, b, MpcConfig::medium()).expect("decentralized team");
+    let team = ShardedController::singleton(&set, b, MpcConfig::medium()).expect("singleton team");
     let global_n = 2 * set.num_tasks();
+    let sizes = team.shard_problem_sizes();
     for (i, &band) in team.hessian_bandwidths().iter().enumerate() {
-        let n = 2 * team.local_tasks(i);
+        let n = 2 * sizes[i].0;
         assert!(band < n, "node {i}: bandwidth {band} of n={n}");
         assert!(
             16 * band < global_n,

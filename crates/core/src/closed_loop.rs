@@ -4,132 +4,32 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use eucon_control::{
-    ControlError, ControlMode, DecentralizedController, IndependentPid, MpcConfig, MpcController,
-    OpenLoop, RateController, ShardedController, Supervised, SupervisorConfig,
-};
+mod loop_builder;
+
+use eucon_control::{ControlMode, RateController};
 use eucon_math::Vector;
-use eucon_sim::{DeadlineStats, EngineCounters, FaultInjector, FaultPlan, SimConfig, Simulator};
-use eucon_tasks::{rms_set_points, ProcessorId, Task, TaskId, TaskSet};
+use eucon_net::TransportStats;
+use eucon_sim::{DeadlineStats, EngineCounters, FaultInjector, Simulator};
+use eucon_tasks::{ProcessorId, Task, TaskId, TaskSet};
 
 use crate::admission::{
-    AdmissionController, AdmissionEvent, AdmissionPolicy, ChurnEvent, ChurnPlan, ChurnSummary,
-    PendingArrival, RejectReason,
+    AdmissionController, AdmissionEvent, ChurnEvent, ChurnSummary, PendingArrival, RejectReason,
 };
 use crate::distributed::{NetConfig, NetRuntime};
 use crate::lanes::LaneState;
 use crate::metrics::{self, SeriesStats};
-use crate::plant::{Plant, PlantFactory, SimPlant};
-use crate::shardnet::{BoundaryMode, NetShardedController};
+use crate::plant::Plant;
 use crate::telemetry::{
-    ChurnPeriod, LoopTelemetry, PeriodObservation, PeriodTimings, Registry, Snapshot, TelemetrySink,
+    ChurnPeriod, LoopTelemetry, PeriodObservation, PeriodTimings, Registry, Snapshot,
 };
 use crate::trace::StepAnnotations;
-use crate::{ControllerFactory, CoreError, LaneModel, Trace, TraceStep};
+use crate::{CoreError, Trace, TraceStep};
+
+pub use loop_builder::{FleetPlan, LoopBuilder};
 
 /// The sampling period used throughout the paper (Table 2): 1000 time
 /// units.
 pub const DEFAULT_SAMPLING_PERIOD: f64 = 1000.0;
-
-/// Which controller to close the loop with.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum ControllerSpec {
-    /// The EUCON model-predictive controller with the given configuration.
-    Eucon(MpcConfig),
-    /// The paper's OPEN baseline (fixed design-time rates).
-    Open,
-    /// The decoupled per-processor PI baseline with gains `(kp, ki)`.
-    Pid {
-        /// Proportional gain.
-        kp: f64,
-        /// Integral gain.
-        ki: f64,
-    },
-    /// The decentralized controller team (DEUCON-style): one local MPC
-    /// per processor, coordinating by move exchange.
-    Decentralized(MpcConfig),
-    /// The cluster-scale sharded team: the processor graph is
-    /// partitioned into shards of about `shard_size` processors by
-    /// F-matrix coupling (see `ShardPlanner`), each shard runs one local
-    /// MPC and shards exchange boundary state per period — in process or
-    /// over per-shard `eucon-net` lanes, per [`BoundaryMode`].
-    ///
-    /// `shard_size = 1` is the decentralized team's problem structure
-    /// and is pinned bit-identical to [`ControllerSpec::Decentralized`].
-    Sharded {
-        /// Local-controller (MPC) configuration.
-        mpc: MpcConfig,
-        /// Target processors per shard (the planner's size cap).
-        shard_size: usize,
-        /// How boundary state travels between shards.
-        boundary: BoundaryMode,
-    },
-    /// The EUCON MPC wrapped in a [`Supervised`] watchdog: sensor
-    /// validation, graceful degradation to OPEN's design rates when the
-    /// sensors or the optimizer fail, automatic re-engagement.
-    SupervisedEucon {
-        /// Primary-law (MPC) configuration.
-        mpc: MpcConfig,
-        /// Watchdog thresholds and safe-mode gains.
-        supervisor: SupervisorConfig,
-    },
-}
-
-impl ControllerSpec {
-    /// Instantiates the controller for a task set and set points.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller-construction failures.
-    pub fn build(
-        &self,
-        set: &TaskSet,
-        set_points: &Vector,
-    ) -> Result<Box<dyn RateController>, ControlError> {
-        Ok(match self {
-            ControllerSpec::Eucon(cfg) => {
-                Box::new(MpcController::new(set, set_points.clone(), cfg.clone())?)
-            }
-            ControllerSpec::Open => Box::new(OpenLoop::design(set, set_points)?),
-            ControllerSpec::Pid { kp, ki } => {
-                Box::new(IndependentPid::new(set, set_points.clone(), *kp, *ki)?)
-            }
-            ControllerSpec::Decentralized(cfg) => Box::new(DecentralizedController::new(
-                set,
-                set_points.clone(),
-                cfg.clone(),
-            )?),
-            ControllerSpec::Sharded {
-                mpc,
-                shard_size,
-                boundary,
-            } => match boundary {
-                BoundaryMode::InProcess => Box::new(ShardedController::with_shard_size(
-                    set,
-                    set_points.clone(),
-                    mpc.clone(),
-                    *shard_size,
-                )?),
-                _ => Box::new(NetShardedController::new(
-                    set,
-                    set_points.clone(),
-                    mpc.clone(),
-                    *shard_size,
-                    boundary,
-                )?),
-            },
-            ControllerSpec::SupervisedEucon { mpc, supervisor } => {
-                let inner = MpcController::new(set, set_points.clone(), mpc.clone())?;
-                let open = OpenLoop::design(set, set_points)?;
-                Box::new(
-                    Supervised::new(inner, set, supervisor.clone())?
-                        .safe_rates(open.rates().clone()),
-                )
-            }
-        })
-    }
-}
 
 /// Fault and degradation counters accumulated by a closed-loop run (all
 /// zero in a fault-free run).
@@ -191,15 +91,15 @@ impl RunResult {
 /// # Example
 ///
 /// ```
-/// use eucon_core::{ClosedLoop, ControllerSpec};
+/// use eucon_core::{ControllerSpec, LoopBuilder};
 /// use eucon_sim::SimConfig;
 /// use eucon_tasks::workloads;
 ///
 /// # fn main() -> Result<(), eucon_core::CoreError> {
-/// let mut cl = ClosedLoop::builder(workloads::simple())
+/// let mut cl = LoopBuilder::new(workloads::simple())
 ///     .sim_config(SimConfig::constant_etf(0.5))
 ///     .controller(ControllerSpec::Eucon(eucon_control::MpcConfig::simple()))
-///     .build()?;
+///     .local()?;
 /// let result = cl.run(150);
 /// let m = result.metrics();
 /// assert!(m.acceptable(0, 100, 150), "P1 regulated to its set point");
@@ -250,15 +150,15 @@ impl RunMetrics<'_> {
 /// # Example
 ///
 /// ```
-/// use eucon_core::{ClosedLoop, ControllerSpec};
+/// use eucon_core::{ControllerSpec, LoopBuilder};
 /// use eucon_sim::SimConfig;
 /// use eucon_tasks::workloads;
 ///
 /// # fn main() -> Result<(), eucon_core::CoreError> {
-/// let mut cl = ClosedLoop::builder(workloads::simple())
+/// let mut cl = LoopBuilder::new(workloads::simple())
 ///     .sim_config(SimConfig::constant_etf(0.5))
 ///     .controller(ControllerSpec::Eucon(eucon_control::MpcConfig::simple()))
-///     .build()?;
+///     .local()?;
 /// let result = cl.run(150);
 /// // EUCON converges to the 0.828 set points despite etf = 0.5.
 /// let u1 = result.trace.utilization_series(0);
@@ -342,365 +242,11 @@ impl std::fmt::Debug for ClosedLoop {
     }
 }
 
-/// Builder for [`ClosedLoop`].
-///
-/// All inputs are validated at [`ClosedLoopBuilder::build`], which
-/// returns [`CoreError::Config`] for out-of-domain values (non-finite or
-/// non-positive set points or sampling period, fewer than two quantized
-/// rate levels) instead of panicking in the setters.
-pub struct ClosedLoopBuilder {
-    set: TaskSet,
-    sim_config: SimConfig,
-    factory: Box<dyn ControllerFactory>,
-    set_points: Option<Vector>,
-    ts: f64,
-    lanes: LaneModel,
-    rate_levels: Option<usize>,
-    faults: FaultPlan,
-    record: bool,
-    sinks: Vec<Box<dyn TelemetrySink>>,
-    batch_rows: usize,
-    churn: ChurnPlan,
-    admission_policy: Option<AdmissionPolicy>,
-    plant: Option<Box<dyn PlantFactory>>,
-}
-
-impl std::fmt::Debug for ClosedLoopBuilder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClosedLoopBuilder")
-            .field("controller", &self.factory.label())
-            .field("plant", &self.plant.as_ref().map_or("sim", |p| p.label()))
-            .field("ts", &self.ts)
-            .field("lanes", &self.lanes)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ClosedLoopBuilder {
-    /// Chooses the simulator configuration (default: `etf = 1`, constant
-    /// execution times).
-    pub fn sim_config(mut self, cfg: SimConfig) -> Self {
-        self.sim_config = cfg;
-        self
-    }
-
-    /// Chooses the controller (default: EUCON with SIMPLE's parameters).
-    ///
-    /// Accepts anything implementing [`ControllerFactory`]: a
-    /// [`ControllerSpec`] for the built-in controllers, a prebuilt
-    /// `Box<dyn RateController>` (its current rates are applied to the
-    /// plant at time zero), or a closure wrapped by
-    /// [`crate::factory_fn`].
-    pub fn controller(mut self, factory: impl ControllerFactory + 'static) -> Self {
-        self.factory = Box::new(factory);
-        self
-    }
-
-    /// Chooses the plant backend the loop senses and actuates (default:
-    /// the `eucon-sim` simulator, exactly as before this option
-    /// existed).
-    ///
-    /// Accepts any [`PlantFactory`]: [`crate::SimPlantFactory`] (the
-    /// explicit spelling of the default), a loaded
-    /// [`crate::ReplayTrace`], or — with the `os-plant` feature — an
-    /// `OsPlantConfig` driving real worker processes.
-    pub fn plant(mut self, factory: impl PlantFactory + 'static) -> Self {
-        self.plant = Some(Box::new(factory));
-        self
-    }
-
-    /// Attaches a telemetry sink; the loop pushes one row per sampling
-    /// period into every attached sink (default: none — the metric
-    /// registry alone, which keeps the period step allocation-free).
-    ///
-    /// Sink I/O failures never stop the loop; they are counted in the
-    /// `sink_errors` metric.
-    pub fn telemetry_sink(mut self, sink: impl TelemetrySink + 'static) -> Self {
-        self.sinks.push(Box::new(sink));
-        self
-    }
-
-    /// Batches sink export: rows accumulate in preallocated buffers and
-    /// reach the sinks once per `rows` periods instead of once per period
-    /// (default `0` = unbatched).  A run that ends mid-batch delivers the
-    /// partial batch exactly once at its final flush and counts it in the
-    /// `partial_flushes` metric.  Large fleets of loops use this to
-    /// amortize per-period sink traffic.
-    pub fn telemetry_batch(mut self, rows: usize) -> Self {
-        self.batch_rows = rows;
-        self
-    }
-
-    /// Overrides the utilization set points (default: the RMS bounds of
-    /// the paper's eq. 13).
-    pub fn set_points(mut self, b: Vector) -> Self {
-        self.set_points = Some(b);
-        self
-    }
-
-    /// Chooses the feedback-lane network model (default: the paper's
-    /// ideal lanes — zero delay, zero loss).
-    pub fn lanes(mut self, model: LaneModel) -> Self {
-        self.lanes = model;
-        self
-    }
-
-    /// Installs a fault-injection plan: scripted or stochastic processor
-    /// crashes, execution-time bursts, sensor faults and actuation-lane
-    /// faults (default: no faults).
-    ///
-    /// Crashed processors execute nothing, pile up a backlog and report
-    /// `NaN` utilization (the monitor dies with its host); the closed
-    /// loop feeds whatever the faulty sensors produce straight to the
-    /// controller, which is exactly what [`ControllerSpec::SupervisedEucon`]
-    /// exists to survive.
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
-        self
-    }
-
-    /// Installs a runtime-membership plan: scripted task arrivals,
-    /// departures and mode changes (default: none — a static task set).
-    ///
-    /// Arrivals pass through the admission test of the configured
-    /// [`AdmissionPolicy`]; departures drain their in-flight jobs cleanly
-    /// while the controller shrinks its plant model incrementally.  An
-    /// empty plan leaves the loop byte-identical to one built without
-    /// this call.
-    pub fn churn(mut self, plan: ChurnPlan) -> Self {
-        self.churn = plan;
-        self
-    }
-
-    /// Overrides the admission policy governing runtime arrivals
-    /// (default: [`AdmissionPolicy::default`]).  Also engages the churn
-    /// machinery even for an empty plan, which is only useful in tests.
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.admission_policy = Some(policy);
-        self
-    }
-
-    /// Quantizes actuated rates to a per-task geometric grid of `levels`
-    /// values between `Rmin` and `Rmax` (default: continuous rates).
-    ///
-    /// Models real actuators — e.g. video pipelines that only support a
-    /// discrete set of frame rates.  The controller still reasons in
-    /// continuous rates; only the value applied to the plant snaps to the
-    /// grid.
-    ///
-    /// `levels < 2` is rejected by [`ClosedLoopBuilder::build`].
-    pub fn quantized_rates(mut self, levels: usize) -> Self {
-        self.rate_levels = Some(levels);
-        self
-    }
-
-    /// Turns trace recording on or off (default: on).
-    ///
-    /// With recording off the loop keeps only the most recent
-    /// [`TraceStep`] (returned by [`ClosedLoop::step`]) and the running
-    /// statistics; long unattended runs — chaos sweeps, scaling studies —
-    /// avoid the per-period trace allocations entirely, making the
-    /// fault-free period step allocation-free.
-    pub fn record_trace(mut self, on: bool) -> Self {
-        self.record = on;
-        self
-    }
-
-    /// Overrides the sampling period (default
-    /// [`DEFAULT_SAMPLING_PERIOD`]).
-    ///
-    /// Non-positive or non-finite values are rejected by
-    /// [`ClosedLoopBuilder::build`].
-    pub fn sampling_period(mut self, ts: f64) -> Self {
-        self.ts = ts;
-        self
-    }
-
-    /// Builds the loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::Config`] when an input fails validation —
-    /// a non-positive or non-finite sampling period, fewer than two
-    /// quantized rate levels, set points that are non-finite,
-    /// non-positive, or of the wrong arity, or a malformed churn plan —
-    /// [`CoreError::Sim`] for a malformed fault plan, and propagates
-    /// controller-construction failures as [`CoreError::Control`].
-    pub fn build(self) -> Result<ClosedLoop, CoreError> {
-        if !(self.ts > 0.0 && self.ts.is_finite()) {
-            return Err(CoreError::Config(format!(
-                "sampling period must be positive and finite, got {}",
-                self.ts
-            )));
-        }
-        self.faults.validate(self.set.num_processors())?;
-        self.churn.validate(&self.set)?;
-        if let Some(levels) = self.rate_levels {
-            if levels < 2 {
-                return Err(CoreError::Config(format!(
-                    "quantized actuation needs at least two rate levels, got {levels}"
-                )));
-            }
-        }
-        let set_points = self.set_points.unwrap_or_else(|| rms_set_points(&self.set));
-        if set_points.len() != self.set.num_processors() {
-            return Err(CoreError::Config(format!(
-                "need one set point per processor: got {} for {} processors",
-                set_points.len(),
-                self.set.num_processors()
-            )));
-        }
-        if let Some(p) = (0..set_points.len()).find(|&p| {
-            let b = set_points[p];
-            !b.is_finite() || b <= 0.0
-        }) {
-            return Err(CoreError::Config(format!(
-                "set point for P{} must be positive and finite, got {}",
-                p + 1,
-                set_points[p]
-            )));
-        }
-        let controller = self.factory.build_controller(&self.set, &set_points)?;
-        let rate_grid = self.rate_levels.map(|levels| {
-            self.set
-                .tasks()
-                .iter()
-                .map(|t| {
-                    // Geometric grid covers wide rate ranges evenly in log
-                    // space (rate ranges span 10-20x in the paper).
-                    let lo = t.rate_min();
-                    let hi = t.rate_max();
-                    (0..levels)
-                        .map(|i| lo * (hi / lo).powf(i as f64 / (levels - 1) as f64))
-                        .collect()
-                })
-                .collect()
-        });
-        let head_proc: Vec<usize> = self
-            .set
-            .tasks()
-            .iter()
-            .map(|t| t.subtasks()[0].processor.0)
-            .collect();
-        let injector = if self.faults.is_empty() {
-            None
-        } else {
-            Some(FaultInjector::new(
-                self.faults.clone(),
-                self.set.num_processors(),
-            ))
-        };
-        let act_delay = self.faults.actuation_delay_periods();
-        let has_partitions = self.faults.has_partitions();
-        let num_procs = self.set.num_processors();
-        let num_tasks = self.set.num_tasks();
-        // Churn machinery engages only for a non-empty plan (or an
-        // explicit policy); otherwise churn-free runs take byte-identical
-        // code paths to builds without it.
-        let admission = if !self.churn.is_empty() || self.admission_policy.is_some() {
-            Some(Box::new(AdmissionController::new(
-                self.admission_policy.unwrap_or_default(),
-                self.churn,
-                num_tasks,
-            )))
-        } else {
-            None
-        };
-        let mut plant: Box<dyn Plant> = match self.plant {
-            Some(factory) => {
-                let plant = factory.build_plant(&self.set, &self.sim_config)?;
-                if plant.num_processors() != num_procs {
-                    return Err(CoreError::Config(format!(
-                        "plant backend '{}' exposes {} processors, workload has {}",
-                        plant.name(),
-                        plant.num_processors(),
-                        num_procs
-                    )));
-                }
-                if plant.num_tasks() != num_tasks {
-                    return Err(CoreError::Config(format!(
-                        "plant backend '{}' exposes {} tasks, workload has {}",
-                        plant.name(),
-                        plant.num_tasks(),
-                        num_tasks
-                    )));
-                }
-                plant
-            }
-            // The default path moves the set and config straight into the
-            // simulator — no clone, bit-identical to the pre-`Plant` loop.
-            None => Box::new(SimPlant::new(Simulator::new(self.set, self.sim_config))),
-        };
-        if admission.is_some() && !plant.supports_membership() {
-            return Err(CoreError::Config(format!(
-                "plant backend '{}' does not support runtime membership; \
-                 churn plans and admission policies need a simulator-backed plant",
-                plant.name()
-            )));
-        }
-        // Apply the controller's initial rates from time zero (OPEN's
-        // design rates take effect immediately; feedback controllers start
-        // from the task set's initial rates, a no-op here).
-        plant.apply_rates(controller.rates());
-        // The full metric registry is declared (and allocated) here, once;
-        // per-period recording updates it strictly in place.
-        let mut telemetry = Box::new(LoopTelemetry::new(num_procs));
-        for sink in self.sinks {
-            telemetry.add_sink(sink);
-        }
-        if self.batch_rows > 0 {
-            telemetry.set_batch(self.batch_rows);
-        }
-        Ok(ClosedLoop {
-            plant,
-            controller,
-            ts: self.ts,
-            period: 0,
-            set_points,
-            trace: Trace::new(),
-            control_errors: 0,
-            lanes: LaneState::new(self.lanes),
-            rate_grid,
-            injector,
-            head_proc,
-            act_queue: VecDeque::new(),
-            act_delay,
-            summary: FaultSummary::default(),
-            record: self.record,
-            u_scratch: Vector::zeros(num_procs),
-            sensed: Vector::zeros(num_procs),
-            dropped: Vec::new(),
-            last: TraceStep::clean(0.0, Vector::zeros(num_procs), Vector::zeros(num_tasks)),
-            telemetry,
-            net: None,
-            lane_hold: Vector::zeros(num_procs),
-            has_partitions,
-            admission,
-            ctrl_cols: (0..num_tasks).map(TaskId).collect(),
-            act_cmd: Vector::zeros(num_tasks),
-        })
-    }
-}
-
 impl ClosedLoop {
-    /// Starts building a loop around a task set.
-    pub fn builder(set: TaskSet) -> ClosedLoopBuilder {
-        ClosedLoopBuilder {
-            set,
-            sim_config: SimConfig::default(),
-            factory: Box::new(ControllerSpec::Eucon(MpcConfig::simple())),
-            set_points: None,
-            ts: DEFAULT_SAMPLING_PERIOD,
-            lanes: LaneModel::ideal(),
-            rate_levels: None,
-            faults: FaultPlan::none(),
-            record: true,
-            sinks: Vec::new(),
-            batch_rows: 0,
-            churn: ChurnPlan::none(),
-            admission_policy: None,
-            plant: None,
-        }
+    /// Deprecated spelling of [`LoopBuilder::new`].
+    #[deprecated(since = "0.4.0", note = "use LoopBuilder::new")]
+    pub fn builder(set: TaskSet) -> LoopBuilder {
+        LoopBuilder::new(set)
     }
 
     /// The utilization set points in force.
@@ -743,14 +289,29 @@ impl ClosedLoop {
     }
 
     /// Connects the transport lanes of a distributed loop (called by
-    /// `DistributedLoopBuilder::build`; the loop must not have stepped).
-    pub(crate) fn attach_net(&mut self, cfg: &NetConfig) -> Result<(), CoreError> {
+    /// [`LoopBuilder::distributed`]; the loop must not have stepped).
+    fn attach_net(&mut self, cfg: &NetConfig) -> Result<(), CoreError> {
         self.net = Some(Box::new(NetRuntime::new(
             cfg,
             self.set_points.len(),
             &self.head_proc,
         )?));
         Ok(())
+    }
+
+    /// Aggregate transport counters over every lane endpoint (all zero
+    /// for a single-process loop).
+    pub fn transport_stats(&self) -> TransportStats {
+        self.net
+            .as_ref()
+            .map(|n| n.aggregate_stats())
+            .unwrap_or_default()
+    }
+
+    /// The transport backend label: `"channel"`, `"tcp"` or `"tcp-poll"`
+    /// in distributed mode, `"none"` for a single-process loop.
+    pub fn backend_name(&self) -> &'static str {
+        self.net.as_ref().map_or("none", |n| n.backend_name())
     }
 
     /// Fault and degradation counters so far.
@@ -1240,14 +801,8 @@ impl ClosedLoop {
         self.ctrl_cols.push(tid);
         self.head_proc.push(task.subtasks()[0].processor.0);
         if let Some(grid) = &mut self.rate_grid {
-            let lo = task.rate_min();
-            let hi = task.rate_max();
             let levels = grid[0].len();
-            grid.push(
-                (0..levels)
-                    .map(|i| lo * (hi / lo).powf(i as f64 / (levels - 1) as f64))
-                    .collect(),
-            );
+            grid.push(rate_grid(task, levels));
         }
         let started = self.plant.rates_in_force()[tid.0];
         self.last.rates.push(started);
@@ -1292,6 +847,16 @@ impl ClosedLoop {
     }
 }
 
+/// The `levels` discrete rates a quantized actuator offers `task`: a
+/// geometric grid, which covers wide rate ranges evenly in log space
+/// (rate ranges span 10-20x in the paper).
+fn rate_grid(task: &Task, levels: usize) -> Vec<f64> {
+    let (lo, hi) = (task.rate_min(), task.rate_max());
+    (0..levels)
+        .map(|i| lo * (hi / lo).powf(i as f64 / (levels - 1) as f64))
+        .collect()
+}
+
 /// Nearest grid value to `r` (grid is sorted ascending).
 fn snap_to_grid(grid: &[f64], r: f64) -> f64 {
     grid.iter()
@@ -1303,14 +868,16 @@ fn snap_to_grid(grid: &[f64], r: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics;
+    use crate::ControllerSpec;
+    use eucon_control::{ControlError, MpcConfig, MpcController};
+    use eucon_sim::{FaultPlan, SimConfig};
     use eucon_tasks::workloads;
 
     fn eucon_loop(etf: f64) -> ClosedLoop {
-        ClosedLoop::builder(workloads::simple())
+        LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(etf))
             .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-            .build()
+            .local()
             .unwrap()
     }
 
@@ -1356,10 +923,10 @@ mod tests {
 
     #[test]
     fn open_loop_tracks_etf_linearly() {
-        let mut cl = ClosedLoop::builder(workloads::medium())
+        let mut cl = LoopBuilder::new(workloads::medium())
             .sim_config(SimConfig::constant_etf(0.5))
             .controller(ControllerSpec::Open)
-            .build()
+            .local()
             .unwrap();
         let result = cl.run(40);
         let series = result.trace.utilization_series(0);
@@ -1376,10 +943,10 @@ mod tests {
 
     #[test]
     fn pid_baseline_runs() {
-        let mut cl = ClosedLoop::builder(workloads::simple())
+        let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
             .controller(ControllerSpec::Pid { kp: 0.5, ki: 0.05 })
-            .build()
+            .local()
             .unwrap();
         let result = cl.run(60);
         assert_eq!(result.trace.len(), 60);
@@ -1388,11 +955,11 @@ mod tests {
 
     #[test]
     fn custom_set_points_are_tracked() {
-        let mut cl = ClosedLoop::builder(workloads::simple())
+        let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
             .controller(ControllerSpec::Eucon(MpcConfig::simple()))
             .set_points(Vector::from_slice(&[0.5, 0.6]))
-            .build()
+            .local()
             .unwrap();
         let result = cl.run(120);
         let u1 = result.trace.utilization_series(0);
@@ -1451,10 +1018,10 @@ mod tests {
             fail_after: 30,
             calls: 0,
         });
-        let mut cl = ClosedLoop::builder(workloads::simple())
+        let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
             .controller(flaky)
-            .build()
+            .local()
             .unwrap();
         let result = cl.run(80);
         assert_eq!(
@@ -1480,11 +1047,11 @@ mod tests {
 
     #[test]
     fn quantized_rates_snap_to_grid_and_still_regulate() {
-        let mut cl = ClosedLoop::builder(workloads::simple())
+        let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
             .controller(ControllerSpec::Eucon(MpcConfig::simple()))
             .quantized_rates(16)
-            .build()
+            .local()
             .unwrap();
         let result = cl.run(150);
         // All actuated rates lie on the 16-level geometric grid.
@@ -1508,13 +1075,13 @@ mod tests {
     #[test]
     fn coarse_quantization_increases_oscillation() {
         let sigma = |levels: Option<usize>| {
-            let mut b = ClosedLoop::builder(workloads::simple())
+            let mut b = LoopBuilder::new(workloads::simple())
                 .sim_config(SimConfig::constant_etf(0.5))
                 .controller(ControllerSpec::Eucon(MpcConfig::simple()));
             if let Some(l) = levels {
                 b = b.quantized_rates(l);
             }
-            let result = b.build().unwrap().run(150);
+            let result = b.local().unwrap().run(150);
             crate::metrics::window(&result.trace.utilization_series(0), 100, 150).std_dev
         };
         let continuous = sigma(None);
@@ -1523,55 +1090,6 @@ mod tests {
             coarse > continuous,
             "4-level actuation must be noisier: {coarse:.4} vs {continuous:.4}"
         );
-    }
-
-    #[test]
-    fn quantizer_needs_two_levels() {
-        let err = ClosedLoop::builder(workloads::simple())
-            .quantized_rates(1)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Config(_)), "got {err:?}");
-        assert!(err.to_string().contains("two rate levels"));
-    }
-
-    #[test]
-    fn build_rejects_bad_sampling_periods() {
-        for ts in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            let err = ClosedLoop::builder(workloads::simple())
-                .sampling_period(ts)
-                .build()
-                .unwrap_err();
-            assert!(
-                matches!(err, CoreError::Config(ref m) if m.contains("sampling period")),
-                "ts = {ts}: got {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn build_rejects_bad_set_points() {
-        // Non-finite entry.
-        let err = ClosedLoop::builder(workloads::simple())
-            .set_points(Vector::from_slice(&[0.8, f64::NAN]))
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(err, CoreError::Config(ref m) if m.contains("P2")),
-            "got {err:?}"
-        );
-        // Non-positive entry.
-        let err = ClosedLoop::builder(workloads::simple())
-            .set_points(Vector::from_slice(&[0.0, 0.8]))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Config(ref m) if m.contains("P1")));
-        // Wrong arity.
-        let err = ClosedLoop::builder(workloads::simple())
-            .set_points(Vector::from_slice(&[0.8]))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Config(ref m) if m.contains("per processor")));
     }
 
     #[test]
@@ -1606,14 +1124,14 @@ mod tests {
 
     #[test]
     fn telemetry_counts_supervisor_transitions_under_crash() {
-        let mut cl = ClosedLoop::builder(workloads::simple())
+        let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
             .controller(ControllerSpec::SupervisedEucon {
                 mpc: MpcConfig::simple(),
                 supervisor: Default::default(),
             })
             .faults(FaultPlan::none().crash(1, 10, 20))
-            .build()
+            .local()
             .unwrap();
         let result = cl.run(40);
         let snap = &result.telemetry;
@@ -1636,11 +1154,11 @@ mod tests {
     #[test]
     fn ring_sink_sees_per_period_rows() {
         use crate::telemetry::RingBufferSink;
-        let mut cl = ClosedLoop::builder(workloads::simple())
+        let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
             .controller(ControllerSpec::Eucon(MpcConfig::simple()))
             .telemetry_sink(RingBufferSink::new(4))
-            .build()
+            .local()
             .unwrap();
         cl.run(10);
         // The builder-installed sink received the schema and rows; its
@@ -1661,11 +1179,11 @@ mod tests {
     #[test]
     fn batched_telemetry_run_flushes_partial_batch_once() {
         use crate::telemetry::RingBufferSink;
-        let mut cl = ClosedLoop::builder(workloads::simple())
+        let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
             .telemetry_sink(RingBufferSink::new(64))
             .telemetry_batch(8)
-            .build()
+            .local()
             .unwrap();
         // 10 periods with batch = 8: one full drain plus a 2-row partial
         // batch delivered by the end-of-run flush.
@@ -1689,14 +1207,14 @@ mod tests {
 
     #[test]
     fn crash_is_annotated_and_counted() {
-        let mut cl = ClosedLoop::builder(workloads::simple())
+        let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
             .controller(ControllerSpec::SupervisedEucon {
                 mpc: MpcConfig::simple(),
                 supervisor: Default::default(),
             })
             .faults(FaultPlan::none().crash(1, 10, 20))
-            .build()
+            .local()
             .unwrap();
         let result = cl.run(40);
         assert_eq!(result.faults.crashed_periods, 10);
@@ -1717,11 +1235,11 @@ mod tests {
     #[test]
     fn unsupervised_mpc_accumulates_errors_under_sensor_nan() {
         use eucon_sim::SensorFaultKind;
-        let mut cl = ClosedLoop::builder(workloads::simple())
+        let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
             .controller(ControllerSpec::Eucon(MpcConfig::simple()))
             .faults(FaultPlan::none().sensor(0, 20, 30, SensorFaultKind::NaN))
-            .build()
+            .local()
             .unwrap();
         let result = cl.run(40);
         assert_eq!(
@@ -1738,11 +1256,11 @@ mod tests {
 
     #[test]
     fn actuation_loss_freezes_rates_on_dropped_lanes() {
-        let mut cl = ClosedLoop::builder(workloads::simple())
+        let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
             .controller(ControllerSpec::Eucon(MpcConfig::simple()))
             .faults(FaultPlan::none().actuation_loss(1.0 - 1e-9).seed(7))
-            .build()
+            .local()
             .unwrap();
         let r0 = cl.simulator().rates();
         let result = cl.run(30);
@@ -1763,11 +1281,11 @@ mod tests {
 
     #[test]
     fn single_process_partition_freezes_the_lane() {
-        let mut cl = ClosedLoop::builder(workloads::simple())
+        let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
             .controller(ControllerSpec::Eucon(MpcConfig::simple()))
             .faults(FaultPlan::none().partition(1, 5, 10))
-            .build()
+            .local()
             .unwrap();
         let result = cl.run(20);
         assert_eq!(result.faults.partitioned_periods, 5);

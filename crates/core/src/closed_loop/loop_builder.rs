@@ -1,0 +1,831 @@
+//! The loop builder: one entry point for every execution mode.
+//!
+//! [`LoopBuilder`] describes an experiment once — workload, plant,
+//! controller, lanes, faults, churn, telemetry — and a finisher picks how
+//! it runs:
+//!
+//! * [`LoopBuilder::local`] — the single-process loop;
+//! * [`LoopBuilder::distributed`] — the same loop with its feedback lanes
+//!   on real transports, the [`NetConfig`] passed explicitly so the mode
+//!   switch is visible at the call site;
+//! * [`LoopBuilder::fleet`] — `n` replicas on the work-stealing fleet
+//!   runner ([`FleetPlan`] → [`FleetReport`]).
+//!
+//! There is one loop type: `local` and `distributed` both return a
+//! [`ClosedLoop`] (transport is a field of the loop, empty in
+//! single-process mode), and every fleet worker builds its members
+//! through `local` too.  All inputs are validated at the finisher, which
+//! returns [`CoreError::Config`] for out-of-domain values instead of
+//! panicking in a setter, and an option a mode cannot honour is rejected
+//! by name (at the finisher, or at [`FleetPlan::run`]) — never dropped.
+//!
+//! The module is a child of `closed_loop` because building a loop means
+//! filling in its private state.
+
+use std::collections::VecDeque;
+use std::sync::Arc;
+
+use eucon_control::MpcConfig;
+use eucon_math::Vector;
+use eucon_sim::{FaultInjector, FaultPlan, SimConfig, Simulator};
+use eucon_tasks::{rms_set_points, TaskId, TaskSet};
+
+use super::{rate_grid, ClosedLoop, FaultSummary, DEFAULT_SAMPLING_PERIOD};
+use crate::admission::{AdmissionController, AdmissionPolicy, ChurnPlan};
+use crate::lanes::LaneState;
+use crate::plant::{Plant, PlantFactory, SimPlant};
+use crate::telemetry::{LoopTelemetry, TelemetrySink};
+use crate::{
+    ControllerFactory, ControllerSpec, CoreError, FleetConfig, FleetLoopSpec, FleetReport,
+    FleetRunner, LaneModel, NetConfig, Trace, TraceStep,
+};
+
+/// One builder for every execution mode; see the module docs.
+///
+/// # Example
+///
+/// ```
+/// use eucon_core::{ControllerSpec, LoopBuilder, NetConfig};
+/// use eucon_sim::SimConfig;
+/// use eucon_tasks::workloads;
+///
+/// # fn main() -> Result<(), eucon_core::CoreError> {
+/// // The same experiment, two execution modes:
+/// let mut local = LoopBuilder::new(workloads::simple())
+///     .sim_config(SimConfig::constant_etf(0.5))
+///     .local()?;
+/// let mut dist = LoopBuilder::new(workloads::simple())
+///     .sim_config(SimConfig::constant_etf(0.5))
+///     .distributed(NetConfig::channel())?;
+/// // Ideal lanes are bit-identical to the single-process loop.
+/// assert_eq!(
+///     local.run(40).trace.steps().last().unwrap().utilization,
+///     dist.run(40).trace.steps().last().unwrap().utilization,
+/// );
+/// assert!(dist.transport_stats().sent > 0);
+/// # Ok(())
+/// # }
+/// ```
+pub struct LoopBuilder {
+    set: TaskSet,
+    sim: SimConfig,
+    factory: Box<dyn ControllerFactory>,
+    set_points: Option<Vector>,
+    lanes: Option<LaneModel>,
+    faults: FaultPlan,
+    churn: ChurnPlan,
+    admission: Option<AdmissionPolicy>,
+    quantized_rates: Option<usize>,
+    record_trace: Option<bool>,
+    sampling_period: Option<f64>,
+    sinks: Vec<Box<dyn TelemetrySink>>,
+    telemetry_batch: usize,
+    plant: Option<Arc<dyn PlantFactory>>,
+}
+
+impl std::fmt::Debug for LoopBuilder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LoopBuilder")
+            .field("controller", &self.factory.label())
+            .field("plant", &self.plant.as_ref().map_or("sim", |p| p.label()))
+            .field("lanes", &self.lanes)
+            .field("faults", &self.faults)
+            .finish_non_exhaustive()
+    }
+}
+
+impl LoopBuilder {
+    /// Starts describing an experiment over a task set (defaults: the
+    /// `etf = 1` constant-execution-time plant, the EUCON controller
+    /// with SIMPLE's parameters, ideal lanes, no faults, a static task
+    /// set).
+    pub fn new(set: TaskSet) -> Self {
+        LoopBuilder {
+            set,
+            sim: SimConfig::default(),
+            factory: Box::new(ControllerSpec::Eucon(MpcConfig::simple())),
+            set_points: None,
+            lanes: None,
+            faults: FaultPlan::none(),
+            churn: ChurnPlan::none(),
+            admission: None,
+            quantized_rates: None,
+            record_trace: None,
+            sampling_period: None,
+            sinks: Vec::new(),
+            telemetry_batch: 0,
+            plant: None,
+        }
+    }
+
+    /// Chooses the plant backend every mode senses and actuates
+    /// (default: the `eucon-sim` simulator).
+    ///
+    /// Accepts any [`PlantFactory`] — [`crate::SimPlantFactory`] (the
+    /// explicit spelling of the default), a loaded
+    /// [`crate::ReplayTrace`], or an `OsPlantConfig` (feature
+    /// `os-plant`) driving real worker processes — and composes with
+    /// every finisher.
+    pub fn plant(mut self, factory: impl PlantFactory + 'static) -> Self {
+        self.plant = Some(Arc::new(factory));
+        self
+    }
+
+    /// Chooses the simulator configuration (default: `etf = 1`, constant
+    /// execution times).
+    pub fn sim_config(mut self, cfg: SimConfig) -> Self {
+        self.sim = cfg;
+        self
+    }
+
+    /// Chooses the controller (default: EUCON with SIMPLE's parameters).
+    ///
+    /// Accepts anything implementing [`ControllerFactory`]: a
+    /// [`ControllerSpec`] for the built-in controllers, a prebuilt
+    /// `Box<dyn RateController>` (its current rates are applied to the
+    /// plant at time zero), or a closure wrapped by
+    /// [`crate::factory_fn`].  Fleet mode ships the description to its
+    /// workers and therefore takes a [`ControllerSpec`] only.
+    ///
+    /// [`RateController`]: eucon_control::RateController
+    pub fn controller(mut self, factory: impl ControllerFactory + 'static) -> Self {
+        self.factory = Box::new(factory);
+        self
+    }
+
+    /// Overrides the utilization set points (default: the RMS bounds of
+    /// the paper's eq. 13).
+    pub fn set_points(mut self, b: Vector) -> Self {
+        self.set_points = Some(b);
+        self
+    }
+
+    /// Applies the in-loop feedback-lane model (default: the paper's
+    /// ideal lanes — zero delay, zero loss).  Local mode only — in
+    /// distributed mode the lanes are real, so delay and loss belong on
+    /// the [`NetConfig`] (`report_lanes`/`command_lanes`), and the
+    /// finisher rejects this option to keep the two from silently
+    /// diverging.
+    pub fn lanes(mut self, model: LaneModel) -> Self {
+        self.lanes = Some(model);
+        self
+    }
+
+    /// Installs a fault-injection plan: scripted or stochastic processor
+    /// crashes, execution-time bursts, sensor faults, actuation-lane
+    /// faults and lane partitions (default: no faults).
+    ///
+    /// Crashed processors execute nothing, pile up a backlog and report
+    /// `NaN` utilization (the monitor dies with its host); the closed
+    /// loop feeds whatever the faulty sensors produce straight to the
+    /// controller, which is exactly what [`ControllerSpec::SupervisedEucon`]
+    /// exists to survive.
+    pub fn faults(mut self, plan: FaultPlan) -> Self {
+        self.faults = plan;
+        self
+    }
+
+    /// Installs a runtime-membership plan: scripted task arrivals,
+    /// departures and mode changes (default: none — a static task set).
+    ///
+    /// Arrivals pass through the admission test of the configured
+    /// [`AdmissionPolicy`]; departures drain their in-flight jobs cleanly
+    /// while the controller shrinks its plant model incrementally.  An
+    /// empty plan leaves the loop byte-identical to one built without
+    /// this call.
+    pub fn churn(mut self, plan: ChurnPlan) -> Self {
+        self.churn = plan;
+        self
+    }
+
+    /// Overrides the admission policy governing runtime arrivals
+    /// (default: [`AdmissionPolicy::default`]).  Also engages the churn
+    /// machinery even for an empty plan, which is only useful in tests.
+    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
+        self.admission = Some(policy);
+        self
+    }
+
+    /// Quantizes actuated rates to a per-task geometric grid of `levels`
+    /// values between `Rmin` and `Rmax` (default: continuous rates).
+    ///
+    /// Models real actuators — e.g. video pipelines that only support a
+    /// discrete set of frame rates.  The controller still reasons in
+    /// continuous rates; only the value applied to the plant snaps to the
+    /// grid.  `levels < 2` is rejected by the finisher.
+    pub fn quantized_rates(mut self, levels: usize) -> Self {
+        self.quantized_rates = Some(levels);
+        self
+    }
+
+    /// Turns trace recording on or off (default: on).
+    ///
+    /// With recording off the loop keeps only the most recent
+    /// [`TraceStep`] (returned by [`ClosedLoop::step`]) and the running
+    /// statistics; long unattended runs — chaos sweeps, scaling studies —
+    /// avoid the per-period trace allocations entirely, making the
+    /// fault-free period step allocation-free.
+    pub fn record_trace(mut self, on: bool) -> Self {
+        self.record_trace = Some(on);
+        self
+    }
+
+    /// Overrides the sampling period (default
+    /// [`DEFAULT_SAMPLING_PERIOD`]).  Non-positive or non-finite values
+    /// are rejected by the finisher.
+    pub fn sampling_period(mut self, ts: f64) -> Self {
+        self.sampling_period = Some(ts);
+        self
+    }
+
+    /// Attaches a telemetry sink; the loop pushes one row per sampling
+    /// period into every attached sink (default: none — the metric
+    /// registry alone, which keeps the period step allocation-free).
+    ///
+    /// Sink I/O failures never stop the loop; they are counted in the
+    /// `sink_errors` metric.
+    pub fn telemetry_sink(mut self, sink: impl TelemetrySink + 'static) -> Self {
+        self.sinks.push(Box::new(sink));
+        self
+    }
+
+    /// Batches sink export: rows accumulate in preallocated buffers and
+    /// reach the sinks once per `rows` periods instead of once per period
+    /// (default `0` = unbatched).  A run that ends mid-batch delivers the
+    /// partial batch exactly once at its final flush and counts it in the
+    /// `partial_flushes` metric.  Large fleets of loops use this to
+    /// amortize per-period sink traffic.
+    pub fn telemetry_batch(mut self, rows: usize) -> Self {
+        self.telemetry_batch = rows;
+        self
+    }
+
+    /// Finishes as a single-process loop.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::Config`] when an input fails validation —
+    /// a non-positive or non-finite sampling period, a lane model with a
+    /// loss probability outside `[0, 1)`, fewer than two quantized rate
+    /// levels, set points that are non-finite, non-positive, or of the
+    /// wrong arity, a malformed churn plan, or a plant backend that does
+    /// not fit the workload — [`CoreError::Sim`] for a malformed fault
+    /// plan, and propagates controller-construction failures as
+    /// [`CoreError::Control`].
+    pub fn local(self) -> Result<ClosedLoop, CoreError> {
+        let ts = self.sampling_period.unwrap_or(DEFAULT_SAMPLING_PERIOD);
+        if !(ts > 0.0 && ts.is_finite()) {
+            return Err(CoreError::Config(format!(
+                "sampling period must be positive and finite, got {ts}"
+            )));
+        }
+        let lanes = self.lanes.unwrap_or_default();
+        lanes.validate("lanes")?;
+        self.faults.validate(self.set.num_processors())?;
+        self.churn.validate(&self.set)?;
+        if let Some(levels) = self.quantized_rates {
+            if levels < 2 {
+                return Err(CoreError::Config(format!(
+                    "quantized actuation needs at least two rate levels, got {levels}"
+                )));
+            }
+        }
+        let set_points = self.set_points.unwrap_or_else(|| rms_set_points(&self.set));
+        if set_points.len() != self.set.num_processors() {
+            return Err(CoreError::Config(format!(
+                "need one set point per processor: got {} for {} processors",
+                set_points.len(),
+                self.set.num_processors()
+            )));
+        }
+        if let Some(p) = (0..set_points.len()).find(|&p| {
+            let b = set_points[p];
+            !b.is_finite() || b <= 0.0
+        }) {
+            return Err(CoreError::Config(format!(
+                "set point for P{} must be positive and finite, got {}",
+                p + 1,
+                set_points[p]
+            )));
+        }
+        let controller = self.factory.build_controller(&self.set, &set_points)?;
+        let rate_grid = self.quantized_rates.map(|levels| {
+            self.set
+                .tasks()
+                .iter()
+                .map(|t| rate_grid(t, levels))
+                .collect()
+        });
+        let head_proc: Vec<usize> = self
+            .set
+            .tasks()
+            .iter()
+            .map(|t| t.subtasks()[0].processor.0)
+            .collect();
+        let injector = if self.faults.is_empty() {
+            None
+        } else {
+            Some(FaultInjector::new(
+                self.faults.clone(),
+                self.set.num_processors(),
+            ))
+        };
+        let act_delay = self.faults.actuation_delay_periods();
+        let has_partitions = self.faults.has_partitions();
+        let num_procs = self.set.num_processors();
+        let num_tasks = self.set.num_tasks();
+        // Churn machinery engages only for a non-empty plan (or an
+        // explicit policy); otherwise churn-free runs take byte-identical
+        // code paths to builds without it.
+        let admission = if !self.churn.is_empty() || self.admission.is_some() {
+            Some(Box::new(AdmissionController::new(
+                self.admission.unwrap_or_default(),
+                self.churn,
+                num_tasks,
+            )))
+        } else {
+            None
+        };
+        let mut plant: Box<dyn Plant> = match self.plant {
+            Some(factory) => {
+                let plant = factory.build_plant(&self.set, &self.sim)?;
+                if plant.num_processors() != num_procs {
+                    return Err(CoreError::Config(format!(
+                        "plant backend '{}' exposes {} processors, workload has {}",
+                        plant.name(),
+                        plant.num_processors(),
+                        num_procs
+                    )));
+                }
+                if plant.num_tasks() != num_tasks {
+                    return Err(CoreError::Config(format!(
+                        "plant backend '{}' exposes {} tasks, workload has {}",
+                        plant.name(),
+                        plant.num_tasks(),
+                        num_tasks
+                    )));
+                }
+                plant
+            }
+            // The default path moves the set and config straight into the
+            // simulator — no clone, bit-identical to the pre-`Plant` loop.
+            None => Box::new(SimPlant::new(Simulator::new(self.set, self.sim))),
+        };
+        if admission.is_some() && !plant.supports_membership() {
+            return Err(CoreError::Config(format!(
+                "plant backend '{}' does not support runtime membership; \
+                 churn plans and admission policies need a simulator-backed plant",
+                plant.name()
+            )));
+        }
+        // Apply the controller's initial rates from time zero (OPEN's
+        // design rates take effect immediately; feedback controllers start
+        // from the task set's initial rates, a no-op here).
+        plant.apply_rates(controller.rates());
+        // The full metric registry is declared (and allocated) here, once;
+        // per-period recording updates it strictly in place.
+        let mut telemetry = Box::new(LoopTelemetry::new(num_procs));
+        for sink in self.sinks {
+            telemetry.add_sink(sink);
+        }
+        if self.telemetry_batch > 0 {
+            telemetry.set_batch(self.telemetry_batch);
+        }
+        Ok(ClosedLoop {
+            plant,
+            controller,
+            ts,
+            period: 0,
+            set_points,
+            trace: Trace::new(),
+            control_errors: 0,
+            lanes: LaneState::new(lanes),
+            rate_grid,
+            injector,
+            head_proc,
+            act_queue: VecDeque::new(),
+            act_delay,
+            summary: FaultSummary::default(),
+            record: self.record_trace.unwrap_or(true),
+            u_scratch: Vector::zeros(num_procs),
+            sensed: Vector::zeros(num_procs),
+            dropped: Vec::new(),
+            last: TraceStep::clean(0.0, Vector::zeros(num_procs), Vector::zeros(num_tasks)),
+            telemetry,
+            net: None,
+            lane_hold: Vector::zeros(num_procs),
+            has_partitions,
+            admission,
+            ctrl_cols: (0..num_tasks).map(TaskId).collect(),
+            act_cmd: Vector::zeros(num_tasks),
+        })
+    }
+
+    /// Finishes as a distributed loop: the same [`ClosedLoop`], with its
+    /// report and command phases crossing the transport lanes `net`
+    /// describes.
+    ///
+    /// # Errors
+    ///
+    /// Everything [`LoopBuilder::local`] rejects, plus
+    /// [`CoreError::Config`] when [`LoopBuilder::lanes`] was set (use
+    /// `net.report_lanes` / `net.command_lanes` instead), when either of
+    /// those models is out of domain, or when the backend/engine
+    /// combination is unsupported, and [`CoreError::Transport`] when the
+    /// backend fails to connect (e.g. binding the loopback sockets).
+    pub fn distributed(self, net: NetConfig) -> Result<ClosedLoop, CoreError> {
+        if self.lanes.is_some() {
+            return Err(CoreError::Config(
+                "in distributed mode the lanes are real: configure delay/loss on the \
+                 NetConfig (report_lanes / command_lanes), not with LoopBuilder::lanes"
+                    .into(),
+            ));
+        }
+        net.report_lanes.validate("report_lanes")?;
+        net.command_lanes.validate("command_lanes")?;
+        let mut lp = self.local()?;
+        lp.attach_net(&net)?;
+        Ok(lp)
+    }
+
+    /// Finishes as a fleet of `n` replicas of this loop; tune and start
+    /// it with the returned [`FleetPlan`].
+    ///
+    /// Fleet members are described by plain data shipped to worker
+    /// threads, run untraced at the default sampling period over ideal
+    /// lanes, and export telemetry through the fleet's own batching — so
+    /// `lanes`, `quantized_rates`, `record_trace`, `sampling_period`,
+    /// `telemetry_sink` and a controller that is not a
+    /// [`ControllerSpec`] are rejected by name at [`FleetPlan::run`].
+    pub fn fleet(self, n: usize) -> FleetPlan {
+        let mut unsupported: Vec<&'static str> = [
+            ("lanes", self.lanes.is_some()),
+            ("quantized_rates", self.quantized_rates.is_some()),
+            ("record_trace", self.record_trace.is_some()),
+            ("sampling_period", self.sampling_period.is_some()),
+            ("telemetry_sink", !self.sinks.is_empty()),
+        ]
+        .into_iter()
+        .filter_map(|(option, set)| set.then_some(option))
+        .collect();
+        let mut spec = FleetLoopSpec::new(self.set)
+            .sim_config(self.sim)
+            .faults(self.faults)
+            .churn(self.churn);
+        match self.factory.as_spec() {
+            Some(controller) => spec = spec.controller(controller.clone()),
+            None => unsupported.push("controller (only a ControllerSpec)"),
+        }
+        if let Some(points) = self.set_points {
+            spec = spec.set_points(points);
+        }
+        if let Some(policy) = self.admission {
+            spec = spec.admission(policy);
+        }
+        if let Some(factory) = self.plant {
+            spec = spec.plant(factory);
+        }
+        FleetPlan {
+            spec,
+            n,
+            threads: None,
+            telemetry_batch: self.telemetry_batch,
+            share_models: None,
+            unsupported,
+        }
+    }
+
+    /// Deprecated spelling of [`LoopBuilder::local`].
+    #[deprecated(since = "0.4.0", note = "use LoopBuilder::local")]
+    pub fn build(self) -> Result<ClosedLoop, CoreError> {
+        self.local()
+    }
+}
+
+/// A fleet run described by [`LoopBuilder::fleet`], waiting for runtime
+/// tuning and a period count.
+#[derive(Debug)]
+pub struct FleetPlan {
+    spec: FleetLoopSpec,
+    n: usize,
+    threads: Option<usize>,
+    telemetry_batch: usize,
+    share_models: Option<bool>,
+    /// Options the fleet runner cannot honour; reported at run().
+    unsupported: Vec<&'static str>,
+}
+
+impl FleetPlan {
+    /// Caps the worker thread count (default: available parallelism).
+    pub fn threads(mut self, threads: usize) -> Self {
+        self.threads = Some(threads);
+        self
+    }
+
+    /// Sets the per-loop telemetry batch size.
+    pub fn telemetry_batch(mut self, rows: usize) -> Self {
+        self.telemetry_batch = rows;
+        self
+    }
+
+    /// Shares plant models across identical replicas.
+    pub fn share_models(mut self, on: bool) -> Self {
+        self.share_models = Some(on);
+        self
+    }
+
+    /// Runs the fleet for `periods` sampling periods.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Config`] when the builder carried options the fleet
+    /// runner cannot honour, plus everything [`FleetRunner::run`]
+    /// rejects.
+    pub fn run(self, periods: usize) -> Result<FleetReport, CoreError> {
+        if !self.unsupported.is_empty() {
+            return Err(CoreError::Config(format!(
+                "fleet mode does not support: {}",
+                self.unsupported.join(", ")
+            )));
+        }
+        let mut cfg = FleetConfig::new(periods).telemetry_batch(self.telemetry_batch);
+        if let Some(threads) = self.threads {
+            cfg = cfg.threads(threads);
+        }
+        if let Some(on) = self.share_models {
+            cfg = cfg.share_models(on);
+        }
+        FleetRunner::replicated(self.spec, self.n, cfg).run()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    use super::*;
+    use crate::{factory_fn, BoundaryMode};
+    use eucon_control::{OpenLoop, RateController};
+    use eucon_tasks::workloads;
+
+    #[test]
+    fn distributed_finisher_matches_local_over_ideal_channels() {
+        let mut local = LoopBuilder::new(workloads::medium())
+            .sim_config(SimConfig::constant_etf(0.5))
+            .controller(ControllerSpec::Eucon(MpcConfig::medium()))
+            .local()
+            .unwrap();
+        let mut dist = LoopBuilder::new(workloads::medium())
+            .sim_config(SimConfig::constant_etf(0.5))
+            .controller(ControllerSpec::Eucon(MpcConfig::medium()))
+            .distributed(NetConfig::channel())
+            .unwrap();
+        assert_eq!(local.backend_name(), "none");
+        assert_eq!(dist.backend_name(), "channel");
+        assert_eq!(local.run(30).trace, dist.run(30).trace);
+        assert_eq!(local.transport_stats().sent, 0);
+        assert!(dist.transport_stats().sent > 0);
+    }
+
+    #[test]
+    fn fleet_finisher_runs_replicas() {
+        let report = LoopBuilder::new(workloads::simple())
+            .sim_config(SimConfig::constant_etf(0.5))
+            .fleet(6)
+            .threads(2)
+            .run(20)
+            .unwrap();
+        assert_eq!(report.loops, 6);
+    }
+
+    /// Counts the rows a loop pushes into it.
+    struct CountingSink(Arc<AtomicUsize>);
+
+    impl TelemetrySink for CountingSink {
+        fn begin(&mut self, _columns: &[String]) -> io::Result<()> {
+            Ok(())
+        }
+
+        fn record(&mut self, _period: u64, _time: f64, _values: &[f64]) -> io::Result<()> {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        }
+    }
+
+    /// One option of the builder: how to set it, and how a loop built
+    /// with it shows (over three periods) that the option took effect —
+    /// each check fails on a loop built without the option.
+    struct OptionCase {
+        name: &'static str,
+        set: fn(LoopBuilder, &Arc<AtomicUsize>) -> LoopBuilder,
+        honoured: fn(&mut ClosedLoop, &Arc<AtomicUsize>) -> bool,
+        /// What the distributed finisher's rejection must mention
+        /// (`None` = it honours the option).
+        distributed_rejects: Option<&'static str>,
+    }
+
+    const OPTIONS: [OptionCase; 6] = [
+        OptionCase {
+            name: "lanes",
+            set: |b, _| b.lanes(LaneModel::delayed(1)),
+            // The first report is still in flight: the controller sees 0.
+            honoured: |lp, _| lp.step().seen().iter().all(|&u| u == 0.0),
+            distributed_rejects: Some("report_lanes"),
+        },
+        OptionCase {
+            name: "quantized_rates",
+            set: |b, _| b.quantized_rates(2),
+            honoured: |lp, _| {
+                let set = workloads::simple();
+                let rates = lp.run(3).trace.steps()[2].rates.clone();
+                (0..rates.len()).all(|t| {
+                    let task = &set.tasks()[t];
+                    rates[t] == task.rate_min() || rates[t] == task.rate_max()
+                })
+            },
+            distributed_rejects: None,
+        },
+        OptionCase {
+            name: "record_trace",
+            set: |b, _| b.record_trace(false),
+            honoured: |lp, _| lp.run(3).trace.is_empty(),
+            distributed_rejects: None,
+        },
+        OptionCase {
+            name: "sampling_period",
+            set: |b, _| b.sampling_period(500.0),
+            honoured: |lp, _| lp.step().time == 500.0,
+            distributed_rejects: None,
+        },
+        OptionCase {
+            name: "telemetry_sink",
+            set: |b, rows| b.telemetry_sink(CountingSink(rows.clone())),
+            honoured: |lp, rows| {
+                lp.run(3);
+                rows.load(Ordering::Relaxed) == 3
+            },
+            distributed_rejects: None,
+        },
+        OptionCase {
+            name: "controller",
+            set: |b, _| {
+                b.controller(factory_fn(|set, points| {
+                    Ok(Box::new(OpenLoop::design(set, points)?) as Box<dyn RateController>)
+                }))
+            },
+            honoured: |lp, _| lp.controller_name() == "OPEN",
+            distributed_rejects: None,
+        },
+    ];
+
+    #[test]
+    fn every_finisher_honours_an_option_or_rejects_it_by_name() {
+        let base =
+            || LoopBuilder::new(workloads::simple()).sim_config(SimConfig::constant_etf(0.5));
+        let config_message = |err: CoreError| match err {
+            CoreError::Config(msg) => msg,
+            other => panic!("expected a Config error, got {other:?}"),
+        };
+        for case in &OPTIONS {
+            let rows = Arc::new(AtomicUsize::new(0));
+            // The checks tell a loop with the option from one without.
+            let mut plain = base().local().unwrap();
+            assert!(!(case.honoured)(&mut plain, &rows), "{} check", case.name);
+
+            let mut local = (case.set)(base(), &rows).local().unwrap();
+            assert!(
+                (case.honoured)(&mut local, &rows),
+                "local drops {}",
+                case.name
+            );
+
+            rows.store(0, Ordering::Relaxed);
+            let dist = (case.set)(base(), &rows).distributed(NetConfig::channel());
+            match case.distributed_rejects {
+                None => assert!(
+                    (case.honoured)(&mut dist.unwrap(), &rows),
+                    "distributed drops {}",
+                    case.name
+                ),
+                Some(hint) => {
+                    let msg = config_message(dist.unwrap_err());
+                    assert!(msg.contains(case.name) && msg.contains(hint), "{msg}");
+                }
+            }
+
+            // Fleet members are plain data on default lanes and sampling,
+            // untraced: the fleet rejects every one of these by name.
+            let msg = config_message((case.set)(base(), &rows).fleet(2).run(3).unwrap_err());
+            assert!(msg.contains(case.name), "fleet on {}: {msg}", case.name);
+        }
+    }
+
+    #[test]
+    fn lane_models_are_validated_for_every_mode() {
+        for loss in [1.0, 1.5, -0.1, f64::NAN] {
+            let bad = LaneModel {
+                report_delay: 0,
+                loss_probability: loss,
+                seed: 0,
+            };
+            let attempts = [
+                (
+                    "lanes",
+                    LoopBuilder::new(workloads::simple())
+                        .lanes(bad.clone())
+                        .local(),
+                ),
+                (
+                    "report_lanes",
+                    LoopBuilder::new(workloads::simple())
+                        .distributed(NetConfig::channel().report_lanes(bad.clone())),
+                ),
+                (
+                    "command_lanes",
+                    LoopBuilder::new(workloads::simple())
+                        .distributed(NetConfig::channel().command_lanes(bad.clone())),
+                ),
+            ];
+            for (option, built) in attempts {
+                let err = built.unwrap_err();
+                assert!(
+                    matches!(err, CoreError::Config(ref m)
+                        if m.contains(option) && m.contains("loss probability")),
+                    "loss = {loss} on {option}: got {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lossy_shard_boundary_with_certain_loss_is_a_typed_error() {
+        // A builder input must not panic: unchecked, `loss: 1.0` trips the
+        // delay/loss gate's assert.
+        let err = LoopBuilder::new(workloads::medium())
+            .controller(ControllerSpec::Sharded {
+                mpc: MpcConfig::medium(),
+                shard_size: 2,
+                boundary: BoundaryMode::LossyLanes {
+                    delay: 0,
+                    loss: 1.0,
+                    seed: 1,
+                },
+            })
+            .local()
+            .unwrap_err();
+        assert!(
+            matches!(err, CoreError::Control(ref e) if e.to_string().contains("loss probability")),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn quantizer_needs_two_levels() {
+        let err = LoopBuilder::new(workloads::simple())
+            .quantized_rates(1)
+            .local()
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Config(_)), "got {err:?}");
+        assert!(err.to_string().contains("two rate levels"));
+    }
+
+    #[test]
+    fn finisher_rejects_bad_sampling_periods() {
+        for ts in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let err = LoopBuilder::new(workloads::simple())
+                .sampling_period(ts)
+                .local()
+                .unwrap_err();
+            assert!(
+                matches!(err, CoreError::Config(ref m) if m.contains("sampling period")),
+                "ts = {ts}: got {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn finisher_rejects_bad_set_points() {
+        // Non-finite entry.
+        let err = LoopBuilder::new(workloads::simple())
+            .set_points(Vector::from_slice(&[0.8, f64::NAN]))
+            .local()
+            .unwrap_err();
+        assert!(
+            matches!(err, CoreError::Config(ref m) if m.contains("P2")),
+            "got {err:?}"
+        );
+        // Non-positive entry.
+        let err = LoopBuilder::new(workloads::simple())
+            .set_points(Vector::from_slice(&[0.0, 0.8]))
+            .local()
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Config(ref m) if m.contains("P1")));
+        // Wrong arity.
+        let err = LoopBuilder::new(workloads::simple())
+            .set_points(Vector::from_slice(&[0.8]))
+            .local()
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Config(ref m) if m.contains("per processor")));
+    }
+}

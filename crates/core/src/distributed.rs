@@ -4,18 +4,21 @@
 //! The paper's architecture (§4) runs the utilization monitors and rate
 //! modulators *on the controlled processors* and connects them to the
 //! controller through per-processor TCP connections — the feedback
-//! lanes.  [`DistributedLoop`] makes that split real: every sampling
-//! period each processor node sends a [`Frame::UtilizationReport`] over
-//! its lane, the controller node computes new rates and answers with one
+//! lanes.  A [`ClosedLoop`](crate::ClosedLoop) finished with
+//! [`LoopBuilder::distributed`](crate::LoopBuilder::distributed) makes
+//! that split real: it owns a `NetRuntime`, and every sampling period
+//! each processor node sends a [`Frame::UtilizationReport`] over its
+//! lane, the controller node computes new rates and answers with one
 //! [`Frame::RateCommand`] per lane, and the modulators merge whatever
-//! arrived into the rates in force.
+//! arrived into the rates in force.  The rest of the period — plant,
+//! faults, controller, telemetry — is the single-process loop's code.
 //!
 //! Two backends ship (see `eucon-net`): bounded in-process channels —
 //! the *ideal lane*, whose closed-loop traces are bit-identical to the
-//! single-process [`ClosedLoop`] — and real loopback TCP with reconnect
-//! and backpressure.  Network effects (per-lane delay and loss) sit in
-//! front of either backend as per-lane [`DelayLossGate`]s configured
-//! through the same [`LaneModel`] the single-process loop uses.
+//! single-process loop — and real loopback TCP with reconnect and
+//! backpressure.  Network effects (per-lane delay and loss) sit in front
+//! of either backend as per-lane [`DelayLossGate`]s configured through
+//! the same [`LaneModel`] the single-process loop uses.
 //!
 //! Lost or late frames never stall the loop.  Each exchange waits for
 //! exactly the frames it wrote to a transport this period and has not
@@ -35,7 +38,6 @@
 //! [`Frame::RateCommand`]: eucon_net::Frame::RateCommand
 //! [`RateController::note_stale`]: eucon_control::RateController::note_stale
 
-use std::ops::{Deref, DerefMut};
 use std::time::{Duration, Instant};
 
 use eucon_math::Vector;
@@ -43,12 +45,9 @@ use eucon_net::{
     channel_pair, tcp_lane_fabric, tcp_pair, DelayLossGate, Frame, FrameKind, LaneFabric,
     TcpConfig, Transport, TransportStats,
 };
-use eucon_sim::{FaultPlan, SimConfig};
-use eucon_tasks::TaskSet;
 
-use crate::admission::{AdmissionPolicy, ChurnPlan};
-use crate::telemetry::{NetPeriod, TelemetrySink};
-use crate::{ClosedLoop, ClosedLoopBuilder, ControllerFactory, CoreError, LaneModel, RunResult};
+use crate::telemetry::NetPeriod;
+use crate::{CoreError, LaneModel};
 
 /// Which transport backend carries the feedback lanes.
 #[derive(Debug, Clone)]
@@ -81,8 +80,10 @@ pub enum LaneEngine {
     Poll,
 }
 
-/// Transport configuration of a [`DistributedLoop`]: the backend plus
-/// the network effects layered on each direction of every lane.
+/// Transport configuration of a distributed loop
+/// ([`LoopBuilder::distributed`](crate::LoopBuilder::distributed)): the
+/// backend plus the network effects layered on each direction of every
+/// lane.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
     /// The transport backend.
@@ -404,9 +405,10 @@ fn exchange<I: ExactSizeIterator<Item = f64>>(
 /// processor, the per-lane freshness/stale bookkeeping, and the merge
 /// scratch for partially delivered rate commands.
 ///
-/// Owned by [`ClosedLoop`] (boxed, `None` in single-process mode) so the
-/// period step can route phase 4 (reports) and phase 6 (commands)
-/// through the lanes without duplicating the loop itself.
+/// Owned by [`ClosedLoop`](crate::ClosedLoop) (boxed, `None` in
+/// single-process mode) so the period step can route phase 4 (reports)
+/// and phase 6 (commands) through the lanes without duplicating the loop
+/// itself.
 pub(crate) struct NetRuntime {
     lanes: Lanes,
     reports: Direction,
@@ -444,22 +446,13 @@ pub(crate) struct NetRuntime {
 }
 
 impl NetRuntime {
+    /// Connects the lanes `cfg` describes; its lane models were validated
+    /// by the loop builder.
     pub(crate) fn new(
         cfg: &NetConfig,
         num_procs: usize,
         head_proc: &[usize],
     ) -> Result<NetRuntime, CoreError> {
-        for (dir, model) in [
-            ("report", &cfg.report_lanes),
-            ("command", &cfg.command_lanes),
-        ] {
-            if !(0.0..1.0).contains(&model.loss_probability) {
-                return Err(CoreError::Config(format!(
-                    "{dir}-lane loss probability must be in [0, 1), got {}",
-                    model.loss_probability
-                )));
-            }
-        }
         let mut backend_name = "channel";
         let lanes = match (cfg.engine, &cfg.backend) {
             (LaneEngine::Poll, NetBackend::Channel { .. }) => {
@@ -700,283 +693,34 @@ impl std::fmt::Debug for NetRuntime {
     }
 }
 
-/// A [`ClosedLoop`] whose feedback lanes are real transport lanes: a
-/// controller node and one node per processor exchanging versioned
-/// binary frames each sampling period.
-///
-/// Dereferences to [`ClosedLoop`], so `step`, `run`, `telemetry` and the
-/// rest of the loop API work unchanged.  Over the ideal in-process
-/// backend the traces are bit-identical to the single-process loop; over
-/// TCP (or with lossy/delayed lane middleware) the loop degrades the
-/// same way the in-loop [`LaneModel`] does — stale lanes reuse the last
-/// delivered value and the watchdog is told.
-///
-/// # Example
-///
-/// ```
-/// use eucon_core::{ControllerSpec, DistributedLoop};
-/// use eucon_sim::SimConfig;
-/// use eucon_tasks::workloads;
-///
-/// # fn main() -> Result<(), eucon_core::CoreError> {
-/// let mut dl = DistributedLoop::builder(workloads::simple())
-///     .sim_config(SimConfig::constant_etf(0.5))
-///     .controller(ControllerSpec::Eucon(eucon_control::MpcConfig::simple()))
-///     .channel(4)
-///     .build()?;
-/// let result = dl.run(50);
-/// assert_eq!(result.control_errors, 0);
-/// assert!(dl.transport_stats().sent > 0);
-/// # Ok(())
-/// # }
-/// ```
-pub struct DistributedLoop {
-    inner: ClosedLoop,
-}
-
-impl DistributedLoop {
-    /// Starts building a distributed loop around a task set (default
-    /// backend: ideal in-process channels).
-    pub fn builder(set: TaskSet) -> DistributedLoopBuilder {
-        DistributedLoopBuilder {
-            inner: ClosedLoop::builder(set),
-            net: NetConfig::channel(),
-        }
-    }
-
-    /// Wraps a closed loop whose lanes were already attached (the
-    /// unified `LoopBuilder` finisher).
-    pub(crate) fn from_inner(inner: ClosedLoop) -> Self {
-        DistributedLoop { inner }
-    }
-
-    /// Aggregate transport counters over every lane endpoint.
-    pub fn transport_stats(&self) -> TransportStats {
-        self.inner
-            .net
-            .as_ref()
-            .map(|n| n.aggregate_stats())
-            .unwrap_or_default()
-    }
-
-    /// The transport backend label (`"channel"` or `"tcp"`).
-    pub fn backend_name(&self) -> &'static str {
-        self.inner.net.as_ref().map_or("none", |n| n.backend_name())
-    }
-
-    /// Consumes the loop, returning the final result.
-    pub fn into_result(self) -> RunResult {
-        self.inner.into_result()
-    }
-}
-
-impl Deref for DistributedLoop {
-    type Target = ClosedLoop;
-
-    fn deref(&self) -> &ClosedLoop {
-        &self.inner
-    }
-}
-
-impl DerefMut for DistributedLoop {
-    fn deref_mut(&mut self) -> &mut ClosedLoop {
-        &mut self.inner
-    }
-}
-
-impl std::fmt::Debug for DistributedLoop {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DistributedLoop")
-            .field("backend", &self.backend_name())
-            .field("inner", &self.inner)
-            .finish()
-    }
-}
-
-/// Builder for [`DistributedLoop`]: the full [`ClosedLoopBuilder`]
-/// surface plus the transport configuration.
-#[derive(Debug)]
-pub struct DistributedLoopBuilder {
-    inner: ClosedLoopBuilder,
-    net: NetConfig,
-}
-
-impl DistributedLoopBuilder {
-    /// See [`ClosedLoopBuilder::sim_config`].
-    pub fn sim_config(mut self, cfg: SimConfig) -> Self {
-        self.inner = self.inner.sim_config(cfg);
-        self
-    }
-
-    /// See [`ClosedLoopBuilder::controller`].
-    pub fn controller(mut self, factory: impl ControllerFactory + 'static) -> Self {
-        self.inner = self.inner.controller(factory);
-        self
-    }
-
-    /// See [`ClosedLoopBuilder::set_points`].
-    pub fn set_points(mut self, b: Vector) -> Self {
-        self.inner = self.inner.set_points(b);
-        self
-    }
-
-    /// See [`ClosedLoopBuilder::plant`] — the transport lanes compose
-    /// with any backend.
-    pub fn plant(mut self, factory: impl crate::PlantFactory + 'static) -> Self {
-        self.inner = self.inner.plant(factory);
-        self
-    }
-
-    /// See [`ClosedLoopBuilder::faults`] (lane-partition windows in the
-    /// plan silence the affected lanes in both directions).
-    pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.inner = self.inner.faults(plan);
-        self
-    }
-
-    /// See [`ClosedLoopBuilder::sampling_period`].
-    pub fn sampling_period(mut self, ts: f64) -> Self {
-        self.inner = self.inner.sampling_period(ts);
-        self
-    }
-
-    /// See [`ClosedLoopBuilder::record_trace`].
-    pub fn record_trace(mut self, on: bool) -> Self {
-        self.inner = self.inner.record_trace(on);
-        self
-    }
-
-    /// See [`ClosedLoopBuilder::quantized_rates`].
-    pub fn quantized_rates(mut self, levels: usize) -> Self {
-        self.inner = self.inner.quantized_rates(levels);
-        self
-    }
-
-    /// See [`ClosedLoopBuilder::telemetry_sink`].
-    pub fn telemetry_sink(mut self, sink: impl TelemetrySink + 'static) -> Self {
-        self.inner = self.inner.telemetry_sink(sink);
-        self
-    }
-
-    /// See [`ClosedLoopBuilder::telemetry_batch`].
-    pub fn telemetry_batch(mut self, rows: usize) -> Self {
-        self.inner = self.inner.telemetry_batch(rows);
-        self
-    }
-
-    /// See [`ClosedLoopBuilder::churn`] (arrivals register a fresh slot
-    /// on their head processor's command lane).
-    pub fn churn(mut self, plan: ChurnPlan) -> Self {
-        self.inner = self.inner.churn(plan);
-        self
-    }
-
-    /// See [`ClosedLoopBuilder::admission`].
-    pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
-        self.inner = self.inner.admission(policy);
-        self
-    }
-
-    /// Replaces the whole transport configuration.
-    pub fn net(mut self, cfg: NetConfig) -> Self {
-        self.net = cfg;
-        self
-    }
-
-    /// Uses in-process channel lanes with the given per-direction
-    /// capacity (frames beyond it evict the oldest).
-    pub fn channel(mut self, capacity: usize) -> Self {
-        self.net.backend = NetBackend::Channel { capacity };
-        self.net.recv_timeout = Duration::ZERO;
-        self
-    }
-
-    /// Uses loopback-TCP lanes with the given tuning and a 2 ms receive
-    /// window (override with [`DistributedLoopBuilder::recv_timeout`]).
-    pub fn tcp(mut self, cfg: TcpConfig) -> Self {
-        self.net.backend = NetBackend::Tcp(cfg);
-        if self.net.recv_timeout.is_zero() {
-            self.net.recv_timeout = Duration::from_millis(2);
-        }
-        self
-    }
-
-    /// Uses loopback-TCP lanes multiplexed on the poll engine: one
-    /// readiness sweep over every lane, zero-copy decode,
-    /// allocation-free sends (see [`LaneEngine::Poll`]).
-    pub fn tcp_poll(mut self, cfg: TcpConfig) -> Self {
-        self.net.engine = LaneEngine::Poll;
-        self.tcp(cfg)
-    }
-
-    /// Selects how the lanes are driven (per-lane transport pairs or
-    /// one poll engine per node).
-    pub fn engine(mut self, engine: LaneEngine) -> Self {
-        self.net.engine = engine;
-        self
-    }
-
-    /// Applies delay/loss middleware to the report direction of every
-    /// lane (lane `p` draws its losses from `model.seed + p`).
-    pub fn report_lanes(mut self, model: LaneModel) -> Self {
-        self.net.report_lanes = model;
-        self
-    }
-
-    /// Applies delay/loss middleware to the command direction of every
-    /// lane.
-    pub fn command_lanes(mut self, model: LaneModel) -> Self {
-        self.net.command_lanes = model;
-        self
-    }
-
-    /// Overrides how long each period's exchange waits for outstanding
-    /// frames before declaring the silent lanes stale.
-    pub fn recv_timeout(mut self, window: Duration) -> Self {
-        self.net.recv_timeout = window;
-        self
-    }
-
-    /// Builds the loop and connects the lanes.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`ClosedLoopBuilder::build`] rejects, plus
-    /// [`CoreError::Transport`] when the backend fails to connect (e.g.
-    /// binding the loopback sockets) and [`CoreError::Config`] for
-    /// out-of-domain lane parameters.
-    pub fn build(self) -> Result<DistributedLoop, CoreError> {
-        let mut inner = self.inner.build()?;
-        inner.attach_net(&self.net)?;
-        Ok(DistributedLoop { inner })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ControllerSpec;
-    use eucon_control::MpcConfig;
+    use crate::{LoopBuilder, RunResult};
+    use eucon_sim::{FaultPlan, SimConfig};
     use eucon_tasks::workloads;
 
-    fn single(etf: f64, periods: usize) -> RunResult {
-        let mut cl = ClosedLoop::builder(workloads::simple())
-            .sim_config(SimConfig::constant_etf(etf))
-            .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-            .build()
-            .unwrap();
-        cl.run(periods)
+    /// SIMPLE at `etf = 0.5` under the default EUCON controller.
+    fn simple() -> LoopBuilder {
+        LoopBuilder::new(workloads::simple()).sim_config(SimConfig::constant_etf(0.5))
+    }
+
+    fn single(periods: usize) -> RunResult {
+        simple().local().unwrap().run(periods)
+    }
+
+    fn tcp(window_ms: u64) -> NetConfig {
+        NetConfig::tcp().recv_timeout(Duration::from_millis(window_ms))
+    }
+
+    fn tcp_poll(window_ms: u64) -> NetConfig {
+        NetConfig::tcp_poll().recv_timeout(Duration::from_millis(window_ms))
     }
 
     #[test]
     fn ideal_channel_lanes_match_the_single_process_loop_bitwise() {
-        let want = single(0.5, 40);
-        let mut dl = DistributedLoop::builder(workloads::simple())
-            .sim_config(SimConfig::constant_etf(0.5))
-            .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-            .channel(4)
-            .build()
-            .unwrap();
+        let want = single(40);
+        let mut dl = simple().distributed(NetConfig::channel()).unwrap();
         let got = dl.run(40);
         assert_eq!(dl.backend_name(), "channel");
         assert_eq!(got.trace, want.trace, "traces must be bit-identical");
@@ -992,12 +736,8 @@ mod tests {
 
     #[test]
     fn lossy_report_lanes_reuse_the_hold_value_and_count_stale() {
-        let mut dl = DistributedLoop::builder(workloads::simple())
-            .sim_config(SimConfig::constant_etf(0.5))
-            .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-            .channel(4)
-            .report_lanes(LaneModel::lossy(0.3, 11))
-            .build()
+        let mut dl = simple()
+            .distributed(NetConfig::channel().report_lanes(LaneModel::lossy(0.3, 11)))
             .unwrap();
         let result = dl.run(60);
         assert_eq!(result.control_errors, 0);
@@ -1012,13 +752,9 @@ mod tests {
 
     #[test]
     fn delayed_report_lanes_shift_what_the_controller_sees() {
-        let mut dl = DistributedLoop::builder(workloads::simple())
-            .sim_config(SimConfig::constant_etf(0.5))
-            .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-            .channel(8)
-            .report_lanes(LaneModel::delayed(2))
-            .build()
-            .unwrap();
+        let mut net = NetConfig::channel().report_lanes(LaneModel::delayed(2));
+        net.backend = NetBackend::Channel { capacity: 8 };
+        let mut dl = simple().distributed(net).unwrap();
         let result = dl.run(20);
         let steps = result.trace.steps();
         // The first two periods deliver nothing: the controller saw zeros.
@@ -1041,15 +777,9 @@ mod tests {
 
     #[test]
     fn tcp_lanes_run_the_loop_with_zero_errors() {
-        let mut dl = DistributedLoop::builder(workloads::simple())
-            .sim_config(SimConfig::constant_etf(0.5))
-            .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-            .tcp(TcpConfig::default())
-            // A generous window keeps the bit-exactness assertions below
-            // deterministic even on a loaded CI machine.
-            .recv_timeout(Duration::from_millis(50))
-            .build()
-            .unwrap();
+        // A generous window keeps the bit-exactness assertions below
+        // deterministic even on a loaded CI machine.
+        let mut dl = simple().distributed(tcp(50)).unwrap();
         let result = dl.run(30);
         assert_eq!(dl.backend_name(), "tcp");
         assert_eq!(result.control_errors, 0);
@@ -1069,12 +799,9 @@ mod tests {
 
     #[test]
     fn partitioned_lanes_freeze_reports_and_commands() {
-        let mut dl = DistributedLoop::builder(workloads::simple())
-            .sim_config(SimConfig::constant_etf(0.5))
-            .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-            .channel(4)
+        let mut dl = simple()
             .faults(FaultPlan::none().partition(1, 10, 15))
-            .build()
+            .distributed(NetConfig::channel())
             .unwrap();
         let result = dl.run(30);
         assert_eq!(result.faults.partitioned_periods, 5);
@@ -1100,14 +827,8 @@ mod tests {
 
     #[test]
     fn poll_engine_runs_the_loop_bit_identically() {
-        let want = single(0.5, 30);
-        let mut dl = DistributedLoop::builder(workloads::simple())
-            .sim_config(SimConfig::constant_etf(0.5))
-            .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-            .tcp_poll(TcpConfig::default())
-            .recv_timeout(Duration::from_millis(50))
-            .build()
-            .unwrap();
+        let want = single(30);
+        let mut dl = simple().distributed(tcp_poll(50)).unwrap();
         let result = dl.run(30);
         assert_eq!(dl.backend_name(), "tcp-poll");
         assert_eq!(result.control_errors, 0);
@@ -1122,13 +843,8 @@ mod tests {
 
     #[test]
     fn poll_engine_lossy_lanes_reuse_hold_values() {
-        let mut dl = DistributedLoop::builder(workloads::simple())
-            .sim_config(SimConfig::constant_etf(0.5))
-            .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-            .tcp_poll(TcpConfig::default())
-            .recv_timeout(Duration::from_millis(20))
-            .report_lanes(LaneModel::lossy(0.3, 11))
-            .build()
+        let mut dl = simple()
+            .distributed(tcp_poll(20).report_lanes(LaneModel::lossy(0.3, 11)))
             .unwrap();
         let result = dl.run(60);
         assert_eq!(result.control_errors, 0);
@@ -1144,39 +860,25 @@ mod tests {
     fn poll_engine_loss_draws_match_the_pair_engine() {
         // Same seeds, same models: both engines must drop the exact same
         // report sequence, so the traces are bit-identical.
-        let run = |poll: bool| {
-            let b = DistributedLoop::builder(workloads::simple())
-                .sim_config(SimConfig::constant_etf(0.5))
-                .controller(ControllerSpec::Eucon(MpcConfig::simple()))
+        let run = |net: NetConfig| {
+            let net = net
                 .report_lanes(LaneModel::lossy(0.25, 5))
-                .command_lanes(LaneModel::delayed(1))
-                .recv_timeout(Duration::from_millis(50));
-            let mut dl = if poll {
-                b.tcp_poll(TcpConfig::default()).build().unwrap()
-            } else {
-                b.tcp(TcpConfig::default()).build().unwrap()
-            };
-            dl.run(40)
+                .command_lanes(LaneModel::delayed(1));
+            simple().distributed(net).unwrap().run(40)
         };
-        let pair = run(false);
-        let poll = run(true);
+        let pair = run(tcp(50));
+        let poll = run(tcp_poll(50));
         assert_eq!(pair.trace, poll.trace, "engines diverged under loss");
     }
 
     #[test]
     fn a_dead_poll_lane_goes_stale_without_costing_a_window_each_period() {
         let window = Duration::from_millis(100);
-        let mut dl = DistributedLoop::builder(workloads::simple())
-            .sim_config(SimConfig::constant_etf(0.5))
-            .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-            .tcp_poll(TcpConfig::default())
-            .recv_timeout(window)
-            .build()
-            .unwrap();
+        let mut dl = simple().distributed(tcp_poll(100)).unwrap();
         for _ in 0..10 {
             dl.step();
         }
-        let net = dl.inner.net.as_mut().unwrap();
+        let net = dl.net.as_mut().unwrap();
         let Lanes::Poll(fabric) = &mut net.lanes else {
             panic!("tcp_poll builds poll lanes");
         };
@@ -1184,7 +886,7 @@ mod tests {
         let started = Instant::now();
         for _ in 0..30 {
             dl.step();
-            let net = dl.inner.net.as_ref().unwrap();
+            let net = dl.net.as_ref().unwrap();
             assert!(net.lane_stale(1) && !net.lane_stale(0));
         }
         // Sends on the dead lane fail, so nothing is in flight on it; at
@@ -1199,29 +901,17 @@ mod tests {
 
     #[test]
     fn poll_engine_requires_tcp() {
-        let err = DistributedLoop::builder(workloads::simple())
-            .channel(4)
-            .engine(LaneEngine::Poll)
-            .build()
-            .unwrap_err();
+        let mut net = NetConfig::channel();
+        net.engine = LaneEngine::Poll;
+        let err = simple().distributed(net).unwrap_err();
         assert!(matches!(err, CoreError::Config(ref m) if m.contains("poll")));
     }
 
     #[test]
-    fn build_rejects_zero_capacity_and_bad_loss() {
-        let err = DistributedLoop::builder(workloads::simple())
-            .channel(0)
-            .build()
-            .unwrap_err();
+    fn build_rejects_zero_capacity() {
+        let mut net = NetConfig::channel();
+        net.backend = NetBackend::Channel { capacity: 0 };
+        let err = simple().distributed(net).unwrap_err();
         assert!(matches!(err, CoreError::Config(ref m) if m.contains("capacity")));
-        let err = DistributedLoop::builder(workloads::simple())
-            .report_lanes(LaneModel {
-                report_delay: 0,
-                loss_probability: 1.0,
-                seed: 0,
-            })
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Config(ref m) if m.contains("loss probability")));
     }
 }

@@ -9,7 +9,7 @@ use eucon_tasks::TaskSet;
 use rayon::prelude::*;
 
 use crate::metrics::{self, SeriesStats};
-use crate::{ClosedLoop, ControllerSpec, CoreError, RunResult};
+use crate::{ControllerSpec, CoreError, LoopBuilder, RunResult};
 
 /// One point of an execution-time-factor sweep (Figures 4 and 5).
 #[derive(Debug, Clone)]
@@ -65,10 +65,10 @@ impl SteadyRun {
         let cfg = SimConfig::constant_etf(etf)
             .exec_model(self.exec_model)
             .seed(self.seed);
-        let mut cl = ClosedLoop::builder(self.set.clone())
+        let mut cl = LoopBuilder::new(self.set.clone())
             .sim_config(cfg)
             .controller(self.controller.clone())
-            .build()?;
+            .local()?;
         Ok(cl.run(self.periods))
     }
 
@@ -158,11 +158,11 @@ impl VaryingRun {
             release_guard: Default::default(),
             processor_speeds: None,
         };
-        let mut cl = ClosedLoop::builder(self.set.clone())
+        let mut cl = LoopBuilder::new(self.set.clone())
             .sim_config(cfg)
             .controller(self.controller.clone())
             .sampling_period(self.ts)
-            .build()?;
+            .local()?;
         Ok(cl.run(self.periods))
     }
 

@@ -1,18 +1,123 @@
-//! The single controller-construction path of [`ClosedLoopBuilder`].
+//! The single controller-construction path of [`LoopBuilder`].
 //!
 //! [`ControllerFactory`] is the one way controllers reach the loop:
 //! everything that can produce a controller for a `(task set, set
-//! points)` pair — a [`ControllerSpec`], a prebuilt controller, a
-//! closure — goes through [`ClosedLoopBuilder::controller`].
+//! points)` pair — a [`ControllerSpec`] naming one of the built-in
+//! controllers, a prebuilt controller, a closure — goes through
+//! [`LoopBuilder::controller`].
 //!
-//! [`ClosedLoopBuilder`]: crate::ClosedLoopBuilder
-//! [`ClosedLoopBuilder::controller`]: crate::ClosedLoopBuilder::controller
+//! [`LoopBuilder`]: crate::LoopBuilder
+//! [`LoopBuilder::controller`]: crate::LoopBuilder::controller
 
-use eucon_control::{ControlError, RateController};
+use eucon_control::{
+    ControlError, IndependentPid, MpcConfig, MpcController, OpenLoop, RateController,
+    ShardedController, Supervised, SupervisorConfig,
+};
 use eucon_math::Vector;
 use eucon_tasks::TaskSet;
 
-use crate::ControllerSpec;
+use crate::shardnet::{BoundaryMode, NetShardedController};
+
+/// Which controller to close the loop with.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub enum ControllerSpec {
+    /// The EUCON model-predictive controller with the given configuration.
+    Eucon(MpcConfig),
+    /// The paper's OPEN baseline (fixed design-time rates).
+    Open,
+    /// The decoupled per-processor PI baseline with gains `(kp, ki)`.
+    Pid {
+        /// Proportional gain.
+        kp: f64,
+        /// Integral gain.
+        ki: f64,
+    },
+    /// The decentralized controller team (DEUCON-style): one local MPC
+    /// per processor, coordinating by move exchange — the sharded team
+    /// under the singleton plan ([`ShardedController::singleton`]).
+    Decentralized(MpcConfig),
+    /// The cluster-scale sharded team: the processor graph is
+    /// partitioned into shards of about `shard_size` processors by
+    /// F-matrix coupling (see `ShardPlanner`), each shard runs one local
+    /// MPC and shards exchange boundary state per period — in process or
+    /// over per-shard `eucon-net` lanes, per [`BoundaryMode`].
+    ///
+    /// `shard_size = 1` plans the singleton partition, i.e. the team
+    /// [`ControllerSpec::Decentralized`] builds.
+    Sharded {
+        /// Local-controller (MPC) configuration.
+        mpc: MpcConfig,
+        /// Target processors per shard (the planner's size cap).
+        shard_size: usize,
+        /// How boundary state travels between shards.
+        boundary: BoundaryMode,
+    },
+    /// The EUCON MPC wrapped in a [`Supervised`] watchdog: sensor
+    /// validation, graceful degradation to OPEN's design rates when the
+    /// sensors or the optimizer fail, automatic re-engagement.
+    SupervisedEucon {
+        /// Primary-law (MPC) configuration.
+        mpc: MpcConfig,
+        /// Watchdog thresholds and safe-mode gains.
+        supervisor: SupervisorConfig,
+    },
+}
+
+impl ControllerSpec {
+    /// Instantiates the controller for a task set and set points.
+    ///
+    /// # Errors
+    ///
+    /// Propagates controller-construction failures.
+    pub fn build(
+        &self,
+        set: &TaskSet,
+        set_points: &Vector,
+    ) -> Result<Box<dyn RateController>, ControlError> {
+        Ok(match self {
+            ControllerSpec::Eucon(cfg) => {
+                Box::new(MpcController::new(set, set_points.clone(), cfg.clone())?)
+            }
+            ControllerSpec::Open => Box::new(OpenLoop::design(set, set_points)?),
+            ControllerSpec::Pid { kp, ki } => {
+                Box::new(IndependentPid::new(set, set_points.clone(), *kp, *ki)?)
+            }
+            ControllerSpec::Decentralized(cfg) => Box::new(ShardedController::singleton(
+                set,
+                set_points.clone(),
+                cfg.clone(),
+            )?),
+            ControllerSpec::Sharded {
+                mpc,
+                shard_size,
+                boundary,
+            } => match boundary {
+                BoundaryMode::InProcess => Box::new(ShardedController::with_shard_size(
+                    set,
+                    set_points.clone(),
+                    mpc.clone(),
+                    *shard_size,
+                )?),
+                _ => Box::new(NetShardedController::new(
+                    set,
+                    set_points.clone(),
+                    mpc.clone(),
+                    *shard_size,
+                    boundary,
+                )?),
+            },
+            ControllerSpec::SupervisedEucon { mpc, supervisor } => {
+                let inner = MpcController::new(set, set_points.clone(), mpc.clone())?;
+                let open = OpenLoop::design(set, set_points)?;
+                Box::new(
+                    Supervised::new(inner, set, supervisor.clone())?
+                        .safe_rates(open.rates().clone()),
+                )
+            }
+        })
+    }
+}
 
 /// Anything that can instantiate a [`RateController`] for a task set and
 /// its utilization set points.
@@ -26,19 +131,19 @@ use crate::ControllerSpec;
 /// # Example
 ///
 /// ```
-/// use eucon_core::{factory_fn, ClosedLoop, ControllerFactory};
+/// use eucon_core::{factory_fn, LoopBuilder};
 /// use eucon_control::{MpcConfig, MpcController, RateController};
 /// use eucon_tasks::workloads;
 ///
 /// # fn main() -> Result<(), eucon_core::CoreError> {
 /// // A closure-backed factory: build whatever controller you like from
 /// // the task set and set points the loop settled on.
-/// let cl = ClosedLoop::builder(workloads::simple())
+/// let cl = LoopBuilder::new(workloads::simple())
 ///     .controller(factory_fn(|set, b| {
 ///         let mpc = MpcController::new(set, b.clone(), MpcConfig::simple())?;
 ///         Ok(Box::new(mpc) as Box<dyn RateController>)
 ///     }))
-///     .build()?;
+///     .local()?;
 /// assert_eq!(cl.controller_name(), "EUCON");
 /// # Ok(())
 /// # }
@@ -60,6 +165,14 @@ pub trait ControllerFactory {
     fn label(&self) -> &str {
         "custom"
     }
+
+    /// The [`ControllerSpec`] behind this factory, when it is one.  A
+    /// spec is plain `Send + Clone` data, which is what the fleet
+    /// finisher ships to its workers; any other factory is consumed by
+    /// the one loop it builds.
+    fn as_spec(&self) -> Option<&ControllerSpec> {
+        None
+    }
 }
 
 impl ControllerFactory for ControllerSpec {
@@ -80,6 +193,10 @@ impl ControllerFactory for ControllerSpec {
             ControllerSpec::Sharded { .. } => "SHARD-EUCON",
             ControllerSpec::SupervisedEucon { .. } => "SUP-EUCON",
         }
+    }
+
+    fn as_spec(&self) -> Option<&ControllerSpec> {
+        Some(self)
     }
 }
 
@@ -129,7 +246,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eucon_control::{MpcConfig, OpenLoop};
     use eucon_tasks::{rms_set_points, workloads};
 
     #[test]

@@ -8,7 +8,8 @@
 //!
 //! * [`FleetLoopSpec`] — a `Send + Clone` description of one loop (task
 //!   set, simulator configuration, controller, fault plan).  Workers
-//!   build the actual [`ClosedLoop`] locally, so the non-`Send` solver
+//!   build the actual [`ClosedLoop`](crate::ClosedLoop) locally (through
+//!   [`LoopBuilder::local`]), so the non-`Send` solver
 //!   state (amortized factorizations behind a `RefCell`) never crosses a
 //!   thread boundary.
 //! * [`FleetRunner`] — runs every spec to completion on a work-stealing
@@ -42,7 +43,7 @@
 //! pristine prototype controller per distinct `(task set, controller,
 //! set points)` group** on the calling thread and ships a clone to each
 //! worker.  Clones share the immutable prepared core behind an `Arc`
-//! ([`eucon_qp::PreparedQp`]), while warm-start state (active sets, LU
+//! (inside [`eucon_qp::PreparedQp`]), while warm-start state (active sets, LU
 //! memos) stays per-loop, so a 10k-loop replicated fleet holds one copy
 //! of the model instead of 10k.  Sharing is memory-only: the
 //! `shared_prototypes_leave_digests_unchanged` test pins that digests are
@@ -73,7 +74,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use eucon_control::{DecentralizedController, MpcController, RateController, ShardedController};
+use eucon_control::{MpcController, RateController, ShardedController};
 use eucon_math::Vector;
 use eucon_sim::{FaultPlan, SimConfig};
 use eucon_tasks::{rms_set_points, TaskSet};
@@ -81,7 +82,7 @@ use eucon_tasks::{rms_set_points, TaskSet};
 use crate::admission::{AdmissionPolicy, ChurnPlan, ChurnSummary};
 use crate::plant::PlantFactory;
 use crate::telemetry::RingBufferSink;
-use crate::{ClosedLoop, ControllerSpec, CoreError};
+use crate::{ControllerSpec, CoreError, LoopBuilder};
 
 /// A `Send + Clone` description of one closed loop in a fleet.
 ///
@@ -111,7 +112,7 @@ impl std::fmt::Debug for FleetLoopSpec {
 }
 
 impl FleetLoopSpec {
-    /// A spec for `set` with the defaults of [`ClosedLoop::builder`]:
+    /// A spec for `set` with the defaults of [`LoopBuilder::new`]:
     /// EUCON with SIMPLE's parameters, ideal lanes, no faults.
     pub fn new(set: TaskSet) -> Self {
         FleetLoopSpec {
@@ -213,8 +214,8 @@ impl FleetConfig {
         self
     }
 
-    /// Toggles the shared prepared-model prototype cache (see the
-    /// [module docs](self); default on).  Turning it off makes every
+    /// Toggles the shared prepared-model prototype cache (see
+    /// DESIGN.md §14; default on).  Turning it off makes every
     /// worker prepare its own model — useful only for isolating the
     /// sharing machinery in benchmarks and tests.
     pub fn share_models(mut self, on: bool) -> Self {
@@ -266,7 +267,7 @@ impl FleetReport {
 }
 
 /// Runs a set of [`FleetLoopSpec`]s to completion on a work-stealing
-/// thread pool.  See the [module docs](self) for the execution model.
+/// thread pool.  See DESIGN.md §14 for the execution model.
 #[derive(Debug, Clone)]
 pub struct FleetRunner {
     specs: Vec<FleetLoopSpec>,
@@ -369,8 +370,7 @@ impl FleetRunner {
 #[derive(Debug, Clone)]
 enum Prototype {
     Mpc(Box<MpcController>),
-    Decentralized(DecentralizedController),
-    Sharded(ShardedController),
+    Sharded(Box<ShardedController>),
 }
 
 impl Prototype {
@@ -412,18 +412,18 @@ impl Prototype {
             ControllerSpec::Eucon(cfg) => Some(Prototype::Mpc(Box::new(
                 MpcController::new(&spec.set, b, cfg.clone()).map_err(CoreError::Control)?,
             ))),
-            ControllerSpec::Decentralized(cfg) => Some(Prototype::Decentralized(
-                DecentralizedController::new(&spec.set, b, cfg.clone())
+            ControllerSpec::Decentralized(cfg) => Some(Prototype::Sharded(Box::new(
+                ShardedController::singleton(&spec.set, b, cfg.clone())
                     .map_err(CoreError::Control)?,
-            )),
+            ))),
             ControllerSpec::Sharded {
                 mpc,
                 shard_size,
                 boundary: crate::BoundaryMode::InProcess,
-            } => Some(Prototype::Sharded(
+            } => Some(Prototype::Sharded(Box::new(
                 ShardedController::with_shard_size(&spec.set, b, mpc.clone(), *shard_size)
                     .map_err(CoreError::Control)?,
-            )),
+            ))),
             _ => None,
         })
     }
@@ -431,8 +431,7 @@ impl Prototype {
     fn into_controller(self) -> Box<dyn RateController> {
         match self {
             Prototype::Mpc(c) => c,
-            Prototype::Decentralized(c) => Box::new(c),
-            Prototype::Sharded(c) => Box::new(c),
+            Prototype::Sharded(c) => c,
         }
     }
 }
@@ -489,7 +488,7 @@ fn run_one(
     periods: usize,
     batch: usize,
 ) -> Result<LoopOutcome, CoreError> {
-    let mut builder = ClosedLoop::builder(spec.set.clone())
+    let mut builder = LoopBuilder::new(spec.set.clone())
         .sim_config(spec.sim.clone())
         .faults(spec.faults.clone())
         .churn(spec.churn.clone())
@@ -514,7 +513,7 @@ fn run_one(
             .telemetry_sink(RingBufferSink::new(batch))
             .telemetry_batch(batch);
     }
-    let mut cl = builder.build()?;
+    let mut cl = builder.local()?;
     let mut digest = Fnv::new();
     for _ in 0..periods {
         let step = cl.step();
@@ -613,10 +612,10 @@ mod tests {
         )
         .run()
         .expect("fleet runs");
-        let mut cl = ClosedLoop::builder(workloads::simple())
+        let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
             .record_trace(false)
-            .build()
+            .local()
             .expect("loop");
         let mut digest = Fnv::new();
         for _ in 0..20 {

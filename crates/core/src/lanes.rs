@@ -15,12 +15,18 @@
 //! The closed loop applies the model symmetrically cheaply: delayed
 //! reports are the dominant effect, and actuation delay composes into the
 //! same loop delay, so a single `report_delay` knob captures both.
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::VecDeque;
+//!
+//! The queue and the loss draws are `eucon-net`'s [`DelayLossGate`] — the
+//! same gate that sits in front of the real transport lanes in
+//! distributed mode — so a single-process loop over a [`LaneModel`] and a
+//! distributed loop over the same model see the same network, draw for
+//! draw.  [`LaneState`] adds only what a controller-side receiver adds:
+//! the hold value a lost or late report falls back to.
 
 use eucon_math::Vector;
+use eucon_net::DelayLossGate;
+
+use crate::CoreError;
 
 /// Configuration of the feedback lanes between monitors and controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,36 +76,53 @@ impl LaneModel {
     }
 }
 
+impl LaneModel {
+    /// Checks the model's domain — the one validation every loop builder
+    /// option carrying a lane model goes through (`what` names the
+    /// option in the error).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Config`] unless the loss probability lies in
+    /// `[0, 1)` (`NaN` is rejected).
+    pub fn validate(&self, what: &str) -> Result<(), CoreError> {
+        if (0.0..1.0).contains(&self.loss_probability) {
+            Ok(())
+        } else {
+            Err(CoreError::Config(format!(
+                "{what}: loss probability must be in [0, 1), got {}",
+                self.loss_probability
+            )))
+        }
+    }
+}
+
 impl Default for LaneModel {
     fn default() -> Self {
         LaneModel::ideal()
     }
 }
 
-/// Run-time state of the lane model inside a closed loop.
-///
-/// Public as the *reference semantics* of a delayed/lossy lane: the
-/// transport-level `DelayLoss` middleware in `eucon-net` must agree with
-/// this model draw-for-draw (the transport-equivalence property tests
-/// compare the two directly), so a distributed loop over real lanes and
-/// a single-process loop over [`LaneModel`] see the same network.
+/// Run-time state of the lane model inside a closed loop: the whole
+/// report vector crossing one [`DelayLossGate`], plus the receiver's hold
+/// value.
 #[derive(Debug)]
 pub struct LaneState {
-    model: LaneModel,
-    rng: StdRng,
-    /// Reports in flight (oldest first); length ≤ report_delay + 1.
-    in_flight: VecDeque<Vector>,
+    gate: DelayLossGate<Vector>,
     /// Last report actually delivered to the controller.
     last_delivered: Option<Vector>,
 }
 
 impl LaneState {
     /// Fresh lane state for a model (seeds the loss RNG).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a model [`LaneModel::validate`] rejects; the loop
+    /// builder validates first.
     pub fn new(model: LaneModel) -> Self {
         LaneState {
-            rng: StdRng::seed_from_u64(model.seed),
-            model,
-            in_flight: VecDeque::new(),
+            gate: DelayLossGate::new(model.report_delay, model.loss_probability, model.seed),
             last_delivered: None,
         }
     }
@@ -115,38 +138,26 @@ impl LaneState {
     /// Call exactly once per sampling period — the loss draws are
     /// consumed in period order.
     pub fn transmit(&mut self, fresh: &Vector) -> Option<Vector> {
-        if self.model.report_delay == 0 && self.model.loss_probability == 0.0 {
+        if self.gate.is_transparent() {
             // Ideal lanes: transparent, allocation-free.
             return None;
         }
-        self.in_flight.push_back(fresh.clone());
-        let candidate = if self.in_flight.len() > self.model.report_delay {
-            self.in_flight.pop_front()
-        } else {
-            // Nothing has crossed the lane yet.
-            None
-        };
-        match candidate {
+        // Queued: only a transparent gate passes an offer straight through.
+        let _ = self.gate.offer(fresh.clone());
+        let mut crossed = None;
+        self.gate.tick(|report| crossed = Some(report));
+        match crossed {
             Some(report) => {
-                let lost = self.model.loss_probability > 0.0
-                    && self.rng.gen::<f64>() < self.model.loss_probability;
-                if lost {
-                    // Drop: the controller keeps the previous value.
-                    Some(
-                        self.last_delivered
-                            .clone()
-                            .unwrap_or_else(|| report.map(|_| 0.0)),
-                    )
+                let unchanged = self.gate.delay() == 0;
+                self.last_delivered = Some(report.clone());
+                if unchanged {
+                    None
                 } else {
-                    let unchanged = self.model.report_delay == 0;
-                    self.last_delivered = Some(report.clone());
-                    if unchanged {
-                        None
-                    } else {
-                        Some(report)
-                    }
+                    Some(report)
                 }
             }
+            // Dropped on its loss draw, or nothing has crossed the lane
+            // yet: the controller keeps the previous value.
             None => Some(
                 self.last_delivered
                     .clone()

@@ -6,12 +6,16 @@
 //!
 //! * [`ClosedLoop`] — the distributed feedback loop of §4: sample the
 //!   utilization monitors each period, run the controller, apply the rate
-//!   modulators.
-//! * [`DistributedLoop`] — the same loop with the node split made real:
-//!   controller node and per-processor nodes exchanging binary frames
-//!   over pluggable transport lanes (`eucon-net`) — ideal in-process
-//!   channels (bit-identical traces) or loopback TCP.
-//! * [`ControllerSpec`] — pick EUCON, OPEN, or the PID ablation baseline.
+//!   modulators.  Transport is a field of the loop: single-process by
+//!   default, or with the node split made real — controller node and
+//!   per-processor nodes exchanging binary frames over pluggable
+//!   transport lanes (`eucon-net`): ideal in-process channels
+//!   (bit-identical traces) or loopback TCP.
+//! * [`LoopBuilder`] — the one way a loop is built: describe the
+//!   experiment, then finish with `.local()`, `.distributed(net)` or
+//!   `.fleet(n)`.
+//! * [`ControllerSpec`] — pick EUCON, OPEN, the PID ablation baseline,
+//!   or the decentralized / sharded / supervised teams.
 //! * [`Plant`] — the sensing/actuation surface behind every loop: the
 //!   simulator ([`SimPlant`], the default), recorded-telemetry replay
 //!   ([`ReplayPlant`]), or real OS worker processes (`OsPlant`, behind
@@ -40,16 +44,16 @@
 //! # Example
 //!
 //! ```
-//! use eucon_core::{ClosedLoop, ControllerSpec, metrics};
+//! use eucon_core::{ControllerSpec, LoopBuilder, metrics};
 //! use eucon_sim::SimConfig;
 //! use eucon_tasks::workloads;
 //!
 //! # fn main() -> Result<(), eucon_core::CoreError> {
 //! // Figure 3(a): SIMPLE at half the estimated execution times.
-//! let mut cl = ClosedLoop::builder(workloads::simple())
+//! let mut cl = LoopBuilder::new(workloads::simple())
 //!     .sim_config(SimConfig::constant_etf(0.5))
 //!     .controller(ControllerSpec::Eucon(eucon_control::MpcConfig::simple()))
-//!     .build()?;
+//!     .local()?;
 //! let result = cl.run(150);
 //! let tail = metrics::window(&result.trace.utilization_series(0), 100, 150);
 //! assert!((tail.mean - 0.828).abs() < 0.03);
@@ -68,8 +72,6 @@ pub mod experiments;
 mod factory;
 mod fleet;
 mod lanes;
-mod loop_builder;
-pub mod metrics;
 #[cfg(feature = "os-plant")]
 pub mod os_plant;
 mod plant;
@@ -85,16 +87,15 @@ pub use admission::{
     AdmissionEvent, AdmissionPolicy, ChurnEvent, ChurnPlan, ChurnSummary, RejectReason,
 };
 pub use closed_loop::{
-    ClosedLoop, ClosedLoopBuilder, ControllerSpec, FaultSummary, RunMetrics, RunResult,
+    ClosedLoop, FaultSummary, FleetPlan, LoopBuilder, RunMetrics, RunResult,
     DEFAULT_SAMPLING_PERIOD,
 };
-pub use distributed::{DistributedLoop, DistributedLoopBuilder, LaneEngine, NetBackend, NetConfig};
+pub use distributed::{LaneEngine, NetBackend, NetConfig};
 pub use error::CoreError;
 pub use experiments::{SteadyRun, SweepPoint, VaryingRun};
-pub use factory::{factory_fn, ControllerFactory};
+pub use factory::{factory_fn, ControllerFactory, ControllerSpec};
 pub use fleet::{FleetConfig, FleetLoopSpec, FleetReport, FleetRunner};
 pub use lanes::{LaneModel, LaneState};
-pub use loop_builder::{FleetPlan, LoopBuilder};
 #[cfg(feature = "os-plant")]
 pub use os_plant::{OsPlant, OsPlantConfig};
 pub use plant::{Plant, PlantFactory, SimPlant, SimPlantFactory};
@@ -110,3 +111,18 @@ pub use trace::{StepAnnotations, Trace, TraceStep};
 /// [`net::Transport`] trait, the wire [`net::Frame`] format, the channel
 /// and TCP backends and the [`net::DelayLoss`] middleware.
 pub use eucon_net as net;
+
+/// Metrics over utilization series: mean/deviation windows, the paper's
+/// acceptability criterion (±0.02 mean, σ < 0.05) and settling times.
+/// For per-run use, prefer the consolidated view behind
+/// [`RunResult::metrics`].
+pub use eucon_telemetry::series as metrics;
+
+/// Deprecated name of [`ClosedLoop`]: a distributed loop is a closed
+/// loop whose transport field is set.
+#[deprecated(since = "0.4.0", note = "use ClosedLoop")]
+pub type DistributedLoop = ClosedLoop;
+
+/// Deprecated name of [`LoopBuilder`].
+#[deprecated(since = "0.4.0", note = "use LoopBuilder")]
+pub type ClosedLoopBuilder = LoopBuilder;

@@ -4,8 +4,8 @@
 //! out (paper §4).  Everything else the loop does — fault injection,
 //! runtime membership — is optional capability.  [`Plant`] captures that
 //! surface so [`crate::ClosedLoop`] (and everything stacked on it:
-//! [`crate::DistributedLoop`], [`crate::FleetRunner`],
-//! [`crate::service::ControlService`]) can drive any backend:
+//! [`crate::FleetRunner`], [`crate::service::ControlService`]) can drive
+//! any backend:
 //!
 //! * [`SimPlant`] — the event-driven simulator (`eucon-sim`), the
 //!   default.  Bit-identical to the pre-abstraction loop: the golden
@@ -18,8 +18,8 @@
 //!   sampled from `/proc`.
 //!
 //! Backends are chosen per loop with the `plant(...)` builder option
-//! ([`crate::LoopBuilder::plant`] and its mode-specific counterparts),
-//! which takes a [`PlantFactory`] — a `Send + Sync` description that
+//! ([`crate::LoopBuilder::plant`], and the same setter on the fleet and
+//! tenant specs), which takes a [`PlantFactory`] — a `Send + Sync` description that
 //! builds the actual (possibly non-`Send`) plant inside whichever
 //! worker runs the loop.  See DESIGN.md §18.
 

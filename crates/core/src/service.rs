@@ -51,7 +51,7 @@ use eucon_sim::{FaultPlan, SimConfig};
 use eucon_tasks::{workloads, TaskSet};
 
 use crate::plant::PlantFactory;
-use crate::{ControllerSpec, CoreError, DistributedLoop, LaneModel, NetConfig, RunResult};
+use crate::{ClosedLoop, ControllerSpec, CoreError, LaneModel, LoopBuilder, NetConfig, RunResult};
 
 /// Identifies one tenant inside a [`ControlService`].
 ///
@@ -252,26 +252,25 @@ impl TenantSpec {
         self
     }
 
-    fn build(self) -> Result<(String, DistributedLoop), CoreError> {
-        let mut b = DistributedLoop::builder(self.set)
+    fn build(self) -> Result<(String, ClosedLoop), CoreError> {
+        let mut b = LoopBuilder::new(self.set)
             .sim_config(self.sim)
             .controller(self.controller)
-            .faults(self.faults)
-            .net(self.net);
+            .faults(self.faults);
         if let Some(points) = self.set_points {
             b = b.set_points(points);
         }
         if let Some(factory) = self.plant {
             b = b.plant(factory);
         }
-        Ok((self.name, b.build()?))
+        Ok((self.name, b.distributed(self.net)?))
     }
 }
 
 /// One attached tenant: its loop plus the health bookkeeping.
 struct Tenant {
     name: String,
-    dloop: DistributedLoop,
+    dloop: ClosedLoop,
     health: TenantHealth,
     /// Consecutive periods in which every lane reused its hold value.
     silent_streak: u32,

@@ -143,9 +143,11 @@ impl ShardBoundaryNet {
     /// endpoint; lane seeds derive from `seed` so every lane draws an
     /// independent loss sequence.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless `0 ≤ loss < 1` (via [`DelayLoss::new`]).
+    /// [`ControlError::Unsupported`] unless `0 ≤ loss < 1` — through a
+    /// loop builder, a controller-construction failure
+    /// (`eucon::ErrorKind::Controller`).
     pub fn lossy(
         set: &TaskSet,
         plan: &ShardPlan,
@@ -153,8 +155,18 @@ impl ShardBoundaryNet {
         delay: usize,
         loss: f64,
         seed: u64,
-    ) -> Self {
-        Self::build(set, plan, set_points, Some((delay, loss, seed)))
+    ) -> Result<Self, ControlError> {
+        if !(0.0..1.0).contains(&loss) {
+            return Err(ControlError::Unsupported(format!(
+                "boundary-lane loss probability must be in [0, 1), got {loss}"
+            )));
+        }
+        Ok(Self::build(
+            set,
+            plan,
+            set_points,
+            Some((delay, loss, seed)),
+        ))
     }
 
     fn build(
@@ -356,7 +368,9 @@ impl NetShardedController {
     /// # Errors
     ///
     /// Propagates team-construction failures; rejects
-    /// [`BoundaryMode::InProcess`] as a dimension error.
+    /// [`BoundaryMode::InProcess`] as a dimension error and an
+    /// out-of-domain [`BoundaryMode::LossyLanes`] loss probability as
+    /// [`ControlError::Unsupported`].
     pub fn new(
         set: &TaskSet,
         set_points: Vector,
@@ -373,7 +387,7 @@ impl NetShardedController {
             }
             BoundaryMode::IdealLanes => ShardBoundaryNet::ideal(set, &plan, &set_points),
             BoundaryMode::LossyLanes { delay, loss, seed } => {
-                ShardBoundaryNet::lossy(set, &plan, &set_points, *delay, *loss, *seed)
+                ShardBoundaryNet::lossy(set, &plan, &set_points, *delay, *loss, *seed)?
             }
         };
         let team = ShardedController::new(set, set_points, cfg, plan)?;

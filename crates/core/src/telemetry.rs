@@ -5,7 +5,7 @@
 //! registry, histograms, sinks) and is re-exported here; this module adds
 //! the loop-specific wiring — which counters, gauges and histograms a
 //! [`ClosedLoop`] maintains and how the per-period observations flow into
-//! them.  The registry is declared once at [`ClosedLoop::build`] time and
+//! them.  The registry is declared once at [`LoopBuilder::local`] time and
 //! updated strictly in place, so the loop's zero-allocations-per-period
 //! guarantee holds with telemetry at the default level (registry only, no
 //! file sinks).
@@ -13,7 +13,7 @@
 //! See DESIGN.md §12 for the architecture and the exported schema.
 //!
 //! [`ClosedLoop`]: crate::ClosedLoop
-//! [`ClosedLoop::build`]: crate::ClosedLoopBuilder::build
+//! [`LoopBuilder::local`]: crate::LoopBuilder::local
 
 pub use eucon_telemetry::{
     CsvSink, Histogram, HistogramSummary, JsonlSink, MetricValue, Registry, RingBufferSink,

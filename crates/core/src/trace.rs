@@ -75,15 +75,15 @@ impl TraceStep {
 /// # Example
 ///
 /// ```
-/// use eucon_core::{ClosedLoop, ControllerSpec};
+/// use eucon_core::{ControllerSpec, LoopBuilder};
 /// use eucon_sim::SimConfig;
 /// use eucon_tasks::workloads;
 ///
 /// # fn main() -> Result<(), eucon_core::CoreError> {
-/// let mut cl = ClosedLoop::builder(workloads::simple())
+/// let mut cl = LoopBuilder::new(workloads::simple())
 ///     .sim_config(SimConfig::constant_etf(0.5))
 ///     .controller(ControllerSpec::Eucon(eucon_control::MpcConfig::simple()))
-///     .build()?;
+///     .local()?;
 /// let result = cl.run(20);
 /// assert_eq!(result.trace.len(), 20);
 /// let u1 = result.trace.utilization_series(0);

@@ -19,7 +19,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use eucon_core::{ClosedLoop, ControllerSpec};
+use eucon_core::{ClosedLoop, ControllerSpec, LoopBuilder};
 use eucon_sim::{ExecModel, SimConfig};
 use eucon_tasks::workloads;
 
@@ -65,11 +65,11 @@ fn fault_free_steady_state_period_is_allocation_free() {
     // 1. OPEN controller, trace recording off: the period step must not
     // allocate at all.  OPEN isolates the plant + monitor + actuation
     // path — its own update is trivially allocation-free.
-    let mut cl = ClosedLoop::builder(workloads::medium())
+    let mut cl = LoopBuilder::new(workloads::medium())
         .sim_config(SimConfig::constant_etf(0.5))
         .controller(ControllerSpec::Open)
         .record_trace(false)
-        .build()
+        .local()
         .unwrap();
     // Warm-up: ready queues, release-guard pending lists and in-flight
     // rings grow to their steady-state capacity during the first periods
@@ -96,12 +96,12 @@ fn fault_free_steady_state_period_is_allocation_free() {
 
     // 1b. Same loop with an in-memory ring sink attached: once the ring
     // has filled, its slots recycle and the period stays allocation-free.
-    let mut ringed = ClosedLoop::builder(workloads::medium())
+    let mut ringed = LoopBuilder::new(workloads::medium())
         .sim_config(SimConfig::constant_etf(0.5))
         .controller(ControllerSpec::Open)
         .record_trace(false)
         .telemetry_sink(eucon_core::telemetry::RingBufferSink::new(32))
-        .build()
+        .local()
         .unwrap();
     for _ in 0..100 {
         ringed.step();
@@ -115,10 +115,10 @@ fn fault_free_steady_state_period_is_allocation_free() {
     // 2. Same loop with trace recording on: the only per-period
     // allocations are the recorded step's two vectors (utilization +
     // rates) plus amortized growth of the trace itself.
-    let mut recording = ClosedLoop::builder(workloads::medium())
+    let mut recording = LoopBuilder::new(workloads::medium())
         .sim_config(SimConfig::constant_etf(0.5))
         .controller(ControllerSpec::Open)
-        .build()
+        .local()
         .unwrap();
     for _ in 0..20 {
         recording.step();
@@ -134,7 +134,7 @@ fn fault_free_steady_state_period_is_allocation_free() {
     // constant-time cursor/pending inspection and the actuation slow path
     // assembles commands into a persistent scratch — steady-state periods
     // *between* membership changes stay allocation-free.
-    let mut churned = ClosedLoop::builder(workloads::medium())
+    let mut churned = LoopBuilder::new(workloads::medium())
         .sim_config(SimConfig::constant_etf(0.5))
         .controller(ControllerSpec::Open)
         .churn(
@@ -143,7 +143,7 @@ fn fault_free_steady_state_period_is_allocation_free() {
                 .mode_change(8, eucon_tasks::TaskId(0), 1.2),
         )
         .record_trace(false)
-        .build()
+        .local()
         .unwrap();
     for _ in 0..200 {
         churned.step();
@@ -162,11 +162,11 @@ fn fault_free_steady_state_period_is_allocation_free() {
     // buffers are sized to the problem's bound the first time a solve
     // needs them, and writes its solution into a buffer the controller
     // keeps — after the warm-up no period touches the heap.
-    let mut eucon = ClosedLoop::builder(workloads::medium())
+    let mut eucon = LoopBuilder::new(workloads::medium())
         .sim_config(SimConfig::constant_etf(0.5).exec_model(ExecModel::Uniform { half_width: 0.2 }))
         .controller(ControllerSpec::Eucon(eucon_control::MpcConfig::medium()))
         .record_trace(false)
-        .build()
+        .local()
         .unwrap();
     for _ in 0..40 {
         eucon.step();

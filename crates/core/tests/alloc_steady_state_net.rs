@@ -21,7 +21,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use eucon_core::{ControllerSpec, DistributedLoop};
+use eucon_core::{ClosedLoop, ControllerSpec, LoopBuilder, NetConfig};
 use eucon_sim::SimConfig;
 use eucon_tasks::workloads;
 
@@ -54,7 +54,7 @@ fn allocations() -> u64 {
 }
 
 /// Allocations performed by `periods` distributed steps.
-fn measure(dl: &mut DistributedLoop, periods: usize) -> u64 {
+fn measure(dl: &mut ClosedLoop, periods: usize) -> u64 {
     let before = allocations();
     for _ in 0..periods {
         dl.step();
@@ -69,13 +69,11 @@ fn poll_engine_steady_state_period_is_allocation_free() {
     // OPEN isolates the transport + plant + monitor + actuation path —
     // its own update is trivially allocation-free, so every allocation
     // seen here would be the lane engine's.
-    let mut dl = DistributedLoop::builder(workloads::medium())
+    let mut dl = LoopBuilder::new(workloads::medium())
         .sim_config(SimConfig::constant_etf(0.5))
         .controller(ControllerSpec::Open)
         .record_trace(false)
-        .tcp_poll(Default::default())
-        .recv_timeout(Duration::from_millis(200))
-        .build()
+        .distributed(NetConfig::tcp_poll().recv_timeout(Duration::from_millis(200)))
         .unwrap();
     // Warm-up: frame readers, encode scratch, ready queues and
     // in-flight rings grow to steady-state capacity during the first

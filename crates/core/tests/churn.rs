@@ -17,7 +17,7 @@ mod trace_hash;
 
 use eucon_control::MpcConfig;
 use eucon_core::{
-    metrics, AdmissionEvent, AdmissionPolicy, ChurnPlan, ClosedLoop, ControllerSpec, RejectReason,
+    metrics, AdmissionEvent, AdmissionPolicy, ChurnPlan, ControllerSpec, LoopBuilder, RejectReason,
     RunResult,
 };
 use eucon_sim::SimConfig;
@@ -84,12 +84,12 @@ fn permissive() -> AdmissionPolicy {
 }
 
 fn run_simple_churn(plan: ChurnPlan, policy: AdmissionPolicy, periods: usize) -> RunResult {
-    ClosedLoop::builder(workloads::simple())
+    LoopBuilder::new(workloads::simple())
         .sim_config(SimConfig::constant_etf(0.5))
         .controller(ControllerSpec::Eucon(MpcConfig::simple()))
         .churn(plan)
         .admission(policy)
-        .build()
+        .local()
         .expect("closed loop")
         .run(periods)
 }
@@ -194,11 +194,11 @@ fn open_controller_refuses_arrivals_but_honors_departures() {
     let plan = ChurnPlan::none()
         .arrival(10, simple_arrival())
         .departure(20, TaskId(0));
-    let mut cl = ClosedLoop::builder(workloads::simple())
+    let mut cl = LoopBuilder::new(workloads::simple())
         .sim_config(SimConfig::constant_etf(0.5))
         .controller(ControllerSpec::Open)
         .churn(plan)
-        .build()
+        .local()
         .expect("closed loop");
     let result = cl.run(40);
 
@@ -244,12 +244,12 @@ fn medium_churn_storm_reconverges_within_twenty_periods() {
         .departure(changes[1], TaskId(3))
         .arrival(changes[2], medium_arrival())
         .departure(changes[3], TaskId(12)); // plan-space id of the first arrival
-    let mut cl = ClosedLoop::builder(workloads::medium())
+    let mut cl = LoopBuilder::new(workloads::medium())
         .sim_config(SimConfig::constant_etf(0.9))
         .controller(ControllerSpec::Eucon(MpcConfig::medium()))
         .churn(plan)
         .admission(permissive())
-        .build()
+        .local()
         .expect("closed loop");
     let result = cl.run(500);
 

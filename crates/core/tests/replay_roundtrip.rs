@@ -13,7 +13,7 @@ use std::path::PathBuf;
 
 use proptest::prelude::*;
 
-use eucon_core::{ClosedLoop, ReplayTrace};
+use eucon_core::{LoopBuilder, ReplayTrace};
 use eucon_tasks::workloads::{self, RandomWorkload};
 use eucon_tasks::TaskSet;
 use eucon_telemetry::JsonlSink;
@@ -27,11 +27,11 @@ fn scratch(tag: &str) -> PathBuf {
 /// `path`, and returns its per-period (utilization, rates) sequences.
 fn record(set: TaskSet, periods: usize, path: &PathBuf) -> Vec<(Vec<u64>, Vec<u64>)> {
     let sink = JsonlSink::create(path).expect("scratch file is creatable");
-    let mut cl = ClosedLoop::builder(set)
+    let mut cl = LoopBuilder::new(set)
         .record_trace(true)
         .telemetry_sink(sink)
         .telemetry_batch(1)
-        .build()
+        .local()
         .expect("recording loop builds");
     let result = cl.run(periods);
     bit_sequences(&result.trace)
@@ -42,10 +42,10 @@ fn record(set: TaskSet, periods: usize, path: &PathBuf) -> Vec<(Vec<u64>, Vec<u6
 fn replay(set: TaskSet, periods: usize, path: &PathBuf) -> Vec<(Vec<u64>, Vec<u64>)> {
     let trace = ReplayTrace::load(path).expect("recorded telemetry parses");
     assert_eq!(trace.len(), periods, "one telemetry row per period");
-    let mut cl = ClosedLoop::builder(set)
+    let mut cl = LoopBuilder::new(set)
         .record_trace(true)
         .plant(trace)
-        .build()
+        .local()
         .expect("replay loop builds");
     let result = cl.run(periods);
     bit_sequences(&result.trace)

@@ -1,10 +1,12 @@
 //! Equivalence pins for the cluster-scale sharded controller.
 //!
-//! Three bit-identity contracts gate the sharded path (ISSUE 8):
+//! Three bit-identity contracts gate the sharded path:
 //!
-//! 1. **K=1 ≡ DEUCON** — the singleton shard plan reproduces the
-//!    decentralized team exactly: same construction, same sweep order,
-//!    bit-identical closed-loop traces.
+//! 1. **K=1 is DEUCON, and stays what it was** — the decentralized
+//!    spec, the sharded spec at shard size 1 and its ideal-lane variant
+//!    all build the singleton team, whose closed-loop trace is pinned to
+//!    the hash the separate per-processor `DecentralizedController`
+//!    produced on this scenario before it was deleted as a duplicate.
 //! 2. **Ideal lanes ≡ in-process** — routing the boundary exchange over
 //!    lossless same-period `eucon-net` lanes must not perturb a single
 //!    bit of the sweep.
@@ -14,7 +16,7 @@
 mod trace_hash;
 
 use eucon_control::MpcConfig;
-use eucon_core::{BoundaryMode, ClosedLoop, ControllerSpec, DistributedLoop, RunResult};
+use eucon_core::{BoundaryMode, ControllerSpec, LoopBuilder, NetConfig, RunResult};
 use eucon_sim::{ExecModel, SimConfig};
 use eucon_tasks::workloads;
 use trace_hash::hash_result;
@@ -27,21 +29,23 @@ fn sim_config() -> SimConfig {
         .seed(3)
 }
 
-fn run_closed(spec: ControllerSpec) -> RunResult {
-    ClosedLoop::builder(workloads::medium())
+/// Trace hash of `DecentralizedController` on this scenario, captured
+/// on commit 6f7e9f9 (its last), equal in debug and release builds.
+const GOLDEN_K1: u64 = 0xf707_1808_c8b7_8dd2;
+
+fn builder(spec: ControllerSpec) -> LoopBuilder {
+    LoopBuilder::new(workloads::medium())
         .sim_config(sim_config())
         .controller(spec)
-        .build()
-        .expect("closed loop")
-        .run(PERIODS)
+}
+
+fn run_closed(spec: ControllerSpec) -> RunResult {
+    builder(spec).local().expect("closed loop").run(PERIODS)
 }
 
 fn run_distributed(spec: ControllerSpec) -> RunResult {
-    DistributedLoop::builder(workloads::medium())
-        .sim_config(sim_config())
-        .controller(spec)
-        .channel(4)
-        .build()
+    builder(spec)
+        .distributed(NetConfig::channel())
         .expect("distributed loop")
         .run(PERIODS)
 }
@@ -55,25 +59,27 @@ fn sharded(shard_size: usize, boundary: BoundaryMode) -> ControllerSpec {
 }
 
 #[test]
-fn k1_sharded_bit_identical_to_decentralized() {
-    let reference = run_closed(ControllerSpec::Decentralized(MpcConfig::medium()));
-    let singleton = run_closed(sharded(1, BoundaryMode::InProcess));
-    assert_eq!(
-        hash_result(&reference),
-        hash_result(&singleton),
-        "K=1 sharded trace diverged from DecentralizedController"
-    );
-}
-
-#[test]
-fn k1_over_ideal_lanes_bit_identical_to_decentralized() {
-    let reference = run_closed(ControllerSpec::Decentralized(MpcConfig::medium()));
-    let lanes = run_closed(sharded(1, BoundaryMode::IdealLanes));
-    assert_eq!(
-        hash_result(&reference),
-        hash_result(&lanes),
-        "K=1 sharded-over-lanes trace diverged from DecentralizedController"
-    );
+fn k1_every_spelling_reproduces_the_deucon_golden() {
+    for (spelling, spec) in [
+        (
+            "Decentralized",
+            ControllerSpec::Decentralized(MpcConfig::medium()),
+        ),
+        (
+            "Sharded{1}, in process",
+            sharded(1, BoundaryMode::InProcess),
+        ),
+        (
+            "Sharded{1}, ideal lanes",
+            sharded(1, BoundaryMode::IdealLanes),
+        ),
+    ] {
+        assert_eq!(
+            hash_result(&run_closed(spec)),
+            GOLDEN_K1,
+            "{spelling}: the singleton team diverged from the pinned DEUCON trace"
+        );
+    }
 }
 
 #[test]
@@ -104,10 +110,8 @@ fn distributed_loop_carries_the_sharded_team_unchanged() {
 fn sharded_converges_within_spec_on_medium() {
     // The ISSUE's convergence gate at workload scale: every processor
     // within ±0.03 of its set point by period 150.
-    let result = ClosedLoop::builder(workloads::medium())
-        .sim_config(sim_config())
-        .controller(sharded(2, BoundaryMode::IdealLanes))
-        .build()
+    let result = builder(sharded(2, BoundaryMode::IdealLanes))
+        .local()
         .expect("closed loop")
         .run(150);
     let set = workloads::medium();

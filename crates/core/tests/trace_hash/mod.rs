@@ -2,7 +2,7 @@
 //!
 //! One FNV-1a hash over the bit patterns of everything a closed-loop run
 //! observes, the four pinned closed-loop scenarios, and assemblers for
-//! both loop flavours — so `engine_equivalence` (single-process engine)
+//! every finisher — so `engine_equivalence` (single-process engine)
 //! and `transport_equivalence` (distributed loop over ideal lanes) pin
 //! the *same* golden constants.
 
@@ -10,7 +10,7 @@
 #![allow(dead_code)]
 
 use eucon_control::MpcConfig;
-use eucon_core::{ChurnPlan, ClosedLoop, ControllerSpec, DistributedLoop, RunResult};
+use eucon_core::{ChurnPlan, ControllerSpec, LoopBuilder, NetConfig, RunResult};
 use eucon_math::Vector;
 use eucon_sim::{ExecModel, FaultPlan, SimConfig};
 use eucon_tasks::{workloads, TaskSet};
@@ -168,13 +168,18 @@ impl Scenario {
         }
     }
 
-    /// Runs the scenario through the single-process loop.
-    pub fn run_single(self) -> RunResult {
-        ClosedLoop::builder(self.workload())
+    /// The scenario as a loop description, ready for a finisher.
+    fn builder(self) -> LoopBuilder {
+        LoopBuilder::new(self.workload())
             .sim_config(self.sim_config())
             .controller(self.controller())
             .faults(self.faults())
-            .build()
+    }
+
+    /// Runs the scenario through the single-process loop.
+    pub fn run_single(self) -> RunResult {
+        self.builder()
+            .local()
             .expect("closed loop")
             .run(GOLDEN_PERIODS)
     }
@@ -184,12 +189,9 @@ impl Scenario {
     /// like no plan at all, so the trace stays bit-identical to
     /// [`Scenario::run_single`] and the golden hashes hold.
     pub fn run_single_zero_churn(self) -> RunResult {
-        ClosedLoop::builder(self.workload())
-            .sim_config(self.sim_config())
-            .controller(self.controller())
-            .faults(self.faults())
+        self.builder()
             .churn(ChurnPlan::none())
-            .build()
+            .local()
             .expect("closed loop")
             .run(GOLDEN_PERIODS)
     }
@@ -198,13 +200,9 @@ impl Scenario {
     /// churn plan — same bit-identity contract as
     /// [`Scenario::run_single_zero_churn`].
     pub fn run_distributed_zero_churn(self) -> RunResult {
-        DistributedLoop::builder(self.workload())
-            .sim_config(self.sim_config())
-            .controller(self.controller())
-            .faults(self.faults())
+        self.builder()
             .churn(ChurnPlan::none())
-            .channel(4)
-            .build()
+            .distributed(NetConfig::channel())
             .expect("distributed loop")
             .run(GOLDEN_PERIODS)
     }
@@ -213,12 +211,8 @@ impl Scenario {
     /// in-process channel lanes — must be bit-identical to
     /// [`Scenario::run_single`].
     pub fn run_distributed_channel(self) -> RunResult {
-        DistributedLoop::builder(self.workload())
-            .sim_config(self.sim_config())
-            .controller(self.controller())
-            .faults(self.faults())
-            .channel(4)
-            .build()
+        self.builder()
+            .distributed(NetConfig::channel())
             .expect("distributed loop")
             .run(GOLDEN_PERIODS)
     }
@@ -230,13 +224,8 @@ impl Scenario {
     /// so every report lands within the window and the trace carries no
     /// timing artifacts.
     pub fn run_distributed_poll(self) -> RunResult {
-        DistributedLoop::builder(self.workload())
-            .sim_config(self.sim_config())
-            .controller(self.controller())
-            .faults(self.faults())
-            .tcp_poll(Default::default())
-            .recv_timeout(std::time::Duration::from_millis(200))
-            .build()
+        self.builder()
+            .distributed(NetConfig::tcp_poll().recv_timeout(std::time::Duration::from_millis(200)))
             .expect("distributed poll loop")
             .run(GOLDEN_PERIODS)
     }

@@ -3,7 +3,7 @@
 //!
 //! Two pins:
 //!
-//! 1. **Golden hashes** — [`DistributedLoop`] over ideal in-process channel
+//! 1. **Golden hashes** — a distributed [`ClosedLoop`] over ideal in-process channel
 //!    lanes must reproduce the *same* FNV-1a trace hashes the
 //!    single-process engine pins in `engine_equivalence` (shared via
 //!    `trace_hash/`): splitting the loop into controller and processor
@@ -15,7 +15,7 @@
 //!    same delivered values, bit-for-bit, for arbitrary delay/loss
 //!    configurations (property-tested).
 //!
-//! [`DistributedLoop`]: eucon_core::DistributedLoop
+//! [`ClosedLoop`]: eucon_core::ClosedLoop
 
 mod trace_hash;
 

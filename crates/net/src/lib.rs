@@ -13,10 +13,11 @@
 //!   drop-oldest backpressure — the *ideal lane*) and [`tcp_pair`]
 //!   (real nonblocking loopback TCP with partial-frame reassembly and
 //!   reconnect backoff).
-//! * [`DelayLoss`] — network effects (report delay, report loss) as
-//!   middleware composable over any backend, draw-for-draw compatible
-//!   with the closed loop's `LaneModel` (the decision core is exposed
-//!   as [`DelayLossGate`] for transports that bypass the middleware).
+//! * [`DelayLossGate`] — the one delay/loss queue of the workspace,
+//!   generic over what it carries: wire frames in front of a transport,
+//!   utilization vectors inside the closed loop's `LaneModel`.
+//!   [`DelayLoss`] is the gate as middleware composable over any
+//!   backend.
 //! * [`PollEngine`] / [`LaneFabric`] — the many-lane runtime: one
 //!   sweep-based readiness loop multiplexing thousands of nonblocking
 //!   TCP lanes with zero-copy [`FrameView`] decode and allocation-free

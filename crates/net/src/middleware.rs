@@ -1,21 +1,17 @@
 //! Lane middleware: network effects composed over any backend.
 //!
-//! [`DelayLoss`] reimplements the closed loop's `LaneModel` semantics at
-//! the transport layer, so delayed and lossy lanes are a property of the
-//! *lane*, not of the loop: the same middleware wraps an in-process
-//! channel in tests and a real TCP lane in a deployment.
+//! [`DelayLossGate`] is the workspace's one delay/loss queue: a FIFO
+//! that holds each item for a fixed number of ticks and consults the
+//! loss probability once per item, only at the moment the item actually
+//! crosses the lane (after its delay elapses).  It never looks inside
+//! what it carries, so the same gate holds wire [`Frame`]s in front of a
+//! transport and bare utilization vectors inside the single-process
+//! loop's `LaneModel` — with the same seed both see the same sequence of
+//! loss decisions, because there is only one draw site.
 //!
-//! The draw order is kept identical to the in-loop lane model — a loss
-//! probability is consulted once per frame, and only at the moment the
-//! frame actually crosses the lane (after its delay elapses).  With the
-//! same seed, a `DelayLoss` lane and a `LaneModel` produce the same
-//! sequence of loss decisions; the transport-equivalence property test
-//! pins this.
-//!
-//! The decision core lives in [`DelayLossGate`], a transport-free
-//! delay/loss queue that both the `DelayLoss` wrapper and the poll
-//! engine's per-lane gates drive — one implementation, so the draw
-//! sequence cannot diverge between the transport-pair and poll paths.
+//! [`DelayLoss`] layers a gate over any [`Transport`], so delayed and
+//! lossy lanes are a property of the *lane*: the same middleware wraps
+//! an in-process channel in tests and a real TCP lane in a deployment.
 
 use std::collections::VecDeque;
 
@@ -26,35 +22,38 @@ use crate::error::TransportError;
 use crate::frame::Frame;
 use crate::transport::{Transport, TransportStats};
 
-/// The delay/loss decision core: a FIFO of in-flight frames released by
-/// [`DelayLossGate::tick`], each crossing frame drawing the loss
+/// The delay/loss decision core: a FIFO of in-flight items released by
+/// [`DelayLossGate::tick`], each crossing item drawing the loss
 /// probability exactly once at release time.
 ///
-/// Knows nothing about transports — the caller supplies the delivery
-/// action.  [`DelayLoss`] layers it over a [`Transport`]; the distributed
-/// runtime's poll path layers it over direct socket encodes.
+/// Knows nothing about transports or payloads — the caller supplies the
+/// delivery action.  [`DelayLoss`] layers a `DelayLossGate<Frame>` over
+/// a [`Transport`]; the distributed runtime puts one in front of each
+/// lane direction; the single-process loop's lane model runs one over
+/// whole utilization vectors.
 #[derive(Debug)]
-pub struct DelayLossGate {
+pub struct DelayLossGate<T = Frame> {
     /// Whole ticks each frame spends in flight.
     delay: usize,
     /// Per-frame drop probability in `[0, 1)`.
     loss_probability: f64,
     rng: StdRng,
     /// Frames not yet released (oldest first); length ≤ delay + 1.
-    in_flight: VecDeque<Frame>,
+    in_flight: VecDeque<T>,
     /// Frames dropped on a loss draw.
     lost: u64,
     /// Frames accepted for sending.
     accepted: u64,
 }
 
-impl DelayLossGate {
+impl<T> DelayLossGate<T> {
     /// A gate with `delay` ticks of latency and per-frame loss
     /// probability `loss_probability` drawn from `seed`.
     ///
     /// # Panics
     ///
-    /// Panics unless `0 ≤ loss_probability < 1`.
+    /// Panics unless `0 ≤ loss_probability < 1` (loop builders validate
+    /// their lane models first, so no builder input reaches this).
     pub fn new(delay: usize, loss_probability: f64, seed: u64) -> Self {
         assert!(
             (0.0..1.0).contains(&loss_probability),
@@ -76,10 +75,15 @@ impl DelayLossGate {
         self.delay == 0 && self.loss_probability == 0.0
     }
 
+    /// Whole ticks each frame spends in flight.
+    pub fn delay(&self) -> usize {
+        self.delay
+    }
+
     /// Accepts a frame.  Returns `Some(frame)` when it should cross the
     /// lane immediately (the transparent configuration); otherwise the
     /// frame is queued until its delay elapses.
-    pub fn offer(&mut self, frame: Frame) -> Option<Frame> {
+    pub fn offer(&mut self, frame: T) -> Option<T> {
         self.accepted += 1;
         if self.is_transparent() {
             return Some(frame);
@@ -91,7 +95,7 @@ impl DelayLossGate {
     /// Advances the gate's clock by one tick: every frame whose delay has
     /// elapsed either crosses (via `deliver`) or is dropped on its loss
     /// draw.
-    pub fn tick(&mut self, mut deliver: impl FnMut(Frame)) {
+    pub fn tick(&mut self, mut deliver: impl FnMut(T)) {
         while self.in_flight.len() > self.delay {
             let frame = self.in_flight.pop_front().expect("len checked");
             let dropped =
@@ -124,7 +128,7 @@ impl DelayLossGate {
 #[derive(Debug)]
 pub struct DelayLoss<T> {
     inner: T,
-    gate: DelayLossGate,
+    gate: DelayLossGate<Frame>,
 }
 
 impl<T: Transport> DelayLoss<T> {

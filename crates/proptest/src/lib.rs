@@ -8,7 +8,7 @@
 //!   items,
 //! * range strategies over `f64` / integer ranges,
 //! * [`collection::vec`] for fixed-length vectors,
-//! * [`Strategy::prop_map`],
+//! * [`Strategy::prop_map`](strategy::Strategy::prop_map),
 //! * [`prop_assert!`], [`prop_assert_eq!`] and [`prop_assume!`].
 //!
 //! Differences from upstream: no shrinking (a failing case reports its

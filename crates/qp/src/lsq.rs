@@ -17,7 +17,7 @@ use crate::{PreparedQp, QpError, QpSolution};
 /// once per sampling period (paper §6.1).  The builder collects inequality
 /// rows and box bounds, converts everything to a strictly convex QP
 /// (`H = CᵀC + εI`, `f = −Cᵀd`) and solves it with the dual active-set
-/// [`QuadProg`] solver.
+/// [`QuadProg`](crate::QuadProg) solver.
 ///
 /// A tiny Tikhonov term `εI` (configurable via
 /// [`regularization`](ConstrainedLsq::regularization)) keeps the QP strictly
@@ -179,7 +179,7 @@ impl ConstrainedLsq {
     /// * [`QpError::NotStrictlyConvex`] — `CᵀC + εI` is not positive
     ///   definite (rank-deficient `C` with `ε = 0`).
     /// * [`QpError::Infeasible`] — the constraints admit no solution.
-    /// * Any error of the underlying [`QuadProg::solve`].
+    /// * Any error of the underlying [`QuadProg::solve`](crate::QuadProg::solve).
     pub fn solve(&self) -> Result<LsqSolution, QpError> {
         let n = self.num_vars();
         if n == 0 {

@@ -872,13 +872,13 @@ struct QpCore {
 /// solves with varying `f` and `h`.
 ///
 /// Construction performs the only Cholesky factorization of `H` and builds
-/// the [`ConstraintCache`]; each subsequent [`solve`](PreparedQp::solve) is
+/// the `ConstraintCache`; each subsequent [`solve`](PreparedQp::solve) is
 /// a pair of triangular back-substitutions plus active-set bookkeeping.
 /// This matches the controller hot path, where the plant model (hence `H`
 /// and the constraint matrix) never changes between sampling periods while
 /// the set-point error (`f`) and constraint slacks (`h`) do.
 ///
-/// Cloning is cheap: the immutable model ([`QpCore`]) is shared through an
+/// Cloning is cheap: the immutable model (`QpCore`) is shared through an
 /// `Arc`, only the per-instance warm-start memo is copied, and the clone
 /// starts with an empty solver workspace — so N homogeneous controllers
 /// hold one factorization, not N.  A clone's solves are bit-identical to

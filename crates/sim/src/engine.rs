@@ -157,7 +157,7 @@ impl InflightRing {
 /// EUCON feedback loop uses each sampling period.
 ///
 /// Internally the engine runs on an indexed per-source event queue
-/// ([`EventCore`]): each task owns one head-release slot, each processor
+/// (`EventCore`): each task owns one head-release slot, each processor
 /// one tentative-completion slot, and each successor subtask a short
 /// sorted list of release-guarded instances.  Rate changes and
 /// preemptions *reschedule in place* instead of pushing tombstones, so

@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // is bursty, we leave a 10% engineering margin below the schedulable
     // bound instead of riding it exactly.
     let targets = b.scale(0.9);
-    let mut cl = ClosedLoop::builder(pipeline)
+    let mut cl = LoopBuilder::new(pipeline)
         .sim_config(
             SimConfig::constant_etf(1.0)
                 .exec_model(ExecModel::bimodal(2.0, 0.25))
@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
         .controller(ControllerSpec::Eucon(cfg))
         .set_points(targets.clone())
-        .build()?;
+        .local()?;
     let result = cl.run(200);
 
     println!("\nafter 200 sampling periods:");

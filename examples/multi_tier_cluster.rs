@@ -30,21 +30,19 @@ fn main() -> Result<(), eucon::Error> {
     // Decentralized control team over per-tier TCP feedback lanes with
     // realistic effects (1 period delay, 5% report loss); actuators
     // support 32 discrete rates per pipeline.
-    let mut cl = DistributedLoop::builder(cluster.clone())
+    let mut cl = LoopBuilder::new(cluster.clone())
         .sim_config(
             SimConfig::constant_etf(0.6)
                 .exec_model(ExecModel::Uniform { half_width: 0.3 })
                 .seed(8),
         )
         .controller(ControllerSpec::Decentralized(MpcConfig::medium()))
-        .tcp(TcpConfig::default())
-        .report_lanes(LaneModel {
+        .quantized_rates(32)
+        .distributed(NetConfig::tcp().report_lanes(LaneModel {
             report_delay: 1,
             loss_probability: 0.05,
             seed: 4,
-        })
-        .quantized_rates(32)
-        .build()?;
+        }))?;
 
     let result = cl.run(250);
     let net = cl.transport_stats();
@@ -82,11 +80,11 @@ fn main() -> Result<(), eucon::Error> {
 
     // The point of decentralization: per-node problems stay small.
     let team =
-        DecentralizedController::new(&cluster, b, MpcConfig::medium()).expect("controller team");
+        ShardedController::singleton(&cluster, b, MpcConfig::medium()).expect("controller team");
     println!(
         "\ncontrol team: {} local controllers, largest owns {} of {} pipelines",
         team.num_controllers(),
-        team.max_local_tasks(),
+        team.max_shard_tasks(),
         cluster.num_tasks()
     );
     Ok(())

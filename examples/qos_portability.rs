@@ -14,14 +14,14 @@ use eucon::prelude::*;
 
 fn deploy(platform: &str, etf: f64) -> Result<(Vec<f64>, f64), eucon::Error> {
     let workload = workloads::medium();
-    let mut cl = ClosedLoop::builder(workload)
+    let mut cl = LoopBuilder::new(workload)
         .sim_config(
             SimConfig::constant_etf(etf)
                 .exec_model(ExecModel::Uniform { half_width: 0.2 })
                 .seed(42),
         )
         .controller(ControllerSpec::Eucon(MpcConfig::medium()))
-        .build()?;
+        .local()?;
     let result = cl.run(200);
 
     let last = result.trace.steps().last().expect("ran periods");

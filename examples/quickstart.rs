@@ -23,10 +23,10 @@ fn main() -> Result<(), eucon::Error> {
 
     // Actual execution times are half the estimates (etf = 0.5) — an
     // open-loop design would underutilize the CPUs by 2x.
-    let mut cl = ClosedLoop::builder(workload)
+    let mut cl = LoopBuilder::new(workload)
         .sim_config(SimConfig::constant_etf(0.5))
         .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-        .build()?;
+        .local()?;
 
     println!("\n  k    u(P1)    u(P2)    r(T1)      r(T2)      r(T3)");
     for k in 0..60 {

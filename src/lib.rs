@@ -27,7 +27,7 @@
 //! [`Transport`]: prelude::Transport
 //! [`ControlService`]: prelude::ControlService
 //!
-//! # Quickstart (v0.3)
+//! # Quickstart
 //!
 //! One builder, three execution modes — pick with the finisher:
 //!
@@ -54,20 +54,21 @@
 //! multi-tenant daemon is one [`ControlService::spawn`] away (see the
 //! README's "Running as a service").
 //!
-//! # Migrating from v0.2
+//! # Migrating from v0.3
+//!
+//! There is one builder and one loop type (see the README's migration
+//! table for every row):
 //!
 //! * `ClosedLoop::builder(set).build()` → `LoopBuilder::new(set).local()`.
 //! * `DistributedLoop::builder(set).tcp(cfg).build()` →
-//!   `LoopBuilder::new(set).distributed(NetConfig::tcp())`.
-//! * Matching on `eucon::Error` variants → [`Error::kind`] (the stable
-//!   [`ErrorKind`] taxonomy); the full layer-specific errors remain
-//!   reachable through `source()`.
-//! * The v0.2 prelude aliases (`ClosedLoopBuilder`,
-//!   `DistributedLoopBuilder`, `FleetConfig` and the layer-error
-//!   aliases) were deprecated in 0.3.0 and are now removed, per the
-//!   one-release deprecation policy (see the README's migration
-//!   section); the originals remain available from [`core`] for code
-//!   that needs the mode-specific builders directly.
+//!   `LoopBuilder::new(set).distributed(NetConfig::tcp())`, which returns
+//!   a [`ClosedLoop`](prelude::ClosedLoop) — write `ClosedLoop` wherever
+//!   `DistributedLoop` stood in type position.
+//! * `DecentralizedController::new(..)` →
+//!   [`ShardedController::singleton(..)`](prelude::ShardedController::singleton).
+//! * Classify failures with [`Error::kind`] (the stable [`ErrorKind`]
+//!   taxonomy); the full layer-specific errors remain reachable through
+//!   `source()`.
 //!
 //! [`ControlService::spawn`]: prelude::ControlService::spawn
 
@@ -224,20 +225,20 @@ impl From<tasks::TaskError> for Error {
     }
 }
 
-/// Convenient single-import surface for applications (the v0.3 API).
+/// Convenient single-import surface for applications.
 pub mod prelude {
     pub use crate::{Error, ErrorKind};
     pub use eucon_control::{
-        ControlMode, ControlPenalty, DecentralizedController, IndependentPid, MpcConfig,
-        MpcController, OpenLoop, RateController, Supervised, SupervisorConfig, SupervisorReport,
+        ControlMode, ControlPenalty, IndependentPid, MpcConfig, MpcController, OpenLoop,
+        RateController, ShardedController, Supervised, SupervisorConfig, SupervisorReport,
     };
     pub use eucon_core::{
         factory_fn, metrics, render, telemetry, AdminResponse, ClosedLoop, ControlService,
-        ControllerFactory, ControllerSpec, DistributedLoop, EvictionPolicy, FaultSummary,
-        FleetPlan, FleetReport, LaneEngine, LaneModel, LoopBuilder, NetBackend, NetConfig, Plant,
-        PlantFactory, ReplayError, ReplayPlant, ReplayTrace, RunMetrics, RunResult, ServiceClient,
-        ServiceHandle, ServiceSummary, SimPlant, SimPlantFactory, SteadyRun, TenantEvent,
-        TenantHealth, TenantId, TenantReport, TenantSpec, VaryingRun,
+        ControllerFactory, ControllerSpec, EvictionPolicy, FaultSummary, FleetPlan, FleetReport,
+        LaneEngine, LaneModel, LoopBuilder, NetBackend, NetConfig, Plant, PlantFactory,
+        ReplayError, ReplayPlant, ReplayTrace, RunMetrics, RunResult, ServiceClient, ServiceHandle,
+        ServiceSummary, SimPlant, SimPlantFactory, SteadyRun, TenantEvent, TenantHealth, TenantId,
+        TenantReport, TenantSpec, VaryingRun,
     };
     #[cfg(feature = "os-plant")]
     pub use eucon_core::{OsPlant, OsPlantConfig};
@@ -310,19 +311,6 @@ mod tests {
             use crate::prelude::*;
             let _ = LoopBuilder::new(workloads::simple()).local()?;
             let _ = LoopBuilder::new(workloads::simple()).distributed(NetConfig::channel())?;
-            Ok(())
-        }
-        build().unwrap();
-    }
-
-    #[test]
-    fn mode_specific_builders_remain_reachable_through_core() {
-        // The deprecated prelude aliases are gone (one-release policy);
-        // the originals stay addressable for direct users.
-        fn build() -> Result<(), Error> {
-            use crate::prelude::*;
-            let b: crate::core::ClosedLoopBuilder = ClosedLoop::builder(workloads::simple());
-            let _ = b.build()?;
             Ok(())
         }
         build().unwrap();

@@ -13,10 +13,10 @@ fn eucon_converges_on_random_workloads() {
             .seed(seed)
             .generate();
         let b = rms_set_points(&set);
-        let mut cl = ClosedLoop::builder(set)
+        let mut cl = LoopBuilder::new(set)
             .sim_config(SimConfig::constant_etf(0.5).seed(seed))
             .controller(ControllerSpec::Eucon(MpcConfig::medium()))
-            .build()
+            .local()
             .expect("loop");
         let result = cl.run(150);
         for p in 0..procs {
@@ -40,7 +40,7 @@ fn rates_always_within_bounds_under_disturbance() {
     let set = workloads::medium();
     let (rmin, rmax) = set.rate_bounds();
     let profile = EtfProfile::steps(&[(0.0, 0.2), (50_000.0, 5.0), (100_000.0, 0.1)]);
-    let mut cl = ClosedLoop::builder(set)
+    let mut cl = LoopBuilder::new(set)
         .sim_config(SimConfig {
             exec_model: ExecModel::Constant,
             etf: profile,
@@ -49,7 +49,7 @@ fn rates_always_within_bounds_under_disturbance() {
             processor_speeds: None,
         })
         .controller(ControllerSpec::Eucon(MpcConfig::medium()))
-        .build()
+        .local()
         .expect("loop");
     let result = cl.run(150);
     for step in result.trace.steps() {
@@ -74,14 +74,14 @@ fn utilization_measurements_are_physical() {
         ControllerSpec::Open,
         ControllerSpec::Pid { kp: 0.8, ki: 0.1 },
     ] {
-        let mut cl = ClosedLoop::builder(workloads::medium())
+        let mut cl = LoopBuilder::new(workloads::medium())
             .sim_config(
                 SimConfig::constant_etf(2.0)
                     .exec_model(ExecModel::Uniform { half_width: 0.5 })
                     .seed(5),
             )
             .controller(spec)
-            .build()
+            .local()
             .expect("loop");
         let result = cl.run(80);
         for step in result.trace.steps() {
@@ -98,14 +98,14 @@ fn utilization_measurements_are_physical() {
 #[test]
 fn closed_loop_is_deterministic() {
     let run = || {
-        let mut cl = ClosedLoop::builder(workloads::medium())
+        let mut cl = LoopBuilder::new(workloads::medium())
             .sim_config(
                 SimConfig::constant_etf(0.7)
                     .exec_model(ExecModel::Uniform { half_width: 0.3 })
                     .seed(77),
             )
             .controller(ControllerSpec::Eucon(MpcConfig::medium()))
-            .build()
+            .local()
             .expect("loop");
         cl.run(60)
     };
@@ -120,10 +120,10 @@ fn closed_loop_is_deterministic() {
 /// Liu–Layland bound, (sub)deadlines hold.
 #[test]
 fn rms_set_point_protects_deadlines() {
-    let mut cl = ClosedLoop::builder(workloads::simple())
+    let mut cl = LoopBuilder::new(workloads::simple())
         .sim_config(SimConfig::constant_etf(0.8))
         .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-        .build()
+        .local()
         .expect("loop");
     let result = cl.run(200);
     assert!(
@@ -142,10 +142,10 @@ fn rms_set_point_protects_deadlines() {
 /// utilization saturates, and no component panics or errors.
 #[test]
 fn graceful_saturation_when_infeasible() {
-    let mut cl = ClosedLoop::builder(workloads::simple())
+    let mut cl = LoopBuilder::new(workloads::simple())
         .sim_config(SimConfig::constant_etf(25.0))
         .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-        .build()
+        .local()
         .expect("loop");
     let result = cl.run(80);
     assert_eq!(

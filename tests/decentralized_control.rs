@@ -6,10 +6,10 @@ use eucon::prelude::*;
 
 #[test]
 fn deucon_reproduces_fig3a_on_simple() {
-    let mut cl = ClosedLoop::builder(workloads::simple())
+    let mut cl = LoopBuilder::new(workloads::simple())
         .sim_config(SimConfig::constant_etf(0.5))
         .controller(ControllerSpec::Decentralized(MpcConfig::simple()))
-        .build()
+        .local()
         .expect("loop");
     let result = cl.run(200);
     for p in 0..2 {
@@ -50,14 +50,14 @@ fn deucon_handles_experiment_two_disturbance() {
 #[test]
 fn deucon_matches_centralized_quality_on_medium() {
     let run = |spec: ControllerSpec| {
-        let mut cl = ClosedLoop::builder(workloads::medium())
+        let mut cl = LoopBuilder::new(workloads::medium())
             .sim_config(
                 SimConfig::constant_etf(0.5)
                     .exec_model(ExecModel::Uniform { half_width: 0.2 })
                     .seed(5),
             )
             .controller(spec)
-            .build()
+            .local()
             .expect("loop");
         let result = cl.run(300);
         let mut worst = 0.0f64;
@@ -83,10 +83,10 @@ fn deucon_scales_to_generated_clusters() {
             .seed(seed)
             .generate();
         let b = rms_set_points(&set);
-        let mut cl = ClosedLoop::builder(set)
+        let mut cl = LoopBuilder::new(set)
             .sim_config(SimConfig::constant_etf(0.6).seed(seed))
             .controller(ControllerSpec::Decentralized(MpcConfig::medium()))
-            .build()
+            .local()
             .expect("loop");
         let result = cl.run(150);
         for p in 0..procs {

@@ -35,12 +35,10 @@ fn tcp_seed() -> u64 {
 #[test]
 fn tcp_smoke_every_frame_arrives_and_decodes() {
     let seed = tcp_seed();
-    let mut dl = DistributedLoop::builder(workloads::simple())
+    let mut dl = LoopBuilder::new(workloads::simple())
         .sim_config(SimConfig::constant_etf(0.5).seed(seed))
         .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-        .tcp(TcpConfig::default())
-        .recv_timeout(RECV_WINDOW)
-        .build()
+        .distributed(NetConfig::tcp().recv_timeout(RECV_WINDOW))
         .expect("distributed loop over TCP");
     let periods = 60;
     let result = dl.run(periods);
@@ -62,17 +60,18 @@ fn tcp_smoke_every_frame_arrives_and_decodes() {
 fn medium_over_lossy_tcp_converges_to_every_set_point() {
     let set = workloads::medium();
     let points = rms_set_points(&set);
-    let mut dl = DistributedLoop::builder(set)
+    let mut dl = LoopBuilder::new(set)
         .sim_config(
             SimConfig::constant_etf(1.0)
                 .exec_model(ExecModel::Uniform { half_width: 0.2 })
                 .seed(1),
         )
         .controller(ControllerSpec::Eucon(MpcConfig::medium()))
-        .tcp(TcpConfig::default())
-        .report_lanes(LaneModel::lossy(0.2, 21))
-        .recv_timeout(RECV_WINDOW)
-        .build()
+        .distributed(
+            NetConfig::tcp()
+                .report_lanes(LaneModel::lossy(0.2, 21))
+                .recv_timeout(RECV_WINDOW),
+        )
         .expect("distributed loop over lossy TCP");
     let result = dl.run(200);
     assert_eq!(

@@ -26,11 +26,11 @@ fn supervised() -> ControllerSpec {
 }
 
 fn run_with_faults(spec: ControllerSpec, plan: FaultPlan, periods: usize) -> RunResult {
-    let mut cl = ClosedLoop::builder(workloads::simple())
+    let mut cl = LoopBuilder::new(workloads::simple())
         .sim_config(SimConfig::constant_etf(0.5).seed(1))
         .controller(spec)
         .faults(plan)
-        .build()
+        .local()
         .expect("loop");
     cl.run(periods)
 }

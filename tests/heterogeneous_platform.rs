@@ -12,10 +12,10 @@ fn eucon_regulates_a_heterogeneous_cluster() {
     // range keeps the set point reachable on the fast processor, whose
     // effective gain is only 0.35 at etf 0.5.)
     let speeds = vec![2.0, 0.7];
-    let mut cl = ClosedLoop::builder(workloads::simple_widened(3.0))
+    let mut cl = LoopBuilder::new(workloads::simple_widened(3.0))
         .sim_config(SimConfig::constant_etf(0.5).processor_speeds(speeds))
         .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-        .build()
+        .local()
         .expect("loop");
     let result = cl.run(200);
     for p in 0..2 {
@@ -44,10 +44,10 @@ fn asymmetric_gains_match_analysis_prediction() {
 
     let sim_stats = |gains: [f64; 2]| {
         // etf = 1, speeds = gains → per-processor gain = gains.
-        let mut cl = ClosedLoop::builder(workloads::simple_widened(3.0))
+        let mut cl = LoopBuilder::new(workloads::simple_widened(3.0))
             .sim_config(SimConfig::constant_etf(1.0).processor_speeds(gains.to_vec()))
             .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-            .build()
+            .local()
             .expect("loop");
         let result = cl.run(250);
         metrics::window(&result.trace.utilization_series(0), 150, 250)
@@ -78,7 +78,7 @@ fn qos_portability_across_heterogeneous_tiers() {
     let speeds = vec![1.5, 0.8, 1.2, 0.6];
     let set = workloads::medium();
     let b = rms_set_points(&set);
-    let mut cl = ClosedLoop::builder(set)
+    let mut cl = LoopBuilder::new(set)
         .sim_config(
             SimConfig::constant_etf(0.6)
                 .exec_model(ExecModel::Uniform { half_width: 0.2 })
@@ -86,7 +86,7 @@ fn qos_portability_across_heterogeneous_tiers() {
                 .seed(3),
         )
         .controller(ControllerSpec::Eucon(MpcConfig::medium()))
-        .build()
+        .local()
         .expect("loop");
     let result = cl.run(250);
     for p in 0..4 {

@@ -5,11 +5,11 @@
 use eucon::prelude::*;
 
 fn run_with_lanes(lanes: LaneModel, periods: usize) -> RunResult {
-    let mut cl = ClosedLoop::builder(workloads::simple())
+    let mut cl = LoopBuilder::new(workloads::simple())
         .sim_config(SimConfig::constant_etf(0.5).seed(1))
         .controller(ControllerSpec::Eucon(MpcConfig::simple()))
         .lanes(lanes)
-        .build()
+        .local()
         .expect("loop");
     cl.run(periods)
 }

@@ -34,10 +34,10 @@ fn rebalancing_turns_an_uncontrollable_deployment_into_a_controllable_one() {
     );
 
     // Unbalanced: even at Rmin, P1 exceeds its bound — EUCON saturates.
-    let mut cl = ClosedLoop::builder(set.clone())
+    let mut cl = LoopBuilder::new(set.clone())
         .sim_config(SimConfig::constant_etf(1.0))
         .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-        .build()
+        .local()
         .expect("loop");
     let unbalanced = cl.run(120);
     let u1 = metrics::window(&unbalanced.trace.utilization_series(0), 80, 120);
@@ -58,10 +58,10 @@ fn rebalancing_turns_an_uncontrollable_deployment_into_a_controllable_one() {
         report.after < 1.0,
         "balancing must reach feasibility: {report:?}"
     );
-    let mut cl = ClosedLoop::builder(balanced_set)
+    let mut cl = LoopBuilder::new(balanced_set)
         .sim_config(SimConfig::constant_etf(1.0))
         .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-        .build()
+        .local()
         .expect("loop");
     let balanced = cl.run(120);
     for p in 0..3 {
@@ -88,10 +88,10 @@ fn rebalanced_medium_still_matches_paper_behaviour() {
     let set = workloads::medium();
     let (balanced, report) = balance(&set, 50);
     assert!(report.moves.is_empty());
-    let mut cl = ClosedLoop::builder(balanced)
+    let mut cl = LoopBuilder::new(balanced)
         .sim_config(SimConfig::constant_etf(0.5).seed(1))
         .controller(ControllerSpec::Eucon(MpcConfig::medium()))
-        .build()
+        .local()
         .expect("loop");
     let result = cl.run(150);
     let s = metrics::window(&result.trace.utilization_series(0), 100, 150);

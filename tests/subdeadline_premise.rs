@@ -11,10 +11,10 @@ use eucon::sim::Simulator;
 /// guarantee observed end-to-end through the full stack.
 #[test]
 fn utilization_bound_implies_subdeadlines() {
-    let mut cl = ClosedLoop::builder(workloads::simple())
+    let mut cl = LoopBuilder::new(workloads::simple())
         .sim_config(SimConfig::constant_etf(0.8))
         .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-        .build()
+        .local()
         .expect("loop");
     let _ = cl.run(200);
     let sim = cl.simulator();
@@ -30,10 +30,10 @@ fn utilization_bound_implies_subdeadlines() {
 /// utilization control exists to prevent.
 #[test]
 fn overload_destroys_subdeadlines_without_control() {
-    let mut cl = ClosedLoop::builder(workloads::simple())
+    let mut cl = LoopBuilder::new(workloads::simple())
         .sim_config(SimConfig::constant_etf(2.0))
         .controller(ControllerSpec::Open)
-        .build()
+        .local()
         .expect("loop");
     let _ = cl.run(100);
     let miss = cl.simulator().subdeadline_miss_ratio();
@@ -77,7 +77,7 @@ fn subtask_stats_are_consistent_with_task_stats() {
 #[test]
 fn subdeadlines_hold_through_disturbance() {
     let profile = EtfProfile::steps(&[(0.0, 0.5), (50_000.0, 0.9), (100_000.0, 0.33)]);
-    let mut cl = ClosedLoop::builder(workloads::medium())
+    let mut cl = LoopBuilder::new(workloads::medium())
         .sim_config(SimConfig {
             exec_model: ExecModel::Uniform { half_width: 0.2 },
             etf: profile,
@@ -86,7 +86,7 @@ fn subdeadlines_hold_through_disturbance() {
             processor_speeds: None,
         })
         .controller(ControllerSpec::Eucon(MpcConfig::medium()))
-        .build()
+        .local()
         .expect("loop");
     let _ = cl.run(150);
     let miss = cl.simulator().subdeadline_miss_ratio();
