@@ -10,12 +10,11 @@
 //! break.
 //!
 //! `--engine local` (default) closes the loop in-process; `--engine
-//! pair` and `--engine poll` run every cell over real loopback-TCP
-//! lanes (per-lane transport pairs or the many-lane poll engine), so
-//! the survival table can be reproduced under real transport effects.
+//! tcp` runs every cell over real loopback-TCP lanes, so the survival
+//! table can be reproduced under real transport effects.
 //!
 //! ```text
-//! cargo run --release -p eucon-bench --bin chaos -- --engine poll
+//! cargo run --release -p eucon-bench --bin chaos -- --engine tcp
 //! ```
 
 use std::time::Duration;
@@ -29,40 +28,25 @@ use rayon::prelude::*;
 
 const PERIODS: usize = 250;
 
-/// Receive window for the TCP engines (a frame written to a socket is
+/// Receive window over TCP lanes (a frame written to a socket is
 /// awaited at most this long; partitioned lanes are not waited for).
 const RECV_WINDOW: Duration = Duration::from_millis(5);
 
-#[derive(Clone, Copy, PartialEq)]
-enum Engine {
-    Local,
-    Pair,
-    Poll,
-}
-
-impl Engine {
-    fn name(self) -> &'static str {
-        match self {
-            Engine::Local => "local",
-            Engine::Pair => "pair",
-            Engine::Poll => "poll",
-        }
-    }
-}
-
-fn parse_engine() -> Engine {
+/// Whether the loops run over loopback-TCP lanes (`--engine tcp`)
+/// rather than in-process (`--engine local`, the default).
+fn parse_lanes() -> bool {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
-        None => Engine::Local,
+        None => false,
         Some("--engine") => match args.next().expect("--engine takes a value").as_str() {
-            "local" => Engine::Local,
-            "pair" => Engine::Pair,
-            "poll" => Engine::Poll,
-            other => panic!("unknown engine '{other}' (supported: local, pair, poll)"),
+            "local" => false,
+            "tcp" => true,
+            other => panic!("unknown engine '{other}' (supported: local, tcp)"),
         },
-        Some(other) => panic!("unknown argument '{other}' (supported: --engine local|pair|poll)"),
+        Some(other) => panic!("unknown argument '{other}' (supported: --engine local|tcp)"),
     }
 }
+
 /// The scenario whose SUP-EUCON run streams per-period telemetry to
 /// `results/telemetry_chaos.{csv,jsonl}` — the combined crash +
 /// actuation-loss case, where warm-start churn, supervisor transitions
@@ -150,12 +134,7 @@ struct Outcome {
     telemetry: Snapshot,
 }
 
-fn evaluate(
-    scenario: &'static str,
-    plan: FaultPlan,
-    spec: ControllerSpec,
-    engine: Engine,
-) -> Outcome {
+fn evaluate(scenario: &'static str, plan: FaultPlan, spec: ControllerSpec, lanes: bool) -> Outcome {
     let set = workloads::simple();
     let b = rms_set_points(&set);
     let label = controller_label(&spec);
@@ -177,10 +156,10 @@ fn evaluate(
                     .expect("create telemetry jsonl"),
             );
     }
-    let mut lp = match engine {
-        Engine::Local => builder.local(),
-        Engine::Pair => builder.distributed(NetConfig::tcp().recv_timeout(RECV_WINDOW)),
-        Engine::Poll => builder.distributed(NetConfig::tcp_poll().recv_timeout(RECV_WINDOW)),
+    let mut lp = if lanes {
+        builder.distributed(NetConfig::tcp().recv_timeout(RECV_WINDOW))
+    } else {
+        builder.local()
     }
     .expect("controller builds");
     let result = lp.run(PERIODS);
@@ -211,13 +190,12 @@ fn evaluate(
 }
 
 fn main() {
-    let engine = parse_engine();
+    let lanes = parse_lanes();
+    let engine = if lanes { "tcp" } else { "local" };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "== Chaos sweep: SIMPLE, etf = 0.5, {PERIODS} periods, tail [{}, {}), engine {} ==\n",
-        TAIL.0,
-        TAIL.1,
-        engine.name()
+        TAIL.0, TAIL.1, engine
     );
     let jobs: Vec<(&'static str, FaultPlan, ControllerSpec)> = scenarios()
         .into_iter()
@@ -230,7 +208,7 @@ fn main() {
     // Independent closed-loop runs; fan out across the pool.
     let outcomes: Vec<Outcome> = jobs
         .into_par_iter()
-        .map(|(name, plan, spec)| evaluate(name, plan, spec, engine))
+        .map(|(name, plan, spec)| evaluate(name, plan, spec, lanes))
         .collect();
 
     let rows: Vec<Vec<String>> = outcomes
@@ -246,7 +224,7 @@ fn main() {
                 o.degraded.to_string(),
                 o.non_finite.to_string(),
                 o.transitions.to_string(),
-                engine.name().to_string(),
+                engine.to_string(),
                 cores.to_string(),
             ]
         })

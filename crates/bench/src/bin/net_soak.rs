@@ -1,27 +1,23 @@
 //! Transport soak: thousands of closed-loop periods over every lane
-//! backend, with a hard zero-decode-error gate.
+//! configuration, with a hard zero-decode-error gate.
 //!
 //! Runs the distributed loop (controller node + per-processor nodes
 //! exchanging binary frames) for `--periods` sampling periods (default
-//! 2000) over each backend configuration of the selected lane engine:
-//!
-//! * `--engine pair` (default) — per-lane transport pairs: ideal
-//!   in-process channels (the bit-exact reference lane), ideal loopback
-//!   TCP, and TCP with 10% report loss plus one period of command delay.
-//! * `--engine poll` — the many-lane poll engine: ideal poll-TCP, the
-//!   same lossy/delayed configuration, and a `--lanes`-wide (default
-//!   1000) raw [`LaneFabric`] sweep soak with a resident-set gate
-//!   (post-warm-up RSS may at most double, plus 32 MiB of slack).
+//! 2000) over ideal in-memory lanes (the bit-exact reference lane),
+//! ideal loopback TCP, and TCP with 10% report loss plus one period of
+//! command delay; then a `--lanes`-wide (default 1000) raw
+//! [`LaneFabric`] sweep soak with a resident-set gate (post-warm-up RSS
+//! may at most double, plus 32 MiB of slack).
 //!
 //! Every configuration must finish with **zero frame-decode errors** and
 //! zero controller errors — a single corrupted or torn frame fails the
 //! run — and the lossy/delayed soak within 3× the wall time of its ideal
 //! twin: a period waits for frames in flight, never for frames the lane
-//! model dropped or is holding.  Stats land in `results/net_soak.csv`, which records the engine
-//! and the core count alongside the counters.
+//! model dropped or is holding.  Stats land in `results/net_soak.csv`,
+//! which records the core count alongside the counters.
 //!
 //! ```text
-//! cargo run --release -p eucon-bench --bin net_soak -- --engine poll --periods 2000
+//! cargo run --release -p eucon-bench --bin net_soak -- --periods 2000
 //! ```
 
 use std::time::{Duration, Instant};
@@ -32,24 +28,8 @@ use eucon_net::{tcp_lane_fabric, FrameKind, LaneFabric, TcpConfig};
 use eucon_sim::SimConfig;
 use eucon_tasks::workloads;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Engine {
-    Pair,
-    Poll,
-}
-
-impl Engine {
-    fn name(self) -> &'static str {
-        match self {
-            Engine::Pair => "pair",
-            Engine::Poll => "poll",
-        }
-    }
-}
-
 struct Args {
     periods: usize,
-    engine: Engine,
     lanes: usize,
     seed: u64,
 }
@@ -57,7 +37,6 @@ struct Args {
 fn parse_args() -> Args {
     let mut parsed = Args {
         periods: 2000,
-        engine: Engine::Pair,
         lanes: 1000,
         seed: 3,
     };
@@ -68,17 +47,9 @@ fn parse_args() -> Args {
             "--periods" => parsed.periods = value().parse().expect("--periods takes an integer"),
             "--lanes" => parsed.lanes = value().parse().expect("--lanes takes an integer"),
             "--seed" => parsed.seed = value().parse().expect("--seed takes an integer"),
-            "--engine" => {
-                parsed.engine = match value().as_str() {
-                    "pair" => Engine::Pair,
-                    "poll" => Engine::Poll,
-                    other => panic!("unknown engine '{other}' (supported: pair, poll)"),
-                }
+            other => {
+                panic!("unknown argument '{other}' (supported: --periods N, --lanes N, --seed S)")
             }
-            other => panic!(
-                "unknown argument '{other}' \
-                 (supported: --periods N, --engine pair|poll, --lanes N, --seed S)"
-            ),
         }
     }
     parsed
@@ -97,48 +68,27 @@ struct Soak {
 /// never waited for, so its length does not show in the lossy soak.
 const RECV_WINDOW: Duration = Duration::from_millis(5);
 
-fn soaks(engine: Engine) -> Vec<Soak> {
-    let lossy = |net: NetConfig| {
-        net.report_lanes(LaneModel::lossy(0.1, 77))
-            .command_lanes(LaneModel::delayed(1))
-    };
-    match engine {
-        Engine::Pair => {
-            let tcp = NetConfig::tcp().recv_timeout(RECV_WINDOW);
-            vec![
-                Soak {
-                    name: "channel ideal",
-                    lossy: false,
-                    net: NetConfig::channel(),
-                },
-                Soak {
-                    name: "tcp ideal",
-                    lossy: false,
-                    net: tcp.clone(),
-                },
-                Soak {
-                    name: "tcp 10% report loss + cmd delay 1",
-                    lossy: true,
-                    net: lossy(tcp),
-                },
-            ]
-        }
-        Engine::Poll => {
-            let poll = NetConfig::tcp_poll().recv_timeout(RECV_WINDOW);
-            vec![
-                Soak {
-                    name: "tcp-poll ideal",
-                    lossy: false,
-                    net: poll.clone(),
-                },
-                Soak {
-                    name: "tcp-poll 10% report loss + cmd delay 1",
-                    lossy: true,
-                    net: lossy(poll),
-                },
-            ]
-        }
-    }
+fn soaks() -> Vec<Soak> {
+    let tcp = NetConfig::tcp().recv_timeout(RECV_WINDOW);
+    vec![
+        Soak {
+            name: "channel ideal",
+            lossy: false,
+            net: NetConfig::channel(),
+        },
+        Soak {
+            name: "tcp ideal",
+            lossy: false,
+            net: tcp.clone(),
+        },
+        Soak {
+            name: "tcp 10% report loss + cmd delay 1",
+            lossy: true,
+            net: tcp
+                .report_lanes(LaneModel::lossy(0.1, 77))
+                .command_lanes(LaneModel::delayed(1)),
+        },
+    ]
 }
 
 /// Resident-set size in bytes, if the platform exposes
@@ -262,16 +212,11 @@ fn fabric_soak(lanes: usize, periods: usize, seed: u64) -> Vec<String> {
 fn main() {
     let args = parse_args();
     let periods = args.periods;
-    let engine = args.engine;
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "== Transport soak: SIMPLE, etf = 0.5, {periods} periods per backend, \
-         engine {} ==\n",
-        engine.name()
-    );
+    println!("== Transport soak: SIMPLE, etf = 0.5, {periods} periods per configuration ==\n");
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut ideal_elapsed = Duration::ZERO;
-    for soak in soaks(engine) {
+    for soak in soaks() {
         let mut dl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5).seed(args.seed))
             .controller(ControllerSpec::Eucon(MpcConfig::simple()))
@@ -333,11 +278,8 @@ fn main() {
             elapsed.as_secs_f64()
         );
     }
-    if engine == Engine::Poll {
-        rows.push(fabric_soak(args.lanes, periods, args.seed));
-    }
+    rows.push(fabric_soak(args.lanes, periods, args.seed));
     for row in &mut rows {
-        row.push(engine.name().to_string());
         row.push(cores.to_string());
     }
     let headers = [
@@ -349,7 +291,6 @@ fn main() {
         "stale reuse",
         "bytes sent",
         "secs",
-        "engine",
         "cores",
     ];
     println!("\n{}", render::table(&headers, &rows));
@@ -365,7 +306,6 @@ fn main() {
                 "stale_reuse",
                 "bytes_sent",
                 "seconds",
-                "engine",
                 "cores",
             ],
             &rows,

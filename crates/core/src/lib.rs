@@ -90,7 +90,7 @@ pub use closed_loop::{
     ClosedLoop, FaultSummary, FleetPlan, LoopBuilder, RunMetrics, RunResult,
     DEFAULT_SAMPLING_PERIOD,
 };
-pub use distributed::{LaneEngine, NetBackend, NetConfig};
+pub use distributed::{NetBackend, NetConfig};
 pub use error::CoreError;
 pub use experiments::{SteadyRun, SweepPoint, VaryingRun};
 pub use factory::{factory_fn, ControllerFactory, ControllerSpec};
@@ -107,9 +107,10 @@ pub use service::{
 pub use shardnet::{BoundaryMode, NetShardedController, ShardBoundaryNet, ShardNetStats};
 pub use trace::{StepAnnotations, Trace, TraceStep};
 
-/// The transport layer of distributed mode, re-exported: the
-/// [`net::Transport`] trait, the wire [`net::Frame`] format, the channel
-/// and TCP backends and the [`net::DelayLoss`] middleware.
+/// The transport layer of distributed mode, re-exported: the wire
+/// [`net::Frame`] format, the [`net::PollEngine`] lane engine with its
+/// TCP and in-memory [`net::LaneFabric`]s, and the
+/// [`net::DelayLossGate`].
 pub use eucon_net as net;
 
 /// Metrics over utilization series: mean/deviation windows, the paper's

@@ -179,10 +179,10 @@ impl std::fmt::Debug for TenantSpec {
 }
 
 impl TenantSpec {
-    /// A tenant named `name` controlling `set` over ideal poll-engine
-    /// TCP lanes with a 5 ms receive window.
+    /// A tenant named `name` controlling `set` over ideal loopback-TCP
+    /// lanes with a 5 ms receive window.
     pub fn new(name: impl Into<String>, set: TaskSet) -> Self {
-        let mut net = NetConfig::tcp_poll();
+        let mut net = NetConfig::tcp();
         net.recv_timeout = Duration::from_millis(5);
         TenantSpec {
             name: name.into(),
@@ -798,6 +798,12 @@ fn parse_attach(args: &[&str]) -> Result<TenantSpec, AttachError> {
         .get(2)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| bad("ATTACH needs a numeric etf"))?;
+    // `-1`, `0`, `NaN` and `inf` all parse as `f64`; the simulator
+    // asserts on them, and that panic would take the daemon thread —
+    // and every tenant on it — down.
+    if !(etf.is_finite() && etf > 0.0) {
+        return Err(bad("etf must be positive and finite"));
+    }
     let (set, mpc) = match workload {
         "simple" => (workloads::simple(), MpcConfig::simple()),
         "medium" => (workloads::medium(), MpcConfig::medium()),
@@ -1060,5 +1066,23 @@ mod tests {
             .iter()
             .any(|e| matches!(e, TenantEvent::Detached { .. })));
         assert!(summary.reports.is_empty(), "tenant already detached");
+    }
+
+    #[test]
+    fn a_bad_etf_on_the_admin_line_is_an_error_not_a_dead_daemon() {
+        let mut svc = ControlService::new(EvictionPolicy::default());
+        let (resp, _) = handle_command(&mut svc, "ATTACH good simple 0.5");
+        assert!(resp.starts_with("OK"), "{resp}");
+        for etf in ["-1", "0", "NaN", "inf"] {
+            let (resp, shutdown) = handle_command(&mut svc, &format!("ATTACH evil simple {etf}"));
+            assert!(resp.starts_with("ERR"), "etf {etf}: {resp}");
+            assert!(resp.contains("positive and finite"), "etf {etf}: {resp}");
+            assert!(!shutdown);
+            let before = svc.periods(TenantId(0)).unwrap();
+            svc.step_all();
+            assert_eq!(svc.periods(TenantId(0)), Some(before + 1));
+            assert_eq!(handle_command(&mut svc, "PING").0, "OK pong\n");
+        }
+        assert_eq!(svc.active_tenants(), 1, "no evil tenant was attached");
     }
 }

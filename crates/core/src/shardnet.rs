@@ -3,16 +3,19 @@
 //!
 //! The sharded controller (`eucon-control`) coordinates its per-shard
 //! MPCs through a [`BoundaryBus`]; this module routes that coordination
-//! over `eucon-net` lanes — **one lane pair per shard** to a hub that
-//! keeps the cluster's boundary boards:
+//! over one `eucon-net` lane fabric — **one in-memory lane per shard**
+//! to a hub that keeps the cluster's boundary boards, the same topology
+//! as the processor lanes of a distributed loop (shard side = the
+//! fabric's `proc` engine, hub = `ctrl`) and the same sending code
+//! (`distributed::Direction`):
 //!
-//! * **up lane** (shard → hub): per period, a shard sends one
-//!   [`Frame::BoundaryExchange`] with its home-processor utilizations
-//!   (Phase A) and one with its committed rate moves (after its solve).
-//!   The first payload value is a protocol tag (`0.0` = utilizations,
-//!   `1.0` = moves); the remainder are the values in the shard's fixed
-//!   home/owned order.
-//! * **down lane** (hub → shard): on each fetch the hub answers with one
+//! * **up** (shard → hub): per period, a shard sends one
+//!   [`FrameKind::BoundaryExchange`] frame with its home-processor
+//!   utilizations (Phase A) and one with its committed rate moves (after
+//!   its solve).  The first payload value is a protocol tag (`0.0` =
+//!   utilizations, `1.0` = moves); the remainder are the values in the
+//!   shard's fixed home/owned order.
+//! * **down** (hub → shard): on each fetch the hub answers with one
 //!   frame holding the shard's boundary view — peer moves for its
 //!   boundary tasks, then utilizations for its boundary processors, in
 //!   the shard's fixed boundary order.
@@ -22,9 +25,10 @@
 //! Over ideal lanes every frame crosses within the publish/fetch call
 //! that produced it, so the sweep sees exactly the shared-memory
 //! exchange — the equivalence test pins this bit-for-bit.  Under delay
-//! or loss ([`DelayLoss`] middleware on every sending endpoint), a shard
-//! whose down-frame did not arrive simply keeps its previous boundary
-//! view (stale-state hold), and the hub's boards hold each shard's last
+//! or loss (an `eucon-net` `DelayLossGate` in front of every sending
+//! end), a shard whose down-frame did not arrive simply keeps its
+//! previous boundary view (stale-state hold), and the hub's boards hold
+//! each shard's last
 //! delivered publish: *eventual consistency between control domains* —
 //! the team converges to the same fixed point once frames flow again,
 //! and a completely deaf bus degrades to independent per-shard control,
@@ -37,18 +41,16 @@
 use eucon_control::{BoundaryBus, ControlError, ControllerTelemetry, RateController};
 use eucon_control::{MpcConfig, ShardPlan, ShardPlanner, ShardedController};
 use eucon_math::Vector;
-use eucon_net::{channel_pair, DelayLoss, Frame, Transport};
+use eucon_net::{memory_lane_fabric, FrameKind, LaneFabric};
 use eucon_tasks::TaskSet;
+
+use crate::distributed::Direction;
+use crate::LaneModel;
 
 /// Payload tag of an up-lane frame carrying home utilizations.
 const TAG_UTILIZATION: f64 = 0.0;
 /// Payload tag of an up-lane frame carrying committed moves.
 const TAG_MOVES: f64 = 1.0;
-
-/// Per-shard lane capacity: a period produces at most three frames per
-/// shard, so a small bound suffices; drop-oldest backpressure keeps the
-/// freshest state flowing when a lossy run backs up.
-const LANE_CAPACITY: usize = 8;
 
 /// How shard boundary state travels between control domains.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,12 +59,12 @@ pub enum BoundaryMode {
     /// Shared-memory exchange inside the sweep (no lanes) — the
     /// reference semantics.
     InProcess,
-    /// One ideal (lossless, same-period) lane pair per shard;
-    /// bit-identical to [`BoundaryMode::InProcess`].
+    /// One ideal (lossless, same-period) lane per shard; bit-identical
+    /// to [`BoundaryMode::InProcess`].
     IdealLanes,
-    /// One lane pair per shard behind delay/loss middleware: frames
-    /// spend `delay` periods in flight and each crossing frame drops
-    /// with probability `loss`.
+    /// One lane per shard behind delay/loss gates: frames spend `delay`
+    /// periods in flight and each crossing frame drops with probability
+    /// `loss`.
     LossyLanes {
         /// Whole sampling periods each boundary frame spends in flight.
         delay: usize,
@@ -80,22 +82,14 @@ pub struct ShardNetStats {
     pub frames_sent: u64,
     /// Boundary frames delivered to their receiving endpoint.
     pub frames_delivered: u64,
-    /// Boundary frames dropped by loss middleware or backpressure.
+    /// Boundary frames dropped on a loss draw.
     pub frames_dropped: u64,
     /// Fetches answered from the stale held view (no down-frame arrived).
     pub stale_fetches: u64,
 }
 
-/// One shard's lane pair plus its fixed frame layouts.
-struct ShardLane {
-    /// Shard endpoint of the up lane (sends publishes).
-    up_tx: Box<dyn Transport>,
-    /// Hub endpoint of the up lane (receives publishes).
-    up_rx: Box<dyn Transport>,
-    /// Hub endpoint of the down lane (sends boundary views).
-    down_tx: Box<dyn Transport>,
-    /// Shard endpoint of the down lane (receives boundary views).
-    down_rx: Box<dyn Transport>,
+/// One shard's fixed frame layouts.
+struct ShardLayout {
     /// The shard's home processors — the layout of its utilization
     /// publishes (fixed at construction, like a deployment's config).
     home: Vec<usize>,
@@ -104,14 +98,18 @@ struct ShardLane {
     owned: Vec<usize>,
 }
 
-/// [`BoundaryBus`] over one `eucon-net` lane pair per shard.
+/// [`BoundaryBus`] over one `eucon-net` lane per shard.
 ///
 /// Build with [`ShardBoundaryNet::ideal`] or
 /// [`ShardBoundaryNet::lossy`], then drive
 /// [`ShardedController::update_with_bus`] — or let
 /// [`NetShardedController`] bundle both behind [`RateController`].
 pub struct ShardBoundaryNet {
-    lanes: Vec<ShardLane>,
+    /// Lane `s` joins shard `s` (the `proc` end) to the hub (`ctrl`).
+    fabric: LaneFabric,
+    up: Direction,
+    down: Direction,
+    shards: Vec<ShardLayout>,
     /// Last delivered home utilization per processor (init: set points).
     u_board: Vec<f64>,
     /// Last delivered committed move per task (init: zero — no task has
@@ -126,7 +124,7 @@ pub struct ShardBoundaryNet {
 impl std::fmt::Debug for ShardBoundaryNet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardBoundaryNet")
-            .field("shards", &self.lanes.len())
+            .field("shards", &self.shards.len())
             .field("period", &self.period)
             .field("stats", &self.stats())
             .finish()
@@ -134,13 +132,13 @@ impl std::fmt::Debug for ShardBoundaryNet {
 }
 
 impl ShardBoundaryNet {
-    /// Builds the hub with one ideal lane pair per shard.
+    /// Builds the hub with one ideal lane per shard.
     pub fn ideal(set: &TaskSet, plan: &ShardPlan, set_points: &Vector) -> Self {
-        Self::build(set, plan, set_points, None)
+        Self::build(set, plan, set_points, &LaneModel::ideal())
     }
 
-    /// Builds the hub with delay/loss middleware on every sending
-    /// endpoint; lane seeds derive from `seed` so every lane draws an
+    /// Builds the hub with a delay/loss gate in front of every sending
+    /// end; lane seeds derive from `seed` so every lane draws an
     /// independent loss sequence.
     ///
     /// # Errors
@@ -161,52 +159,41 @@ impl ShardBoundaryNet {
                 "boundary-lane loss probability must be in [0, 1), got {loss}"
             )));
         }
-        Ok(Self::build(
-            set,
-            plan,
-            set_points,
-            Some((delay, loss, seed)),
-        ))
+        let model = LaneModel {
+            report_delay: delay,
+            loss_probability: loss,
+            seed,
+        };
+        Ok(Self::build(set, plan, set_points, &model))
     }
 
-    fn build(
-        set: &TaskSet,
-        plan: &ShardPlan,
-        set_points: &Vector,
-        lossy: Option<(usize, f64, u64)>,
-    ) -> Self {
+    fn build(set: &TaskSet, plan: &ShardPlan, set_points: &Vector, model: &LaneModel) -> Self {
         let m = set.num_tasks();
-        let mut lanes = Vec::with_capacity(plan.num_shards());
-        for (s, home) in plan.shards().iter().enumerate() {
-            let owned: Vec<usize> = (0..m)
-                .filter(|&j| home.contains(&set.tasks()[j].subtasks()[0].processor.0))
-                .collect();
-            let (up_tx, up_rx) = channel_pair(LANE_CAPACITY);
-            let (down_tx, down_rx) = channel_pair(LANE_CAPACITY);
-            let (up_tx, down_tx): (Box<dyn Transport>, Box<dyn Transport>) = match lossy {
-                None => (Box::new(up_tx), Box::new(down_tx)),
-                Some((delay, loss, seed)) => {
-                    // Distinct per-lane seeds: the up and down draws of a
-                    // shard, and the draws of different shards, must be
-                    // independent loss sequences.
-                    let base = seed.wrapping_add(2 * s as u64);
-                    (
-                        Box::new(DelayLoss::new(up_tx, delay, loss, base)),
-                        Box::new(DelayLoss::new(down_tx, delay, loss, base.wrapping_add(1))),
-                    )
-                }
-            };
-            lanes.push(ShardLane {
-                up_tx,
-                up_rx: Box::new(up_rx),
-                down_tx,
-                down_rx: Box::new(down_rx),
+        let shards: Vec<ShardLayout> = plan
+            .shards()
+            .iter()
+            .map(|home| ShardLayout {
                 home: home.clone(),
-                owned,
-            });
-        }
+                owned: (0..m)
+                    .filter(|&j| home.contains(&set.tasks()[j].subtasks()[0].processor.0))
+                    .collect(),
+            })
+            .collect();
+        let k = shards.len();
+        let kind = FrameKind::BoundaryExchange;
+        // Distinct per-lane seeds: shard `s` draws its up losses from
+        // `seed + 2s` and its down losses from `seed + 2s + 1`, so the
+        // two directions of a shard, and different shards, see
+        // independent loss sequences.
+        let down_model = LaneModel {
+            seed: model.seed.wrapping_add(1),
+            ..model.clone()
+        };
         ShardBoundaryNet {
-            lanes,
+            fabric: memory_lane_fabric(k),
+            up: Direction::new(kind, model, k, 2),
+            down: Direction::new(kind, &down_model, k, 2),
+            shards,
             u_board: set_points.iter().copied().collect(),
             move_board: vec![0.0; m],
             seq: 0,
@@ -218,19 +205,16 @@ impl ShardBoundaryNet {
 
     /// Cumulative traffic counters across every lane.
     pub fn stats(&self) -> ShardNetStats {
-        let mut s = ShardNetStats::default();
-        for lane in &self.lanes {
-            for t in [&lane.up_tx, &lane.down_tx] {
-                let ts = t.stats();
-                s.frames_sent += ts.sent;
-                s.frames_dropped += ts.dropped;
-            }
-            for t in [&lane.up_rx, &lane.down_rx] {
-                s.frames_delivered += t.stats().received;
-            }
+        let (mut hub, mut shards) = (self.fabric.ctrl.stats(), self.fabric.proc.stats());
+        self.up.mirror_into(&mut shards);
+        self.down.mirror_into(&mut hub);
+        let total = hub.merge(&shards);
+        ShardNetStats {
+            frames_sent: total.sent,
+            frames_delivered: total.received,
+            frames_dropped: total.dropped,
+            stale_fetches: self.stale_fetches,
         }
-        s.stale_fetches = self.stale_fetches;
-        s
     }
 
     /// Fetch calls served so far (one per solving shard per period).
@@ -238,44 +222,40 @@ impl ShardBoundaryNet {
         self.fetches
     }
 
-    fn next_seq(&mut self) -> u64 {
-        self.seq += 1;
-        self.seq
-    }
-
-    /// Applies every up-frame pending on shard `s`'s up lane to the hub
-    /// boards.  Frames arrive in send order, so later (fresher) frames
-    /// overwrite earlier ones.
+    /// Applies every up-frame pending at the hub end of shard `s`'s lane
+    /// to the hub boards.  Frames arrive in send order, so later
+    /// (fresher) frames overwrite earlier ones.
     fn drain_up(&mut self, s: usize) {
-        let lane = &mut self.lanes[s];
-        while let Ok(Some(frame)) = lane.up_rx.try_recv() {
-            let values = frame.values();
-            let Some((&tag, body)) = values.split_first() else {
-                continue;
+        let (layout, u_board, move_board) =
+            (&self.shards[s], &mut self.u_board, &mut self.move_board);
+        let _ = self.fabric.ctrl.drain(s, |view| {
+            let mut values = view.values();
+            let Some(tag) = values.next() else {
+                return;
             };
             if tag == TAG_UTILIZATION {
-                for (&p, &v) in lane.home.iter().zip(body) {
-                    self.u_board[p] = v;
+                for (&p, v) in layout.home.iter().zip(values) {
+                    u_board[p] = v;
                 }
             } else {
-                for (&j, &v) in lane.owned.iter().zip(body) {
-                    self.move_board[j] = v;
+                for (&j, v) in layout.owned.iter().zip(values) {
+                    move_board[j] = v;
                 }
             }
-        }
+        });
     }
 
     fn send_up(&mut self, s: usize, tag: f64, body: &[f64]) {
-        let mut values = Vec::with_capacity(1 + body.len());
-        values.push(tag);
-        values.extend_from_slice(body);
-        let frame = Frame::BoundaryExchange {
-            seq: self.next_seq(),
-            period: self.period,
-            shard: s as u16,
+        self.seq += 1;
+        let values = (0..body.len() + 1).map(|i| if i == 0 { tag } else { body[i - 1] });
+        self.up.offer(
+            &mut self.fabric.proc,
+            s,
+            self.seq,
+            self.period,
+            s as u16,
             values,
-        };
-        let _ = self.lanes[s].up_tx.send(frame);
+        );
         // An ideal lane delivered synchronously; a delayed one will be
         // drained after a later tick.  Draining here keeps the hub boards
         // exactly in step with the sweep on ideal lanes.
@@ -288,11 +268,9 @@ impl BoundaryBus for ShardBoundaryNet {
         self.period += 1;
         // The period tick is the lanes' clock: it releases frames whose
         // delay elapsed, which the next drain then applies.
-        for s in 0..self.lanes.len() {
-            self.lanes[s].up_tx.tick();
-            self.lanes[s].up_rx.tick();
-            self.lanes[s].down_tx.tick();
-            self.lanes[s].down_rx.tick();
+        self.up.tick(&mut self.fabric.proc);
+        self.down.tick(&mut self.fabric.ctrl);
+        for s in 0..self.shards.len() {
             self.drain_up(s);
         }
     }
@@ -316,37 +294,33 @@ impl BoundaryBus for ShardBoundaryNet {
         self.fetches += 1;
         // Hub side: compose the shard's boundary view from the boards
         // and send it down the shard's lane.
-        let mut values = Vec::with_capacity(move_tasks.len() + procs.len());
-        values.extend(move_tasks.iter().map(|&j| self.move_board[j]));
-        values.extend(procs.iter().map(|&p| self.u_board[p]));
-        let frame = Frame::BoundaryExchange {
-            seq: self.next_seq(),
-            period: self.period,
-            shard: shard as u16,
+        self.seq += 1;
+        let (move_board, u_board) = (&self.move_board, &self.u_board);
+        let values = (0..move_tasks.len() + procs.len()).map(|i| match move_tasks.get(i) {
+            Some(&j) => move_board[j],
+            None => u_board[procs[i - move_tasks.len()]],
+        });
+        self.down.offer(
+            &mut self.fabric.ctrl,
+            shard,
+            self.seq,
+            self.period,
+            shard as u16,
             values,
-        };
-        let _ = self.lanes[shard].down_tx.send(frame);
+        );
 
-        // Shard side: drain the down lane and apply the freshest view
-        // that arrived.  Nothing arrived → the caller's held view stands.
-        let mut latest: Option<Frame> = None;
-        while let Ok(Some(f)) = self.lanes[shard].down_rx.try_recv() {
-            latest = Some(f);
-        }
-        match latest {
-            Some(f) => {
-                let values = f.values();
-                // A down-frame's layout is fixed per shard, so even a
-                // frame delayed from an earlier period splits the same way.
-                debug_assert_eq!(values.len(), moves.len() + u.len());
-                for (dst, &v) in moves.iter_mut().zip(values) {
-                    *dst = v;
-                }
-                for (dst, &v) in u.iter_mut().zip(&values[moves.len()..]) {
-                    *dst = v;
-                }
+        // Shard side: drain the lane and apply what arrived, freshest
+        // last.  Nothing arrived → the caller's held view stands.
+        let arrived = self.fabric.proc.drain(shard, |view| {
+            // A down-frame's layout is fixed per shard, so even a frame
+            // delayed from an earlier period splits the same way.
+            debug_assert_eq!(view.len(), moves.len() + u.len());
+            for (dst, v) in moves.iter_mut().chain(u.iter_mut()).zip(view.values()) {
+                *dst = v;
             }
-            None => self.stale_fetches += 1,
+        });
+        if !matches!(arrived, Ok(n) if n > 0) {
+            self.stale_fetches += 1;
         }
     }
 }

@@ -1,5 +1,5 @@
 //! Allocation-guard regression test for the distributed hot path over
-//! the many-lane poll engine.
+//! the lane engine, on both of its links.
 //!
 //! The poll engine's contract (the async-lane overhaul): in the
 //! fault-free steady state a distributed sampling period performs
@@ -64,35 +64,40 @@ fn measure(dl: &mut ClosedLoop, periods: usize) -> u64 {
 
 #[test]
 fn poll_engine_steady_state_period_is_allocation_free() {
-    // OPEN controller over real loopback-TCP poll lanes, trace
-    // recording off: the distributed period must not allocate at all.
-    // OPEN isolates the transport + plant + monitor + actuation path —
-    // its own update is trivially allocation-free, so every allocation
-    // seen here would be the lane engine's.
-    let mut dl = LoopBuilder::new(workloads::medium())
-        .sim_config(SimConfig::constant_etf(0.5))
-        .controller(ControllerSpec::Open)
-        .record_trace(false)
-        .distributed(NetConfig::tcp_poll().recv_timeout(Duration::from_millis(200)))
-        .unwrap();
-    // Warm-up: frame readers, encode scratch, ready queues and
-    // in-flight rings grow to steady-state capacity during the first
-    // periods.
-    for _ in 0..100 {
-        dl.step();
+    // OPEN controller, trace recording off: the distributed period must
+    // not allocate at all, over real loopback TCP and over in-memory
+    // links alike (one engine, so one contract).  OPEN isolates the
+    // transport + plant + monitor + actuation path — its own update is
+    // trivially allocation-free, so every allocation seen here would be
+    // the lane engine's.
+    let tcp = NetConfig::tcp().recv_timeout(Duration::from_millis(200));
+    for (net, name) in [(tcp, "tcp"), (NetConfig::channel(), "channel")] {
+        let mut dl = LoopBuilder::new(workloads::medium())
+            .sim_config(SimConfig::constant_etf(0.5))
+            .controller(ControllerSpec::Open)
+            .record_trace(false)
+            .distributed(net)
+            .unwrap();
+        // Warm-up: frame readers, encode scratch, pipes, ready queues
+        // and in-flight rings grow to steady-state capacity during the
+        // first periods.
+        for _ in 0..100 {
+            dl.step();
+        }
+        let steady = measure(&mut dl, 50);
+        assert_eq!(
+            steady, 0,
+            "{name} steady state must not allocate (got {steady} over 50 periods)"
+        );
+        // The lanes really carried every frame: one report and one
+        // command per processor per period, zero drops, zero decode
+        // errors.
+        let stats = dl.transport_stats();
+        let lanes = dl.set_points().len() as u64;
+        assert_eq!(stats.sent, 2 * lanes * 150);
+        assert_eq!(stats.received, 2 * lanes * 150);
+        assert_eq!(stats.dropped, 0);
+        assert_eq!(stats.decode_errors, 0);
+        assert_eq!(dl.backend_name(), name);
     }
-    let steady = measure(&mut dl, 50);
-    assert_eq!(
-        steady, 0,
-        "poll-engine steady state must not allocate (got {steady} over 50 periods)"
-    );
-    // The lanes really carried every frame: one report and one command
-    // per processor per period, zero drops, zero decode errors.
-    let stats = dl.transport_stats();
-    let lanes = dl.set_points().len() as u64;
-    assert_eq!(stats.sent, 2 * lanes * 150);
-    assert_eq!(stats.received, 2 * lanes * 150);
-    assert_eq!(stats.dropped, 0);
-    assert_eq!(stats.decode_errors, 0);
-    assert_eq!(dl.backend_name(), "tcp-poll");
 }

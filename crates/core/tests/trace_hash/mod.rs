@@ -208,7 +208,7 @@ impl Scenario {
     }
 
     /// Runs the scenario through the distributed loop over ideal
-    /// in-process channel lanes — must be bit-identical to
+    /// in-memory lanes — must be bit-identical to
     /// [`Scenario::run_single`].
     pub fn run_distributed_channel(self) -> RunResult {
         self.builder()
@@ -218,14 +218,13 @@ impl Scenario {
     }
 
     /// Runs the scenario through the distributed loop over real
-    /// loopback-TCP lanes driven by the many-lane poll engine — must be
-    /// bit-identical to [`Scenario::run_single`].  The generous receive
+    /// loopback-TCP lanes — must be bit-identical to [`Scenario::run_single`].  The generous receive
     /// window keeps loaded machines deterministic: TCP loses nothing,
     /// so every report lands within the window and the trace carries no
     /// timing artifacts.
     pub fn run_distributed_poll(self) -> RunResult {
         self.builder()
-            .distributed(NetConfig::tcp_poll().recv_timeout(std::time::Duration::from_millis(200)))
+            .distributed(NetConfig::tcp().recv_timeout(std::time::Duration::from_millis(200)))
             .expect("distributed poll loop")
             .run(GOLDEN_PERIODS)
     }

@@ -29,14 +29,14 @@ impl fmt::Display for FrameError {
 
 impl Error for FrameError {}
 
-/// Errors surfaced by a [`Transport`] endpoint.
+/// Errors surfaced by a lane endpoint ([`PollEngine`]).
 ///
-/// [`Transport`]: crate::Transport
+/// [`PollEngine`]: crate::PollEngine
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TransportError {
-    /// The peer endpoint is gone and cannot be reached (the channel's
-    /// other half was dropped, or a TCP endpoint exhausted reconnection).
+    /// The lane is down — torn and not yet re-dialed, or retired — or
+    /// the token names no lane of the engine.
     Disconnected,
     /// A send did not complete within the configured send timeout.
     Timeout,

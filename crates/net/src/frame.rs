@@ -259,25 +259,13 @@ impl<'a> FrameView<'a> {
     /// Materializes an owned [`Frame`] (allocates — the compatibility
     /// bridge for callers that need ownership).
     pub fn to_frame(&self) -> Frame {
-        let values: Vec<f64> = self.values().collect();
-        match self.kind {
-            FrameKind::UtilizationReport => Frame::UtilizationReport {
-                seq: self.seq,
-                period: self.period,
-                values,
-            },
-            FrameKind::RateCommand => Frame::RateCommand {
-                seq: self.seq,
-                period: self.period,
-                rates: values,
-            },
-            FrameKind::BoundaryExchange => Frame::BoundaryExchange {
-                seq: self.seq,
-                period: self.period,
-                shard: self.shard,
-                values,
-            },
-        }
+        Frame::new(
+            self.kind,
+            self.seq,
+            self.period,
+            self.shard,
+            self.values().collect(),
+        )
     }
 }
 
@@ -327,6 +315,29 @@ pub enum Frame {
 }
 
 impl Frame {
+    /// A frame of `kind` owning `values` (`shard` is kept only by
+    /// [`Frame::BoundaryExchange`]).
+    pub fn new(kind: FrameKind, seq: u64, period: u64, shard: u16, values: Vec<f64>) -> Frame {
+        match kind {
+            FrameKind::UtilizationReport => Frame::UtilizationReport {
+                seq,
+                period,
+                values,
+            },
+            FrameKind::RateCommand => Frame::RateCommand {
+                seq,
+                period,
+                rates: values,
+            },
+            FrameKind::BoundaryExchange => Frame::BoundaryExchange {
+                seq,
+                period,
+                shard,
+                values,
+            },
+        }
+    }
+
     /// The frame's sequence number.
     pub fn seq(&self) -> u64 {
         match self {
@@ -363,10 +374,6 @@ impl Frame {
         }
     }
 
-    fn kind_byte(&self) -> u8 {
-        self.kind().byte()
-    }
-
     /// Encoded size in bytes.
     pub fn encoded_len(&self) -> usize {
         let trailer = match self {
@@ -384,21 +391,12 @@ impl Frame {
     /// built from task-set-sized vectors, so this is a programming error,
     /// not a runtime condition.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let values = self.values();
-        assert!(values.len() <= MAX_PAYLOAD, "frame payload too large");
-        out.reserve(self.encoded_len());
-        out.push(FRAME_VERSION);
-        out.push(self.kind_byte());
-        out.extend_from_slice(&(values.len() as u16).to_le_bytes());
-        out.extend_from_slice(&self.seq().to_le_bytes());
-        out.extend_from_slice(&self.period().to_le_bytes());
-        if let Frame::BoundaryExchange { shard, .. } = self {
-            out.extend_from_slice(&shard.to_le_bytes());
-            out.extend_from_slice(&[0u8; 2]);
-        }
-        for &v in values {
-            out.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
+        let shard = match self {
+            Frame::BoundaryExchange { shard, .. } => *shard,
+            _ => 0,
+        };
+        let values = self.values().iter().copied();
+        encode_frame(out, self.kind(), self.seq(), self.period(), shard, values);
     }
 
     /// The wire encoding as a fresh byte vector.
@@ -452,37 +450,17 @@ impl FrameReader {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Pops the next complete frame, if one is buffered.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FrameError`] for malformed input; the internal buffer
-    /// is cleared (the stream cannot be resynchronized past a bad frame).
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, FrameError> {
-        match Frame::decode(&self.buf[self.consumed..]) {
-            Ok(Some((frame, used))) => {
-                self.consumed += used;
-                Ok(Some(frame))
-            }
-            Ok(None) => Ok(None),
-            Err(e) => {
-                self.clear();
-                Err(e)
-            }
-        }
-    }
-
     /// Pops the next complete frame as a zero-copy [`FrameView`]
     /// borrowing this reader's buffer — the poll engine's drain path
     /// (no payload copy, no allocation).
     ///
     /// The view is valid until the next call that mutates the reader
-    /// (`extend`, `next_frame`, `next_view`, `clear`).
+    /// (`extend`, `next_view`, `clear`).
     ///
     /// # Errors
     ///
     /// Propagates [`FrameError`] for malformed input; the internal buffer
-    /// is cleared, exactly like [`FrameReader::next_frame`].
+    /// is cleared (the stream cannot be resynchronized past a bad frame).
     pub fn next_view(&mut self) -> Result<Option<FrameView<'_>>, FrameError> {
         let used = match frame_len(&self.buf[self.consumed..]) {
             Ok(Some(total)) => total,
@@ -612,8 +590,8 @@ mod tests {
         let mut reader = FrameReader::new();
         reader.extend(&stream);
         let mut got = Vec::new();
-        while let Some(f) = reader.next_frame().unwrap() {
-            got.push(f);
+        while let Some(view) = reader.next_view().unwrap() {
+            got.push(view.to_frame());
         }
         assert_eq!(got, frames);
     }
@@ -644,26 +622,6 @@ mod tests {
             Frame::decode(&bytes),
             Err(FrameError::Oversize(u16::MAX as usize))
         );
-    }
-
-    #[test]
-    fn reader_reassembles_dribbled_bytes() {
-        let frames = [report(1, &[0.1]), report(2, &[0.2, 0.3]), report(3, &[])];
-        let mut stream = Vec::new();
-        for f in &frames {
-            f.encode_into(&mut stream);
-        }
-        let mut reader = FrameReader::new();
-        let mut got = Vec::new();
-        // Feed one byte at a time: worst-case fragmentation.
-        for &b in &stream {
-            reader.extend(&[b]);
-            while let Some(f) = reader.next_frame().unwrap() {
-                got.push(f);
-            }
-        }
-        assert_eq!(got, frames);
-        assert_eq!(reader.pending(), 0);
     }
 
     #[test]
@@ -755,16 +713,5 @@ mod tests {
         assert_eq!(reader.pending(), 0);
         reader.extend(&report(5, &[0.9]).encode());
         assert_eq!(reader.next_view().unwrap().unwrap().seq(), 5);
-    }
-
-    #[test]
-    fn reader_poisoned_buffer_clears_on_error() {
-        let mut reader = FrameReader::new();
-        reader.extend(&[0xFF; 64]);
-        assert!(reader.next_frame().is_err());
-        assert_eq!(reader.pending(), 0, "buffer cleared after poison");
-        // A good frame after the clear decodes fine.
-        reader.extend(&report(5, &[0.9]).encode());
-        assert_eq!(reader.next_frame().unwrap().unwrap().seq(), 5);
     }
 }

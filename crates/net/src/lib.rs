@@ -8,44 +8,41 @@
 //! * [`Frame`] — the versioned, compact binary wire format
 //!   (utilization reports up, rate commands down; `f64` payloads
 //!   round-trip bit-for-bit).
-//! * [`Transport`] — the backend-agnostic lane interface, with two
-//!   backends: [`channel_pair`] (bounded in-process queues with
-//!   drop-oldest backpressure — the *ideal lane*) and [`tcp_pair`]
-//!   (real nonblocking loopback TCP with partial-frame reassembly and
-//!   reconnect backoff).
+//! * [`PollEngine`] — the one lane engine: a sweep-based readiness
+//!   loop multiplexing any number of lanes with zero-copy [`FrameView`]
+//!   decode and allocation-free [`encode_frame`] sends — no thread or
+//!   object per lane.  A lane's link is a nonblocking loopback-TCP
+//!   stream or a bounded in-process pipe; the engine treats them alike.
+//! * [`LaneFabric`] — both ends of a set of lanes, built by
+//!   [`tcp_lane_fabric`] or [`memory_lane_fabric`] (the *ideal lane*),
+//!   and the one place a torn lane is re-dialed, with exponential
+//!   backoff and jitter per [`TcpConfig`].
 //! * [`DelayLossGate`] — the one delay/loss queue of the workspace,
-//!   generic over what it carries: wire frames in front of a transport,
-//!   utilization vectors inside the closed loop's `LaneModel`.
-//!   [`DelayLoss`] is the gate as middleware composable over any
-//!   backend.
-//! * [`PollEngine`] / [`LaneFabric`] — the many-lane runtime: one
-//!   sweep-based readiness loop multiplexing thousands of nonblocking
-//!   TCP lanes with zero-copy [`FrameView`] decode and allocation-free
-//!   [`encode_frame`] sends — no thread per lane.
+//!   generic over what it carries: wire frames in front of a lane's
+//!   sending end, utilization vectors inside the closed loop's
+//!   `LaneModel`.
 //!
-//! The distributed loop runtime in `eucon-core` drives these endpoints;
-//! this crate knows nothing about control theory — it moves frames.
+//! The distributed loop runtime and the shard boundary bus in
+//! `eucon-core` drive these endpoints; this crate knows nothing about
+//! control theory — it moves frames.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod channel;
 mod error;
 mod frame;
 mod lanes;
+mod link;
 mod middleware;
 mod poll;
-mod tcp;
 mod transport;
 
-pub use channel::{channel_pair, ChannelTransport};
 pub use error::{FrameError, TransportError};
 pub use frame::{
     encode_frame, Frame, FrameKind, FrameReader, FrameView, BOUNDARY_TRAILER_LEN, FRAME_VERSION,
     HEADER_LEN, MAX_PAYLOAD,
 };
-pub use lanes::{tcp_lane_fabric, LaneFabric};
-pub use middleware::{DelayLoss, DelayLossGate};
-pub use poll::{LaneToken, PollEngine};
-pub use tcp::{tcp_pair, TcpConfig, TcpTransport};
-pub use transport::{Transport, TransportStats};
+pub use lanes::{memory_lane_fabric, tcp_lane_fabric, LaneFabric};
+pub use middleware::DelayLossGate;
+pub use poll::{LaneToken, PollEngine, TcpConfig};
+pub use transport::TransportStats;

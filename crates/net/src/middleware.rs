@@ -1,36 +1,31 @@
-//! Lane middleware: network effects composed over any backend.
+//! Lane effects: the one delay/loss queue of the workspace.
 //!
-//! [`DelayLossGate`] is the workspace's one delay/loss queue: a FIFO
-//! that holds each item for a fixed number of ticks and consults the
-//! loss probability once per item, only at the moment the item actually
-//! crosses the lane (after its delay elapses).  It never looks inside
-//! what it carries, so the same gate holds wire [`Frame`]s in front of a
-//! transport and bare utilization vectors inside the single-process
+//! [`DelayLossGate`] is a FIFO that holds each item for a fixed number
+//! of ticks and consults the loss probability once per item, only at the
+//! moment the item actually crosses the lane (after its delay elapses).
+//! It never looks inside what it carries and knows nothing about links,
+//! so the same gate holds wire [`Frame`]s in front of a lane engine's
+//! sending end and bare utilization vectors inside the single-process
 //! loop's `LaneModel` — with the same seed both see the same sequence of
 //! loss decisions, because there is only one draw site.
-//!
-//! [`DelayLoss`] layers a gate over any [`Transport`], so delayed and
-//! lossy lanes are a property of the *lane*: the same middleware wraps
-//! an in-process channel in tests and a real TCP lane in a deployment.
 
 use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::error::TransportError;
 use crate::frame::Frame;
-use crate::transport::{Transport, TransportStats};
 
 /// The delay/loss decision core: a FIFO of in-flight items released by
 /// [`DelayLossGate::tick`], each crossing item drawing the loss
 /// probability exactly once at release time.
 ///
-/// Knows nothing about transports or payloads — the caller supplies the
-/// delivery action.  [`DelayLoss`] layers a `DelayLossGate<Frame>` over
-/// a [`Transport`]; the distributed runtime puts one in front of each
-/// lane direction; the single-process loop's lane model runs one over
-/// whole utilization vectors.
+/// The caller supplies the delivery action: the distributed runtime and
+/// the shard boundary bus put a `DelayLossGate<Frame>` in front of each
+/// direction of each lane and deliver into
+/// [`PollEngine::send_frame`](crate::PollEngine::send_frame); the
+/// single-process loop's lane model runs one over whole utilization
+/// vectors.
 #[derive(Debug)]
 pub struct DelayLossGate<T = Frame> {
     /// Whole ticks each frame spends in flight.
@@ -119,188 +114,63 @@ impl<T> DelayLossGate<T> {
     }
 }
 
-/// A lane that delays every frame by a fixed number of ticks and drops
-/// each crossing frame independently with a configured probability.
-///
-/// [`Transport::tick`] is the middleware's clock: the loop runtime calls
-/// it once per sampling period, which releases frames whose delay has
-/// elapsed into the underlying backend (or drops them on a loss draw).
-#[derive(Debug)]
-pub struct DelayLoss<T> {
-    inner: T,
-    gate: DelayLossGate<Frame>,
-}
-
-impl<T: Transport> DelayLoss<T> {
-    /// Wraps `inner` with `delay` ticks of latency and per-frame loss
-    /// probability `loss_probability` drawn from `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ loss_probability < 1`.
-    pub fn new(inner: T, delay: usize, loss_probability: f64, seed: u64) -> Self {
-        DelayLoss {
-            inner,
-            gate: DelayLossGate::new(delay, loss_probability, seed),
-        }
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-}
-
-impl<T: Transport> Transport for DelayLoss<T> {
-    fn send(&mut self, frame: Frame) -> Result<(), TransportError> {
-        if let Some(frame) = self.gate.offer(frame) {
-            // Transparent configuration: straight through.
-            return self.inner.send(frame);
-        }
-        Ok(())
-    }
-
-    fn try_recv(&mut self) -> Result<Option<Frame>, TransportError> {
-        self.inner.try_recv()
-    }
-
-    fn tick(&mut self) {
-        let inner = &mut self.inner;
-        self.gate.tick(|frame| {
-            // A full inner queue applies its own backpressure policy;
-            // that is not a loss-model drop, so the error is ignored
-            // here and shows up in the inner stats instead.
-            let _ = inner.send(frame);
-        });
-        self.inner.tick();
-    }
-
-    fn stats(&self) -> TransportStats {
-        let mut stats = self.inner.stats();
-        // The inner backend never saw lost or still-delayed frames, so
-        // report sends as what this layer accepted and fold the losses in.
-        stats.sent = self.gate.accepted();
-        stats.dropped += self.gate.lost();
-        stats
-    }
-
-    fn name(&self) -> &'static str {
-        "delay-loss"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channel::channel_pair;
 
-    fn report(seq: u64) -> Frame {
-        Frame::UtilizationReport {
-            seq,
-            period: seq,
-            values: vec![seq as f64],
+    /// One offer and one tick per item of `seqs`; what crossed, in order.
+    fn run(gate: &mut DelayLossGate<u64>, seqs: std::ops::Range<u64>) -> Vec<u64> {
+        let mut got = Vec::new();
+        for seq in seqs {
+            got.extend(gate.offer(seq));
+            gate.tick(|seq| got.push(seq));
         }
+        got
     }
 
     #[test]
     fn zero_config_is_transparent() {
-        let (tx, mut rx) = channel_pair(8);
-        let mut lane = DelayLoss::new(tx, 0, 0.0, 0);
-        lane.send(report(1)).unwrap();
+        let mut gate = DelayLossGate::new(0, 0.0, 0);
         // No tick needed: passthrough.
-        assert_eq!(rx.try_recv().unwrap().unwrap().seq(), 1);
+        assert_eq!(gate.offer(1u64), Some(1));
+        gate.tick(|_| panic!("a transparent gate queues nothing"));
     }
 
     #[test]
     fn delay_holds_frames_for_d_ticks() {
-        let (tx, mut rx) = channel_pair(8);
-        let mut lane = DelayLoss::new(tx, 2, 0.0, 0);
-        for seq in 1..=4 {
-            lane.send(report(seq)).unwrap();
-            lane.tick();
-        }
-        // After 4 send+tick rounds with delay 2, frames 1 and 2 crossed.
-        assert_eq!(rx.try_recv().unwrap().unwrap().seq(), 1);
-        assert_eq!(rx.try_recv().unwrap().unwrap().seq(), 2);
-        assert_eq!(rx.try_recv().unwrap(), None);
+        let mut gate = DelayLossGate::new(2, 0.0, 0);
+        // After 4 offer+tick rounds with delay 2, items 1 and 2 crossed.
+        assert_eq!(run(&mut gate, 1..5), [1, 2]);
     }
 
     #[test]
     fn loss_draws_follow_the_seed() {
         // Oracle: replicate the draw sequence with the same RNG.
-        let p = 0.4;
-        let seed = 42;
+        let (p, seed) = (0.4, 42);
         let mut oracle = StdRng::seed_from_u64(seed);
-        let (tx, mut rx) = channel_pair(1024);
-        let mut lane = DelayLoss::new(tx, 0, p, seed);
-        let mut expected = Vec::new();
-        let mut got = Vec::new();
-        for seq in 0..500u64 {
-            let delivered = oracle.gen::<f64>() >= p;
-            if delivered {
-                expected.push(seq);
-            }
-            lane.send(report(seq)).unwrap();
-            lane.tick();
-            if let Some(f) = rx.try_recv().unwrap() {
-                got.push(f.seq());
-            }
-        }
-        assert_eq!(got, expected);
-        assert_eq!(lane.stats().dropped, 500 - expected.len() as u64);
-        assert_eq!(lane.stats().sent, 500);
+        let expected: Vec<u64> = (0..500).filter(|_| oracle.gen::<f64>() >= p).collect();
+        let mut gate = DelayLossGate::new(0, p, seed);
+        assert_eq!(run(&mut gate, 0..500), expected);
+        assert_eq!(gate.lost(), 500 - expected.len() as u64);
+        assert_eq!(gate.accepted(), 500);
     }
 
     #[test]
     fn no_draws_before_frames_cross() {
         // With delay 3, the first 3 ticks must not consume RNG draws.
-        let p = 0.5;
-        let seed = 9;
-        let (tx, _rx) = channel_pair(64);
-        let mut lane = DelayLoss::new(tx, 3, p, seed);
-        for seq in 0..3 {
-            lane.send(report(seq)).unwrap();
-            lane.tick();
-        }
-        // The lane's RNG must still be at its initial state: the fourth
-        // send+tick releases frame 0 with the seed's *first* draw.
-        let mut oracle = StdRng::seed_from_u64(seed);
-        let first_draw_drops = oracle.gen::<f64>() < p;
-        lane.send(report(3)).unwrap();
-        lane.tick();
-        assert_eq!(lane.stats().dropped, u64::from(first_draw_drops));
-    }
-
-    #[test]
-    fn bare_gate_matches_the_wrapped_middleware_draw_for_draw() {
-        // The same seed must produce the same delivery sequence whether
-        // the gate runs inside DelayLoss or standalone (the poll path).
-        let (p, seed, delay) = (0.35, 123, 1);
-        let (tx, mut rx) = channel_pair(1024);
-        let mut wrapped = DelayLoss::new(tx, delay, p, seed);
-        let mut bare = DelayLossGate::new(delay, p, seed);
-        let mut bare_got = Vec::new();
-        let mut wrapped_got = Vec::new();
-        for seq in 0..200u64 {
-            wrapped.send(report(seq)).unwrap();
-            wrapped.tick();
-            while let Ok(Some(f)) = rx.try_recv() {
-                wrapped_got.push(f.seq());
-            }
-            if let Some(f) = bare.offer(report(seq)) {
-                bare_got.push(f.seq());
-            }
-            bare.tick(|f| bare_got.push(f.seq()));
-        }
-        assert_eq!(bare_got, wrapped_got);
-        assert_eq!(bare.lost(), wrapped.stats().dropped);
-        assert_eq!(bare.accepted(), 200);
+        let (p, seed) = (0.5, 9);
+        let mut gate = DelayLossGate::new(3, p, seed);
+        assert!(run(&mut gate, 0..3).is_empty());
+        // The gate's RNG must still be at its initial state: the fourth
+        // offer+tick releases item 0 with the seed's *first* draw.
+        let first_draw_drops = StdRng::seed_from_u64(seed).gen::<f64>() < p;
+        run(&mut gate, 3..4);
+        assert_eq!(gate.lost(), u64::from(first_draw_drops));
     }
 
     #[test]
     #[should_panic(expected = "loss probability")]
     fn invalid_probability_rejected() {
-        let (tx, _rx) = channel_pair(1);
-        let _ = DelayLoss::new(tx, 0, 1.0, 0);
+        let _ = DelayLossGate::<u64>::new(0, 1.0, 0);
     }
 }

@@ -1,29 +1,26 @@
-//! The backend-agnostic lane interface.
+//! Lane counters.
 
-use crate::error::TransportError;
-use crate::frame::Frame;
-
-/// Cumulative counters of one [`Transport`] endpoint.
+/// Cumulative counters of one lane endpoint, or of a set of them.
 ///
-/// Middleware layers fold their own activity in (a delay/loss layer adds
-/// its drops to [`TransportStats::dropped`]), so the top of a transport
-/// stack reports the whole stack's behaviour.
+/// A direction with a delay/loss gate in front of it folds the gate's
+/// activity in (offers count as sends, loss draws as drops), so the
+/// figures describe the lane as its user sees it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Frames accepted for sending at this endpoint.
     pub sent: u64,
-    /// Frames delivered to the caller by [`Transport::try_recv`].
+    /// Frames delivered to the caller by [`PollEngine::drain`](crate::PollEngine::drain).
     pub received: u64,
-    /// Frames dropped before reaching the peer: backpressure evictions,
-    /// middleware losses, send timeouts.
+    /// Frames dropped before reaching the peer: sends on a lane that is
+    /// down, lane-model losses, send timeouts.
     pub dropped: u64,
-    /// Times a broken connection was re-established.
+    /// Times a torn lane's endpoint was given a re-dialed link.
     pub reconnects: u64,
     /// Malformed frames encountered while decoding the inbound stream.
     pub decode_errors: u64,
-    /// Raw bytes written to the wire (0 for in-process backends).
+    /// Raw bytes written to the wire (an in-memory link counts like a socket).
     pub bytes_sent: u64,
-    /// Raw bytes read from the wire (0 for in-process backends).
+    /// Raw bytes read from the wire (an in-memory link counts like a socket).
     pub bytes_received: u64,
 }
 
@@ -39,92 +36,5 @@ impl TransportStats {
             bytes_sent: self.bytes_sent + other.bytes_sent,
             bytes_received: self.bytes_received + other.bytes_received,
         }
-    }
-}
-
-/// One endpoint of a bidirectional feedback lane.
-///
-/// A lane connects the controller node to one processor node; each side
-/// holds one `Transport` endpoint and exchanges [`Frame`]s through it.
-/// Endpoints are non-blocking: [`Transport::try_recv`] returns
-/// immediately, and [`Transport::send`] blocks at most for the backend's
-/// configured send timeout.
-///
-/// Two backends ship with `eucon-net`:
-///
-/// * [`channel_pair`] — in-process bounded SPSC queues with drop-oldest
-///   backpressure; the *ideal lane* whose closed-loop traces are
-///   bit-identical to the single-process loop.
-/// * [`tcp_pair`] — real loopback TCP over `std::net`: nonblocking
-///   sockets, partial-frame reassembly, reconnect with exponential
-///   backoff and jitter.
-///
-/// [`DelayLoss`] composes over any backend to model lossy or delayed
-/// lanes.
-///
-/// [`channel_pair`]: crate::channel_pair
-/// [`tcp_pair`]: crate::tcp_pair
-/// [`DelayLoss`]: crate::DelayLoss
-pub trait Transport: Send {
-    /// Queues a frame for delivery to the peer endpoint.
-    ///
-    /// Backends may drop frames under backpressure (counted in
-    /// [`TransportStats::dropped`]) rather than block the control loop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError`] when the peer is unreachable and the
-    /// frame could not even be queued.
-    fn send(&mut self, frame: Frame) -> Result<(), TransportError>;
-
-    /// Delivers the next received frame, without blocking.
-    ///
-    /// `Ok(None)` means no complete frame is currently available.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError`] for connection failures and malformed
-    /// inbound streams; after an error the endpoint keeps trying to
-    /// recover on subsequent calls (reconnecting backends re-establish
-    /// the connection with backoff).
-    fn try_recv(&mut self) -> Result<Option<Frame>, TransportError>;
-
-    /// Advances time-based machinery by one sampling period.
-    ///
-    /// Plain backends ignore it; the delay/loss middleware uses the tick
-    /// as its clock (a frame sent at period `k` over a lane with delay
-    /// `d` becomes receivable after `d` ticks).  The loop runtime calls
-    /// this exactly once per sampling period, after all sends.
-    fn tick(&mut self) {}
-
-    /// Cumulative counters for this endpoint (including any middleware
-    /// layered on top of it).
-    fn stats(&self) -> TransportStats;
-
-    /// Short backend label for diagnostics (`"channel"`, `"tcp"`, ...).
-    fn name(&self) -> &'static str;
-}
-
-// Boxed endpoints are endpoints, so middleware composes over
-// `Box<dyn Transport>` the same as over a concrete backend.
-impl<T: Transport + ?Sized> Transport for Box<T> {
-    fn send(&mut self, frame: Frame) -> Result<(), TransportError> {
-        (**self).send(frame)
-    }
-
-    fn try_recv(&mut self) -> Result<Option<Frame>, TransportError> {
-        (**self).try_recv()
-    }
-
-    fn tick(&mut self) {
-        (**self).tick()
-    }
-
-    fn stats(&self) -> TransportStats {
-        (**self).stats()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
     }
 }

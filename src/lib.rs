@@ -20,11 +20,10 @@
 //! * [`core`] — the closed feedback loop, experiment protocols, metrics,
 //!   the multi-tenant [`ControlService`] daemon, and the telemetry
 //!   surface (fixed metric registry, span timers, pluggable sinks).
-//! * [`net`] — the feedback-lane transport runtime: the [`Transport`]
-//!   trait, versioned binary frames, in-process channel and loopback-TCP
-//!   backends, the many-lane poll engine, delay/loss middleware.
+//! * [`net`] — the feedback-lane transport runtime: versioned binary
+//!   frames, the one many-lane poll engine over loopback-TCP or
+//!   in-memory links (torn lanes re-dial), the delay/loss gate.
 //!
-//! [`Transport`]: prelude::Transport
 //! [`ControlService`]: prelude::ControlService
 //!
 //! # Quickstart
@@ -49,7 +48,7 @@
 //! ```
 //!
 //! The same experiment runs distributed over real transport lanes with
-//! `.distributed(NetConfig::tcp_poll())`, or as `n` replicas on the
+//! `.distributed(NetConfig::tcp())`, or as `n` replicas on the
 //! work-stealing fleet runner with `.fleet(n)` — and a long-running
 //! multi-tenant daemon is one [`ControlService::spawn`] away (see the
 //! README's "Running as a service").
@@ -235,15 +234,15 @@ pub mod prelude {
     pub use eucon_core::{
         factory_fn, metrics, render, telemetry, AdminResponse, ClosedLoop, ControlService,
         ControllerFactory, ControllerSpec, EvictionPolicy, FaultSummary, FleetPlan, FleetReport,
-        LaneEngine, LaneModel, LoopBuilder, NetBackend, NetConfig, Plant, PlantFactory,
-        ReplayError, ReplayPlant, ReplayTrace, RunMetrics, RunResult, ServiceClient, ServiceHandle,
+        LaneModel, LoopBuilder, NetBackend, NetConfig, Plant, PlantFactory, ReplayError,
+        ReplayPlant, ReplayTrace, RunMetrics, RunResult, ServiceClient, ServiceHandle,
         ServiceSummary, SimPlant, SimPlantFactory, SteadyRun, TenantEvent, TenantHealth, TenantId,
         TenantReport, TenantSpec, VaryingRun,
     };
     #[cfg(feature = "os-plant")]
     pub use eucon_core::{OsPlant, OsPlantConfig};
     pub use eucon_math::{Matrix, Vector};
-    pub use eucon_net::{TcpConfig, Transport, TransportStats};
+    pub use eucon_net::{TcpConfig, TransportStats};
     pub use eucon_sim::{
         EtfProfile, ExecModel, FaultPlan, RandomCrashes, SensorFaultKind, SimConfig, Simulator,
     };

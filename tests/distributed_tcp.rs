@@ -96,7 +96,7 @@ fn medium_over_lossy_tcp_converges_to_every_set_point() {
 
 #[test]
 fn trace_and_run_time_do_not_depend_on_the_receive_window() {
-    let run = |net: NetConfig, window: Duration| {
+    let run = |window: Duration| {
         let started = std::time::Instant::now();
         let mut dl = LoopBuilder::new(workloads::medium())
             .sim_config(
@@ -106,7 +106,8 @@ fn trace_and_run_time_do_not_depend_on_the_receive_window() {
             )
             .controller(ControllerSpec::Eucon(MpcConfig::medium()))
             .distributed(
-                net.report_lanes(LaneModel::lossy(0.2, 21))
+                NetConfig::tcp()
+                    .report_lanes(LaneModel::lossy(0.2, 21))
                     .command_lanes(LaneModel::delayed(1))
                     .recv_timeout(window),
             )
@@ -116,15 +117,13 @@ fn trace_and_run_time_do_not_depend_on_the_receive_window() {
         assert!(dl.transport_stats().dropped > 0, "the lanes must be lossy");
         (result.trace, started.elapsed())
     };
-    for net in [NetConfig::tcp_poll, NetConfig::tcp] {
-        let (short, _) = run(net(), Duration::from_millis(2));
-        let (long, wall) = run(net(), Duration::from_millis(200));
-        assert_eq!(short, long, "the trace moved with the receive window");
-        // Every period holds a lost report or a delayed command: waiting
-        // those out would cost 2 × 200 ms × 200 periods.
-        assert!(
-            wall < Duration::from_secs(2),
-            "200 periods took {wall:?} at a 200 ms window"
-        );
-    }
+    let (short, _) = run(Duration::from_millis(2));
+    let (long, wall) = run(Duration::from_millis(200));
+    assert_eq!(short, long, "the trace moved with the receive window");
+    // Every period holds a lost report or a delayed command: waiting
+    // those out would cost 2 × 200 ms × 200 periods.
+    assert!(
+        wall < Duration::from_secs(2),
+        "200 periods took {wall:?} at a 200 ms window"
+    );
 }

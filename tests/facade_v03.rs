@@ -5,8 +5,7 @@
 //! scenarios (see `crates/core/tests/trace_hash/`) must come out
 //! bit-identical when the same scenarios are assembled through the new
 //! `eucon::LoopBuilder` facade — both the `.local()` finisher and the
-//! `.distributed(NetConfig::tcp_poll())` finisher over the many-lane
-//! poll engine.  And every failure the facade can produce must surface
+//! `.distributed(NetConfig::tcp())` finisher over loopback-TCP lanes.  And every failure the facade can produce must surface
 //! as `eucon::Error` with a stable [`ErrorKind`] and a reachable
 //! `source()` chain.
 
@@ -86,15 +85,15 @@ fn local_finisher_reproduces_all_four_golden_hashes() {
 fn poll_engine_finisher_reproduces_all_four_golden_hashes() {
     for s in Scenario::ALL {
         let mut dl = facade_builder(s)
-            .distributed(NetConfig::tcp_poll().recv_timeout(Duration::from_millis(200)))
+            .distributed(NetConfig::tcp().recv_timeout(Duration::from_millis(200)))
             .expect("distributed poll loop");
         assert_eq!(
             hash_result(&dl.run(GOLDEN_PERIODS)),
             s.golden(),
-            "{} drifted through LoopBuilder::distributed(tcp_poll)",
+            "{} drifted through LoopBuilder::distributed(tcp)",
             s.name()
         );
-        assert_eq!(dl.backend_name(), "tcp-poll");
+        assert_eq!(dl.backend_name(), "tcp");
         assert_eq!(dl.transport_stats().decode_errors, 0);
     }
 }
@@ -126,12 +125,12 @@ fn distributed_finisher_composes_with_sim_plant_backend() {
     let s = Scenario::SimpleFaultFree;
     let mut dl = facade_builder(s)
         .plant(SimPlantFactory)
-        .distributed(NetConfig::tcp_poll().recv_timeout(Duration::from_millis(200)))
+        .distributed(NetConfig::tcp().recv_timeout(Duration::from_millis(200)))
         .expect("distributed sim-plant loop");
     assert_eq!(
         hash_result(&dl.run(GOLDEN_PERIODS)),
         s.golden(),
-        "{} drifted through .plant(SimPlantFactory).distributed(tcp_poll)",
+        "{} drifted through .plant(SimPlantFactory).distributed(tcp)",
         s.name()
     );
 }
@@ -209,7 +208,7 @@ fn facade_failures_surface_as_unified_errors_with_kinds() {
             loss_probability: 0.1,
             seed: 3,
         })
-        .distributed(NetConfig::tcp_poll())
+        .distributed(NetConfig::tcp())
         .expect_err("lane model + transport must be rejected")
         .into();
     assert_eq!(err.kind(), ErrorKind::Config);
