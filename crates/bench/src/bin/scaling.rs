@@ -300,19 +300,21 @@ fn shard_scaling() {
     println!("(asserted above).");
 }
 
-/// Raw simulator event throughput as the platform grows, up to the
-/// 64-processor configuration.  The engine counters make per-size event
-/// volume, queue residency and reschedule pressure visible alongside the
-/// wall clock.
+/// Raw simulator event throughput as the platform grows from 4 to 256
+/// processors: the cost-per-event curve.  Only `run_until` is timed
+/// (construction is set-up, not event work); the engine counters make
+/// per-size event volume, queue residency, reschedule pressure and the
+/// share of events that skipped the queue as in-place hand-offs visible
+/// alongside the wall clock.
 fn event_throughput() {
     println!("\n== Scaling: simulator event throughput ==\n");
     let mut rows = Vec::new();
-    for procs in [4usize, 8, 16, 32, 64] {
+    for procs in [4usize, 8, 16, 32, 64, 128, 256] {
         let tasks = procs * 3;
         let set = RandomWorkload::new(procs, tasks).seed(3).generate();
-        let t0 = Instant::now();
         let mut sim = Simulator::new(set, SimConfig::constant_etf(1.0));
-        sim.run_until(10_000.0);
+        let t0 = Instant::now();
+        sim.run_until(100_000.0);
         let secs = t0.elapsed().as_secs_f64();
         let c = sim.counters();
         rows.push(vec![
@@ -320,6 +322,8 @@ fn event_throughput() {
             c.events.to_string(),
             format!("{:.1}", secs * 1e3),
             format!("{:.2}", c.events as f64 / secs / 1e6),
+            format!("{:.1}", secs * 1e9 / c.events as f64),
+            format!("{:.3}", c.handoffs as f64 / c.events as f64),
             c.queue_peak.to_string(),
             c.reschedules.to_string(),
         ]);
@@ -332,6 +336,8 @@ fn event_throughput() {
                 "events",
                 "wall ms",
                 "Mevents/s",
+                "ns/event",
+                "hand-off share",
                 "peak queue",
                 "reschedules",
             ],
@@ -346,6 +352,8 @@ fn event_throughput() {
                 "events",
                 "wall_ms",
                 "mevents_per_s",
+                "ns_per_event",
+                "handoff_share",
                 "queue_peak",
                 "reschedules",
             ],
@@ -354,7 +362,8 @@ fn event_throughput() {
     );
     println!("\nExpected shape: cost per event grows only gently with platform size —");
     println!("the indexed per-source queue does O(log sources) work per event with");
-    println!("no tombstone churn, so cost per event is independent of run length.");
+    println!("no tombstone churn, so cost per event is independent of run length;");
+    println!("about a quarter of all events never enter the queue (hand-off share).");
 }
 
 /// Fleet tier: aggregate throughput of N independent closed loops on the

@@ -205,6 +205,7 @@ pub struct Simulator {
     next_job_seq: u64,
     window_start: f64,
     events: u64,
+    handoffs: u64,
     guard_deferrals: u64,
     stale_wakeups: u64,
 }
@@ -254,6 +255,7 @@ impl Simulator {
             next_job_seq: 0,
             window_start: 0.0,
             events: 0,
+            handoffs: 0,
             guard_deferrals: 0,
             stale_wakeups: 0,
         };
@@ -290,6 +292,7 @@ impl Simulator {
     pub fn counters(&self) -> EngineCounters {
         EngineCounters {
             events: self.events,
+            handoffs: self.handoffs,
             reschedules: self.core.reschedules(),
             guard_deferrals: self.guard_deferrals,
             stale_wakeups: self.stale_wakeups,
@@ -608,6 +611,8 @@ impl Simulator {
             "cannot run backwards: now = {}, requested {t_end}",
             self.now
         );
+        // A request inside the tolerance must not move the clock back.
+        let t_end = t_end.max(self.now);
         while let Some((time, fired)) = self.core.pop_before(t_end) {
             self.now = time.max(self.now);
             self.events += 1;
@@ -783,8 +788,16 @@ impl Simulator {
         if job.index + 1 < chain_len {
             // Precedence: hand the instance to the successor subtask (the
             // release guard is applied when the event fires).
-            self.core
-                .push_subtask(job.task, job.index + 1, job.instance, self.now);
+            let next = job.index + 1;
+            if self.core.hand_off(job.task, next, job.instance, self.now) {
+                // Nothing else is due, so the release is the next event:
+                // fire it here, after the re-arm it would have followed.
+                self.reschedule_completion(p);
+                self.core.fire_hand_off();
+                self.events += 1;
+                self.handoffs += 1;
+                return self.handle_subtask_release(job.task, next, job.instance);
+            }
         } else if let Some((release, deadline)) = self.inflight[job.task].remove(job.instance) {
             let response = self.now - release;
             let stats = &mut self.task_stats[job.task];
@@ -1262,6 +1275,15 @@ mod tests {
         let mut sim = Simulator::new(set, SimConfig::constant_etf(1.0));
         sim.run_until(100.0);
         sim.run_until(50.0);
+    }
+
+    #[test]
+    fn run_until_within_tolerance_never_moves_the_clock_back() {
+        let set = single_task_set(20.0, 100.0);
+        let mut sim = Simulator::new(set, SimConfig::constant_etf(1.0));
+        sim.run_until(100.0);
+        sim.run_until(100.0 - 5e-10);
+        assert!(sim.now() >= 100.0, "clock went back to {}", sim.now());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! completion, and each subtask a short list of release-guarded successor
 //! instances.  Instead of pushing a fresh heap entry on every reschedule
 //! and leaving the stale one to rot until pop (the version-tombstone
-//! pattern), every *event source* owns one slot in an indexed binary
+//! pattern), every *event source* owns one slot in an indexed 4-ary
 //! min-heap with a position table: rescheduling is a decrease/increase-key
 //! sift, cancellation is a removal, and `pop` never discards anything.
 //! Memory is `O(m + n + Σ subtasks)` and the steady state allocates
@@ -14,9 +14,25 @@
 //!
 //! Determinism is inherited from the old queue: every (re)schedule stamps
 //! a fresh monotone sequence number, and events are ordered by
-//! `(time, seq)` — so simultaneous events fire in exactly the order the
-//! tombstone engine fired them (live entries were always the most recently
-//! pushed for their source there, too).
+//! `(time, seq)` — a strict total order, so the pop sequence does not
+//! depend on the heap's shape.  Two shortcuts lean on that:
+//!
+//! * **Root hole.**  A fired source is almost always re-armed by its own
+//!   handler (the next head release, the next job's completion), so `pop`
+//!   leaves the fired slot in `heap[0]` as a *hole* — source already
+//!   [`ABSENT`] — instead of moving the last leaf up and sifting it down.
+//!   The next insert of an absent source overwrites it and sifts down
+//!   once; the next pop closes a hole nobody filled.  The stale root is
+//!   never overtaken: queued keys were ordered after it, and new keys
+//!   carry a later `seq` at a time no earlier than the event that fired
+//!   (callers never schedule into the past), so sift-ups and removals
+//!   stop below it.
+//! * **Hand-off.**  A completion hands its instance to the successor
+//!   subtask at the current instant.  If no queued event is due by then,
+//!   the pushed entry would be the very next pop, so
+//!   [`EventCore::hand_off`] only takes the sequence number and the
+//!   engine runs the release in place; on a tie the older event has the
+//!   smaller `seq`, so the entry is queued.  The firing order is the same.
 
 /// An event popped from the [`EventCore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,13 +64,9 @@ struct Pending {
 /// Sentinel for "source not in the heap".
 const ABSENT: u32 = u32::MAX;
 
-/// What a source id denotes.
-///
-/// The original layout was pure arithmetic over `[tasks | processors |
-/// subtasks]`; runtime task admission appends new sources at the end of
-/// the id space, which breaks the arithmetic — so the mapping is an
-/// explicit table, consulted once per pop (a single indexed load, cheaper
-/// than the `partition_point` the arithmetic needed for subtask owners).
+/// What a source id denotes: an explicit table (one indexed load per
+/// pop), because runtime task admission appends sources at the end of
+/// the id space.
 #[derive(Debug, Clone, Copy)]
 enum SourceKind {
     /// Head-release source of a task.
@@ -65,11 +77,10 @@ enum SourceKind {
     Sub { task: u32, index: u32 },
 }
 
-/// Heap branching factor.  `(time, seq)` is a strict total order (`seq`
-/// is unique), so the pop sequence is independent of the heap's shape —
-/// arity is purely a constant-factor knob.  Four halves the sift depth
-/// relative to a binary heap and keeps each node's children in adjacent
-/// cache lines.
+/// Heap branching factor — purely a constant-factor knob, since the pop
+/// sequence is independent of the heap's shape.  Four halves the sift
+/// depth relative to a binary heap and keeps each node's children in
+/// adjacent cache lines.
 const ARITY: usize = 4;
 
 /// A heap slot: the key is stored inline so sift comparisons touch only
@@ -93,11 +104,10 @@ impl Slot {
     }
 }
 
-/// Indexed earliest-first event queue with one slot per event source.
-///
-/// Source ids are laid out as `[tasks | processors | subtasks]`:
-/// task `t` → `t`, processor `p` → `m + p`, successor subtask `(t, i)`
-/// (with `i ≥ 1`) → `sub_base[t] + (i − 1)`.
+/// Indexed earliest-first event queue: a 4-ary min-heap over
+/// `(time, seq)` with one slot per event source.  Source ids are looked
+/// up, never computed: `kind` maps an id to what it denotes, and
+/// `head_src` / `proc0` / `sub_base` map back.
 #[derive(Debug)]
 pub(crate) struct EventCore {
     /// Source id of the first processor (the initial task count —
@@ -119,6 +129,9 @@ pub(crate) struct EventCore {
     /// queue entries; task/processor slots stay empty (a few unused
     /// `Vec`s buy direct indexing by source id, which survives growth).
     pending: Vec<Vec<Pending>>,
+    /// `heap[0]` belongs to the event that just fired: its source is
+    /// already [`ABSENT`] and the next insert overwrites it (module docs).
+    hole: bool,
     next_seq: u64,
     /// Live events (heap singletons + queued pending entries).
     live: usize,
@@ -169,6 +182,7 @@ impl EventCore {
             heap: Vec::with_capacity(total),
             pos: vec![ABSENT; total],
             pending: vec![Vec::new(); total],
+            hole: false,
             next_seq: 0,
             live: 0,
             peak: 0,
@@ -267,15 +281,48 @@ impl EventCore {
         }
     }
 
+    /// Precedence hand-off of `instance` to successor subtask `index` at
+    /// the current instant, accounted exactly like
+    /// [`EventCore::push_subtask`].  `true` when no queued event is due by
+    /// `now`: the entry would be the very next pop, so it is *not* queued
+    /// — the caller runs the release, then [`EventCore::fire_hand_off`].
+    /// On `false` (an older event ties at `now`) it is queued as usual.
+    pub fn hand_off(&mut self, task: usize, index: usize, instance: u64, now: f64) -> bool {
+        // With the root a hole, the earliest live key is one of its children.
+        let (from, to) = if self.hole { (1, 1 + ARITY) } else { (0, 1) };
+        let earliest = &self.heap[from.min(self.heap.len())..to.min(self.heap.len())];
+        if earliest.iter().any(|slot| slot.time <= now) {
+            self.push_subtask(task, index, instance, now);
+            return false;
+        }
+        #[cfg(debug_assertions)]
+        {
+            debug_assert!(now >= self.last_popped.0, "hand-off into the past");
+            self.last_popped = (now, self.next_seq);
+        }
+        self.next_seq += 1;
+        self.live += 1;
+        self.peak = self.peak.max(self.live);
+        true
+    }
+
+    /// Retires the entry an in-place [`EventCore::hand_off`] kept counted
+    /// while the caller re-armed the completion, as if it had been queued.
+    pub fn fire_hand_off(&mut self) {
+        self.live -= 1;
+    }
+
     /// Time of the earliest event, if any.
     #[cfg(test)]
-    pub fn peek_time(&self) -> Option<f64> {
+    pub fn peek_time(&mut self) -> Option<f64> {
+        self.close_hole();
         self.heap.first().map(|slot| slot.time)
     }
 
     /// Pops the earliest event if it fires no later than `t_end`
     /// (fused peek + pop for the engine's main loop).
     pub fn pop_before(&mut self, t_end: f64) -> Option<(f64, FiredEvent)> {
+        self.close_hole();
         if self.heap.first()?.time > t_end {
             return None;
         }
@@ -284,6 +331,7 @@ impl EventCore {
 
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<(f64, FiredEvent)> {
+        self.close_hole();
         let &slot = self.heap.first()?;
         let s = slot.src as usize;
         let at = (slot.time, slot.seq);
@@ -300,13 +348,13 @@ impl EventCore {
         self.live -= 1;
         let fired = match self.kind[s] {
             SourceKind::Task(task) => {
-                self.remove_root();
+                self.open_hole();
                 FiredEvent::TaskRelease {
                     task: task as usize,
                 }
             }
             SourceKind::Proc(p) => {
-                self.remove_root();
+                self.open_hole();
                 FiredEvent::Completion {
                     processor: p as usize,
                 }
@@ -316,7 +364,7 @@ impl EventCore {
                 debug_assert_eq!((entry.time, entry.seq), at);
                 match self.pending[s].first().map(|e| (e.time, e.seq)) {
                     Some((t, q)) => self.set_key(s as u32, t, q),
-                    None => self.remove_root(),
+                    None => self.open_hole(),
                 }
                 FiredEvent::SubtaskRelease {
                     task: task as usize,
@@ -368,27 +416,40 @@ impl EventCore {
     /// source if absent).
     fn set_key(&mut self, s: u32, time: f64, seq: u64) {
         let slot = Slot { time, seq, src: s };
+        debug_assert!(!self.hole || self.heap[0].less(&slot), "into the past");
         let i = self.pos[s as usize];
-        if i == ABSENT {
-            self.heap.push(slot);
-            self.sift_up(self.heap.len() - 1, slot);
-        } else {
+        if i != ABSENT {
             let i = i as usize;
             self.heap[i] = slot;
             // The key may have moved either way: try both directions (one
             // is a no-op).
             self.sift_up(i, slot);
             self.sift_down(self.pos[s as usize] as usize);
+        } else if std::mem::take(&mut self.hole) {
+            // Refill the fired root: the key it replaces was the minimum,
+            // so the new one can only need to move down.
+            self.heap[0] = slot;
+            self.sift_down(0);
+        } else {
+            self.heap.push(slot);
+            self.sift_up(self.heap.len() - 1, slot);
         }
     }
 
-    /// Removes the heap root (cheaper than the general `remove`).
-    fn remove_root(&mut self) {
-        let removed = self.heap.swap_remove(0);
-        self.pos[removed.src as usize] = ABSENT;
-        if let Some(moved) = self.heap.first() {
-            self.pos[moved.src as usize] = 0;
-            self.sift_down(0);
+    /// Retires the fired root's source; its slot stays to be overwritten.
+    fn open_hole(&mut self) {
+        self.pos[self.heap[0].src as usize] = ABSENT;
+        self.hole = true;
+    }
+
+    /// Removes a root hole nobody refilled.
+    fn close_hole(&mut self) {
+        if std::mem::take(&mut self.hole) {
+            self.heap.swap_remove(0);
+            if let Some(moved) = self.heap.first() {
+                self.pos[moved.src as usize] = 0;
+                self.sift_down(0);
+            }
         }
     }
 
@@ -722,5 +783,178 @@ mod tests {
         }
         assert!(n > 50);
         assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn hole_in_a_heap_of_one_is_refilled_or_closed() {
+        let mut q = EventCore::new(1, 1, &[2]);
+        q.schedule_task_release(0, 1.0);
+        assert_eq!(q.pop().unwrap().1, FiredEvent::TaskRelease { task: 0 });
+        // The heap is now just the hole: cancels see nothing, a peek and a
+        // pop close it, and an insert refills it.
+        q.cancel_task_release(0);
+        q.cancel_completion(0);
+        assert_eq!((q.len(), q.peek_time()), (0, None));
+        assert!(q.pop().is_none());
+        q.schedule_completion(0, 2.0);
+        assert_eq!(q.pop().unwrap().1, FiredEvent::Completion { processor: 0 });
+        q.schedule_completion(0, 3.0); // refills the hole
+        q.schedule_task_release(0, 2.5); // no hole left: a plain push
+        q.schedule_completion(0, 2.0); // reschedule past the new root
+        assert_eq!(
+            q.pop().unwrap(),
+            (2.0, FiredEvent::Completion { processor: 0 })
+        );
+        // Hole open over a one-entry heap: nothing is due, so the hand-off
+        // is in place and touches nothing.
+        assert!(q.hand_off(0, 1, 0, 2.0));
+        q.fire_hand_off();
+        assert!(!q.hand_off(0, 1, 1, 2.5), "the release at 2.5 is older");
+        assert_eq!(q.pop().unwrap().1, FiredEvent::TaskRelease { task: 0 });
+        assert_eq!(q.pop().unwrap().0, 2.5);
+        assert_eq!((q.len(), q.peak(), q.reschedules()), (0, 2, 1));
+    }
+
+    /// The reference the core is checked against: a plain list of live
+    /// events, scanned for its `(time, seq)` minimum.
+    #[derive(Default)]
+    struct Naive {
+        live: Vec<(f64, u64, FiredEvent)>,
+        next_seq: u64,
+        peak: usize,
+        reschedules: u64,
+    }
+
+    impl Naive {
+        fn cancel(&mut self, event: FiredEvent) -> bool {
+            let before = self.live.len();
+            self.live.retain(|e| e.2 != event);
+            self.live.len() < before
+        }
+
+        fn push(&mut self, time: f64, event: FiredEvent) {
+            self.live.push((time, self.next_seq, event));
+            self.next_seq += 1;
+            self.peak = self.peak.max(self.live.len());
+        }
+
+        fn upsert(&mut self, time: f64, event: FiredEvent) {
+            if self.cancel(event) {
+                self.reschedules += 1;
+            }
+            self.push(time, event);
+        }
+
+        fn pop_before(&mut self, t_end: f64) -> Option<(f64, FiredEvent)> {
+            let (at, _) = self
+                .live
+                .iter()
+                .enumerate()
+                .min_by(|a, b| (a.1 .0, a.1 .1).partial_cmp(&(b.1 .0, b.1 .1)).unwrap())?;
+            if self.live[at].0 > t_end {
+                return None;
+            }
+            let (time, _, event) = self.live.remove(at);
+            Some((time, event))
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            // Random interleavings of every entry point — including
+            // cancels and reschedules while the root is a hole, and
+            // hand-offs that tie with an older event — pop the same
+            // `(time, event)` sequence as the naive list and keep the
+            // same `len`, `peak` and `reschedules`.  Times never precede
+            // the last fired event, which is the engine's contract.
+            #[test]
+            fn matches_a_naive_sorted_list(
+                ops in proptest::collection::vec((0u8..10, 0usize..8, 0usize..4, 0u8..4), 300),
+            ) {
+                let mut subs = vec![3usize, 1, 2];
+                let mut q = EventCore::new(3, 2, &subs);
+                let mut m = Naive::default();
+                let mut now = 0.0f64;
+                let mut instance = 0u64;
+                for (kind, a, b, d) in ops {
+                    let at = now + d as f64 * 0.5;
+                    let task = a % subs.len();
+                    let p = a % 2;
+                    // A (task, index ≥ 1) pair for the subtask entry points.
+                    let chain = (0..subs.len()).map(|i| (a + i) % subs.len()).find(|&t| subs[t] > 1);
+                    let sub = chain.map(|t| (t, 1 + b % (subs[t] - 1)));
+                    match (kind, sub) {
+                        (0, _) => {
+                            q.schedule_task_release(task, at);
+                            m.upsert(at, FiredEvent::TaskRelease { task });
+                        }
+                        (1, _) => {
+                            q.schedule_completion(p, at);
+                            m.upsert(at, FiredEvent::Completion { processor: p });
+                        }
+                        (2, _) => {
+                            q.cancel_task_release(task);
+                            m.cancel(FiredEvent::TaskRelease { task });
+                        }
+                        (3, _) => {
+                            q.cancel_completion(p);
+                            m.cancel(FiredEvent::Completion { processor: p });
+                        }
+                        (4, Some((task, index))) => {
+                            instance += 1;
+                            q.push_subtask(task, index, instance, at);
+                            m.push(at, FiredEvent::SubtaskRelease { task, index, instance });
+                        }
+                        (5, Some((task, index))) => {
+                            // What `handle_completion` does: hand off at
+                            // the current instant, re-arm (or clear) the
+                            // completion, then fire in place if told to.
+                            instance += 1;
+                            let event = FiredEvent::SubtaskRelease { task, index, instance };
+                            let nothing_due = m.live.iter().all(|e| e.0 > now);
+                            prop_assert_eq!(q.hand_off(task, index, instance, now), nothing_due);
+                            m.push(now, event);
+                            if b % 2 == 0 {
+                                q.schedule_completion(p, at);
+                                m.upsert(at, FiredEvent::Completion { processor: p });
+                            } else {
+                                q.cancel_completion(p);
+                                m.cancel(FiredEvent::Completion { processor: p });
+                            }
+                            prop_assert_eq!(q.peak(), m.peak);
+                            if nothing_due {
+                                q.fire_hand_off();
+                                prop_assert_eq!(m.pop_before(f64::INFINITY), Some((now, event)));
+                            }
+                        }
+                        (6, _) if subs.len() < 8 => {
+                            subs.push(1 + b % 3);
+                            prop_assert_eq!(q.add_task(subs[subs.len() - 1]), subs.len() - 1);
+                        }
+                        (7, _) => {
+                            let popped = q.pop_before(at);
+                            prop_assert_eq!(popped, m.pop_before(at));
+                            now = popped.map_or(now, |(t, _)| t);
+                        }
+                        _ => {
+                            let popped = q.pop();
+                            prop_assert_eq!(popped, m.pop_before(f64::INFINITY));
+                            now = popped.map_or(now, |(t, _)| t);
+                        }
+                    }
+                    prop_assert_eq!(
+                        (q.len(), q.peak(), q.reschedules()),
+                        (m.live.len(), m.peak, m.reschedules)
+                    );
+                }
+                while let Some(popped) = q.pop() {
+                    prop_assert_eq!(Some(popped), m.pop_before(f64::INFINITY));
+                }
+                prop_assert!(m.live.is_empty());
+            }
+        }
     }
 }

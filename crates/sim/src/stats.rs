@@ -35,9 +35,12 @@ impl DeadlineStats {
 /// engine), and how large the queue ever got.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// Events popped and processed (every pop is live — the indexed queue
+    /// Events fired and processed (every one is live — the indexed queue
     /// never discards stale entries).
     pub events: u64,
+    /// Successor releases among `events` that the completion handler ran
+    /// in place because nothing else was due (no queue round trip).
+    pub handoffs: u64,
     /// In-place reschedules of an already-queued event source (rate
     /// changes, completion updates after preemption).
     pub reschedules: u64,
@@ -60,6 +63,7 @@ impl EngineCounters {
     pub fn delta(&self, earlier: &EngineCounters) -> EngineCounters {
         EngineCounters {
             events: self.events.saturating_sub(earlier.events),
+            handoffs: self.handoffs.saturating_sub(earlier.handoffs),
             reschedules: self.reschedules.saturating_sub(earlier.reschedules),
             guard_deferrals: self.guard_deferrals.saturating_sub(earlier.guard_deferrals),
             stale_wakeups: self.stale_wakeups.saturating_sub(earlier.stale_wakeups),
