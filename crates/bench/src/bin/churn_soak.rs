@@ -9,7 +9,9 @@
 //!   admission budget, raw EUCON;
 //! * **churn during crash** — the same churn storm while P2 crashes and
 //!   recovers and the actuation lanes drop 10% of commands, supervised
-//!   EUCON (membership changes racing degraded mode);
+//!   EUCON (membership changes racing degraded mode; the recovered P2
+//!   drains its backlog saturated with its tasks at `Rmin`, so the
+//!   load-shedding supervisor suspends a few tasks here);
 //! * **admission storm** — SIMPLE at the default (tight) budget with an
 //!   arrival every 10 periods: every arrival must be deferred and then
 //!   rejected, without perturbing regulation.
@@ -218,19 +220,26 @@ fn main() {
                 ch.admitted + ch.rejected + ch.departed > 0,
                 "[{name}] the churn plan never fired"
             );
-            assert_eq!(
-                ch.incremental_updates + ch.model_rebuilds,
-                ch.admitted + ch.departed,
-                "[{name}] every membership change updates the plant model"
+            // One update per controller column added or dropped.  A task
+            // that departs while suspended lost its column when it was
+            // shed, so it can only make the left side smaller.
+            let columns = ch.admitted + ch.departed + ch.suspended + ch.readmitted;
+            let updates = ch.incremental_updates + ch.model_rebuilds;
+            assert!(
+                updates <= columns && columns - updates <= ch.suspended - ch.readmitted,
+                "[{name}] every membership change updates the plant model: \
+                 {updates} updates for {columns} changes"
             );
         }
         println!(
             "  [{name}] ok: {} admitted, {} rejected, {} deferred, {} departed, \
-             {} incremental / {} rebuilds ({:.2}s)",
+             {} suspended, {} re-admitted, {} incremental / {} rebuilds ({:.2}s)",
             ch.admitted,
             ch.rejected,
             ch.deferred,
             ch.departed,
+            ch.suspended,
+            ch.readmitted,
             ch.incremental_updates,
             ch.model_rebuilds,
             o.secs
@@ -242,6 +251,8 @@ fn main() {
             ch.deferred.to_string(),
             ch.departed.to_string(),
             ch.mode_changes.to_string(),
+            ch.suspended.to_string(),
+            ch.readmitted.to_string(),
             ch.incremental_updates.to_string(),
             ch.model_rebuilds.to_string(),
             o.control_errors.to_string(),
@@ -257,6 +268,8 @@ fn main() {
         "deferred",
         "departed",
         "mode changes",
+        "suspended",
+        "re-admitted",
         "incremental",
         "rebuilds",
         "ctrl errors",
@@ -274,6 +287,8 @@ fn main() {
                 "deferred",
                 "departed",
                 "mode_changes",
+                "suspended",
+                "readmitted",
                 "incremental_updates",
                 "model_rebuilds",
                 "control_errors",

@@ -8,28 +8,30 @@
 //! integration of multiple adaptation mechanisms is part of our future
 //! work."*).
 //!
-//! [`AdaptiveLoop`] implements that integration: an EUCON feedback loop
-//! whose supervisor suspends tasks when rate adaptation is exhausted and
-//! re-admits them once headroom returns.
+//! The closed loop's [`AdmissionController`] implements that integration
+//! inside the one feedback loop: a supervisor that suspends tasks when
+//! rate adaptation is exhausted and re-admits them once headroom returns.
 //!
-//! Policy (documented in DESIGN.md):
+//! Policy (DESIGN.md §15, "Load shedding"):
 //!
 //! * **suspend** — if some processor stays above `B + margin` for
-//!   `patience` consecutive periods while every active task contributing
+//!   `patience` consecutive periods while every live task contributing
 //!   to it is pinned at `Rmin`, suspend the task with the largest
-//!   estimated utilization contribution to the worst processor;
+//!   estimated utilization contribution to the worst processor (never
+//!   the last live task);
 //! * **re-admit** — if every processor stays below `B − headroom` for
 //!   `patience` consecutive periods, re-admit the most recently suspended
 //!   task at its minimum rate (LIFO keeps reconfiguration local).
 //!
-//! Each admission change rebuilds the MPC controller over the active
-//! subset (controllers are cheap: milliseconds even for large systems).
+//! Each decision drops or adds one column of the controller's plant
+//! model, through the same incremental update (warm state migrated) a
+//! departure or an arrival takes.
 //!
 //! # Runtime churn
 //!
 //! Beyond load-shedding, this module also hosts the **runtime-membership**
 //! side of admission control: a [`ChurnPlan`] scripts task arrivals,
-//! departures and mode changes at given sampling periods, and an
+//! departures and mode changes at given sampling periods, and the same
 //! [`AdmissionController`] executes it inside `ClosedLoop` — testing each
 //! arrival against a utilization budget (paper §6.2's pointer to admission
 //! control), growing/shrinking the MPC plant model incrementally via
@@ -43,12 +45,11 @@
 //!
 //! [`RateController::membership_admit`]: eucon_control::RateController::membership_admit
 
-use eucon_control::{MpcConfig, MpcController};
-use eucon_math::{Matrix, Vector};
-use eucon_sim::{SimConfig, Simulator};
-use eucon_tasks::{rms_set_points, Task, TaskId, TaskSet};
+use eucon_math::Vector;
+use eucon_tasks::{Task, TaskId, TaskSet};
 
-use crate::{CoreError, Trace, TraceStep};
+use crate::plant::Plant;
+use crate::CoreError;
 
 /// Tunable thresholds of the admission supervisor.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,6 +79,30 @@ impl Default for AdmissionPolicy {
             readmit_headroom: 0.1,
             admit_threshold: 1.0,
             defer_limit: 3,
+        }
+    }
+}
+
+impl AdmissionPolicy {
+    /// Rejects thresholds no comparison can honour: `NaN` compares false
+    /// both ways (a `NaN` budget admits every arrival, a `NaN` margin
+    /// never sheds), a negative headroom re-admits into overload, and
+    /// zero patience acts on a streak that never started — any sample
+    /// above `B + margin` would suspend a task without the exhaustion
+    /// test being consulted.
+    pub(crate) fn validate(&self) -> Result<(), CoreError> {
+        let (m, h, a) = (self.margin, self.readmit_headroom, self.admit_threshold);
+        let fields = [
+            ("margin", m, m >= 0.0),
+            ("readmit_headroom", h, h >= 0.0),
+            ("admit_threshold", a, a > 0.0),
+            ("patience", self.patience as f64, self.patience > 0),
+        ];
+        match fields.iter().find(|(_, v, ok)| !(*ok && v.is_finite())) {
+            Some((field, v, _)) => Err(CoreError::Config(format!(
+                "admission policy: {field} = {v} is out of range"
+            ))),
+            None => Ok(()),
         }
     }
 }
@@ -404,6 +429,10 @@ pub struct ChurnSummary {
     pub departed: u64,
     /// Mode changes applied.
     pub mode_changes: u64,
+    /// Tasks the load-shedding supervisor suspended.
+    pub suspended: u64,
+    /// Suspended tasks it re-admitted.
+    pub readmitted: u64,
     /// Plant-model membership updates the controller absorbed in place
     /// (warm state migrated).
     pub incremental_updates: u64,
@@ -418,6 +447,8 @@ impl ChurnSummary {
         self.deferred += other.deferred;
         self.departed += other.departed;
         self.mode_changes += other.mode_changes;
+        self.suspended += other.suspended;
+        self.readmitted += other.readmitted;
         self.incremental_updates += other.incremental_updates;
         self.model_rebuilds += other.model_rebuilds;
     }
@@ -431,10 +462,25 @@ pub(crate) struct PendingArrival {
     pub(crate) age: usize,
 }
 
-/// Executes a [`ChurnPlan`] inside a closed loop: bookkeeping for the
-/// admission test, the deferral queue, the plan-id → sim-id map and the
-/// per-period telemetry deltas.  The loop itself drives the simulator and
-/// controller; this type owns the decisions' state.
+/// `task`'s estimated utilization per unit rate on processor `p`: its
+/// entry of the subtask allocation matrix `F`.
+pub(crate) fn load_on(task: &Task, p: usize) -> f64 {
+    let on_p = task.subtasks().iter().filter(|s| s.processor.0 == p);
+    on_p.fold(0.0, |f, s| f + s.estimated_time)
+}
+
+/// A load-shedding decision due this period.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Shed {
+    Suspend(TaskId),
+    Readmit(TaskId),
+}
+
+/// The membership decisions of a closed loop: executes a [`ChurnPlan`]
+/// (admission test, deferral queue, plan-id → sim-id map) and supervises
+/// load shedding (overload / headroom streaks, the stack of suspended
+/// tasks), with the per-period telemetry deltas of both.  The loop itself
+/// drives the plant and controller; this type owns the decisions' state.
 ///
 /// Constructed by the loop builders when a non-empty plan (or an explicit
 /// admission policy) is supplied; not built directly.
@@ -453,14 +499,21 @@ pub struct AdmissionController {
     pub(crate) period_delta: ChurnSummary,
     /// Plant-model update latencies observed this period, in nanoseconds.
     pub(crate) update_ns: Vec<u64>,
-    /// Scratch: the arriving task's allocation-matrix column.
+    /// Scratch: the allocation-matrix column of the task being added.
     pub(crate) f_col: Vec<f64>,
-    /// Scratch: the retain mask handed to the controller on departures.
+    /// Scratch: the retain mask handed to the controller to drop a column.
     pub(crate) keep_scratch: Vec<bool>,
+    /// Every sim task by id (its `F` column and rate box), grown on
+    /// admission; the plant does not expose its task set.
+    pub(crate) tasks: Vec<Task>,
+    /// Stack of suspended tasks (most recent last).
+    pub(crate) suspended: Vec<TaskId>,
+    over_streak: usize,
+    under_streak: usize,
 }
 
 impl AdmissionController {
-    pub(crate) fn new(policy: AdmissionPolicy, plan: ChurnPlan, initial_tasks: usize) -> Self {
+    pub(crate) fn new(policy: AdmissionPolicy, plan: ChurnPlan, tasks: Vec<Task>) -> Self {
         let mut events = plan.events;
         events.sort_by_key(ChurnEvent::period);
         AdmissionController {
@@ -468,13 +521,17 @@ impl AdmissionController {
             events,
             cursor: 0,
             pending: Vec::new(),
-            plan_map: (0..initial_tasks).map(|t| Some(TaskId(t))).collect(),
+            plan_map: (0..tasks.len()).map(|t| Some(TaskId(t))).collect(),
             log: Vec::new(),
             summary: ChurnSummary::default(),
             period_delta: ChurnSummary::default(),
             update_ns: Vec::new(),
             f_col: Vec::new(),
             keep_scratch: Vec::new(),
+            tasks,
+            suspended: Vec::new(),
+            over_streak: 0,
+            under_streak: 0,
         }
     }
 
@@ -482,12 +539,6 @@ impl AdmissionController {
     pub(crate) fn begin_period(&mut self) {
         self.period_delta = ChurnSummary::default();
         self.update_ns.clear();
-    }
-
-    /// Whether any work is possible at period `k` (cheap steady-state
-    /// gate: no pending deferrals and no event due).
-    pub(crate) fn idle(&self, k: usize) -> bool {
-        self.pending.is_empty() && self.events.get(self.cursor).is_none_or(|e| e.period() > k)
     }
 
     /// Resolves a plan-space id to the sim id it was admitted under.
@@ -519,189 +570,34 @@ impl AdmissionController {
     pub fn summary(&self) -> ChurnSummary {
         self.summary
     }
-}
 
-/// EUCON + admission control: a closed loop whose supervisor can shrink
-/// and re-grow the admitted task set when rate adaptation alone cannot
-/// meet the utilization constraints.
-///
-/// # Example
-///
-/// ```
-/// use eucon_core::admission::{AdaptiveLoop, AdmissionPolicy};
-/// use eucon_control::MpcConfig;
-/// use eucon_sim::SimConfig;
-/// use eucon_tasks::workloads;
-///
-/// # fn main() -> Result<(), eucon_core::CoreError> {
-/// let mut al = AdaptiveLoop::new(
-///     workloads::simple(),
-///     MpcConfig::simple(),
-///     AdmissionPolicy::default(),
-///     SimConfig::constant_etf(1.0),
-/// )?;
-/// al.run(20);
-/// assert_eq!(al.suspended_tasks().len(), 0, "no admissions needed at etf 1");
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct AdaptiveLoop {
-    sim: Simulator,
-    set: TaskSet,
-    f: Matrix,
-    set_points: Vector,
-    cfg: MpcConfig,
-    policy: AdmissionPolicy,
-    active: Vec<bool>,
-    /// Stack of suspended tasks (most recent last).
-    suspended: Vec<TaskId>,
-    ctrl: MpcController,
-    over_streak: usize,
-    under_streak: usize,
-    period: usize,
-    ts: f64,
-    trace: Trace,
-    events: Vec<AdmissionEvent>,
-}
-
-impl AdaptiveLoop {
-    /// Builds the loop with the RMS set points of the full task set.
-    ///
-    /// # Errors
-    ///
-    /// Propagates controller-construction failures.
-    pub fn new(
-        set: TaskSet,
-        cfg: MpcConfig,
-        policy: AdmissionPolicy,
-        sim_config: SimConfig,
-    ) -> Result<Self, CoreError> {
-        let set_points = rms_set_points(&set);
-        let f = set.allocation_matrix();
-        let active = vec![true; set.num_tasks()];
-        let sim = Simulator::new(set.clone(), sim_config);
-        let ctrl = Self::build_controller(&set, &f, &set_points, &active, &sim, &cfg)?;
-        Ok(AdaptiveLoop {
-            sim,
-            set,
-            f,
-            set_points,
-            cfg,
-            policy,
-            active,
-            suspended: Vec::new(),
-            ctrl,
-            over_streak: 0,
-            under_streak: 0,
-            period: 0,
-            ts: crate::DEFAULT_SAMPLING_PERIOD,
-            trace: Trace::new(),
-            events: Vec::new(),
-        })
-    }
-
-    /// Builds an MPC controller over the active subset of tasks.
-    fn build_controller(
-        set: &TaskSet,
-        f: &Matrix,
+    /// One period of the load-shedding supervisor: advances the overload
+    /// and headroom streaks on the utilization sample `u` and returns the
+    /// decision that fell due, if any.  Allocation-free.
+    pub(crate) fn supervise(
+        &mut self,
+        u: &Vector,
         set_points: &Vector,
-        active: &[bool],
-        sim: &Simulator,
-        cfg: &MpcConfig,
-    ) -> Result<MpcController, CoreError> {
-        let idx: Vec<usize> = (0..set.num_tasks()).filter(|&j| active[j]).collect();
-        let f_sub = Matrix::from_fn(set.num_processors(), idx.len(), |r, c| f[(r, idx[c])]);
-        let rates = sim.rates();
-        let ctrl = MpcController::from_model(
-            f_sub,
-            set_points.clone(),
-            Vector::from_iter(idx.iter().map(|&j| set.tasks()[j].rate_min())),
-            Vector::from_iter(idx.iter().map(|&j| set.tasks()[j].rate_max())),
-            Vector::from_iter(idx.iter().map(|&j| rates[j])),
-            cfg.clone(),
-        )?;
-        Ok(ctrl)
-    }
-
-    /// Currently suspended tasks (most recently suspended last).
-    pub fn suspended_tasks(&self) -> &[TaskId] {
-        &self.suspended
-    }
-
-    /// All admission decisions taken so far.
-    pub fn events(&self) -> &[AdmissionEvent] {
-        &self.events
-    }
-
-    /// The recorded per-period trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// The live simulator.
-    pub fn simulator(&self) -> &Simulator {
-        &self.sim
-    }
-
-    /// Runs one sampling period including the admission supervisor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the controller fails (cannot happen for valid
-    /// configurations — the rate box is always feasible).
-    pub fn step(&mut self) {
-        self.period += 1;
-        self.sim.run_until(self.period as f64 * self.ts);
-        let u = self.sim.sample_utilizations();
-
-        // Rate adaptation over the active subset.
-        let idx: Vec<usize> = (0..self.set.num_tasks())
-            .filter(|&j| self.active[j])
-            .collect();
-        if !idx.is_empty() {
-            let r_sub = self
-                .ctrl
-                .step(&u)
-                .expect("controller over a valid rate box");
-            for (c, &j) in idx.iter().enumerate() {
-                self.sim.set_rate(TaskId(j), r_sub[c]);
-            }
-        }
-
-        self.trace.push(TraceStep::clean(
-            self.period as f64 * self.ts,
-            u.clone(),
-            self.sim.rates(),
-        ));
-
-        self.supervise(&u);
-    }
-
-    /// Runs `periods` sampling periods.
-    pub fn run(&mut self, periods: usize) {
-        for _ in 0..periods {
-            self.step();
-        }
-    }
-
-    fn supervise(&mut self, u: &Vector) {
-        let rates = self.sim.rates();
+        plant: &dyn Plant,
+    ) -> Option<Shed> {
+        let rates = plant.rates_in_force();
+        let (tasks, suspended) = (&self.tasks, &self.suspended);
+        let live = |t: usize| !plant.is_departed(TaskId(t)) && !suspended.contains(&TaskId(t));
 
         // Overload: a processor above B + margin with its contributors
         // exhausted (at Rmin).
         let mut worst: Option<(usize, f64)> = None;
         for p in 0..u.len() {
-            let excess = u[p] - (self.set_points[p] + self.policy.margin);
+            let excess = u[p] - (set_points[p] + self.policy.margin);
             if excess > 0.0 && worst.is_none_or(|(_, w)| excess > w) {
                 worst = Some((p, excess));
             }
         }
         let exhausted_overload = worst.is_some_and(|(p, _)| {
-            (0..self.set.num_tasks()).all(|j| {
-                !self.active[j]
-                    || self.f[(p, j)] == 0.0
-                    || rates[j] <= self.set.tasks()[j].rate_min() * (1.0 + 1e-6)
+            (0..tasks.len()).all(|t| {
+                !live(t)
+                    || load_on(&tasks[t], p) == 0.0
+                    || rates[t] <= tasks[t].rate_min() * (1.0 + 1e-6)
             })
         });
 
@@ -711,8 +607,8 @@ impl AdaptiveLoop {
         } else {
             self.over_streak = 0;
             let all_headroom =
-                (0..u.len()).all(|p| u[p] <= self.set_points[p] - self.policy.readmit_headroom);
-            if all_headroom && !self.suspended.is_empty() {
+                (0..u.len()).all(|p| u[p] <= set_points[p] - self.policy.readmit_headroom);
+            if all_headroom && !suspended.is_empty() {
                 self.under_streak += 1;
             } else {
                 self.under_streak = 0;
@@ -720,190 +616,30 @@ impl AdaptiveLoop {
         }
 
         if self.over_streak >= self.policy.patience {
-            if let Some((p, _)) = worst {
-                self.suspend_heaviest_on(p);
-                self.over_streak = 0;
+            self.over_streak = 0;
+            let (p, _) = worst?;
+            // Never suspend the last live task.
+            if (0..tasks.len()).filter(|&t| live(t)).count() <= 1 {
+                return None;
             }
+            let share = |t: usize| load_on(&tasks[t], p) * rates[t];
+            (0..tasks.len())
+                .filter(|&t| live(t) && load_on(&tasks[t], p) > 0.0)
+                .max_by(|&a, &b| share(a).total_cmp(&share(b)))
+                .map(|t| Shed::Suspend(TaskId(t)))
         } else if self.under_streak >= self.policy.patience {
-            self.readmit_last();
             self.under_streak = 0;
+            suspended.last().copied().map(Shed::Readmit)
+        } else {
+            None
         }
-    }
-
-    fn suspend_heaviest_on(&mut self, p: usize) {
-        let rates = self.sim.rates();
-        let victim = (0..self.set.num_tasks())
-            .filter(|&j| self.active[j] && self.f[(p, j)] > 0.0)
-            .max_by(|&a, &b| (self.f[(p, a)] * rates[a]).total_cmp(&(self.f[(p, b)] * rates[b])));
-        let Some(victim) = victim else {
-            return;
-        };
-        // Never suspend the last active task.
-        if self.active.iter().filter(|&&a| a).count() <= 1 {
-            return;
-        }
-        self.active[victim] = false;
-        self.suspended.push(TaskId(victim));
-        self.sim.suspend_task(TaskId(victim));
-        self.events.push(AdmissionEvent::Suspended {
-            period: self.period,
-            task: TaskId(victim),
-        });
-        self.rebuild();
-    }
-
-    fn readmit_last(&mut self) {
-        let Some(task) = self.suspended.pop() else {
-            return;
-        };
-        self.active[task.0] = true;
-        // Gentle re-entry at the minimum acceptable rate.
-        self.sim.set_rate(task, self.set.tasks()[task.0].rate_min());
-        self.sim.resume_task(task);
-        self.events.push(AdmissionEvent::Readmitted {
-            period: self.period,
-            task,
-        });
-        self.rebuild();
-    }
-
-    fn rebuild(&mut self) {
-        self.ctrl = Self::build_controller(
-            &self.set,
-            &self.f,
-            &self.set_points,
-            &self.active,
-            &self.sim,
-            &self.cfg,
-        )
-        .expect("active subset keeps valid dimensions");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics;
-    use eucon_sim::EtfProfile;
     use eucon_tasks::workloads;
-
-    #[test]
-    fn no_admission_activity_when_feasible() {
-        let mut al = AdaptiveLoop::new(
-            workloads::simple(),
-            MpcConfig::simple(),
-            AdmissionPolicy::default(),
-            SimConfig::constant_etf(0.5),
-        )
-        .unwrap();
-        al.run(100);
-        assert!(al.events().is_empty());
-        let s = metrics::window(&al.trace().utilization_series(0), 60, 100);
-        assert!(
-            (s.mean - 0.8284).abs() < 0.03,
-            "normal EUCON behaviour preserved"
-        );
-    }
-
-    #[test]
-    fn severe_overload_triggers_suspension_and_recovery() {
-        // etf = 25: even Rmin leaves estimated demand far above the set
-        // points (max reduction is 20x for T1/T2), so rate adaptation is
-        // exhausted and the supervisor must shed load.
-        let mut al = AdaptiveLoop::new(
-            workloads::simple(),
-            MpcConfig::simple(),
-            AdmissionPolicy::default(),
-            SimConfig::constant_etf(25.0),
-        )
-        .unwrap();
-        al.run(150);
-        assert!(
-            al.events()
-                .iter()
-                .any(|e| matches!(e, AdmissionEvent::Suspended { .. })),
-            "supervisor must suspend under hopeless overload: {:?}",
-            al.events()
-        );
-        // With enough load shed, the remaining tasks fit under the bound.
-        let u1 = al.trace().utilization_series(0);
-        let tail = metrics::window(&u1, 120, 150);
-        assert!(
-            tail.mean < 0.8284 + 0.06,
-            "shedding must pull P1 back under its set point: {:.3}",
-            tail.mean
-        );
-    }
-
-    #[test]
-    fn relief_readmits_suspended_tasks() {
-        // Overload for 60 periods, then a huge relief: suspended tasks
-        // must come back.
-        let profile = EtfProfile::steps(&[(0.0, 25.0), (60_000.0, 0.5)]);
-        let mut al = AdaptiveLoop::new(
-            workloads::simple(),
-            MpcConfig::simple(),
-            AdmissionPolicy::default(),
-            SimConfig {
-                exec_model: eucon_sim::ExecModel::Constant,
-                etf: profile,
-                seed: 0,
-                release_guard: Default::default(),
-                processor_speeds: None,
-            },
-        )
-        .unwrap();
-        al.run(200);
-        let suspensions = al
-            .events()
-            .iter()
-            .filter(|e| matches!(e, AdmissionEvent::Suspended { .. }))
-            .count();
-        let readmissions = al
-            .events()
-            .iter()
-            .filter(|e| matches!(e, AdmissionEvent::Readmitted { .. }))
-            .count();
-        assert!(suspensions > 0, "phase 1 must suspend: {:?}", al.events());
-        assert!(readmissions > 0, "phase 2 must re-admit: {:?}", al.events());
-        assert!(
-            al.suspended_tasks().is_empty(),
-            "all tasks back after relief: {:?}",
-            al.suspended_tasks()
-        );
-        // And the loop converges normally afterwards.
-        let u1 = al.trace().utilization_series(0);
-        let tail = metrics::window(&u1, 160, 200);
-        assert!(
-            (tail.mean - 0.8284).abs() < 0.05,
-            "tail mean {:.3}",
-            tail.mean
-        );
-    }
-
-    #[test]
-    fn never_suspends_the_last_task() {
-        // Single-task workload under hopeless overload: the supervisor
-        // must keep it admitted.
-        let mut set = TaskSet::new(1);
-        let r = 1.0 / 100.0;
-        set.add_task(
-            eucon_tasks::Task::builder(r / 2.0, r * 2.0, r)
-                .subtask(eucon_tasks::ProcessorId(0), 50.0)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        let mut al = AdaptiveLoop::new(
-            set,
-            MpcConfig::simple(),
-            AdmissionPolicy::default(),
-            SimConfig::constant_etf(10.0),
-        )
-        .unwrap();
-        al.run(60);
-        assert!(al.suspended_tasks().is_empty());
-    }
 
     fn sample_task() -> Task {
         let r = 1.0 / 100.0;
@@ -976,7 +712,8 @@ mod tests {
         let plan = ChurnPlan::none()
             .departure(30, TaskId(1))
             .arrival(10, sample_task());
-        let ac = AdmissionController::new(AdmissionPolicy::default(), plan, 3);
+        let tasks = workloads::simple().tasks().to_vec();
+        let ac = AdmissionController::new(AdmissionPolicy::default(), plan, tasks);
         assert_eq!(ac.events[0].period(), 10, "events sorted by period");
         assert_eq!(ac.resolve(TaskId(2)), Some(TaskId(2)));
         assert_eq!(
@@ -984,8 +721,6 @@ mod tests {
             None,
             "unknown plan ids resolve to None"
         );
-        assert!(ac.idle(5), "nothing due before the first event");
-        assert!(!ac.idle(10), "arrival due at period 10");
         assert_eq!(ac.summary(), ChurnSummary::default());
         assert!(ac.log().is_empty());
     }

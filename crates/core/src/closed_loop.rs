@@ -6,14 +6,15 @@ use std::time::Instant;
 
 mod loop_builder;
 
-use eucon_control::{ControlMode, RateController};
+use eucon_control::{ControlError, ControlMode, RateController};
 use eucon_math::Vector;
 use eucon_net::TransportStats;
 use eucon_sim::{DeadlineStats, EngineCounters, FaultInjector, Simulator};
 use eucon_tasks::{ProcessorId, Task, TaskId, TaskSet};
 
 use crate::admission::{
-    AdmissionController, AdmissionEvent, ChurnEvent, ChurnSummary, PendingArrival, RejectReason,
+    load_on, AdmissionController, AdmissionEvent, ChurnEvent, ChurnSummary, PendingArrival,
+    RejectReason, Shed,
 };
 use crate::distributed::{NetConfig, NetRuntime};
 use crate::lanes::LaneState;
@@ -337,7 +338,8 @@ impl ClosedLoop {
         self.period += 1;
         // 0. Runtime membership: due arrivals face the admission test
         // (against the previous period's utilization sample), departures
-        // drain, deferred arrivals retry.  A no-op without a churn plan.
+        // drain, deferred arrivals retry, the load-shedding supervisor
+        // takes its decision.  A no-op without an admission controller.
         self.process_churn(k);
         let mut ann = StepAnnotations::default();
         // Phase boundaries for the span histograms — plain timestamps
@@ -632,22 +634,7 @@ impl ClosedLoop {
 
     /// Consumes the loop, returning the final result.
     pub fn into_result(mut self) -> RunResult {
-        self.telemetry.flush();
-        RunResult {
-            control_errors: self.control_errors,
-            faults: self.fault_summary(),
-            engine: self.plant.counters(),
-            telemetry: self.telemetry.snapshot(),
-            churn: self.churn_summary(),
-            admission_events: self
-                .admission
-                .as_ref()
-                .map(|a| a.log().to_vec())
-                .unwrap_or_default(),
-            trace: self.trace,
-            deadlines: self.plant.deadline_stats(),
-            set_points: self.set_points,
-        }
+        self.run(0)
     }
 
     /// Read-only view of the live metric registry (counters, gauges and
@@ -672,19 +659,14 @@ impl ClosedLoop {
 
     /// Applies due membership changes at the top of period `k`: deferred
     /// arrivals retry first (FIFO), then scripted events fire in plan
-    /// order.  Steady-state periods — nothing pending, no event due —
-    /// return after a constant-time check, without allocating.
+    /// order, then the load-shedding supervisor reads the previous
+    /// period's sample.  Steady-state periods — nothing pending, no event
+    /// due, no shedding decision — do not allocate.
     fn process_churn(&mut self, k: usize) {
-        {
-            let Some(adm) = &mut self.admission else {
-                return;
-            };
-            adm.begin_period();
-            if adm.idle(k) {
-                return;
-            }
-        }
-        let mut adm = self.admission.take().expect("checked above");
+        let Some(mut adm) = self.admission.take() else {
+            return;
+        };
+        adm.begin_period();
         let pending = std::mem::take(&mut adm.pending);
         for mut p in pending {
             p.age += 1;
@@ -723,7 +705,82 @@ impl ClosedLoop {
                 }
             }
         }
+        match adm.supervise(&self.u_scratch, &self.set_points, &*self.plant) {
+            Some(Shed::Suspend(tid)) => {
+                self.plant.suspend_task(tid);
+                self.drop_column(&mut adm, tid);
+                adm.suspended.push(tid);
+                adm.log.push(AdmissionEvent::Suspended {
+                    period: k,
+                    task: tid,
+                });
+                adm.summary.suspended += 1;
+            }
+            Some(Shed::Readmit(tid)) => self.readmit(&mut adm, k, tid),
+            None => {}
+        }
         self.admission = Some(adm);
+    }
+
+    /// Brings the most recently suspended task back at its minimum rate.
+    /// A controller that refuses the column (safe mode freezes
+    /// admissions) leaves the task suspended; the headroom streak has
+    /// restarted, so the supervisor asks again `patience` periods on.
+    fn readmit(&mut self, adm: &mut AdmissionController, k: usize, tid: TaskId) {
+        let task = adm.tasks[tid.0].clone();
+        // A controller that refused to drop the column still has it.
+        if !self.ctrl_cols.contains(&tid) {
+            if self.add_column(adm, &task, task.rate_min()).is_err() {
+                return;
+            }
+            self.ctrl_cols.push(tid);
+        }
+        self.act_cmd.copy_from_slice(self.plant.rates_in_force());
+        self.act_cmd[tid.0] = task.rate_min();
+        self.plant.apply_rates(&self.act_cmd);
+        self.plant.resume_task(tid);
+        adm.suspended.pop();
+        adm.log.push(AdmissionEvent::Readmitted {
+            period: k,
+            task: tid,
+        });
+        adm.summary.readmitted += 1;
+    }
+
+    /// Grows the controller's plant model by `task`'s column, starting at
+    /// rate `r0` (arrivals and re-admissions).
+    fn add_column(
+        &mut self,
+        adm: &mut AdmissionController,
+        task: &Task,
+        r0: f64,
+    ) -> Result<(), ControlError> {
+        adm.f_col.clear();
+        adm.f_col
+            .extend((0..self.set_points.len()).map(|p| load_on(task, p)));
+        let t0 = Instant::now();
+        let update =
+            self.controller
+                .membership_admit(&adm.f_col, task.rate_min(), task.rate_max(), r0)?;
+        adm.note_update(update, t0.elapsed().as_nanos() as u64);
+        Ok(())
+    }
+
+    /// Shrinks the controller's plant model by `tid`'s column, migrating
+    /// warm state (departures and suspensions).
+    fn drop_column(&mut self, adm: &mut AdmissionController, tid: TaskId) {
+        if let Some(col) = self.ctrl_cols.iter().position(|&t| t == tid) {
+            adm.keep_scratch.clear();
+            adm.keep_scratch
+                .extend(self.ctrl_cols.iter().map(|&t| t != tid));
+            let t0 = Instant::now();
+            if let Ok(update) = self.controller.membership_retain(&adm.keep_scratch) {
+                self.ctrl_cols.remove(col);
+                adm.note_update(update, t0.elapsed().as_nanos() as u64);
+            }
+            // Controllers without a per-task plant model keep commanding
+            // the dormant slot; the plant simply ignores it.
+        }
     }
 
     /// Decides one (possibly deferred) arrival: admit it, keep deferring,
@@ -771,15 +828,9 @@ impl ClosedLoop {
         // Utilization-threshold admission test (the paper's §6.2 pointer):
         // project the arrival's estimated load at its starting rate on top
         // of the previous period's utilization sample.
-        let n = self.set_points.len();
-        adm.f_col.clear();
-        adm.f_col.resize(n, 0.0);
-        for s in task.subtasks() {
-            adm.f_col[s.processor.0] += s.estimated_time;
-        }
         let r0 = task.initial_rate();
-        for p in 0..n {
-            if self.u_scratch[p] + adm.f_col[p] * r0
+        for p in 0..self.set_points.len() {
+            if self.u_scratch[p] + load_on(task, p) * r0
                 > adm.policy.admit_threshold * self.set_points[p]
             {
                 return Err((RejectReason::OverBudget, true));
@@ -788,17 +839,14 @@ impl ClosedLoop {
         // Grow the controller first — a task nobody can control must not
         // enter the plant.  Controllers without a per-task plant model
         // (OPEN, PID) refuse, which rejects the arrival for good.
-        let t0 = Instant::now();
-        let update = self
-            .controller
-            .membership_admit(&adm.f_col, task.rate_min(), task.rate_max(), r0)
+        self.add_column(adm, task, r0)
             .map_err(|_| (RejectReason::ControllerRefused, false))?;
-        adm.note_update(update, t0.elapsed().as_nanos() as u64);
         let tid = self
             .plant
             .admit_task(task.clone())
             .expect("churn plan validated at build time");
         self.ctrl_cols.push(tid);
+        adm.tasks.push(task.clone());
         self.head_proc.push(task.subtasks()[0].processor.0);
         if let Some(grid) = &mut self.rate_grid {
             let levels = grid[0].len();
@@ -826,18 +874,10 @@ impl ClosedLoop {
             return; // idempotent
         }
         self.plant.depart_task(tid);
-        if let Some(col) = self.ctrl_cols.iter().position(|&t| t == tid) {
-            adm.keep_scratch.clear();
-            adm.keep_scratch
-                .extend(self.ctrl_cols.iter().map(|&t| t != tid));
-            let t0 = Instant::now();
-            if let Ok(update) = self.controller.membership_retain(&adm.keep_scratch) {
-                self.ctrl_cols.remove(col);
-                adm.note_update(update, t0.elapsed().as_nanos() as u64);
-            }
-            // Controllers without a per-task plant model keep commanding
-            // the departed slot; the plant simply ignores it.
-        }
+        // A suspended task lost its column when it was shed; departing, it
+        // must also leave the re-admission stack.
+        adm.suspended.retain(|&t| t != tid);
+        self.drop_column(adm, tid);
         adm.log.push(AdmissionEvent::Departed {
             period: k,
             task: tid,
@@ -1262,7 +1302,7 @@ mod tests {
             .faults(FaultPlan::none().actuation_loss(1.0 - 1e-9).seed(7))
             .local()
             .unwrap();
-        let r0 = cl.simulator().rates();
+        let r0 = Vector::from_slice(cl.simulator().rates_slice());
         let result = cl.run(30);
         // Every command dropped: the plant never leaves its initial rates.
         assert!(result

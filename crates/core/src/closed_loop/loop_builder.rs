@@ -190,17 +190,22 @@ impl LoopBuilder {
     ///
     /// Arrivals pass through the admission test of the configured
     /// [`AdmissionPolicy`]; departures drain their in-flight jobs cleanly
-    /// while the controller shrinks its plant model incrementally.  An
-    /// empty plan leaves the loop byte-identical to one built without
+    /// while the controller shrinks its plant model incrementally.  A
+    /// non-empty plan also engages the policy's load-shedding supervisor;
+    /// an empty plan leaves the loop byte-identical to one built without
     /// this call.
     pub fn churn(mut self, plan: ChurnPlan) -> Self {
         self.churn = plan;
         self
     }
 
-    /// Overrides the admission policy governing runtime arrivals
-    /// (default: [`AdmissionPolicy::default`]).  Also engages the churn
-    /// machinery even for an empty plan, which is only useful in tests.
+    /// Overrides the admission policy (default:
+    /// [`AdmissionPolicy::default`]) and engages the loop's admission
+    /// controller even for an empty churn plan: runtime arrivals face the
+    /// policy's budget, and its load-shedding supervisor suspends tasks
+    /// when rate adaptation is exhausted and re-admits them once headroom
+    /// returns ([`crate::admission`]).  Out-of-range thresholds are
+    /// rejected by the finisher.
     pub fn admission(mut self, policy: AdmissionPolicy) -> Self {
         self.admission = Some(policy);
         self
@@ -268,10 +273,10 @@ impl LoopBuilder {
     /// a non-positive or non-finite sampling period, a lane model with a
     /// loss probability outside `[0, 1)`, fewer than two quantized rate
     /// levels, set points that are non-finite, non-positive, or of the
-    /// wrong arity, a malformed churn plan, or a plant backend that does
-    /// not fit the workload — [`CoreError::Sim`] for a malformed fault
-    /// plan, and propagates controller-construction failures as
-    /// [`CoreError::Control`].
+    /// wrong arity, a malformed churn plan, an out-of-range admission
+    /// policy, or a plant backend that does not fit the workload —
+    /// [`CoreError::Sim`] for a malformed fault plan, and propagates
+    /// controller-construction failures as [`CoreError::Control`].
     pub fn local(self) -> Result<ClosedLoop, CoreError> {
         let ts = self.sampling_period.unwrap_or(DEFAULT_SAMPLING_PERIOD);
         if !(ts > 0.0 && ts.is_finite()) {
@@ -283,6 +288,9 @@ impl LoopBuilder {
         lanes.validate("lanes")?;
         self.faults.validate(self.set.num_processors())?;
         self.churn.validate(&self.set)?;
+        if let Some(policy) = &self.admission {
+            policy.validate()?;
+        }
         if let Some(levels) = self.quantized_rates {
             if levels < 2 {
                 return Err(CoreError::Config(format!(
@@ -341,7 +349,7 @@ impl LoopBuilder {
             Some(Box::new(AdmissionController::new(
                 self.admission.unwrap_or_default(),
                 self.churn,
-                num_tasks,
+                self.set.tasks().to_vec(),
             )))
         } else {
             None
@@ -827,5 +835,43 @@ mod tests {
             .local()
             .unwrap_err();
         assert!(matches!(err, CoreError::Config(ref m) if m.contains("per processor")));
+    }
+
+    #[test]
+    fn finisher_rejects_bad_admission_policies() {
+        let base = || LoopBuilder::new(workloads::simple());
+        type Spoil = fn(&mut AdmissionPolicy);
+        let cases: [(&str, Spoil); 7] = [
+            ("margin", |p| p.margin = f64::NAN),
+            ("margin", |p| p.margin = -0.01),
+            ("readmit_headroom", |p| p.readmit_headroom = -0.1),
+            ("readmit_headroom", |p| p.readmit_headroom = f64::INFINITY),
+            ("admit_threshold", |p| p.admit_threshold = f64::NAN),
+            ("admit_threshold", |p| p.admit_threshold = 0.0),
+            ("patience", |p| p.patience = 0),
+        ];
+        for (field, spoil) in cases {
+            let mut policy = AdmissionPolicy::default();
+            spoil(&mut policy);
+            let built = [
+                base().admission(policy.clone()).local(),
+                base()
+                    .admission(policy.clone())
+                    .distributed(NetConfig::channel()),
+            ];
+            for err in built.map(Result::unwrap_err) {
+                assert!(
+                    matches!(err, CoreError::Config(ref m) if m.contains(field)),
+                    "{policy:?}: got {err:?}"
+                );
+            }
+            // Fleet workers build through `local()`.
+            let fleet = base().admission(policy.clone()).fleet(2).run(3);
+            assert!(fleet.is_err(), "fleet accepts {policy:?}");
+        }
+        // Zero margin and headroom are in range: shed at, re-admit below, B.
+        let mut edge = AdmissionPolicy::default();
+        (edge.margin, edge.readmit_headroom) = (0.0, 0.0);
+        assert!(base().admission(edge).local().is_ok());
     }
 }

@@ -27,7 +27,9 @@
 //! * [`ChurnPlan`] / [`AdmissionPolicy`] — runtime membership: scripted
 //!   or stochastic task arrivals, departures and mode changes, gated by
 //!   the §6.2 utilization-threshold admission test, with incremental
-//!   plant-model updates in the controller (see DESIGN.md §15).
+//!   plant-model updates in the controller — and load shedding: the same
+//!   admission controller suspends tasks when rate adaptation is
+//!   exhausted and re-admits them on headroom (see DESIGN.md §15).
 //! * [`experiments`] — Experiment I ([`SteadyRun`], constant etf sweeps →
 //!   Figures 4 and 5) and Experiment II ([`VaryingRun`], the 0.5 → 0.9 →
 //!   0.33 step profile → Figures 6–8).

@@ -2,10 +2,10 @@
 //!
 //! The EUCON loop only needs sampled utilizations in and rate commands
 //! out (paper §4).  Everything else the loop does — fault injection,
-//! runtime membership — is optional capability.  [`Plant`] captures that
-//! surface so [`crate::ClosedLoop`] (and everything stacked on it:
-//! [`crate::FleetRunner`], [`crate::service::ControlService`]) can drive
-//! any backend:
+//! runtime membership, load shedding — is optional capability.
+//! [`Plant`] captures that surface so [`crate::ClosedLoop`] (and
+//! everything stacked on it: [`crate::FleetRunner`],
+//! [`crate::service::ControlService`]) can drive any backend:
 //!
 //! * [`SimPlant`] — the event-driven simulator (`eucon-sim`), the
 //!   default.  Bit-identical to the pre-abstraction loop: the golden
@@ -103,12 +103,13 @@ pub trait Plant {
         let _ = p;
     }
 
-    // --- membership surface (driven by churn plans; backends that
-    // return `false` from `supports_membership` are rejected at build
-    // time when a churn plan or admission policy is configured) ---
+    // --- membership surface (driven by churn plans and the load-shedding
+    // supervisor; backends that return `false` from `supports_membership`
+    // are rejected at build time when a churn plan or admission policy is
+    // configured) ---
 
     /// Whether this backend supports runtime membership (admissions,
-    /// departures, mode changes).
+    /// departures, mode changes, suspension).
     fn supports_membership(&self) -> bool {
         false
     }
@@ -144,6 +145,18 @@ pub trait Plant {
     /// Scales a task's execution demand (mode change).
     fn set_task_mode(&mut self, task: TaskId, exec_scale: f64) {
         let _ = (task, exec_scale);
+    }
+
+    /// Suspends a task (load shedding): in-flight work drains, no further
+    /// releases until [`Plant::resume_task`]; its id, rate slot and
+    /// statistics stay.
+    fn suspend_task(&mut self, task: TaskId) {
+        let _ = task;
+    }
+
+    /// Resumes a suspended task at the rate in force for it.
+    fn resume_task(&mut self, task: TaskId) {
+        let _ = task;
     }
 
     /// Borrow the underlying simulator, when this plant is
@@ -287,6 +300,14 @@ impl Plant for SimPlant {
         self.sim.set_task_mode(task, exec_scale);
     }
 
+    fn suspend_task(&mut self, task: TaskId) {
+        self.sim.suspend_task(task);
+    }
+
+    fn resume_task(&mut self, task: TaskId) {
+        self.sim.resume_task(task);
+    }
+
     fn as_simulator(&self) -> Option<&Simulator> {
         Some(&self.sim)
     }
@@ -393,6 +414,8 @@ mod tests {
         assert!(!p.is_departed(TaskId(0)));
         p.depart_task(TaskId(0));
         p.set_task_mode(TaskId(0), 2.0);
+        p.suspend_task(TaskId(0));
+        p.resume_task(TaskId(0));
         assert!(p.as_simulator().is_none());
         assert_eq!(p.deadline_stats(), DeadlineStats::default());
         assert_eq!(p.counters(), EngineCounters::default());

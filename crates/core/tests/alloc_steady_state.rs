@@ -156,6 +156,28 @@ fn fault_free_steady_state_period_is_allocation_free() {
          (got {churn_steady} over 50 periods)"
     );
 
+    // 2c. An admission policy over an empty plan (ISSUE 17): the
+    // load-shedding supervisor reads every period's sample and, at a
+    // feasible load, never has a decision to take — scanning is free of
+    // the heap.
+    let mut supervised = LoopBuilder::new(workloads::medium())
+        .sim_config(SimConfig::constant_etf(0.5))
+        .controller(ControllerSpec::Eucon(eucon_control::MpcConfig::medium()))
+        .admission(eucon_core::AdmissionPolicy::default())
+        .record_trace(false)
+        .local()
+        .unwrap();
+    for _ in 0..100 {
+        supervised.step();
+    }
+    let shed_steady = measure(&mut supervised, 50);
+    assert_eq!(
+        shed_steady, 0,
+        "the shedding supervisor must scan without allocating \
+         (got {shed_steady} over 50 periods)"
+    );
+    assert!(supervised.admission_events().is_empty());
+
     // 3. EUCON (MPC) under ±20 % execution-time noise, so the active set
     // keeps changing and the QP solver runs real iterations every period:
     // zero as well.  The solver works in a per-controller workspace whose

@@ -40,7 +40,7 @@ fn scripted_sim(set: eucon_tasks::TaskSet, seed: u64) -> u64 {
         h.vector(&sim.sample_utilizations());
         // Deterministic rate churn touching every task.
         for t in 0..m {
-            let r = sim.rates()[t];
+            let r = sim.rates_slice()[t];
             let factor = 0.7 + 0.6 * (((k as usize + t) % 5) as f64) / 4.0;
             sim.set_rate(TaskId(t), r * factor);
         }

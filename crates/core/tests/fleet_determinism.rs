@@ -5,12 +5,13 @@
 //! loop's trace digest is a pure function of its spec, never of which
 //! worker ran it or in what order loops were stolen.  This suite runs a
 //! heterogeneous fleet (both paper workloads, stochastic execution
-//! times, supervised loops under a crash + lossy-actuation plan) at
-//! 1, 2 and 8 threads and requires identical digest vectors, in both
-//! debug and release profiles (CI runs both).
+//! times, supervised loops under a crash + lossy-actuation plan, loops
+//! that shed load under a 25x overload) at 1, 2 and 8 threads and
+//! requires identical digest vectors, in both debug and release profiles
+//! (CI runs both).
 
 use eucon_control::MpcConfig;
-use eucon_core::{ControllerSpec, FleetConfig, FleetLoopSpec, FleetRunner};
+use eucon_core::{AdmissionPolicy, ControllerSpec, FleetConfig, FleetLoopSpec, FleetRunner};
 use eucon_sim::{ExecModel, FaultPlan, SimConfig};
 use eucon_tasks::workloads;
 
@@ -18,11 +19,11 @@ const PERIODS: usize = 20;
 
 /// A fleet that exercises every per-loop code path whose determinism
 /// matters: warm-started QP solves, seeded stochastic execution times,
-/// fault injection and supervisor degradation.
+/// fault injection, supervisor degradation and load shedding.
 fn fleet_specs() -> Vec<FleetLoopSpec> {
     let mut specs = Vec::new();
     for i in 0..24u64 {
-        let spec = match i % 4 {
+        let spec = match i % 5 {
             0 => FleetLoopSpec::new(workloads::simple()).sim_config(SimConfig::constant_etf(0.5)),
             1 => FleetLoopSpec::new(workloads::medium())
                 .sim_config(
@@ -43,9 +44,14 @@ fn fleet_specs() -> Vec<FleetLoopSpec> {
                         .actuation_loss(0.3)
                         .seed(7),
                 ),
-            _ => FleetLoopSpec::new(workloads::medium())
+            3 => FleetLoopSpec::new(workloads::medium())
                 .sim_config(SimConfig::constant_etf(0.9).seed(i))
                 .controller(ControllerSpec::Pid { kp: 0.5, ki: 0.05 }),
+            // Rate adaptation exhausted: the supervisor suspends a task
+            // at periods 12 and 17.
+            _ => FleetLoopSpec::new(workloads::simple())
+                .sim_config(SimConfig::constant_etf(25.0))
+                .admission(AdmissionPolicy::default()),
         };
         specs.push(spec);
     }
@@ -77,7 +83,10 @@ fn digests_identical_across_thread_counts() {
         );
         assert_eq!(baseline.engine_events, parallel.engine_events);
         assert_eq!(baseline.control_errors, parallel.control_errors);
+        assert_eq!(baseline.churn, parallel.churn);
     }
+    let shedding_members = (0..24).filter(|i| i % 5 == 4).count() as u64;
+    assert_eq!(baseline.churn.suspended, 2 * shedding_members);
 }
 
 #[test]

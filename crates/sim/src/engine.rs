@@ -275,14 +275,6 @@ impl Simulator {
         &self.set
     }
 
-    /// Current task rates.
-    ///
-    /// Allocates a fresh vector; the closed-loop hot path should use
-    /// [`Simulator::rates_slice`] instead.
-    pub fn rates(&self) -> Vector {
-        Vector::from_slice(&self.rates)
-    }
-
     /// Current task rates, borrowed without allocating.
     pub fn rates_slice(&self) -> &[f64] {
         &self.rates
@@ -963,14 +955,6 @@ mod tests {
         // Zero-length window fills zeros.
         b.sample_utilizations_into(&mut buf);
         assert!(buf.iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn rates_slice_matches_rates() {
-        let set = single_task_set(20.0, 100.0);
-        let mut sim = Simulator::new(set, SimConfig::constant_etf(1.0));
-        sim.set_rate(TaskId(0), 0.02);
-        assert_eq!(sim.rates().as_slice(), sim.rates_slice());
     }
 
     #[test]

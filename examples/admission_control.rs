@@ -4,9 +4,9 @@
 //!
 //! A disaster-recovery scenario: execution times explode to 25× the
 //! estimates (sensor fusion saturating on debris-cluttered imagery).
-//! Rate adaptation alone cannot shed enough load, so the supervisor
-//! suspends tasks until the system fits, then re-admits them when the
-//! scene clears.
+//! Rate adaptation alone cannot shed enough load, so the loop's admission
+//! supervisor suspends tasks until the system fits, then re-admits them
+//! when the scene clears.
 //!
 //! This is *task-level* admission inside one loop.  For *loop-level*
 //! admission — many independent control loops admitted to and evicted
@@ -16,34 +16,35 @@
 //!
 //! Run with: `cargo run --release --example admission_control`
 
-use eucon::core::admission::{AdaptiveLoop, AdmissionPolicy};
+use eucon::core::admission::{AdmissionEvent, AdmissionPolicy};
 use eucon::prelude::*;
 
 fn main() -> Result<(), eucon::Error> {
     // etf 25 for 80 periods (catastrophic overload), then relief at 0.5.
     let profile = EtfProfile::steps(&[(0.0, 25.0), (80_000.0, 0.5)]);
-    let mut al = AdaptiveLoop::new(
-        workloads::simple(),
-        MpcConfig::simple(),
-        AdmissionPolicy::default(),
-        SimConfig {
+    // An admission policy is all it takes: the loop's admission
+    // controller then supervises load shedding next to rate adaptation.
+    let mut al = LoopBuilder::new(workloads::simple())
+        .sim_config(SimConfig {
             exec_model: ExecModel::Constant,
             etf: profile,
             seed: 0,
             release_guard: Default::default(),
             processor_speeds: None,
-        },
-    )?;
+        })
+        .controller(ControllerSpec::Eucon(MpcConfig::simple()))
+        .admission(AdmissionPolicy::default())
+        .local()?;
 
-    al.run(220);
+    let result = al.run(220);
 
     println!("admission events:");
-    for e in al.events() {
+    for e in &result.admission_events {
         match e {
-            eucon::core::admission::AdmissionEvent::Suspended { period, task } => {
+            AdmissionEvent::Suspended { period, task } => {
                 println!("  period {period:>3}: suspended  {task}");
             }
-            eucon::core::admission::AdmissionEvent::Readmitted { period, task } => {
+            AdmissionEvent::Readmitted { period, task } => {
                 println!("  period {period:>3}: re-admitted {task}");
             }
             // Runtime-churn events (arrivals/departures) never fire here:
@@ -52,7 +53,7 @@ fn main() -> Result<(), eucon::Error> {
         }
     }
 
-    let u1 = al.trace().utilization_series(0);
+    let u1 = result.trace.utilization_series(0);
     let overload_tail = metrics::window(&u1, 60, 80);
     let relief_tail = metrics::window(&u1, 180, 220);
     println!(
@@ -61,13 +62,14 @@ fn main() -> Result<(), eucon::Error> {
     );
 
     assert!(
-        al.events()
+        result
+            .admission_events
             .iter()
-            .any(|e| matches!(e, eucon::core::admission::AdmissionEvent::Suspended { .. })),
+            .any(|e| matches!(e, AdmissionEvent::Suspended { .. })),
         "the overload must force suspensions"
     );
     assert!(
-        al.suspended_tasks().is_empty(),
+        result.churn.suspended == result.churn.readmitted,
         "relief must bring every task back"
     );
     assert!(
