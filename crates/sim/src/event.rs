@@ -6,33 +6,39 @@
 //! completion, and each subtask a short list of release-guarded successor
 //! instances.  Instead of pushing a fresh heap entry on every reschedule
 //! and leaving the stale one to rot until pop (the version-tombstone
-//! pattern), every *event source* owns one slot in an indexed 4-ary
-//! min-heap with a position table: rescheduling is a decrease/increase-key
-//! sift, cancellation is a removal, and `pop` never discards anything.
-//! Memory is `O(m + n + Σ subtasks)` and the steady state allocates
-//! nothing.
+//! pattern), every *event source* is a fixed leaf of a tournament tree:
+//! `keys[s]` is the source's next `(time, seq)` packed into one integer
+//! ([`IDLE`] when nothing is queued), an inner node names the source with
+//! the smaller key of its two children, and `tree[1]` is the next event.
+//! Scheduling, rescheduling, cancelling and retiring a fired event are one
+//! operation — store the leaf's key and replay its matches up to the root
+//! ([`EventCore::replay`]) — and `pop` never discards anything.  Memory is
+//! `O(m + n + Σ subtasks)` and the steady state allocates nothing.
 //!
 //! Determinism is inherited from the old queue: every (re)schedule stamps
 //! a fresh monotone sequence number, and events are ordered by
 //! `(time, seq)` — a strict total order, so the pop sequence does not
-//! depend on the heap's shape.  Two shortcuts lean on that:
+//! depend on the tree's shape or on which of two idle leaves wins a match.
 //!
-//! * **Root hole.**  A fired source is almost always re-armed by its own
-//!   handler (the next head release, the next job's completion), so `pop`
-//!   leaves the fired slot in `heap[0]` as a *hole* — source already
-//!   [`ABSENT`] — instead of moving the last leaf up and sifting it down.
-//!   The next insert of an absent source overwrites it and sifts down
-//!   once; the next pop closes a hole nobody filled.  The stale root is
-//!   never overtaken: queued keys were ordered after it, and new keys
-//!   carry a later `seq` at a time no earlier than the event that fired
-//!   (callers never schedule into the past), so sift-ups and removals
-//!   stop below it.
+//! * **Branch-free replay.**  A heap's sifts branch on which child is
+//!   smallest and on where the sift stops; both depend on the keys, no
+//!   predictor learns them, and the mispredictions cost more than the
+//!   queue's loads and compares together.  The replay walks the full
+//!   leaf-to-root path (`log2` of the leaf count, whatever the keys) and
+//!   meets one sibling per level — that subtree's winner, which a change
+//!   to this leaf cannot have moved, so the sibling loads do not wait for
+//!   the compare chain — and it must pick each match's winner with
+//!   conditional moves: with a conditional jump per level the same tree
+//!   measures 15 % slower on a 64-processor plant than the 4-ary heap it
+//!   replaced (EXPERIMENTS.md, "Event-queue cost per event").
 //! * **Hand-off.**  A completion hands its instance to the successor
 //!   subtask at the current instant.  If no queued event is due by then,
 //!   the pushed entry would be the very next pop, so
 //!   [`EventCore::hand_off`] only takes the sequence number and the
 //!   engine runs the release in place; on a tie the older event has the
 //!   smaller `seq`, so the entry is queued.  The firing order is the same.
+
+use std::hint::select_unpredictable;
 
 /// An event popped from the [`EventCore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,9 +67,6 @@ struct Pending {
     instance: u64,
 }
 
-/// Sentinel for "source not in the heap".
-const ABSENT: u32 = u32::MAX;
-
 /// What a source id denotes: an explicit table (one indexed load per
 /// pop), because runtime task admission appends sources at the end of
 /// the id space.
@@ -77,35 +80,40 @@ enum SourceKind {
     Sub { task: u32, index: u32 },
 }
 
-/// Heap branching factor — purely a constant-factor knob, since the pop
-/// sequence is independent of the heap's shape.  Four halves the sift
-/// depth relative to a binary heap and keeps each node's children in
-/// adjacent cache lines.
-const ARITY: usize = 4;
+/// Key of a source with nothing queued.  It orders after every real key:
+/// its time half is a NaN bit pattern, and the NaN checks where times
+/// enter (`upsert`, `push_subtask`) are what keep a NaN time from reading
+/// as "nothing queued".
+const IDLE: u128 = u128::MAX;
 
-/// A heap slot: the key is stored inline so sift comparisons touch only
-/// the heap array itself (indirecting through per-source key arrays costs
-/// two extra cache misses per comparison, which dominates at scale).
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    time: f64,
-    seq: u64,
-    src: u32,
+const SIGN: u64 = 1 << 63;
+
+/// All ones below the sign bit when it is set, zero otherwise.
+#[inline]
+fn magnitude_if_negative(bits: u64) -> u64 {
+    ((bits as i64 >> 63) as u64) >> 1
 }
 
-impl Slot {
-    #[inline]
-    fn less(&self, other: &Slot) -> bool {
-        match self.time.total_cmp(&other.time) {
-            std::cmp::Ordering::Less => true,
-            std::cmp::Ordering::Greater => false,
-            std::cmp::Ordering::Equal => self.seq < other.seq,
-        }
-    }
+/// Packs `(time, seq)` so that one unsigned compare orders exactly like
+/// `f64::total_cmp` on the times, then the sequence numbers: flip the
+/// magnitude bits of negative times as `total_cmp` does, then the sign bit
+/// (signed order → unsigned order).
+#[inline]
+fn key_of(time: f64, seq: u64) -> u128 {
+    let bits = time.to_bits();
+    ((bits ^ magnitude_if_negative(bits) ^ SIGN) as u128) << 64 | seq as u128
 }
 
-/// Indexed earliest-first event queue: a 4-ary min-heap over
-/// `(time, seq)` with one slot per event source.  Source ids are looked
+/// The time packed into `key`, bit for bit (neither flip touches the bit
+/// the other one reads, so undoing them in reverse order is the inverse).
+#[inline]
+fn time_of(key: u128) -> f64 {
+    let bits = (key >> 64) as u64 ^ SIGN;
+    f64::from_bits(bits ^ magnitude_if_negative(bits))
+}
+
+/// Indexed earliest-first event queue: a tournament tree over
+/// `(time, seq)` with one leaf per event source.  Source ids are looked
 /// up, never computed: `kind` maps an id to what it denotes, and
 /// `head_src` / `proc0` / `sub_base` map back.
 #[derive(Debug)]
@@ -120,20 +128,23 @@ pub(crate) struct EventCore {
     head_src: Vec<u32>,
     /// First subtask-source id of each task (successors only).
     sub_base: Vec<u32>,
-    /// Heap of sources with inline keys, ordered by `(time, seq)`.
-    heap: Vec<Slot>,
-    /// Position of each source in `heap`, or [`ABSENT`].
-    pos: Vec<u32>,
+    /// Next `(time, seq)` of each source ([`key_of`]), or [`IDLE`].  One
+    /// entry per leaf: the source count rounded up to a power of two, the
+    /// leaves past the last source idle until admission hands them out.
+    keys: Vec<u128>,
+    /// The tournament, `2 · keys.len()` entries: `tree[keys.len() + s]`
+    /// is `s`, an inner node `j` holds whichever of `tree[2j]` and
+    /// `tree[2j + 1]` has the smaller key, `tree[1]` is the next event
+    /// (`tree[0]` is unused).
+    tree: Vec<u32>,
     /// Pending instances per source id, sorted by `(time, seq)`; the
-    /// front entry is the source's heap key.  Only subtask sources ever
+    /// front entry is the source's key.  Only subtask sources ever
     /// queue entries; task/processor slots stay empty (a few unused
     /// `Vec`s buy direct indexing by source id, which survives growth).
     pending: Vec<Vec<Pending>>,
-    /// `heap[0]` belongs to the event that just fired: its source is
-    /// already [`ABSENT`] and the next insert overwrites it (module docs).
-    hole: bool,
     next_seq: u64,
-    /// Live events (heap singletons + queued pending entries).
+    /// Live events (single-slot sources with a key + queued pending
+    /// entries).
     live: usize,
     /// Largest live-event count ever observed.
     peak: usize,
@@ -141,7 +152,7 @@ pub(crate) struct EventCore {
     /// would have been a tombstone in the old queue).
     reschedules: u64,
     /// `(time, seq)` of the last popped event, for the monotonicity
-    /// invariant (debug builds only).
+    /// invariants (debug builds only).
     #[cfg(debug_assertions)]
     last_popped: (f64, u64),
 }
@@ -174,22 +185,23 @@ impl EventCore {
             next += len.saturating_sub(1) as u32;
         }
         let total = next as usize;
-        EventCore {
+        let mut core = EventCore {
             proc0: num_tasks as u32,
             kind,
             head_src,
             sub_base,
-            heap: Vec::with_capacity(total),
-            pos: vec![ABSENT; total],
+            keys: Vec::new(),
+            tree: Vec::new(),
             pending: vec![Vec::new(); total],
-            hole: false,
             next_seq: 0,
             live: 0,
             peak: 0,
             reschedules: 0,
             #[cfg(debug_assertions)]
             last_popped: (f64::NEG_INFINITY, 0),
-        }
+        };
+        core.rebuild();
+        core
     }
 
     /// Adds a task with `num_subtasks` subtasks at runtime, returning its
@@ -211,8 +223,12 @@ impl EventCore {
             });
         }
         let total = self.kind.len();
-        self.pos.resize(total, ABSENT);
         self.pending.resize_with(total, Vec::new);
+        // The new sources take over leaves that were idle padding, which
+        // the tree already holds; only outgrowing the leaves rebuilds it.
+        if total > self.keys.len() {
+            self.rebuild();
+        }
         task
     }
 
@@ -274,10 +290,9 @@ impl EventCore {
         self.live += 1;
         self.peak = self.peak.max(self.live);
         if at == 0 {
-            // New front: the source's heap key changes (counted as a plain
+            // New front: the source's key changes (counted as a plain
             // schedule, not a reschedule — nothing was invalidated).
-            let front = (time, seq);
-            self.set_key(s, front.0, front.1);
+            self.replay(s, key_of(time, seq));
         }
     }
 
@@ -288,10 +303,7 @@ impl EventCore {
     /// — the caller runs the release, then [`EventCore::fire_hand_off`].
     /// On `false` (an older event ties at `now`) it is queued as usual.
     pub fn hand_off(&mut self, task: usize, index: usize, instance: u64, now: f64) -> bool {
-        // With the root a hole, the earliest live key is one of its children.
-        let (from, to) = if self.hole { (1, 1 + ARITY) } else { (0, 1) };
-        let earliest = &self.heap[from.min(self.heap.len())..to.min(self.heap.len())];
-        if earliest.iter().any(|slot| slot.time <= now) {
+        if self.peek_time().is_some_and(|earliest| earliest <= now) {
             self.push_subtask(task, index, instance, now);
             return false;
         }
@@ -313,17 +325,15 @@ impl EventCore {
     }
 
     /// Time of the earliest event, if any.
-    #[cfg(test)]
-    pub fn peek_time(&mut self) -> Option<f64> {
-        self.close_hole();
-        self.heap.first().map(|slot| slot.time)
+    pub fn peek_time(&self) -> Option<f64> {
+        let key = self.keys[self.tree[1] as usize];
+        (key != IDLE).then(|| time_of(key))
     }
 
     /// Pops the earliest event if it fires no later than `t_end`
     /// (fused peek + pop for the engine's main loop).
     pub fn pop_before(&mut self, t_end: f64) -> Option<(f64, FiredEvent)> {
-        self.close_hole();
-        if self.heap.first()?.time > t_end {
+        if self.peek_time()? > t_end {
             return None;
         }
         self.pop()
@@ -331,10 +341,12 @@ impl EventCore {
 
     /// Pops the earliest event.
     pub fn pop(&mut self) -> Option<(f64, FiredEvent)> {
-        self.close_hole();
-        let &slot = self.heap.first()?;
-        let s = slot.src as usize;
-        let at = (slot.time, slot.seq);
+        let s = self.tree[1] as usize;
+        let key = self.keys[s];
+        if key == IDLE {
+            return None;
+        }
+        let at = (time_of(key), key as u64);
         #[cfg(debug_assertions)]
         {
             let (lt, lq) = self.last_popped;
@@ -346,33 +358,32 @@ impl EventCore {
             self.last_popped = at;
         }
         self.live -= 1;
-        let fired = match self.kind[s] {
+        // The fired leaf is retired (or, for a subtask source, re-keyed to
+        // its next entry) right away: deferring that until the handler's
+        // re-arm overwrites the leaf measured no faster on MEDIUM and
+        // slower on the 64-processor plant (EXPERIMENTS.md).
+        let (fired, next) = match self.kind[s] {
             SourceKind::Task(task) => {
-                self.open_hole();
-                FiredEvent::TaskRelease {
-                    task: task as usize,
-                }
+                let task = task as usize;
+                (FiredEvent::TaskRelease { task }, IDLE)
             }
             SourceKind::Proc(p) => {
-                self.open_hole();
-                FiredEvent::Completion {
-                    processor: p as usize,
-                }
+                let processor = p as usize;
+                (FiredEvent::Completion { processor }, IDLE)
             }
             SourceKind::Sub { task, index } => {
                 let entry = self.pending[s].remove(0);
                 debug_assert_eq!((entry.time, entry.seq), at);
-                match self.pending[s].first().map(|e| (e.time, e.seq)) {
-                    Some((t, q)) => self.set_key(s as u32, t, q),
-                    None => self.open_hole(),
-                }
-                FiredEvent::SubtaskRelease {
+                let fired = FiredEvent::SubtaskRelease {
                     task: task as usize,
                     index: index as usize,
                     instance: entry.instance,
-                }
+                };
+                let front = self.pending[s].first();
+                (fired, front.map_or(IDLE, |e| key_of(e.time, e.seq)))
             }
         };
+        self.replay(s as u32, next);
         Some((at.0, fired))
     }
 
@@ -387,13 +398,13 @@ impl EventCore {
         self.sub_base[task] + (index as u32 - 1)
     }
 
-    // ---- indexed-heap primitives ----
+    // ---- tournament primitives ----
 
     /// Inserts or reschedules a single-slot source (task or processor)
     /// with a fresh sequence number.
     fn upsert(&mut self, s: u32, time: f64) {
         assert!(!time.is_nan(), "event time must not be NaN");
-        if self.pos[s as usize] == ABSENT {
+        if self.keys[s as usize] == IDLE {
             self.live += 1;
             self.peak = self.peak.max(self.live);
         } else {
@@ -401,118 +412,70 @@ impl EventCore {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.set_key(s, time, seq);
+        self.replay(s, key_of(time, seq));
     }
 
     /// Removes a single-slot source if present.
     fn cancel(&mut self, s: u32) {
-        if self.pos[s as usize] != ABSENT {
-            self.remove(s);
+        if self.keys[s as usize] != IDLE {
+            self.replay(s, IDLE);
             self.live -= 1;
         }
     }
 
-    /// Sets a source's key and restores the heap order (inserting the
-    /// source if absent).
-    fn set_key(&mut self, s: u32, time: f64, seq: u64) {
-        let slot = Slot { time, seq, src: s };
-        debug_assert!(!self.hole || self.heap[0].less(&slot), "into the past");
-        let i = self.pos[s as usize];
-        if i != ABSENT {
-            let i = i as usize;
-            self.heap[i] = slot;
-            // The key may have moved either way: try both directions (one
-            // is a no-op).
-            self.sift_up(i, slot);
-            self.sift_down(self.pos[s as usize] as usize);
-        } else if std::mem::take(&mut self.hole) {
-            // Refill the fired root: the key it replaces was the minimum,
-            // so the new one can only need to move down.
-            self.heap[0] = slot;
-            self.sift_down(0);
-        } else {
-            self.heap.push(slot);
-            self.sift_up(self.heap.len() - 1, slot);
+    /// Sets source `s`'s key and replays its matches from the leaf to the
+    /// root — every mutation of the queue is this.  The running winner
+    /// travels in registers and meets, per level, the winner of the
+    /// sibling subtree, which no change to `s` can have moved.
+    ///
+    /// The key is carried as its two `u64` halves and each of the three
+    /// registers chosen by a scalar `select_unpredictable`, which compiles
+    /// to three `cmov` per level.  An `if`, or one select on the `u128`,
+    /// compiles to a conditional jump per level that no predictor learns
+    /// (module docs); `.claude/skills/verify/SKILL.md` has the asm check
+    /// to repeat after a toolchain bump.
+    fn replay(&mut self, s: u32, key: u128) {
+        #[cfg(debug_assertions)]
+        {
+            let (lt, lq) = self.last_popped;
+            let (t, q) = (time_of(key), key as u64);
+            debug_assert!(
+                key == IDLE || t > lt || (t == lt && q > lq),
+                "scheduled into the past: {:?} after {:?} fired",
+                (t, q),
+                (lt, lq)
+            );
+        }
+        self.keys[s as usize] = key;
+        let (mut w, mut hi, mut lo) = (s, (key >> 64) as u64, key as u64);
+        let mut j = self.keys.len() + s as usize;
+        while j > 1 {
+            let sib = self.tree[j ^ 1];
+            let sib_key = self.keys[sib as usize];
+            let (shi, slo) = ((sib_key >> 64) as u64, sib_key as u64);
+            let take = (shi < hi) | ((shi == hi) & (slo < lo));
+            w = select_unpredictable(take, sib, w);
+            hi = select_unpredictable(take, shi, hi);
+            lo = select_unpredictable(take, slo, lo);
+            j >>= 1;
+            self.tree[j] = w;
         }
     }
 
-    /// Retires the fired root's source; its slot stays to be overwritten.
-    fn open_hole(&mut self) {
-        self.pos[self.heap[0].src as usize] = ABSENT;
-        self.hole = true;
-    }
-
-    /// Removes a root hole nobody refilled.
-    fn close_hole(&mut self) {
-        if std::mem::take(&mut self.hole) {
-            self.heap.swap_remove(0);
-            if let Some(moved) = self.heap.first() {
-                self.pos[moved.src as usize] = 0;
-                self.sift_down(0);
-            }
+    /// Sizes the tree for the current source count and plays every match
+    /// bottom-up: construction, and admission past a power of two (which
+    /// allocates anyway).  Queued keys are kept.
+    fn rebuild(&mut self) {
+        let cap = self.kind.len().next_power_of_two();
+        self.keys.resize(cap, IDLE);
+        self.tree.clear();
+        self.tree.resize(cap, 0);
+        self.tree.extend(0..cap as u32);
+        for j in (1..cap).rev() {
+            let (a, b) = (self.tree[2 * j], self.tree[2 * j + 1]);
+            let b_wins = self.keys[b as usize] < self.keys[a as usize];
+            self.tree[j] = if b_wins { b } else { a };
         }
-    }
-
-    /// Removes an arbitrary source from the heap.
-    fn remove(&mut self, s: u32) {
-        let i = self.pos[s as usize] as usize;
-        self.pos[s as usize] = ABSENT;
-        let last = self.heap.len() - 1;
-        self.heap.swap_remove(i);
-        if i <= last && i < self.heap.len() {
-            let moved = self.heap[i];
-            self.pos[moved.src as usize] = i as u32;
-            self.sift_up(i, moved);
-            self.sift_down(self.pos[moved.src as usize] as usize);
-        }
-    }
-
-    /// Moves the slot at `i` (already equal to `slot`) toward the root
-    /// until its parent is no greater.  Hole-based: ancestors shift down
-    /// and positions are written once per visited level.
-    fn sift_up(&mut self, mut i: usize, slot: Slot) {
-        while i > 0 {
-            let parent = (i - 1) / ARITY;
-            let p = self.heap[parent];
-            if slot.less(&p) {
-                self.heap[i] = p;
-                self.pos[p.src as usize] = i as u32;
-                i = parent;
-            } else {
-                break;
-            }
-        }
-        self.heap[i] = slot;
-        self.pos[slot.src as usize] = i as u32;
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let n = self.heap.len();
-        let slot = self.heap[i];
-        loop {
-            let first = ARITY * i + 1;
-            if first >= n {
-                break;
-            }
-            let last = (first + ARITY).min(n);
-            let mut best = first;
-            let mut b = self.heap[first];
-            for c in first + 1..last {
-                if self.heap[c].less(&b) {
-                    best = c;
-                    b = self.heap[c];
-                }
-            }
-            if b.less(&slot) {
-                self.heap[i] = b;
-                self.pos[b.src as usize] = i as u32;
-                i = best;
-            } else {
-                break;
-            }
-        }
-        self.heap[i] = slot;
-        self.pos[slot.src as usize] = i as u32;
     }
 }
 
@@ -664,10 +627,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "NaN")]
     fn nan_time_rejected() {
-        let mut q = core3();
-        q.schedule_completion(0, f64::NAN);
+        // Load-bearing: `IDLE`'s time half is a NaN pattern, so a NaN that
+        // got past these checks would read as "nothing queued".
+        let entry_points: [fn(&mut EventCore); 3] = [
+            |q| q.schedule_completion(0, f64::NAN),
+            |q| q.schedule_task_release(0, f64::NAN),
+            |q| q.push_subtask(0, 1, 0, f64::NAN),
+        ];
+        for enter in entry_points {
+            let mut q = core3();
+            let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| enter(&mut q)))
+                .expect_err("a NaN time must be rejected");
+            let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(message.contains("NaN"), "panicked with {message:?}");
+            assert_eq!((q.len(), q.peek_time()), (0, None));
+        }
     }
 
     #[test]
@@ -786,33 +761,88 @@ mod tests {
     }
 
     #[test]
-    fn hole_in_a_heap_of_one_is_refilled_or_closed() {
+    fn fired_source_can_be_rearmed_cancelled_or_left_idle() {
         let mut q = EventCore::new(1, 1, &[2]);
         q.schedule_task_release(0, 1.0);
         assert_eq!(q.pop().unwrap().1, FiredEvent::TaskRelease { task: 0 });
-        // The heap is now just the hole: cancels see nothing, a peek and a
-        // pop close it, and an insert refills it.
+        // The source that just fired is idle again: cancels see nothing,
+        // a peek and a pop find an empty queue, and it can be re-armed.
         q.cancel_task_release(0);
         q.cancel_completion(0);
         assert_eq!((q.len(), q.peek_time()), (0, None));
         assert!(q.pop().is_none());
         q.schedule_completion(0, 2.0);
         assert_eq!(q.pop().unwrap().1, FiredEvent::Completion { processor: 0 });
-        q.schedule_completion(0, 3.0); // refills the hole
-        q.schedule_task_release(0, 2.5); // no hole left: a plain push
-        q.schedule_completion(0, 2.0); // reschedule past the new root
+        q.schedule_completion(0, 3.0); // re-arms the source that just fired
+        q.schedule_task_release(0, 2.5); // takes the root from it
+        q.schedule_completion(0, 2.0); // rescheduled ahead of the new root
         assert_eq!(
             q.pop().unwrap(),
             (2.0, FiredEvent::Completion { processor: 0 })
         );
-        // Hole open over a one-entry heap: nothing is due, so the hand-off
-        // is in place and touches nothing.
+        // One entry queued and it is not due: the hand-off is in place and
+        // leaves the queue as it was.
         assert!(q.hand_off(0, 1, 0, 2.0));
         q.fire_hand_off();
         assert!(!q.hand_off(0, 1, 1, 2.5), "the release at 2.5 is older");
         assert_eq!(q.pop().unwrap().1, FiredEvent::TaskRelease { task: 0 });
         assert_eq!(q.pop().unwrap().0, 2.5);
+        // Nothing queued at all: in place again.
+        assert!(q.hand_off(0, 1, 2, 2.5));
+        q.fire_hand_off();
         assert_eq!((q.len(), q.peak(), q.reschedules()), (0, 2, 1));
+    }
+
+    #[test]
+    fn growth_rebuilds_the_tree_with_events_queued() {
+        // 2 tasks + 2 processors + 3 successors = 7 sources on 8 leaves.
+        let mut subs = vec![3usize, 2];
+        let mut q = EventCore::new(2, 2, &subs);
+        let mut m = Naive::default();
+        let (mut now, mut instance) = (0.0, 0);
+        assert_eq!(q.keys.len(), 8);
+        // Each round queues events on every source kind (later tasks
+        // earlier, so the newest leaves win their way to the root), admits
+        // tasks until the leaf count doubles and drains half, so the next
+        // doubling runs over queued, fired and never-armed sources.  The
+        // last round admits nothing: the newest tasks fire too.
+        for leaves in [16, 32, 32] {
+            for (task, &len) in subs.iter().enumerate() {
+                let at = now + 100.0 - task as f64;
+                q.schedule_task_release(task, at);
+                m.upsert(at, FiredEvent::TaskRelease { task });
+                for index in 1..len {
+                    instance += 1;
+                    let event = FiredEvent::SubtaskRelease {
+                        task,
+                        index,
+                        instance,
+                    };
+                    q.push_subtask(task, index, instance, at + 0.25 * index as f64);
+                    m.push(at + 0.25 * index as f64, event);
+                }
+            }
+            for processor in 0..2 {
+                let at = now + 50.0 + processor as f64;
+                q.schedule_completion(processor, at);
+                m.upsert(at, FiredEvent::Completion { processor });
+            }
+            while q.keys.len() < leaves {
+                subs.push(1 + subs.len() % 3);
+                assert_eq!(q.add_task(subs[subs.len() - 1]), subs.len() - 1);
+            }
+            assert_eq!((q.keys.len(), q.tree.len()), (leaves, 2 * leaves));
+            for _ in 0..q.len() / 2 {
+                let popped = q.pop();
+                assert_eq!(popped, m.pop_before(f64::INFINITY));
+                now = popped.unwrap().0;
+            }
+        }
+        while let Some(popped) = q.pop() {
+            assert_eq!(Some(popped), m.pop_before(f64::INFINITY));
+        }
+        assert!(m.live.is_empty());
+        assert_eq!((q.peak(), q.reschedules()), (m.peak, m.reschedules));
     }
 
     /// The reference the core is checked against: a plain list of live
@@ -863,16 +893,52 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// A time of every kind the key packing must order — signed
+        /// zeros, subnormals, infinities, neighbours one ulp apart at the
+        /// 2^24 scale, ordinary values — from a small domain, so equal
+        /// times (decided by `seq`) are drawn often.
+        fn time(class: u8, x: u64) -> f64 {
+            let magnitude = match class {
+                0 => 0.0,
+                1 => f64::from_bits(1 + x / 2 % 4),
+                2 => f64::INFINITY,
+                3 => 16_777_216.0 + (x / 2 % 4) as f64 * 2f64.powi(-28),
+                _ => (x / 2) as f64 * 0.125,
+            };
+            if x.is_multiple_of(2) {
+                magnitude
+            } else {
+                -magnitude
+            }
+        }
+
         proptest! {
+            #[test]
+            fn packed_keys_order_like_total_cmp_then_seq(
+                a in (0u8..5, 0u64..32, 0usize..3),
+                b in (0u8..5, 0u64..32, 0usize..3),
+            ) {
+                let seqs = [0, 1, u64::MAX];
+                let (ta, qa) = (time(a.0, a.1), seqs[a.2]);
+                let (tb, qb) = (time(b.0, b.1), seqs[b.2]);
+                prop_assert_eq!(
+                    key_of(ta, qa) < key_of(tb, qb),
+                    ta.total_cmp(&tb).then(qa.cmp(&qb)).is_lt()
+                );
+                prop_assert_eq!(time_of(key_of(ta, qa)).to_bits(), ta.to_bits());
+                prop_assert!(key_of(ta, qa) < IDLE);
+            }
+
             // Random interleavings of every entry point — including
-            // cancels and reschedules while the root is a hole, and
-            // hand-offs that tie with an older event — pop the same
-            // `(time, event)` sequence as the naive list and keep the
-            // same `len`, `peak` and `reschedules`.  Times never precede
-            // the last fired event, which is the engine's contract.
+            // cancels and reschedules of the source that just fired,
+            // hand-offs that tie with an older event, and admissions that
+            // rebuild the tree (8 → 16 → 32 leaves) with events queued —
+            // pop the same `(time, event)` sequence as the naive list and
+            // keep the same `len`, `peak` and `reschedules`.  Times never
+            // precede the last fired event, which is the engine's contract.
             #[test]
             fn matches_a_naive_sorted_list(
-                ops in proptest::collection::vec((0u8..10, 0usize..8, 0usize..4, 0u8..4), 300),
+                ops in proptest::collection::vec((0u8..10, 0usize..24, 0usize..4, 0u8..4), 300),
             ) {
                 let mut subs = vec![3usize, 1, 2];
                 let mut q = EventCore::new(3, 2, &subs);
@@ -930,7 +996,7 @@ mod tests {
                                 prop_assert_eq!(m.pop_before(f64::INFINITY), Some((now, event)));
                             }
                         }
-                        (6, _) if subs.len() < 8 => {
+                        (6, _) if subs.len() < 24 => {
                             subs.push(1 + b % 3);
                             prop_assert_eq!(q.add_task(subs[subs.len() - 1]), subs.len() - 1);
                         }

@@ -31,8 +31,8 @@ impl DeadlineStats {
 /// Exposed through [`crate::Simulator::counters`] so benchmarks and
 /// regression tests can observe the engine's behaviour directly: how many
 /// events it processed, how much of its work the indexed queue absorbed as
-/// in-place reschedules (each of these was a heap tombstone in the old
-/// engine), and how large the queue ever got.
+/// in-place reschedules (each of these was a tombstone in the old
+/// engine's global queue), and how large the queue ever got.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Events fired and processed (every one is live — the indexed queue

@@ -1,7 +1,8 @@
 //! Pins on the event engine's observable behaviour, captured before the
-//! event core learned to run successor hand-offs in place and to refill a
-//! fired root: the counters and the state hash below must never move when
-//! the queue's plumbing does.
+//! event core learned to run successor hand-offs in place (PR 16) and
+//! before its indexed heap became a tournament tree (PR 18): the counters
+//! and the state hash below must never move when the queue's plumbing
+//! does.
 
 use eucon_sim::{EngineCounters, ExecModel, SimConfig, Simulator};
 use eucon_tasks::workloads::{self, RandomWorkload};
@@ -34,8 +35,10 @@ fn state_hash(sim: &mut Simulator) -> u64 {
 fn run(set: TaskSet, model: ExecModel, horizon: f64) -> (EngineCounters, u64) {
     let cfg = SimConfig::constant_etf(1.0).exec_model(model).seed(1);
     let mut sim = Simulator::new(set, cfg);
-    // Period by period, like the loop drives it, so holes left open
-    // across `run_until` calls are part of what the pins cover.
+    // Period by period, like the loop drives it, so whatever the queue
+    // carries across `run_until` calls — sources that fired and were not
+    // re-armed, hand-offs decided at a period's last instant — is part
+    // of what the pins cover.
     let mut t = 0.0;
     while t < horizon {
         t += 1000.0;
