@@ -23,7 +23,11 @@
 //! * resident memory stays bounded (no per-period growth — RSS at the
 //!   end may not exceed 2× the post-warm-up RSS plus 32 MiB).
 //!
-//! Stats land in `results/churn_soak.csv`.
+//! Stats land in `results/churn_soak.csv`, with what a membership change
+//! cost inside the loop: mean and maximum of the run's `model_update_ns`
+//! histogram (one observation per controller column added or dropped —
+//! the model is rebuilt each time; EXPERIMENTS.md, "What a membership
+//! change costs").
 //!
 //! ```text
 //! cargo run --release -p eucon-bench --bin churn_soak -- --periods 2000 --seed 0
@@ -137,6 +141,9 @@ fn scenarios(periods: usize, seed: u64) -> Vec<Scenario> {
 struct Outcome {
     churn: ChurnSummary,
     control_errors: usize,
+    /// Mean and maximum in-loop plant-model update latency, in µs;
+    /// `None` when the run updated nothing.
+    update_us: Option<(f64, f64)>,
     rss_growth: Option<f64>,
     secs: f64,
 }
@@ -190,8 +197,14 @@ fn soak(sc: Scenario, periods: usize) -> Outcome {
         }
         _ => None,
     };
+    let update_us = result
+        .telemetry
+        .histogram("model_update_ns")
+        .filter(|h| h.count > 0)
+        .map(|h| (h.mean() / 1e3, h.max / 1e3));
     Outcome {
         churn: result.churn,
+        update_us,
         control_errors: result.control_errors,
         rss_growth,
         secs,
@@ -224,24 +237,28 @@ fn main() {
             // that departs while suspended lost its column when it was
             // shed, so it can only make the left side smaller.
             let columns = ch.admitted + ch.departed + ch.suspended + ch.readmitted;
-            let updates = ch.incremental_updates + ch.model_rebuilds;
+            let updates = ch.model_updates;
             assert!(
                 updates <= columns && columns - updates <= ch.suspended - ch.readmitted,
                 "[{name}] every membership change updates the plant model: \
                  {updates} updates for {columns} changes"
             );
         }
+        let (update_mean, update_max) = match o.update_us {
+            Some((mean, max)) => (format!("{mean:.1}"), format!("{max:.1}")),
+            None => ("n/a".to_string(), "n/a".to_string()),
+        };
         println!(
             "  [{name}] ok: {} admitted, {} rejected, {} deferred, {} departed, \
-             {} suspended, {} re-admitted, {} incremental / {} rebuilds ({:.2}s)",
+             {} suspended, {} re-admitted, {} model updates \
+             (mean {update_mean}, max {update_max} us) ({:.2}s)",
             ch.admitted,
             ch.rejected,
             ch.deferred,
             ch.departed,
             ch.suspended,
             ch.readmitted,
-            ch.incremental_updates,
-            ch.model_rebuilds,
+            ch.model_updates,
             o.secs
         );
         rows.push(vec![
@@ -253,8 +270,9 @@ fn main() {
             ch.mode_changes.to_string(),
             ch.suspended.to_string(),
             ch.readmitted.to_string(),
-            ch.incremental_updates.to_string(),
-            ch.model_rebuilds.to_string(),
+            ch.model_updates.to_string(),
+            update_mean,
+            update_max,
             o.control_errors.to_string(),
             o.rss_growth
                 .map_or("n/a".to_string(), |g| format!("{g:.2}")),
@@ -270,8 +288,9 @@ fn main() {
         "mode changes",
         "suspended",
         "re-admitted",
-        "incremental",
-        "rebuilds",
+        "model updates",
+        "update mean us",
+        "update max us",
         "ctrl errors",
         "rss growth",
         "secs",
@@ -289,8 +308,9 @@ fn main() {
                 "mode_changes",
                 "suspended",
                 "readmitted",
-                "incremental_updates",
-                "model_rebuilds",
+                "model_updates",
+                "update_mean_us",
+                "update_max_us",
                 "control_errors",
                 "rss_growth",
                 "seconds",

@@ -52,7 +52,7 @@ mod supervisor;
 pub use baselines::{IndependentPid, OpenLoop};
 pub use config::{ControlPenalty, MoveHold, MpcConfig};
 pub use error::ControlError;
-pub use mpc::{ModelUpdate, MpcController, MpcStepInfo};
+pub use mpc::{MpcController, MpcStepInfo};
 pub use shard::{BoundaryBus, ShardPlan, ShardPlanner, ShardedController};
 pub use supervisor::{Supervised, SupervisorConfig, SupervisorReport};
 
@@ -193,7 +193,7 @@ pub trait RateController {
     ///
     /// [`ControlError::Unsupported`] by default; implementations add
     /// their own validation failures.
-    fn membership_retain(&mut self, keep: &[bool]) -> Result<ModelUpdate, ControlError> {
+    fn membership_retain(&mut self, keep: &[bool]) -> Result<(), ControlError> {
         let _ = keep;
         Err(ControlError::Unsupported(
             "this controller has no per-task plant model to shrink".into(),
@@ -220,7 +220,7 @@ pub trait RateController {
         rate_min: f64,
         rate_max: f64,
         initial_rate: f64,
-    ) -> Result<ModelUpdate, ControlError> {
+    ) -> Result<(), ControlError> {
         let _ = (f_col, rate_min, rate_max, initial_rate);
         Err(ControlError::Unsupported(
             "this controller has no per-task plant model to grow".into(),

@@ -383,30 +383,18 @@ impl MpcController {
     }
 }
 
-/// How a membership update produced the new prepared solvers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelUpdate {
-    /// The prepared solvers were shrunk from the existing model: the Gauss
-    /// normal matrix and constraint rows of the retained block were
-    /// extracted instead of recomputed ([`PreparedLsq::retain`]).
-    Incremental,
-    /// Full matrix assembly plus Gram product — growth always rebuilds,
-    /// and a shrink falls back here if the incremental contract ever
-    /// fails.  Pinned bit-identical to the incremental path by tests.
-    Rebuild,
-}
-
 /// Membership updates: tasks arriving and departing at runtime.
 ///
-/// Both operations build a **new** controller for the changed task set
-/// while migrating every piece of accumulated state that still makes
-/// sense — current rates, the previous move, and the warm-start active
-/// sets (remapped through the constraint-row layout) — so the first solve
-/// after a membership change starts from the surviving tasks' momentum
-/// instead of cold.  The incremental shrink path and the full-rebuild
-/// fallback produce bit-identical controllers: the next solve's rates
-/// agree bit for bit (see `retain_tasks_rebuilt` and the tests pinning
-/// it).
+/// Both operations build a **new** controller for the changed task set by
+/// the one construction path there is ([`MpcController::from_model`]:
+/// matrix assembly, Gram product, factorization, constraint cache) and
+/// migrate every piece of accumulated state that still makes sense —
+/// current rates, the previous move, and the warm-start active sets
+/// (remapped through the constraint-row layout) — so the first solve after
+/// a membership change starts from the surviving tasks' momentum instead
+/// of cold.  Nothing of the old factorization is reused: dropping or
+/// adding a column changes `H`, and every back-solve and the whole Gram
+/// table depend on it (EXPERIMENTS.md, "What a membership change costs").
 impl MpcController {
     /// Number of tasks currently in the model.
     pub fn num_tasks(&self) -> usize {
@@ -426,41 +414,16 @@ impl MpcController {
     /// Removes the tasks whose `keep` entry is `false`, producing a
     /// controller over the retained columns of `F`.
     ///
-    /// The prepared solvers are shrunk incrementally
-    /// ([`PreparedLsq::retain`]): tracking rows survive, the departing
-    /// tasks' rate-penalty rows, move variables and rate-bound constraint
-    /// rows are dropped, and the Gauss normal matrix of the retained block
-    /// is extracted rather than recomputed.  Warm-start active sets are
-    /// remapped row-for-row; rates, previous move and rate bounds keep the
-    /// surviving entries.  If the incremental contract is ever violated
-    /// the update silently falls back to a full rebuild (reported in the
-    /// returned [`ModelUpdate`]), which is bit-identical by construction.
+    /// The model is rebuilt from the retained columns; rates, previous
+    /// move and rate bounds keep the surviving entries, and the warm-start
+    /// active sets are remapped row for row (the departing tasks'
+    /// rate-bound rows vanish, every other row keeps its meaning).
     ///
     /// # Errors
     ///
     /// [`ControlError::DimensionMismatch`] when `keep` does not have one
     /// entry per task or would retain no tasks.
-    pub fn retain_tasks(&self, keep: &[bool]) -> Result<(Self, ModelUpdate), ControlError> {
-        self.retain_tasks_impl(keep, false)
-    }
-
-    /// The full-rebuild fallback of [`MpcController::retain_tasks`]: same
-    /// semantics and state migration, but the prepared solvers are rebuilt
-    /// from freshly assembled matrices.  Exists so tests can pin the
-    /// incremental path bit-identical against it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MpcController::retain_tasks`].
-    pub fn retain_tasks_rebuilt(&self, keep: &[bool]) -> Result<Self, ControlError> {
-        Ok(self.retain_tasks_impl(keep, true)?.0)
-    }
-
-    fn retain_tasks_impl(
-        &self,
-        keep: &[bool],
-        force_rebuild: bool,
-    ) -> Result<(Self, ModelUpdate), ControlError> {
+    pub fn retain_tasks(&self, keep: &[bool]) -> Result<Self, ControlError> {
         let m = self.pred.m;
         let n = self.pred.n;
         if keep.len() != m {
@@ -479,104 +442,42 @@ impl MpcController {
                 "cannot retain an empty task set".to_string(),
             ));
         }
-        let m2 = kept.len();
-        let f = Matrix::from_fn(n, m2, |r, j| self.f[(r, kept[j])]);
-        let pred = Predictor::new(&f, &self.cfg);
-        let p = self.cfg.prediction_horizon;
-        let mh = self.cfg.control_horizon;
+        let f = Matrix::from_fn(n, kept.len(), |r, j| self.f[(r, kept[j])]);
+        let sub = |v: &Vector| Vector::from_iter(kept.iter().map(|&t| v[t]));
+        let mut next = Self::from_model(
+            f,
+            self.b.clone(),
+            sub(&self.rmin),
+            sub(&self.rmax),
+            sub(&self.rates),
+            self.cfg.clone(),
+        )?;
 
-        // Masks over the old layout (see `Predictor::new` and
-        // `constraint_matrix`): objective = n·P tracking rows then m·M
-        // penalty rows; variables interleave j·m + t; constraints = per
-        // step 2m rate rows (upper then lower) then n·P utilization rows.
-        let mut keep_rows = vec![true; n * p + m * mh];
-        let mut keep_vars = vec![false; m * mh];
-        let mut keep_rate = vec![false; 2 * m * mh];
-        for i in 0..mh {
-            for t in 0..m {
-                keep_rows[n * p + m * i + t] = keep[t];
-                keep_vars[i * m + t] = keep[t];
-                keep_rate[2 * m * i + t] = keep[t];
-                keep_rate[2 * m * i + m + t] = keep[t];
-            }
-        }
+        // Masks over the old constraint layout (see `constraint_matrix`):
+        // per control step m upper then m lower rate rows — the task mask,
+        // 2·M times over — then n·P utilization rows, which all survive.
+        let p = self.cfg.prediction_horizon;
+        let keep_rate = keep.repeat(2 * self.cfg.control_horizon);
         let keep_util: Vec<bool> = keep_rate
             .iter()
             .copied()
             .chain(std::iter::repeat_n(true, n * p))
             .collect();
-
-        let mut update = ModelUpdate::Incremental;
-        let solver_rate = match (!force_rebuild)
-            .then(|| self.solver_rate.retain(&keep_rows, &keep_vars, &keep_rate))
-            .and_then(Result::ok)
-        {
-            Some(s) => s,
-            None => {
-                update = ModelUpdate::Rebuild;
-                let g = constraint_matrix(&f, &self.cfg, false);
-                PreparedLsq::new(pred.c.clone(), g, REGULARIZATION)
-                    .map_err(ControlError::Optimization)?
-            }
-        };
-        let solver_util = match &self.solver_util {
-            Some(old) => {
-                let incremental = (!force_rebuild && update == ModelUpdate::Incremental)
-                    .then(|| old.retain(&keep_rows, &keep_vars, &keep_util))
-                    .and_then(Result::ok);
-                Some(match incremental {
-                    Some(s) => s,
-                    None => {
-                        update = ModelUpdate::Rebuild;
-                        let g = constraint_matrix(&f, &self.cfg, true);
-                        PreparedLsq::new(pred.c.clone(), g, REGULARIZATION)
-                            .map_err(ControlError::Optimization)?
-                    }
-                })
-            }
-            None => None,
-        };
-
-        let sub =
-            |v: &Vector| Vector::from_slice(&kept.iter().map(|&t| v[t]).collect::<Vec<f64>>());
-        let h_util = match &solver_util {
-            Some(s) => Vector::zeros(s.num_constraints()),
-            None => Vector::zeros(0),
-        };
-        Ok((
-            MpcController {
-                b: self.b.clone(),
-                rmin: sub(&self.rmin),
-                rmax: sub(&self.rmax),
-                cfg: self.cfg.clone(),
-                rates: sub(&self.rates),
-                prev_move: sub(&self.prev_move),
-                last_info: self.last_info,
-                h_util,
-                h_rate: Vector::zeros(solver_rate.num_constraints()),
-                d_buf: Vector::zeros(pred.c.rows()),
-                err_buf: Vector::zeros(n),
-                warm_util: migrate_warm(&self.warm_util, &keep_util),
-                warm_rate: migrate_warm(&self.warm_rate, &keep_rate),
-                sol: LsqSolution::default(),
-                f,
-                pred,
-                solver_util,
-                solver_rate,
-            },
-            update,
-        ))
+        next.prev_move = sub(&self.prev_move);
+        next.warm_util = migrate_warm(&self.warm_util, &keep_util);
+        next.warm_rate = migrate_warm(&self.warm_rate, &keep_rate);
+        next.last_info = self.last_info;
+        Ok(next)
     }
 
     /// Adds a task: appends its allocation column `f_col` (its estimated
     /// utilization contribution per processor), rate bounds and initial
     /// rate to the model.
     ///
-    /// Growth changes every matrix dimension, so the prepared solvers are
-    /// rebuilt ([`ModelUpdate::Rebuild`]); what migrates is the state —
-    /// surviving rates, the previous move (the new task starts with zero
-    /// momentum) and the warm-start active sets, remapped through the
-    /// grown constraint layout so the next solve starts warm.
+    /// The model is rebuilt from the grown `F`; what migrates is the
+    /// state — surviving rates, the previous move (the new task starts
+    /// with zero momentum) and the warm-start active sets, remapped
+    /// through the grown constraint layout so the next solve starts warm.
     ///
     /// # Errors
     ///
@@ -591,7 +492,7 @@ impl MpcController {
         rate_min: f64,
         rate_max: f64,
         initial_rate: f64,
-    ) -> Result<(Self, ModelUpdate), ControlError> {
+    ) -> Result<Self, ControlError> {
         let n = self.pred.n;
         let m = self.pred.m;
         if f_col.len() != n {
@@ -616,29 +517,19 @@ impl MpcController {
         }
         let m2 = m + 1;
         let f = Matrix::from_fn(n, m2, |r, j| if j < m { self.f[(r, j)] } else { f_col[r] });
-        let pred = Predictor::new(&f, &self.cfg);
-        let mh = self.cfg.control_horizon;
-
-        let solver_rate = PreparedLsq::new(
-            pred.c.clone(),
-            constraint_matrix(&f, &self.cfg, false),
-            REGULARIZATION,
-        )
-        .map_err(ControlError::Optimization)?;
-        let solver_util = match &self.solver_util {
-            Some(_) => Some(
-                PreparedLsq::new(
-                    pred.c.clone(),
-                    constraint_matrix(&f, &self.cfg, true),
-                    REGULARIZATION,
-                )
-                .map_err(ControlError::Optimization)?,
-            ),
-            None => None,
-        };
+        let push = |v: &Vector, extra: f64| Vector::from_iter(v.iter().copied().chain([extra]));
+        let mut next = Self::from_model(
+            f,
+            self.b.clone(),
+            push(&self.rmin, rate_min),
+            push(&self.rmax, rate_max),
+            push(&self.rates, initial_rate.clamp(rate_min, rate_max)),
+            self.cfg.clone(),
+        )?;
 
         // Old constraint row → grown constraint row (every old row
         // survives; indices shift because each step block widens).
+        let mh = self.cfg.control_horizon;
         let map_rate = |row: usize| -> usize {
             let i = row / (2 * m);
             let r = row % (2 * m);
@@ -655,41 +546,11 @@ impl MpcController {
                 2 * m2 * mh + (row - 2 * m * mh)
             }
         };
-        let warm_rate: Vec<usize> = self.warm_rate.iter().map(|&r| map_rate(r)).collect();
-        let warm_util: Vec<usize> = self.warm_util.iter().map(|&r| map_util(r)).collect();
-
-        let push = |v: &Vector, extra: f64| {
-            let mut vals = v.as_slice().to_vec();
-            vals.push(extra);
-            Vector::from_slice(&vals)
-        };
-        let h_util = match &solver_util {
-            Some(s) => Vector::zeros(s.num_constraints()),
-            None => Vector::zeros(0),
-        };
-        Ok((
-            MpcController {
-                b: self.b.clone(),
-                rmin: push(&self.rmin, rate_min),
-                rmax: push(&self.rmax, rate_max),
-                cfg: self.cfg.clone(),
-                rates: push(&self.rates, initial_rate.clamp(rate_min, rate_max)),
-                prev_move: push(&self.prev_move, 0.0),
-                last_info: self.last_info,
-                h_util,
-                h_rate: Vector::zeros(solver_rate.num_constraints()),
-                d_buf: Vector::zeros(pred.c.rows()),
-                err_buf: Vector::zeros(n),
-                warm_util,
-                warm_rate,
-                sol: LsqSolution::default(),
-                f,
-                pred,
-                solver_util,
-                solver_rate,
-            },
-            ModelUpdate::Rebuild,
-        ))
+        next.prev_move = push(&self.prev_move, 0.0);
+        next.warm_rate = self.warm_rate.iter().map(|&r| map_rate(r)).collect();
+        next.warm_util = self.warm_util.iter().map(|&r| map_util(r)).collect();
+        next.last_info = self.last_info;
+        Ok(next)
     }
 }
 
@@ -793,29 +654,24 @@ impl RateController for MpcController {
         }
     }
 
-    /// Shrinks the plant model in place via the incremental
-    /// [`MpcController::retain_tasks`] path (QP-layer constraint-set
-    /// extraction + warm-state migration), falling back to a full rebuild
-    /// when extraction is not applicable.
-    fn membership_retain(&mut self, keep: &[bool]) -> Result<ModelUpdate, ControlError> {
-        let (next, update) = MpcController::retain_tasks(self, keep)?;
-        *self = next;
-        Ok(update)
+    /// Shrinks the plant model via [`MpcController::retain_tasks`]
+    /// (rebuild with warm-state migration).
+    fn membership_retain(&mut self, keep: &[bool]) -> Result<(), ControlError> {
+        *self = MpcController::retain_tasks(self, keep)?;
+        Ok(())
     }
 
-    /// Grows the plant model in place via [`MpcController::add_task`]
-    /// (full rebuild with warm-state migration).
+    /// Grows the plant model via [`MpcController::add_task`] (rebuild
+    /// with warm-state migration).
     fn membership_admit(
         &mut self,
         f_col: &[f64],
         rate_min: f64,
         rate_max: f64,
         initial_rate: f64,
-    ) -> Result<ModelUpdate, ControlError> {
-        let (next, update) =
-            MpcController::add_task(self, f_col, rate_min, rate_max, initial_rate)?;
-        *self = next;
-        Ok(update)
+    ) -> Result<(), ControlError> {
+        *self = MpcController::add_task(self, f_col, rate_min, rate_max, initial_rate)?;
+        Ok(())
     }
 
     /// Discards all accumulated internal state — the previous move, the
@@ -1149,33 +1005,105 @@ mod tests {
         c.rates().iter().map(|x| x.to_bits()).collect()
     }
 
-    #[test]
-    fn retain_tasks_matches_full_rebuild_bit_for_bit() {
-        let mut c = medium_controller();
-        let n = c.num_processors();
-        // Accumulate genuine warm state and momentum first.
-        for k in 0..12 {
-            let u = Vector::filled(n, 0.3 + 0.05 * (k % 5) as f64);
-            let _ = c.step(&u).unwrap();
+    /// What a constraint row constrains, decoded from its index in an
+    /// `m`-task layout (see `constraint_matrix`): a rate bound of one task
+    /// at one control step, or a utilization bound of one processor at one
+    /// prediction step.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Row {
+        Rate {
+            step: usize,
+            task: usize,
+            upper: bool,
+        },
+        Util {
+            step: usize,
+            processor: usize,
+        },
+    }
+
+    fn decode_row(row: usize, m: usize, n: usize, mh: usize) -> Row {
+        match row.checked_sub(2 * m * mh) {
+            None => Row::Rate {
+                step: row / (2 * m),
+                task: row % m,
+                upper: row % (2 * m) < m,
+            },
+            Some(r) => Row::Util {
+                step: r / n,
+                processor: r % n,
+            },
         }
-        let m = c.num_tasks();
-        let mut keep = vec![true; m];
-        keep[1] = false;
-        keep[m - 1] = false;
-        let (mut inc, update) = c.retain_tasks(&keep).unwrap();
-        assert_eq!(update, ModelUpdate::Incremental);
-        let mut reb = c.retain_tasks_rebuilt(&keep).unwrap();
-        assert_eq!(inc.num_tasks(), m - 2);
-        assert_eq!(rate_bits(&inc), rate_bits(&reb));
-        // The next solves — warm-started from the migrated active sets —
-        // must agree bit for bit, period after period.
-        for k in 0..8 {
-            let u = Vector::filled(n, 0.25 + 0.07 * (k % 4) as f64);
-            let a = inc.step(&u).unwrap();
-            let b = reb.step(&u).unwrap();
-            let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-            assert_eq!(bits(&a), bits(&b), "period {k} diverged");
-            assert_eq!(inc.last_step_info(), reb.last_step_info());
+    }
+
+    #[test]
+    fn retain_tasks_migrates_warm_state() {
+        // Two scripts that keep rows active across the shrink.  Held at
+        // `Rmax` with P1 over its set point: the utilization solver's set
+        // holds rate-bound rows of both control steps and P1's
+        // utilization rows.  Held at `Rmin` under a total overload: the
+        // utilization rows are infeasible every period, so the rate-only
+        // fallback's set is the live one.
+        for at_floor in [false, true] {
+            let mut c = medium_controller();
+            let (n, m) = (c.num_processors(), c.num_tasks());
+            let mh = c.config().control_horizon;
+            let mut u = Vector::filled(n, if at_floor { 1.0 } else { 0.3 });
+            if !at_floor {
+                u[0] = c.set_points()[0] + 0.03;
+            }
+            let hold = if at_floor { &c.rmin } else { &c.rmax }.clone();
+            c.reset(&hold);
+            for _ in 0..12 {
+                let _ = c.step(&u).unwrap();
+            }
+            assert_eq!(c.last_step_info().relaxed_utilization, at_floor);
+
+            let mut keep = vec![true; m];
+            keep[1] = false;
+            keep[m - 1] = false;
+            let mut shrunk = c.retain_tasks(&keep).unwrap();
+            let m2 = shrunk.num_tasks();
+            // Every surviving index names the row it named before — same
+            // step, same bound, the task under its new column number —
+            // and the dropped tasks' rows are gone.
+            let (mut dropped, mut rate_rows, mut util_rows) = (0, 0, 0);
+            for (old, new) in [
+                (&c.warm_util, &shrunk.warm_util),
+                (&c.warm_rate, &shrunk.warm_rate),
+            ] {
+                let expected: Vec<Row> = old
+                    .iter()
+                    .filter_map(|&row| match decode_row(row, m, n, mh) {
+                        Row::Rate { task, .. } if !keep[task] => {
+                            dropped += 1;
+                            None
+                        }
+                        Row::Rate { step, task, upper } => {
+                            rate_rows += 1;
+                            let task = keep[..task].iter().filter(|&&k| k).count();
+                            Some(Row::Rate { step, task, upper })
+                        }
+                        util => {
+                            util_rows += 1;
+                            Some(util)
+                        }
+                    })
+                    .collect();
+                let migrated: Vec<Row> = new.iter().map(|&r| decode_row(r, m2, n, mh)).collect();
+                assert_eq!(migrated, expected, "at_floor {at_floor}");
+            }
+            assert!(
+                dropped > 0 && rate_rows > 0,
+                "the script left no rows to migrate"
+            );
+            assert_eq!(util_rows > 0, !at_floor);
+
+            // The first solve after the shrink starts from them.
+            let _ = shrunk.step(&u).unwrap();
+            let info = shrunk.last_step_info();
+            assert!(info.warm_start && info.warm_retained > 0, "{info:?}");
+            assert_eq!(info.relaxed_utilization, at_floor);
         }
     }
 
@@ -1191,7 +1119,7 @@ mod tests {
         let m = c.num_tasks();
         let mut keep = vec![true; m];
         keep[0] = false;
-        let (mut shrunk, _) = c.retain_tasks(&keep).unwrap();
+        let mut shrunk = c.retain_tasks(&keep).unwrap();
 
         let f = c.allocation();
         let f_sub = Matrix::from_fn(n, m - 1, |r, j| f[(r, j + 1)]);
@@ -1242,10 +1170,9 @@ mod tests {
         )
         .unwrap();
         let col: Vec<f64> = (0..n).map(|r| f[(r, m - 1)]).collect();
-        let (mut grown, update) = small
+        let mut grown = small
             .add_task(&col, rmin[m - 1], rmax[m - 1], r0[m - 1])
             .unwrap();
-        assert_eq!(update, ModelUpdate::Rebuild);
         assert_eq!(grown.num_tasks(), m);
 
         let mut full = MpcController::new(&set, b, MpcConfig::medium()).unwrap();
@@ -1270,7 +1197,7 @@ mod tests {
             let _ = c.step(&Vector::from_slice(&[0.9, 0.9])).unwrap();
         }
         let warm_before = c.warm_util.len() + c.warm_rate.len();
-        let (mut grown, _) = c.add_task(&[10.0, 10.0], 0.002, 0.03, 0.01).unwrap();
+        let mut grown = c.add_task(&[10.0, 10.0], 0.002, 0.03, 0.01).unwrap();
         assert_eq!(
             warm_before,
             grown.warm_util.len() + grown.warm_rate.len(),
@@ -1318,8 +1245,7 @@ mod tests {
     fn retain_all_is_equivalent_to_the_original() {
         let mut c = simple_controller();
         let _ = c.step(&Vector::from_slice(&[0.4, 0.4])).unwrap();
-        let (mut same, update) = c.retain_tasks(&[true, true, true]).unwrap();
-        assert_eq!(update, ModelUpdate::Incremental);
+        let mut same = c.retain_tasks(&[true, true, true]).unwrap();
         let u = Vector::from_slice(&[0.6, 0.2]);
         let a = c.step(&u).unwrap();
         let b = same.step(&u).unwrap();

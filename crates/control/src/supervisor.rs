@@ -27,7 +27,7 @@
 use eucon_math::Vector;
 use eucon_tasks::TaskSet;
 
-use crate::{ControlError, ControlMode, ControllerTelemetry, ModelUpdate, RateController};
+use crate::{ControlError, ControlMode, ControllerTelemetry, RateController};
 
 /// Thresholds and gains of the supervisory wrapper.
 #[derive(Debug, Clone, PartialEq)]
@@ -414,7 +414,7 @@ impl<C: RateController> RateController for Supervised<C> {
     /// Departures are honored even in safe mode (a task that left the
     /// plant must leave the model), shrinking the wrapper's own per-task
     /// state alongside the primary law's plant model.
-    fn membership_retain(&mut self, keep: &[bool]) -> Result<ModelUpdate, ControlError> {
+    fn membership_retain(&mut self, keep: &[bool]) -> Result<(), ControlError> {
         if keep.len() != self.rates.len() {
             return Err(ControlError::DimensionMismatch(format!(
                 "{} keep flags for {} tasks",
@@ -422,14 +422,14 @@ impl<C: RateController> RateController for Supervised<C> {
                 self.rates.len()
             )));
         }
-        let update = self.inner.membership_retain(keep)?;
+        self.inner.membership_retain(keep)?;
         let subset =
             |v: &Vector| Vector::from_iter((0..keep.len()).filter(|&t| keep[t]).map(|t| v[t]));
         self.rmin = subset(&self.rmin);
         self.rmax = subset(&self.rmax);
         self.safe_rates = subset(&self.safe_rates);
         self.rates = subset(&self.rates);
-        Ok(update)
+        Ok(())
     }
 
     /// Admissions are frozen while the watchdog holds the loop in safe
@@ -440,14 +440,13 @@ impl<C: RateController> RateController for Supervised<C> {
         rate_min: f64,
         rate_max: f64,
         initial_rate: f64,
-    ) -> Result<ModelUpdate, ControlError> {
+    ) -> Result<(), ControlError> {
         if self.degraded {
             return Err(ControlError::Unsupported(
                 "safe mode: admissions are frozen until the primary law re-engages".into(),
             ));
         }
-        let update = self
-            .inner
+        self.inner
             .membership_admit(f_col, rate_min, rate_max, initial_rate)?;
         let r0 = initial_rate.clamp(rate_min, rate_max);
         self.rmin.push(rate_min);
@@ -456,7 +455,7 @@ impl<C: RateController> RateController for Supervised<C> {
         // under faults is its floor.
         self.safe_rates.push(rate_min);
         self.rates.push(r0);
-        Ok(update)
+        Ok(())
     }
 }
 

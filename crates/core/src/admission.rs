@@ -24,8 +24,9 @@
 //!   task at its minimum rate (LIFO keeps reconfiguration local).
 //!
 //! Each decision drops or adds one column of the controller's plant
-//! model, through the same incremental update (warm state migrated) a
-//! departure or an arrival takes.
+//! model, through the same update a departure or an arrival takes: the
+//! model is rebuilt by the controller's construction path and its warm
+//! state migrates.
 //!
 //! # Runtime churn
 //!
@@ -34,9 +35,10 @@
 //! departures and mode changes at given sampling periods, and the same
 //! [`AdmissionController`] executes it inside `ClosedLoop` — testing each
 //! arrival against a utilization budget (paper §6.2's pointer to admission
-//! control), growing/shrinking the MPC plant model incrementally via
+//! control), growing/shrinking the MPC plant model via
 //! [`RateController::membership_admit`] /
-//! [`RateController::membership_retain`](eucon_control::RateController::membership_retain),
+//! [`RateController::membership_retain`](eucon_control::RateController::membership_retain)
+//! (a rebuild by the controller's construction path; warm state migrates),
 //! and deferring or rejecting arrivals the system cannot absorb.  Safe
 //! mode freezes admissions: while a supervisory wrapper reports
 //! [`ControlMode::Degraded`](eucon_control::ControlMode::Degraded), every
@@ -433,11 +435,9 @@ pub struct ChurnSummary {
     pub suspended: u64,
     /// Suspended tasks it re-admitted.
     pub readmitted: u64,
-    /// Plant-model membership updates the controller absorbed in place
-    /// (warm state migrated).
-    pub incremental_updates: u64,
-    /// Plant-model membership updates that fell back to a full rebuild.
-    pub model_rebuilds: u64,
+    /// Plant-model membership updates the controller absorbed (model
+    /// rebuilt, warm state migrated): one per column added or dropped.
+    pub model_updates: u64,
 }
 
 impl ChurnSummary {
@@ -449,8 +449,7 @@ impl ChurnSummary {
         self.mode_changes += other.mode_changes;
         self.suspended += other.suspended;
         self.readmitted += other.readmitted;
-        self.incremental_updates += other.incremental_updates;
-        self.model_rebuilds += other.model_rebuilds;
+        self.model_updates += other.model_updates;
     }
 }
 
@@ -547,17 +546,9 @@ impl AdmissionController {
     }
 
     /// Records a plant-model membership update and its latency.
-    pub(crate) fn note_update(&mut self, update: eucon_control::ModelUpdate, ns: u64) {
-        match update {
-            eucon_control::ModelUpdate::Incremental => {
-                self.summary.incremental_updates += 1;
-                self.period_delta.incremental_updates += 1;
-            }
-            eucon_control::ModelUpdate::Rebuild => {
-                self.summary.model_rebuilds += 1;
-                self.period_delta.model_rebuilds += 1;
-            }
-        }
+    pub(crate) fn note_update(&mut self, ns: u64) {
+        self.summary.model_updates += 1;
+        self.period_delta.model_updates += 1;
         self.update_ns.push(ns);
     }
 

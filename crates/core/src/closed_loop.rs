@@ -309,8 +309,8 @@ impl ClosedLoop {
             .unwrap_or_default()
     }
 
-    /// The transport backend label: `"channel"`, `"tcp"` or `"tcp-poll"`
-    /// in distributed mode, `"none"` for a single-process loop.
+    /// The transport backend label: `"channel"` or `"tcp"` in
+    /// distributed mode, `"none"` for a single-process loop.
     pub fn backend_name(&self) -> &'static str {
         self.net.as_ref().map_or("none", |n| n.backend_name())
     }
@@ -562,8 +562,7 @@ impl ClosedLoop {
             deferred: a.period_delta.deferred,
             departed: a.period_delta.departed,
             mode_changes: a.period_delta.mode_changes,
-            incremental_updates: a.period_delta.incremental_updates,
-            model_rebuilds: a.period_delta.model_rebuilds,
+            model_updates: a.period_delta.model_updates,
             update_ns: &a.update_ns,
         });
         self.telemetry.record_period(PeriodObservation {
@@ -759,10 +758,9 @@ impl ClosedLoop {
         adm.f_col
             .extend((0..self.set_points.len()).map(|p| load_on(task, p)));
         let t0 = Instant::now();
-        let update =
-            self.controller
-                .membership_admit(&adm.f_col, task.rate_min(), task.rate_max(), r0)?;
-        adm.note_update(update, t0.elapsed().as_nanos() as u64);
+        self.controller
+            .membership_admit(&adm.f_col, task.rate_min(), task.rate_max(), r0)?;
+        adm.note_update(t0.elapsed().as_nanos() as u64);
         Ok(())
     }
 
@@ -774,9 +772,9 @@ impl ClosedLoop {
             adm.keep_scratch
                 .extend(self.ctrl_cols.iter().map(|&t| t != tid));
             let t0 = Instant::now();
-            if let Ok(update) = self.controller.membership_retain(&adm.keep_scratch) {
+            if self.controller.membership_retain(&adm.keep_scratch).is_ok() {
                 self.ctrl_cols.remove(col);
-                adm.note_update(update, t0.elapsed().as_nanos() as u64);
+                adm.note_update(t0.elapsed().as_nanos() as u64);
             }
             // Controllers without a per-task plant model keep commanding
             // the dormant slot; the plant simply ignores it.

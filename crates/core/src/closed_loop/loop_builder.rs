@@ -190,10 +190,10 @@ impl LoopBuilder {
     ///
     /// Arrivals pass through the admission test of the configured
     /// [`AdmissionPolicy`]; departures drain their in-flight jobs cleanly
-    /// while the controller shrinks its plant model incrementally.  A
-    /// non-empty plan also engages the policy's load-shedding supervisor;
-    /// an empty plan leaves the loop byte-identical to one built without
-    /// this call.
+    /// while the controller rebuilds its plant model without the task's
+    /// column (warm state migrates).  A non-empty plan also engages the
+    /// policy's load-shedding supervisor; an empty plan leaves the loop
+    /// byte-identical to one built without this call.
     pub fn churn(mut self, plan: ChurnPlan) -> Self {
         self.churn = plan;
         self
@@ -437,10 +437,9 @@ impl LoopBuilder {
     ///
     /// Everything [`LoopBuilder::local`] rejects, plus
     /// [`CoreError::Config`] when [`LoopBuilder::lanes`] was set (use
-    /// `net.report_lanes` / `net.command_lanes` instead), when either of
-    /// those models is out of domain, or when the backend/engine
-    /// combination is unsupported, and [`CoreError::Transport`] when the
-    /// backend fails to connect (e.g. binding the loopback sockets).
+    /// `net.report_lanes` / `net.command_lanes` instead) or when either
+    /// of those models is out of domain, and [`CoreError::Transport`] when
+    /// the backend fails to connect (e.g. binding the loopback sockets).
     pub fn distributed(self, net: NetConfig) -> Result<ClosedLoop, CoreError> {
         if self.lanes.is_some() {
             return Err(CoreError::Config(

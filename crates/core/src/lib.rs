@@ -26,10 +26,11 @@
 //!   bit-identical across thread counts (see DESIGN.md §14).
 //! * [`ChurnPlan`] / [`AdmissionPolicy`] — runtime membership: scripted
 //!   or stochastic task arrivals, departures and mode changes, gated by
-//!   the §6.2 utilization-threshold admission test, with incremental
-//!   plant-model updates in the controller — and load shedding: the same
-//!   admission controller suspends tasks when rate adaptation is
-//!   exhausted and re-admits them on headroom (see DESIGN.md §15).
+//!   the §6.2 utilization-threshold admission test; each change rebuilds
+//!   the controller's plant model by its construction path and migrates
+//!   the warm state — and load shedding: the same admission controller
+//!   suspends tasks when rate adaptation is exhausted and re-admits them
+//!   on headroom (see DESIGN.md §15).
 //! * [`experiments`] — Experiment I ([`SteadyRun`], constant etf sweeps →
 //!   Figures 4 and 5) and Experiment II ([`VaryingRun`], the 0.5 → 0.9 →
 //!   0.33 step profile → Figures 6–8).

@@ -86,10 +86,8 @@ pub(crate) struct ChurnPeriod<'a> {
     pub departed: u64,
     /// Mode changes applied this period.
     pub mode_changes: u64,
-    /// Plant-model updates absorbed in place this period.
-    pub incremental_updates: u64,
-    /// Plant-model updates that fell back to a full rebuild this period.
-    pub model_rebuilds: u64,
+    /// Plant-model membership updates this period.
+    pub model_updates: u64,
     /// Latency of each plant-model membership update this period, in
     /// nanoseconds.
     pub update_ns: &'a [u64],
@@ -159,8 +157,7 @@ pub(crate) struct LoopTelemetry {
     c_tasks_deferred: CounterId,
     c_tasks_departed: CounterId,
     c_task_mode_changes: CounterId,
-    c_incremental_updates: CounterId,
-    c_model_rebuilds: CounterId,
+    c_model_updates: CounterId,
     // Gauges (the period's point-in-time values).
     g_u: Vec<GaugeId>,
     g_err: Vec<GaugeId>,
@@ -264,8 +261,7 @@ impl LoopTelemetry {
         let c_tasks_deferred = b.counter("tasks_deferred");
         let c_tasks_departed = b.counter("tasks_departed");
         let c_task_mode_changes = b.counter("task_mode_changes");
-        let c_incremental_updates = b.counter("incremental_updates");
-        let c_model_rebuilds = b.counter("model_rebuilds");
+        let c_model_updates = b.counter("model_updates");
         let g_u = (0..num_procs)
             .map(|p| b.gauge(indexed_name("u_p", p + 1)))
             .collect();
@@ -321,8 +317,7 @@ impl LoopTelemetry {
             c_tasks_deferred,
             c_tasks_departed,
             c_task_mode_changes,
-            c_incremental_updates,
-            c_model_rebuilds,
+            c_model_updates,
             g_u,
             g_err,
             g_qp_iterations,
@@ -458,8 +453,7 @@ impl LoopTelemetry {
             reg.add(self.c_tasks_deferred, ch.deferred);
             reg.add(self.c_tasks_departed, ch.departed);
             reg.add(self.c_task_mode_changes, ch.mode_changes);
-            reg.add(self.c_incremental_updates, ch.incremental_updates);
-            reg.add(self.c_model_rebuilds, ch.model_rebuilds);
+            reg.add(self.c_model_updates, ch.model_updates);
             for &ns in ch.update_ns {
                 reg.observe(self.h_model_update, ns as f64);
             }
@@ -678,8 +672,7 @@ mod tests {
             deferred: 1,
             departed: 1,
             mode_changes: 3,
-            incremental_updates: 2,
-            model_rebuilds: 1,
+            model_updates: 2,
             update_ns: &updates,
         });
         lt.record_period(o);
@@ -691,8 +684,7 @@ mod tests {
         assert_eq!(snap.counter("tasks_deferred"), Some(1));
         assert_eq!(snap.counter("tasks_departed"), Some(1));
         assert_eq!(snap.counter("task_mode_changes"), Some(3));
-        assert_eq!(snap.counter("incremental_updates"), Some(2));
-        assert_eq!(snap.counter("model_rebuilds"), Some(1));
+        assert_eq!(snap.counter("model_updates"), Some(2));
         assert_eq!(snap.histogram("model_update_ns").unwrap().count, 2);
     }
 

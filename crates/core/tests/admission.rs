@@ -146,8 +146,7 @@ fn decision_log_matches_the_parent_locally_and_over_lanes() {
         assert_eq!(al.admission_events, parent, "{mode}");
         assert_eq!(al.control_errors, 0, "{mode}");
         // One plant-model update per controller column dropped or added.
-        let updates = al.churn.incremental_updates + al.churn.model_rebuilds;
-        assert_eq!(updates, 4, "{mode}");
+        assert_eq!(al.churn.model_updates, 4, "{mode}");
     }
     assert_eq!(single.trace, over_lanes.trace, "ideal lanes change nothing");
 }
@@ -172,7 +171,7 @@ fn a_suspended_task_that_departs_is_never_readmitted() {
     // T2's column was dropped when it was shed; its departure drops none.
     let ch = al.churn;
     assert_eq!((ch.suspended, ch.readmitted, ch.departed), (2, 1, 1));
-    assert_eq!(ch.incremental_updates + ch.model_rebuilds, 3);
+    assert_eq!(ch.model_updates, 3);
     assert_eq!(al.control_errors, 0);
 }
 

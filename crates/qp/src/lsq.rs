@@ -212,14 +212,6 @@ impl ConstrainedLsq {
     }
 }
 
-/// Indices selected by a boolean mask, in order.
-fn mask_indices(mask: &[bool]) -> Vec<usize> {
-    mask.iter()
-        .enumerate()
-        .filter_map(|(i, &k)| k.then_some(i))
-        .collect()
-}
-
 /// `CᵀC + εI`, the Gauss normal matrix of the least-squares objective.
 fn gauss_normal_matrix(ct: &Matrix, c: &Matrix, regularization: f64) -> Matrix {
     let mut hess = ct * c;
@@ -279,24 +271,11 @@ pub struct PreparedLsq {
 
 /// `C` as [`PreparedLsq`] uses it per solve: the nonzeros of its rows
 /// (for the residual `C·x − d`) and of its columns (for `f = −Cᵀd`).
-/// The dense matrix stays for [`PreparedLsq::retain`].
+/// The dense matrix is not kept; nothing reads it after construction.
 #[derive(Debug)]
 struct Objective {
-    c: Matrix,
     c_rows: SparseRows,
     ct_rows: SparseRows,
-}
-
-impl Objective {
-    /// Consumes `c` and its transpose (which the caller needed for the
-    /// Gauss normal matrix).
-    fn new(c: Matrix, ct: &Matrix) -> Arc<Self> {
-        Arc::new(Objective {
-            c_rows: SparseRows::from_matrix(&c),
-            ct_rows: SparseRows::from_matrix(ct),
-            c,
-        })
-    }
 }
 
 impl PreparedLsq {
@@ -313,14 +292,17 @@ impl PreparedLsq {
         let hess = gauss_normal_matrix(&ct, &c, regularization);
         let qp = PreparedQp::new(hess, g)?;
         Ok(PreparedLsq {
-            objective: Objective::new(c, &ct),
+            objective: Arc::new(Objective {
+                c_rows: SparseRows::from_matrix(&c),
+                ct_rows: SparseRows::from_matrix(&ct),
+            }),
             qp,
         })
     }
 
     /// Number of decision variables.
     pub fn num_vars(&self) -> usize {
-        self.objective.c.cols()
+        self.objective.c_rows.cols()
     }
 
     /// Number of inequality constraints.
@@ -335,95 +317,11 @@ impl PreparedLsq {
         self.qp.hessian_bandwidth()
     }
 
-    /// The prepared quadratic program (fixed `H = CᵀC + εI` and `G`).
-    pub fn qp(&self) -> &PreparedQp {
-        &self.qp
-    }
-
     /// Whether `self` and `other` share one immutable model (`C`, `Cᵀ`
     /// and the prepared QP core) — true exactly for clones of a common
     /// ancestor (see [`PreparedQp::shares_model`]).
     pub fn shares_model(&self, other: &PreparedLsq) -> bool {
         Arc::ptr_eq(&self.objective, &other.objective) && self.qp.shares_model(&other.qp)
-    }
-
-    /// Incremental membership shrink: retains the objective rows,
-    /// variables (columns) and constraint rows selected by the three
-    /// masks, producing the prepared problem `min ‖C'x' − d'‖²` s.t.
-    /// `G'x' ≤ h'` over the retained block.
-    ///
-    /// The Gauss normal matrix of the retained block is *extracted* from
-    /// the existing `H` instead of recomputed: the blocked matrix product
-    /// behind `CᵀC` skips exactly-zero terms, so rows that are zero in
-    /// every retained column never contributed to the retained entries in
-    /// the first place — extraction is bit-identical to recomputing
-    /// `C'ᵀC' + εI` from scratch (and the regularization rides along on
-    /// the diagonal).  The Cholesky factorization and constraint cache are
-    /// rebuilt through the same deterministic path as
-    /// [`PreparedLsq::new`], so the result is pinned bit-identical to a
-    /// full rebuild on the extracted matrices; the saving is the `O(rows ·
-    /// k²)` Gram product and the model-matrix assembly.
-    ///
-    /// This is the shape of a task departure in the EUCON controller:
-    /// dropping a task removes its move-block columns from `C`, its
-    /// rate-penalty rows (zero everywhere else — the contract below), and
-    /// its rate-bound constraint rows.
-    ///
-    /// # Errors
-    ///
-    /// * [`QpError::DimensionMismatch`] — a mask length does not match the
-    ///   corresponding dimension, or a *dropped* objective row has a
-    ///   nonzero entry in a *retained* column (the extracted `H` would be
-    ///   wrong).
-    /// * Any error of [`PreparedLsq::new`] on the retained block.
-    pub fn retain(
-        &self,
-        keep_rows: &[bool],
-        keep_vars: &[bool],
-        keep_constraints: &[bool],
-    ) -> Result<PreparedLsq, QpError> {
-        let full_c = &self.objective.c;
-        if keep_rows.len() != full_c.rows()
-            || keep_vars.len() != full_c.cols()
-            || keep_constraints.len() != self.qp.num_constraints()
-        {
-            return Err(QpError::DimensionMismatch(format!(
-                "retain masks ({}, {}, {}) do not match prepared dimensions ({}, {}, {})",
-                keep_rows.len(),
-                keep_vars.len(),
-                keep_constraints.len(),
-                full_c.rows(),
-                full_c.cols(),
-                self.qp.num_constraints()
-            )));
-        }
-        for (r, &kr) in keep_rows.iter().enumerate() {
-            if kr {
-                continue;
-            }
-            for (j, &kv) in keep_vars.iter().enumerate() {
-                if kv && full_c[(r, j)] != 0.0 {
-                    return Err(QpError::DimensionMismatch(format!(
-                        "dropped objective row {r} has a nonzero entry in retained column {j}; \
-                         the Gauss normal matrix of the retained block cannot be extracted"
-                    )));
-                }
-            }
-        }
-        let rows: Vec<usize> = mask_indices(keep_rows);
-        let vars: Vec<usize> = mask_indices(keep_vars);
-        let cons: Vec<usize> = mask_indices(keep_constraints);
-        let c = Matrix::from_fn(rows.len(), vars.len(), |r, j| full_c[(rows[r], vars[j])]);
-        let ct = c.transpose();
-        let full_h = self.qp.hessian();
-        let hess = Matrix::from_fn(vars.len(), vars.len(), |a, b| full_h[(vars[a], vars[b])]);
-        let full_g = self.qp.constraints();
-        let g = Matrix::from_fn(cons.len(), vars.len(), |r, j| full_g[(cons[r], vars[j])]);
-        let qp = PreparedQp::new(hess, g)?;
-        Ok(PreparedLsq {
-            objective: Objective::new(c, &ct),
-            qp,
-        })
     }
 
     /// Solves for a new target `d` and constraint rhs `h`, optionally
@@ -472,10 +370,11 @@ impl PreparedLsq {
         warm: &[usize],
         out: &mut LsqSolution,
     ) -> Result<(), QpError> {
-        let Objective { c, c_rows, ct_rows } = &*self.objective;
+        let Objective { c_rows, ct_rows } = &*self.objective;
+        let (rows, cols) = (c_rows.rows(), c_rows.cols());
         assert_eq!(
             d.len(),
-            c.rows(),
+            rows,
             "rhs length must equal the number of rows of C"
         );
         check_finite("d", d)?;
@@ -483,7 +382,7 @@ impl PreparedLsq {
         // f = −Cᵀd, staged in the workspace (taken out for the solve, which
         // borrows the rest of it).
         let mut f = std::mem::take(&mut ws.f);
-        f.resize(c.cols());
+        f.resize(cols);
         ct_rows.mul_vec_into(d, &mut f);
         for v in f.as_mut_slice() {
             *v *= -1.0;
@@ -495,14 +394,14 @@ impl PreparedLsq {
         // left-to-right sum of squares as `(&c.mul_vec(&x) - d).norm()`,
         // without the two temporaries.
         let mut acc = 0.0;
-        for i in 0..c.rows() {
+        for i in 0..rows {
             let diff = c_rows.dot(i, ws.x.as_slice()) - d[i];
             acc += diff * diff;
         }
         out.x.clone_from(&ws.x);
         out.residual = acc.sqrt();
         out.iterations = stats.iterations;
-        copy_active_set(&ws.active, c.cols(), &mut out.active);
+        copy_active_set(&ws.active, cols, &mut out.active);
         out.warm_retained = stats.warm_retained;
         Ok(())
     }
@@ -629,9 +528,7 @@ mod tests {
     }
 
     /// MPC-shaped problem: dense tracking rows over every variable, then
-    /// one rate-penalty row per variable that is zero everywhere else —
-    /// exactly the structure `retain`'s dropped-row contract requires when
-    /// a task departs.
+    /// one rate-penalty row per variable that is zero everywhere else.
     fn churn_shaped_prepared() -> (Matrix, Matrix, PreparedLsq) {
         let c = Matrix::from_rows(&[
             &[1.0, 0.4, -0.3],
@@ -650,78 +547,6 @@ mod tests {
         ]);
         let p = PreparedLsq::new(c.clone(), g.clone(), 1e-9).unwrap();
         (c, g, p)
-    }
-
-    #[test]
-    fn retain_is_bit_identical_to_full_rebuild() {
-        let (c, g, p) = churn_shaped_prepared();
-        // Drop variable 1: its penalty row (3) and its two bound rows (1, 4).
-        let keep_rows = [true, true, true, false, true];
-        let keep_vars = [true, false, true];
-        let keep_cons = [true, false, true, true, false, true];
-        let shrunk = p.retain(&keep_rows, &keep_vars, &keep_cons).unwrap();
-
-        let rows = [0usize, 1, 2, 4];
-        let vars = [0usize, 2];
-        let cons = [0usize, 2, 3, 5];
-        let c_sub = Matrix::from_fn(rows.len(), vars.len(), |r, j| c[(rows[r], vars[j])]);
-        let g_sub = Matrix::from_fn(cons.len(), vars.len(), |r, j| g[(cons[r], vars[j])]);
-        let rebuilt = PreparedLsq::new(c_sub, g_sub, 1e-9).unwrap();
-
-        assert_eq!(shrunk.num_vars(), 2);
-        assert_eq!(shrunk.num_constraints(), 4);
-        let d = Vector::from_slice(&[1.5, -0.7, 0.2, -0.4]);
-        let h = Vector::from_slice(&[0.2, 0.3, 0.9, 0.9]);
-        let a = shrunk.solve_with(&d, &h, &[]).unwrap();
-        let b = rebuilt.solve_with(&d, &h, &[]).unwrap();
-        assert_eq!(a.active, b.active);
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.residual.to_bits(), b.residual.to_bits());
-        let bits = |v: &Vector| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
-        assert_eq!(bits(&a.x), bits(&b.x));
-        // Warm restart from the migrated active set agrees too.
-        let aw = shrunk.solve_with(&d, &h, &a.active).unwrap();
-        let bw = rebuilt.solve_with(&d, &h, &b.active).unwrap();
-        assert_eq!(bits(&aw.x), bits(&bw.x));
-        assert_eq!(aw.iterations, bw.iterations);
-    }
-
-    #[test]
-    fn retain_rejects_dense_dropped_row() {
-        let (_, _, p) = churn_shaped_prepared();
-        // Dropping a dense tracking row while keeping its columns would make
-        // the extracted Gauss normal matrix wrong; must be refused.
-        let r = p.retain(
-            &[false, true, true, true, true],
-            &[true, true, true],
-            &[true; 6],
-        );
-        assert!(matches!(r, Err(QpError::DimensionMismatch(_))));
-    }
-
-    #[test]
-    fn retain_validates_mask_lengths() {
-        let (_, _, p) = churn_shaped_prepared();
-        let r = p.retain(&[true; 4], &[true; 3], &[true; 6]);
-        assert!(matches!(r, Err(QpError::DimensionMismatch(_))));
-        let r = p.retain(&[true; 5], &[true; 2], &[true; 6]);
-        assert!(matches!(r, Err(QpError::DimensionMismatch(_))));
-        let r = p.retain(&[true; 5], &[true; 3], &[true; 5]);
-        assert!(matches!(r, Err(QpError::DimensionMismatch(_))));
-    }
-
-    #[test]
-    fn retain_identity_masks_reproduce_the_problem() {
-        let (_, _, p) = churn_shaped_prepared();
-        let same = p.retain(&[true; 5], &[true; 3], &[true; 6]).unwrap();
-        let d = Vector::from_slice(&[1.0, 2.0, 0.0, 0.0, 0.0]);
-        let h = Vector::from_slice(&[0.5; 6]);
-        let a = p.solve_with(&d, &h, &[]).unwrap();
-        let b = same.solve_with(&d, &h, &[]).unwrap();
-        assert_eq!(a.x[0].to_bits(), b.x[0].to_bits());
-        assert_eq!(a.x[1].to_bits(), b.x[1].to_bits());
-        assert_eq!(a.x[2].to_bits(), b.x[2].to_bits());
-        assert_eq!(a.active, b.active);
     }
 
     #[test]

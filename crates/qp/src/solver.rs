@@ -241,7 +241,7 @@ pub(crate) fn solve_one_shot(
 /// full Gram table `D[(a,b)] = n_aᵀH⁻¹n_b`.  The dual iteration's
 /// subproblem matrix `M = NᵀH⁻¹N` and right-hand side are then submatrix
 /// lookups instead of Cholesky back-substitutions.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct ConstraintCache {
     /// `hinv_n[i] = H⁻¹ n_i`.
     hinv_n: Vec<Vector>,
@@ -250,33 +250,22 @@ pub(crate) struct ConstraintCache {
 }
 
 impl ConstraintCache {
-    /// Extends `prior` (the cache of the leading `prior.hinv_n.len()` rows
-    /// of `g`, or `None`) to all of `g`: back-solves for the new rows,
-    /// Gram entries for every pair that involves one.  Both triangles of
-    /// `d` are computed on their own — `d[(a, b)]` and `d[(b, a)]` round
-    /// separately, and the memoized subproblem factors depend on both.
-    fn extend(
-        prior: Option<&ConstraintCache>,
-        chol: &Cholesky,
-        g: &Matrix,
-        rows: &SparseRows,
-    ) -> Result<Self, QpError> {
+    /// The cache of all of `g`: one back-solve per row, then the Gram
+    /// entry of every pair.  Both triangles of `d` are computed on their
+    /// own — `d[(a, b)]` and `d[(b, a)]` round separately, and the
+    /// memoized subproblem factors depend on both.
+    fn build(chol: &Cholesky, g: &Matrix, rows: &SparseRows) -> Result<Self, QpError> {
         let m = g.rows();
-        let m0 = prior.map_or(0, |c| c.hinv_n.len());
-        let mut hinv_n = prior.map_or_else(Vec::new, |c| c.hinv_n.clone());
-        hinv_n.reserve(m - m0);
-        for i in m0..m {
+        let mut hinv_n = Vec::with_capacity(m);
+        for i in 0..m {
             let ni = Vector::from_iter(g.row(i).iter().map(|v| -v));
             hinv_n.push(chol.solve(&ni)?);
         }
         let mut d = Matrix::zeros(m, m);
         for a in 0..m {
             for b in 0..m {
-                d[(a, b)] = match prior {
-                    Some(c) if a < m0 && b < m0 => c.d[(a, b)],
-                    // n_a · H⁻¹n_b = −g_a · H⁻¹n_b.
-                    _ => -rows.dot(a, hinv_n[b].as_slice()),
-                };
+                // n_a · H⁻¹n_b = −g_a · H⁻¹n_b.
+                d[(a, b)] = -rows.dot(a, hinv_n[b].as_slice());
             }
         }
         Ok(ConstraintCache { hinv_n, d })
@@ -847,8 +836,9 @@ fn try_warm_start(
 }
 
 /// The immutable heart of a [`PreparedQp`]: everything fixed at
-/// preparation time (`H`, `G`, the Cholesky factor, the constraint cache,
-/// the tolerance scale).
+/// preparation time (`G`, the Cholesky factor of `H`, the constraint
+/// cache, the tolerance scale).  `H` itself is not kept: after
+/// construction every use of it goes through the factor.
 ///
 /// Held behind an [`Arc`] so cloning a prepared problem — e.g. fanning a
 /// homogeneous fleet's shared model out to thousands of loops — shares
@@ -858,7 +848,6 @@ fn try_warm_start(
 /// `Arc`, per clone.
 #[derive(Debug)]
 struct QpCore {
-    h: Matrix,
     g: Matrix,
     /// The nonzeros of `g`: every `g_i · v` of a solve reads these.
     g_rows: SparseRows,
@@ -934,22 +923,10 @@ impl PreparedQp {
         }
         let chol = factorize(&h)?;
         let g_rows = SparseRows::from_matrix(&g);
-        let cache = ConstraintCache::extend(None, &chol, &g, &g_rows)?;
-        Ok(Self::from_parts(h, g, g_rows, chol, cache))
-    }
-
-    /// A pristine instance (empty memo, empty workspace) over a new core.
-    fn from_parts(
-        h: Matrix,
-        g: Matrix,
-        g_rows: SparseRows,
-        chol: Cholesky,
-        cache: ConstraintCache,
-    ) -> Self {
+        let cache = ConstraintCache::build(&chol, &g, &g_rows)?;
         let base_scale = g.max_abs().max(h.max_abs()).max(1.0);
-        PreparedQp {
+        Ok(PreparedQp {
             core: Arc::new(QpCore {
-                h,
                 g,
                 g_rows,
                 chol,
@@ -958,12 +935,12 @@ impl PreparedQp {
             }),
             warm_factors: RefCell::default(),
             workspace: RefCell::default(),
-        }
+        })
     }
 
     /// Number of decision variables.
     pub fn num_vars(&self) -> usize {
-        self.core.h.rows()
+        self.core.g_rows.cols()
     }
 
     /// Number of inequality constraints.
@@ -971,15 +948,10 @@ impl PreparedQp {
         self.core.g.rows()
     }
 
-    /// The Hessian this problem was prepared with.
-    pub fn hessian(&self) -> &Matrix {
-        &self.core.h
-    }
-
-    /// Whether `self` and `other` share one immutable model (`H`, `G`,
-    /// Cholesky factor, constraint cache) — true exactly for clones of a
-    /// common ancestor.  Probe for the fleet's shared-model cache tests;
-    /// sharing never changes results, only memory.
+    /// Whether `self` and `other` share one immutable model (`G`, the
+    /// Cholesky factor of `H`, constraint cache) — true exactly for clones
+    /// of a common ancestor.  Probe for the fleet's shared-model cache
+    /// tests; sharing never changes results, only memory.
     pub fn shares_model(&self, other: &PreparedQp) -> bool {
         Arc::ptr_eq(&self.core, &other.core)
     }
@@ -992,94 +964,6 @@ impl PreparedQp {
     /// in effect for this problem.
     pub fn hessian_bandwidth(&self) -> usize {
         self.core.chol.bandwidth()
-    }
-
-    /// The constraint matrix this problem was prepared with.
-    pub fn constraints(&self) -> &Matrix {
-        &self.core.g
-    }
-
-    /// Incremental constraint-set shrink: keeps the rows of `G` selected
-    /// by `keep`, reusing the Cholesky factor of the unchanged `H` and
-    /// *extracting* the retained per-constraint back-solves and Gram-table
-    /// entries instead of recomputing them.
-    ///
-    /// Bit-identical to `PreparedQp::new(h.clone(), g_retained)`: a
-    /// rebuild would recompute exactly the values being copied (`H` and
-    /// the retained rows of `G` are unchanged, and both the back-solves
-    /// and the Gram products are deterministic), so the next
-    /// [`solve`](PreparedQp::solve) follows the same trajectory bit for
-    /// bit.  Cost is `O(k²)` table extraction instead of the `O(k·n²)`
-    /// back-solves plus `O(k²·n)` Gram products of a rebuild.
-    ///
-    /// # Errors
-    ///
-    /// [`QpError::DimensionMismatch`] — `keep.len()` differs from the
-    /// constraint count.
-    pub fn retain_constraints(&self, keep: &[bool]) -> Result<PreparedQp, QpError> {
-        if keep.len() != self.num_constraints() {
-            return Err(QpError::DimensionMismatch(format!(
-                "keep mask length {} does not match constraint count {}",
-                keep.len(),
-                self.num_constraints()
-            )));
-        }
-        let kept: Vec<usize> = keep
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &k)| k.then_some(i))
-            .collect();
-        let core = &self.core;
-        let g = Matrix::from_fn(kept.len(), self.num_vars(), |r, c| core.g[(kept[r], c)]);
-        let hinv_n: Vec<Vector> = kept.iter().map(|&i| core.cache.hinv_n[i].clone()).collect();
-        let d = Matrix::from_fn(kept.len(), kept.len(), |a, b| {
-            core.cache.d[(kept[a], kept[b])]
-        });
-        let g_rows = SparseRows::from_matrix(&g);
-        Ok(Self::from_parts(
-            core.h.clone(),
-            g,
-            g_rows,
-            core.chol.clone(),
-            ConstraintCache { hinv_n, d },
-        ))
-    }
-
-    /// Incremental constraint-set growth: appends the rows of `extra` to
-    /// `G`, computing back-solves and Gram entries only for the new rows
-    /// (the existing table is copied — `H` and the old rows are unchanged,
-    /// so a rebuild would recompute the same bits).
-    ///
-    /// Bit-identical to `PreparedQp::new(h.clone(), g.vstack(extra))` for
-    /// the same reason as [`retain_constraints`](Self::retain_constraints).
-    ///
-    /// # Errors
-    ///
-    /// [`QpError::DimensionMismatch`] — `extra.cols()` differs from the
-    /// variable count.
-    pub fn append_constraints(&self, extra: &Matrix) -> Result<PreparedQp, QpError> {
-        if extra.cols() != self.num_vars() {
-            return Err(QpError::DimensionMismatch(format!(
-                "appended constraint row width {} does not match variable count {}",
-                extra.cols(),
-                self.num_vars()
-            )));
-        }
-        let core = &self.core;
-        let g = if core.g.rows() == 0 {
-            extra.clone()
-        } else {
-            core.g.vstack(extra)
-        };
-        let g_rows = SparseRows::from_matrix(&g);
-        let cache = ConstraintCache::extend(Some(&core.cache), &core.chol, &g, &g_rows)?;
-        Ok(Self::from_parts(
-            core.h.clone(),
-            g,
-            g_rows,
-            core.chol.clone(),
-            cache,
-        ))
     }
 
     /// Solves `min ½xᵀHx + fᵀx` s.t. `Gx ≤ hvec` for the prepared `H`, `G`.
@@ -1428,16 +1312,6 @@ mod tests {
     }
 
     #[test]
-    fn derived_problems_do_not_alias_their_parent() {
-        let (_, _, qp) = coupled_prepared();
-        let kept = qp.retain_constraints(&[true; 6]).unwrap();
-        assert!(
-            !qp.shares_model(&kept),
-            "retain builds a new core even for the identity mask"
-        );
-    }
-
-    #[test]
     fn prepared_rejects_indefinite_hessian_at_construction() {
         let h = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, -1.0]]);
         let r = PreparedQp::new(h, Matrix::zeros(0, 2));
@@ -1466,87 +1340,6 @@ mod tests {
         ]);
         let qp = PreparedQp::new(h.clone(), g.clone()).unwrap();
         (h, g, qp)
-    }
-
-    #[test]
-    fn retain_constraints_is_bit_identical_to_rebuild() {
-        let (h, g, qp) = coupled_prepared();
-        let keep = [true, false, true, true, false, true];
-        let shrunk = qp.retain_constraints(&keep).unwrap();
-        let kept: Vec<usize> = keep
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &k)| k.then_some(i))
-            .collect();
-        let g_sub = Matrix::from_fn(kept.len(), 3, |r, c| g[(kept[r], c)]);
-        let rebuilt = PreparedQp::new(h, g_sub).unwrap();
-        assert_eq!(shrunk.num_constraints(), 4);
-
-        let f = Vector::from_slice(&[-3.0, 2.0, -1.5]);
-        let hvec = Vector::from_slice(&[0.4, 0.8, 0.3, 0.9]);
-        let a = shrunk.solve(&f, &hvec, &[]).unwrap();
-        let b = rebuilt.solve(&f, &hvec, &[]).unwrap();
-        assert_bit_identical(&a, &b);
-        // Warm restarts agree bit for bit too (shared memoized factors
-        // start empty on both sides).
-        let aw = shrunk.solve(&f, &hvec, &a.active).unwrap();
-        let bw = rebuilt.solve(&f, &hvec, &b.active).unwrap();
-        assert_bit_identical(&aw, &bw);
-    }
-
-    #[test]
-    fn append_constraints_is_bit_identical_to_rebuild() {
-        let (h, g, qp) = coupled_prepared();
-        let extra = Matrix::from_rows(&[&[0.5, -1.0, 0.0], &[0.0, 0.3, -1.0]]);
-        let grown = qp.append_constraints(&extra).unwrap();
-        let rebuilt = PreparedQp::new(h, g.vstack(&extra)).unwrap();
-        assert_eq!(grown.num_constraints(), 8);
-
-        let f = Vector::from_slice(&[-3.0, 2.0, -1.5]);
-        let hvec = Vector::from_slice(&[0.4, 10.0, 0.8, 0.2, 0.9, 0.3, -0.1, 0.05]);
-        let a = grown.solve(&f, &hvec, &[]).unwrap();
-        let b = rebuilt.solve(&f, &hvec, &[]).unwrap();
-        assert_bit_identical(&a, &b);
-    }
-
-    #[test]
-    fn append_onto_unconstrained_problem() {
-        let h = Matrix::identity(2);
-        let qp = PreparedQp::new(h.clone(), Matrix::zeros(0, 2)).unwrap();
-        let extra = Matrix::from_rows(&[&[1.0, 0.0]]);
-        let grown = qp.append_constraints(&extra).unwrap();
-        let rebuilt = PreparedQp::new(h, extra).unwrap();
-        let f = Vector::from_slice(&[-2.0, -0.5]);
-        let hvec = Vector::from_slice(&[1.0]);
-        let a = grown.solve(&f, &hvec, &[]).unwrap();
-        let b = rebuilt.solve(&f, &hvec, &[]).unwrap();
-        assert_bit_identical(&a, &b);
-        assert!((a.x[0] - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn retain_and_append_validate_dimensions() {
-        let (_, _, qp) = coupled_prepared();
-        assert!(matches!(
-            qp.retain_constraints(&[true, false]),
-            Err(QpError::DimensionMismatch(_))
-        ));
-        assert!(matches!(
-            qp.append_constraints(&Matrix::zeros(1, 5)),
-            Err(QpError::DimensionMismatch(_))
-        ));
-    }
-
-    #[test]
-    fn retain_all_and_retain_none_edge_cases() {
-        let (_, g, qp) = coupled_prepared();
-        let all = qp.retain_constraints(&vec![true; g.rows()]).unwrap();
-        assert_eq!(all.num_constraints(), g.rows());
-        let none = qp.retain_constraints(&vec![false; g.rows()]).unwrap();
-        assert_eq!(none.num_constraints(), 0);
-        let f = Vector::from_slice(&[-1.0, 0.0, 0.5]);
-        let sol = none.solve(&f, &Vector::zeros(0), &[]).unwrap();
-        assert!(sol.active.is_empty());
     }
 
     #[test]
