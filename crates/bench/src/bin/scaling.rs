@@ -131,8 +131,8 @@ fn cluster_set(procs: usize) -> TaskSet {
 /// centralized controller (interleaved rounds at 256 processors, the
 /// ISSUE 8 ≥10× gate) and convergence-vs-shard-size curves — every
 /// configuration must still settle within ±0.03 of its set points.
-/// `EUCON_SHARD_SMOKE=1` skips the centralized reference (its one-time
-/// model preparation dominates the run) and the 512/1024 tiers.
+/// `EUCON_SHARD_SMOKE=1` skips the centralized reference and the
+/// 512/1024 tiers.
 fn shard_scaling() {
     println!("\n== Cluster scale: sharded control at 256-1024 processors ==\n");
     let cores = eucon_bench::detected_cores();
@@ -158,8 +158,10 @@ fn shard_scaling() {
         let u = Vector::from_iter((0..procs).map(|p| 0.5 + 0.01 * (p % 7) as f64));
 
         // The centralized reference pays its one-time model preparation
-        // (dense 2m×2m Hessian + constraint cache) here; per-step cost is
-        // what the table compares.
+        // (the dense 2m×2m Hessian, its Cholesky factor and the empty
+        // back-solve tables) here; each
+        // constraint row's back-solve follows in the first step that
+        // touches it.  Per-step cost is what the table compares.
         let mut central = with_central.then(|| {
             let t0 = Instant::now();
             let c = MpcController::new(&set, b.clone(), MpcConfig::medium())
@@ -295,8 +297,8 @@ fn shard_scaling() {
         ),
     );
     println!("\nExpected shape: sharded step cost scales with the largest local problem,");
-    println!("not the platform; the 256-proc speedup over centralized clears 10x at");
-    println!("shard sizes up to 32, and every configuration settles within +/-0.03");
+    println!("not the platform; the 256-proc speedup over centralized is about 10x or");
+    println!("more at shard sizes up to 32, and every configuration settles within +/-0.03");
     println!("(asserted above).");
 }
 

@@ -14,9 +14,10 @@
 //!   the QP (`H = CᵀC`, `f = −Cᵀd`) and delegates to [`QuadProg`].
 //! * [`PreparedQp`] / [`PreparedLsq`] — the amortized forms for repeated
 //!   solves with fixed `H`/`C` and constraint matrix but varying linear
-//!   term and right-hand side: the Cholesky factorization and the
-//!   per-constraint back-solves are computed once at construction, and
-//!   each solve can warm-start from the previous active set.  This is the
+//!   term and right-hand side: the Cholesky factorization is computed
+//!   once at construction, each constraint's back-solve once, by the
+//!   first solve that touches it, and each solve can warm-start from the
+//!   previous active set.  This is the
 //!   controller hot path: once the closed loop settles, the active set
 //!   stops changing and a solve costs two triangular back-substitutions.
 //!   Their `solve_into` forms write into a caller-owned solution and work

@@ -230,9 +230,10 @@ fn gauss_normal_matrix(ct: &Matrix, c: &Matrix, regularization: f64) -> Matrix {
 /// objective matrix `C` and constraint matrix `G` derive from the task
 /// model and never change between sampling periods, while `d` (tracking
 /// error) and `h` (rate/utilization slacks) change every period.
-/// Construction builds `H = CᵀC + εI`, factorizes it once, and precomputes
-/// the per-constraint back-solves ([`PreparedQp`]); each
-/// [`solve_with`](PreparedLsq::solve_with) then costs two triangular
+/// Construction builds `H = CᵀC + εI` and factorizes it once; a
+/// constraint row's back-solve is computed the first time a solve touches
+/// the row and kept ([`PreparedQp`]).  Once a run's rows are in, each
+/// [`solve_with`](PreparedLsq::solve_with) costs two triangular
 /// back-substitutions plus active-set bookkeeping, and can warm-start from
 /// the previous period's active set.
 ///

@@ -3,7 +3,7 @@
 use std::cell::{RefCell, RefMut};
 use std::sync::Arc;
 
-use eucon_math::{Cholesky, Lu, MathError, Matrix, SparseRows, Vector};
+use eucon_math::{kernel, Cholesky, Lu, MathError, Matrix, SparseRows, Vector};
 
 use crate::QpError;
 
@@ -47,8 +47,9 @@ impl QpSolution {
 /// never needs a feasible starting point and certifies infeasibility.
 ///
 /// For repeated solves that share `H` and `G` (the controller hot path),
-/// use [`PreparedQp`], which factorizes `H` and precomputes per-constraint
-/// back-solves once instead of on every call.
+/// use [`PreparedQp`], which factorizes `H` once and keeps each
+/// constraint's back-solve from the first solve that needs it instead of
+/// redoing both on every call.
 ///
 /// # Example
 ///
@@ -195,7 +196,7 @@ impl QuadProg {
         }
         let mut worst = grad.max_abs();
         for i in 0..self.num_constraints() {
-            let slack = self.hvec[i] - eucon_math::kernel::dot(self.g.row(i), sol.x.as_slice());
+            let slack = self.hvec[i] - kernel::dot(self.g.row(i), sol.x.as_slice());
             // Primal feasibility.
             worst = worst.max(-slack);
             // Dual feasibility.
@@ -209,7 +210,8 @@ impl QuadProg {
 
 /// One solve of a problem nobody prepared: builds the sparse view of `g`
 /// and a fresh workspace for this call (as the caller just factorized `H`
-/// for it), and returns the solution owned.
+/// for it; its back-solve memo starts empty), and returns the solution
+/// owned.
 pub(crate) fn solve_one_shot(
     chol: &Cholesky,
     f: &Vector,
@@ -224,7 +226,6 @@ pub(crate) fn solve_one_shot(
         g,
         rows: &rows,
         base_scale,
-        cache: None,
     };
     let mut ws = QpWorkspace::default();
     let stats = solve_with_chol(&model, f, hvec, warm, &mut WarmFactors::default(), &mut ws)?;
@@ -233,42 +234,103 @@ pub(crate) fn solve_one_shot(
     Ok(sol)
 }
 
-/// Per-constraint quantities that depend only on `H` and `G`, precomputed
-/// once and reused by every [`PreparedQp::solve`] call.
+/// The back-solves and Gram entries of the constraint rows a workspace's
+/// solves have touched, each computed the first time a solve needs it.
 ///
 /// With the constraint normals `n_i = −g_iᵀ` (the `≥` orientation used by
-/// the dual method), the cache stores every back-solve `H⁻¹n_i` and the
-/// full Gram table `D[(a,b)] = n_aᵀH⁻¹n_b`.  The dual iteration's
-/// subproblem matrix `M = NᵀH⁻¹N` and right-hand side are then submatrix
-/// lookups instead of Cholesky back-substitutions.
-#[derive(Debug)]
-pub(crate) struct ConstraintCache {
-    /// `hinv_n[i] = H⁻¹ n_i`.
-    hinv_n: Vec<Vector>,
-    /// `d[(a, b)] = n_a · H⁻¹ n_b` for every constraint pair.
-    d: Matrix,
+/// the dual method), a ready row `i` has its back-solve `H⁻¹n_i` and, for
+/// every ready row `j`, both Gram entries `n_i·H⁻¹n_j` and `n_j·H⁻¹n_i`.
+/// The dual iteration's subproblem matrix `M = NᵀH⁻¹N` and right-hand side
+/// are then lookups, once [`ensure`](BackSolves::ensure) has run for the
+/// rows they read.  Every entry is a pure function of `H` and `G`,
+/// computed by one expression whatever order the rows become ready in, so
+/// two memos that hold an entry hold the same bits.
+#[derive(Debug, Default)]
+struct BackSolves {
+    /// Columns of `hinv` (the variable count).
+    n: usize,
+    /// Row-major `m × n`: row `i` is `H⁻¹n_i` once `ready[i]`.
+    hinv: Vec<f64>,
+    /// `gram[(a, b)] = n_a · H⁻¹n_b` for every pair of ready rows.
+    gram: Matrix,
+    ready: Vec<bool>,
+    /// The ready rows, in the order they became ready.
+    order: Vec<usize>,
+    /// `n_i` and `H⁻¹n_i` of the row being made ready.
+    ni: Vector,
+    sol: Vector,
 }
 
-impl ConstraintCache {
-    /// The cache of all of `g`: one back-solve per row, then the Gram
-    /// entry of every pair.  Both triangles of `d` are computed on their
-    /// own — `d[(a, b)]` and `d[(b, a)]` round separately, and the
-    /// memoized subproblem factors depend on both.
-    fn build(chol: &Cholesky, g: &Matrix, rows: &SparseRows) -> Result<Self, QpError> {
-        let m = g.rows();
-        let mut hinv_n = Vec::with_capacity(m);
-        for i in 0..m {
-            let ni = Vector::from_iter(g.row(i).iter().map(|v| -v));
-            hinv_n.push(chol.solve(&ni)?);
+impl BackSolves {
+    /// Sizes the memo for an `m × n` constraint matrix — at
+    /// [`PreparedQp::new`], or at the first solve of a clone or a one-shot
+    /// — so a later first touch allocates nothing.  The tables are written
+    /// out in full with NaN rather than zeroed: zeroed pages would become
+    /// resident as rows are touched or as the allocator recycles memory,
+    /// so the peak resident set would depend on the allocator's history,
+    /// and an entry read before its row is ready would pass for 0 where
+    /// NaN poisons the solve.  Sizing at construction places the tables
+    /// with the rest of the model rather than among whatever a caller
+    /// allocated between build and first solve, so a process that builds
+    /// and drops models over and over settles at one peak.
+    fn fit(&mut self, m: usize, n: usize) {
+        if self.ready.len() == m && self.n == n {
+            return;
         }
-        let mut d = Matrix::zeros(m, m);
-        for a in 0..m {
-            for b in 0..m {
-                // n_a · H⁻¹n_b = −g_a · H⁻¹n_b.
-                d[(a, b)] = -rows.dot(a, hinv_n[b].as_slice());
+        *self = BackSolves {
+            n,
+            hinv: vec![f64::NAN; m * n],
+            gram: Matrix::from_vec(m, m, vec![f64::NAN; m * m]),
+            ready: vec![false; m],
+            order: Vec::with_capacity(m),
+            ni: Vector::zeros(n),
+            sol: Vector::zeros(n),
+        };
+    }
+
+    /// Makes row `i` ready: its back-solve, then its Gram entries against
+    /// itself and every ready row.  The two orientations of a pair are
+    /// computed on their own — `gram[(a, b)]` and `gram[(b, a)]` round
+    /// separately, and the memoized subproblem factors depend on both.
+    fn ensure(&mut self, model: &Model<'_>, i: usize) -> Result<(), MathError> {
+        if self.ready[i] {
+            return Ok(());
+        }
+        let n = self.n;
+        for (ni, &gi) in self.ni.as_mut_slice().iter_mut().zip(model.g.row(i)) {
+            *ni = -gi;
+        }
+        model.chol.solve_into(&self.ni, &mut self.sol)?;
+        self.hinv[i * n..(i + 1) * n].copy_from_slice(self.sol.as_slice());
+        self.ready[i] = true;
+        self.order.push(i);
+        let hinv_i = self.sol.as_slice();
+        for &j in &self.order {
+            // n_a · H⁻¹n_b = −g_a · H⁻¹n_b.
+            self.gram[(i, j)] = -model.rows.dot(i, &self.hinv[j * n..(j + 1) * n]);
+            self.gram[(j, i)] = -model.rows.dot(j, hinv_i);
+        }
+        Ok(())
+    }
+
+    /// `H⁻¹n_i` of a ready row `i`.
+    fn hinv(&self, i: usize) -> &[f64] {
+        &self.hinv[i * self.n..(i + 1) * self.n]
+    }
+
+    /// Writes the subproblem matrix `M = NᵀH⁻¹N` over the ready rows `idx`
+    /// into `out`, leaving out position `skip` when given (the
+    /// tentative-drop system).
+    fn subproblem_into(&self, idx: &[usize], skip: Option<usize>, out: &mut Matrix) {
+        let k = idx.len() - usize::from(skip.is_some());
+        out.reset_zeros(k, k);
+        for ra in 0..k {
+            let a = ra + usize::from(skip.is_some_and(|s| ra >= s));
+            for rb in 0..k {
+                let b = rb + usize::from(skip.is_some_and(|s| rb >= s));
+                out[(ra, rb)] = self.gram[(idx[a], idx[b])];
             }
         }
-        Ok(ConstraintCache { hinv_n, d })
     }
 }
 
@@ -300,20 +362,25 @@ pub(crate) struct WarmFactors {
     reduced_valid: bool,
 }
 
-/// Every temporary of one solve, owned per [`PreparedQp`] instance so a
-/// steady-state solve allocates nothing.
+/// Every temporary of one solve and the back-solve memo, owned per
+/// [`PreparedQp`] instance so a steady-state solve allocates nothing.
 ///
 /// Buffers start empty.  Each is given room for the problem's bound the
 /// first time a solve needs it — `n` entries for whatever follows the
 /// active set, `n × n` for the subproblem the first time the active set
-/// is non-empty — and is never shrunk, so which solve first reaches a
-/// given active-set size does not matter: after the first solve that
-/// takes a code path, that path allocates nothing.  (Reserved room is
-/// untouched memory until a solve's `q × q` actually fills it.)  Nothing
-/// in here carries meaning from one solve to the next — a fresh workspace
-/// and a used one give the same bits — so [`PreparedQp::clone`] hands the
-/// clone an empty one instead of copying scratch.  After a successful
-/// solve `x`, `active` and `u` hold the solution.
+/// is non-empty, the memo's `m × n` and `m × m` tables at construction
+/// (a clone's or a one-shot's at its first solve) — and is never shrunk, so which solve first reaches a given
+/// active-set size or touches a given row does not matter: after the
+/// first solve that takes a code path, that path allocates nothing.
+/// (Reserved room is untouched memory until a solve actually fills it;
+/// the memo's tables are written out, with NaN, when they are sized.)
+/// The memo is the one thing kept from solve to solve, and it holds only
+/// entries that are pure functions of `H` and `G`, computed by the same
+/// expression whichever solve first needs them — so a fresh workspace and
+/// a used one give the same bits, and [`PreparedQp::clone`] hands the
+/// clone an empty one instead of copying.  A workspace belongs to one
+/// model: its memo is that model's.  After a successful solve `x`,
+/// `active` and `u` hold the solution.
 #[derive(Debug, Default)]
 pub(crate) struct QpWorkspace {
     /// Linear term of the least-squares front end (`−Cᵀd`), staged here
@@ -344,6 +411,8 @@ pub(crate) struct QpWorkspace {
     rr: Vector,
     ur: Vector,
     xr: Vector,
+    /// `H⁻¹n_i` and the Gram entries of the rows touched so far.
+    memo: BackSolves,
 }
 
 impl QpWorkspace {
@@ -399,66 +468,13 @@ pub(crate) struct SolveStats {
 }
 
 /// The fixed side of a solve: `H` through its Cholesky factor, `G` dense
-/// (for the constraint normals of the uncached path) and as the sparse
-/// rows every `g_i · v` goes through, the tolerance scale
-/// `max(|G|, |H|, 1)`, and the precomputed back-solves when `H`/`G` are
-/// fixed across calls.
+/// (the normals a back-solve starts from) and as the sparse rows every
+/// `g_i · v` goes through, and the tolerance scale `max(|G|, |H|, 1)`.
 pub(crate) struct Model<'a> {
     pub(crate) chol: &'a Cholesky,
     pub(crate) g: &'a Matrix,
     pub(crate) rows: &'a SparseRows,
     pub(crate) base_scale: f64,
-    pub(crate) cache: Option<&'a ConstraintCache>,
-}
-
-impl Model<'_> {
-    /// `H⁻¹n_i` for the normal `n_i = −g_iᵀ`, solved on the spot (the
-    /// uncached path).
-    fn hinv_normal(&self, i: usize) -> Result<Vector, MathError> {
-        let ni = Vector::from_iter(self.g.row(i).iter().map(|v| -v));
-        self.chol.solve(&ni)
-    }
-
-    /// `n_a · H⁻¹n_b`, where `hinv_b` must equal `H⁻¹n_b`; reads the
-    /// precomputed Gram table when one is available.
-    fn cross(&self, a: usize, b: usize, hinv_b: &Vector) -> f64 {
-        match self.cache {
-            Some(c) => c.d[(a, b)],
-            None => -self.rows.dot(a, hinv_b.as_slice()),
-        }
-    }
-
-    /// `H⁻¹n` of the constraint at position `b` of `idx`: a borrow from
-    /// the shared back-solve table when one exists, else from the
-    /// solver's own parallel array (which is only populated in that case).
-    fn hinv_at<'a>(&'a self, owned: &'a [Vector], idx: &[usize], b: usize) -> &'a Vector {
-        match self.cache {
-            Some(c) => &c.hinv_n[idx[b]],
-            None => &owned[b],
-        }
-    }
-
-    /// Writes the subproblem matrix `M = NᵀH⁻¹N` over the constraints
-    /// `idx` into `out`, leaving out position `skip` when given (the
-    /// tentative-drop system).  `owned` are the back-solves parallel to
-    /// `idx` (uncached path only).
-    fn subproblem_into(
-        &self,
-        idx: &[usize],
-        owned: &[Vector],
-        skip: Option<usize>,
-        out: &mut Matrix,
-    ) {
-        let k = idx.len() - usize::from(skip.is_some());
-        out.reset_zeros(k, k);
-        for ra in 0..k {
-            let a = ra + usize::from(skip.is_some_and(|s| ra >= s));
-            for rb in 0..k {
-                let b = rb + usize::from(skip.is_some_and(|s| rb >= s));
-                out[(ra, rb)] = self.cross(idx[a], idx[b], self.hinv_at(owned, idx, b));
-            }
-        }
-    }
 }
 
 /// Rejects non-finite entries of a per-solve input vector.
@@ -510,20 +526,15 @@ pub(crate) fn solve_with_chol(
 
     ws.x.clone_from(&ws.x0);
     // `active` and `u` stay parallel throughout; `in_active` mirrors
-    // membership for O(1) tests.  `hinv_act` (= H⁻¹n_j for each active j)
-    // is maintained only without a constraint cache — with one, the
-    // back-solves are read from the shared table instead of being cloned
-    // per active-set change (see [`Model::hinv_at`]).
+    // membership for O(1) tests.  Every active row is ready in the memo:
+    // it was made ready before it could join.
     ws.in_active.clear();
     ws.in_active.resize(m, false);
-    let mut hinv_act: Vec<Vector> = Vec::new();
+    ws.memo.fit(m, n);
 
-    if !warm.is_empty() {
-        if let Some(hinv) = try_warm_start(model, hvec, warm, tol, n, factors, ws) {
-            hinv_act = hinv;
-            for &a in &ws.active {
-                ws.in_active[a] = true;
-            }
+    if !warm.is_empty() && try_warm_start(model, hvec, warm, tol, n, factors, ws).is_some() {
+        for &a in &ws.active {
+            ws.in_active[a] = true;
         }
     }
     let warm_retained = ws.active.len();
@@ -537,6 +548,7 @@ pub(crate) fn solve_with_chol(
         sub,
         lu,
         rhs,
+        memo,
         ..
     } = ws;
 
@@ -564,16 +576,8 @@ pub(crate) fn solve_with_chol(
         };
 
         // H⁻¹n_p for the normal n_p = −g_pᵀ of constraint p in `≥`
-        // orientation; fixed while p is being added, so hoisted out of the
-        // inner loop.
-        let hinv_np_owned;
-        let hinv_np: &Vector = match model.cache {
-            Some(c) => &c.hinv_n[p],
-            None => {
-                hinv_np_owned = model.hinv_normal(p)?;
-                &hinv_np_owned
-            }
-        };
+        // orientation, and its Gram entries against the active rows.
+        memo.ensure(model, p)?;
         let mut u_p = 0.0;
 
         loop {
@@ -584,22 +588,22 @@ pub(crate) fn solve_with_chol(
 
             // z: primal step direction; r: dual step for active set.
             let q = active.len();
-            z.clone_from(hinv_np);
+            z.resize(n);
+            z.copy_from_slice(memo.hinv(p));
             r.resize(q);
             if q > 0 {
-                // M = Nᵀ H⁻¹ N, rhs = Nᵀ H⁻¹ n_p, from the cache when
-                // available, else from the stored back-solves.
+                // M = Nᵀ H⁻¹ N, rhs = Nᵀ H⁻¹ n_p, read from the memo.
                 sub.reserve(n, n);
                 lu.reserve(n);
-                model.subproblem_into(active, &hinv_act, None, sub);
+                memo.subproblem_into(active, None, sub);
                 rhs.resize(q);
                 for a in 0..q {
-                    rhs[a] = model.cross(active[a], p, hinv_np);
+                    rhs[a] = memo.gram[(active[a], p)];
                 }
                 lu.refactor(sub).map_err(QpError::Math)?;
                 lu.solve_into(rhs, r).map_err(QpError::Math)?;
                 for b in 0..q {
-                    z.axpy(-r[b], model.hinv_at(&hinv_act, active, b));
+                    kernel::axpy(z.as_mut_slice(), -r[b], memo.hinv(active[b]));
                 }
             }
 
@@ -632,9 +636,6 @@ pub(crate) fn solve_with_chol(
                 in_active[active[j]] = false;
                 active.remove(j);
                 u.remove(j);
-                if model.cache.is_none() {
-                    hinv_act.remove(j);
-                }
                 continue;
             }
 
@@ -652,9 +653,6 @@ pub(crate) fn solve_with_chol(
             if t2 <= t1 {
                 active.push(p);
                 u.push(u_p);
-                if model.cache.is_none() {
-                    hinv_act.push(hinv_np.clone());
-                }
                 in_active[p] = true;
                 continue 'outer;
             }
@@ -662,9 +660,6 @@ pub(crate) fn solve_with_chol(
             in_active[active[j]] = false;
             active.remove(j);
             u.remove(j);
-            if model.cache.is_none() {
-                hinv_act.remove(j);
-            }
         }
     }
 }
@@ -677,8 +672,7 @@ pub(crate) fn solve_with_chol(
 /// satisfies the dual method's invariant — `x` minimizes the objective
 /// over the span of the active constraints with non-negative multipliers —
 /// so the main loop can resume from it as if it had built that set itself.
-/// Returns the active rows' back-solves (empty with a constraint cache),
-/// or `None` (cold start, `ws.x`/`active`/`u` untouched) when the
+/// Returns `None` (cold start, `ws.x`/`active`/`u` untouched) when the
 /// subproblem is singular, e.g. for a stale guess with linearly dependent
 /// rows.
 fn try_warm_start(
@@ -689,7 +683,7 @@ fn try_warm_start(
     n: usize,
     factors: &mut WarmFactors,
     ws: &mut QpWorkspace,
-) -> Option<Vec<Vector>> {
+) -> Option<()> {
     let rows = model.rows;
     let m = rows.rows();
     let QpWorkspace {
@@ -705,6 +699,7 @@ fn try_warm_start(
         rr,
         ur,
         xr,
+        memo,
         ..
     } = ws;
     seen.clear();
@@ -718,22 +713,16 @@ fn try_warm_start(
     }
     // More than n active constraints cannot be linearly independent.
     cand.truncate(n);
+    // The loop below only shrinks `cand`: every row it reads is ready.
+    for &a in cand.iter() {
+        memo.ensure(model, a).ok()?;
+    }
 
     loop {
         if cand.is_empty() {
             return None;
         }
         let q = cand.len();
-        // With a constraint cache the back-solves `H⁻¹n_a` are read from
-        // the shared table (no per-solve copies); without one they are
-        // computed and owned here.
-        let mut hinv: Vec<Vector> = Vec::new();
-        if model.cache.is_none() {
-            hinv.reserve(q);
-            for &a in cand.iter() {
-                hinv.push(model.hinv_normal(a).ok()?);
-            }
-        }
 
         // M u = b_A − Nᵀx0, with b_a = −hvec[a] and n_a = −g_aᵀ, i.e.
         // rhs[a] = g_a·x0 − hvec[a].
@@ -754,7 +743,7 @@ fn try_warm_start(
         if !factors.full_valid {
             sub.reserve(n, n);
             factors.full.reserve(n);
-            model.subproblem_into(cand, &hinv, None, sub);
+            memo.subproblem_into(cand, None, sub);
             factors.full.refactor(sub).ok()?;
             factors.full_valid = true;
         }
@@ -808,7 +797,7 @@ fn try_warm_start(
                 factors.reduced_weakest = weakest;
                 factors.reduced_valid = false;
                 factors.reduced.reserve(n);
-                model.subproblem_into(cand, &hinv, Some(weakest), sub);
+                memo.subproblem_into(cand, Some(weakest), sub);
                 factors.reduced.refactor(sub).ok()?;
                 factors.reduced_valid = true;
             }
@@ -816,7 +805,7 @@ fn try_warm_start(
             xr.clone_from(x0);
             for b in 0..qr {
                 let hb = b + usize::from(b >= weakest);
-                xr.axpy(ur[b], model.hinv_at(&hinv, cand, hb));
+                kernel::axpy(xr.as_mut_slice(), ur[b], memo.hinv(cand[hb]));
             }
             rows.dot(dropped, xr.as_slice()) - hvec[dropped]
         };
@@ -827,32 +816,31 @@ fn try_warm_start(
 
         x.clone_from(x0);
         for b in 0..q {
-            x.axpy(u[b], model.hinv_at(&hinv, cand, b));
+            kernel::axpy(x.as_mut_slice(), u[b], memo.hinv(cand[b]));
         }
         active.extend_from_slice(cand);
         u_out.extend_from_slice(u.as_slice());
-        return Some(hinv);
+        return Some(());
     }
 }
 
 /// The immutable heart of a [`PreparedQp`]: everything fixed at
-/// preparation time (`G`, the Cholesky factor of `H`, the constraint
-/// cache, the tolerance scale).  `H` itself is not kept: after
-/// construction every use of it goes through the factor.
+/// preparation time (`G`, its sparse view, the Cholesky factor of `H`, the
+/// tolerance scale).  `H` itself is not kept: after construction every use
+/// of it goes through the factor.
 ///
 /// Held behind an [`Arc`] so cloning a prepared problem — e.g. fanning a
 /// homogeneous fleet's shared model out to thousands of loops — shares
-/// one copy of the expensive factorizations instead of deep-copying them.
-/// Nothing in here ever mutates after construction; all per-solve mutable
-/// state (the warm-start memo, the solver workspace) lives outside the
-/// `Arc`, per clone.
+/// one copy of the factorization instead of deep-copying it.  Nothing in
+/// here ever mutates after construction; all per-solve mutable state (the
+/// warm-start factors, the workspace with its back-solve memo) lives
+/// outside the `Arc`, per clone.
 #[derive(Debug)]
 struct QpCore {
     g: Matrix,
     /// The nonzeros of `g`: every `g_i · v` of a solve reads these.
     g_rows: SparseRows,
     chol: Cholesky,
-    cache: ConstraintCache,
     /// `max(|G|, |H|, 1)`; the per-solve tolerance also folds in `|h|`.
     base_scale: f64,
 }
@@ -860,20 +848,24 @@ struct QpCore {
 /// A quadratic program with fixed `H` and `G`, prepared for repeated
 /// solves with varying `f` and `h`.
 ///
-/// Construction performs the only Cholesky factorization of `H` and builds
-/// the `ConstraintCache`; each subsequent [`solve`](PreparedQp::solve) is
-/// a pair of triangular back-substitutions plus active-set bookkeeping.
+/// Construction performs the only Cholesky factorization of `H`.  A
+/// constraint row's back-solve `H⁻¹n_i` and its Gram entries against the
+/// other touched rows are computed the first time a solve needs the row
+/// and kept for every later solve, so rows no solve touches cost nothing;
+/// once the rows a run uses are in, each [`solve`](PreparedQp::solve) is a
+/// pair of triangular back-substitutions plus active-set bookkeeping.
 /// This matches the controller hot path, where the plant model (hence `H`
 /// and the constraint matrix) never changes between sampling periods while
 /// the set-point error (`f`) and constraint slacks (`h`) do.
 ///
 /// Cloning is cheap: the immutable model (`QpCore`) is shared through an
-/// `Arc`, only the per-instance warm-start memo is copied, and the clone
-/// starts with an empty solver workspace — so N homogeneous controllers
-/// hold one factorization, not N.  A clone's solves are bit-identical to
-/// the original's regardless of sharing (the shared state never mutates;
-/// the memo is deterministic; the workspace carries nothing between
-/// solves).
+/// `Arc`, only the per-instance warm-start factors are copied, and the
+/// clone starts with an empty workspace, back-solves included — so N
+/// homogeneous controllers hold one factorization, not N, and each
+/// derives only the rows its own solves touch.  A clone's solves are
+/// bit-identical to the original's regardless of sharing (the shared
+/// state never mutates; the factors are deterministic; a back-solve has
+/// the same bits whichever solve first computes it).
 #[derive(Debug)]
 pub struct PreparedQp {
     core: Arc<QpCore>,
@@ -882,17 +874,18 @@ pub struct PreparedQp {
     /// callable through a shared reference.  Per clone, outside the
     /// shared core.
     warm_factors: RefCell<WarmFactors>,
-    /// Every temporary of a solve (see [`QpWorkspace`]).  Per clone like
-    /// the memo, and for the same reason: two loops sharing one model
-    /// must not share mutable scratch.
+    /// Every temporary of a solve and the back-solve memo (see
+    /// [`QpWorkspace`]).  Per clone like the factors, and for the same
+    /// reason: two loops sharing one model must not share mutable state.
     workspace: RefCell<QpWorkspace>,
 }
 
 impl Clone for PreparedQp {
-    /// Shares the immutable model; copies the warm-start memo state as-is
+    /// Shares the immutable model; copies the warm-start factors as-is
     /// (a pristine instance clones to a pristine instance).  The workspace
-    /// is not copied: it holds no state a solve reads, and a fleet of
-    /// clones should each grow only the scratch their own solves reach.
+    /// is not copied: its back-solves are recomputed bit for bit on first
+    /// touch, and a fleet of clones should each grow only the scratch and
+    /// the rows their own solves reach.
     fn clone(&self) -> Self {
         PreparedQp {
             core: Arc::clone(&self.core),
@@ -903,7 +896,8 @@ impl Clone for PreparedQp {
 }
 
 impl PreparedQp {
-    /// Factorizes `H` and precomputes the per-constraint back-solves.
+    /// Factorizes `H` and sizes the back-solve memo; the per-constraint
+    /// back-solves wait for the first solve that touches each row.
     ///
     /// # Errors
     ///
@@ -923,18 +917,18 @@ impl PreparedQp {
         }
         let chol = factorize(&h)?;
         let g_rows = SparseRows::from_matrix(&g);
-        let cache = ConstraintCache::build(&chol, &g, &g_rows)?;
         let base_scale = g.max_abs().max(h.max_abs()).max(1.0);
+        let mut workspace = QpWorkspace::default();
+        workspace.memo.fit(g.rows(), g.cols());
         Ok(PreparedQp {
             core: Arc::new(QpCore {
                 g,
                 g_rows,
                 chol,
-                cache,
                 base_scale,
             }),
             warm_factors: RefCell::default(),
-            workspace: RefCell::default(),
+            workspace: RefCell::new(workspace),
         })
     }
 
@@ -948,10 +942,11 @@ impl PreparedQp {
         self.core.g.rows()
     }
 
-    /// Whether `self` and `other` share one immutable model (`G`, the
-    /// Cholesky factor of `H`, constraint cache) — true exactly for clones
-    /// of a common ancestor.  Probe for the fleet's shared-model cache
-    /// tests; sharing never changes results, only memory.
+    /// Whether `self` and `other` share one immutable model (`G`, its
+    /// sparse view, the Cholesky factor of `H`; back-solves are per
+    /// instance) — true exactly for clones of a common ancestor.  Probe
+    /// for the fleet's shared-model cache tests; sharing never changes
+    /// results, only memory.
     pub fn shares_model(&self, other: &PreparedQp) -> bool {
         Arc::ptr_eq(&self.core, &other.core)
     }
@@ -1046,7 +1041,6 @@ impl PreparedQp {
             g: &core.g,
             rows: &core.g_rows,
             base_scale: core.base_scale,
-            cache: Some(&core.cache),
         };
         solve_with_chol(
             &model,
@@ -1069,6 +1063,8 @@ pub(crate) fn factorize(h: &Matrix) -> Result<Cholesky, QpError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn unit_qp() -> QuadProg {
         QuadProg::new(Matrix::identity(2), Vector::zeros(2)).unwrap()
@@ -1426,6 +1422,99 @@ mod tests {
         assert_eq!(inside.solve_warm(&[0, 1]).unwrap().warm_retained, 0);
     }
 
+    /// `H = AᵀA + I` over `n` variables and a `G` of `m` rows whose
+    /// entries are half-integers in `[−2, 2]`, about half of them exact
+    /// zeros.
+    fn random_problem(rng: &mut StdRng, n: usize, m: usize) -> (Matrix, Matrix) {
+        let a = Matrix::from_fn(n, n, |_, _| rng.gen_range_f64(-1.0..1.0));
+        let h = &(&a.transpose() * &a) + &Matrix::identity(n);
+        let g = Matrix::from_fn(m, n, |_, _| {
+            if rng.gen_bool(0.5) {
+                0.0
+            } else {
+                rng.gen_range_u64(0..9) as f64 * 0.5 - 2.0
+            }
+        });
+        (h, g)
+    }
+
+    /// A MEDIUM-shaped problem: 24 variables, an upper and a lower bound
+    /// on each (slack 0.6), and 16 sparse coupling rows (slack 1.5).
+    fn medium_shaped() -> (PreparedQp, Vector) {
+        let (n, m) = (24, 64);
+        let (h, coupling) = random_problem(&mut StdRng::seed_from_u64(24), n, 16);
+        let g = Matrix::from_fn(m, n, |i, j| match i {
+            _ if i == j => 1.0,
+            _ if i == n + j => -1.0,
+            _ if i < 2 * n => 0.0,
+            _ => coupling[(i - 2 * n, j)].abs(),
+        });
+        let hvec = Vector::from_iter((0..m).map(|i| if i < 2 * n { 0.6 } else { 1.5 }));
+        (PreparedQp::new(h, g).unwrap(), hvec)
+    }
+
+    #[test]
+    fn back_solves_equal_the_eager_formula_in_any_touch_order() {
+        let mut rng = StdRng::seed_from_u64(64);
+        let coupled = coupled_prepared().2;
+        let coupled_h = Vector::from_slice(&[0.4, 0.8, 0.3, 0.9, 0.9, 2.0]);
+        for (qp, hvec) in [(coupled, coupled_h), medium_shaped()] {
+            let (n, m) = (qp.num_vars(), qp.num_constraints());
+            let target = |k: usize, i: usize| 2.5 * (0.7 * i as f64 + 0.9 * k as f64).sin();
+            // One instance walks the targets forwards warm-starting from
+            // its last active set, a clone walks them backwards from
+            // random guesses: the same rows, made ready in other orders.
+            let other = qp.clone();
+            assert_eq!(qp.workspace().memo.ready.len(), m, "sized at construction");
+            assert!(
+                other.workspace().memo.ready.is_empty(),
+                "a clone sizes at its first solve"
+            );
+            let mut warm = Vec::new();
+            for k in 0..10 {
+                let f = Vector::from_iter((0..n).map(|i| -target(k, i)));
+                warm = qp.solve(&f, &hvec, &warm).unwrap().active;
+                let f = Vector::from_iter((0..n).map(|i| -target(9 - k, i)));
+                let guess: Vec<usize> = (0..4)
+                    .map(|_| rng.gen_range_u64(0..m as u64 + 2) as usize)
+                    .collect();
+                other.solve(&f, &hvec, &guess).unwrap();
+            }
+            let order = |p: &PreparedQp| p.workspace().memo.order.clone();
+            assert_ne!(order(&qp), order(&other), "the touch orders must differ");
+            let core = &*qp.core;
+            let eager = |i: usize| {
+                let ni = Vector::from_iter(core.g.row(i).iter().map(|v| -v));
+                core.chol.solve(&ni).unwrap()
+            };
+            let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+            for p in [&qp, &other] {
+                let ready = order(p);
+                let memo = &p.workspace().memo;
+                for &a in &ready {
+                    assert_eq!(bits(memo.hinv(a)), bits(eager(a).as_slice()), "row {a}");
+                    for &b in &ready {
+                        let d = -core.g_rows.dot(a, eager(b).as_slice());
+                        assert_eq!(memo.gram[(a, b)].to_bits(), d.to_bits(), "({a}, {b})");
+                    }
+                }
+                // Rows no solve touched hold the NaN written at sizing.
+                for i in (0..m).filter(|&i| !memo.ready[i]) {
+                    assert!(memo.hinv(i).iter().all(|v| v.is_nan()), "row {i}");
+                }
+            }
+            // A memo in any state answers the next solve like an empty one.
+            let f = Vector::from_iter((0..n).map(|i| -target(11, i)));
+            for p in [&qp, &other] {
+                let fresh = p.clone();
+                assert_bit_identical(
+                    &p.solve(&f, &hvec, &warm).unwrap(),
+                    &fresh.solve(&f, &hvec, &warm).unwrap(),
+                );
+            }
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -1513,6 +1602,50 @@ mod tests {
                 }
                 let exact = qp.solve_warm(&cold.active).unwrap();
                 prop_assert_eq!(exact.iterations, 0);
+            }
+
+            #[test]
+            fn prepared_solves_equal_one_shot_solves_bit_for_bit(
+                n in 1usize..9,
+                m in 0usize..17,
+                steps in 1usize..13,
+                seed in 0u64..1 << 32,
+            ) {
+                // One persistent instance, its memo filling in whatever
+                // order the steps touch rows, against a fresh one-shot
+                // solve per step.  `h ≥ 0` keeps `x = 0` feasible.
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (h, g) = random_problem(&mut rng, n, m);
+                let prepared = PreparedQp::new(h.clone(), g.clone()).unwrap();
+                let bits = |v: &Vector| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+                let mut last = Vec::new();
+                for step in 0..steps {
+                    let f = Vector::from_iter((0..n).map(|_| rng.gen_range_f64(-5.0..5.0)));
+                    let hvec = Vector::from_iter((0..m).map(|_| {
+                        if rng.gen_bool(0.1) { 0.0 } else { rng.gen_range_f64(0.0..2.0) }
+                    }));
+                    let warm: Vec<usize> = if rng.gen_bool(0.3) {
+                        last.clone()
+                    } else {
+                        (0..rng.gen_range_u64(0..5))
+                            .map(|_| rng.gen_range_u64(0..m as u64 + 2) as usize)
+                            .collect()
+                    };
+                    let qp = QuadProg::new(h.clone(), f.clone()).unwrap().ineq(g.clone(), hvec.clone());
+                    match (prepared.solve(&f, &hvec, &warm), qp.solve_warm(&warm)) {
+                        (Ok(a), Ok(b)) => {
+                            prop_assert_eq!(bits(&a.x), bits(&b.x), "x at step {}", step);
+                            prop_assert_eq!(bits(&a.multipliers), bits(&b.multipliers), "step {}", step);
+                            prop_assert_eq!(&a.active, &b.active, "active set at step {}", step);
+                            prop_assert_eq!(a.iterations, b.iterations, "step {}", step);
+                            prop_assert_eq!(a.warm_retained, b.warm_retained, "step {}", step);
+                            let kkt = qp.kkt_residual(&a);
+                            prop_assert!(kkt <= 1e-8, "step {}: KKT residual {:e}", step, kkt);
+                            last = a.active;
+                        }
+                        (a, b) => prop_assert_eq!(a.err(), b.err(), "step {}", step),
+                    }
+                }
             }
         }
     }
