@@ -141,27 +141,26 @@ fn evaluate(scenario: &'static str, plan: FaultPlan, spec: ControllerSpec, lanes
     // The acceptance scenario streams its full per-period telemetry —
     // one CSV and one JSONL row per sampling period.
     let stream_telemetry = scenario == TELEMETRY_SCENARIO && label == "SUP-EUCON";
-    let mut builder = LoopBuilder::new(set)
+    let builder = LoopBuilder::new(set)
         .sim_config(SimConfig::constant_etf(0.5))
         .controller(spec)
         .faults(plan);
-    if stream_telemetry {
-        builder = builder
-            .telemetry_sink(
-                CsvSink::create(eucon_bench::results_dir().join("telemetry_chaos.csv"))
-                    .expect("create telemetry csv"),
-            )
-            .telemetry_sink(
-                JsonlSink::create(eucon_bench::results_dir().join("telemetry_chaos.jsonl"))
-                    .expect("create telemetry jsonl"),
-            );
-    }
     let mut lp = if lanes {
         builder.distributed(NetConfig::tcp().recv_timeout(RECV_WINDOW))
     } else {
         builder.local()
     }
     .expect("controller builds");
+    if stream_telemetry {
+        lp.telemetry_sink(
+            CsvSink::create(eucon_bench::results_dir().join("telemetry_chaos.csv"))
+                .expect("create telemetry csv"),
+        );
+        lp.telemetry_sink(
+            JsonlSink::create(eucon_bench::results_dir().join("telemetry_chaos.jsonl"))
+                .expect("create telemetry jsonl"),
+        );
+    }
     let result = lp.run(PERIODS);
     let non_finite = result
         .trace

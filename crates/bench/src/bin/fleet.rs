@@ -10,24 +10,26 @@
 //! run; the full sweep reaches the 10 000-loop tier.
 
 use eucon_control::MpcConfig;
-use eucon_core::{render, ControllerSpec, FleetConfig, FleetLoopSpec, FleetRunner};
+use eucon_core::{render, ControllerSpec, FleetRunner, LoopBuilder};
 use eucon_sim::SimConfig;
 use eucon_tasks::workloads;
 
 /// A heterogeneous fleet: mostly SIMPLE loops (the cheap common case)
 /// with every fourth member running MEDIUM, seeded per index so no two
-/// loops follow identical trajectories.
-fn specs(n: usize) -> Vec<FleetLoopSpec> {
+/// loops follow identical trajectories.  Telemetry is batched 16 rows
+/// at a time.
+fn loops(n: usize) -> Vec<LoopBuilder> {
     (0..n)
         .map(|i| {
-            if i % 4 == 3 {
-                FleetLoopSpec::new(workloads::medium())
+            let lp = if i % 4 == 3 {
+                LoopBuilder::new(workloads::medium())
                     .sim_config(SimConfig::constant_etf(0.9).seed(i as u64))
                     .controller(ControllerSpec::Eucon(MpcConfig::medium()))
             } else {
-                FleetLoopSpec::new(workloads::simple())
+                LoopBuilder::new(workloads::simple())
                     .sim_config(SimConfig::constant_etf(0.5).seed(i as u64))
-            }
+            };
+            lp.telemetry_batch(16)
         })
         .collect()
 }
@@ -56,18 +58,14 @@ fn main() {
 
     let mut rows = Vec::new();
     for &n in &sizes {
-        let fleet_specs = specs(n);
+        let fleet_loops = loops(n);
         let mut baseline: Option<(f64, Vec<u64>)> = None;
         for &threads in &thread_sweep {
-            let mut fleet = FleetRunner::new(
-                FleetConfig::new(periods)
-                    .threads(threads)
-                    .telemetry_batch(16),
-            );
-            for spec in fleet_specs.iter().cloned() {
-                fleet.push(spec);
+            let mut fleet = FleetRunner::new().threads(threads);
+            for lp in fleet_loops.iter().cloned() {
+                fleet.push(lp);
             }
-            let report = fleet.run().expect("fleet runs");
+            let report = fleet.run(periods).expect("fleet runs");
             assert_eq!(report.control_errors, 0, "healthy fleet");
             let speedup = match &baseline {
                 None => {

@@ -373,7 +373,7 @@ fn event_throughput() {
 /// must stay flat — each loop is self-contained, so fleet size only adds
 /// work, never contention on shared state.
 fn fleet_throughput() {
-    use eucon_core::{FleetConfig, FleetLoopSpec, FleetRunner};
+    use eucon_core::{FleetRunner, LoopBuilder};
 
     println!("\n== Scaling: fleet throughput ==\n");
     let threads = rayon::current_num_threads();
@@ -383,18 +383,15 @@ fn fleet_throughput() {
     let periods = 25;
     let mut rows = Vec::new();
     for n in [256usize, 1024, 4096, 10_000] {
-        let mut fleet = FleetRunner::new(
-            FleetConfig::new(periods)
-                .threads(threads)
-                .telemetry_batch(16),
-        );
+        let mut fleet = FleetRunner::new().threads(threads);
         for i in 0..n {
             fleet.push(
-                FleetLoopSpec::new(eucon_tasks::workloads::simple())
-                    .sim_config(SimConfig::constant_etf(0.5).seed(i as u64)),
+                LoopBuilder::new(eucon_tasks::workloads::simple())
+                    .sim_config(SimConfig::constant_etf(0.5).seed(i as u64))
+                    .telemetry_batch(16),
             );
         }
-        let report = fleet.run().expect("fleet runs");
+        let report = fleet.run(periods).expect("fleet runs");
         rows.push(vec![
             n.to_string(),
             threads.to_string(),

@@ -38,9 +38,9 @@ fn main() {
     let mut cl = LoopBuilder::new(workloads::medium())
         .sim_config(SimConfig::constant_etf(0.5))
         .controller(ControllerSpec::Eucon(MpcConfig::medium()))
-        .telemetry_sink(JsonlSink::create(&path).expect("create jsonl sink"))
         .local()
         .expect("loop builds");
+    cl.telemetry_sink(JsonlSink::create(&path).expect("create jsonl sink"));
     let result = cl.run(PERIODS);
     assert_eq!(result.telemetry.counter("sink_errors"), Some(0));
 

@@ -21,12 +21,12 @@ use crate::lanes::LaneState;
 use crate::metrics::{self, SeriesStats};
 use crate::plant::Plant;
 use crate::telemetry::{
-    ChurnPeriod, LoopTelemetry, PeriodObservation, PeriodTimings, Registry, Snapshot,
+    ChurnPeriod, LoopTelemetry, PeriodObservation, PeriodTimings, Registry, Snapshot, TelemetrySink,
 };
 use crate::trace::StepAnnotations;
 use crate::{CoreError, Trace, TraceStep};
 
-pub use loop_builder::{FleetPlan, LoopBuilder};
+pub use loop_builder::LoopBuilder;
 
 /// The sampling period used throughout the paper (Table 2): 1000 time
 /// units.
@@ -642,6 +642,20 @@ impl ClosedLoop {
         self.telemetry.registry()
     }
 
+    /// Attaches a telemetry sink and sends it the column schema; from the
+    /// next period on, the loop pushes one row per sampling period into
+    /// every attached sink (in batches under
+    /// [`LoopBuilder::telemetry_batch`]).  Attach before the first
+    /// [`ClosedLoop::step`] to see every period.  Without sinks the
+    /// metric registry alone is updated, which keeps the period step
+    /// allocation-free.
+    ///
+    /// Sink I/O failures never stop the loop; they are counted in the
+    /// `sink_errors` metric.
+    pub fn telemetry_sink(&mut self, sink: impl TelemetrySink + 'static) {
+        self.telemetry.add_sink(Box::new(sink));
+    }
+
     /// Membership decisions taken so far (empty without a churn plan).
     pub fn admission_events(&self) -> &[AdmissionEvent] {
         self.admission.as_ref().map_or(&[], |a| a.log())
@@ -1058,8 +1072,7 @@ mod tests {
         });
         let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
-            .controller(flaky)
-            .local()
+            .finish(Some(flaky))
             .unwrap();
         let result = cl.run(80);
         assert_eq!(
@@ -1195,12 +1208,12 @@ mod tests {
         let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
             .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-            .telemetry_sink(RingBufferSink::new(4))
             .local()
             .unwrap();
+        cl.telemetry_sink(RingBufferSink::new(4));
         cl.run(10);
-        // The builder-installed sink received the schema and rows; its
-        // state is observable through the loop's registry totals.
+        // The attached sink received the schema and rows; its state is
+        // observable through the loop's registry totals.
         assert_eq!(
             cl.telemetry()
                 .columns()
@@ -1219,10 +1232,10 @@ mod tests {
         use crate::telemetry::RingBufferSink;
         let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
-            .telemetry_sink(RingBufferSink::new(64))
             .telemetry_batch(8)
             .local()
             .unwrap();
+        cl.telemetry_sink(RingBufferSink::new(64));
         // 10 periods with batch = 8: one full drain plus a 2-row partial
         // batch delivered by the end-of-run flush.
         let res = cl.run(10);

@@ -1,23 +1,24 @@
-//! The loop builder: one entry point for every execution mode.
+//! The loop builder: one description of a loop for every execution mode.
 //!
 //! [`LoopBuilder`] describes an experiment once — workload, plant,
-//! controller, lanes, faults, churn, telemetry — and a finisher picks how
-//! it runs:
+//! controller, lanes, faults, churn, telemetry batching — as plain
+//! `Send + Clone` data, and a finisher picks how it runs:
 //!
 //! * [`LoopBuilder::local`] — the single-process loop;
 //! * [`LoopBuilder::distributed`] — the same loop with its feedback lanes
 //!   on real transports, the [`NetConfig`] passed explicitly so the mode
 //!   switch is visible at the call site;
-//! * [`LoopBuilder::fleet`] — `n` replicas on the work-stealing fleet
-//!   runner ([`FleetPlan`] → [`FleetReport`]).
+//! * [`LoopBuilder::fleet`] — `n` clones on the work-stealing
+//!   [`FleetRunner`], which builds each one inside a worker.
 //!
 //! There is one loop type: `local` and `distributed` both return a
 //! [`ClosedLoop`] (transport is a field of the loop, empty in
-//! single-process mode), and every fleet worker builds its members
-//! through `local` too.  All inputs are validated at the finisher, which
-//! returns [`CoreError::Config`] for out-of-domain values instead of
-//! panicking in a setter, and an option a mode cannot honour is rejected
-//! by name (at the finisher, or at [`FleetPlan::run`]) — never dropped.
+//! single-process mode), and every fleet worker and service tenant
+//! builds its loop from a `LoopBuilder` too.  All inputs are validated at
+//! the finisher, which returns [`CoreError::Config`] for out-of-domain
+//! values instead of panicking in a setter, and the one option a mode
+//! cannot honour (the in-loop `lanes` model in distributed mode) is
+//! rejected by name — never dropped.
 //!
 //! The module is a child of `closed_loop` because building a loop means
 //! filling in its private state.
@@ -25,7 +26,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use eucon_control::MpcConfig;
+use eucon_control::{MpcConfig, RateController};
 use eucon_math::Vector;
 use eucon_sim::{FaultInjector, FaultPlan, SimConfig, Simulator};
 use eucon_tasks::{rms_set_points, TaskId, TaskSet};
@@ -34,11 +35,8 @@ use super::{rate_grid, ClosedLoop, FaultSummary, DEFAULT_SAMPLING_PERIOD};
 use crate::admission::{AdmissionController, AdmissionPolicy, ChurnPlan};
 use crate::lanes::LaneState;
 use crate::plant::{Plant, PlantFactory, SimPlant};
-use crate::telemetry::{LoopTelemetry, TelemetrySink};
-use crate::{
-    ControllerFactory, ControllerSpec, CoreError, FleetConfig, FleetLoopSpec, FleetReport,
-    FleetRunner, LaneModel, NetConfig, Trace, TraceStep,
-};
+use crate::telemetry::LoopTelemetry;
+use crate::{ControllerSpec, CoreError, FleetRunner, LaneModel, NetConfig, Trace, TraceStep};
 
 /// One builder for every execution mode; see the module docs.
 ///
@@ -66,27 +64,36 @@ use crate::{
 /// # Ok(())
 /// # }
 /// ```
+#[derive(Clone)]
 pub struct LoopBuilder {
-    set: TaskSet,
+    // The fleet reads the `pub(crate)` fields: members with equal task
+    // set, controller and set points (and no churn or admission) share
+    // one prepared controller model, and the batch sizes their ring sinks.
+    pub(crate) set: TaskSet,
     sim: SimConfig,
-    factory: Box<dyn ControllerFactory>,
-    set_points: Option<Vector>,
+    pub(crate) controller: ControllerSpec,
+    pub(crate) set_points: Option<Vector>,
     lanes: Option<LaneModel>,
     faults: FaultPlan,
-    churn: ChurnPlan,
-    admission: Option<AdmissionPolicy>,
+    pub(crate) churn: ChurnPlan,
+    pub(crate) admission: Option<AdmissionPolicy>,
     quantized_rates: Option<usize>,
-    record_trace: Option<bool>,
-    sampling_period: Option<f64>,
-    sinks: Vec<Box<dyn TelemetrySink>>,
-    telemetry_batch: usize,
+    record_trace: bool,
+    sampling_period: f64,
+    pub(crate) telemetry_batch: usize,
     plant: Option<Arc<dyn PlantFactory>>,
 }
+
+// The fleet ships builders to its worker threads.
+const _: fn() = || {
+    fn _is<T: Send + Clone + 'static>() {}
+    _is::<LoopBuilder>();
+};
 
 impl std::fmt::Debug for LoopBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LoopBuilder")
-            .field("controller", &self.factory.label())
+            .field("controller", &self.controller)
             .field("plant", &self.plant.as_ref().map_or("sim", |p| p.label()))
             .field("lanes", &self.lanes)
             .field("faults", &self.faults)
@@ -103,16 +110,15 @@ impl LoopBuilder {
         LoopBuilder {
             set,
             sim: SimConfig::default(),
-            factory: Box::new(ControllerSpec::Eucon(MpcConfig::simple())),
+            controller: ControllerSpec::Eucon(MpcConfig::simple()),
             set_points: None,
             lanes: None,
             faults: FaultPlan::none(),
             churn: ChurnPlan::none(),
             admission: None,
             quantized_rates: None,
-            record_trace: None,
-            sampling_period: None,
-            sinks: Vec::new(),
+            record_trace: true,
+            sampling_period: DEFAULT_SAMPLING_PERIOD,
             telemetry_batch: 0,
             plant: None,
         }
@@ -139,17 +145,10 @@ impl LoopBuilder {
     }
 
     /// Chooses the controller (default: EUCON with SIMPLE's parameters).
-    ///
-    /// Accepts anything implementing [`ControllerFactory`]: a
-    /// [`ControllerSpec`] for the built-in controllers, a prebuilt
-    /// `Box<dyn RateController>` (its current rates are applied to the
-    /// plant at time zero), or a closure wrapped by
-    /// [`crate::factory_fn`].  Fleet mode ships the description to its
-    /// workers and therefore takes a [`ControllerSpec`] only.
-    ///
-    /// [`RateController`]: eucon_control::RateController
-    pub fn controller(mut self, factory: impl ControllerFactory + 'static) -> Self {
-        self.factory = Box::new(factory);
+    /// The finisher builds it for the task set and the set points the
+    /// loop settles on.
+    pub fn controller(mut self, spec: ControllerSpec) -> Self {
+        self.controller = spec;
         self
     }
 
@@ -231,7 +230,7 @@ impl LoopBuilder {
     /// avoid the per-period trace allocations entirely, making the
     /// fault-free period step allocation-free.
     pub fn record_trace(mut self, on: bool) -> Self {
-        self.record_trace = Some(on);
+        self.record_trace = on;
         self
     }
 
@@ -239,27 +238,17 @@ impl LoopBuilder {
     /// [`DEFAULT_SAMPLING_PERIOD`]).  Non-positive or non-finite values
     /// are rejected by the finisher.
     pub fn sampling_period(mut self, ts: f64) -> Self {
-        self.sampling_period = Some(ts);
-        self
-    }
-
-    /// Attaches a telemetry sink; the loop pushes one row per sampling
-    /// period into every attached sink (default: none — the metric
-    /// registry alone, which keeps the period step allocation-free).
-    ///
-    /// Sink I/O failures never stop the loop; they are counted in the
-    /// `sink_errors` metric.
-    pub fn telemetry_sink(mut self, sink: impl TelemetrySink + 'static) -> Self {
-        self.sinks.push(Box::new(sink));
+        self.sampling_period = ts;
         self
     }
 
     /// Batches sink export: rows accumulate in preallocated buffers and
-    /// reach the sinks once per `rows` periods instead of once per period
-    /// (default `0` = unbatched).  A run that ends mid-batch delivers the
-    /// partial batch exactly once at its final flush and counts it in the
-    /// `partial_flushes` metric.  Large fleets of loops use this to
-    /// amortize per-period sink traffic.
+    /// reach the sinks ([`ClosedLoop::telemetry_sink`]) once per `rows`
+    /// periods instead of once per period (default `0` = unbatched).  A
+    /// run that ends mid-batch delivers the partial batch exactly once at
+    /// its final flush and counts it in the `partial_flushes` metric.  A
+    /// fleet attaches a ring sink of `rows` rows to each member built
+    /// with a batch, amortizing per-period sink traffic.
     pub fn telemetry_batch(mut self, rows: usize) -> Self {
         self.telemetry_batch = rows;
         self
@@ -278,7 +267,18 @@ impl LoopBuilder {
     /// [`CoreError::Sim`] for a malformed fault plan, and propagates
     /// controller-construction failures as [`CoreError::Control`].
     pub fn local(self) -> Result<ClosedLoop, CoreError> {
-        let ts = self.sampling_period.unwrap_or(DEFAULT_SAMPLING_PERIOD);
+        self.finish(None)
+    }
+
+    /// Builds the loop, closing it with `prebuilt` instead of a controller
+    /// built from the spec when one is given (the fleet's shared
+    /// prototype; its current rates are applied to the plant at time
+    /// zero).
+    pub(crate) fn finish(
+        self,
+        prebuilt: Option<Box<dyn RateController>>,
+    ) -> Result<ClosedLoop, CoreError> {
+        let ts = self.sampling_period;
         if !(ts > 0.0 && ts.is_finite()) {
             return Err(CoreError::Config(format!(
                 "sampling period must be positive and finite, got {ts}"
@@ -316,7 +316,10 @@ impl LoopBuilder {
                 set_points[p]
             )));
         }
-        let controller = self.factory.build_controller(&self.set, &set_points)?;
+        let controller = match prebuilt {
+            Some(controller) => controller,
+            None => self.controller.build(&self.set, &set_points)?,
+        };
         let rate_grid = self.quantized_rates.map(|levels| {
             self.set
                 .tasks()
@@ -393,9 +396,6 @@ impl LoopBuilder {
         // The full metric registry is declared (and allocated) here, once;
         // per-period recording updates it strictly in place.
         let mut telemetry = Box::new(LoopTelemetry::new(num_procs));
-        for sink in self.sinks {
-            telemetry.add_sink(sink);
-        }
         if self.telemetry_batch > 0 {
             telemetry.set_batch(self.telemetry_batch);
         }
@@ -414,7 +414,7 @@ impl LoopBuilder {
             act_queue: VecDeque::new(),
             act_delay,
             summary: FaultSummary::default(),
-            record: self.record_trace.unwrap_or(true),
+            record: self.record_trace,
             u_scratch: Vector::zeros(num_procs),
             sensed: Vector::zeros(num_procs),
             dropped: Vec::new(),
@@ -455,50 +455,16 @@ impl LoopBuilder {
         Ok(lp)
     }
 
-    /// Finishes as a fleet of `n` replicas of this loop; tune and start
-    /// it with the returned [`FleetPlan`].
+    /// Finishes as a fleet of `n` clones of this loop on the
+    /// work-stealing [`FleetRunner`]; pin the thread count with
+    /// [`FleetRunner::threads`] and start it with [`FleetRunner::run`].
     ///
-    /// Fleet members are described by plain data shipped to worker
-    /// threads, run untraced at the default sampling period over ideal
-    /// lanes, and export telemetry through the fleet's own batching — so
-    /// `lanes`, `quantized_rates`, `record_trace`, `sampling_period`,
-    /// `telemetry_sink` and a controller that is not a
-    /// [`ControllerSpec`] are rejected by name at [`FleetPlan::run`].
-    pub fn fleet(self, n: usize) -> FleetPlan {
-        let mut unsupported: Vec<&'static str> = [
-            ("lanes", self.lanes.is_some()),
-            ("quantized_rates", self.quantized_rates.is_some()),
-            ("record_trace", self.record_trace.is_some()),
-            ("sampling_period", self.sampling_period.is_some()),
-            ("telemetry_sink", !self.sinks.is_empty()),
-        ]
-        .into_iter()
-        .filter_map(|(option, set)| set.then_some(option))
-        .collect();
-        let mut spec = FleetLoopSpec::new(self.set)
-            .sim_config(self.sim)
-            .faults(self.faults)
-            .churn(self.churn);
-        match self.factory.as_spec() {
-            Some(controller) => spec = spec.controller(controller.clone()),
-            None => unsupported.push("controller (only a ControllerSpec)"),
-        }
-        if let Some(points) = self.set_points {
-            spec = spec.set_points(points);
-        }
-        if let Some(policy) = self.admission {
-            spec = spec.admission(policy);
-        }
-        if let Some(factory) = self.plant {
-            spec = spec.plant(factory);
-        }
-        FleetPlan {
-            spec,
-            n,
+    /// Members honour every option, except that they run untraced: a
+    /// [`crate::FleetReport`] returns one digest per loop, not its trace.
+    pub fn fleet(self, n: usize) -> FleetRunner {
+        FleetRunner {
+            loops: vec![self; n],
             threads: None,
-            telemetry_batch: self.telemetry_batch,
-            share_models: None,
-            unsupported,
         }
     }
 
@@ -509,71 +475,15 @@ impl LoopBuilder {
     }
 }
 
-/// A fleet run described by [`LoopBuilder::fleet`], waiting for runtime
-/// tuning and a period count.
-#[derive(Debug)]
-pub struct FleetPlan {
-    spec: FleetLoopSpec,
-    n: usize,
-    threads: Option<usize>,
-    telemetry_batch: usize,
-    share_models: Option<bool>,
-    /// Options the fleet runner cannot honour; reported at run().
-    unsupported: Vec<&'static str>,
-}
-
-impl FleetPlan {
-    /// Caps the worker thread count (default: available parallelism).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
-        self
-    }
-
-    /// Sets the per-loop telemetry batch size.
-    pub fn telemetry_batch(mut self, rows: usize) -> Self {
-        self.telemetry_batch = rows;
-        self
-    }
-
-    /// Shares plant models across identical replicas.
-    pub fn share_models(mut self, on: bool) -> Self {
-        self.share_models = Some(on);
-        self
-    }
-
-    /// Runs the fleet for `periods` sampling periods.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Config`] when the builder carried options the fleet
-    /// runner cannot honour, plus everything [`FleetRunner::run`]
-    /// rejects.
-    pub fn run(self, periods: usize) -> Result<FleetReport, CoreError> {
-        if !self.unsupported.is_empty() {
-            return Err(CoreError::Config(format!(
-                "fleet mode does not support: {}",
-                self.unsupported.join(", ")
-            )));
-        }
-        let mut cfg = FleetConfig::new(periods).telemetry_batch(self.telemetry_batch);
-        if let Some(threads) = self.threads {
-            cfg = cfg.threads(threads);
-        }
-        if let Some(on) = self.share_models {
-            cfg = cfg.share_models(on);
-        }
-        FleetRunner::replicated(self.spec, self.n, cfg).run()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use std::io;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     use super::*;
-    use crate::{factory_fn, BoundaryMode};
-    use eucon_control::{OpenLoop, RateController};
+    use crate::fleet::digest_run;
+    use crate::telemetry::TelemetrySink;
+    use crate::BoundaryMode;
     use eucon_tasks::workloads;
 
     #[test]
@@ -606,6 +516,112 @@ mod tests {
         assert_eq!(report.loops, 6);
     }
 
+    /// One option of the builder: how to set it, and how a loop built
+    /// with it shows that the option took effect — each check fails on a
+    /// loop built without the option.
+    struct OptionCase {
+        name: &'static str,
+        set: fn(LoopBuilder) -> LoopBuilder,
+        honoured: fn(&mut ClosedLoop) -> bool,
+        /// What the distributed finisher's rejection must mention
+        /// (`None` = it honours the option).
+        distributed_rejects: Option<&'static str>,
+    }
+
+    const OPTIONS: [OptionCase; 6] = [
+        OptionCase {
+            name: "lanes",
+            set: |b| b.lanes(LaneModel::delayed(1)),
+            // The first report is still in flight: the controller sees 0.
+            honoured: |lp| lp.step().seen().iter().all(|&u| u == 0.0),
+            distributed_rejects: Some("report_lanes"),
+        },
+        OptionCase {
+            name: "quantized_rates",
+            set: |b| b.quantized_rates(2),
+            honoured: |lp| {
+                let set = workloads::simple();
+                let rates = lp.run(3).trace.steps()[2].rates.clone();
+                (0..rates.len()).all(|t| {
+                    let task = &set.tasks()[t];
+                    rates[t] == task.rate_min() || rates[t] == task.rate_max()
+                })
+            },
+            distributed_rejects: None,
+        },
+        OptionCase {
+            name: "record_trace",
+            set: |b| b.record_trace(false),
+            honoured: |lp| lp.run(3).trace.is_empty(),
+            distributed_rejects: None,
+        },
+        OptionCase {
+            name: "sampling_period",
+            set: |b| b.sampling_period(500.0),
+            honoured: |lp| lp.step().time == 500.0,
+            distributed_rejects: None,
+        },
+        OptionCase {
+            name: "controller",
+            set: |b| b.controller(ControllerSpec::Open),
+            honoured: |lp| lp.controller_name() == "OPEN",
+            distributed_rejects: None,
+        },
+        OptionCase {
+            name: "admission",
+            // At 25x overload the shedding supervisor suspends a task at
+            // period 12; without a policy nothing watches for exhaustion.
+            set: |b| {
+                b.sim_config(SimConfig::constant_etf(25.0))
+                    .admission(AdmissionPolicy::default())
+            },
+            honoured: |lp| !lp.run(13).admission_events.is_empty(),
+            distributed_rejects: None,
+        },
+    ];
+
+    #[test]
+    fn every_finisher_honours_an_option_or_rejects_it_by_name() {
+        let base =
+            || LoopBuilder::new(workloads::simple()).sim_config(SimConfig::constant_etf(0.5));
+        for case in &OPTIONS {
+            // The checks tell a loop with the option from one without.
+            let mut plain = base().local().unwrap();
+            assert!(!(case.honoured)(&mut plain), "{} check", case.name);
+
+            let builder = (case.set)(base());
+            let mut local = builder.clone().local().unwrap();
+            assert!((case.honoured)(&mut local), "local drops {}", case.name);
+
+            let dist = builder.clone().distributed(NetConfig::channel());
+            match case.distributed_rejects {
+                None => assert!(
+                    (case.honoured)(&mut dist.unwrap()),
+                    "distributed drops {}",
+                    case.name
+                ),
+                Some(hint) => match dist.unwrap_err() {
+                    CoreError::Config(msg) => {
+                        assert!(msg.contains(case.name) && msg.contains(hint), "{msg}")
+                    }
+                    other => panic!("expected a Config error, got {other:?}"),
+                },
+            }
+
+            // Fleet members are clones of the builder: each one's digest
+            // is the digest of an untraced loop built from it by hand.
+            let mut standalone = builder.clone().record_trace(false).local().unwrap();
+            let expected = digest_run(&mut standalone, 20);
+            let report = builder.fleet(2).threads(2).run(20).unwrap();
+            assert_eq!(
+                report.digests,
+                vec![expected; 2],
+                "fleet drops {}",
+                case.name
+            );
+        }
+    }
+
     /// Counts the rows a loop pushes into it.
     struct CountingSink(Arc<AtomicUsize>);
 
@@ -620,111 +636,17 @@ mod tests {
         }
     }
 
-    /// One option of the builder: how to set it, and how a loop built
-    /// with it shows (over three periods) that the option took effect —
-    /// each check fails on a loop built without the option.
-    struct OptionCase {
-        name: &'static str,
-        set: fn(LoopBuilder, &Arc<AtomicUsize>) -> LoopBuilder,
-        honoured: fn(&mut ClosedLoop, &Arc<AtomicUsize>) -> bool,
-        /// What the distributed finisher's rejection must mention
-        /// (`None` = it honours the option).
-        distributed_rejects: Option<&'static str>,
-    }
-
-    const OPTIONS: [OptionCase; 6] = [
-        OptionCase {
-            name: "lanes",
-            set: |b, _| b.lanes(LaneModel::delayed(1)),
-            // The first report is still in flight: the controller sees 0.
-            honoured: |lp, _| lp.step().seen().iter().all(|&u| u == 0.0),
-            distributed_rejects: Some("report_lanes"),
-        },
-        OptionCase {
-            name: "quantized_rates",
-            set: |b, _| b.quantized_rates(2),
-            honoured: |lp, _| {
-                let set = workloads::simple();
-                let rates = lp.run(3).trace.steps()[2].rates.clone();
-                (0..rates.len()).all(|t| {
-                    let task = &set.tasks()[t];
-                    rates[t] == task.rate_min() || rates[t] == task.rate_max()
-                })
-            },
-            distributed_rejects: None,
-        },
-        OptionCase {
-            name: "record_trace",
-            set: |b, _| b.record_trace(false),
-            honoured: |lp, _| lp.run(3).trace.is_empty(),
-            distributed_rejects: None,
-        },
-        OptionCase {
-            name: "sampling_period",
-            set: |b, _| b.sampling_period(500.0),
-            honoured: |lp, _| lp.step().time == 500.0,
-            distributed_rejects: None,
-        },
-        OptionCase {
-            name: "telemetry_sink",
-            set: |b, rows| b.telemetry_sink(CountingSink(rows.clone())),
-            honoured: |lp, rows| {
-                lp.run(3);
-                rows.load(Ordering::Relaxed) == 3
-            },
-            distributed_rejects: None,
-        },
-        OptionCase {
-            name: "controller",
-            set: |b, _| {
-                b.controller(factory_fn(|set, points| {
-                    Ok(Box::new(OpenLoop::design(set, points)?) as Box<dyn RateController>)
-                }))
-            },
-            honoured: |lp, _| lp.controller_name() == "OPEN",
-            distributed_rejects: None,
-        },
-    ];
-
     #[test]
-    fn every_finisher_honours_an_option_or_rejects_it_by_name() {
-        let base =
-            || LoopBuilder::new(workloads::simple()).sim_config(SimConfig::constant_etf(0.5));
-        let config_message = |err: CoreError| match err {
-            CoreError::Config(msg) => msg,
-            other => panic!("expected a Config error, got {other:?}"),
-        };
-        for case in &OPTIONS {
+    fn a_sink_attached_to_a_finished_loop_sees_every_period() {
+        let base = || LoopBuilder::new(workloads::simple());
+        for mut lp in [
+            base().local().unwrap(),
+            base().distributed(NetConfig::channel()).unwrap(),
+        ] {
             let rows = Arc::new(AtomicUsize::new(0));
-            // The checks tell a loop with the option from one without.
-            let mut plain = base().local().unwrap();
-            assert!(!(case.honoured)(&mut plain, &rows), "{} check", case.name);
-
-            let mut local = (case.set)(base(), &rows).local().unwrap();
-            assert!(
-                (case.honoured)(&mut local, &rows),
-                "local drops {}",
-                case.name
-            );
-
-            rows.store(0, Ordering::Relaxed);
-            let dist = (case.set)(base(), &rows).distributed(NetConfig::channel());
-            match case.distributed_rejects {
-                None => assert!(
-                    (case.honoured)(&mut dist.unwrap(), &rows),
-                    "distributed drops {}",
-                    case.name
-                ),
-                Some(hint) => {
-                    let msg = config_message(dist.unwrap_err());
-                    assert!(msg.contains(case.name) && msg.contains(hint), "{msg}");
-                }
-            }
-
-            // Fleet members are plain data on default lanes and sampling,
-            // untraced: the fleet rejects every one of these by name.
-            let msg = config_message((case.set)(base(), &rows).fleet(2).run(3).unwrap_err());
-            assert!(msg.contains(case.name), "fleet on {}: {msg}", case.name);
+            lp.telemetry_sink(CountingSink(rows.clone()));
+            lp.run(3);
+            assert_eq!(rows.load(Ordering::Relaxed), 3, "{}", lp.backend_name());
         }
     }
 

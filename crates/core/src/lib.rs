@@ -11,9 +11,10 @@
 //!   per-processor nodes exchanging binary frames over pluggable
 //!   transport lanes (`eucon-net`): ideal in-process channels
 //!   (bit-identical traces) or loopback TCP.
-//! * [`LoopBuilder`] — the one way a loop is built: describe the
-//!   experiment, then finish with `.local()`, `.distributed(net)` or
-//!   `.fleet(n)`.
+//! * [`LoopBuilder`] — the one description of a loop (`Send + Clone`
+//!   data): describe the experiment, then finish with `.local()`,
+//!   `.distributed(net)` or `.fleet(n)`; service tenants build from it
+//!   too.
 //! * [`ControllerSpec`] — pick EUCON, OPEN, the PID ablation baseline,
 //!   or the decentralized / sharded / supervised teams.
 //! * [`Plant`] — the sensing/actuation surface behind every loop: the
@@ -90,14 +91,13 @@ pub use admission::{
     AdmissionEvent, AdmissionPolicy, ChurnEvent, ChurnPlan, ChurnSummary, RejectReason,
 };
 pub use closed_loop::{
-    ClosedLoop, FaultSummary, FleetPlan, LoopBuilder, RunMetrics, RunResult,
-    DEFAULT_SAMPLING_PERIOD,
+    ClosedLoop, FaultSummary, LoopBuilder, RunMetrics, RunResult, DEFAULT_SAMPLING_PERIOD,
 };
 pub use distributed::{NetBackend, NetConfig};
 pub use error::CoreError;
 pub use experiments::{SteadyRun, SweepPoint, VaryingRun};
-pub use factory::{factory_fn, ControllerFactory, ControllerSpec};
-pub use fleet::{FleetConfig, FleetLoopSpec, FleetReport, FleetRunner};
+pub use factory::ControllerSpec;
+pub use fleet::{FleetReport, FleetRunner};
 pub use lanes::{LaneModel, LaneState};
 #[cfg(feature = "os-plant")]
 pub use os_plant::{OsPlant, OsPlantConfig};
@@ -130,3 +130,8 @@ pub type DistributedLoop = ClosedLoop;
 /// Deprecated name of [`LoopBuilder`].
 #[deprecated(since = "0.4.0", note = "use LoopBuilder")]
 pub type ClosedLoopBuilder = LoopBuilder;
+
+/// Deprecated name of [`LoopBuilder`]: a fleet member is described by
+/// the same builder as every other loop.
+#[deprecated(since = "0.4.0", note = "use LoopBuilder")]
+pub type FleetLoopSpec = LoopBuilder;

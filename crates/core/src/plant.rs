@@ -169,7 +169,7 @@ pub trait Plant {
 /// A `Send + Sync` description that builds a [`Plant`] for a workload.
 ///
 /// Factories, not plants, travel through the builders: a
-/// [`crate::FleetLoopSpec`] must stay `Send + Clone` while the plant it
+/// [`crate::LoopBuilder`] must stay `Send + Clone` while the plant it
 /// describes (a simulator with its RNG streams, a process tree) need
 /// not be.  The factory is invoked once per loop, inside whichever
 /// thread runs it.

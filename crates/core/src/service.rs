@@ -34,12 +34,13 @@
 //! owning a loopback admin listener with a line-oriented protocol
 //! (`PING` / `ATTACH` / `DETACH` / `STATS` / `TENANTS` / `EVENTS` /
 //! `SHUTDOWN`), one request per line, responses as zero or more
-//! `DATA ...` lines closed by `OK ...` or `ERR ...`.  [`ServiceClient`]
-//! is the matching blocking client.  See DESIGN.md §17.
+//! `DATA ...` lines closed by `OK ...` or `ERR ...`; a line longer than
+//! 4 KiB is answered `ERR line too long` and its connection closed.
+//! [`ServiceClient`] is the matching blocking client.  See DESIGN.md §17.
 
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -155,27 +156,13 @@ pub enum TenantEvent {
     },
 }
 
-/// Everything needed to stand up one tenant: the plant, the controller
+/// Everything needed to stand up one tenant: the loop's description
 /// and the lane configuration (poll-engine TCP lanes by default).
+#[derive(Debug, Clone)]
 pub struct TenantSpec {
     name: String,
-    set: TaskSet,
-    sim: SimConfig,
-    controller: ControllerSpec,
-    set_points: Option<Vector>,
-    faults: FaultPlan,
+    builder: LoopBuilder,
     net: NetConfig,
-    plant: Option<Arc<dyn PlantFactory>>,
-}
-
-impl std::fmt::Debug for TenantSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TenantSpec")
-            .field("name", &self.name)
-            .field("controller", &self.controller)
-            .field("plant", &self.plant.as_ref().map_or("sim", |p| p.label()))
-            .finish_non_exhaustive()
-    }
 }
 
 impl TenantSpec {
@@ -186,45 +173,40 @@ impl TenantSpec {
         net.recv_timeout = Duration::from_millis(5);
         TenantSpec {
             name: name.into(),
-            set,
-            sim: SimConfig::default(),
-            controller: ControllerSpec::Eucon(MpcConfig::simple()),
-            set_points: None,
-            faults: FaultPlan::none(),
+            builder: LoopBuilder::new(set),
             net,
-            plant: None,
         }
     }
 
     /// Chooses the tenant's plant backend (default: the `eucon-sim`
     /// simulator).
     pub fn plant(mut self, factory: impl PlantFactory + 'static) -> Self {
-        self.plant = Some(Arc::new(factory));
+        self.builder = self.builder.plant(factory);
         self
     }
 
     /// Sets the simulated-plant configuration.
     pub fn sim_config(mut self, sim: SimConfig) -> Self {
-        self.sim = sim;
+        self.builder = self.builder.sim_config(sim);
         self
     }
 
     /// Sets the controller.
     pub fn controller(mut self, spec: ControllerSpec) -> Self {
-        self.controller = spec;
+        self.builder = self.builder.controller(spec);
         self
     }
 
     /// Overrides the utilization set points.
     pub fn set_points(mut self, b: Vector) -> Self {
-        self.set_points = b.into();
+        self.builder = self.builder.set_points(b);
         self
     }
 
     /// Sets the tenant's fault plan (partition windows silence its own
     /// lanes — and only its own).
     pub fn faults(mut self, plan: FaultPlan) -> Self {
-        self.faults = plan;
+        self.builder = self.builder.faults(plan);
         self
     }
 
@@ -253,17 +235,7 @@ impl TenantSpec {
     }
 
     fn build(self) -> Result<(String, ClosedLoop), CoreError> {
-        let mut b = LoopBuilder::new(self.set)
-            .sim_config(self.sim)
-            .controller(self.controller)
-            .faults(self.faults);
-        if let Some(points) = self.set_points {
-            b = b.set_points(points);
-        }
-        if let Some(factory) = self.plant {
-            b = b.plant(factory);
-        }
-        Ok((self.name, b.distributed(self.net)?))
+        Ok((self.name, self.builder.distributed(self.net)?))
     }
 }
 
@@ -603,6 +575,12 @@ impl ServiceHandle {
     }
 }
 
+/// The longest admin command line the daemon buffers, newline
+/// excluded.  A client that sends more before its `\n` is answered
+/// `ERR line too long` and disconnected, so no connection can grow the
+/// daemon — which also runs every tenant — without bound.
+const MAX_LINE: usize = 4096;
+
 /// One admin connection's buffers.
 struct Conn {
     stream: TcpStream,
@@ -630,29 +608,38 @@ fn daemon_loop(
             }
         }
         for conn in &mut conns {
-            loop {
+            while !conn.closed {
                 match conn.stream.read(&mut chunk) {
-                    Ok(0) => {
-                        conn.closed = true;
-                        break;
-                    }
+                    Ok(0) => conn.closed = true,
                     Ok(n) => conn.buf.push_str(&String::from_utf8_lossy(&chunk[..n])),
                     Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        conn.closed = true;
-                        break;
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(_) => conn.closed = true,
+                }
+                // Serve every complete line before reading on, so the
+                // buffer never holds more than one pending line.
+                loop {
+                    match conn.buf.find('\n') {
+                        Some(pos) if pos <= MAX_LINE => {
+                            let line: String = conn.buf.drain(..=pos).collect();
+                            let (response, shutdown) = handle_command(&mut service, line.trim());
+                            if !write_response(&mut conn.stream, &response) {
+                                conn.closed = true;
+                            }
+                            if shutdown {
+                                break 'outer;
+                            }
+                        }
+                        None if conn.buf.len() <= MAX_LINE => break,
+                        _ => {
+                            write_response(&mut conn.stream, "ERR line too long\n");
+                            // FIN right behind the reply: the client reads
+                            // it, then end-of-stream.
+                            let _ = conn.stream.shutdown(Shutdown::Write);
+                            conn.closed = true;
+                            break;
+                        }
                     }
-                }
-            }
-            while let Some(pos) = conn.buf.find('\n') {
-                let line: String = conn.buf.drain(..=pos).collect();
-                let (response, shutdown) = handle_command(&mut service, line.trim());
-                if !write_response(&mut conn.stream, &response) {
-                    conn.closed = true;
-                }
-                if shutdown {
-                    break 'outer;
                 }
             }
         }
@@ -1066,6 +1053,27 @@ mod tests {
             .iter()
             .any(|e| matches!(e, TenantEvent::Detached { .. })));
         assert!(summary.reports.is_empty(), "tenant already detached");
+    }
+
+    #[test]
+    fn a_line_without_end_is_refused_and_its_connection_closed() {
+        let handle = ControlService::spawn(EvictionPolicy::default()).unwrap();
+        let mut neighbour = ServiceClient::connect(handle.addr()).unwrap();
+        let mut raw = TcpStream::connect(handle.addr()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // 64 KiB and never a newline.  The daemon hangs up once the line
+        // passes the cap, possibly before it has read the rest, so the
+        // write may fail part way.
+        let _ = raw.write_all(&[b'x'; 64 * 1024]);
+        let mut reply = String::new();
+        raw.read_to_string(&mut reply).unwrap();
+        assert_eq!(
+            reply, "ERR line too long\n",
+            "the reply, then end-of-stream"
+        );
+        let pong = neighbour.request("PING").unwrap();
+        assert!(pong.ok && pong.status == "pong", "{pong:?}");
+        handle.shutdown();
     }
 
     #[test]

@@ -100,9 +100,9 @@ fn fault_free_steady_state_period_is_allocation_free() {
         .sim_config(SimConfig::constant_etf(0.5))
         .controller(ControllerSpec::Open)
         .record_trace(false)
-        .telemetry_sink(eucon_core::telemetry::RingBufferSink::new(32))
         .local()
         .unwrap();
+    ringed.telemetry_sink(eucon_core::telemetry::RingBufferSink::new(32));
     for _ in 0..100 {
         ringed.step();
     }

@@ -2,7 +2,7 @@
 //! thread counts.
 //!
 //! The fleet runner's contract is that parallelism is invisible — a
-//! loop's trace digest is a pure function of its spec, never of which
+//! loop's trace digest is a pure function of its builder, never of which
 //! worker ran it or in what order loops were stolen.  This suite runs a
 //! heterogeneous fleet (both paper workloads, stochastic execution
 //! times, supervised loops under a crash + lossy-actuation plan, loops
@@ -11,7 +11,7 @@
 //! (CI runs both).
 
 use eucon_control::MpcConfig;
-use eucon_core::{AdmissionPolicy, ControllerSpec, FleetConfig, FleetLoopSpec, FleetRunner};
+use eucon_core::{AdmissionPolicy, ControllerSpec, FleetRunner, LoopBuilder};
 use eucon_sim::{ExecModel, FaultPlan, SimConfig};
 use eucon_tasks::workloads;
 
@@ -20,19 +20,19 @@ const PERIODS: usize = 20;
 /// A fleet that exercises every per-loop code path whose determinism
 /// matters: warm-started QP solves, seeded stochastic execution times,
 /// fault injection, supervisor degradation and load shedding.
-fn fleet_specs() -> Vec<FleetLoopSpec> {
-    let mut specs = Vec::new();
+fn fleet_loops(batch: usize) -> Vec<LoopBuilder> {
+    let mut loops = Vec::new();
     for i in 0..24u64 {
-        let spec = match i % 5 {
-            0 => FleetLoopSpec::new(workloads::simple()).sim_config(SimConfig::constant_etf(0.5)),
-            1 => FleetLoopSpec::new(workloads::medium())
+        let lp = match i % 5 {
+            0 => LoopBuilder::new(workloads::simple()).sim_config(SimConfig::constant_etf(0.5)),
+            1 => LoopBuilder::new(workloads::medium())
                 .sim_config(
                     SimConfig::constant_etf(1.0)
                         .exec_model(ExecModel::Uniform { half_width: 0.2 })
                         .seed(i),
                 )
                 .controller(ControllerSpec::Eucon(MpcConfig::medium())),
-            2 => FleetLoopSpec::new(workloads::simple())
+            2 => LoopBuilder::new(workloads::simple())
                 .sim_config(SimConfig::constant_etf(0.5))
                 .controller(ControllerSpec::SupervisedEucon {
                     mpc: MpcConfig::simple(),
@@ -44,30 +44,26 @@ fn fleet_specs() -> Vec<FleetLoopSpec> {
                         .actuation_loss(0.3)
                         .seed(7),
                 ),
-            3 => FleetLoopSpec::new(workloads::medium())
+            3 => LoopBuilder::new(workloads::medium())
                 .sim_config(SimConfig::constant_etf(0.9).seed(i))
                 .controller(ControllerSpec::Pid { kp: 0.5, ki: 0.05 }),
             // Rate adaptation exhausted: the supervisor suspends a task
             // at periods 12 and 17.
-            _ => FleetLoopSpec::new(workloads::simple())
+            _ => LoopBuilder::new(workloads::simple())
                 .sim_config(SimConfig::constant_etf(25.0))
                 .admission(AdmissionPolicy::default()),
         };
-        specs.push(spec);
+        loops.push(lp.telemetry_batch(batch));
     }
-    specs
+    loops
 }
 
 fn run_at(threads: usize, batch: usize) -> eucon_core::FleetReport {
-    let mut cfg = FleetConfig::new(PERIODS).threads(threads);
-    if batch > 0 {
-        cfg = cfg.telemetry_batch(batch);
+    let mut fleet = FleetRunner::new().threads(threads);
+    for lp in fleet_loops(batch) {
+        fleet.push(lp);
     }
-    let mut fleet = FleetRunner::new(cfg);
-    for spec in fleet_specs() {
-        fleet.push(spec);
-    }
-    fleet.run().expect("fleet runs")
+    fleet.run(PERIODS).expect("fleet runs")
 }
 
 #[test]
@@ -101,20 +97,21 @@ fn batched_telemetry_does_not_perturb_digests() {
 }
 
 #[test]
-fn identical_specs_produce_identical_digests() {
-    let spec = FleetLoopSpec::new(workloads::medium())
+fn identical_loops_produce_identical_digests() {
+    let report = LoopBuilder::new(workloads::medium())
         .sim_config(
             SimConfig::constant_etf(1.0)
                 .exec_model(ExecModel::Uniform { half_width: 0.2 })
                 .seed(1),
         )
-        .controller(ControllerSpec::Eucon(MpcConfig::medium()));
-    let report = FleetRunner::replicated(spec, 16, FleetConfig::new(PERIODS).threads(8))
-        .run()
+        .controller(ControllerSpec::Eucon(MpcConfig::medium()))
+        .fleet(16)
+        .threads(8)
+        .run(PERIODS)
         .expect("fleet runs");
     assert!(
         report.digests.iter().all(|&d| d == report.digests[0]),
-        "replicated specs must agree: {:?}",
+        "identical loops must agree: {:?}",
         report.digests
     );
 }

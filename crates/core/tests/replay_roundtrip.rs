@@ -29,10 +29,10 @@ fn record(set: TaskSet, periods: usize, path: &PathBuf) -> Vec<(Vec<u64>, Vec<u6
     let sink = JsonlSink::create(path).expect("scratch file is creatable");
     let mut cl = LoopBuilder::new(set)
         .record_trace(true)
-        .telemetry_sink(sink)
         .telemetry_batch(1)
         .local()
         .expect("recording loop builds");
+    cl.telemetry_sink(sink);
     let result = cl.run(periods);
     bit_sequences(&result.trace)
 }

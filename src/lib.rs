@@ -232,12 +232,11 @@ pub mod prelude {
         RateController, ShardedController, Supervised, SupervisorConfig, SupervisorReport,
     };
     pub use eucon_core::{
-        factory_fn, metrics, render, telemetry, AdminResponse, ClosedLoop, ControlService,
-        ControllerFactory, ControllerSpec, EvictionPolicy, FaultSummary, FleetPlan, FleetReport,
-        LaneModel, LoopBuilder, NetBackend, NetConfig, Plant, PlantFactory, ReplayError,
-        ReplayPlant, ReplayTrace, RunMetrics, RunResult, ServiceClient, ServiceHandle,
-        ServiceSummary, SimPlant, SimPlantFactory, SteadyRun, TenantEvent, TenantHealth, TenantId,
-        TenantReport, TenantSpec, VaryingRun,
+        metrics, render, telemetry, AdminResponse, ClosedLoop, ControlService, ControllerSpec,
+        EvictionPolicy, FaultSummary, FleetReport, FleetRunner, LaneModel, LoopBuilder, NetBackend,
+        NetConfig, Plant, PlantFactory, ReplayError, ReplayPlant, ReplayTrace, RunMetrics,
+        RunResult, ServiceClient, ServiceHandle, ServiceSummary, SimPlant, SimPlantFactory,
+        SteadyRun, TenantEvent, TenantHealth, TenantId, TenantReport, TenantSpec, VaryingRun,
     };
     #[cfg(feature = "os-plant")]
     pub use eucon_core::{OsPlant, OsPlantConfig};
