@@ -387,7 +387,8 @@ impl MpcController {
 ///
 /// Both operations build a **new** controller for the changed task set by
 /// the one construction path there is ([`MpcController::from_model`]:
-/// matrix assembly, Gram product, factorization, constraint cache) and
+/// matrix assembly, Gram product, factorization, an empty first-touch
+/// back-solve memo) and
 /// migrate every piece of accumulated state that still makes sense —
 /// current rates, the previous move, and the warm-start active sets
 /// (remapped through the constraint-row layout) — so the first solve after

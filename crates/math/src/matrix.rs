@@ -31,8 +31,8 @@ pub struct Matrix {
 }
 
 // Not derived, for the same reason as `Vector`'s: `clone_from` must reuse
-// the destination's allocation (the QP solver refactors its subproblem
-// matrices into long-lived scratch every active-set change).
+// the destination's allocation, so a long-lived scratch matrix refilled
+// by it does not allocate.
 impl Clone for Matrix {
     fn clone(&self) -> Self {
         Matrix {

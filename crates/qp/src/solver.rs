@@ -344,7 +344,10 @@ impl BackSolves {
 /// back-substitution.  Because [`Lu::refactor`] is deterministic, a
 /// cache hit yields bit-identical multipliers to a fresh factorization,
 /// so solver trajectories (and the golden trace hashes built on them) are
-/// unchanged.
+/// unchanged.  A changed guess is refactored whole: the warm start only
+/// ever drops rows, and a factor can be grown by a border
+/// ([`Lu::extend`], as the main loop does when a row joins) but not
+/// shrunk without moving its rounding.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct WarmFactors {
     /// Active set (deduplicated, in guess order) the factors belong to.
@@ -399,10 +402,16 @@ pub(crate) struct QpWorkspace {
     z: Vector,
     r: Vector,
     /// Equality subproblem of the current active set: matrix, its factor,
-    /// right-hand side.
+    /// right-hand side, and the new row `[Gram(p, active) | Gram(p, p)]`
+    /// that grows the factor when row `p` joins.
     sub: Matrix,
     lu: Lu,
     rhs: Vector,
+    border: Vec<f64>,
+    /// A second factor for the debug build's check of every extended
+    /// factor against a refactor of the same subproblem.
+    #[cfg(debug_assertions)]
+    lu_check: Lu,
     /// Warm start: dedup marks, candidate set, its multipliers, and the
     /// tentative-drop system's right-hand side, multipliers and optimum.
     seen: Vec<bool>,
@@ -425,6 +434,7 @@ impl QpWorkspace {
         self.active.reserve(n);
         self.u.reserve(n);
         self.cand.reserve(n);
+        self.border.reserve(n + 1);
         for v in [
             &mut self.r,
             &mut self.rhs,
@@ -489,6 +499,11 @@ pub(crate) fn check_finite(what: &'static str, v: &Vector) -> Result<(), QpError
 /// least-squares front ends.  `factors` memoizes the warm-start
 /// subproblem factorization across calls with a stable active set (a
 /// one-shot caller passes a fresh one); the solution is left in `ws`.
+///
+/// Within the main loop the subproblem's factor follows the active set:
+/// a row that joins extends it by one bordered row and column
+/// ([`Lu::extend`], the same bits as a refactor), and only after a drop,
+/// or where the extension declines, is it gathered and refactored.
 pub(crate) fn solve_with_chol(
     model: &Model<'_>,
     f: &Vector,
@@ -548,11 +563,18 @@ pub(crate) fn solve_with_chol(
         sub,
         lu,
         rhs,
+        border,
         memo,
+        #[cfg(debug_assertions)]
+        lu_check,
         ..
     } = ws;
 
     let mut iterations = 0;
+    // Whether `lu` holds the factor of the subproblem over `active`: set
+    // by a refactor or by extending the factor as a row joins, cleared by
+    // a drop.
+    let mut lu_current = false;
 
     'outer: loop {
         // Most violated inactive constraint (g_p·x − h_p > tol).
@@ -595,12 +617,28 @@ pub(crate) fn solve_with_chol(
                 // M = Nᵀ H⁻¹ N, rhs = Nᵀ H⁻¹ n_p, read from the memo.
                 sub.reserve(n, n);
                 lu.reserve(n);
-                memo.subproblem_into(active, None, sub);
+                if !lu_current {
+                    memo.subproblem_into(active, None, sub);
+                    lu.refactor(sub).map_err(QpError::Math)?;
+                    lu_current = true;
+                } else {
+                    // The debug build checks every extended factor
+                    // against a refactor of the gathered subproblem.
+                    #[cfg(debug_assertions)]
+                    {
+                        lu_check.reserve(n);
+                        memo.subproblem_into(active, None, sub);
+                        let refactored = lu_check.refactor(sub).is_ok();
+                        assert!(
+                            refactored && lu.same_bits(lu_check),
+                            "an extended factor differs from a refactor of {active:?}"
+                        );
+                    }
+                }
                 rhs.resize(q);
                 for a in 0..q {
                     rhs[a] = memo.gram[(active[a], p)];
                 }
-                lu.refactor(sub).map_err(QpError::Math)?;
                 lu.solve_into(rhs, r).map_err(QpError::Math)?;
                 for b in 0..q {
                     kernel::axpy(z.as_mut_slice(), -r[b], memo.hinv(active[b]));
@@ -636,6 +674,7 @@ pub(crate) fn solve_with_chol(
                 in_active[active[j]] = false;
                 active.remove(j);
                 u.remove(j);
+                lu_current = false;
                 continue;
             }
 
@@ -651,6 +690,15 @@ pub(crate) fn solve_with_chol(
             u_p += t;
 
             if t2 <= t1 {
+                if lu_current {
+                    // Grow the factor by p's border: the new column is
+                    // `rhs`, the new row is read from the memo.  Where
+                    // `extend` declines, the next iteration refactors.
+                    border.clear();
+                    border.extend(active.iter().map(|&b| memo.gram[(p, b)]));
+                    border.push(memo.gram[(p, p)]);
+                    lu_current = matches!(lu.extend(rhs.as_slice(), border), Ok(true));
+                }
                 active.push(p);
                 u.push(u_p);
                 in_active[p] = true;
@@ -660,6 +708,7 @@ pub(crate) fn solve_with_chol(
             in_active[active[j]] = false;
             active.remove(j);
             u.remove(j);
+            lu_current = false;
         }
     }
 }
