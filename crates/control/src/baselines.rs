@@ -1,8 +1,8 @@
 //! Baseline controllers: the paper's OPEN and a decoupled PID for
 //! ablation.
 
-use eucon_math::Vector;
-use eucon_qp::ConstrainedLsq;
+use eucon_math::{Matrix, Vector};
+use eucon_qp::PreparedLsq;
 use eucon_tasks::TaskSet;
 
 use crate::{ControlError, RateController};
@@ -49,10 +49,16 @@ impl OpenLoop {
     pub fn design(set: &TaskSet, set_points: &Vector) -> Result<Self, ControlError> {
         let f = set.allocation_matrix();
         let (rmin, rmax) = set.rate_bounds();
-        let sol = ConstrainedLsq::new(f, set_points.clone())
-            .bounds(rmin.as_slice(), rmax.as_slice())
-            .regularization(1e-9)
-            .solve()
+        // The rate box as rows: `r ≤ rmax`, then `−r ≤ −rmin`.
+        let m = rmin.len();
+        let g = Matrix::from_fn(2 * m, m, |i, j| match i {
+            _ if i == j => 1.0,
+            _ if i == m + j => -1.0,
+            _ => 0.0,
+        });
+        let h = rmax.concat(&-&rmin);
+        let sol = PreparedLsq::new(f, g, 1e-9)
+            .and_then(|lsq| lsq.solve_with(set_points, &h, &[]))
             .map_err(ControlError::Optimization)?;
         Ok(OpenLoop { rates: sol.x })
     }

@@ -4,50 +4,10 @@ use std::sync::Arc;
 
 use eucon_math::{Matrix, SparseRows, Vector};
 
-use crate::solver::{check_finite, copy_active_set, factorize, solve_one_shot};
-use crate::{PreparedQp, QpError, QpSolution};
+use crate::solver::{check_finite, copy_active_set};
+use crate::{PreparedQp, QpError};
 
-/// Constrained linear least-squares problem, shaped like MATLAB's `lsqlin`:
-///
-/// ```text
-/// min ‖C·x − d‖₂²   subject to   G·x ≤ h,   lb ≤ x ≤ ub
-/// ```
-///
-/// This is exactly the problem the EUCON model-predictive controller solves
-/// once per sampling period (paper §6.1).  The builder collects inequality
-/// rows and box bounds, converts everything to a strictly convex QP
-/// (`H = CᵀC + εI`, `f = −Cᵀd`) and solves it with the dual active-set
-/// [`QuadProg`](crate::QuadProg) solver.
-///
-/// A tiny Tikhonov term `εI` (configurable via
-/// [`regularization`](ConstrainedLsq::regularization)) keeps the QP strictly
-/// convex when `C` is rank-deficient; the default `ε = 0` trusts the caller.
-///
-/// # Example
-///
-/// ```
-/// use eucon_math::{Matrix, Vector};
-/// use eucon_qp::ConstrainedLsq;
-///
-/// # fn main() -> Result<(), eucon_qp::QpError> {
-/// // Closest point to [2, 2] inside the unit box.
-/// let sol = ConstrainedLsq::new(Matrix::identity(2), Vector::from_slice(&[2.0, 2.0]))
-///     .bounds(&[0.0, 0.0], &[1.0, 1.0])
-///     .solve()?;
-/// assert!(sol.x.approx_eq(&Vector::from_slice(&[1.0, 1.0]), 1e-9));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct ConstrainedLsq {
-    c: Matrix,
-    d: Vector,
-    g: Matrix,
-    h: Vector,
-    regularization: f64,
-}
-
-/// Solution of a [`ConstrainedLsq`] problem.
+/// Solution of a [`PreparedLsq`] solve.
 #[derive(Debug, Clone, Default)]
 pub struct LsqSolution {
     /// The minimizer.
@@ -56,186 +16,35 @@ pub struct LsqSolution {
     pub residual: f64,
     /// Number of active-set changes performed by the QP solver.
     pub iterations: usize,
-    /// Indices of active constraints, in the order rows were added
-    /// (inequality rows first, then upper-bound rows, then lower-bound rows).
+    /// Indices of the rows of `G` active at the solution.
     pub active: Vec<usize>,
     /// Rows of the warm-start guess the QP solver kept as its starting
-    /// active set (see [`QpSolution::warm_retained`]).
+    /// active set (see [`QpSolution::warm_retained`](crate::QpSolution::warm_retained)).
     pub warm_retained: usize,
 }
 
-impl ConstrainedLsq {
-    /// Creates an unconstrained problem `min ‖C·x − d‖²`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d.len() != c.rows()`.
-    pub fn new(c: Matrix, d: Vector) -> Self {
-        assert_eq!(
-            d.len(),
-            c.rows(),
-            "rhs length must equal the number of rows of C"
-        );
-        let n = c.cols();
-        ConstrainedLsq {
-            c,
-            d,
-            g: Matrix::zeros(0, n),
-            h: Vector::zeros(0),
-            regularization: 0.0,
-        }
-    }
-
-    /// Appends inequality constraints `G·x ≤ h`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g.cols()` differs from the variable count or
-    /// `g.rows() != h.len()`.
-    pub fn ineq(mut self, g: Matrix, h: Vector) -> Self {
-        assert_eq!(
-            g.cols(),
-            self.c.cols(),
-            "constraint width must match variable count"
-        );
-        assert_eq!(
-            g.rows(),
-            h.len(),
-            "constraint matrix and rhs must have equal rows"
-        );
-        self.g = if self.g.rows() == 0 {
-            g
-        } else {
-            self.g.vstack(&g)
-        };
-        self.h = self.h.concat(&h);
-        self
-    }
-
-    /// Appends inequality constraints given as slices of rows.
-    pub fn ineq_rows(self, rows: &[&[f64]], rhs: &[f64]) -> Self {
-        if rows.is_empty() {
-            return self;
-        }
-        self.ineq(Matrix::from_rows(rows), Vector::from_slice(rhs))
-    }
-
-    /// Adds box bounds `lb ≤ x ≤ ub`.
-    ///
-    /// Use `f64::NEG_INFINITY` / `f64::INFINITY` entries for unbounded
-    /// variables; infinite bounds generate no constraint rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices do not have one entry per variable.
-    pub fn bounds(mut self, lb: &[f64], ub: &[f64]) -> Self {
-        let n = self.c.cols();
-        assert_eq!(lb.len(), n, "lower bound length must equal variable count");
-        assert_eq!(ub.len(), n, "upper bound length must equal variable count");
-        let mut rows: Vec<Vec<f64>> = Vec::new();
-        let mut rhs: Vec<f64> = Vec::new();
-        for (i, &b) in ub.iter().enumerate() {
-            if b.is_finite() {
-                let mut row = vec![0.0; n];
-                row[i] = 1.0;
-                rows.push(row);
-                rhs.push(b);
-            }
-        }
-        for (i, &b) in lb.iter().enumerate() {
-            if b.is_finite() {
-                let mut row = vec![0.0; n];
-                row[i] = -1.0;
-                rows.push(row);
-                rhs.push(-b);
-            }
-        }
-        if !rows.is_empty() {
-            let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-            self = self.ineq(Matrix::from_rows(&row_refs), Vector::from_slice(&rhs));
-        }
-        self
-    }
-
-    /// Sets the Tikhonov regularization weight `ε` added to the Gauss
-    /// normal matrix (`H = CᵀC + εI`).
-    ///
-    /// Keeps the QP strictly convex when `C` is rank-deficient.  `ε` should
-    /// be tiny relative to `‖CᵀC‖` (e.g. `1e-9`).
-    pub fn regularization(mut self, eps: f64) -> Self {
-        self.regularization = eps;
-        self
-    }
-
-    /// Number of decision variables.
-    pub fn num_vars(&self) -> usize {
-        self.c.cols()
-    }
-
-    /// Solves the problem.
-    ///
-    /// # Errors
-    ///
-    /// * [`QpError::NotStrictlyConvex`] — `CᵀC + εI` is not positive
-    ///   definite (rank-deficient `C` with `ε = 0`).
-    /// * [`QpError::Infeasible`] — the constraints admit no solution.
-    /// * Any error of the underlying [`QuadProg::solve`](crate::QuadProg::solve).
-    pub fn solve(&self) -> Result<LsqSolution, QpError> {
-        let n = self.num_vars();
-        if n == 0 {
-            return Ok(LsqSolution {
-                x: Vector::zeros(0),
-                residual: self.d.norm(),
-                ..LsqSolution::default()
-            });
-        }
-        let ct = self.c.transpose();
-        let hess = gauss_normal_matrix(&ct, &self.c, self.regularization);
-        let f = -&ct.mul_vec(&self.d);
-        let chol = factorize(&hess)?;
-        let base_scale = self.g.max_abs().max(hess.max_abs()).max(1.0);
-        let QpSolution {
-            x,
-            active,
-            iterations,
-            warm_retained,
-            ..
-        } = solve_one_shot(&chol, &f, &self.g, &self.h, base_scale, &[])?;
-        let residual = (&self.c.mul_vec(&x) - &self.d).norm();
-        Ok(LsqSolution {
-            x,
-            residual,
-            iterations,
-            active,
-            warm_retained,
-        })
-    }
-}
-
-/// `CᵀC + εI`, the Gauss normal matrix of the least-squares objective.
-fn gauss_normal_matrix(ct: &Matrix, c: &Matrix, regularization: f64) -> Matrix {
-    let mut hess = ct * c;
-    if regularization > 0.0 {
-        for i in 0..hess.rows() {
-            hess[(i, i)] += regularization;
-        }
-    }
-    hess
-}
-
-/// A constrained least-squares problem with fixed `C` and `G`, prepared
-/// for repeated solves with varying targets `d` and constraint slacks `h`.
+/// Constrained linear least-squares problem, shaped like MATLAB's `lsqlin`,
+/// with fixed `C` and `G`, prepared for repeated solves with varying
+/// targets `d` and constraint slacks `h`:
+///
+/// ```text
+/// min ‖C·x − d‖₂²   subject to   G·x ≤ h
+/// ```
 ///
 /// This is the shape of the EUCON controller's per-period problem: the
 /// objective matrix `C` and constraint matrix `G` derive from the task
 /// model and never change between sampling periods, while `d` (tracking
 /// error) and `h` (rate/utilization slacks) change every period.
-/// Construction builds `H = CᵀC + εI` and factorizes it once; a
+/// Construction builds the strictly convex QP's `H = CᵀC + εI` and
+/// factorizes it once (the Tikhonov term `εI` keeps it strictly convex
+/// when `C` is rank-deficient; `ε = 0` trusts the caller); a
 /// constraint row's back-solve is computed the first time a solve touches
 /// the row and kept ([`PreparedQp`]).  Once a run's rows are in, each
 /// [`solve_with`](PreparedLsq::solve_with) costs two triangular
 /// back-substitutions plus active-set bookkeeping, and can warm-start from
-/// the previous period's active set.
+/// the previous period's active set.  Box bounds are rows of `G`: `x ≤ ub`
+/// as `[I]`, `[ub]` and `x ≥ lb` as `[−I]`, `[−lb]`, leaving out the rows
+/// of unbounded sides (every entry of `h` must be finite).
 ///
 /// # Example
 ///
@@ -288,9 +97,15 @@ impl PreparedLsq {
     /// * [`QpError::NotStrictlyConvex`] — `CᵀC + εI` is not positive
     ///   definite (rank-deficient `C` with `ε = 0`).
     /// * [`QpError::DimensionMismatch`] — `g.cols() != c.cols()`.
+    /// * [`QpError::NonFiniteInput`] — `g` has a NaN or infinite entry.
     pub fn new(c: Matrix, g: Matrix, regularization: f64) -> Result<Self, QpError> {
         let ct = c.transpose();
-        let hess = gauss_normal_matrix(&ct, &c, regularization);
+        let mut hess = &ct * &c;
+        if regularization > 0.0 {
+            for i in 0..hess.rows() {
+                hess[(i, i)] += regularization;
+            }
+        }
         let qp = PreparedQp::new(hess, g)?;
         Ok(PreparedLsq {
             objective: Arc::new(Objective {
@@ -333,8 +148,8 @@ impl PreparedLsq {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ConstrainedLsq::solve`], minus
-    /// [`QpError::NotStrictlyConvex`] which was ruled out at construction.
+    /// Same conditions as [`PreparedQp::solve`], with `d` checked for
+    /// non-finite entries like `h`.
     ///
     /// # Panics
     ///
@@ -378,7 +193,7 @@ impl PreparedLsq {
             rows,
             "rhs length must equal the number of rows of C"
         );
-        check_finite("d", d)?;
+        check_finite("d", d.as_slice())?;
         let ws = &mut *self.qp.workspace();
         // f = −Cᵀd, staged in the workspace (taken out for the solve, which
         // borrows the rest of it).
@@ -412,11 +227,33 @@ impl PreparedLsq {
 mod tests {
     use super::*;
 
+    /// `G` and `h` of the box `lb ≤ x ≤ ub`: the upper-bound rows, then the
+    /// lower-bound rows, each only where that side is finite.
+    fn box_rows(lb: &[f64], ub: &[f64]) -> (Matrix, Vector) {
+        let upper = ub.iter().enumerate().map(|(j, &b)| (j, 1.0, b));
+        let lower = lb.iter().enumerate().map(|(j, &b)| (j, -1.0, -b));
+        let sides: Vec<(usize, f64, f64)> =
+            upper.chain(lower).filter(|s| s.2.is_finite()).collect();
+        let g = Matrix::from_fn(sides.len(), lb.len(), |r, j| {
+            if sides[r].0 == j {
+                sides[r].1
+            } else {
+                0.0
+            }
+        });
+        (g, Vector::from_iter(sides.iter().map(|s| s.2)))
+    }
+
+    /// One solve of `min ‖C·x − d‖²` s.t. `G·x ≤ h` on a fresh instance.
+    fn solve_once(c: Matrix, g: Matrix, h: &Vector, d: &Vector) -> Result<LsqSolution, QpError> {
+        PreparedLsq::new(c, g, 0.0)?.solve_with(d, h, &[])
+    }
+
     #[test]
     fn unconstrained_matches_qr_least_squares() {
         let c = Matrix::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0]]);
         let d = Vector::from_slice(&[1.0, 2.0, 2.8]);
-        let sol = ConstrainedLsq::new(c.clone(), d.clone()).solve().unwrap();
+        let sol = solve_once(c.clone(), Matrix::zeros(0, 2), &Vector::zeros(0), &d).unwrap();
         let oracle = c.least_squares(&d).unwrap();
         assert!(sol.x.approx_eq(&oracle, 1e-9));
         assert!(sol.active.is_empty());
@@ -424,46 +261,59 @@ mod tests {
 
     #[test]
     fn bounds_clip_the_solution() {
-        let sol = ConstrainedLsq::new(Matrix::identity(2), Vector::from_slice(&[5.0, -5.0]))
-            .bounds(&[-1.0, -1.0], &[1.0, 1.0])
-            .solve()
-            .unwrap();
+        let (g, h) = box_rows(&[-1.0, -1.0], &[1.0, 1.0]);
+        let d = Vector::from_slice(&[5.0, -5.0]);
+        let sol = solve_once(Matrix::identity(2), g, &h, &d).unwrap();
         assert!(sol.x.approx_eq(&Vector::from_slice(&[1.0, -1.0]), 1e-9));
         assert_eq!(sol.active.len(), 2);
     }
 
     #[test]
-    fn infinite_bounds_generate_no_rows() {
-        let problem = ConstrainedLsq::new(Matrix::identity(2), Vector::zeros(2))
-            .bounds(&[f64::NEG_INFINITY, 0.0], &[f64::INFINITY, 1.0]);
-        // Only x1's two finite bounds should have been added.
-        let sol = problem.solve().unwrap();
+    fn unbounded_sides_are_rows_left_out() {
+        let (g, h) = box_rows(&[f64::NEG_INFINITY, 0.0], &[f64::INFINITY, 1.0]);
+        // Only x1's two finite bounds are rows.
+        assert_eq!(g.rows(), 2);
+        let sol = solve_once(Matrix::identity(2), g, &h, &Vector::zeros(2)).unwrap();
         assert!(sol.x.max_abs() < 1e-12);
+        // An unbounded side written as a row is rejected, not solved.
+        let err = solve_once(
+            Matrix::identity(2),
+            Matrix::from_rows(&[&[1.0, 0.0]]),
+            &Vector::from_slice(&[f64::INFINITY]),
+            &Vector::zeros(2),
+        );
+        assert_eq!(
+            err.unwrap_err(),
+            QpError::NonFiniteInput {
+                what: "h",
+                index: 0
+            }
+        );
     }
 
     #[test]
     fn mixed_rows_and_bounds() {
         // Target [2, 2]; x0 + x1 ≤ 1 and x ≥ 0 → symmetric optimum [.5, .5].
-        let sol = ConstrainedLsq::new(Matrix::identity(2), Vector::from_slice(&[2.0, 2.0]))
-            .ineq_rows(&[&[1.0, 1.0]], &[1.0])
-            .bounds(&[0.0, 0.0], &[10.0, 10.0])
-            .solve()
-            .unwrap();
+        let (bg, bh) = box_rows(&[0.0, 0.0], &[10.0, 10.0]);
+        let g = Matrix::from_rows(&[&[1.0, 1.0]]).vstack(&bg);
+        let h = Vector::from_slice(&[1.0]).concat(&bh);
+        let sol = solve_once(Matrix::identity(2), g, &h, &Vector::from_slice(&[2.0, 2.0])).unwrap();
         assert!(sol.x.approx_eq(&Vector::from_slice(&[0.5, 0.5]), 1e-9));
         assert!((sol.residual - (2.0f64 * 1.5 * 1.5).sqrt()).abs() < 1e-9);
     }
 
     #[test]
     fn rank_deficient_needs_regularization() {
-        // C has rank 1: fails without regularization, succeeds with it.
+        // C has rank 1: fails at construction without regularization,
+        // succeeds with it.
         let c = Matrix::from_rows(&[&[1.0, 1.0]]);
         let d = Vector::from_slice(&[2.0]);
-        let bare = ConstrainedLsq::new(c.clone(), d.clone()).solve();
+        let bare = PreparedLsq::new(c.clone(), Matrix::zeros(0, 2), 0.0);
         assert_eq!(bare.unwrap_err(), QpError::NotStrictlyConvex);
 
-        let sol = ConstrainedLsq::new(c, d)
-            .regularization(1e-9)
-            .solve()
+        let sol = PreparedLsq::new(c, Matrix::zeros(0, 2), 1e-9)
+            .unwrap()
+            .solve_with(&d, &Vector::zeros(0), &[])
             .unwrap();
         // Minimum-norm-ish solution: x0 ≈ x1 ≈ 1.
         assert!((sol.x[0] - 1.0).abs() < 1e-4);
@@ -472,16 +322,26 @@ mod tests {
 
     #[test]
     fn infeasible_box_detected() {
-        let r = ConstrainedLsq::new(Matrix::identity(1), Vector::zeros(1))
-            .ineq_rows(&[&[1.0], &[-1.0]], &[-2.0, 1.0]) // x ≤ −2 and x ≥ −1
-            .solve();
+        // x ≤ −2 and x ≥ −1
+        let g = Matrix::from_rows(&[&[1.0], &[-1.0]]);
+        let r = solve_once(
+            Matrix::identity(1),
+            g,
+            &Vector::from_slice(&[-2.0, 1.0]),
+            &Vector::zeros(1),
+        );
         assert_eq!(r.unwrap_err(), QpError::Infeasible);
     }
 
     #[test]
     #[should_panic(expected = "rhs length")]
     fn dimension_validation_panics() {
-        let _ = ConstrainedLsq::new(Matrix::identity(2), Vector::zeros(3));
+        let _ = solve_once(
+            Matrix::identity(2),
+            Matrix::zeros(0, 2),
+            &Vector::zeros(0),
+            &Vector::zeros(3),
+        );
     }
 
     #[test]
@@ -489,27 +349,9 @@ mod tests {
         // Overdetermined inconsistent system keeps a positive residual.
         let c = Matrix::from_rows(&[&[1.0], &[1.0]]);
         let d = Vector::from_slice(&[0.0, 2.0]);
-        let sol = ConstrainedLsq::new(c, d).solve().unwrap();
+        let sol = solve_once(c, Matrix::zeros(0, 1), &Vector::zeros(0), &d).unwrap();
         assert!((sol.x[0] - 1.0).abs() < 1e-9);
         assert!((sol.residual - std::f64::consts::SQRT_2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn prepared_matches_one_shot_front_end() {
-        let c = Matrix::from_rows(&[&[2.0, 0.5], &[0.0, 1.0], &[1.0, 1.0]]);
-        let g = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[-1.0, 0.0], &[0.0, -1.0]]);
-        let h = Vector::from_slice(&[1.0, 1.0, 1.0, 1.0]);
-        let prepared = PreparedLsq::new(c.clone(), g.clone(), 0.0).unwrap();
-        for d in [[3.0, -2.0, 0.5], [0.0, 0.0, 0.0], [-5.0, 5.0, 1.0]] {
-            let dv = Vector::from_slice(&d);
-            let oneshot = ConstrainedLsq::new(c.clone(), dv.clone())
-                .ineq(g.clone(), h.clone())
-                .solve()
-                .unwrap();
-            let sol = prepared.solve_with(&dv, &h, &[]).unwrap();
-            assert!(sol.x.approx_eq(&oneshot.x, 1e-10));
-            assert!((sol.residual - oneshot.residual).abs() < 1e-10);
-        }
     }
 
     #[test]
@@ -605,14 +447,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn prepared_detects_rank_deficiency_at_construction() {
-        let c = Matrix::from_rows(&[&[1.0, 1.0]]);
-        let r = PreparedLsq::new(c.clone(), Matrix::zeros(0, 2), 0.0);
-        assert_eq!(r.unwrap_err(), QpError::NotStrictlyConvex);
-        assert!(PreparedLsq::new(c, Matrix::zeros(0, 2), 1e-9).is_ok());
-    }
-
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -623,10 +457,8 @@ mod tests {
                 d in proptest::collection::vec(-10.0..10.0f64, 3),
                 half_width in 0.1..2.0f64,
             ) {
-                let sol = ConstrainedLsq::new(Matrix::identity(3), Vector::from_slice(&d))
-                    .bounds(&[-half_width; 3], &[half_width; 3])
-                    .solve()
-                    .unwrap();
+                let (g, h) = box_rows(&[-half_width; 3], &[half_width; 3]);
+                let sol = solve_once(Matrix::identity(3), g, &h, &Vector::from_slice(&d)).unwrap();
                 for (i, &di) in d.iter().enumerate() {
                     prop_assert!(sol.x[i].abs() <= half_width + 1e-8);
                     // Identity objective → solution is the clamp.
@@ -642,10 +474,8 @@ mod tests {
                 // Any feasible candidate must score ≥ the reported optimum.
                 let c = Matrix::from_rows(&[&[2.0, 0.5], &[0.0, 1.0]]);
                 let dv = Vector::from_slice(&d);
-                let sol = ConstrainedLsq::new(c.clone(), dv.clone())
-                    .bounds(&[-1.0, -1.0], &[1.0, 1.0])
-                    .solve()
-                    .unwrap();
+                let (g, h) = box_rows(&[-1.0, -1.0], &[1.0, 1.0]);
+                let sol = solve_once(c.clone(), g, &h, &dv).unwrap();
                 let cand = Vector::from_slice(&candidate);
                 let cand_resid = (&c.mul_vec(&cand) - &dv).norm();
                 prop_assert!(sol.residual <= cand_resid + 1e-7);

@@ -11,7 +11,7 @@ use crate::QpError;
 /// applied relative to the problem scale.
 const TOL: f64 = 1e-10;
 
-/// Solution of a [`QuadProg`] problem.
+/// Solution of a [`PreparedQp`] solve.
 #[derive(Debug, Clone, Default)]
 pub struct QpSolution {
     /// The minimizer.
@@ -28,210 +28,6 @@ pub struct QpSolution {
     /// active set (dual feasible, and not within tolerance of inactive);
     /// zero for a cold start or a rejected guess.
     pub warm_retained: usize,
-}
-
-impl QpSolution {
-    /// Evaluates `½xᵀHx + fᵀx` at the solution for the given objective.
-    pub fn objective(&self, h: &Matrix, f: &Vector) -> f64 {
-        0.5 * self.x.dot(&h.mul_vec(&self.x)) + f.dot(&self.x)
-    }
-}
-
-/// A strictly convex quadratic program
-/// `min ½xᵀHx + fᵀx` subject to `Gx ≤ h`.
-///
-/// Solved by the dual active-set method of Goldfarb & Idnani (1983) — the
-/// algorithm family used by production QP codes (`quadprog`, MATLAB's
-/// medium-scale `lsqlin`).  The dual method starts from the unconstrained
-/// minimum `x = −H⁻¹f` and adds violated constraints one at a time, so it
-/// never needs a feasible starting point and certifies infeasibility.
-///
-/// For repeated solves that share `H` and `G` (the controller hot path),
-/// use [`PreparedQp`], which factorizes `H` once and keeps each
-/// constraint's back-solve from the first solve that needs it instead of
-/// redoing both on every call.
-///
-/// # Example
-///
-/// ```
-/// use eucon_math::{Matrix, Vector};
-/// use eucon_qp::QuadProg;
-///
-/// # fn main() -> Result<(), eucon_qp::QpError> {
-/// // min ½‖x‖² s.t. x0 ≥ 1 (written as −x0 ≤ −1)
-/// let qp = QuadProg::new(Matrix::identity(2), Vector::zeros(2))?
-///     .ineq_rows(&[&[-1.0, 0.0]], &[-1.0]);
-/// let sol = qp.solve()?;
-/// assert!((sol.x[0] - 1.0).abs() < 1e-9);
-/// assert!(sol.x[1].abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub struct QuadProg {
-    h: Matrix,
-    f: Vector,
-    g: Matrix,
-    hvec: Vector,
-}
-
-impl QuadProg {
-    /// Creates a QP with the given objective and no constraints.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QpError::DimensionMismatch`] when `f.len() != h.rows()`,
-    /// and [`QpError::NotStrictlyConvex`] when `h` is not square or not
-    /// positive definite.
-    pub fn new(h: Matrix, f: Vector) -> Result<Self, QpError> {
-        if !h.is_square() {
-            return Err(QpError::NotStrictlyConvex);
-        }
-        if f.len() != h.rows() {
-            return Err(QpError::DimensionMismatch(format!(
-                "objective dimension {} does not match hessian order {}",
-                f.len(),
-                h.rows()
-            )));
-        }
-        let n = h.rows();
-        Ok(QuadProg {
-            h,
-            f,
-            g: Matrix::zeros(0, n),
-            hvec: Vector::zeros(0),
-        })
-    }
-
-    /// Appends inequality constraints `G x ≤ h` given as a matrix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g.cols()` does not match the number of variables or if
-    /// `g.rows() != h.len()`.
-    pub fn ineq(mut self, g: Matrix, h: Vector) -> Self {
-        assert_eq!(
-            g.cols(),
-            self.h.rows(),
-            "constraint row width must match variable count"
-        );
-        assert_eq!(
-            g.rows(),
-            h.len(),
-            "constraint matrix and rhs must have equal rows"
-        );
-        self.g = if self.g.rows() == 0 {
-            g
-        } else {
-            self.g.vstack(&g)
-        };
-        self.hvec = self.hvec.concat(&h);
-        self
-    }
-
-    /// Appends inequality constraints given as slices of rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics on mismatched dimensions (see [`QuadProg::ineq`]).
-    pub fn ineq_rows(self, rows: &[&[f64]], rhs: &[f64]) -> Self {
-        if rows.is_empty() {
-            return self;
-        }
-        self.ineq(Matrix::from_rows(rows), Vector::from_slice(rhs))
-    }
-
-    /// Number of decision variables.
-    pub fn num_vars(&self) -> usize {
-        self.h.rows()
-    }
-
-    /// Number of inequality constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.g.rows()
-    }
-
-    /// Solves the program.
-    ///
-    /// # Errors
-    ///
-    /// * [`QpError::NotStrictlyConvex`] — `H` has a non-positive eigenvalue.
-    /// * [`QpError::NonFiniteInput`] — `f` or `h` has a NaN or infinite
-    ///   entry.
-    /// * [`QpError::Infeasible`] — no point satisfies all constraints.
-    /// * [`QpError::IterationLimit`] — active-set cycling (should not occur
-    ///   for well-scaled inputs).
-    pub fn solve(&self) -> Result<QpSolution, QpError> {
-        self.solve_warm(&[])
-    }
-
-    /// Solves the program starting from a guessed active set (typically the
-    /// active set of the previous solve of a slowly varying problem).
-    ///
-    /// The guess only affects the starting point of the dual iteration, not
-    /// the solution: indices that are out of range or not actually active
-    /// at the optimum are discarded along the way, and a guess whose
-    /// equality subproblem is singular falls back to a cold start.  When
-    /// the guess is exact the solver performs zero active-set iterations.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QuadProg::solve`].
-    pub fn solve_warm(&self, warm: &[usize]) -> Result<QpSolution, QpError> {
-        let chol = factorize(&self.h)?;
-        let base_scale = self.g.max_abs().max(self.h.max_abs()).max(1.0);
-        solve_one_shot(&chol, &self.f, &self.g, &self.hvec, base_scale, warm)
-    }
-
-    /// Maximum KKT residual of a candidate solution: stationarity,
-    /// feasibility and complementary slackness.  Useful for verification.
-    pub fn kkt_residual(&self, sol: &QpSolution) -> f64 {
-        // Stationarity: Hx + f + Gᵀλ = 0.
-        let mut grad = &self.h.mul_vec(&sol.x) + &self.f;
-        for i in 0..self.num_constraints() {
-            let lam = sol.multipliers[i];
-            for (j, gij) in self.g.row(i).iter().enumerate() {
-                grad[j] += lam * gij;
-            }
-        }
-        let mut worst = grad.max_abs();
-        for i in 0..self.num_constraints() {
-            let slack = self.hvec[i] - kernel::dot(self.g.row(i), sol.x.as_slice());
-            // Primal feasibility.
-            worst = worst.max(-slack);
-            // Dual feasibility.
-            worst = worst.max(-sol.multipliers[i]);
-            // Complementary slackness.
-            worst = worst.max((sol.multipliers[i] * slack).abs());
-        }
-        worst
-    }
-}
-
-/// One solve of a problem nobody prepared: builds the sparse view of `g`
-/// and a fresh workspace for this call (as the caller just factorized `H`
-/// for it; its back-solve memo starts empty), and returns the solution
-/// owned.
-pub(crate) fn solve_one_shot(
-    chol: &Cholesky,
-    f: &Vector,
-    g: &Matrix,
-    hvec: &Vector,
-    base_scale: f64,
-    warm: &[usize],
-) -> Result<QpSolution, QpError> {
-    let rows = SparseRows::from_matrix(g);
-    let model = Model {
-        chol,
-        g,
-        rows: &rows,
-        base_scale,
-    };
-    let mut ws = QpWorkspace::default();
-    let stats = solve_with_chol(&model, f, hvec, warm, &mut WarmFactors::default(), &mut ws)?;
-    let mut sol = QpSolution::default();
-    ws.write_solution(g.rows(), stats, &mut sol);
-    Ok(sol)
 }
 
 /// The back-solves and Gram entries of the constraint rows a workspace's
@@ -263,8 +59,8 @@ struct BackSolves {
 
 impl BackSolves {
     /// Sizes the memo for an `m × n` constraint matrix — at
-    /// [`PreparedQp::new`], or at the first solve of a clone or a one-shot
-    /// — so a later first touch allocates nothing.  The tables are written
+    /// [`PreparedQp::new`], or at the first solve of a clone — so a later
+    /// first touch allocates nothing.  The tables are written
     /// out in full with NaN rather than zeroed: zeroed pages would become
     /// resident as rows are touched or as the allocator recycles memory,
     /// so the peak resident set would depend on the allocator's history,
@@ -292,7 +88,7 @@ impl BackSolves {
     /// itself and every ready row.  The two orientations of a pair are
     /// computed on their own — `gram[(a, b)]` and `gram[(b, a)]` round
     /// separately, and the memoized subproblem factors depend on both.
-    fn ensure(&mut self, model: &Model<'_>, i: usize) -> Result<(), MathError> {
+    fn ensure(&mut self, model: &QpCore, i: usize) -> Result<(), MathError> {
         if self.ready[i] {
             return Ok(());
         }
@@ -307,8 +103,8 @@ impl BackSolves {
         let hinv_i = self.sol.as_slice();
         for &j in &self.order {
             // n_a · H⁻¹n_b = −g_a · H⁻¹n_b.
-            self.gram[(i, j)] = -model.rows.dot(i, &self.hinv[j * n..(j + 1) * n]);
-            self.gram[(j, i)] = -model.rows.dot(j, hinv_i);
+            self.gram[(i, j)] = -model.g_rows.dot(i, &self.hinv[j * n..(j + 1) * n]);
+            self.gram[(j, i)] = -model.g_rows.dot(j, hinv_i);
         }
         Ok(())
     }
@@ -349,7 +145,7 @@ impl BackSolves {
 /// ([`Lu::extend`], as the main loop does when a row joins) but not
 /// shrunk without moving its rounding.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct WarmFactors {
+struct WarmFactors {
     /// Active set (deduplicated, in guess order) the factors belong to.
     cand: Vec<usize>,
     /// LU factor of the full subproblem matrix over `cand`, when
@@ -372,9 +168,10 @@ pub(crate) struct WarmFactors {
 /// first time a solve needs it — `n` entries for whatever follows the
 /// active set, `n × n` for the subproblem the first time the active set
 /// is non-empty, the memo's `m × n` and `m × m` tables at construction
-/// (a clone's or a one-shot's at its first solve) — and is never shrunk, so which solve first reaches a given
-/// active-set size or touches a given row does not matter: after the
-/// first solve that takes a code path, that path allocates nothing.
+/// (a clone's at its first solve) — and is never shrunk, so which solve
+/// first reaches a given active-set size or touches a given row does not
+/// matter: after the first solve that takes a code path, that path
+/// allocates nothing.
 /// (Reserved room is untouched memory until a solve actually fills it;
 /// the memo's tables are written out, with NaN, when they are sized.)
 /// The memo is the one thing kept from solve to solve, and it holds only
@@ -412,6 +209,9 @@ pub(crate) struct QpWorkspace {
     /// factor against a refactor of the same subproblem.
     #[cfg(debug_assertions)]
     lu_check: Lu,
+    /// Scratch of the debug build's KKT check of every solve.
+    #[cfg(debug_assertions)]
+    kkt: KktScratch,
     /// Warm start: dedup marks, candidate set, its multipliers, and the
     /// tentative-drop system's right-hand side, multipliers and optimum.
     seen: Vec<bool>,
@@ -477,35 +277,26 @@ pub(crate) struct SolveStats {
     pub(crate) warm_retained: usize,
 }
 
-/// The fixed side of a solve: `H` through its Cholesky factor, `G` dense
-/// (the normals a back-solve starts from) and as the sparse rows every
-/// `g_i · v` goes through, and the tolerance scale `max(|G|, |H|, 1)`.
-pub(crate) struct Model<'a> {
-    pub(crate) chol: &'a Cholesky,
-    pub(crate) g: &'a Matrix,
-    pub(crate) rows: &'a SparseRows,
-    pub(crate) base_scale: f64,
-}
-
-/// Rejects non-finite entries of a per-solve input vector.
-pub(crate) fn check_finite(what: &'static str, v: &Vector) -> Result<(), QpError> {
+/// Rejects non-finite entries of an input (`G` row-major, or a per-solve
+/// vector).
+pub(crate) fn check_finite(what: &'static str, v: &[f64]) -> Result<(), QpError> {
     match v.iter().position(|e| !e.is_finite()) {
         Some(index) => Err(QpError::NonFiniteInput { what, index }),
         None => Ok(()),
     }
 }
 
-/// Shared Goldfarb–Idnani core used by [`QuadProg`], [`PreparedQp`] and the
-/// least-squares front ends.  `factors` memoizes the warm-start
-/// subproblem factorization across calls with a stable active set (a
-/// one-shot caller passes a fresh one); the solution is left in `ws`.
+/// The Goldfarb–Idnani solve behind [`PreparedQp`] and
+/// [`PreparedLsq`](crate::PreparedLsq).  `factors` memoizes the
+/// warm-start subproblem factorization across calls with a stable active
+/// set; the solution is left in `ws`.
 ///
 /// Within the main loop the subproblem's factor follows the active set:
 /// a row that joins extends it by one bordered row and column
 /// ([`Lu::extend`], the same bits as a refactor), and only after a drop,
 /// or where the extension declines, is it gathered and refactored.
-pub(crate) fn solve_with_chol(
-    model: &Model<'_>,
+fn solve_with_chol(
+    model: &QpCore,
     f: &Vector,
     hvec: &Vector,
     warm: &[usize],
@@ -515,11 +306,11 @@ pub(crate) fn solve_with_chol(
     // `0 · ±inf` is the one product a skipped zero would have changed,
     // and a NaN or infinite entry silently disables constraints (an
     // infinite `tol`) or poisons `x`: finite inputs only.
-    check_finite("f", f)?;
-    check_finite("h", hvec)?;
+    check_finite("f", f.as_slice())?;
+    check_finite("h", hvec.as_slice())?;
     let n = f.len();
-    let m = model.rows.rows();
-    let rows = model.rows;
+    let rows = &model.g_rows;
+    let m = rows.rows();
     ws.begin(n);
     if n == 0 {
         // No variables: the empty minimizer, whatever the constraints say.
@@ -536,7 +327,7 @@ pub(crate) fn solve_with_chol(
         *v = -*v;
     }
     model.chol.solve_into(&ws.x, &mut ws.x0)?;
-    let tol = TOL * model.base_scale.max(hvec.max_abs());
+    let tol = tolerance(model.base_scale, hvec);
     let max_iter = 50 * (m + 1);
 
     ws.x.clone_from(&ws.x0);
@@ -725,7 +516,7 @@ pub(crate) fn solve_with_chol(
 /// subproblem is singular, e.g. for a stale guess with linearly dependent
 /// rows.
 fn try_warm_start(
-    model: &Model<'_>,
+    model: &QpCore,
     hvec: &Vector,
     warm: &[usize],
     tol: f64,
@@ -733,7 +524,7 @@ fn try_warm_start(
     factors: &mut WarmFactors,
     ws: &mut QpWorkspace,
 ) -> Option<()> {
-    let rows = model.rows;
+    let rows = &model.g_rows;
     let m = rows.rows();
     let QpWorkspace {
         x,
@@ -873,6 +664,12 @@ fn try_warm_start(
     }
 }
 
+/// The tolerance of a solve: `TOL` relative to the larger of the model's
+/// scale and `|h|∞`.
+fn tolerance(base_scale: f64, hvec: &Vector) -> f64 {
+    TOL * base_scale.max(hvec.max_abs())
+}
+
 /// The immutable heart of a [`PreparedQp`]: everything fixed at
 /// preparation time (`G`, its sparse view, the Cholesky factor of `H`, the
 /// tolerance scale).  `H` itself is not kept: after construction every use
@@ -894,8 +691,69 @@ struct QpCore {
     base_scale: f64,
 }
 
-/// A quadratic program with fixed `H` and `G`, prepared for repeated
-/// solves with varying `f` and `h`.
+/// Scratch of the debug build's KKT check of a solve: `Lᵀx`, the
+/// stationarity residual, and the multipliers spread over every row.
+#[cfg(debug_assertions)]
+#[derive(Debug, Default)]
+struct KktScratch {
+    ltx: Vector,
+    grad: Vector,
+    lambda: Vector,
+}
+
+impl QpCore {
+    /// Largest violation of the KKT conditions of `min ½xᵀHx + fᵀx` s.t.
+    /// `Gx ≤ hvec` at `x` with multipliers `lambda` (one per row):
+    /// stationarity `Hx + f + Gᵀλ = 0`, primal and dual feasibility, and
+    /// complementary slackness as `|min(λ_i, s_i)|` for the slack
+    /// `s_i = h_i − g_i·x`.  The product `|λ_i·s_i|` would grow with the
+    /// multipliers: where the feasible region lies far from the
+    /// unconstrained minimum they reach 1e5, and an exact answer's
+    /// rounding-level slacks read thousands of tolerances.  `Hx` is formed
+    /// as `L(Lᵀx)` from the Cholesky factor, inside its band.
+    fn kkt_residual(
+        &self,
+        f: &Vector,
+        hvec: &Vector,
+        x: &Vector,
+        lambda: &Vector,
+        ltx: &mut Vector,
+        grad: &mut Vector,
+    ) -> f64 {
+        let (l, band) = (self.chol.l(), self.chol.bandwidth());
+        let n = x.len();
+        ltx.resize(n);
+        ltx.as_mut_slice().fill(0.0);
+        for i in 0..n {
+            let lo = i.saturating_sub(band);
+            kernel::axpy(&mut ltx.as_mut_slice()[lo..=i], x[i], &l.row(i)[lo..=i]);
+        }
+        grad.clone_from(f);
+        for i in 0..n {
+            let lo = i.saturating_sub(band);
+            grad[i] += kernel::dot(&l.row(i)[lo..=i], &ltx.as_slice()[lo..=i]);
+        }
+        for (i, &lam) in lambda.iter().enumerate() {
+            kernel::axpy(grad.as_mut_slice(), lam, self.g.row(i));
+        }
+        let mut worst = grad.max_abs();
+        for (i, &lam) in lambda.iter().enumerate() {
+            let slack = hvec[i] - self.g_rows.dot(i, x.as_slice());
+            worst = worst.max(-slack).max(-lam).max(lam.min(slack).abs());
+        }
+        worst
+    }
+}
+
+/// A strictly convex quadratic program `min ½xᵀHx + fᵀx` subject to
+/// `Gx ≤ h`, with `H` and `G` fixed and prepared for repeated solves with
+/// varying `f` and `h`.
+///
+/// Solved by the dual active-set method of Goldfarb & Idnani (1983) — the
+/// algorithm family used by production QP codes (`quadprog`, MATLAB's
+/// medium-scale `lsqlin`).  The dual method starts from the unconstrained
+/// minimum `x = −H⁻¹f` and adds violated constraints one at a time, so it
+/// never needs a feasible starting point and certifies infeasibility.
 ///
 /// Construction performs the only Cholesky factorization of `H`.  A
 /// constraint row's back-solve `H⁻¹n_i` and its Gram entries against the
@@ -905,7 +763,8 @@ struct QpCore {
 /// pair of triangular back-substitutions plus active-set bookkeeping.
 /// This matches the controller hot path, where the plant model (hence `H`
 /// and the constraint matrix) never changes between sampling periods while
-/// the set-point error (`f`) and constraint slacks (`h`) do.
+/// the set-point error (`f`) and constraint slacks (`h`) do.  A single
+/// solve is a fresh instance solved once.
 ///
 /// Cloning is cheap: the immutable model (`QpCore`) is shared through an
 /// `Arc`, only the per-instance warm-start factors are copied, and the
@@ -915,6 +774,24 @@ struct QpCore {
 /// bit-identical to the original's regardless of sharing (the shared
 /// state never mutates; the factors are deterministic; a back-solve has
 /// the same bits whichever solve first computes it).
+///
+/// # Example
+///
+/// ```
+/// use eucon_math::{Matrix, Vector};
+/// use eucon_qp::PreparedQp;
+///
+/// # fn main() -> Result<(), eucon_qp::QpError> {
+/// // min ½‖x‖² s.t. x0 ≥ 1 (written as −x0 ≤ −1)
+/// let qp = PreparedQp::new(Matrix::identity(2), Matrix::from_rows(&[&[-1.0, 0.0]]))?;
+/// let (f, h) = (Vector::zeros(2), Vector::from_slice(&[-1.0]));
+/// let sol = qp.solve(&f, &h, &[])?;
+/// assert!((sol.x[0] - 1.0).abs() < 1e-9);
+/// assert!(sol.x[1].abs() < 1e-9);
+/// assert!(qp.kkt_residual(&f, &h, &sol) < 1e-9);
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug)]
 pub struct PreparedQp {
     core: Arc<QpCore>,
@@ -953,6 +830,9 @@ impl PreparedQp {
     /// * [`QpError::NotStrictlyConvex`] — `h` is not square or not positive
     ///   definite.
     /// * [`QpError::DimensionMismatch`] — `g.cols() != h.rows()`.
+    /// * [`QpError::NonFiniteInput`] — `g` has a NaN or infinite entry
+    ///   (`what` is `"g"`, `index` its row-major position).  Such an entry
+    ///   would make every solve's tolerance infinite or drop its row.
     pub fn new(h: Matrix, g: Matrix) -> Result<Self, QpError> {
         if !h.is_square() {
             return Err(QpError::NotStrictlyConvex);
@@ -964,7 +844,11 @@ impl PreparedQp {
                 h.rows()
             )));
         }
-        let chol = factorize(&h)?;
+        check_finite("g", g.as_slice())?;
+        let chol = Cholesky::decompose(&h).map_err(|e| match e {
+            MathError::NotPositiveDefinite => QpError::NotStrictlyConvex,
+            other => QpError::Math(other),
+        })?;
         let g_rows = SparseRows::from_matrix(&g);
         let base_scale = g.max_abs().max(h.max_abs()).max(1.0);
         let mut workspace = QpWorkspace::default();
@@ -1012,16 +896,24 @@ impl PreparedQp {
 
     /// Solves `min ½xᵀHx + fᵀx` s.t. `Gx ≤ hvec` for the prepared `H`, `G`.
     ///
-    /// `warm` seeds the active set (see [`QuadProg::solve_warm`]); pass an
-    /// empty slice for a cold start.  Allocates the returned solution;
+    /// `warm` seeds the active set, typically with the active set of the
+    /// previous solve of a slowly varying problem; pass an empty slice for
+    /// a cold start.  The guess only affects the starting point of the
+    /// dual iteration, not the solution: indices that are out of range or
+    /// not actually active at the optimum are discarded along the way, and
+    /// a guess whose equality subproblem is singular falls back to a cold
+    /// start.  When the guess is exact the solver performs zero active-set
+    /// iterations.  Allocates the returned solution;
     /// [`solve_into`](PreparedQp::solve_into) is the same solve into a
     /// caller-owned one.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`QuadProg::solve`], except
-    /// [`QpError::NotStrictlyConvex`] which was already ruled out at
-    /// construction.
+    /// * [`QpError::NonFiniteInput`] — `f` or `hvec` has a NaN or infinite
+    ///   entry.
+    /// * [`QpError::Infeasible`] — no point satisfies all constraints.
+    /// * [`QpError::IterationLimit`] — active-set cycling (should not occur
+    ///   for well-scaled inputs).
     ///
     /// # Panics
     ///
@@ -1059,6 +951,31 @@ impl PreparedQp {
         Ok(())
     }
 
+    /// Maximum KKT residual of a candidate solution of `min ½xᵀHx + fᵀx`
+    /// s.t. `Gx ≤ hvec`: stationarity, primal and dual feasibility and
+    /// complementary slackness (as `|min(λ_i, h_i − g_i·x)|`, which does
+    /// not grow with the multipliers), read from `sol.x` and
+    /// `sol.multipliers`.
+    /// The prepared `H` enters through its Cholesky factor.  A debug build
+    /// checks every successful solve against this residual (at most ten
+    /// times the solve's tolerance).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lengths of `f`, `hvec`, `sol.x` or `sol.multipliers`
+    /// are inconsistent with the prepared problem.
+    pub fn kkt_residual(&self, f: &Vector, hvec: &Vector, sol: &QpSolution) -> f64 {
+        let (n, m) = (self.num_vars(), self.num_constraints());
+        assert_eq!(
+            (f.len(), sol.x.len(), hvec.len(), sol.multipliers.len()),
+            (n, n, m, m),
+            "f and x need one entry per variable, hvec and the multipliers one per constraint"
+        );
+        let (mut ltx, mut grad) = (Vector::zeros(0), Vector::zeros(0));
+        self.core
+            .kkt_residual(f, hvec, &sol.x, &sol.multipliers, &mut ltx, &mut grad)
+    }
+
     /// This instance's workspace (the least-squares front end stages its
     /// linear term there and reads the solution from it).
     pub(crate) fn workspace(&self) -> RefMut<'_, QpWorkspace> {
@@ -1066,7 +983,9 @@ impl PreparedQp {
     }
 
     /// The solve itself, leaving the solution in `ws` (which must be this
-    /// instance's workspace or a fresh one).
+    /// instance's workspace or a fresh one).  In a debug build the
+    /// solution's KKT residual must be within ten times the solve's
+    /// tolerance.
     pub(crate) fn solve_in(
         &self,
         ws: &mut QpWorkspace,
@@ -1084,29 +1003,49 @@ impl PreparedQp {
             self.num_constraints(),
             "rhs length must match constraint count"
         );
-        let core = &*self.core;
-        let model = Model {
-            chol: &core.chol,
-            g: &core.g,
-            rows: &core.g_rows,
-            base_scale: core.base_scale,
-        };
-        solve_with_chol(
-            &model,
+        let stats = solve_with_chol(
+            &self.core,
             f,
             hvec,
             warm,
             &mut self.warm_factors.borrow_mut(),
             ws,
-        )
+        )?;
+        #[cfg(debug_assertions)]
+        self.assert_certified(ws, f, hvec);
+        Ok(stats)
     }
-}
 
-pub(crate) fn factorize(h: &Matrix) -> Result<Cholesky, QpError> {
-    Cholesky::decompose(h).map_err(|e| match e {
-        MathError::NotPositiveDefinite => QpError::NotStrictlyConvex,
-        other => QpError::Math(other),
-    })
+    /// The debug build's postcondition of a successful solve: the KKT
+    /// residual of the solution left in `ws` is at most `10·tol`.  With no
+    /// variables the solver answers the empty minimizer whatever `hvec`
+    /// says, so there is nothing to certify.  Works in the workspace's
+    /// own scratch: the check allocates nothing once it has run.
+    #[cfg(debug_assertions)]
+    fn assert_certified(&self, ws: &mut QpWorkspace, f: &Vector, hvec: &Vector) {
+        if f.is_empty() {
+            return;
+        }
+        let QpWorkspace {
+            x,
+            active,
+            u,
+            kkt: KktScratch { ltx, grad, lambda },
+            ..
+        } = ws;
+        lambda.resize(hvec.len());
+        lambda.as_mut_slice().fill(0.0);
+        for (&a, &ua) in active.iter().zip(u.iter()) {
+            lambda[a] = ua;
+        }
+        let residual = self.core.kkt_residual(f, hvec, x, lambda, ltx, grad);
+        let tol = tolerance(self.core.base_scale, hvec);
+        assert!(
+            residual <= 10.0 * tol,
+            "KKT residual {residual:e} exceeds 10·tol = {:e} (active set {active:?})",
+            10.0 * tol
+        );
+    }
 }
 
 #[cfg(test)]
@@ -1115,15 +1054,22 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn unit_qp() -> QuadProg {
-        QuadProg::new(Matrix::identity(2), Vector::zeros(2)).unwrap()
+    /// A prepared `H` with the constraint rows `rows` (none when empty).
+    fn prepared(h: Matrix, rows: &[&[f64]]) -> PreparedQp {
+        let g = if rows.is_empty() {
+            Matrix::zeros(0, h.rows())
+        } else {
+            Matrix::from_rows(rows)
+        };
+        PreparedQp::new(h, g).unwrap()
     }
 
     #[test]
     fn unconstrained_minimum() {
         // min ½‖x‖² − [1,2]·x → x = [1,2].
-        let qp = QuadProg::new(Matrix::identity(2), Vector::from_slice(&[-1.0, -2.0])).unwrap();
-        let sol = qp.solve().unwrap();
+        let qp = prepared(Matrix::identity(2), &[]);
+        let f = Vector::from_slice(&[-1.0, -2.0]);
+        let sol = qp.solve(&f, &Vector::zeros(0), &[]).unwrap();
         assert!(sol.x.approx_eq(&Vector::from_slice(&[1.0, 2.0]), 1e-10));
         assert!(sol.active.is_empty());
     }
@@ -1131,19 +1077,22 @@ mod tests {
     #[test]
     fn single_active_constraint() {
         // min ½‖x‖² s.t. x0 ≥ 1.
-        let qp = unit_qp().ineq_rows(&[&[-1.0, 0.0]], &[-1.0]);
-        let sol = qp.solve().unwrap();
+        let qp = prepared(Matrix::identity(2), &[&[-1.0, 0.0]]);
+        let (f, h) = (Vector::zeros(2), Vector::from_slice(&[-1.0]));
+        let sol = qp.solve(&f, &h, &[]).unwrap();
         assert!(sol.x.approx_eq(&Vector::from_slice(&[1.0, 0.0]), 1e-10));
         assert_eq!(sol.active, vec![0]);
         assert!((sol.multipliers[0] - 1.0).abs() < 1e-9);
-        assert!(qp.kkt_residual(&sol) < 1e-9);
+        assert!(qp.kkt_residual(&f, &h, &sol) < 1e-9);
     }
 
     #[test]
     fn inactive_constraints_are_ignored() {
         // Same objective; constraint x0 ≤ 5 is never binding.
-        let qp = unit_qp().ineq_rows(&[&[1.0, 0.0]], &[5.0]);
-        let sol = qp.solve().unwrap();
+        let qp = prepared(Matrix::identity(2), &[&[1.0, 0.0]]);
+        let sol = qp
+            .solve(&Vector::zeros(2), &Vector::from_slice(&[5.0]), &[])
+            .unwrap();
         assert!(sol.x.max_abs() < 1e-10);
         assert!(sol.active.is_empty());
         assert_eq!(sol.multipliers[0], 0.0);
@@ -1152,13 +1101,15 @@ mod tests {
     #[test]
     fn two_constraints_corner() {
         // min ½‖x − [2,2]‖² s.t. x0 ≤ 1, x1 ≤ 1 → corner [1,1].
-        let qp = QuadProg::new(Matrix::identity(2), Vector::from_slice(&[-2.0, -2.0]))
-            .unwrap()
-            .ineq_rows(&[&[1.0, 0.0], &[0.0, 1.0]], &[1.0, 1.0]);
-        let sol = qp.solve().unwrap();
+        let qp = prepared(Matrix::identity(2), &[&[1.0, 0.0], &[0.0, 1.0]]);
+        let (f, h) = (
+            Vector::from_slice(&[-2.0, -2.0]),
+            Vector::from_slice(&[1.0, 1.0]),
+        );
+        let sol = qp.solve(&f, &h, &[]).unwrap();
         assert!(sol.x.approx_eq(&Vector::from_slice(&[1.0, 1.0]), 1e-10));
         assert_eq!(sol.active.len(), 2);
-        assert!(qp.kkt_residual(&sol) < 1e-9);
+        assert!(qp.kkt_residual(&f, &h, &sol) < 1e-9);
     }
 
     #[test]
@@ -1167,61 +1118,72 @@ mod tests {
         // is active at the optimum, forcing an add-then-drop sequence for
         // some processing orders.
         // min ½‖x − [3,0]‖² s.t. x0 + x1 ≤ 1, x0 − x1 ≤ 1.
-        let qp = QuadProg::new(Matrix::identity(2), Vector::from_slice(&[-3.0, 0.0]))
-            .unwrap()
-            .ineq_rows(&[&[1.0, 1.0], &[1.0, -1.0]], &[1.0, 1.0]);
-        let sol = qp.solve().unwrap();
+        let qp = prepared(Matrix::identity(2), &[&[1.0, 1.0], &[1.0, -1.0]]);
+        let (f, h) = (
+            Vector::from_slice(&[-3.0, 0.0]),
+            Vector::from_slice(&[1.0, 1.0]),
+        );
+        let sol = qp.solve(&f, &h, &[]).unwrap();
         // Optimum is x = [1, 0] with both constraints active.
         assert!(sol.x.approx_eq(&Vector::from_slice(&[1.0, 0.0]), 1e-9));
-        assert!(qp.kkt_residual(&sol) < 1e-9);
+        assert!(qp.kkt_residual(&f, &h, &sol) < 1e-9);
     }
 
     #[test]
     fn detects_infeasible() {
         // x0 ≤ 0 and x0 ≥ 1 cannot both hold.
-        let qp = unit_qp().ineq_rows(&[&[1.0, 0.0], &[-1.0, 0.0]], &[0.0, -1.0]);
-        assert_eq!(qp.solve().unwrap_err(), QpError::Infeasible);
+        let qp = prepared(Matrix::identity(2), &[&[1.0, 0.0], &[-1.0, 0.0]]);
+        let h = Vector::from_slice(&[0.0, -1.0]);
+        assert_eq!(
+            qp.solve(&Vector::zeros(2), &h, &[]).unwrap_err(),
+            QpError::Infeasible
+        );
     }
 
     #[test]
     fn rejects_indefinite_hessian() {
         let h = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, -1.0]]);
-        let qp = QuadProg::new(h, Vector::zeros(2)).unwrap();
-        assert_eq!(qp.solve().unwrap_err(), QpError::NotStrictlyConvex);
+        let r = PreparedQp::new(h, Matrix::zeros(0, 2));
+        assert_eq!(r.unwrap_err(), QpError::NotStrictlyConvex);
     }
 
     #[test]
     fn rejects_dimension_mismatch() {
         assert!(matches!(
-            QuadProg::new(Matrix::identity(2), Vector::zeros(3)),
+            PreparedQp::new(Matrix::identity(2), Matrix::zeros(1, 3)),
             Err(QpError::DimensionMismatch(_))
         ));
     }
 
     #[test]
     fn empty_problem() {
-        let qp = QuadProg::new(Matrix::zeros(0, 0), Vector::zeros(0)).unwrap();
-        let sol = qp.solve().unwrap();
+        let qp = PreparedQp::new(Matrix::zeros(0, 0), Matrix::zeros(0, 0)).unwrap();
+        let sol = qp.solve(&Vector::zeros(0), &Vector::zeros(0), &[]).unwrap();
         assert!(sol.x.is_empty());
+        // No variables in a least-squares problem: the residual is `‖d‖`.
+        let lsq = crate::PreparedLsq::new(Matrix::zeros(2, 0), Matrix::zeros(0, 0), 0.0).unwrap();
+        let sol = lsq
+            .solve_with(&Vector::from_slice(&[3.0, 4.0]), &Vector::zeros(0), &[])
+            .unwrap();
+        assert!(sol.x.is_empty());
+        assert_eq!(sol.residual, 5.0);
     }
 
     #[test]
     fn redundant_duplicate_constraints() {
         // The same constraint twice must not confuse the active set.
-        let qp = QuadProg::new(Matrix::identity(1), Vector::from_slice(&[-2.0]))
-            .unwrap()
-            .ineq_rows(&[&[1.0], &[1.0]], &[1.0, 1.0]);
-        let sol = qp.solve().unwrap();
+        let qp = prepared(Matrix::identity(1), &[&[1.0], &[1.0]]);
+        let h = Vector::from_slice(&[1.0, 1.0]);
+        let sol = qp.solve(&Vector::from_slice(&[-2.0]), &h, &[]).unwrap();
         assert!((sol.x[0] - 1.0).abs() < 1e-10);
     }
 
     #[test]
     fn equality_like_tight_box() {
         // 0.5 ≤ x0 ≤ 0.5 pins the variable.
-        let qp = QuadProg::new(Matrix::identity(1), Vector::zeros(1))
-            .unwrap()
-            .ineq_rows(&[&[1.0], &[-1.0]], &[0.5, -0.5]);
-        let sol = qp.solve().unwrap();
+        let qp = prepared(Matrix::identity(1), &[&[1.0], &[-1.0]]);
+        let h = Vector::from_slice(&[0.5, -0.5]);
+        let sol = qp.solve(&Vector::zeros(1), &h, &[]).unwrap();
         assert!((sol.x[0] - 0.5).abs() < 1e-10);
     }
 
@@ -1229,77 +1191,64 @@ mod tests {
     fn coupled_hessian() {
         // Non-diagonal H exercises the Cholesky path.
         let h = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 2.0]]);
-        let qp = QuadProg::new(h.clone(), Vector::from_slice(&[-1.0, -1.0]))
-            .unwrap()
-            .ineq_rows(&[&[-1.0, 0.0]], &[-0.5]);
-        let sol = qp.solve().unwrap();
-        assert!(qp.kkt_residual(&sol) < 1e-9);
+        let qp = prepared(h, &[&[-1.0, 0.0]]);
+        let (f, hvec) = (
+            Vector::from_slice(&[-1.0, -1.0]),
+            Vector::from_slice(&[-0.5]),
+        );
+        let sol = qp.solve(&f, &hvec, &[]).unwrap();
+        assert!(qp.kkt_residual(&f, &hvec, &sol) < 1e-9);
         assert!(sol.x[0] >= 0.5 - 1e-10);
+    }
+
+    /// `min ½‖x − t‖²` s.t. `x ≤ 1` per coordinate, with `f = −t`.
+    fn unit_box() -> (PreparedQp, Vector) {
+        let qp = prepared(Matrix::identity(2), &[&[1.0, 0.0], &[0.0, 1.0]]);
+        (qp, Vector::from_slice(&[1.0, 1.0]))
     }
 
     #[test]
     fn warm_start_with_exact_active_set_takes_zero_iterations() {
-        // min ½‖x − [2,2]‖² s.t. x ≤ 1 per coordinate: both rows active.
-        let qp = QuadProg::new(Matrix::identity(2), Vector::from_slice(&[-2.0, -2.0]))
-            .unwrap()
-            .ineq_rows(&[&[1.0, 0.0], &[0.0, 1.0]], &[1.0, 1.0]);
-        let cold = qp.solve().unwrap();
+        // Target [2, 2]: both rows active.
+        let (qp, h) = unit_box();
+        let f = Vector::from_slice(&[-2.0, -2.0]);
+        let cold = qp.solve(&f, &h, &[]).unwrap();
         assert!(cold.iterations > 0);
-        let warm = qp.solve_warm(&cold.active).unwrap();
+        let warm = qp.solve(&f, &h, &cold.active).unwrap();
         assert_eq!(warm.iterations, 0);
         assert!(warm.x.approx_eq(&cold.x, 1e-12));
-        assert!(qp.kkt_residual(&warm) < 1e-9);
+        assert!(qp.kkt_residual(&f, &h, &warm) < 1e-9);
     }
 
     #[test]
     fn warm_start_with_wrong_guess_still_finds_optimum() {
         // Optimum activates row 0 only; seed with the other row.
-        let qp = QuadProg::new(Matrix::identity(2), Vector::from_slice(&[-2.0, 0.0]))
-            .unwrap()
-            .ineq_rows(&[&[1.0, 0.0], &[0.0, 1.0]], &[1.0, 1.0]);
-        let cold = qp.solve().unwrap();
-        let warm = qp.solve_warm(&[1]).unwrap();
+        let (qp, h) = unit_box();
+        let f = Vector::from_slice(&[-2.0, 0.0]);
+        let cold = qp.solve(&f, &h, &[]).unwrap();
+        let warm = qp.solve(&f, &h, &[1]).unwrap();
         assert!(warm.x.approx_eq(&cold.x, 1e-10));
         assert_eq!(warm.active, cold.active);
-        assert!(qp.kkt_residual(&warm) < 1e-9);
+        assert!(qp.kkt_residual(&f, &h, &warm) < 1e-9);
     }
 
     #[test]
     fn warm_start_tolerates_garbage_indices() {
-        let qp = unit_qp().ineq_rows(&[&[-1.0, 0.0]], &[-1.0]);
-        let cold = qp.solve().unwrap();
+        let qp = prepared(Matrix::identity(2), &[&[-1.0, 0.0]]);
+        let (f, h) = (Vector::zeros(2), Vector::from_slice(&[-1.0]));
+        let cold = qp.solve(&f, &h, &[]).unwrap();
         // Out-of-range and duplicate indices must be ignored, not panic.
-        let warm = qp.solve_warm(&[7, 0, 0, 99]).unwrap();
+        let warm = qp.solve(&f, &h, &[7, 0, 0, 99]).unwrap();
         assert!(warm.x.approx_eq(&cold.x, 1e-10));
     }
 
     #[test]
     fn warm_start_with_dependent_rows_falls_back_to_cold() {
         // Duplicate rows make the warm subproblem singular.
-        let qp = QuadProg::new(Matrix::identity(1), Vector::from_slice(&[-2.0]))
-            .unwrap()
-            .ineq_rows(&[&[1.0], &[1.0]], &[1.0, 1.0]);
-        let warm = qp.solve_warm(&[0, 1]).unwrap();
+        let qp = prepared(Matrix::identity(1), &[&[1.0], &[1.0]]);
+        let h = Vector::from_slice(&[1.0, 1.0]);
+        let warm = qp.solve(&Vector::from_slice(&[-2.0]), &h, &[0, 1]).unwrap();
         assert!((warm.x[0] - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn prepared_matches_one_shot_solver() {
-        let h = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 2.0]]);
-        let g = Matrix::from_rows(&[&[-1.0, 0.0], &[0.0, -1.0], &[1.0, 1.0]]);
-        let hvec = Vector::from_slice(&[-0.5, -0.25, 3.0]);
-        let f = Vector::from_slice(&[-1.0, -1.0]);
-
-        let oneshot = QuadProg::new(h.clone(), f.clone())
-            .unwrap()
-            .ineq(g.clone(), hvec.clone())
-            .solve()
-            .unwrap();
-        let prepared = PreparedQp::new(h, g).unwrap();
-        let sol = prepared.solve(&f, &hvec, &[]).unwrap();
-        assert!(sol.x.approx_eq(&oneshot.x, 1e-12));
-        assert_eq!(sol.active, oneshot.active);
-        assert!(sol.multipliers.approx_eq(&oneshot.multipliers, 1e-10));
     }
 
     #[test]
@@ -1356,13 +1305,6 @@ mod tests {
         assert_bit_identical(&a, &c);
     }
 
-    #[test]
-    fn prepared_rejects_indefinite_hessian_at_construction() {
-        let h = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, -1.0]]);
-        let r = PreparedQp::new(h, Matrix::zeros(0, 2));
-        assert_eq!(r.unwrap_err(), QpError::NotStrictlyConvex);
-    }
-
     /// Exact bit-pattern equality of two solutions, including the
     /// active-set trajectory.
     fn assert_bit_identical(a: &QpSolution, b: &QpSolution) {
@@ -1389,15 +1331,9 @@ mod tests {
 
     #[test]
     fn non_finite_inputs_are_rejected_on_every_front_end() {
-        let (h, g, qp) = coupled_prepared();
+        let (_, _, qp) = coupled_prepared();
         let f = Vector::from_slice(&[-3.0, 2.0, -1.5]);
         let hvec = Vector::from_slice(&[0.4, 0.8, 0.3, 0.9, 0.9, 2.0]);
-        let one_shot = |f: &Vector, hvec: &Vector| {
-            QuadProg::new(h.clone(), f.clone())
-                .unwrap()
-                .ineq(g.clone(), hvec.clone())
-                .solve()
-        };
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut bad_f = f.clone();
             bad_f[1] = bad;
@@ -1413,8 +1349,6 @@ mod tests {
             };
             assert_eq!(qp.solve(&bad_f, &hvec, &[]).unwrap_err(), in_f);
             assert_eq!(qp.solve(&f, &bad_h, &[0, 5]).unwrap_err(), in_h);
-            assert_eq!(one_shot(&bad_f, &hvec).unwrap_err(), in_f);
-            assert_eq!(one_shot(&f, &bad_h).unwrap_err(), in_h);
         }
         // A rejected call leaves the instance as it was: the next solve
         // matches a fresh build bit for bit.
@@ -1423,6 +1357,37 @@ mod tests {
             &qp.solve(&f, &hvec, &[]).unwrap(),
             &fresh.solve(&f, &hvec, &[]).unwrap(),
         );
+    }
+
+    #[test]
+    fn non_finite_constraint_matrix_is_rejected_at_construction() {
+        // x0 ≤ 1 beside an infinite entry: the infinity would make every
+        // solve's tolerance infinite and return x = [2, 0] past x0 ≤ 1; a
+        // NaN would drop its row.
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            let g = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, bad]]);
+            assert_eq!(
+                PreparedQp::new(Matrix::identity(2), g.clone()).unwrap_err(),
+                QpError::NonFiniteInput {
+                    what: "g",
+                    index: 3
+                }
+            );
+            let lsq = crate::PreparedLsq::new(Matrix::identity(2), g, 0.0);
+            assert!(matches!(
+                lsq.unwrap_err(),
+                QpError::NonFiniteInput { what: "g", .. }
+            ));
+        }
+        // The same problem with the row finite solves to the constrained
+        // optimum.
+        let qp = prepared(Matrix::identity(2), &[&[1.0, 0.0], &[0.0, 1.0]]);
+        let (f, h) = (
+            Vector::from_slice(&[-2.0, 0.0]),
+            Vector::from_slice(&[1.0, 1.0]),
+        );
+        let sol = qp.solve(&f, &h, &[]).unwrap();
+        assert!(sol.x.approx_eq(&Vector::from_slice(&[1.0, 0.0]), 1e-12));
     }
 
     #[test]
@@ -1452,23 +1417,20 @@ mod tests {
 
     #[test]
     fn warm_retained_counts_the_rows_the_guess_contributed() {
-        // min ½‖x − [2,2]‖² s.t. x ≤ 1 per coordinate: both rows active.
-        let qp = QuadProg::new(Matrix::identity(2), Vector::from_slice(&[-2.0, -2.0]))
-            .unwrap()
-            .ineq_rows(&[&[1.0, 0.0], &[0.0, 1.0]], &[1.0, 1.0]);
-        let cold = qp.solve().unwrap();
+        // Target [2, 2] in the unit box: both rows active.
+        let (qp, h) = unit_box();
+        let f = Vector::from_slice(&[-2.0, -2.0]);
+        let cold = qp.solve(&f, &h, &[]).unwrap();
         assert_eq!(cold.warm_retained, 0);
-        let exact = qp.solve_warm(&cold.active).unwrap();
+        let exact = qp.solve(&f, &h, &cold.active).unwrap();
         assert_eq!((exact.warm_retained, exact.iterations), (2, 0));
         // Row 1 alone is a correct partial guess: kept, one row to add.
-        let partial = qp.solve_warm(&[1]).unwrap();
+        let partial = qp.solve(&f, &h, &[1]).unwrap();
         assert_eq!((partial.warm_retained, partial.iterations), (1, 1));
         // With the target inside the box no row binds: the guess is
         // offered, nothing of it survives.
-        let inside = QuadProg::new(Matrix::identity(2), Vector::from_slice(&[-0.5, -0.5]))
-            .unwrap()
-            .ineq_rows(&[&[1.0, 0.0], &[0.0, 1.0]], &[1.0, 1.0]);
-        assert_eq!(inside.solve_warm(&[0, 1]).unwrap().warm_retained, 0);
+        let inside = Vector::from_slice(&[-0.5, -0.5]);
+        assert_eq!(qp.solve(&inside, &h, &[0, 1]).unwrap().warm_retained, 0);
     }
 
     /// `H = AᵀA + I` over `n` variables and a `G` of `m` rows whose
@@ -1564,6 +1526,89 @@ mod tests {
         }
     }
 
+    /// The independent reference: for every set of at most `n` rows of
+    /// `G`, smallest first, the KKT system of that active set
+    /// `[H G_Aᵀ; G_A 0]·[x; λ] = [−f; h_A]` solved by dense LU, and the
+    /// first `x` whose stationarity, primal and dual feasibility all hold
+    /// within `1e-9` of the data's scale (checked, not trusted to the
+    /// solve).  A strictly convex QP has one KKT point, its minimizer, so
+    /// `None` means the constraints are infeasible.  Shares nothing with
+    /// the solver but `Matrix`; `n ≤ 6` and `m ≤ 10` keep it to at most
+    /// 848 systems.
+    fn oracle(h: &Matrix, g: &Matrix, f: &Vector, hvec: &Vector) -> Option<Vector> {
+        let (n, m) = (h.rows(), g.rows());
+        assert!(n <= 6 && m <= 10, "the oracle enumerates the active sets");
+        let eps = 1e-9 * (1.0 + f.max_abs() + hvec.max_abs());
+        let mut sets: Vec<u32> = (0..1u32 << m)
+            .filter(|s| s.count_ones() as usize <= n)
+            .collect();
+        sets.sort_by_key(|s| s.count_ones());
+        sets.into_iter().find_map(|set| {
+            let rows: Vec<usize> = (0..m).filter(|&i| set >> i & 1 == 1).collect();
+            let k = rows.len();
+            let kkt = Matrix::from_fn(n + k, n + k, |i, j| match (i < n, j < n) {
+                (true, true) => h[(i, j)],
+                (true, false) => g[(rows[j - n], i)],
+                (false, true) => g[(rows[i - n], j)],
+                (false, false) => 0.0,
+            });
+            let rhs = Vector::from_iter((0..n).map(|i| -f[i]).chain(rows.iter().map(|&r| hvec[r])));
+            let sol = kkt.solve(&rhs).ok()?;
+            let x = Vector::from_iter((0..n).map(|i| sol[i]));
+            let lambda = &sol.as_slice()[n..];
+            let mut grad = &h.mul_vec(&x) + f;
+            for (&r, &l) in rows.iter().zip(lambda) {
+                for j in 0..n {
+                    grad[j] += l * g[(r, j)];
+                }
+            }
+            let viol = |i: usize| {
+                g.row(i)
+                    .iter()
+                    .zip(x.iter())
+                    .map(|(a, b)| a * b)
+                    .sum::<f64>()
+                    - hvec[i]
+            };
+            let kkt_point = grad.max_abs() <= eps
+                && lambda.iter().all(|&l| l >= -eps)
+                && (0..m).all(|i| viol(i) <= eps)
+                && rows.iter().all(|&r| viol(r).abs() <= eps);
+            kkt_point.then_some(x)
+        })
+    }
+
+    #[test]
+    fn oracle_finds_the_minimizer_or_reports_infeasibility() {
+        // The corner of `two_constraints_corner`, the single row of
+        // `coupled_hessian` (x0 = 0.5 binds), and `detects_infeasible`.
+        let corner = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]);
+        let x = oracle(
+            &Matrix::identity(2),
+            &corner,
+            &Vector::from_slice(&[-2.0, -2.0]),
+            &Vector::from_slice(&[1.0, 1.0]),
+        );
+        assert!(x
+            .unwrap()
+            .approx_eq(&Vector::from_slice(&[1.0, 1.0]), 1e-12));
+        let h = Matrix::from_rows(&[&[4.0, 1.0], &[1.0, 2.0]]);
+        let f = Vector::from_slice(&[-1.0, -1.0]);
+        let hvec = Vector::from_slice(&[-0.5]);
+        let qp = prepared(h.clone(), &[&[-1.0, 0.0]]);
+        let x = oracle(&h, &Matrix::from_rows(&[&[-1.0, 0.0]]), &f, &hvec).unwrap();
+        assert!((x[0] - 0.5).abs() < 1e-12);
+        assert!(x.approx_eq(&qp.solve(&f, &hvec, &[]).unwrap().x, 1e-12));
+        let clash = Matrix::from_rows(&[&[1.0, 0.0], &[-1.0, 0.0]]);
+        let none = oracle(
+            &Matrix::identity(2),
+            &clash,
+            &Vector::zeros(2),
+            &Vector::from_slice(&[0.0, -1.0]),
+        );
+        assert!(none.is_none());
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -1575,6 +1620,19 @@ mod tests {
             })
         }
 
+        /// The box `lb ≤ x ≤ ub` over three variables: for each `i` the
+        /// rows `x_i ≤ ub_i`, `−x_i ≤ −lb_i`.
+        fn box3(ub: &[f64], lb: &[f64]) -> (Matrix, Vector) {
+            let g = Matrix::from_fn(6, 3, |r, j| match (r / 2 == j, r % 2) {
+                (false, _) => 0.0,
+                (true, 0) => 1.0,
+                (true, _) => -1.0,
+            });
+            let h =
+                Vector::from_iter((0..6).map(|r| if r % 2 == 0 { ub[r / 2] } else { -lb[r / 2] }));
+            (g, h)
+        }
+
         proptest! {
             #[test]
             fn kkt_conditions_hold(
@@ -1584,16 +1642,11 @@ mod tests {
                 ub in proptest::collection::vec(0.1..4.0f64, 3),
                 lb in proptest::collection::vec(-4.0..-0.1f64, 3),
             ) {
-                let mut qp = QuadProg::new(h.clone(), Vector::from_slice(&f)).unwrap();
-                for i in 0..3 {
-                    let mut gu = vec![0.0; 3];
-                    gu[i] = 1.0;
-                    let mut gl = vec![0.0; 3];
-                    gl[i] = -1.0;
-                    qp = qp.ineq_rows(&[&gu, &gl], &[ub[i], -lb[i]]);
-                }
-                let sol = qp.solve().unwrap();
-                prop_assert!(qp.kkt_residual(&sol) < 1e-7);
+                let (g, hvec) = box3(&ub, &lb);
+                let qp = PreparedQp::new(h, g).unwrap();
+                let f = Vector::from_slice(&f);
+                let sol = qp.solve(&f, &hvec, &[]).unwrap();
+                prop_assert!(qp.kkt_residual(&f, &hvec, &sol) < 1e-7);
                 for i in 0..3 {
                     prop_assert!(sol.x[i] <= ub[i] + 1e-8);
                     prop_assert!(sol.x[i] >= lb[i] - 1e-8);
@@ -1608,10 +1661,8 @@ mod tests {
                 // min ½‖x − target‖² s.t. x ≤ cap (per coordinate) has the
                 // closed-form solution min(target, cap).
                 let f = Vector::from_iter(target.iter().map(|v| -v));
-                let qp = QuadProg::new(Matrix::identity(2), f)
-                    .unwrap()
-                    .ineq_rows(&[&[1.0, 0.0], &[0.0, 1.0]], &[cap, cap]);
-                let sol = qp.solve().unwrap();
+                let qp = prepared(Matrix::identity(2), &[&[1.0, 0.0], &[0.0, 1.0]]);
+                let sol = qp.solve(&f, &Vector::from_slice(&[cap, cap]), &[]).unwrap();
                 for (i, &ti) in target.iter().enumerate() {
                     prop_assert!((sol.x[i] - ti.min(cap)).abs() < 1e-8);
                 }
@@ -1626,43 +1677,41 @@ mod tests {
                 // An arbitrary (possibly wrong) active-set guess.
                 guess in proptest::collection::vec(0..8u64, 3),
             ) {
-                let mut qp = QuadProg::new(h.clone(), Vector::from_slice(&f)).unwrap();
-                for i in 0..3 {
-                    let mut gu = vec![0.0; 3];
-                    gu[i] = 1.0;
-                    let mut gl = vec![0.0; 3];
-                    gl[i] = -1.0;
-                    qp = qp.ineq_rows(&[&gu, &gl], &[ub[i], -lb[i]]);
-                }
-                let cold = qp.solve().unwrap();
+                let (g, hvec) = box3(&ub, &lb);
+                let qp = PreparedQp::new(h, g).unwrap();
+                let f = Vector::from_slice(&f);
+                let cold = qp.solve(&f, &hvec, &[]).unwrap();
 
                 // Both an arbitrary guess and the true active set must
                 // reproduce the unique minimizer of the strictly convex QP.
                 let guess: Vec<usize> = guess.iter().map(|&v| v as usize).collect();
                 for warm_set in [guess.as_slice(), cold.active.as_slice()] {
-                    let warm = qp.solve_warm(warm_set).unwrap();
+                    let warm = qp.solve(&f, &hvec, warm_set).unwrap();
                     prop_assert!(warm.x.approx_eq(&cold.x, 1e-9));
-                    prop_assert!(qp.kkt_residual(&warm) < 1e-7);
+                    prop_assert!(qp.kkt_residual(&f, &hvec, &warm) < 1e-7);
                     let mut wa = warm.active.clone();
                     let mut ca = cold.active.clone();
                     wa.sort_unstable();
                     ca.sort_unstable();
                     prop_assert_eq!(wa, ca);
                 }
-                let exact = qp.solve_warm(&cold.active).unwrap();
+                let exact = qp.solve(&f, &hvec, &cold.active).unwrap();
                 prop_assert_eq!(exact.iterations, 0);
             }
 
             #[test]
-            fn prepared_solves_equal_one_shot_solves_bit_for_bit(
+            fn persistent_solves_equal_fresh_solves_and_the_oracle(
                 n in 1usize..9,
                 m in 0usize..17,
                 steps in 1usize..13,
                 seed in 0u64..1 << 32,
             ) {
                 // One persistent instance, its memo filling in whatever
-                // order the steps touch rows, against a fresh one-shot
-                // solve per step.  `h ≥ 0` keeps `x = 0` feasible.
+                // order the steps touch rows, against a fresh instance per
+                // step, bit for bit; and, where n ≤ 6 and m ≤ 10, against
+                // the oracle.  Most steps keep `h ≥ 0`, so `x = 0` is
+                // feasible; one in five draws `h` from [−1, 2), which makes
+                // some problems infeasible.
                 let mut rng = StdRng::seed_from_u64(seed);
                 let (h, g) = random_problem(&mut rng, n, m);
                 let prepared = PreparedQp::new(h.clone(), g.clone()).unwrap();
@@ -1670,8 +1719,9 @@ mod tests {
                 let mut last = Vec::new();
                 for step in 0..steps {
                     let f = Vector::from_iter((0..n).map(|_| rng.gen_range_f64(-5.0..5.0)));
+                    let lo = if rng.gen_bool(0.2) { -1.0 } else { 0.0 };
                     let hvec = Vector::from_iter((0..m).map(|_| {
-                        if rng.gen_bool(0.1) { 0.0 } else { rng.gen_range_f64(0.0..2.0) }
+                        if rng.gen_bool(0.1) { 0.0 } else { rng.gen_range_f64(lo..2.0) }
                     }));
                     let warm: Vec<usize> = if rng.gen_bool(0.3) {
                         last.clone()
@@ -1680,19 +1730,38 @@ mod tests {
                             .map(|_| rng.gen_range_u64(0..m as u64 + 2) as usize)
                             .collect()
                     };
-                    let qp = QuadProg::new(h.clone(), f.clone()).unwrap().ineq(g.clone(), hvec.clone());
-                    match (prepared.solve(&f, &hvec, &warm), qp.solve_warm(&warm)) {
+                    let fresh = PreparedQp::new(h.clone(), g.clone()).unwrap();
+                    let got = prepared.solve(&f, &hvec, &warm);
+                    match (&got, fresh.solve(&f, &hvec, &warm)) {
                         (Ok(a), Ok(b)) => {
                             prop_assert_eq!(bits(&a.x), bits(&b.x), "x at step {}", step);
                             prop_assert_eq!(bits(&a.multipliers), bits(&b.multipliers), "step {}", step);
                             prop_assert_eq!(&a.active, &b.active, "active set at step {}", step);
                             prop_assert_eq!(a.iterations, b.iterations, "step {}", step);
                             prop_assert_eq!(a.warm_retained, b.warm_retained, "step {}", step);
-                            let kkt = qp.kkt_residual(&a);
-                            prop_assert!(kkt <= 1e-8, "step {}: KKT residual {:e}", step, kkt);
-                            last = a.active;
+                            // The debug build's postcondition, in release too.
+                            let kkt = prepared.kkt_residual(&f, &hvec, a);
+                            let tol = tolerance(prepared.core.base_scale, &hvec);
+                            prop_assert!(kkt <= 10.0 * tol, "step {}: KKT residual {:e}", step, kkt);
+                            last.clone_from(&a.active);
                         }
-                        (a, b) => prop_assert_eq!(a.err(), b.err(), "step {}", step),
+                        (a, b) => prop_assert_eq!(a.clone().err(), b.err(), "step {}", step),
+                    }
+                    if n <= 6 && m <= 10 {
+                        match (oracle(&h, &g, &f, &hvec), &got) {
+                            (Some(x), Ok(a)) => {
+                                let gap = (&a.x - &x).max_abs();
+                                prop_assert!(
+                                    gap <= 1e-7 * x.max_abs().max(1.0),
+                                    "step {}: |x − x*| = {:e}", step, gap
+                                );
+                            }
+                            (None, Err(QpError::Infeasible)) => {}
+                            (x, a) => prop_assert!(
+                                false,
+                                "step {}: oracle {:?}, solver {:?}", step, x, a
+                            ),
+                        }
                     }
                 }
             }

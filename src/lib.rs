@@ -65,6 +65,11 @@
 //!   `DistributedLoop` stood in type position.
 //! * `DecentralizedController::new(..)` →
 //!   [`ShardedController::singleton(..)`](prelude::ShardedController::singleton).
+//! * `eucon::qp::QuadProg::new(h, f).ineq(g, hvec).solve()` →
+//!   [`PreparedQp::new(h, g)?.solve(&f, &hvec, &[])`](qp::PreparedQp::solve),
+//!   and `ConstrainedLsq::new(c, d)` with its builder knobs →
+//!   [`PreparedLsq::new(c, g, eps)?.solve_with(&d, &h, &[])`](qp::PreparedLsq::solve_with),
+//!   box bounds written as rows of `g`.
 //! * Classify failures with [`Error::kind`] (the stable [`ErrorKind`]
 //!   taxonomy); the full layer-specific errors remain reachable through
 //!   `source()`.
