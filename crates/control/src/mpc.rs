@@ -1,7 +1,7 @@
 //! The EUCON model-predictive controller.
 
 use eucon_math::{Matrix, Vector};
-use eucon_qp::{LsqSolution, PreparedLsq, QpError};
+use eucon_qp::{FactorWork, LsqSolution, PreparedLsq, QpError};
 use eucon_tasks::TaskSet;
 
 use crate::prediction::{constraint_matrix, constraint_rhs_into, Predictor};
@@ -39,6 +39,10 @@ pub struct MpcStepInfo {
     /// Symmetric difference between this period's optimal active set and
     /// the previous period's; 0 once the loop has settled.
     pub active_churn: usize,
+    /// What the committed solve did to its subproblem factor: builds and
+    /// their `Σq³`, appends, declined appends, deletes and the largest
+    /// order — the cause of a slow step, counted.
+    pub factor_work: FactorWork,
 }
 
 /// The EUCON MIMO model-predictive controller (paper §6.1).
@@ -363,6 +367,7 @@ impl MpcController {
             cold_retry: stats.cold_retry,
             active_set_size: solution.active.len(),
             active_churn: stats.active_churn,
+            factor_work: solution.factor_work,
         };
         Ok(())
     }

@@ -19,8 +19,8 @@ use eucon_tasks::TaskSet;
 /// Steps of the script the hashes cover.
 const SCRIPT_STEPS: usize = 300;
 
-const CENTRAL_20P_RATE_HASH: u64 = 0xe471_6172_5ea9_2143;
-const SHARD_16P_RATE_HASH: u64 = 0x69de_0128_ab8a_838c;
+const CENTRAL_20P_RATE_HASH: u64 = 0x3e81_ff19_9823_eea6;
+const SHARD_16P_RATE_HASH: u64 = 0x1695_2b6f_0cf6_6266;
 
 /// FNV-1a over the bit patterns of every rate commanded along the script,
 /// plus the largest per-period iteration count seen.
@@ -61,4 +61,26 @@ fn one_16p_shard_rates_are_pinned_through_active_set_churn() {
         "script must churn harder than the closed-loop goldens (max {max_iters} iterations)"
     );
     assert_eq!(hash, SHARD_16P_RATE_HASH, "rate hash {hash:#018x}");
+}
+
+#[test]
+fn a_dropped_row_never_rebuilds_the_factor_on_the_central_script() {
+    // A solve builds its subproblem factor from scratch at most once for
+    // its warm start's guess, and once more per declined append; every
+    // other change to the active set, drops included, is an append or a
+    // delete.
+    let (set, mut ctrl) = central_20p();
+    let mut u = Vector::zeros(set.num_processors());
+    let mut deletes = 0;
+    for k in 0..SCRIPT_STEPS {
+        script_into(k, &set, ctrl.rates(), &mut u);
+        ctrl.update(&u).expect("script step solves");
+        let work = ctrl.last_step_info().factor_work;
+        assert!(work.builds <= 1 + work.declined, "step {k}: {work:?}");
+        deletes += work.deletes;
+    }
+    assert!(
+        deletes > SCRIPT_STEPS,
+        "the script must drop rows ({deletes} deletes)"
+    );
 }

@@ -357,10 +357,10 @@ fn churned_trajectories_hold_their_pinned_hashes() {
         "SIMPLE scripted churn"
     );
     for (seed, faulted, golden, events) in [
-        (0, false, 0x09fe_070b_6807_88f8_u64, 10),
-        (1, false, 0x55fc_b485_342f_3a3a, 12),
-        (0, true, 0xea13_9022_f79a_f645, 14),
-        (1, true, 0xfe88_ddbb_ad64_04f7, 17),
+        (0, false, 0x93e6_28d2_a193_15f3_u64, 10),
+        (1, false, 0xf487_c0a9_90a5_596a, 12),
+        (0, true, 0xd75c_674e_f56f_9be3, 14),
+        (1, true, 0xdbab_9afc_e959_0b2d, 18),
     ] {
         let result = run_medium_poisson(seed, faulted);
         assert_eq!(

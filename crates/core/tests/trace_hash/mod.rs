@@ -95,8 +95,8 @@ pub const GOLDEN_PERIODS: usize = 40;
 /// Golden hashes captured from the reference engine.
 pub const GOLDEN_SIMPLE_FAULT_FREE: u64 = 0xb286_0648_874c_a00f;
 pub const GOLDEN_MEDIUM_FAULT_FREE: u64 = 0xae12_aab1_5672_e1a9;
-pub const GOLDEN_SIMPLE_FAULTED: u64 = 0x82e1_1b45_8111_02a0;
-pub const GOLDEN_MEDIUM_FAULTED: u64 = 0x0920_d34b_7e38_0a57;
+pub const GOLDEN_SIMPLE_FAULTED: u64 = 0xb563_f818_262a_d973;
+pub const GOLDEN_MEDIUM_FAULTED: u64 = 0xb7c4_ae83_bfaf_4651;
 
 impl Scenario {
     pub const ALL: [Scenario; 4] = [

@@ -11,8 +11,7 @@
 //! * [`SparseRows`] — a compressed-row view of a [`Matrix`] whose row
 //!   products are bit-identical to the dense ones and read only nonzeros.
 //! * [`Lu`] — LU decomposition with partial pivoting (solves, determinant,
-//!   inverse; a held factor grows by a bordered row and column with the
-//!   bits of a refactor).
+//!   inverse).
 //! * [`Qr`] — Householder QR (least squares, orthonormal bases).
 //! * [`Cholesky`] — for symmetric positive-definite systems.
 //! * [`eig`](fn@eig) — eigenvalues of a general real matrix via balancing,

@@ -82,9 +82,52 @@ impl SparseRows {
     #[inline]
     pub fn dot(&self, i: usize, x: &[f64]) -> f64 {
         assert_eq!(x.len(), self.cols, "dot requires one entry per column");
-        let span = self.offsets[i]..self.offsets[i + 1];
+        self.span_dot(self.offsets[i], self.offsets[i + 1], x)
+    }
+
+    /// The first row `i` with `!skip[i]` whose violation `row_i · x − h[i]`
+    /// is the largest and exceeds `tol`, or `None` when no row's does.
+    /// Each violation has the bits of `self.dot(i, x) − h[i]`; the lengths
+    /// are checked once per call rather than once per row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.cols()` or `h` or `skip` does not have
+    /// one entry per row.
+    pub fn most_violated(&self, x: &[f64], h: &[f64], skip: &[bool], tol: f64) -> Option<usize> {
+        assert_eq!(
+            x.len(),
+            self.cols,
+            "most_violated requires one entry per column"
+        );
+        assert!(
+            h.len() == self.rows() && skip.len() == self.rows(),
+            "most_violated requires h and skip with one entry per row"
+        );
+        let mut worst = tol;
+        let mut at = None;
+        let rows = self.offsets.windows(2).zip(h).zip(skip);
+        for (i, ((span, &hi), &skip)) in rows.enumerate() {
+            if skip {
+                continue;
+            }
+            let viol = self.span_dot(span[0], span[1], x) - hi;
+            if viol > worst {
+                worst = viol;
+                at = Some(i);
+            }
+        }
+        at
+    }
+
+    /// The stored entries `start..end` dotted with `x`, left to right.
+    #[inline]
+    fn span_dot(&self, start: usize, end: usize, x: &[f64]) -> f64 {
         let mut acc = 0.0;
-        for (&j, &v) in self.col_idx[span.clone()].iter().zip(&self.values[span]) {
+        for (&j, &v) in self.col_idx[start..end]
+            .iter()
+            .zip(&self.values[start..end])
+        {
             acc += v * x[j];
         }
         acc
@@ -177,22 +220,31 @@ mod tests {
 
         proptest! {
             #[test]
-            fn dot_is_bit_identical_to_the_dense_kernel(
+            fn dot_and_most_violated_are_bit_identical_to_the_dense_kernel(
                 r in 1..MAX_ROWS + 1,
                 c in 1..MAX_COLS + 1,
                 data in proptest::collection::vec(entry(), MAX_ROWS * MAX_COLS),
                 fill in proptest::collection::vec(0..3u64, MAX_ROWS),
                 x in proptest::collection::vec(entry(), MAX_COLS),
+                h in proptest::collection::vec(-2.0..2.0f64, MAX_ROWS),
+                skip in proptest::collection::vec(0..4u64, MAX_ROWS),
+                tol in -1.0..1.0f64,
             ) {
                 let m = matrix(r, c, &data, &fill);
                 let rows = SparseRows::from_matrix(&m);
+                // The scan `most_violated` replaced, over the dense rows:
+                // strict `>`, so the first of equal violations wins.
+                let skip: Vec<bool> = skip[..r].iter().map(|&s| s == 0).collect();
+                let (mut worst, mut expect) = (tol, None);
                 for i in 0..r {
-                    prop_assert_eq!(
-                        rows.dot(i, &x[..c]).to_bits(),
-                        kernel::dot(m.row(i), &x[..c]).to_bits(),
-                        "row {}", i
-                    );
+                    let dense = kernel::dot(m.row(i), &x[..c]);
+                    prop_assert_eq!(rows.dot(i, &x[..c]).to_bits(), dense.to_bits(), "row {}", i);
+                    if !skip[i] && dense - h[i] > worst {
+                        worst = dense - h[i];
+                        expect = Some(i);
+                    }
                 }
+                prop_assert_eq!(rows.most_violated(&x[..c], &h[..r], &skip, tol), expect);
             }
 
             #[test]

@@ -54,9 +54,10 @@
 #![warn(missing_docs)]
 
 mod error;
+mod factor;
 mod lsq;
 mod solver;
 
 pub use error::QpError;
 pub use lsq::{LsqSolution, PreparedLsq};
-pub use solver::{PreparedQp, QpSolution};
+pub use solver::{FactorWork, PreparedQp, QpSolution};

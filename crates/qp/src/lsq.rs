@@ -5,7 +5,7 @@ use std::sync::Arc;
 use eucon_math::{Matrix, SparseRows, Vector};
 
 use crate::solver::{check_finite, copy_active_set};
-use crate::{PreparedQp, QpError};
+use crate::{FactorWork, PreparedQp, QpError};
 
 /// Solution of a [`PreparedLsq`] solve.
 #[derive(Debug, Clone, Default)]
@@ -21,6 +21,8 @@ pub struct LsqSolution {
     /// Rows of the warm-start guess the QP solver kept as its starting
     /// active set (see [`QpSolution::warm_retained`](crate::QpSolution::warm_retained)).
     pub warm_retained: usize,
+    /// What the QP solve did to its subproblem factor.
+    pub factor_work: FactorWork,
 }
 
 /// Constrained linear least-squares problem, shaped like MATLAB's `lsqlin`,
@@ -219,6 +221,7 @@ impl PreparedLsq {
         out.iterations = stats.iterations;
         copy_active_set(&ws.active, cols, &mut out.active);
         out.warm_retained = stats.warm_retained;
+        out.factor_work = stats.factor_work;
         Ok(())
     }
 }

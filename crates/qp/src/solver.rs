@@ -3,8 +3,9 @@
 use std::cell::{RefCell, RefMut};
 use std::sync::Arc;
 
-use eucon_math::{kernel, Cholesky, Lu, MathError, Matrix, SparseRows, Vector};
+use eucon_math::{kernel, Cholesky, MathError, Matrix, SparseRows, Vector};
 
+use crate::factor::GramFactor;
 use crate::QpError;
 
 /// Absolute tolerance for constraint violation and multiplier tests,
@@ -28,6 +29,8 @@ pub struct QpSolution {
     /// active set (dual feasible, and not within tolerance of inactive);
     /// zero for a cold start or a rejected guess.
     pub warm_retained: usize,
+    /// What the solve did to its subproblem factor.
+    pub factor_work: FactorWork,
 }
 
 /// The back-solves and Gram entries of the constraint rows a workspace's
@@ -87,7 +90,8 @@ impl BackSolves {
     /// Makes row `i` ready: its back-solve, then its Gram entries against
     /// itself and every ready row.  The two orientations of a pair are
     /// computed on their own — `gram[(a, b)]` and `gram[(b, a)]` round
-    /// separately, and the memoized subproblem factors depend on both.
+    /// separately, and the subproblem factor reads both (a joining row's
+    /// entries are `gram[(p, b)]`, a solve's right-hand side `gram[(b, p)]`).
     fn ensure(&mut self, model: &QpCore, i: usize) -> Result<(), MathError> {
         if self.ready[i] {
             return Ok(());
@@ -114,51 +118,104 @@ impl BackSolves {
         &self.hinv[i * self.n..(i + 1) * self.n]
     }
 
-    /// Writes the subproblem matrix `M = NᵀH⁻¹N` over the ready rows `idx`
-    /// into `out`, leaving out position `skip` when given (the
-    /// tentative-drop system).
-    fn subproblem_into(&self, idx: &[usize], skip: Option<usize>, out: &mut Matrix) {
-        let k = idx.len() - usize::from(skip.is_some());
-        out.reset_zeros(k, k);
-        for ra in 0..k {
-            let a = ra + usize::from(skip.is_some_and(|s| ra >= s));
-            for rb in 0..k {
-                let b = rb + usize::from(skip.is_some_and(|s| rb >= s));
-                out[(ra, rb)] = self.gram[(idx[a], idx[b])];
-            }
-        }
+    /// Builds `factor` over the ready rows `rows`, appending them in
+    /// order: row `i`'s entries are `gram[(rows[i], b)]` for the rows `b`
+    /// before it, as a row that joins the active set is appended.  `false`
+    /// when a row is dependent on the rows before it.
+    fn build(
+        &self,
+        rows: &[usize],
+        factor: &mut GramFactor,
+        border: &mut Vec<f64>,
+        work: &mut FactorWork,
+    ) -> bool {
+        let q = rows.len();
+        work.builds += 1;
+        work.build_q3 += (q * q * q) as u64;
+        work.max_order = work.max_order.max(q);
+        factor.clear();
+        rows.iter().enumerate().all(|(i, &r)| {
+            border.clear();
+            border.extend(rows[..i].iter().map(|&b| self.gram[(r, b)]));
+            factor.append(border, self.gram[(r, r)])
+        })
     }
 }
 
-/// Memoized LU factors of the warm-start equality subproblems.
+/// The subproblem-factor work of one solve: plain counters, filled in as
+/// the solve goes, so reading them allocates nothing.
 ///
-/// The subproblem matrix `M = NᵀH⁻¹N` is a pure function of the active-set
+/// A factor is *built* from scratch (`O(q³)`) only for a warm-start guess
+/// the instance has not seen before and after a declined append; every
+/// other change to the active set is an `O(q²)` append or delete.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FactorWork {
+    /// Factors built row by row: the warm start's, for a guess the
+    /// instance has not factored before, and the main loop's rebuild after
+    /// a declined append.
+    pub builds: usize,
+    /// `Σ q³` over those builds, `q` the order built.
+    pub build_q3: u64,
+    /// Rows appended to the factor as they joined the active set.
+    pub appends: usize,
+    /// Appends declined because the joining row was dependent on the
+    /// active rows to rounding; the next iteration rebuilds.
+    pub declined: usize,
+    /// Rows deleted from the factor: the warm start's drops from its guess
+    /// and the main loop's drops.
+    pub deletes: usize,
+    /// The largest order the factor reached.
+    pub max_order: usize,
+}
+
+/// The memoized factor of the warm start's subproblem.
+///
+/// `M = NᵀH⁻¹N` over the de-duplicated guess is a pure function of the
 /// guess (`H` and `G` are fixed for a [`PreparedQp`]), and on the
-/// controller hot path the active set is usually *identical* between
-/// consecutive periods — only the right-hand side moves.  Re-using the
-/// factor turns the per-period `O(q³)` decomposition into an `O(q²)`
-/// back-substitution.  Because [`Lu::refactor`] is deterministic, a
-/// cache hit yields bit-identical multipliers to a fresh factorization,
-/// so solver trajectories (and the golden trace hashes built on them) are
-/// unchanged.  A changed guess is refactored whole: the warm start only
-/// ever drops rows, and a factor can be grown by a border
-/// ([`Lu::extend`], as the main loop does when a row joins) but not
-/// shrunk without moving its rounding.
+/// controller hot path a guess often comes back period after period.  Its
+/// factor is built the first time the guess is seen and kept until the
+/// next new guess; a build is deterministic, so a hit has the bits a fresh
+/// instance would compute.  Solves read it in place: the first row the
+/// warm start drops, or the main loop adds or drops, turns it into a
+/// working copy in the workspace, so the memo only ever holds a build of
+/// its guess.
 #[derive(Debug, Clone, Default)]
 struct WarmFactors {
-    /// Active set (deduplicated, in guess order) the factors belong to.
+    /// The guess (de-duplicated, in guess order) the factor belongs to.
     cand: Vec<usize>,
-    /// LU factor of the full subproblem matrix over `cand`, when
-    /// `full_valid`; the `Lu` itself is kept and refactored in place.
-    full: Lu,
-    full_valid: bool,
-    /// Position within `cand` whose removal `reduced` corresponds to.
-    reduced_weakest: usize,
-    /// LU factor of the tentative-drop subproblem (`cand` minus
-    /// `reduced_weakest`), used by the degeneracy alignment step, when
-    /// `reduced_valid`.
-    reduced: Lu,
-    reduced_valid: bool,
+    factor: GramFactor,
+    /// Whether every row of `cand` went in; `false` when one is dependent
+    /// on the rows before it, and the guess falls back to a cold start.
+    built: bool,
+}
+
+/// Where the factor of the subproblem over the current active set is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Held {
+    /// The warm start's memo, read in place: nothing dropped or added yet.
+    Memo,
+    /// The workspace's working factor.
+    Work,
+    /// Nowhere: an append declined, and the next solve rebuilds.
+    Stale,
+}
+
+/// The working factor, with room for order `n`, made a copy of the memo's
+/// first when the memo is where `held` says the current factor is.  The
+/// room is reserved here, when a solve first writes the factor, so a
+/// problem whose active set stays empty never sizes it.
+fn working<'a>(
+    held: &mut Held,
+    factors: &WarmFactors,
+    chol: &'a mut GramFactor,
+    n: usize,
+) -> &'a mut GramFactor {
+    chol.reserve(n);
+    if *held == Held::Memo {
+        chol.copy_from(&factors.factor);
+        *held = Held::Work;
+    }
+    chol
 }
 
 /// Every temporary of one solve and the back-solve memo, owned per
@@ -166,12 +223,11 @@ struct WarmFactors {
 ///
 /// Buffers start empty.  Each is given room for the problem's bound the
 /// first time a solve needs it — `n` entries for whatever follows the
-/// active set, `n × n` for the subproblem the first time the active set
-/// is non-empty, the memo's `m × n` and `m × m` tables at construction
-/// (a clone's at its first solve) — and is never shrunk, so which solve
-/// first reaches a given active-set size or touches a given row does not
-/// matter: after the first solve that takes a code path, that path
-/// allocates nothing.
+/// active set, `n(n+1)/2` for the subproblem factor, the memo's `m × n`
+/// and `m × m` tables at construction (a clone's at its first solve) —
+/// and is never shrunk, so which solve first reaches a given active-set
+/// size or touches a given row does not matter: after the first solve
+/// that takes a code path, that path allocates nothing.
 /// (Reserved room is untouched memory until a solve actually fills it;
 /// the memo's tables are written out, with NaN, when they are sized.)
 /// The memo is the one thing kept from solve to solve, and it holds only
@@ -198,28 +254,18 @@ pub(crate) struct QpWorkspace {
     /// Primal step direction and dual step of the current iteration.
     z: Vector,
     r: Vector,
-    /// Equality subproblem of the current active set: matrix, its factor,
-    /// right-hand side, and the new row `[Gram(p, active) | Gram(p, p)]`
-    /// that grows the factor when row `p` joins.
-    sub: Matrix,
-    lu: Lu,
-    rhs: Vector,
+    /// The working factor of the subproblem over the active set, and the
+    /// row `Gram(p, A)` a joining row `p` appends (also a build's rows,
+    /// and the forward substitution behind a diagonal entry of `M⁻¹`).
+    chol: GramFactor,
     border: Vec<f64>,
-    /// A second factor for the debug build's check of every extended
-    /// factor against a refactor of the same subproblem.
-    #[cfg(debug_assertions)]
-    lu_check: Lu,
     /// Scratch of the debug build's KKT check of every solve.
     #[cfg(debug_assertions)]
     kkt: KktScratch,
-    /// Warm start: dedup marks, candidate set, its multipliers, and the
-    /// tentative-drop system's right-hand side, multipliers and optimum.
+    /// Warm start: dedup marks, candidate set and its multipliers.
     seen: Vec<bool>,
     cand: Vec<usize>,
     wu: Vector,
-    rr: Vector,
-    ur: Vector,
-    xr: Vector,
     /// `H⁻¹n_i` and the Gram entries of the rows touched so far.
     memo: BackSolves,
 }
@@ -228,20 +274,15 @@ impl QpWorkspace {
     /// Empties the active set and gives every buffer that follows it room
     /// for `n` entries (at most `n` constraints are linearly independent).
     fn begin(&mut self, n: usize) {
-        self.active.clear();
-        self.u.clear();
-        self.cand.clear();
-        self.active.reserve(n);
-        self.u.reserve(n);
-        self.cand.reserve(n);
-        self.border.reserve(n + 1);
-        for v in [
-            &mut self.r,
-            &mut self.rhs,
-            &mut self.wu,
-            &mut self.rr,
-            &mut self.ur,
-        ] {
+        for v in [&mut self.active, &mut self.cand] {
+            v.clear();
+            v.reserve(n);
+        }
+        for v in [&mut self.u, &mut self.border] {
+            v.clear();
+            v.reserve(n);
+        }
+        for v in [&mut self.r, &mut self.wu] {
             v.reserve(n);
         }
     }
@@ -258,6 +299,7 @@ impl QpWorkspace {
         copy_active_set(&self.active, self.x.len(), &mut out.active);
         out.iterations = stats.iterations;
         out.warm_retained = stats.warm_retained;
+        out.factor_work = stats.factor_work;
     }
 }
 
@@ -275,6 +317,7 @@ pub(crate) fn copy_active_set(active: &[usize], n: usize, dst: &mut Vec<usize>) 
 pub(crate) struct SolveStats {
     pub(crate) iterations: usize,
     pub(crate) warm_retained: usize,
+    pub(crate) factor_work: FactorWork,
 }
 
 /// Rejects non-finite entries of an input (`G` row-major, or a per-solve
@@ -287,14 +330,13 @@ pub(crate) fn check_finite(what: &'static str, v: &[f64]) -> Result<(), QpError>
 }
 
 /// The Goldfarb–Idnani solve behind [`PreparedQp`] and
-/// [`PreparedLsq`](crate::PreparedLsq).  `factors` memoizes the
-/// warm-start subproblem factorization across calls with a stable active
-/// set; the solution is left in `ws`.
+/// [`PreparedLsq`](crate::PreparedLsq); the solution is left in `ws`.
 ///
-/// Within the main loop the subproblem's factor follows the active set:
-/// a row that joins extends it by one bordered row and column
-/// ([`Lu::extend`], the same bits as a refactor), and only after a drop,
-/// or where the extension declines, is it gathered and refactored.
+/// The subproblem's Cholesky factor follows the active set both ways: a
+/// row that joins is appended, a row that drops is deleted, and only
+/// where an append declines is the factor built again.  It starts as
+/// the warm start's (`factors`, read in place until the first change) or
+/// empty.
 fn solve_with_chol(
     model: &QpCore,
     f: &Vector,
@@ -312,12 +354,14 @@ fn solve_with_chol(
     let rows = &model.g_rows;
     let m = rows.rows();
     ws.begin(n);
+    let mut work = FactorWork::default();
     if n == 0 {
         // No variables: the empty minimizer, whatever the constraints say.
         ws.x.resize(0);
         return Ok(SolveStats {
             iterations: 0,
             warm_retained: 0,
+            factor_work: work,
         });
     }
     // Unconstrained minimum `−H⁻¹f`, with `x` as the staging buffer for
@@ -338,11 +382,23 @@ fn solve_with_chol(
     ws.in_active.resize(m, false);
     ws.memo.fit(m, n);
 
-    if !warm.is_empty() && try_warm_start(model, hvec, warm, tol, n, factors, ws).is_some() {
-        for &a in &ws.active {
-            ws.in_active[a] = true;
+    let warm_held = if warm.is_empty() {
+        None
+    } else {
+        try_warm_start(model, hvec, warm, tol, n, factors, ws, &mut work)
+    };
+    let mut held = match warm_held {
+        Some(held) => {
+            for &a in &ws.active {
+                ws.in_active[a] = true;
+            }
+            held
         }
-    }
+        None => {
+            ws.chol.clear();
+            Held::Work
+        }
+    };
     let warm_retained = ws.active.len();
     let QpWorkspace {
         x,
@@ -351,40 +407,20 @@ fn solve_with_chol(
         in_active,
         z,
         r,
-        sub,
-        lu,
-        rhs,
+        chol,
         border,
         memo,
-        #[cfg(debug_assertions)]
-        lu_check,
         ..
     } = ws;
 
     let mut iterations = 0;
-    // Whether `lu` holds the factor of the subproblem over `active`: set
-    // by a refactor or by extending the factor as a row joins, cleared by
-    // a drop.
-    let mut lu_current = false;
-
     'outer: loop {
         // Most violated inactive constraint (g_p·x − h_p > tol).
-        let mut p = None;
-        let mut worst = tol;
-        for i in 0..m {
-            if in_active[i] {
-                continue;
-            }
-            let viol = rows.dot(i, x.as_slice()) - hvec[i];
-            if viol > worst {
-                worst = viol;
-                p = Some(i);
-            }
-        }
-        let Some(p) = p else {
+        let Some(p) = rows.most_violated(x.as_slice(), hvec.as_slice(), in_active, tol) else {
             return Ok(SolveStats {
                 iterations,
                 warm_retained,
+                factor_work: work,
             });
         };
 
@@ -399,38 +435,30 @@ fn solve_with_chol(
                 return Err(QpError::IterationLimit { iterations });
             }
 
-            // z: primal step direction; r: dual step for active set.
+            // z: primal step direction; r: dual step for active set, from
+            // M r = Nᵀ H⁻¹ n_p, both read from the memo.
             let q = active.len();
             z.resize(n);
             z.copy_from_slice(memo.hinv(p));
             r.resize(q);
+            for a in 0..q {
+                r[a] = memo.gram[(active[a], p)];
+            }
             if q > 0 {
-                // M = Nᵀ H⁻¹ N, rhs = Nᵀ H⁻¹ n_p, read from the memo.
-                sub.reserve(n, n);
-                lu.reserve(n);
-                if !lu_current {
-                    memo.subproblem_into(active, None, sub);
-                    lu.refactor(sub).map_err(QpError::Math)?;
-                    lu_current = true;
-                } else {
-                    // The debug build checks every extended factor
-                    // against a refactor of the gathered subproblem.
-                    #[cfg(debug_assertions)]
-                    {
-                        lu_check.reserve(n);
-                        memo.subproblem_into(active, None, sub);
-                        let refactored = lu_check.refactor(sub).is_ok();
-                        assert!(
-                            refactored && lu.same_bits(lu_check),
-                            "an extended factor differs from a refactor of {active:?}"
-                        );
+                if held == Held::Stale {
+                    chol.reserve(n);
+                    if !memo.build(active, chol, border, &mut work) {
+                        return Err(QpError::Math(MathError::Singular));
                     }
+                    held = Held::Work;
                 }
-                rhs.resize(q);
-                for a in 0..q {
-                    rhs[a] = memo.gram[(active[a], p)];
-                }
-                lu.solve_into(rhs, r).map_err(QpError::Math)?;
+                let factor = if held == Held::Memo {
+                    &factors.factor
+                } else {
+                    &*chol
+                };
+                factor.forward(r.as_mut_slice());
+                factor.back(r.as_mut_slice());
                 for b in 0..q {
                     kernel::axpy(z.as_mut_slice(), -r[b], memo.hinv(active[b]));
                 }
@@ -449,57 +477,60 @@ fn solve_with_chol(
                 }
             }
 
-            // z·n_p = −g_p·z.
-            let ztnp = -rows.dot(p, z.as_slice());
-            if ztnp <= tol {
-                // Constraint p cannot be satisfied by a primal move.
+            // z·n_p = −g_p·z.  The full step t2 drives p's violation to
+            // zero; where p cannot be satisfied by a primal move there is
+            // none, and only the dual step that relaxes a blocking
+            // constraint remains.  With n rows active every normal lies in
+            // their span: z is zero but for rounding, which must not pass
+            // for a direction.
+            let ztnp = if q == n {
+                0.0
+            } else {
+                -rows.dot(p, z.as_slice())
+            };
+            let full = if ztnp <= tol {
                 if t1.is_infinite() {
                     return Err(QpError::Infeasible);
                 }
-                // Dual-only step: relax a blocking constraint.
-                for (j, rj) in r.iter().enumerate() {
-                    u[j] -= t1 * rj;
-                }
-                u_p += t1;
-                let j = drop_idx.expect("finite t1 implies a blocking index");
-                in_active[active[j]] = false;
-                active.remove(j);
-                u.remove(j);
-                lu_current = false;
-                continue;
+                None
+            } else {
+                Some((rows.dot(p, x.as_slice()) - hvec[p]) / ztnp)
+            };
+            let t = full.map_or(t1, |t2| t1.min(t2));
+            if full.is_some() {
+                x.axpy(t, z);
             }
-
-            // Full step length: drive the violation of p to zero.
-            let s_p = rows.dot(p, x.as_slice()) - hvec[p];
-            let t2 = s_p / ztnp;
-            let t = t1.min(t2);
-
-            x.axpy(t, z);
             for (j, rj) in r.iter().enumerate() {
                 u[j] -= t * rj;
             }
             u_p += t;
 
-            if t2 <= t1 {
-                if lu_current {
-                    // Grow the factor by p's border: the new column is
-                    // `rhs`, the new row is read from the memo.  Where
-                    // `extend` declines, the next iteration refactors.
+            if full.is_some_and(|t2| t2 <= t1) {
+                if held != Held::Stale {
+                    let factor = working(&mut held, factors, chol, n);
                     border.clear();
                     border.extend(active.iter().map(|&b| memo.gram[(p, b)]));
-                    border.push(memo.gram[(p, p)]);
-                    lu_current = matches!(lu.extend(rhs.as_slice(), border), Ok(true));
+                    if factor.append(border, memo.gram[(p, p)]) {
+                        work.appends += 1;
+                        work.max_order = work.max_order.max(factor.order());
+                    } else {
+                        work.declined += 1;
+                        held = Held::Stale;
+                    }
                 }
                 active.push(p);
                 u.push(u_p);
                 in_active[p] = true;
                 continue 'outer;
             }
-            let j = drop_idx.expect("t1 < t2 implies a blocking index");
+            let j = drop_idx.expect("a step short of the full one has a blocking index");
             in_active[active[j]] = false;
             active.remove(j);
             u.remove(j);
-            lu_current = false;
+            if held != Held::Stale {
+                working(&mut held, factors, chol, n).delete(j);
+                work.deletes += 1;
+            }
         }
     }
 }
@@ -512,9 +543,13 @@ fn solve_with_chol(
 /// satisfies the dual method's invariant — `x` minimizes the objective
 /// over the span of the active constraints with non-negative multipliers —
 /// so the main loop can resume from it as if it had built that set itself.
-/// Returns `None` (cold start, `ws.x`/`active`/`u` untouched) when the
-/// subproblem is singular, e.g. for a stale guess with linearly dependent
-/// rows.
+/// Returns where the factor over that set is, or `None` (cold start,
+/// `ws.x`/`active`/`u` untouched) when a row of the guess is dependent on
+/// the rows before it.
+///
+/// The factor of the whole guess comes from `factors` (built on a miss);
+/// every drop is a delete on the workspace's working copy.
+#[allow(clippy::too_many_arguments)]
 fn try_warm_start(
     model: &QpCore,
     hvec: &Vector,
@@ -523,7 +558,8 @@ fn try_warm_start(
     n: usize,
     factors: &mut WarmFactors,
     ws: &mut QpWorkspace,
-) -> Option<()> {
+    work: &mut FactorWork,
+) -> Option<Held> {
     let rows = &model.g_rows;
     let m = rows.rows();
     let QpWorkspace {
@@ -531,14 +567,11 @@ fn try_warm_start(
         active,
         u: u_out,
         x0,
-        sub,
-        rhs,
+        chol,
+        border,
         seen,
         cand,
         wu: u,
-        rr,
-        ur,
-        xr,
         memo,
         ..
     } = ws;
@@ -553,41 +586,43 @@ fn try_warm_start(
     }
     // More than n active constraints cannot be linearly independent.
     cand.truncate(n);
+    if cand.is_empty() {
+        return None;
+    }
     // The loop below only shrinks `cand`: every row it reads is ready.
     for &a in cand.iter() {
         memo.ensure(model, a).ok()?;
     }
+    if factors.cand != *cand {
+        copy_active_set(cand, n, &mut factors.cand);
+        factors.factor.reserve(n);
+        factors.built = memo.build(cand, &mut factors.factor, border, work);
+    }
+    if !factors.built {
+        return None;
+    }
+    work.max_order = work.max_order.max(cand.len());
+    let mut held = Held::Memo;
 
     loop {
         if cand.is_empty() {
             return None;
         }
         let q = cand.len();
+        let factor = if held == Held::Memo {
+            &factors.factor
+        } else {
+            &*chol
+        };
 
         // M u = b_A − Nᵀx0, with b_a = −hvec[a] and n_a = −g_aᵀ, i.e.
-        // rhs[a] = g_a·x0 − hvec[a].
-        rhs.resize(q);
+        // the right-hand side g_a·x0 − hvec[a].
+        u.resize(q);
         for a in 0..q {
-            rhs[a] = rows.dot(cand[a], x0.as_slice()) - hvec[cand[a]];
+            u[a] = rows.dot(cand[a], x0.as_slice()) - hvec[cand[a]];
         }
-        // `M` depends only on the candidate set, so its LU factor is
-        // memoized across solves (`Lu::refactor` is deterministic: a
-        // cache hit is bit-identical to refactoring).  On the controller
-        // hot path the active set repeats period after period, turning the
-        // O(q³) decomposition into an O(q²) back-substitution.
-        if factors.cand != *cand {
-            copy_active_set(cand, n, &mut factors.cand);
-            factors.full_valid = false;
-            factors.reduced_valid = false;
-        }
-        if !factors.full_valid {
-            sub.reserve(n, n);
-            factors.full.reserve(n);
-            memo.subproblem_into(cand, None, sub);
-            factors.full.refactor(sub).ok()?;
-            factors.full_valid = true;
-        }
-        factors.full.solve_into(rhs, u).ok()?;
+        factor.forward(u.as_mut_slice());
+        factor.back(u.as_mut_slice());
 
         // Drop the most negative multiplier and re-solve, until the guess
         // is dual feasible.
@@ -599,10 +634,6 @@ fn try_warm_start(
                 worst_j = Some(j);
             }
         }
-        if let Some(j) = worst_j {
-            cand.remove(j);
-            continue;
-        }
 
         // Dual feasibility alone is not enough to match the cold start on
         // degenerate problems: a guess row whose hyperplane passes within
@@ -610,47 +641,25 @@ fn try_warm_start(
         // positive multiplier, while a cold start never adds it (its
         // violation stays under `tol`) — two answers that differ at
         // tolerance level.  Align the two by applying the cold start's own
-        // criterion: tentatively drop the weakest constraint and keep the
-        // drop whenever the main loop would not re-add the row (violation
-        // at the reduced optimum ≤ `tol`).  A genuinely active constraint
-        // fails that test on the first try, so this costs one extra
-        // subproblem solve in the common case.
-        let mut weakest = 0;
-        for j in 1..q {
-            if u[j] < u[weakest] {
-                weakest = j;
+        // criterion: drop the weakest constraint whenever the main loop
+        // would not re-add the row (violation at the reduced optimum ≤
+        // `tol`).  That violation is `u_w / (M⁻¹)_ww` (the optimum without
+        // row w moves along M⁻¹e_w until u_w is spent), read off the
+        // factor by one partial forward substitution.
+        let drop = worst_j.or_else(|| {
+            let mut weakest = 0;
+            for j in 1..q {
+                if u[j] < u[weakest] {
+                    weakest = j;
+                }
             }
-        }
-        let dropped = cand[weakest];
-        let qr = q - 1;
-        let viol_without = if qr == 0 {
-            rows.dot(dropped, x0.as_slice()) - hvec[dropped]
-        } else {
-            rr.resize(qr);
-            for a in 0..qr {
-                let ca = cand[a + usize::from(a >= weakest)];
-                rr[a] = rows.dot(ca, x0.as_slice()) - hvec[ca];
-            }
-            // The reduced factor is memoized under the same rule,
-            // keyed by (candidate set, dropped position).
-            if !factors.reduced_valid || factors.reduced_weakest != weakest {
-                factors.reduced_weakest = weakest;
-                factors.reduced_valid = false;
-                factors.reduced.reserve(n);
-                memo.subproblem_into(cand, Some(weakest), sub);
-                factors.reduced.refactor(sub).ok()?;
-                factors.reduced_valid = true;
-            }
-            factors.reduced.solve_into(rr, ur).ok()?;
-            xr.clone_from(x0);
-            for b in 0..qr {
-                let hb = b + usize::from(b >= weakest);
-                kernel::axpy(xr.as_mut_slice(), ur[b], memo.hinv(cand[hb]));
-            }
-            rows.dot(dropped, xr.as_slice()) - hvec[dropped]
-        };
-        if viol_without <= tol {
-            cand.remove(weakest);
+            let viol_without = u[weakest] / factor.inverse_diagonal(weakest, border);
+            (viol_without <= tol).then_some(weakest)
+        });
+        if let Some(j) = drop {
+            working(&mut held, factors, chol, n).delete(j);
+            work.deletes += 1;
+            cand.remove(j);
             continue;
         }
 
@@ -660,7 +669,7 @@ fn try_warm_start(
         }
         active.extend_from_slice(cand);
         u_out.extend_from_slice(u.as_slice());
-        return Some(());
+        return Some(held);
     }
 }
 
@@ -767,7 +776,7 @@ impl QpCore {
 /// solve is a fresh instance solved once.
 ///
 /// Cloning is cheap: the immutable model (`QpCore`) is shared through an
-/// `Arc`, only the per-instance warm-start factors are copied, and the
+/// `Arc`, only the per-instance warm-start factor memo is copied, and the
 /// clone starts with an empty workspace, back-solves included — so N
 /// homogeneous controllers hold one factorization, not N, and each
 /// derives only the rows its own solves touch.  A clone's solves are
@@ -795,7 +804,7 @@ impl QpCore {
 #[derive(Debug)]
 pub struct PreparedQp {
     core: Arc<QpCore>,
-    /// Warm-start subproblem factors memoized across solves (see
+    /// The warm-start subproblem factor memoized across solves (see
     /// [`WarmFactors`]); interior mutability keeps [`PreparedQp::solve`]
     /// callable through a shared reference.  Per clone, outside the
     /// shared core.
@@ -807,7 +816,7 @@ pub struct PreparedQp {
 }
 
 impl Clone for PreparedQp {
-    /// Shares the immutable model; copies the warm-start factors as-is
+    /// Shares the immutable model; copies the warm-start factor memo as-is
     /// (a pristine instance clones to a pristine instance).  The workspace
     /// is not copied: its back-solves are recomputed bit for bit on first
     /// touch, and a fleet of clones should each grow only the scratch and
@@ -1431,6 +1440,46 @@ mod tests {
         // offered, nothing of it survives.
         let inside = Vector::from_slice(&[-0.5, -0.5]);
         assert_eq!(qp.solve(&inside, &h, &[0, 1]).unwrap().warm_retained, 0);
+    }
+
+    #[test]
+    fn factor_work_counts_builds_appends_and_deletes() {
+        let (qp, h) = unit_box();
+        let f = Vector::from_slice(&[-2.0, -2.0]);
+        // (builds, Σq³, appends, declined, deletes, largest order)
+        let work = |s: QpSolution| {
+            let w = s.factor_work;
+            (
+                w.builds,
+                w.build_q3,
+                w.appends,
+                w.declined,
+                w.deletes,
+                w.max_order,
+            )
+        };
+        // Cold: both rows join by appends.
+        let cold = qp.solve(&f, &h, &[]).unwrap();
+        assert_eq!(work(cold.clone()), (0, 0, 2, 0, 0, 2));
+        // The exact guess builds its factor once; the same guess again
+        // reads the memo and builds nothing.
+        assert_eq!(
+            work(qp.solve(&f, &h, &cold.active).unwrap()),
+            (1, 8, 0, 0, 0, 2)
+        );
+        assert_eq!(
+            work(qp.solve(&f, &h, &cold.active).unwrap()),
+            (0, 0, 0, 0, 0, 2)
+        );
+        // A partial guess: a build of order 1, then row 0 is appended.
+        assert_eq!(work(qp.solve(&f, &h, &[1]).unwrap()), (1, 1, 1, 0, 0, 2));
+        // A guess with the target inside the box: its factor is built,
+        // then both rows are deleted, and the solve runs cold.
+        let inside = Vector::from_slice(&[-0.5, -0.5]);
+        assert_eq!(
+            work(qp.solve(&inside, &h, &[0, 1]).unwrap()),
+            (1, 8, 0, 0, 2, 2)
+        );
     }
 
     /// `H = AᵀA + I` over `n` variables and a `G` of `m` rows whose
