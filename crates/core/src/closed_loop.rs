@@ -1,7 +1,6 @@
 //! The EUCON feedback loop: simulator + controller, one exchange per
 //! sampling period.
 
-use std::collections::VecDeque;
 use std::time::Instant;
 
 mod loop_builder;
@@ -17,7 +16,6 @@ use crate::admission::{
     RejectReason, Shed,
 };
 use crate::distributed::{NetConfig, NetRuntime};
-use crate::lanes::LaneState;
 use crate::metrics::{self, SeriesStats};
 use crate::plant::Plant;
 use crate::telemetry::{
@@ -178,7 +176,6 @@ pub struct ClosedLoop {
     set_points: Vector,
     trace: Trace,
     control_errors: usize,
-    lanes: LaneState,
     /// Per-task discrete rate grids when actuation is quantized.
     rate_grid: Option<Vec<Vec<f64>>>,
     /// Fault injector driving scripted/stochastic faults (None = the
@@ -187,9 +184,6 @@ pub struct ClosedLoop {
     /// Processor hosting each task's rate modulator (first subtask) —
     /// actuation-lane faults are routed per task through this map.
     head_proc: Vec<usize>,
-    /// Rate commands in flight when actuation is delayed.
-    act_queue: VecDeque<Vector>,
-    act_delay: usize,
     summary: FaultSummary,
     /// Whether steps are accumulated into the trace (off for long
     /// unattended runs that only need the final statistics).
@@ -395,13 +389,12 @@ impl ClosedLoop {
             &self.u_scratch
         };
 
-        // 4. The report crosses the feedback lanes (possibly delayed or
-        // lost, or — in distributed mode — real transport frames); `None`
-        // means it arrived unchanged.
-        let mut laned = match &mut self.net {
-            Some(net) => net.exchange_reports(k, u_report, &ann.partitioned),
-            None => self.lanes.transmit(u_report),
-        };
+        // 4. In distributed mode the report crosses the feedback lanes
+        // (possibly delayed or lost); `None` means it arrived unchanged.
+        let mut laned = self
+            .net
+            .as_mut()
+            .and_then(|net| net.exchange_reports(k, u_report, &ann.partitioned));
         if self.net.is_none() && self.has_partitions {
             // A partitioned lane delivers nothing: the controller keeps
             // the lane's last delivered value for those entries.
@@ -452,7 +445,6 @@ impl ClosedLoop {
         // configuration hands the controller's rates to the modulators by
         // reference — no copy, no allocation.
         if self.rate_grid.is_none()
-            && self.act_delay == 0
             && self.injector.is_none()
             && self.net.is_none()
             && self.admission.is_none()
@@ -486,68 +478,46 @@ impl ClosedLoop {
                     None => self.act_cmd.copy_from(self.controller.rates()),
                 }
             }
-            let arriving = if self.act_delay > 0 {
-                self.act_queue.push_back(self.act_cmd.clone());
-                if self.act_queue.len() > self.act_delay {
-                    let front = self.act_queue.pop_front().expect("queue just pushed");
-                    // `clone_from` (not `copy_from`): a queued command may
-                    // predate an admission and be one entry short.
-                    self.act_cmd.clone_from(&front);
-                    while self.act_cmd.len() < self.plant.rates_in_force().len() {
-                        let t = self.act_cmd.len();
-                        self.act_cmd.push(self.plant.rates_in_force()[t]);
+            if let Some(inj) = &mut self.injector {
+                // A dropped lane means every task modulated on that
+                // processor keeps its previous rate this period.
+                let n = self.set_points.len();
+                self.dropped.clear();
+                self.dropped
+                    .extend((0..n).filter(|&p| inj.actuation_lost(p)));
+                if !self.dropped.is_empty() {
+                    let in_force = self.plant.rates_in_force();
+                    for (t, &p) in self.head_proc.iter().enumerate() {
+                        if self.dropped.contains(&p) {
+                            self.act_cmd[t] = in_force[t];
+                        }
                     }
-                    true
-                } else {
-                    // Nothing has crossed the actuation lanes yet; the
-                    // rates in force stay in force.
-                    false
+                    ann.actuation_dropped = self.dropped.clone();
                 }
+            }
+            if let Some(net) = &mut self.net {
+                // Distributed mode: the command crosses the lanes and
+                // the modulators merge whatever arrived (a silent or
+                // partitioned lane keeps its tasks' rates in force).
+                let merged = net.actuate(
+                    k,
+                    &self.act_cmd,
+                    self.plant.rates_in_force(),
+                    &ann.partitioned,
+                );
+                self.plant.apply_rates(merged);
             } else {
-                true
-            };
-            if arriving {
-                if let Some(inj) = &mut self.injector {
-                    // A dropped lane means every task modulated on that
-                    // processor keeps its previous rate this period.
-                    let n = self.set_points.len();
-                    self.dropped.clear();
-                    self.dropped
-                        .extend((0..n).filter(|&p| inj.actuation_lost(p)));
-                    if !self.dropped.is_empty() {
-                        let in_force = self.plant.rates_in_force();
-                        for (t, &p) in self.head_proc.iter().enumerate() {
-                            if self.dropped.contains(&p) {
-                                self.act_cmd[t] = in_force[t];
-                            }
-                        }
-                        ann.actuation_dropped = self.dropped.clone();
-                    }
-                }
-                if let Some(net) = &mut self.net {
-                    // Distributed mode: the command crosses the lanes and
-                    // the modulators merge whatever arrived (a silent or
-                    // partitioned lane keeps its tasks' rates in force).
-                    let merged = net.actuate(
-                        k,
-                        &self.act_cmd,
-                        self.plant.rates_in_force(),
-                        &ann.partitioned,
-                    );
-                    self.plant.apply_rates(merged);
-                } else {
-                    if !ann.partitioned.is_empty() {
-                        // Partitioned lanes can't deliver commands either:
-                        // their tasks keep the rates in force.
-                        let in_force = self.plant.rates_in_force();
-                        for (t, &p) in self.head_proc.iter().enumerate() {
-                            if ann.partitioned.contains(&p) {
-                                self.act_cmd[t] = in_force[t];
-                            }
+                if !ann.partitioned.is_empty() {
+                    // Partitioned lanes can't deliver commands either:
+                    // their tasks keep the rates in force.
+                    let in_force = self.plant.rates_in_force();
+                    for (t, &p) in self.head_proc.iter().enumerate() {
+                        if ann.partitioned.contains(&p) {
+                            self.act_cmd[t] = in_force[t];
                         }
                     }
-                    self.plant.apply_rates(&self.act_cmd);
                 }
+                self.plant.apply_rates(&self.act_cmd);
             }
         }
         let t_actuated = Instant::now();
@@ -867,8 +837,6 @@ impl ClosedLoop {
         let started = self.plant.rates_in_force()[tid.0];
         self.last.rates.push(started);
         self.act_cmd.push(started);
-        // Commands already in the delay queue predate this task; they will
-        // be padded with the in-force rate when they arrive.
         if let Some(net) = &mut self.net {
             net.add_task(task.subtasks()[0].processor.0);
         }

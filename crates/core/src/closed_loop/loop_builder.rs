@@ -1,7 +1,7 @@
 //! The loop builder: one description of a loop for every execution mode.
 //!
 //! [`LoopBuilder`] describes an experiment once — workload, plant,
-//! controller, lanes, faults, churn, telemetry batching — as plain
+//! controller, faults, churn, telemetry batching — as plain
 //! `Send + Clone` data, and a finisher picks how it runs:
 //!
 //! * [`LoopBuilder::local`] — the single-process loop;
@@ -16,14 +16,13 @@
 //! single-process mode), and every fleet worker and service tenant
 //! builds its loop from a `LoopBuilder` too.  All inputs are validated at
 //! the finisher, which returns [`CoreError::Config`] for out-of-domain
-//! values instead of panicking in a setter, and the one option a mode
-//! cannot honour (the in-loop `lanes` model in distributed mode) is
-//! rejected by name — never dropped.
+//! values instead of panicking in a setter, and every finisher honours
+//! every option.  Lane delay and loss are not a builder option: they
+//! belong to the lanes, on the [`NetConfig`].
 //!
 //! The module is a child of `closed_loop` because building a loop means
 //! filling in its private state.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use eucon_control::{MpcConfig, RateController};
@@ -33,10 +32,9 @@ use eucon_tasks::{rms_set_points, TaskId, TaskSet};
 
 use super::{rate_grid, ClosedLoop, FaultSummary, DEFAULT_SAMPLING_PERIOD};
 use crate::admission::{AdmissionController, AdmissionPolicy, ChurnPlan};
-use crate::lanes::LaneState;
 use crate::plant::{Plant, PlantFactory, SimPlant};
 use crate::telemetry::LoopTelemetry;
-use crate::{ControllerSpec, CoreError, FleetRunner, LaneModel, NetConfig, Trace, TraceStep};
+use crate::{ControllerSpec, CoreError, FleetRunner, NetConfig, Trace, TraceStep};
 
 /// One builder for every execution mode; see the module docs.
 ///
@@ -73,7 +71,6 @@ pub struct LoopBuilder {
     sim: SimConfig,
     pub(crate) controller: ControllerSpec,
     pub(crate) set_points: Option<Vector>,
-    lanes: Option<LaneModel>,
     faults: FaultPlan,
     pub(crate) churn: ChurnPlan,
     pub(crate) admission: Option<AdmissionPolicy>,
@@ -95,7 +92,6 @@ impl std::fmt::Debug for LoopBuilder {
         f.debug_struct("LoopBuilder")
             .field("controller", &self.controller)
             .field("plant", &self.plant.as_ref().map_or("sim", |p| p.label()))
-            .field("lanes", &self.lanes)
             .field("faults", &self.faults)
             .finish_non_exhaustive()
     }
@@ -104,15 +100,13 @@ impl std::fmt::Debug for LoopBuilder {
 impl LoopBuilder {
     /// Starts describing an experiment over a task set (defaults: the
     /// `etf = 1` constant-execution-time plant, the EUCON controller
-    /// with SIMPLE's parameters, ideal lanes, no faults, a static task
-    /// set).
+    /// with SIMPLE's parameters, no faults, a static task set).
     pub fn new(set: TaskSet) -> Self {
         LoopBuilder {
             set,
             sim: SimConfig::default(),
             controller: ControllerSpec::Eucon(MpcConfig::simple()),
             set_points: None,
-            lanes: None,
             faults: FaultPlan::none(),
             churn: ChurnPlan::none(),
             admission: None,
@@ -156,17 +150,6 @@ impl LoopBuilder {
     /// the paper's eq. 13).
     pub fn set_points(mut self, b: Vector) -> Self {
         self.set_points = Some(b);
-        self
-    }
-
-    /// Applies the in-loop feedback-lane model (default: the paper's
-    /// ideal lanes — zero delay, zero loss).  Local mode only — in
-    /// distributed mode the lanes are real, so delay and loss belong on
-    /// the [`NetConfig`] (`report_lanes`/`command_lanes`), and the
-    /// finisher rejects this option to keep the two from silently
-    /// diverging.
-    pub fn lanes(mut self, model: LaneModel) -> Self {
-        self.lanes = Some(model);
         self
     }
 
@@ -284,8 +267,6 @@ impl LoopBuilder {
                 "sampling period must be positive and finite, got {ts}"
             )));
         }
-        let lanes = self.lanes.unwrap_or_default();
-        lanes.validate("lanes")?;
         self.faults.validate(self.set.num_processors())?;
         self.churn.validate(&self.set)?;
         if let Some(policy) = &self.admission {
@@ -341,7 +322,6 @@ impl LoopBuilder {
                 self.set.num_processors(),
             ))
         };
-        let act_delay = self.faults.actuation_delay_periods();
         let has_partitions = self.faults.has_partitions();
         let num_procs = self.set.num_processors();
         let num_tasks = self.set.num_tasks();
@@ -407,12 +387,9 @@ impl LoopBuilder {
             set_points,
             trace: Trace::new(),
             control_errors: 0,
-            lanes: LaneState::new(lanes),
             rate_grid,
             injector,
             head_proc,
-            act_queue: VecDeque::new(),
-            act_delay,
             summary: FaultSummary::default(),
             record: self.record_trace,
             u_scratch: Vector::zeros(num_procs),
@@ -436,18 +413,11 @@ impl LoopBuilder {
     /// # Errors
     ///
     /// Everything [`LoopBuilder::local`] rejects, plus
-    /// [`CoreError::Config`] when [`LoopBuilder::lanes`] was set (use
-    /// `net.report_lanes` / `net.command_lanes` instead) or when either
-    /// of those models is out of domain, and [`CoreError::Transport`] when
-    /// the backend fails to connect (e.g. binding the loopback sockets).
+    /// [`CoreError::Config`] when `net.report_lanes` or
+    /// `net.command_lanes` is out of domain, and [`CoreError::Transport`]
+    /// when the backend fails to connect (e.g. binding the loopback
+    /// sockets).
     pub fn distributed(self, net: NetConfig) -> Result<ClosedLoop, CoreError> {
-        if self.lanes.is_some() {
-            return Err(CoreError::Config(
-                "in distributed mode the lanes are real: configure delay/loss on the \
-                 NetConfig (report_lanes / command_lanes), not with LoopBuilder::lanes"
-                    .into(),
-            ));
-        }
         net.report_lanes.validate("report_lanes")?;
         net.command_lanes.validate("command_lanes")?;
         let mut lp = self.local()?;
@@ -483,7 +453,7 @@ mod tests {
     use super::*;
     use crate::fleet::digest_run;
     use crate::telemetry::TelemetrySink;
-    use crate::BoundaryMode;
+    use crate::{BoundaryMode, LaneModel};
     use eucon_tasks::workloads;
 
     #[test]
@@ -523,19 +493,9 @@ mod tests {
         name: &'static str,
         set: fn(LoopBuilder) -> LoopBuilder,
         honoured: fn(&mut ClosedLoop) -> bool,
-        /// What the distributed finisher's rejection must mention
-        /// (`None` = it honours the option).
-        distributed_rejects: Option<&'static str>,
     }
 
-    const OPTIONS: [OptionCase; 6] = [
-        OptionCase {
-            name: "lanes",
-            set: |b| b.lanes(LaneModel::delayed(1)),
-            // The first report is still in flight: the controller sees 0.
-            honoured: |lp| lp.step().seen().iter().all(|&u| u == 0.0),
-            distributed_rejects: Some("report_lanes"),
-        },
+    const OPTIONS: [OptionCase; 5] = [
         OptionCase {
             name: "quantized_rates",
             set: |b| b.quantized_rates(2),
@@ -547,25 +507,21 @@ mod tests {
                     rates[t] == task.rate_min() || rates[t] == task.rate_max()
                 })
             },
-            distributed_rejects: None,
         },
         OptionCase {
             name: "record_trace",
             set: |b| b.record_trace(false),
             honoured: |lp| lp.run(3).trace.is_empty(),
-            distributed_rejects: None,
         },
         OptionCase {
             name: "sampling_period",
             set: |b| b.sampling_period(500.0),
             honoured: |lp| lp.step().time == 500.0,
-            distributed_rejects: None,
         },
         OptionCase {
             name: "controller",
             set: |b| b.controller(ControllerSpec::Open),
             honoured: |lp| lp.controller_name() == "OPEN",
-            distributed_rejects: None,
         },
         OptionCase {
             name: "admission",
@@ -576,12 +532,11 @@ mod tests {
                     .admission(AdmissionPolicy::default())
             },
             honoured: |lp| !lp.run(13).admission_events.is_empty(),
-            distributed_rejects: None,
         },
     ];
 
     #[test]
-    fn every_finisher_honours_an_option_or_rejects_it_by_name() {
+    fn every_finisher_honours_every_option() {
         let base =
             || LoopBuilder::new(workloads::simple()).sim_config(SimConfig::constant_etf(0.5));
         for case in &OPTIONS {
@@ -593,20 +548,12 @@ mod tests {
             let mut local = builder.clone().local().unwrap();
             assert!((case.honoured)(&mut local), "local drops {}", case.name);
 
-            let dist = builder.clone().distributed(NetConfig::channel());
-            match case.distributed_rejects {
-                None => assert!(
-                    (case.honoured)(&mut dist.unwrap()),
-                    "distributed drops {}",
-                    case.name
-                ),
-                Some(hint) => match dist.unwrap_err() {
-                    CoreError::Config(msg) => {
-                        assert!(msg.contains(case.name) && msg.contains(hint), "{msg}")
-                    }
-                    other => panic!("expected a Config error, got {other:?}"),
-                },
-            }
+            let mut dist = builder.clone().distributed(NetConfig::channel()).unwrap();
+            assert!(
+                (case.honoured)(&mut dist),
+                "distributed drops {}",
+                case.name
+            );
 
             // Fleet members are clones of the builder: each one's digest
             // is the digest of an untraced loop built from it by hand.
@@ -654,17 +601,11 @@ mod tests {
     fn lane_models_are_validated_for_every_mode() {
         for loss in [1.0, 1.5, -0.1, f64::NAN] {
             let bad = LaneModel {
-                report_delay: 0,
+                delay: 0,
                 loss_probability: loss,
                 seed: 0,
             };
             let attempts = [
-                (
-                    "lanes",
-                    LoopBuilder::new(workloads::simple())
-                        .lanes(bad.clone())
-                        .local(),
-                ),
                 (
                     "report_lanes",
                     LoopBuilder::new(workloads::simple())

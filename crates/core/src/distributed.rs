@@ -18,8 +18,8 @@
 //! in-memory pipes — the *ideal lane*, whose closed-loop traces are
 //! bit-identical to the single-process loop — or real loopback TCP.
 //! Network effects (per-lane delay and loss) sit in front of either as
-//! per-lane [`DelayLossGate`]s configured through the same [`LaneModel`]
-//! the single-process loop uses.
+//! per-lane [`DelayLossGate`]s configured by a [`LaneModel`] per
+//! direction — the only place a delayed or lossy lane exists.
 //!
 //! Lost or late frames never stall the loop.  Each exchange waits for
 //! exactly the frames it wrote to a transport this period and has not
@@ -27,10 +27,9 @@
 //! holds cannot arrive and is never waited for, so the receive window
 //! bounds real transport latency only.  A lane that delivered nothing is
 //! marked stale, the controller reuses the lane's last delivered
-//! utilization (zero before the first delivery, exactly like
-//! [`LaneModel`] loss), and the watchdog is notified via
-//! [`RateController::note_stale`] so a dead lane eventually trips the
-//! same degraded mode as a dead monitor.  A lane torn by a hangup, an
+//! utilization (zero before the first delivery), and the watchdog is
+//! notified via [`RateController::note_stale`] so a dead lane eventually
+//! trips the same degraded mode as a dead monitor.  A lane torn by a hangup, an
 //! I/O error or a malformed frame is stale until the fabric re-dials it
 //! (every period starts with [`LaneFabric::heal`]); one retired with
 //! `PollEngine::deregister` stays down.
@@ -51,7 +50,7 @@ use eucon_net::{
 };
 
 use crate::telemetry::NetPeriod;
-use crate::{CoreError, LaneModel};
+use crate::CoreError;
 
 /// Which link carries the feedback lanes.
 #[derive(Debug, Clone)]
@@ -64,6 +63,85 @@ pub enum NetBackend {
     /// timeouts, torn lanes re-dialed with exponential backoff plus
     /// jitter).
     Tcp(TcpConfig),
+}
+
+/// Delay/loss model of one direction of a set of lanes: reports
+/// (processor → controller), commands (controller → processor), shard
+/// boundary lanes or a tenant's lanes.  Each lane crosses its own
+/// [`DelayLossGate`]; lane `p` draws its losses from `seed + p`, so lanes
+/// fail independently.  A lost or late report leaves the controller on
+/// the lane's last delivered value (zero before the first delivery); a
+/// lost or late command leaves the tasks on the rates in force.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LaneModel {
+    /// Whole sampling periods each frame spends in flight (0 = the
+    /// paper's idealized lanes).
+    pub delay: usize,
+    /// Probability that a frame is lost, in `[0, 1)`.
+    pub loss_probability: f64,
+    /// RNG seed for loss draws.
+    pub seed: u64,
+}
+
+impl LaneModel {
+    /// The paper's idealization: zero delay, zero loss.
+    pub fn ideal() -> Self {
+        LaneModel {
+            delay: 0,
+            loss_probability: 0.0,
+            seed: 0,
+        }
+    }
+
+    /// Lanes with a fixed delay (in sampling periods).
+    pub fn delayed(periods: usize) -> Self {
+        LaneModel {
+            delay: periods,
+            ..LaneModel::ideal()
+        }
+    }
+
+    /// Lanes dropping each frame independently with probability `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 ≤ p < 1`.
+    pub fn lossy(p: f64, seed: u64) -> Self {
+        assert!(
+            (0.0..1.0).contains(&p),
+            "loss probability must be in [0, 1)"
+        );
+        LaneModel {
+            delay: 0,
+            loss_probability: p,
+            seed,
+        }
+    }
+
+    /// Checks the model's domain — the one validation every option
+    /// carrying a lane model goes through (`what` names the option in
+    /// the error).
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Config`] unless the loss probability lies in
+    /// `[0, 1)` (`NaN` is rejected).
+    pub fn validate(&self, what: &str) -> Result<(), CoreError> {
+        if (0.0..1.0).contains(&self.loss_probability) {
+            Ok(())
+        } else {
+            Err(CoreError::Config(format!(
+                "{what}: loss probability must be in [0, 1), got {}",
+                self.loss_probability
+            )))
+        }
+    }
+}
+
+impl Default for LaneModel {
+    fn default() -> Self {
+        LaneModel::ideal()
+    }
 }
 
 /// Transport configuration of a distributed loop
@@ -169,13 +247,13 @@ impl Direction {
     /// `lanes` lanes carrying `kind` frames under `model`; lane `p`
     /// draws its losses from `model.seed + p · seed_stride`.
     pub(crate) fn new(kind: FrameKind, model: &LaneModel, lanes: usize, seed_stride: u64) -> Self {
-        let gates = if model.report_delay == 0 && model.loss_probability == 0.0 {
+        let gates = if model.delay == 0 && model.loss_probability == 0.0 {
             Vec::new()
         } else {
             (0..lanes as u64)
                 .map(|p| {
                     DelayLossGate::new(
-                        model.report_delay,
+                        model.delay,
                         model.loss_probability,
                         model.seed.wrapping_add(p.wrapping_mul(seed_stride)),
                     )
@@ -270,8 +348,7 @@ fn exchange<I: ExactSizeIterator<Item = f64>>(
             // engine; the loop sees a stale lane.
             let _ = rx.drain(p, |view| {
                 // A delayed frame still counts as the delivery — the
-                // receiver acts on it k − d periods late, exactly like
-                // the in-loop lane model.
+                // receiver acts on it k − d periods late.
                 if view.kind() == d.kind && view.seq() >= *seen {
                     *seen = view.seq();
                     deliver(p, view);
@@ -387,8 +464,7 @@ impl NetRuntime {
     /// arrives and fills silent lanes from the hold values.
     ///
     /// Returns `None` when the delivered vector is bit-identical to
-    /// `u_report` (the ideal-lane common case — nothing to record),
-    /// mirroring `LaneState::transmit`.
+    /// `u_report` (the ideal-lane common case — nothing to record).
     pub(crate) fn exchange_reports(
         &mut self,
         k: usize,
@@ -569,6 +645,12 @@ mod tests {
         assert_eq!(stats.sent, 160);
         assert_eq!(stats.received, 160);
         assert_eq!(stats.dropped, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "loss probability")]
+    fn lossy_lane_model_rejects_certain_loss() {
+        let _ = LaneModel::lossy(1.0, 0);
     }
 
     #[test]

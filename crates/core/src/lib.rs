@@ -10,7 +10,8 @@
 //!   default, or with the node split made real — controller node and
 //!   per-processor nodes exchanging binary frames over pluggable
 //!   transport lanes (`eucon-net`): ideal in-process channels
-//!   (bit-identical traces) or loopback TCP.
+//!   (bit-identical traces) or loopback TCP.  Delay and loss exist only
+//!   there: a [`LaneModel`] per direction on the [`NetConfig`].
 //! * [`LoopBuilder`] — the one description of a loop (`Send + Clone`
 //!   data): describe the experiment, then finish with `.local()`,
 //!   `.distributed(net)` or `.fleet(n)`; service tenants build from it
@@ -75,7 +76,6 @@ mod error;
 pub mod experiments;
 mod factory;
 mod fleet;
-mod lanes;
 #[cfg(feature = "os-plant")]
 pub mod os_plant;
 mod plant;
@@ -93,12 +93,11 @@ pub use admission::{
 pub use closed_loop::{
     ClosedLoop, FaultSummary, LoopBuilder, RunMetrics, RunResult, DEFAULT_SAMPLING_PERIOD,
 };
-pub use distributed::{NetBackend, NetConfig};
+pub use distributed::{LaneModel, NetBackend, NetConfig};
 pub use error::CoreError;
 pub use experiments::{SteadyRun, SweepPoint, VaryingRun};
 pub use factory::ControllerSpec;
 pub use fleet::{FleetReport, FleetRunner};
-pub use lanes::{LaneModel, LaneState};
 #[cfg(feature = "os-plant")]
 pub use os_plant::{OsPlant, OsPlantConfig};
 pub use plant::{Plant, PlantFactory, SimPlant, SimPlantFactory};

@@ -818,7 +818,7 @@ fn parse_attach(args: &[&str]) -> Result<TenantSpec, AttachError> {
         .controller(ControllerSpec::Eucon(mpc));
     if loss > 0.0 || delay > 0 {
         spec = spec.report_lanes(LaneModel {
-            report_delay: delay,
+            delay,
             loss_probability: loss,
             seed,
         });

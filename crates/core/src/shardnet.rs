@@ -160,7 +160,7 @@ impl ShardBoundaryNet {
             )));
         }
         let model = LaneModel {
-            report_delay: delay,
+            delay,
             loss_probability: loss,
             seed,
         };

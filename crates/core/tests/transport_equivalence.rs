@@ -10,20 +10,25 @@
 //!    processor nodes exchanging binary frames may not perturb a single
 //!    bit.
 //!
-//! 2. **Draw-for-draw lane model** — a [`DelayLossGate`] of wire frames
-//!    in front of an in-memory lane must agree with the in-loop
-//!    [`LaneState`] reference semantics on every period: same seed →
-//!    same loss draws, same delivered values, bit-for-bit, for arbitrary
-//!    delay/loss configurations (property-tested).
+//! 2. **Draw-for-draw lane model** — on every report lane of a MEDIUM
+//!    loop over lossy, delayed in-memory lanes, what the controller saw
+//!    must equal, bit for bit, what a delay line written from the lane
+//!    model's spec delivers: lane `p` drawing its losses from `seed + p`,
+//!    for arbitrary delay/loss configurations (property-tested).
 //!
 //! [`ClosedLoop`]: eucon_core::ClosedLoop
 
 mod trace_hash;
 
-use eucon_core::net::{memory_lane_fabric, DelayLossGate, Frame, FrameKind};
-use eucon_core::{LaneModel, LaneState};
-use eucon_math::Vector;
+use std::collections::VecDeque;
+
+use eucon_control::MpcConfig;
+use eucon_core::{ControllerSpec, LaneModel, LoopBuilder, NetConfig};
+use eucon_sim::SimConfig;
+use eucon_tasks::workloads;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use trace_hash::{hash_result, Scenario};
 
 #[test]
@@ -76,47 +81,73 @@ fn poll_engine_golden_medium_faulted() {
 
 proptest! {
     #[test]
-    fn delay_loss_middleware_matches_lane_state_draw_for_draw(
+    fn report_lanes_match_a_reference_delay_line_draw_for_draw(
         delay in 0usize..4,
         p in 0.0f64..0.9,
         seed in 0u64..1_000_000,
-        samples in proptest::collection::vec(0.0f64..1.0, 48),
     ) {
-        let mut lane = LaneState::new(LaneModel {
-            report_delay: delay,
-            loss_probability: p,
-            seed,
-        });
-        let mut fabric = memory_lane_fabric(1);
-        let mut gate = DelayLossGate::new(delay, p, seed);
-        // Before anything crosses either lane, the controller sees zeros.
-        let mut hold = 0.0f64;
-        for (k, &x) in samples.iter().enumerate() {
-            let fresh = Vector::from_slice(&[x]);
-            // Reference: `None` means the lane delivered `fresh` unchanged.
-            let reference = lane.transmit(&fresh).map_or(x, |v| v[0]);
-            let kind = FrameKind::UtilizationReport;
-            let frame = Frame::new(kind, k as u64 + 1, k as u64, 0, vec![x]);
-            // Offer, tick, drain: the distributed runtime's period, and
-            // its stale-reuse semantics on a single scalar lane.
-            let proc = &mut fabric.proc;
-            if let Some(frame) = gate.offer(frame) {
-                proc.send_frame(0, &frame).unwrap();
+        let model = LaneModel { delay, loss_probability: p, seed };
+        let result = LoopBuilder::new(workloads::medium())
+            .sim_config(SimConfig::constant_etf(1.0))
+            .controller(ControllerSpec::Eucon(MpcConfig::medium()))
+            .distributed(NetConfig::channel().report_lanes(model))
+            .expect("distributed loop")
+            .run(PERIODS);
+        let steps = result.trace.steps();
+        for lane in 0..steps[0].utilization.len() {
+            let mut reference = DelayLine::new(delay, p, seed + lane as u64);
+            for (k, step) in steps.iter().enumerate() {
+                let want = reference.period(step.utilization[lane]);
+                let got = step.seen()[lane];
+                prop_assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "lane {} period {}: the loop saw {} but the delay line delivered {}",
+                    lane,
+                    k,
+                    got,
+                    want
+                );
             }
-            gate.tick(|frame| proc.send_frame(0, &frame).unwrap());
-            fabric.ctrl.drain(0, |view| hold = view.value(0)).unwrap();
-            prop_assert_eq!(
-                hold.to_bits(),
-                reference.to_bits(),
-                "period {}: middleware delivered {} but LaneState delivered {}",
-                k,
-                hold,
-                reference
-            );
         }
-        // Both models drew from the same seed the same number of times:
-        // loss counts agree exactly.
-        prop_assert_eq!(gate.accepted(), samples.len() as u64);
-        prop_assert_eq!(gate.lost() + fabric.ctrl.stats().received, (samples.len() - delay) as u64);
+    }
+}
+
+/// Periods each lane-model case runs.
+const PERIODS: usize = 40;
+
+/// One report lane written from the lane model's spec: each report
+/// waits `delay` periods in a FIFO, every report that leaves it takes
+/// one loss draw from a `StdRng` seeded with the lane's seed, and the
+/// receiver holds the last delivered value (zero before the first).
+struct DelayLine {
+    delay: usize,
+    loss: f64,
+    rng: StdRng,
+    fifo: VecDeque<f64>,
+    hold: f64,
+}
+
+impl DelayLine {
+    fn new(delay: usize, loss: f64, seed: u64) -> Self {
+        DelayLine {
+            delay,
+            loss,
+            rng: StdRng::seed_from_u64(seed),
+            fifo: VecDeque::new(),
+            hold: 0.0,
+        }
+    }
+
+    /// Sends this period's report; returns what the receiver holds.
+    fn period(&mut self, report: f64) -> f64 {
+        self.fifo.push_back(report);
+        while self.fifo.len() > self.delay {
+            let released = self.fifo.pop_front().unwrap();
+            if self.rng.gen::<f64>() >= self.loss {
+                self.hold = released;
+            }
+        }
+        self.hold
     }
 }

@@ -17,10 +17,9 @@
 //!   [`tcp_lane_fabric`] or [`memory_lane_fabric`] (the *ideal lane*),
 //!   and the one place a torn lane is re-dialed, with exponential
 //!   backoff and jitter per [`TcpConfig`].
-//! * [`DelayLossGate`] — the one delay/loss queue of the workspace,
-//!   generic over what it carries: wire frames in front of a lane's
-//!   sending end, utilization vectors inside the closed loop's
-//!   `LaneModel`.
+//! * [`DelayLossGate`] — the one delay/loss queue of the workspace: it
+//!   holds the frames of one direction of one lane in front of the
+//!   lane's sending end, so every delayed or lossy lane is a gate.
 //!
 //! The distributed loop runtime and the shard boundary bus in
 //! `eucon-core` drive these endpoints; this crate knows nothing about

@@ -3,11 +3,11 @@
 //! [`DelayLossGate`] is a FIFO that holds each item for a fixed number
 //! of ticks and consults the loss probability once per item, only at the
 //! moment the item actually crosses the lane (after its delay elapses).
-//! It never looks inside what it carries and knows nothing about links,
-//! so the same gate holds wire [`Frame`]s in front of a lane engine's
-//! sending end and bare utilization vectors inside the single-process
-//! loop's `LaneModel` — with the same seed both see the same sequence of
-//! loss decisions, because there is only one draw site.
+//! It never looks inside what it carries and knows nothing about links:
+//! one gate holds the wire [`Frame`]s of one direction of one lane in
+//! front of a lane engine's sending end, and every lane model in the
+//! workspace — report and command lanes, shard boundary lanes — draws its
+//! losses here, at the one draw site.
 
 use std::collections::VecDeque;
 
@@ -23,9 +23,7 @@ use crate::frame::Frame;
 /// The caller supplies the delivery action: the distributed runtime and
 /// the shard boundary bus put a `DelayLossGate<Frame>` in front of each
 /// direction of each lane and deliver into
-/// [`PollEngine::send_frame`](crate::PollEngine::send_frame); the
-/// single-process loop's lane model runs one over whole utilization
-/// vectors.
+/// [`PollEngine::send_frame`](crate::PollEngine::send_frame).
 #[derive(Debug)]
 pub struct DelayLossGate<T = Frame> {
     /// Whole ticks each frame spends in flight.
@@ -68,11 +66,6 @@ impl<T> DelayLossGate<T> {
     /// frames should cross immediately without queuing.
     pub fn is_transparent(&self) -> bool {
         self.delay == 0 && self.loss_probability == 0.0
-    }
-
-    /// Whole ticks each frame spends in flight.
-    pub fn delay(&self) -> usize {
-        self.delay
     }
 
     /// Accepts a frame.  Returns `Some(frame)` when it should cross the

@@ -13,10 +13,10 @@
 //! * **sensor faults** — a processor's utilization sample is frozen at
 //!   its pre-fault value, replaced by NaN, or forced out of range
 //!   ([`FaultPlan::sensor`]);
-//! * **actuation loss / delay** — rate commands that never reach a
-//!   processor's rate modulator, or arrive whole periods late — the
-//!   symmetric counterpart of the feedback-only `LaneModel`
-//!   ([`FaultPlan::actuation_loss`], [`FaultPlan::actuation_delay`]).
+//! * **actuation loss** — rate commands that never reach a processor's
+//!   rate modulator ([`FaultPlan::actuation_loss`]).  Delayed commands
+//!   are a lane effect, not a fault: a distributed loop's
+//!   `NetConfig::command_lanes` in `eucon-core`.
 //!
 //! A [`FaultPlan`] is pure configuration; a [`FaultInjector`] is its
 //! seeded runtime state, stepped once per sampling period by the closed
@@ -107,8 +107,6 @@ pub struct FaultPlan {
     /// Probability that a period's rate command to a given processor's
     /// rate modulator is lost, in `[0, 1)`.
     actuation_loss: f64,
-    /// Whole sampling periods of delay on rate commands.
-    actuation_delay: usize,
     random_crashes: Option<RandomCrashes>,
     /// Seed for every stochastic draw (actuation loss, random crashes).
     seed: u64,
@@ -127,7 +125,6 @@ impl FaultPlan {
             && self.sensors.is_empty()
             && self.partitions.is_empty()
             && self.actuation_loss == 0.0
-            && self.actuation_delay == 0
             && self.random_crashes.is_none()
     }
 
@@ -216,13 +213,6 @@ impl FaultPlan {
         self
     }
 
-    /// Delays every rate command by whole sampling periods (the plant
-    /// runs on rates the controller computed `periods` ago).
-    pub fn actuation_delay(mut self, periods: usize) -> Self {
-        self.actuation_delay = periods;
-        self
-    }
-
     /// Adds memoryless random crashes on every processor.
     ///
     /// Never panics; [`FaultPlan::validate`] rejects `crash` outside
@@ -236,11 +226,6 @@ impl FaultPlan {
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
-    }
-
-    /// The configured actuation delay, in sampling periods.
-    pub fn actuation_delay_periods(&self) -> usize {
-        self.actuation_delay
     }
 
     /// Validates the assembled plan against a deployment of
@@ -624,7 +609,6 @@ mod tests {
             .sensor(2, 0, 30, SensorFaultKind::NaN)
             .partition(0, 5, 9)
             .actuation_loss(0.3)
-            .actuation_delay(2)
             .random_crashes(0.05, 0.3);
         assert_eq!(plan.validate(3), Ok(()));
         assert_eq!(FaultPlan::none().validate(0), Ok(()));

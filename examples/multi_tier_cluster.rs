@@ -39,7 +39,7 @@ fn main() -> Result<(), eucon::Error> {
         .controller(ControllerSpec::Decentralized(MpcConfig::medium()))
         .quantized_rates(32)
         .distributed(NetConfig::tcp().report_lanes(LaneModel {
-            report_delay: 1,
+            delay: 1,
             loss_probability: 0.05,
             seed: 4,
         }))?;

@@ -200,16 +200,15 @@ fn os_plant_backend_composes_through_the_facade() {
 
 #[test]
 fn facade_failures_surface_as_unified_errors_with_kinds() {
-    // An in-loop lane model composed with a real transport is a config
-    // error — the facade rejects it before anything binds a socket.
+    // An out-of-domain lane model is a config error — the facade rejects
+    // it before anything binds a socket.
     let err: Error = facade_builder(Scenario::SimpleFaultFree)
-        .lanes(LaneModel {
-            report_delay: 1,
-            loss_probability: 0.1,
+        .distributed(NetConfig::tcp().report_lanes(LaneModel {
+            delay: 1,
+            loss_probability: 1.0,
             seed: 3,
-        })
-        .distributed(NetConfig::tcp())
-        .expect_err("lane model + transport must be rejected")
+        }))
+        .expect_err("a lane that loses every report must be rejected")
         .into();
     assert_eq!(err.kind(), ErrorKind::Config);
     // The layer error is still reachable for callers that need detail.

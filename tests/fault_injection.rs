@@ -222,9 +222,16 @@ mod properties {
                 .burst(1 - crash_proc, 10, 35, burst_factor)
                 .sensor(crash_proc, 20, 45, kind)
                 .actuation_loss(loss)
-                .actuation_delay(act_delay)
                 .seed(seed);
-            let result = run_with_faults(supervised(), plan, 60);
+            // Delayed commands are a lane effect: the loop runs over
+            // in-memory lanes whose command direction holds each frame.
+            let result = LoopBuilder::new(workloads::simple())
+                .sim_config(SimConfig::constant_etf(0.5).seed(1))
+                .controller(supervised())
+                .faults(plan)
+                .distributed(NetConfig::channel().command_lanes(LaneModel::delayed(act_delay)))
+                .expect("loop")
+                .run(60);
             assert_rates_sane(&result);
             prop_assert_eq!(result.control_errors, 0);
         }

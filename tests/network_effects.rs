@@ -1,6 +1,7 @@
 //! Robustness of the feedback loop to non-ideal feedback lanes (the
 //! paper idealizes them as delay- and loss-free TCP connections; here we
-//! measure what those assumptions are worth).
+//! measure what those assumptions are worth).  The loop runs distributed
+//! over in-memory lanes, each report lane drawing its own losses.
 
 use eucon::prelude::*;
 
@@ -8,8 +9,7 @@ fn run_with_lanes(lanes: LaneModel, periods: usize) -> RunResult {
     let mut cl = LoopBuilder::new(workloads::simple())
         .sim_config(SimConfig::constant_etf(0.5).seed(1))
         .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-        .lanes(lanes)
-        .local()
+        .distributed(NetConfig::channel().report_lanes(lanes))
         .expect("loop");
     cl.run(periods)
 }
@@ -62,7 +62,7 @@ fn lossy_lanes_preserve_stability_margin() {
     // controller — but must not destabilize it at nominal gain.
     let result = run_with_lanes(
         LaneModel {
-            report_delay: 1,
+            delay: 1,
             loss_probability: 0.2,
             seed: 9,
         },
