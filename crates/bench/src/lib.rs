@@ -1,30 +1,38 @@
-//! Shared helpers for the figure-regeneration binaries and benches.
+//! The paper's evaluation as one report, plus shared helpers for the
+//! benchmark binaries.
 //!
-//! Every figure and table of the EUCON paper's evaluation section has a
-//! binary in `src/bin/` that regenerates it:
+//! [`reproduce()`] regenerates every figure and table of the EUCON paper's
+//! evaluation section, and the design ablations, in one run:
 //!
-//! | Artifact | Binary | Command |
-//! |----------|--------|---------|
-//! | Tables 1–2 | `tables` | `cargo run -p eucon-bench --bin tables` |
-//! | §6.2 stability example | `stability` | `cargo run -p eucon-bench --bin stability` |
-//! | Figure 3(a)/(b) | `fig3` | `cargo run -p eucon-bench --bin fig3` |
-//! | Figure 4 | `fig4` | `cargo run -p eucon-bench --bin fig4` |
-//! | Figure 5 | `fig5` | `cargo run -p eucon-bench --bin fig5` |
-//! | Figures 6–8 | `fig6_7_8` | `cargo run -p eucon-bench --bin fig6_7_8` |
-//! | §6.3 tuning tradeoff | `tuning` | `cargo run -p eucon-bench --bin tuning` |
-//! | Design ablations (extra) | `ablation` | `cargo run -p eucon-bench --bin ablation` |
-//! | Scaling: centralized vs DEUCON (extra) | `scaling` | `cargo run -p eucon-bench --bin scaling` |
+//! | Artifact | Section of the report | Files under `results/` |
+//! |----------|-----------------------|------------------------|
+//! | Tables 1–2, MEDIUM summary | `== Table 1` … | `table1_simple.csv`, `table_medium.csv` |
+//! | §6.2 stability example | `== S1` | `stability_*.csv` |
+//! | Figure 3(a)/(b) | `== Figure 3` | `fig3*.{csv,svg}` |
+//! | Figure 4 | `== Figure 4` | `fig4_*.{csv,svg}` |
+//! | Figure 5 | `== Figure 5` | `fig5_medium.{csv,svg}` |
+//! | Figures 6–8 | `== Figure 6` … `== Figure 8` | `fig6_*`, `fig7_*`, `fig8_*`, `fig6_7_telemetry.jsonl` |
+//! | §6.3 tuning tradeoff | `== §6.3 tuning` | `tuning_tref.csv` |
+//! | Design ablations (extra) | `== Ablation` … | `ablation_*.csv`, `shard_ablation.csv` |
 //!
-//! Each binary prints human-readable tables to stdout and writes CSV files
-//! under `results/` for plotting.  Criterion benchmarks (`cargo bench`)
-//! cover controller solve times, QP scaling, simulator throughput and the
-//! design ablations called out in DESIGN.md.
+//! `cargo run --release -p eucon-bench --bin reproduce` prints the report,
+//! writes it to `results/reproduce.txt` and writes the files beside it;
+//! the `reproduce` test fails when any of them, or a `reproduce` block of
+//! EXPERIMENTS.md, drifts from what the code produces.  The other binaries
+//! in `src/bin/` are gates with arguments (`scaling`, `chaos`, the soaks
+//! and smokes).  Criterion benchmarks (`cargo bench`) cover controller
+//! solve times, QP scaling, simulator throughput and the design ablations
+//! called out in DESIGN.md.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fs;
 use std::path::{Path, PathBuf};
+
+mod reproduce;
+
+pub use reproduce::{reproduce, Reproduction};
 
 /// Directory (relative to the workspace root) where figure CSVs land.
 pub const RESULTS_DIR: &str = "results";
@@ -48,15 +56,20 @@ pub fn results_dir() -> PathBuf {
     dir
 }
 
-/// Writes `contents` to `results/<name>` and reports the path on stdout.
+/// Writes `contents` to `results/<name>` and reports it on stdout as
+/// `[wrote results/<name>]`, a path relative to the workspace root.
 ///
 /// # Panics
 ///
 /// Panics on I/O errors (acceptable in a report generator).
 pub fn write_result(name: &str, contents: &str) {
-    let path = results_dir().join(name);
-    fs::write(&path, contents).expect("write result file");
-    println!("  [wrote {}]", path.display());
+    fs::write(results_dir().join(name), contents).expect("write result file");
+    println!("{}", wrote(name));
+}
+
+/// The line that reports a file written under `results/`.
+fn wrote(name: &str) -> String {
+    format!("  [wrote {RESULTS_DIR}/{name}]")
 }
 
 /// Renders a telemetry [`Snapshot`] as one flat JSON-Lines object with a
@@ -122,28 +135,6 @@ pub fn warn_if_oversubscribed(requested: usize) -> bool {
     }
 }
 
-/// Standard etf grid of the paper's Figure 4 (SIMPLE sweep).
-pub fn fig4_etfs() -> Vec<f64> {
-    let mut v = vec![0.2, 0.5];
-    let mut x = 1.0;
-    while x <= 10.0 + 1e-9 {
-        v.push(x);
-        x += 0.5;
-    }
-    v
-}
-
-/// Standard etf grid of the paper's Figure 5 (MEDIUM sweep).
-pub fn fig5_etfs() -> Vec<f64> {
-    let mut v = vec![0.1, 0.2, 0.5];
-    let mut x = 1.0;
-    while x <= 6.0 + 1e-9 {
-        v.push(x);
-        x += 0.5;
-    }
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,15 +164,5 @@ mod tests {
         assert!(line.contains("\"tracking_error_count\":"));
         // Flat: no nested objects.
         assert_eq!(line.matches('{').count(), 1);
-    }
-
-    #[test]
-    fn grids_cover_paper_ranges() {
-        let f4 = fig4_etfs();
-        assert_eq!(*f4.first().unwrap(), 0.2);
-        assert_eq!(*f4.last().unwrap(), 10.0);
-        let f5 = fig5_etfs();
-        assert_eq!(*f5.first().unwrap(), 0.1);
-        assert_eq!(*f5.last().unwrap(), 6.0);
     }
 }

@@ -1,0 +1,849 @@
+//! The paper's evaluation, regenerated as one report.
+//!
+//! [`reproduce`] runs every section in a fixed order — Tables 1–2, the
+//! §6.2 stability example, Figures 3–8, the §6.3 tuning table and the
+//! ablations — and returns the report text together with the CSV, SVG and
+//! JSONL files it stands for.  Nothing is written here: the `reproduce`
+//! binary writes the files under `results/`, and the `reproduce` test
+//! compares them with the committed copies.
+
+use std::fmt::{self, Write as _};
+
+use eucon_control::{stability, ControlPenalty, MoveHold, MpcConfig, OpenLoop};
+use eucon_core::svg::{self, ChartConfig, Series};
+use eucon_core::ControllerSpec::{self, Decentralized, Eucon, Open, Pid, Sharded};
+use eucon_core::{metrics, render, BoundaryMode, LoopBuilder, RunResult, SteadyRun, VaryingRun};
+use eucon_math::Vector;
+use eucon_sim::{ExecModel, SimConfig};
+use eucon_tasks::workloads::{self, RandomWorkload};
+use eucon_tasks::{rms_set_points, ProcessorId, TaskSet};
+use rayon::prelude::*;
+
+use crate::wrote;
+
+/// The regenerated evaluation: what the `reproduce` binary prints and the
+/// files it writes.
+#[derive(Debug, Default)]
+pub struct Reproduction {
+    /// The report text, ending in a newline.  Each file appears in it as
+    /// a `[wrote results/<name>]` line, within the section that made it.
+    pub text: String,
+    /// `(file name under results/, contents)`, in report order.
+    pub files: Vec<(String, String)>,
+}
+
+/// Runs every section of the evaluation and returns the report.
+///
+/// The output depends on neither the build profile nor the thread count:
+/// every run is seeded, and parallel fan-outs collect in input order.  The
+/// one exception is the wall-clock `span_*_ns` fields of
+/// `fig6_7_telemetry.jsonl`.
+///
+/// # Panics
+///
+/// Panics if a workload, controller or loop fails to build (a bug, since
+/// every input here is fixed).
+pub fn reproduce() -> Reproduction {
+    let mut out = Reproduction::default();
+    out.tables();
+    out.stability();
+    out.fig3();
+    out.fig4();
+    out.fig5();
+    out.fig6_7_8();
+    out.tuning();
+    out.ablation();
+    out
+}
+
+/// A table column: its display header and its CSV header.
+type Column<'a> = (&'a str, &'a str);
+
+/// The x axis of the per-period charts.
+const TIME: &str = "time (sampling periods)";
+
+impl Reproduction {
+    fn say(&mut self, line: impl fmt::Display) {
+        writeln!(self.text, "{line}").expect("writing to a String cannot fail");
+    }
+
+    fn file(&mut self, name: &str, contents: String) {
+        self.say(wrote(name));
+        self.files.push((name.to_string(), contents));
+    }
+
+    fn table(&mut self, headers: &[&str], rows: &[Vec<String>]) {
+        self.say(render::table(headers, rows));
+    }
+
+    /// Prints a table and writes the same rows as `file`.
+    fn table_csv(&mut self, file: &str, columns: &[Column<'_>], rows: &[Vec<String>]) {
+        let (shown, csv): (Vec<&str>, Vec<&str>) = columns.iter().copied().unzip();
+        self.table(&shown, rows);
+        self.file(file, render::csv(&csv, rows));
+    }
+
+    /// Writes an SVG line chart of `(label, values)` series.
+    fn chart(&mut self, file: &str, cfg: &ChartConfig<'_>, series: &[(String, Vec<f64>)]) {
+        let series: Vec<Series<'_>> = series
+            .iter()
+            .map(|(label, values)| Series { label, values })
+            .collect();
+        self.file(file, svg::line_chart(&series, cfg));
+    }
+
+    /// Regenerates Table 1 (SIMPLE task parameters) and Table 2
+    /// (controller parameters) from the code, proving the encoded
+    /// workloads match the paper, plus a summary of MEDIUM.
+    fn tables(&mut self) {
+        self.say("== Table 1: task parameters in SIMPLE ==\n");
+        let simple = workloads::simple();
+        let mut rows = Vec::new();
+        for (t, task) in simple.tasks().iter().enumerate() {
+            for (j, s) in task.subtasks().iter().enumerate() {
+                rows.push(vec![
+                    format!("T{}{}", t + 1, j + 1),
+                    s.processor.to_string(),
+                    format!("{:.0}", s.estimated_time),
+                    format!("{:.0}", 1.0 / task.rate_max()),
+                    format!("{:.0}", 1.0 / task.rate_min()),
+                    format!("{:.0}", 1.0 / task.initial_rate()),
+                ]);
+            }
+        }
+        self.table_csv(
+            "table1_simple.csv",
+            &[
+                ("Tij", "Tij"),
+                ("Proc", "Proc"),
+                ("cij", "cij"),
+                ("1/Rmax", "inv_rmax"),
+                ("1/Rmin", "inv_rmin"),
+                ("1/r(0)", "inv_r0"),
+            ],
+            &rows,
+        );
+
+        self.say("\n== Table 2: controller parameters ==\n");
+        let rows = [
+            ["SIMPLE", "2", "1", "4", "1000"],
+            ["MEDIUM", "4", "2", "4", "1000"],
+        ]
+        .map(|row| row.map(String::from).to_vec());
+        self.table(&["System", "P", "M", "Tref/Ts", "Ts"], &rows);
+
+        self.say("\n== MEDIUM workload summary (synthesized per §7.1 invariants) ==\n");
+        let medium = workloads::medium();
+        let b = rms_set_points(&medium);
+        let rows: Vec<Vec<String>> = (0..medium.num_processors())
+            .map(|p| {
+                vec![
+                    ProcessorId(p).to_string(),
+                    medium.num_subtasks_on(ProcessorId(p)).to_string(),
+                    render::f4(b[p]),
+                ]
+            })
+            .collect();
+        self.table(&["Proc", "subtasks", "set point B"], &rows);
+
+        let mut rows = Vec::new();
+        for (t, task) in medium.tasks().iter().enumerate() {
+            let chain: Vec<String> = task
+                .subtasks()
+                .iter()
+                .map(|s| s.processor.to_string())
+                .collect();
+            let cs: Vec<String> = task
+                .subtasks()
+                .iter()
+                .map(|s| format!("{:.1}", s.estimated_time))
+                .collect();
+            rows.push(vec![
+                format!("T{}", t + 1),
+                chain.join("->"),
+                cs.join(","),
+                format!("{:.0}", 1.0 / task.initial_rate()),
+                format!("{:.1}", 1.0 / task.rate_max()),
+                format!("{:.0}", 1.0 / task.rate_min()),
+            ]);
+        }
+        self.table_csv(
+            "table_medium.csv",
+            &[
+                ("Task", "task"),
+                ("chain", "chain"),
+                ("cij", "cij"),
+                ("1/r(0)", "inv_r0"),
+                ("1/Rmax", "inv_rmax"),
+                ("1/Rmin", "inv_rmin"),
+            ],
+            &rows,
+        );
+    }
+
+    /// The §6.2 stability example: the critical uniform gain of SIMPLE
+    /// (the paper reports 5.95 and measures divergence at 6.5; the
+    /// hold-rate derivation gives 6.51, see EXPERIMENTS.md), a gain sweep,
+    /// the eq.-12 convention variant, MEDIUM's margin and the horizons.
+    fn stability(&mut self) {
+        self.say("== S1: closed-loop stability analysis (paper §6.2) ==\n");
+        let critical = |f: &eucon_math::Matrix, cfg: &MpcConfig, hi: f64, tol: f64| {
+            stability::critical_uniform_gain(f, cfg, hi, tol).expect("stability analysis")
+        };
+
+        let f_simple = workloads::simple().allocation_matrix();
+        let cfg_simple = MpcConfig::simple();
+        let g_simple = critical(&f_simple, &cfg_simple, 20.0, 1e-5);
+        self.say(format_args!(
+            "SIMPLE  (P=2, M=1, Tref/Ts=4): critical uniform gain = {g_simple:.4}"
+        ));
+        self.say("        paper reports 5.95 analytically but measures divergence at 6.5;");
+        self.say("        see EXPERIMENTS.md for the derivation note");
+        let delta = MpcConfig::simple().move_hold(MoveHold::Delta);
+        let g_delta = critical(&f_simple, &delta, 30.0, 1e-5);
+        self.say(format_args!(
+            "        (eq.-12 hold-delta convention: {g_delta:.4})\n"
+        ));
+
+        let f_medium = workloads::medium().allocation_matrix();
+        let g_medium = critical(&f_medium, &MpcConfig::medium(), 50.0, 1e-5);
+        self.say(format_args!(
+            "MEDIUM  (P=4, M=2, Tref/Ts=4): critical uniform gain = {g_medium:.4}\n"
+        ));
+
+        self.say("-- spectral radius vs uniform gain (SIMPLE) --\n");
+        let grid = Vector::from_iter((1..=40).map(|i| i as f64 * 0.25));
+        let sweep = stability::gain_sweep(&f_simple, &cfg_simple, &grid).expect("sweep");
+        let rows: Vec<Vec<String>> = sweep
+            .iter()
+            .map(|&(g, rho)| {
+                let verdict = if rho < 1.0 { "stable" } else { "UNSTABLE" };
+                vec![format!("{g:.2}"), render::f4(rho), verdict.into()]
+            })
+            .collect();
+        self.table_csv(
+            "stability_simple_sweep.csv",
+            &[
+                ("gain", "gain"),
+                ("spectral radius", "spectral_radius"),
+                ("verdict", "stable"),
+            ],
+            &rows,
+        );
+
+        self.say("\n-- horizon sensitivity (SIMPLE) --\n");
+        let rows: Vec<Vec<String>> = [(2usize, 1usize), (3, 1), (4, 1), (4, 2), (6, 3), (8, 4)]
+            .into_iter()
+            .map(|(p, m)| {
+                let g = critical(&f_simple, &MpcConfig::simple().horizons(p, m), 100.0, 1e-4);
+                vec![p.to_string(), m.to_string(), format!("{g:.3}")]
+            })
+            .collect();
+        self.table_csv(
+            "stability_horizons.csv",
+            &[("P", "P"), ("M", "M"), ("critical gain", "critical_gain")],
+            &rows,
+        );
+    }
+
+    /// Figure 3: SIMPLE under EUCON at etf 0.5 (convergence to the 0.828
+    /// set points) and 7 (collapse around 30·Ts, sustained oscillation).
+    fn fig3(&mut self) {
+        let run = SteadyRun::paper(
+            workloads::simple(),
+            Eucon(MpcConfig::simple()),
+            ExecModel::Constant,
+        );
+        for (label, etf) in [("a", 0.5), ("b", 7.0)] {
+            let result = run.run(etf).expect("loop construction");
+            self.say(format_args!(
+                "\n== Figure 3({label}): SIMPLE, EUCON, etf = {etf} ==\n"
+            ));
+            let u = [0, 1].map(|p| result.trace.utilization_series(p));
+            let b = result.set_points[0];
+
+            self.say("P1 utilization over time (y: 0..1, x: sampling periods / 4):");
+            let thinned: Vec<f64> = u[0].iter().step_by(4).copied().collect();
+            self.say(render::ascii_series(&thinned, 12));
+
+            let rows: Vec<Vec<String>> = (0..2)
+                .map(|p| {
+                    let s = metrics::window(&u[p], 100, run.periods);
+                    vec![
+                        format!("P{}", p + 1),
+                        render::f4(s.mean),
+                        render::f4(s.std_dev),
+                        render::f4(b),
+                        metrics::acceptable(s, b).to_string(),
+                    ]
+                })
+                .collect();
+            self.table(
+                &[
+                    "proc",
+                    "mean [100Ts,300Ts]",
+                    "std dev",
+                    "set point",
+                    "acceptable",
+                ],
+                &rows,
+            );
+            self.say(format_args!(
+                "deadline miss ratio: {:.4}",
+                result.deadlines.miss_ratio()
+            ));
+
+            let stem = format!("fig3{label}_etf{etf}");
+            let set_point = vec![b; u[0].len()];
+            self.file(
+                &format!("{stem}.csv"),
+                per_period_csv(
+                    &["k", "u1", "u2", "set_point"],
+                    &[&u[0], &u[1], &set_point],
+                    4,
+                ),
+            );
+            self.chart(
+                &format!("{stem}.svg"),
+                &utilization(
+                    &format!("Figure 3({label}): SIMPLE under EUCON, etf = {etf}"),
+                    TIME,
+                    1.0,
+                    b,
+                ),
+                &numbered('P', &u),
+            );
+        }
+        self.say("\nExpected shapes (paper): (a) both processors converge to 0.828 and hold;");
+        self.say(
+            "(b) initial saturation, collapse around 30Ts, sustained oscillation, no convergence.",
+        );
+    }
+
+    /// Figure 4: P1's mean and σ over [100·Ts, 300·Ts] in SIMPLE under
+    /// EUCON for etf 0.2 … 10, with Table 1's rate bounds as printed
+    /// (`table1`: below etf ≈ 0.42 the rates saturate at Rmax, so 0.828 is
+    /// out of reach; see EXPERIMENTS.md) and with Rmax × 3 (`widened`).
+    fn fig4(&mut self) {
+        let etfs = etf_grid(&[0.2, 0.5], 10);
+        for (name, set) in [
+            ("table1", workloads::simple()),
+            ("widened", workloads::simple_widened(3.0)),
+        ] {
+            let run = SteadyRun::paper(set, Eucon(MpcConfig::simple()), ExecModel::Constant);
+            let points = run.sweep(&etfs).expect("sweep");
+            self.say(format_args!(
+                "\n== Figure 4 ({name}): SIMPLE, EUCON, P1 mean/std over [100Ts, 300Ts] ==\n"
+            ));
+            let rows: Vec<Vec<String>> = points
+                .iter()
+                .map(|p| {
+                    vec![
+                        format!("{:.1}", p.etf),
+                        render::f4(p.stats[0].mean),
+                        render::f4(p.stats[0].std_dev),
+                        "0.8284".into(),
+                        p.acceptable[0].to_string(),
+                    ]
+                })
+                .collect();
+            self.table_csv(
+                &format!("fig4_{name}.csv"),
+                &[
+                    ("etf", "etf"),
+                    ("mean u1", "mean_u1"),
+                    ("std dev", "std_u1"),
+                    ("set point", "set_point"),
+                    ("acceptable", "acceptable"),
+                ],
+                &rows,
+            );
+            let means = points.iter().map(|p| p.stats[0].mean).collect();
+            let stds = points.iter().map(|p| p.stats[0].std_dev).collect();
+            self.chart(
+                &format!("fig4_{name}.svg"),
+                &utilization(
+                    &format!("Figure 4 ({name}): SIMPLE etf sweep"),
+                    "sweep index (etf 0.2 .. 10)",
+                    1.05,
+                    0.8284,
+                ),
+                &[("mean u1".into(), means), ("std dev".into(), stds)],
+            );
+        }
+        self.say(
+            "\nExpected shape (paper): mean ≈ set point over a wide etf range; std dev < 0.05",
+        );
+        self.say("for small etf, growing once execution times are underestimated; mean diverges");
+        self.say("linearly above the stability bound (paper: >6.5; our analysis: 6.51).");
+    }
+
+    /// Figure 5: P1's mean and σ in MEDIUM under EUCON for etf 0.1 … 6,
+    /// beside the OPEN baseline's expected utilization.
+    fn fig5(&mut self) {
+        let set = workloads::medium();
+        let b = rms_set_points(&set);
+        let open = OpenLoop::design(&set, &b).expect("OPEN design");
+        let run = SteadyRun::paper(
+            set.clone(),
+            Eucon(MpcConfig::medium()),
+            ExecModel::Uniform { half_width: 0.2 },
+        );
+        let points = run.sweep(&etf_grid(&[0.1, 0.2, 0.5], 6)).expect("sweep");
+        let open_u: Vec<f64> = points
+            .iter()
+            .map(|p| open.expected_utilization(&set, p.etf)[0].min(1.0))
+            .collect();
+
+        self.say("== Figure 5: MEDIUM, P1 mean/std over [100Ts, 300Ts], EUCON vs OPEN ==\n");
+        let rows: Vec<Vec<String>> = points
+            .iter()
+            .zip(&open_u)
+            .map(|(p, &open_u)| {
+                vec![
+                    format!("{:.1}", p.etf),
+                    render::f4(p.stats[0].mean),
+                    render::f4(p.stats[0].std_dev),
+                    render::f4(open_u),
+                    render::f4(b[0]),
+                    p.acceptable[0].to_string(),
+                ]
+            })
+            .collect();
+        self.table_csv(
+            "fig5_medium.csv",
+            &[
+                ("etf", "etf"),
+                ("EUCON mean u1", "eucon_mean_u1"),
+                ("EUCON std", "eucon_std_u1"),
+                ("OPEN u1", "open_u1"),
+                ("set point", "set_point"),
+                ("acceptable", "acceptable"),
+            ],
+            &rows,
+        );
+        let means = points.iter().map(|p| p.stats[0].mean).collect();
+        self.chart(
+            "fig5_medium.svg",
+            &utilization(
+                "Figure 5: MEDIUM etf sweep, EUCON vs OPEN (P1)",
+                "sweep index (etf 0.1 .. 6)",
+                1.05,
+                b[0],
+            ),
+            &[("EUCON".into(), means), ("OPEN".into(), open_u)],
+        );
+
+        self.say("\nExpected shape (paper): EUCON flat at 0.729 for etf in [0.1, 1] (acceptable");
+        self.say("band), OPEN linear in etf (0.073 at 0.1, saturating >1 past etf = 1.4);");
+        self.say("EUCON's std dev grows with underestimated execution times.");
+    }
+
+    /// Figures 6–8 (Experiment II): MEDIUM under the varying etf profile
+    /// (0.5 → 0.9 at 100·Ts → 0.33 at 200·Ts).  OPEN follows the steps
+    /// (Fig. 6), EUCON re-converges after each (Fig. 7) through its task
+    /// rates (Fig. 8).
+    fn fig6_7_8(&mut self) {
+        // The OPEN and EUCON runs are independent; execute them concurrently
+        // and keep the report order fixed.
+        let mut results: Vec<RunResult> = vec![Open, Eucon(MpcConfig::medium())]
+            .into_par_iter()
+            .map(|controller| {
+                VaryingRun::paper(
+                    workloads::medium(),
+                    controller,
+                    ExecModel::Uniform { half_width: 0.2 },
+                )
+                .run()
+                .expect("experiment II run")
+            })
+            .collect();
+        let eucon = results.pop().expect("EUCON result");
+        let open = results.pop().expect("OPEN result");
+
+        self.say("== Figure 6: MEDIUM under OPEN, varying execution times ==\n");
+        self.windows(&open, "OPEN");
+        self.utilization_files(
+            &open,
+            "fig6_open",
+            "Figure 6: MEDIUM under OPEN, varying execution times",
+        );
+
+        self.say("\n== Figure 7: MEDIUM under EUCON, varying execution times ==\n");
+        self.windows(&eucon, "EUCON");
+        // Per-run telemetry for both Experiment II runs: QP solve stats,
+        // tracking-error distributions and engine counters, one row per run.
+        self.file(
+            "fig6_7_telemetry.jsonl",
+            format!(
+                "{}\n{}\n",
+                crate::telemetry_jsonl_line("fig6 open", &open.telemetry),
+                crate::telemetry_jsonl_line("fig7 eucon", &eucon.telemetry)
+            ),
+        );
+        self.utilization_files(
+            &eucon,
+            "fig7_eucon",
+            "Figure 7: MEDIUM under EUCON, varying execution times",
+        );
+
+        self.say("-- settling after each disturbance (band ±0.05 of set point) --");
+        let rows: Vec<Vec<String>> = (0..4)
+            .map(|p| {
+                vec![
+                    format!("P{}", p + 1),
+                    ts(VaryingRun::settling_after(&eucon, p, 100, 200, 0.05)),
+                    ts(VaryingRun::settling_after(&eucon, p, 200, 300, 0.05)),
+                ]
+            })
+            .collect();
+        self.table(
+            &["proc", "settle after 0.9 step", "settle after 0.33 step"],
+            &rows,
+        );
+
+        self.say("\n== Figure 8: task rates under EUCON (T1..T6) ==\n");
+        let rates: Vec<Vec<f64>> = (0..6).map(|t| eucon.trace.rate_series(t)).collect();
+        let columns: Vec<&[f64]> = rates.iter().map(Vec::as_slice).collect();
+        self.file(
+            "fig8_rates.csv",
+            per_period_csv(&["k", "r1", "r2", "r3", "r4", "r5", "r6"], &columns, 6),
+        );
+        self.chart(
+            "fig8_rates.svg",
+            &ChartConfig {
+                title: "Figure 8: task rates under EUCON",
+                x_label: TIME,
+                y_label: "task rate (1/time unit)",
+                y_range: None,
+                reference: None,
+            },
+            &numbered('T', &rates),
+        );
+        // Rate summary at three representative instants.
+        let rows: Vec<Vec<String>> = [99usize, 150, 299]
+            .into_iter()
+            .map(|k| {
+                let mut row = vec![format!("k = {k}")];
+                row.extend(rates.iter().map(|r| format!("{:.5}", r[k])));
+                row
+            })
+            .collect();
+        self.table(&["instant", "r1", "r2", "r3", "r4", "r5", "r6"], &rows);
+
+        self.say("\nExpected shapes (paper): Fig 6 — OPEN utilization steps with the etf profile;");
+        self.say("Fig 7 — EUCON re-converges to the set points within ~20 Ts after each step,");
+        self.say("slower after the downward step (smaller gain); Fig 8 — rates fall at 100 Ts and");
+        self.say("rise after 200 Ts, mirroring the utilization recovery.");
+    }
+
+    /// P1's mean and σ in the last 50 periods of each etf phase.
+    fn windows(&mut self, result: &RunResult, label: &str) {
+        self.say(format_args!("-- {label}: windowed P1 utilization --"));
+        let u1 = result.trace.utilization_series(0);
+        let rows: Vec<Vec<String>> = [
+            ("[50,100)   etf=0.5", 50, 100),
+            ("[150,200)  etf=0.9", 150, 200),
+            ("[250,300)  etf=0.33", 250, 300),
+        ]
+        .into_iter()
+        .map(|(window, from, to)| {
+            let s = metrics::window(&u1, from, to);
+            vec![
+                window.to_string(),
+                render::f4(s.mean),
+                render::f4(s.std_dev),
+            ]
+        })
+        .collect();
+        self.table(&["window", "mean u1", "std u1"], &rows);
+    }
+
+    /// Writes the four processors' utilization as `<stem>.csv` and `<stem>.svg`.
+    fn utilization_files(&mut self, result: &RunResult, stem: &str, title: &str) {
+        let u: Vec<Vec<f64>> = (0..4).map(|p| result.trace.utilization_series(p)).collect();
+        let columns: Vec<&[f64]> = u.iter().map(Vec::as_slice).collect();
+        self.file(
+            &format!("{stem}.csv"),
+            per_period_csv(&["k", "u1", "u2", "u3", "u4"], &columns, 4),
+        );
+        self.chart(
+            &format!("{stem}.svg"),
+            &utilization(title, TIME, 1.0, result.set_points[0]),
+            &numbered('P', &u),
+        );
+    }
+
+    /// The §6.3 tuning discussion as data: convergence speed against
+    /// oscillation and gain margin as `Tref/Ts` grows, analytically (pole
+    /// radius, critical gain) and in simulation (settling, tail σ).
+    fn tuning(&mut self) {
+        self.say("== §6.3 tuning: Tref/Ts tradeoff on SIMPLE (etf = 0.5) ==\n");
+        let f = workloads::simple().allocation_matrix();
+        // Analysis + simulation per Tref value are independent; fan them out.
+        let rows: Vec<Vec<String>> = [1.0, 2.0, 4.0, 8.0, 16.0]
+            .par_iter()
+            .map(|&tref| {
+                let mut cfg = MpcConfig::simple();
+                cfg.tref_over_ts = tref;
+                let rho =
+                    stability::closed_loop_spectral_radius(&f, &cfg, &[0.5, 0.5]).expect("radius");
+                let critical =
+                    stability::critical_uniform_gain(&f, &cfg, 100.0, 1e-4).expect("critical gain");
+                let run = SteadyRun::paper(workloads::simple(), Eucon(cfg), ExecModel::Constant);
+                let u = run.run(0.5).expect("run").trace.utilization_series(0);
+                vec![
+                    format!("{tref:.0}"),
+                    render::f4(rho),
+                    format!("{critical:.2}"),
+                    ts(metrics::settling_hold(&u, 0.8284, 0.05, 0, 10)),
+                    render::f4(metrics::window(&u, 100, 300).std_dev),
+                ]
+            })
+            .collect();
+        self.table_csv(
+            "tuning_tref.csv",
+            &[
+                ("Tref/Ts", "tref_over_ts"),
+                ("radius @ g=0.5", "radius"),
+                ("critical gain", "critical_gain"),
+                ("settling (sim)", "settling"),
+                ("tail σ (sim)", "tail_std"),
+            ],
+            &rows,
+        );
+
+        self.say("\n§6.3's tradeoff, quantified: a snappier reference (small Tref) settles");
+        self.say("faster but destabilizes at lower gains; a slower reference buys gain");
+        self.say("margin at the cost of settling time.  The paper's Tref/Ts = 4 sits in the");
+        self.say("middle.  Pessimistic execution-time estimates (etf < 1) reduce the tail σ");
+        self.say("without underutilization (see fig4 and the integration tests).");
+    }
+
+    /// Quality ablations of the design choices called out in DESIGN.md —
+    /// control-penalty shape, hard utilization constraints, horizons, the
+    /// decoupled PID baseline — then the coupling stress and the shard
+    /// sizes.  Each table reports worst-processor tracking quality.
+    fn ablation(&mut self) {
+        let medium = MpcConfig::medium;
+        let variants = vec![
+            ("EUCON (paper, P=4 M=2)", Eucon(medium())),
+            (
+                "EUCON, Move penalty",
+                Eucon(medium().control_penalty(ControlPenalty::Move)),
+            ),
+            (
+                "EUCON, no util constraints",
+                Eucon(medium().utilization_constraints(false)),
+            ),
+            ("EUCON, P=2 M=1", Eucon(medium().horizons(2, 1))),
+            ("EUCON, P=8 M=4", Eucon(medium().horizons(8, 4))),
+            ("DEUCON (decentralized)", Decentralized(medium())),
+            ("PID (decoupled)", Pid { kp: 0.5, ki: 0.05 }),
+            ("OPEN", Open),
+        ];
+        self.say("== Ablation: MEDIUM, etf = 0.5, 300 periods, stats over [100Ts, 300Ts] ==\n");
+        let miss_ratio = |r: &RunResult| render::f4(r.deadlines.miss_ratio());
+        let last = (
+            ("miss ratio", "miss_ratio"),
+            miss_ratio as fn(&RunResult) -> String,
+        );
+        self.variant_table(
+            "ablation_medium.csv",
+            workloads::medium(),
+            1,
+            0.5,
+            variants,
+            last,
+        );
+
+        self.coupling_stress();
+
+        // Coordination loss: centralized vs decentralized vs sharded
+        // control on a 64-processor locality workload.  Sharding trades
+        // global coordination for local solves; the table prices it.
+        self.say("\n== Shard ablation: 64x192 locality workload, etf = 0.9, 300 periods ==\n");
+        let sharded = |shard_size| Sharded {
+            mpc: medium(),
+            shard_size,
+            boundary: BoundaryMode::InProcess,
+        };
+        let variants = vec![
+            ("EUCON (centralized)", Eucon(medium())),
+            ("DEUCON (decentralized)", Decentralized(medium())),
+            ("SHARD-EUCON K=1", sharded(1)),
+            ("SHARD-EUCON K=4", sharded(4)),
+            ("SHARD-EUCON K=16", sharded(16)),
+        ];
+        let set = RandomWorkload::new(64, 192)
+            .seed(17)
+            .locality(2)
+            .max_chain_len(3)
+            .generate();
+        let errors = |r: &RunResult| r.control_errors.to_string();
+        let last = (
+            ("ctrl errors", "ctrl_errors"),
+            errors as fn(&RunResult) -> String,
+        );
+        self.variant_table("shard_ablation.csv", set, 7, 0.9, variants, last);
+        self.say("\nExpected shape: K=1 reproduces DEUCON exactly; larger shards recover");
+        self.say("centralized-quality coordination while keeping local problems bounded.");
+    }
+
+    /// Runs `set` at `etf` (Uniform ±0.2 execution times, `seed`) once per
+    /// controller variant, in parallel, and tabulates worst-processor
+    /// tracking plus one `last` column.
+    fn variant_table(
+        &mut self,
+        file: &str,
+        set: TaskSet,
+        seed: u64,
+        etf: f64,
+        variants: Vec<(&str, ControllerSpec)>,
+        last: (Column<'_>, fn(&RunResult) -> String),
+    ) {
+        let b = rms_set_points(&set);
+        let rows: Vec<Vec<String>> = variants
+            .into_par_iter()
+            .map(|(name, controller)| {
+                let exec = ExecModel::Uniform { half_width: 0.2 };
+                let run = SteadyRun {
+                    seed,
+                    ..SteadyRun::paper(set.clone(), controller, exec)
+                };
+                let result = run.run(etf).expect("run");
+                let mut row = vec![name.to_string()];
+                row.extend(worst_processor(&result, &b));
+                row.push((last.1)(&result));
+                row
+            })
+            .collect();
+        self.table_csv(
+            file,
+            &[
+                ("variant", "variant"),
+                ("max |mean−B|", "max_mean_err"),
+                ("max std", "max_std"),
+                ("settling (worst proc)", "settling"),
+                last.0,
+            ],
+            &rows,
+        );
+    }
+
+    /// P1's set point lowered to 0.4 while P2–P4 keep their RMS bounds:
+    /// shared tasks must slow down for P1 without starving the others.
+    /// The MIMO controller redistributes load through the local tasks;
+    /// the decoupled PID cannot.
+    fn coupling_stress(&mut self) {
+        let set = workloads::medium();
+        let mut b = rms_set_points(&set);
+        b[0] = 0.4;
+
+        self.say("\n== Coupling stress: B1 lowered to 0.4, others at RMS bound (etf = 0.5) ==\n");
+        let specs = vec![
+            ("EUCON", Eucon(MpcConfig::medium())),
+            ("DEUCON (decentralized)", Decentralized(MpcConfig::medium())),
+            ("PID (decoupled)", Pid { kp: 0.5, ki: 0.05 }),
+        ];
+        let mut rows: Vec<Vec<String>> = specs
+            .into_par_iter()
+            .map(|(name, controller)| {
+                let result = LoopBuilder::new(set.clone())
+                    .sim_config(SimConfig::constant_etf(0.5).seed(1))
+                    .controller(controller)
+                    .set_points(b.clone())
+                    .local()
+                    .expect("loop")
+                    .run(300);
+                let mut row = vec![name.to_string()];
+                let mut total_err = 0.0;
+                for p in 0..4 {
+                    let s = metrics::window(&result.trace.utilization_series(p), 100, 300);
+                    total_err += (s.mean - b[p]).abs();
+                    row.push(render::f4(s.mean));
+                }
+                row.push(render::f4(total_err));
+                row
+            })
+            .collect();
+        let mut target_row = vec!["(set points)".to_string()];
+        target_row.extend(b.iter().map(|&b| render::f4(b)));
+        target_row.push("0".into());
+        rows.push(target_row);
+        self.table_csv(
+            "ablation_coupling.csv",
+            &[
+                ("controller", "controller"),
+                ("mean u1", "u1"),
+                ("mean u2", "u2"),
+                ("mean u3", "u3"),
+                ("mean u4", "u4"),
+                ("Σ|err|", "total_err"),
+            ],
+            &rows,
+        );
+    }
+}
+
+/// The worst processor's tracking over `[100, 300)` — largest |mean − B|,
+/// largest σ — and the slowest settling (±0.05, held 10 periods) within
+/// the first 150 periods, `never` if any processor does not settle.
+fn worst_processor(result: &RunResult, b: &Vector) -> [String; 3] {
+    let mut worst_err: f64 = 0.0;
+    let mut worst_std: f64 = 0.0;
+    let mut settle = Some(0);
+    for p in 0..b.len() {
+        let series = result.trace.utilization_series(p);
+        let s = metrics::window(&series, 100, 300);
+        worst_err = worst_err.max((s.mean - b[p]).abs());
+        worst_std = worst_std.max(s.std_dev);
+        let sp = metrics::settling_hold(&series[..150.min(series.len())], b[p], 0.05, 0, 10);
+        settle = settle.zip(sp).map(|(a, c)| a.max(c));
+    }
+    [render::f4(worst_err), render::f4(worst_std), ts(settle)]
+}
+
+/// A settling time in sampling periods, or `never`.
+fn ts(periods: Option<usize>) -> String {
+    periods.map_or("never".into(), |k| format!("{k} Ts"))
+}
+
+/// A CSV with one row per period `k`: `k`, then each column's value at
+/// `k` to `digits` decimals.
+fn per_period_csv(headers: &[&str], columns: &[&[f64]], digits: usize) -> String {
+    let rows: Vec<Vec<String>> = (0..columns[0].len())
+        .map(|k| {
+            let mut row = vec![k.to_string()];
+            row.extend(columns.iter().map(|c| format!("{:.digits$}", c[k])));
+            row
+        })
+        .collect();
+    render::csv(headers, &rows)
+}
+
+/// Series labelled `<prefix>1`, `<prefix>2`, ….
+fn numbered(prefix: char, series: &[Vec<f64>]) -> Vec<(String, Vec<f64>)> {
+    series
+        .iter()
+        .enumerate()
+        .map(|(i, values)| (format!("{prefix}{}", i + 1), values.clone()))
+        .collect()
+}
+
+/// A CPU-utilization chart over `[0, top]` with the set point drawn in.
+fn utilization<'a>(title: &'a str, x_label: &'a str, top: f64, set_point: f64) -> ChartConfig<'a> {
+    ChartConfig {
+        title,
+        x_label,
+        y_label: "CPU utilization",
+        y_range: Some((0.0, top)),
+        reference: Some(set_point),
+    }
+}
+
+/// An etf sweep grid: `head`, then 1 … `last` in steps of 0.5.
+fn etf_grid(head: &[f64], last: usize) -> Vec<f64> {
+    let halves = (2..=2 * last).map(|i| i as f64 / 2.0);
+    head.iter().copied().chain(halves).collect()
+}

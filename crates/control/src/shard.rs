@@ -14,7 +14,7 @@
 //! variables and no node needs global state; the price is optimality —
 //! peers are predicted by their previous move rather than coordinated
 //! exactly, so convergence is slightly slower than the centralized
-//! controller (quantified in the `ablation` binary).
+//! controller (quantified in the ablations of `eucon_bench::reproduce`).
 //!
 //! One local MPC per *processor* ([`ShardedController::singleton`]) is
 //! the finest partition, the DEUCON team.  At cluster scale that

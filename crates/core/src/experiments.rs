@@ -1,7 +1,7 @@
 //! Declarative experiment runners for the paper's evaluation (§7).
 //!
 //! Each public function corresponds to a reusable experimental protocol;
-//! the `eucon-bench` figure binaries and the integration tests are thin
+//! `eucon_bench::reproduce` and the integration tests are thin
 //! wrappers over these.
 
 use eucon_sim::{EtfProfile, ExecModel, SimConfig};

@@ -1,7 +1,7 @@
 //! Plain-text rendering of experiment results: aligned tables and CSV.
 //!
-//! The figure-regeneration binaries in `eucon-bench` print both formats so
-//! results can be eyeballed in a terminal or piped into a plotting tool.
+//! `eucon_bench::reproduce` prints both formats so results can be
+//! eyeballed in a terminal or piped into a plotting tool.
 
 /// Renders rows as CSV with a header line.
 ///

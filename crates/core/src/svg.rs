@@ -1,4 +1,4 @@
-//! Minimal SVG line-chart rendering for the figure binaries.
+//! Minimal SVG line-chart rendering for the figures of `eucon_bench::reproduce`.
 //!
 //! The paper's figures are time-series and sweep plots; this module turns
 //! the recorded series into self-contained SVG files so the reproduction
