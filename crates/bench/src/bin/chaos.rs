@@ -1,27 +1,28 @@
 //! Chaos sweep: fault scenarios × controllers, with a survival table.
 //!
 //! Runs the SIMPLE workload (etf = 0.5, 250 periods) under scripted
-//! processor crashes, sensor faults, execution-time bursts and
-//! actuation-lane faults, for each controller: the raw EUCON MPC, the
-//! supervised EUCON (watchdog + graceful degradation), the decoupled PID
-//! and OPEN.  The table answers the robustness question the paper leaves
-//! open: which control laws *survive* (finite, in-bounds rates, eventual
-//! re-convergence) when the idealized sensing/actuation assumptions
-//! break.
+//! processor crashes, sensor faults, execution-time bursts, lane
+//! partitions and lossy command lanes, for each controller: the raw EUCON
+//! MPC, the supervised EUCON (watchdog + graceful degradation), the
+//! decoupled PID and OPEN.  The table answers the robustness question the
+//! paper leaves open: which control laws *survive* (finite, in-bounds
+//! rates, eventual re-convergence) when the idealized sensing/actuation
+//! assumptions break.
 //!
-//! `--engine local` (default) closes the loop in-process; `--engine
-//! tcp` runs every cell over real loopback-TCP lanes, so the survival
-//! table can be reproduced under real transport effects.
+//! Partitions and command loss act on feedback lanes, so every cell runs
+//! over lanes: in-memory ones by default, real loopback TCP with
+//! `--lanes`, so the survival table can be reproduced under real
+//! transport effects.
 //!
 //! ```text
-//! cargo run --release -p eucon-bench --bin chaos -- --engine tcp
+//! cargo run --release -p eucon-bench --bin chaos -- --lanes
 //! ```
 
 use std::time::Duration;
 
 use eucon_control::{MpcConfig, SupervisorConfig};
 use eucon_core::telemetry::{CsvSink, JsonlSink, Snapshot};
-use eucon_core::{metrics, render, ControllerSpec, LoopBuilder, NetConfig};
+use eucon_core::{metrics, render, ControllerSpec, LaneModel, LoopBuilder, NetConfig};
 use eucon_sim::{FaultPlan, SensorFaultKind, SimConfig};
 use eucon_tasks::{rms_set_points, workloads};
 use rayon::prelude::*;
@@ -32,26 +33,21 @@ const PERIODS: usize = 250;
 /// awaited at most this long; partitioned lanes are not waited for).
 const RECV_WINDOW: Duration = Duration::from_millis(5);
 
-/// Whether the loops run over loopback-TCP lanes (`--engine tcp`)
-/// rather than in-process (`--engine local`, the default).
+/// Whether the loops run over loopback-TCP lanes (`--lanes`) rather
+/// than in-memory ones (the default).
 fn parse_lanes() -> bool {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
+    match std::env::args().nth(1).as_deref() {
         None => false,
-        Some("--engine") => match args.next().expect("--engine takes a value").as_str() {
-            "local" => false,
-            "tcp" => true,
-            other => panic!("unknown engine '{other}' (supported: local, tcp)"),
-        },
-        Some(other) => panic!("unknown argument '{other}' (supported: --engine local|tcp)"),
+        Some("--lanes") => true,
+        Some(other) => panic!("unknown argument '{other}' (supported: --lanes)"),
     }
 }
 
 /// The scenario whose SUP-EUCON run streams per-period telemetry to
 /// `results/telemetry_chaos.{csv,jsonl}` — the combined crash +
-/// actuation-loss case, where warm-start churn, supervisor transitions
+/// command-loss case, where warm-start churn, supervisor transitions
 /// and the engine counters are all exercised at once.
-const TELEMETRY_SCENARIO: &str = "crash P2 + 20% act loss";
+const TELEMETRY_SCENARIO: &str = "crash P2 + 20% cmd loss";
 /// Tail window for convergence statistics (well after every fault
 /// scenario has healed at period 150).
 const TAIL: (usize, usize) = (200, 250);
@@ -59,42 +55,48 @@ const TAIL: (usize, usize) = (200, 250);
 /// mean within ±0.03 of the set point.
 const CONV_TOL: f64 = 0.03;
 
-fn scenarios() -> Vec<(&'static str, FaultPlan)> {
+/// Each scenario: its fault plan and its command-lane model.
+fn scenarios() -> Vec<(&'static str, FaultPlan, LaneModel)> {
+    let ideal = LaneModel::ideal;
     vec![
-        ("nominal", FaultPlan::none()),
-        ("crash P2 [60,100)", FaultPlan::none().crash(1, 60, 100)),
+        ("nominal", FaultPlan::none(), ideal()),
+        (
+            "crash P2 [60,100)",
+            FaultPlan::none().crash(1, 60, 100),
+            ideal(),
+        ),
         (
             "sensor freeze P1 [50,150)",
             FaultPlan::none().sensor(0, 50, 150, SensorFaultKind::Frozen),
+            ideal(),
         ),
         (
             "sensor NaN P1 [50,150)",
             FaultPlan::none().sensor(0, 50, 150, SensorFaultKind::NaN),
+            ideal(),
         ),
-        (
-            "actuation loss 20%",
-            FaultPlan::none().actuation_loss(0.2).seed(9),
-        ),
+        ("cmd loss 20%", FaultPlan::none(), LaneModel::lossy(0.2, 9)),
         (
             "burst x3 P1 [80,120)",
             FaultPlan::none().burst(0, 80, 120, 3.0),
+            ideal(),
         ),
         (
             "lane partition P2 [60,100)",
             FaultPlan::none().partition(1, 60, 100),
+            ideal(),
         ),
         (
-            "crash P2 + 20% act loss",
-            FaultPlan::none()
-                .crash(1, 60, 100)
-                .actuation_loss(0.2)
-                .seed(42),
+            "crash P2 + 20% cmd loss",
+            FaultPlan::none().crash(1, 60, 100),
+            LaneModel::lossy(0.2, 42),
         ),
         (
             "random crashes (mtbf 40)",
             FaultPlan::none()
                 .random_crashes(1.0 / 40.0, 1.0 / 10.0)
                 .seed(5),
+            ideal(),
         ),
     ]
 }
@@ -134,23 +136,30 @@ struct Outcome {
     telemetry: Snapshot,
 }
 
-fn evaluate(scenario: &'static str, plan: FaultPlan, spec: ControllerSpec, lanes: bool) -> Outcome {
+fn evaluate(
+    scenario: &'static str,
+    plan: FaultPlan,
+    commands: LaneModel,
+    spec: ControllerSpec,
+    tcp: bool,
+) -> Outcome {
     let set = workloads::simple();
     let b = rms_set_points(&set);
     let label = controller_label(&spec);
     // The acceptance scenario streams its full per-period telemetry —
     // one CSV and one JSONL row per sampling period.
     let stream_telemetry = scenario == TELEMETRY_SCENARIO && label == "SUP-EUCON";
-    let builder = LoopBuilder::new(set)
+    let net = if tcp {
+        NetConfig::tcp().recv_timeout(RECV_WINDOW)
+    } else {
+        NetConfig::channel()
+    };
+    let mut lp = LoopBuilder::new(set)
         .sim_config(SimConfig::constant_etf(0.5))
         .controller(spec)
-        .faults(plan);
-    let mut lp = if lanes {
-        builder.distributed(NetConfig::tcp().recv_timeout(RECV_WINDOW))
-    } else {
-        builder.local()
-    }
-    .expect("controller builds");
+        .faults(plan)
+        .distributed(net.command_lanes(commands))
+        .expect("controller builds");
     if stream_telemetry {
         lp.telemetry_sink(
             CsvSink::create(eucon_bench::results_dir().join("telemetry_chaos.csv"))
@@ -189,25 +198,25 @@ fn evaluate(scenario: &'static str, plan: FaultPlan, spec: ControllerSpec, lanes
 }
 
 fn main() {
-    let lanes = parse_lanes();
-    let engine = if lanes { "tcp" } else { "local" };
+    let tcp = parse_lanes();
+    let engine = if tcp { "tcp" } else { "channel" };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "== Chaos sweep: SIMPLE, etf = 0.5, {PERIODS} periods, tail [{}, {}), engine {} ==\n",
         TAIL.0, TAIL.1, engine
     );
-    let jobs: Vec<(&'static str, FaultPlan, ControllerSpec)> = scenarios()
+    let jobs: Vec<(&'static str, FaultPlan, LaneModel, ControllerSpec)> = scenarios()
         .into_iter()
-        .flat_map(|(name, plan)| {
+        .flat_map(|(name, plan, commands)| {
             controllers()
                 .into_iter()
-                .map(move |c| (name, plan.clone(), c))
+                .map(move |c| (name, plan.clone(), commands.clone(), c))
         })
         .collect();
     // Independent closed-loop runs; fan out across the pool.
     let outcomes: Vec<Outcome> = jobs
         .into_par_iter()
-        .map(|(name, plan, spec)| evaluate(name, plan, spec, lanes))
+        .map(|(name, plan, commands, spec)| evaluate(name, plan, commands, spec, tcp))
         .collect();
 
     let rows: Vec<Vec<String>> = outcomes
@@ -334,7 +343,7 @@ fn main() {
             text.contains("qp_warm_hits") || text.contains("\"qp_warm_hits\":"),
             "{name} carries the QP warm-start schema"
         );
-        println!("  [verified {}]", path.display());
+        println!("  [verified results/{name}]");
     }
     println!("\nall survival assertions held");
 }

@@ -8,13 +8,16 @@
 //!   (Bernoulli-thinned Poisson, ~2%/1.5% per period), permissive
 //!   admission budget, raw EUCON;
 //! * **churn during crash** — the same churn storm while P2 crashes and
-//!   recovers and the actuation lanes drop 10% of commands, supervised
+//!   recovers and the command lanes drop 10% of commands, supervised
 //!   EUCON (membership changes racing degraded mode; the recovered P2
 //!   drains its backlog saturated with its tasks at `Rmin`, so the
 //!   load-shedding supervisor suspends a few tasks here);
 //! * **admission storm** — SIMPLE at the default (tight) budget with an
 //!   arrival every 10 periods: every arrival must be deferred and then
 //!   rejected, without perturbing regulation.
+//!
+//! Every scenario runs over in-memory feedback lanes (ideal ones, except
+//! the lossy command lanes of the crash scenario).
 //!
 //! Gates, enforced per scenario:
 //!
@@ -23,7 +26,8 @@
 //! * resident memory stays bounded (no per-period growth — RSS at the
 //!   end may not exceed 2× the post-warm-up RSS plus 32 MiB).
 //!
-//! Stats land in `results/churn_soak.csv`, with what a membership change
+//! Stats land in `results/churn_soak.csv` (the whole-run deadline miss
+//! ratio among them), with what a membership change
 //! cost inside the loop: mean and maximum of the run's `model_update_ns`
 //! histogram (one observation per controller column added or dropped —
 //! the model is rebuilt each time; EXPERIMENTS.md, "What a membership
@@ -36,7 +40,10 @@
 use std::time::Instant;
 
 use eucon_control::{MpcConfig, SupervisorConfig};
-use eucon_core::{render, AdmissionPolicy, ChurnPlan, ChurnSummary, ControllerSpec, LoopBuilder};
+use eucon_core::{
+    render, AdmissionPolicy, ChurnPlan, ChurnSummary, ControllerSpec, LaneModel, LoopBuilder,
+    NetConfig,
+};
 use eucon_sim::{FaultPlan, SimConfig};
 use eucon_tasks::{workloads, ProcessorId, Task, TaskSet};
 
@@ -86,6 +93,7 @@ struct Scenario {
     sim: SimConfig,
     controller: ControllerSpec,
     faults: FaultPlan,
+    commands: LaneModel,
     churn: ChurnPlan,
     policy: AdmissionPolicy,
 }
@@ -108,6 +116,7 @@ fn scenarios(periods: usize, seed: u64) -> Vec<Scenario> {
             sim: SimConfig::constant_etf(0.9).seed(seed),
             controller: ControllerSpec::Eucon(MpcConfig::medium()),
             faults: FaultPlan::none(),
+            commands: LaneModel::ideal(),
             churn: poisson.clone(),
             policy: permissive.clone(),
         },
@@ -119,10 +128,8 @@ fn scenarios(periods: usize, seed: u64) -> Vec<Scenario> {
                 mpc: MpcConfig::medium(),
                 supervisor: SupervisorConfig::default(),
             },
-            faults: FaultPlan::none()
-                .crash(1, 60, 100)
-                .actuation_loss(0.1)
-                .seed(seed.wrapping_add(17)),
+            faults: FaultPlan::none().crash(1, 60, 100),
+            commands: LaneModel::lossy(0.1, seed.wrapping_add(17)),
             churn: poisson,
             policy: permissive,
         },
@@ -132,6 +139,7 @@ fn scenarios(periods: usize, seed: u64) -> Vec<Scenario> {
             sim: SimConfig::constant_etf(0.5).seed(seed),
             controller: ControllerSpec::Eucon(MpcConfig::simple()),
             faults: FaultPlan::none(),
+            commands: LaneModel::ideal(),
             churn: storm,
             policy: AdmissionPolicy::default(),
         },
@@ -140,6 +148,8 @@ fn scenarios(periods: usize, seed: u64) -> Vec<Scenario> {
 
 struct Outcome {
     churn: ChurnSummary,
+    /// Whole-run end-to-end deadline miss ratio.
+    miss_ratio: f64,
     control_errors: usize,
     /// Mean and maximum in-loop plant-model update latency, in µs;
     /// `None` when the run updated nothing.
@@ -156,7 +166,7 @@ fn soak(sc: Scenario, periods: usize) -> Outcome {
         .churn(sc.churn)
         .admission(sc.policy)
         .record_trace(false)
-        .local()
+        .distributed(NetConfig::channel().command_lanes(sc.commands))
         .expect("loop builds");
     let warmup = periods / 10;
     let started = Instant::now();
@@ -204,6 +214,7 @@ fn soak(sc: Scenario, periods: usize) -> Outcome {
         .map(|h| (h.mean() / 1e3, h.max / 1e3));
     Outcome {
         churn: result.churn,
+        miss_ratio: result.deadlines.miss_ratio(),
         update_us,
         control_errors: result.control_errors,
         rss_growth,
@@ -270,6 +281,7 @@ fn main() {
             ch.mode_changes.to_string(),
             ch.suspended.to_string(),
             ch.readmitted.to_string(),
+            format!("{:.4}", o.miss_ratio),
             ch.model_updates.to_string(),
             update_mean,
             update_max,
@@ -288,6 +300,7 @@ fn main() {
         "mode changes",
         "suspended",
         "re-admitted",
+        "miss ratio",
         "model updates",
         "update mean us",
         "update max us",
@@ -308,6 +321,7 @@ fn main() {
                 "mode_changes",
                 "suspended",
                 "readmitted",
+                "miss_ratio",
                 "model_updates",
                 "update_mean_us",
                 "update_max_us",

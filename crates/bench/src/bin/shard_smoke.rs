@@ -18,7 +18,7 @@
 //! ```
 
 use eucon_control::MpcConfig;
-use eucon_core::{metrics, render, BoundaryMode, ControllerSpec, LoopBuilder};
+use eucon_core::{metrics, render, BoundaryMode, ControllerSpec, LaneModel, LoopBuilder};
 use eucon_sim::{ExecModel, SimConfig};
 use eucon_tasks::{rms_set_points, workloads::RandomWorkload};
 
@@ -62,11 +62,11 @@ fn main() {
         ("ideal lanes", BoundaryMode::IdealLanes),
         (
             "lossy lanes (delay 1, loss 5%)",
-            BoundaryMode::LossyLanes {
+            BoundaryMode::LossyLanes(LaneModel {
                 delay: 1,
-                loss: 0.05,
+                loss_probability: 0.05,
                 seed,
-            },
+            }),
         ),
     ];
     for (name, boundary) in scenarios {

@@ -15,14 +15,14 @@ use crate::admission::{
     load_on, AdmissionController, AdmissionEvent, ChurnEvent, ChurnSummary, PendingArrival,
     RejectReason, Shed,
 };
-use crate::distributed::{NetConfig, NetRuntime};
+use crate::distributed::NetRuntime;
 use crate::metrics::{self, SeriesStats};
 use crate::plant::Plant;
 use crate::telemetry::{
     ChurnPeriod, LoopTelemetry, PeriodObservation, PeriodTimings, Registry, Snapshot, TelemetrySink,
 };
 use crate::trace::StepAnnotations;
-use crate::{CoreError, Trace, TraceStep};
+use crate::{Trace, TraceStep};
 
 pub use loop_builder::LoopBuilder;
 
@@ -39,8 +39,6 @@ pub struct FaultSummary {
     pub crashed_periods: usize,
     /// Processor-periods with a scripted sensor fault active.
     pub sensor_fault_periods: usize,
-    /// Rate commands dropped by faulty actuation lanes.
-    pub actuation_drops: usize,
     /// Periods the controller reported [`ControlMode::Degraded`].
     pub degraded_periods: usize,
     /// Processor-periods spent with the feedback lane partitioned from
@@ -181,9 +179,6 @@ pub struct ClosedLoop {
     /// Fault injector driving scripted/stochastic faults (None = the
     /// fault-free fast path: zero per-period overhead).
     injector: Option<FaultInjector>,
-    /// Processor hosting each task's rate modulator (first subtask) —
-    /// actuation-lane faults are routed per task through this map.
-    head_proc: Vec<usize>,
     summary: FaultSummary,
     /// Whether steps are accumulated into the trace (off for long
     /// unattended runs that only need the final statistics).
@@ -194,25 +189,16 @@ pub struct ClosedLoop {
     /// What the monitors reported after sensor faults (persistent scratch,
     /// only touched when an injector is configured).
     sensed: Vector,
-    /// Processors whose actuation lane dropped this period (persistent
-    /// fault-routing scratch).
-    dropped: Vec<usize>,
     /// The most recent period's record, rewritten in place each step.
     last: TraceStep,
     /// Metric registry + sinks, fed at the end of every period.  Boxed so
     /// the loop struct itself stays compact (it is moved by value out of
     /// the builder, and its hot fields should share cache lines).
     telemetry: Box<LoopTelemetry>,
-    /// Transport lanes in distributed mode (`None` = single-process loop;
-    /// phases 4 and 6 then bypass the lanes entirely).
+    /// Transport lanes in distributed mode (`None` = single-process loop,
+    /// which has no lanes: phases 4 and 6 hand reports and commands over
+    /// directly).  Every lane delay, loss and partition acts in here.
     pub(crate) net: Option<Box<NetRuntime>>,
-    /// Last utilization each feedback lane delivered — what a partitioned
-    /// lane's entry falls back to in the single-process loop (distributed
-    /// mode keeps its own hold inside [`NetRuntime`]).
-    lane_hold: Vector,
-    /// Whether the fault plan schedules lane partitions (skips the
-    /// partition bookkeeping entirely when it does not).
-    has_partitions: bool,
     /// Runtime-membership executor (`None` = static task set: the churn
     /// machinery is bypassed entirely, keeping churn-free traces
     /// bit-identical to builds without it).
@@ -283,17 +269,6 @@ impl ClosedLoop {
             .expect("loop is not driving the simulator backend")
     }
 
-    /// Connects the transport lanes of a distributed loop (called by
-    /// [`LoopBuilder::distributed`]; the loop must not have stepped).
-    fn attach_net(&mut self, cfg: &NetConfig) -> Result<(), CoreError> {
-        self.net = Some(Box::new(NetRuntime::new(
-            cfg,
-            self.set_points.len(),
-            &self.head_proc,
-        )?));
-        Ok(())
-    }
-
     /// Aggregate transport counters over every lane endpoint (all zero
     /// for a single-process loop).
     pub fn transport_stats(&self) -> TransportStats {
@@ -314,7 +289,6 @@ impl ClosedLoop {
         let mut s = self.summary;
         if let Some(inj) = &self.injector {
             s.sensor_fault_periods = inj.sensor_fault_periods();
-            s.actuation_drops = inj.actuation_drops();
         }
         s
     }
@@ -341,7 +315,8 @@ impl ClosedLoop {
         // gymnastics (`Instant::now` does not allocate).
         let t0 = Instant::now();
 
-        // 1. Fault injection acts on the plant before the period runs.
+        // 1. Fault injection acts on the plant before the period runs;
+        // partition windows (distributed loops only) act on the lanes.
         if let Some(inj) = &mut self.injector {
             ann.crashed = inj.begin_period(k);
             self.summary.crashed_periods += ann.crashed.len();
@@ -354,14 +329,10 @@ impl ClosedLoop {
                     self.plant.recover_processor(ProcessorId(p));
                 }
             }
-        }
-        if self.has_partitions {
-            if let Some(inj) = &self.injector {
-                let n = self.set_points.len();
-                ann.partitioned
-                    .extend((0..n).filter(|&p| inj.lane_partitioned(k, p)));
-                self.summary.partitioned_periods += ann.partitioned.len();
-            }
+            let n = self.set_points.len();
+            ann.partitioned
+                .extend((0..n).filter(|&p| inj.lane_partitioned(k, p)));
+            self.summary.partitioned_periods += ann.partitioned.len();
         }
 
         // 2. Run the plant and sample the true utilizations into the
@@ -390,28 +361,12 @@ impl ClosedLoop {
         };
 
         // 4. In distributed mode the report crosses the feedback lanes
-        // (possibly delayed or lost); `None` means it arrived unchanged.
-        let mut laned = self
+        // (possibly delayed, lost or partitioned); `None` means it arrived
+        // unchanged.
+        let laned = self
             .net
             .as_mut()
             .and_then(|net| net.exchange_reports(k, u_report, &ann.partitioned));
-        if self.net.is_none() && self.has_partitions {
-            // A partitioned lane delivers nothing: the controller keeps
-            // the lane's last delivered value for those entries.
-            if !ann.partitioned.is_empty() {
-                let mut v = laned.take().unwrap_or_else(|| u_report.clone());
-                for &p in &ann.partitioned {
-                    v[p] = self.lane_hold[p];
-                }
-                laned = Some(v);
-            }
-            let delivered = laned.as_ref().unwrap_or(u_report);
-            for p in 0..self.set_points.len() {
-                if !ann.partitioned.contains(&p) {
-                    self.lane_hold[p] = delivered[p];
-                }
-            }
-        }
         let u_ctrl = laned.as_ref().unwrap_or(u_report);
 
         // 5. Control update: the controller commits its new rates
@@ -425,10 +380,6 @@ impl ClosedLoop {
                     self.controller.note_stale(p);
                 }
             }
-        } else {
-            for &p in &ann.partitioned {
-                self.controller.note_stale(p);
-            }
         }
         if self.controller.update(u_ctrl).is_err() {
             self.control_errors += 1;
@@ -440,15 +391,11 @@ impl ClosedLoop {
         }
         let t_controlled = Instant::now();
 
-        // 6. Actuation: quantize, then cross the (possibly faulty)
-        // actuation lanes to the rate modulators.  The common fault-free
-        // configuration hands the controller's rates to the modulators by
-        // reference — no copy, no allocation.
-        if self.rate_grid.is_none()
-            && self.injector.is_none()
-            && self.net.is_none()
-            && self.admission.is_none()
-        {
+        // 6. Actuation: quantize, then cross the command lanes (if any)
+        // to the rate modulators.  Without quantization, lanes or churn
+        // the controller's rates reach the modulators by reference — no
+        // copy, no allocation.
+        if self.rate_grid.is_none() && self.net.is_none() && self.admission.is_none() {
             self.plant.apply_rates(self.controller.rates());
         } else {
             // Assemble this period's full sim-arity command into the
@@ -478,27 +425,10 @@ impl ClosedLoop {
                     None => self.act_cmd.copy_from(self.controller.rates()),
                 }
             }
-            if let Some(inj) = &mut self.injector {
-                // A dropped lane means every task modulated on that
-                // processor keeps its previous rate this period.
-                let n = self.set_points.len();
-                self.dropped.clear();
-                self.dropped
-                    .extend((0..n).filter(|&p| inj.actuation_lost(p)));
-                if !self.dropped.is_empty() {
-                    let in_force = self.plant.rates_in_force();
-                    for (t, &p) in self.head_proc.iter().enumerate() {
-                        if self.dropped.contains(&p) {
-                            self.act_cmd[t] = in_force[t];
-                        }
-                    }
-                    ann.actuation_dropped = self.dropped.clone();
-                }
-            }
             if let Some(net) = &mut self.net {
                 // Distributed mode: the command crosses the lanes and
-                // the modulators merge whatever arrived (a silent or
-                // partitioned lane keeps its tasks' rates in force).
+                // the modulators merge whatever arrived (a silent, lossy
+                // or partitioned lane keeps its tasks' rates in force).
                 let merged = net.actuate(
                     k,
                     &self.act_cmd,
@@ -507,16 +437,6 @@ impl ClosedLoop {
                 );
                 self.plant.apply_rates(merged);
             } else {
-                if !ann.partitioned.is_empty() {
-                    // Partitioned lanes can't deliver commands either:
-                    // their tasks keep the rates in force.
-                    let in_force = self.plant.rates_in_force();
-                    for (t, &p) in self.head_proc.iter().enumerate() {
-                        if ann.partitioned.contains(&p) {
-                            self.act_cmd[t] = in_force[t];
-                        }
-                    }
-                }
                 self.plant.apply_rates(&self.act_cmd);
             }
         }
@@ -543,10 +463,6 @@ impl ClosedLoop {
             controller: self.controller.telemetry(),
             control_error: ann.control_error,
             crashed: ann.crashed.len(),
-            actuation_drops_total: self
-                .injector
-                .as_ref()
-                .map_or(0, |inj| inj.actuation_drops()),
             engine: self.plant.counters(),
             timings: PeriodTimings {
                 simulate_ns: (t_simulated - t0).as_nanos() as u64,
@@ -829,7 +745,6 @@ impl ClosedLoop {
             .expect("churn plan validated at build time");
         self.ctrl_cols.push(tid);
         adm.tasks.push(task.clone());
-        self.head_proc.push(task.subtasks()[0].processor.0);
         if let Some(grid) = &mut self.rate_grid {
             let levels = grid[0].len();
             grid.push(rate_grid(task, levels));
@@ -1040,7 +955,7 @@ mod tests {
         });
         let mut cl = LoopBuilder::new(workloads::simple())
             .sim_config(SimConfig::constant_etf(0.5))
-            .finish(Some(flaky))
+            .finish(Some(flaky), None)
             .unwrap();
         let result = cl.run(80);
         assert_eq!(
@@ -1271,76 +1186,6 @@ mod tests {
         let tail = crate::metrics::window(&result.trace.utilization_series(0), 35, 40);
         assert!(tail.mean.is_finite());
         assert!(result.trace.steps().last().unwrap().rates.is_finite());
-    }
-
-    #[test]
-    fn actuation_loss_freezes_rates_on_dropped_lanes() {
-        let mut cl = LoopBuilder::new(workloads::simple())
-            .sim_config(SimConfig::constant_etf(0.5))
-            .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-            .faults(FaultPlan::none().actuation_loss(1.0 - 1e-9).seed(7))
-            .local()
-            .unwrap();
-        let r0 = Vector::from_slice(cl.simulator().rates_slice());
-        let result = cl.run(30);
-        // Every command dropped: the plant never leaves its initial rates.
-        assert!(result
-            .trace
-            .steps()
-            .last()
-            .unwrap()
-            .rates
-            .approx_eq(&r0, 0.0));
-        assert!(result.faults.actuation_drops >= 30);
-        assert!(!result.trace.steps()[0]
-            .annotations
-            .actuation_dropped
-            .is_empty());
-    }
-
-    #[test]
-    fn single_process_partition_freezes_the_lane() {
-        let mut cl = LoopBuilder::new(workloads::simple())
-            .sim_config(SimConfig::constant_etf(0.5))
-            .controller(ControllerSpec::Eucon(MpcConfig::simple()))
-            .faults(FaultPlan::none().partition(1, 5, 10))
-            .local()
-            .unwrap();
-        let result = cl.run(20);
-        assert_eq!(result.faults.partitioned_periods, 5);
-        let steps = result.trace.steps();
-        assert_eq!(steps[5].annotations.partitioned, vec![1]);
-        assert!(steps[4].annotations.partitioned.is_empty());
-        // The controller keeps seeing the last pre-partition delivery on
-        // the dead lane, while the live lane stays fresh.
-        let held = steps[4].utilization[1];
-        for (k, step) in steps.iter().enumerate().take(10).skip(5) {
-            assert_eq!(step.seen()[1].to_bits(), held.to_bits(), "period {k}");
-            assert_eq!(
-                step.seen()[0].to_bits(),
-                step.utilization[0].to_bits(),
-                "lane 0 unaffected at period {k}"
-            );
-        }
-        // Commands can't reach the partitioned processor either: every
-        // task modulated there keeps its rate across the window.
-        let set = workloads::simple();
-        for (t, task) in set.tasks().iter().enumerate() {
-            if task.subtasks()[0].processor.0 == 1 {
-                for k in 5..10 {
-                    assert_eq!(
-                        steps[k].rates[t].to_bits(),
-                        steps[4].rates[t].to_bits(),
-                        "T{} must hold its rate at period {k}",
-                        t + 1
-                    );
-                }
-            }
-        }
-        // After the partition heals the loop re-engages and still
-        // converges.
-        assert!(steps[19].annotations.partitioned.is_empty());
-        assert_eq!(result.control_errors, 0);
     }
 
     #[test]

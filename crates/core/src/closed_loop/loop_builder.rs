@@ -18,7 +18,9 @@
 //! the finisher, which returns [`CoreError::Config`] for out-of-domain
 //! values instead of panicking in a setter, and every finisher honours
 //! every option.  Lane delay and loss are not a builder option: they
-//! belong to the lanes, on the [`NetConfig`].
+//! belong to the lanes, on the [`NetConfig`].  A fault plan's partition
+//! windows act on lanes too, so only [`LoopBuilder::distributed`]
+//! accepts them.
 //!
 //! The module is a child of `closed_loop` because building a loop means
 //! filling in its private state.
@@ -32,6 +34,7 @@ use eucon_tasks::{rms_set_points, TaskId, TaskSet};
 
 use super::{rate_grid, ClosedLoop, FaultSummary, DEFAULT_SAMPLING_PERIOD};
 use crate::admission::{AdmissionController, AdmissionPolicy, ChurnPlan};
+use crate::distributed::NetRuntime;
 use crate::plant::{Plant, PlantFactory, SimPlant};
 use crate::telemetry::LoopTelemetry;
 use crate::{ControllerSpec, CoreError, FleetRunner, NetConfig, Trace, TraceStep};
@@ -154,8 +157,9 @@ impl LoopBuilder {
     }
 
     /// Installs a fault-injection plan: scripted or stochastic processor
-    /// crashes, execution-time bursts, sensor faults, actuation-lane
-    /// faults and lane partitions (default: no faults).
+    /// crashes, execution-time bursts, sensor faults and lane partitions
+    /// (default: no faults).  Partition windows need lanes: only
+    /// [`LoopBuilder::distributed`] accepts a plan that has them.
     ///
     /// Crashed processors execute nothing, pile up a backlog and report
     /// `NaN` utilization (the monitor dies with its host); the closed
@@ -242,25 +246,42 @@ impl LoopBuilder {
     /// # Errors
     ///
     /// Returns [`CoreError::Config`] when an input fails validation —
-    /// a non-positive or non-finite sampling period, a lane model with a
-    /// loss probability outside `[0, 1)`, fewer than two quantized rate
-    /// levels, set points that are non-finite, non-positive, or of the
-    /// wrong arity, a malformed churn plan, an out-of-range admission
-    /// policy, or a plant backend that does not fit the workload —
-    /// [`CoreError::Sim`] for a malformed fault plan, and propagates
-    /// controller-construction failures as [`CoreError::Control`].
+    /// a non-positive or non-finite sampling period, a fault plan with
+    /// lane-partition windows (a loop without lanes has nothing to
+    /// partition), fewer than two quantized rate levels, set points that
+    /// are non-finite, non-positive, or of the wrong arity, a malformed
+    /// churn plan, an out-of-range admission policy, or a plant backend
+    /// that does not fit the workload — [`CoreError::Sim`] for a
+    /// malformed fault plan, and propagates controller-construction
+    /// failures (a shard boundary lane model out of domain among them)
+    /// as [`CoreError::Control`].
     pub fn local(self) -> Result<ClosedLoop, CoreError> {
-        self.finish(None)
+        self.finish(None, None)
     }
 
     /// Builds the loop, closing it with `prebuilt` instead of a controller
     /// built from the spec when one is given (the fleet's shared
     /// prototype; its current rates are applied to the plant at time
-    /// zero).
+    /// zero), and connecting the lanes `net` describes when one is given.
     pub(crate) fn finish(
         self,
         prebuilt: Option<Box<dyn RateController>>,
+        net: Option<NetConfig>,
     ) -> Result<ClosedLoop, CoreError> {
+        match &net {
+            Some(net) => {
+                net.report_lanes.validate("report_lanes")?;
+                net.command_lanes.validate("command_lanes")?;
+            }
+            None if self.faults.has_partitions() => {
+                return Err(CoreError::Config(
+                    "the fault plan partitions feedback lanes, and a loop without lanes has \
+                     none: finish with .distributed(NetConfig::channel())"
+                        .into(),
+                ))
+            }
+            None => {}
+        }
         let ts = self.sampling_period;
         if !(ts > 0.0 && ts.is_finite()) {
             return Err(CoreError::Config(format!(
@@ -308,6 +329,8 @@ impl LoopBuilder {
                 .map(|t| rate_grid(t, levels))
                 .collect()
         });
+        // The processor hosting each task's rate modulator (its first
+        // subtask): how the command lanes route the rates.
         let head_proc: Vec<usize> = self
             .set
             .tasks()
@@ -322,7 +345,6 @@ impl LoopBuilder {
                 self.set.num_processors(),
             ))
         };
-        let has_partitions = self.faults.has_partitions();
         let num_procs = self.set.num_processors();
         let num_tasks = self.set.num_tasks();
         // Churn machinery engages only for a non-empty plan (or an
@@ -379,6 +401,10 @@ impl LoopBuilder {
         if self.telemetry_batch > 0 {
             telemetry.set_batch(self.telemetry_batch);
         }
+        let net = match net {
+            Some(cfg) => Some(Box::new(NetRuntime::new(&cfg, num_procs, &head_proc)?)),
+            None => None,
+        };
         Ok(ClosedLoop {
             plant,
             controller,
@@ -389,17 +415,13 @@ impl LoopBuilder {
             control_errors: 0,
             rate_grid,
             injector,
-            head_proc,
             summary: FaultSummary::default(),
             record: self.record_trace,
             u_scratch: Vector::zeros(num_procs),
             sensed: Vector::zeros(num_procs),
-            dropped: Vec::new(),
             last: TraceStep::clean(0.0, Vector::zeros(num_procs), Vector::zeros(num_tasks)),
             telemetry,
-            net: None,
-            lane_hold: Vector::zeros(num_procs),
-            has_partitions,
+            net,
             admission,
             ctrl_cols: (0..num_tasks).map(TaskId).collect(),
             act_cmd: Vector::zeros(num_tasks),
@@ -412,17 +434,15 @@ impl LoopBuilder {
     ///
     /// # Errors
     ///
-    /// Everything [`LoopBuilder::local`] rejects, plus
-    /// [`CoreError::Config`] when `net.report_lanes` or
-    /// `net.command_lanes` is out of domain, and [`CoreError::Transport`]
-    /// when the backend fails to connect (e.g. binding the loopback
-    /// sockets).
+    /// Everything [`LoopBuilder::local`] rejects except partition
+    /// windows, plus [`CoreError::Config`] when `net.report_lanes` or
+    /// `net.command_lanes` is out of domain ([`LaneModel::validate`]),
+    /// and [`CoreError::Transport`] when the backend fails to connect
+    /// (e.g. binding the loopback sockets).
+    ///
+    /// [`LaneModel::validate`]: crate::LaneModel::validate
     pub fn distributed(self, net: NetConfig) -> Result<ClosedLoop, CoreError> {
-        net.report_lanes.validate("report_lanes")?;
-        net.command_lanes.validate("command_lanes")?;
-        let mut lp = self.local()?;
-        lp.attach_net(&net)?;
-        Ok(lp)
+        self.finish(None, Some(net))
     }
 
     /// Finishes as a fleet of `n` clones of this loop on the
@@ -431,6 +451,8 @@ impl LoopBuilder {
     ///
     /// Members honour every option, except that they run untraced: a
     /// [`crate::FleetReport`] returns one digest per loop, not its trace.
+    /// Members are loops without lanes, so a fault plan with partition
+    /// windows fails the run as [`LoopBuilder::local`] fails.
     pub fn fleet(self, n: usize) -> FleetRunner {
         FleetRunner {
             loops: vec![self; n],
@@ -453,7 +475,7 @@ mod tests {
     use super::*;
     use crate::fleet::digest_run;
     use crate::telemetry::TelemetrySink;
-    use crate::{BoundaryMode, LaneModel};
+    use crate::LaneModel;
     use eucon_tasks::workloads;
 
     #[test]
@@ -629,25 +651,19 @@ mod tests {
     }
 
     #[test]
-    fn lossy_shard_boundary_with_certain_loss_is_a_typed_error() {
-        // A builder input must not panic: unchecked, `loss: 1.0` trips the
-        // delay/loss gate's assert.
-        let err = LoopBuilder::new(workloads::medium())
-            .controller(ControllerSpec::Sharded {
-                mpc: MpcConfig::medium(),
-                shard_size: 2,
-                boundary: BoundaryMode::LossyLanes {
-                    delay: 0,
-                    loss: 1.0,
-                    seed: 1,
-                },
-            })
-            .local()
-            .unwrap_err();
-        assert!(
-            matches!(err, CoreError::Control(ref e) if e.to_string().contains("loss probability")),
-            "got {err:?}"
-        );
+    fn only_a_loop_with_lanes_takes_a_partition_plan() {
+        let partitioned =
+            || LoopBuilder::new(workloads::simple()).faults(FaultPlan::none().partition(1, 5, 10));
+        let named = |err: &CoreError| {
+            let hint = ".distributed(NetConfig::channel())";
+            matches!(err, CoreError::Config(m) if m.contains(hint))
+        };
+        let err = partitioned().local().unwrap_err();
+        assert!(named(&err), "local: got {err:?}");
+        let err = partitioned().fleet(2).threads(1).run(3).unwrap_err();
+        assert!(named(&err), "fleet: got {err:?}");
+        let mut dl = partitioned().distributed(NetConfig::channel()).unwrap();
+        assert_eq!(dl.run(12).faults.partitioned_periods, 5);
     }
 
     #[test]

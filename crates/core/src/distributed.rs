@@ -103,14 +103,9 @@ impl LaneModel {
 
     /// Lanes dropping each frame independently with probability `p`.
     ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ p < 1`.
+    /// Never panics: every consumer of a lane model runs
+    /// [`LaneModel::validate`], which rejects `p` outside `[0, 1)`.
     pub fn lossy(p: f64, seed: u64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&p),
-            "loss probability must be in [0, 1)"
-        );
         LaneModel {
             delay: 0,
             loss_probability: p,
@@ -119,8 +114,9 @@ impl LaneModel {
     }
 
     /// Checks the model's domain — the one validation every option
-    /// carrying a lane model goes through (`what` names the option in
-    /// the error).
+    /// carrying a lane model goes through: the distributed finisher,
+    /// a service tenant and the shard boundary lanes (`what` names the
+    /// option in the error).
     ///
     /// # Errors
     ///
@@ -648,9 +644,65 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "loss probability")]
-    fn lossy_lane_model_rejects_certain_loss() {
-        let _ = LaneModel::lossy(1.0, 0);
+    fn an_out_of_domain_lossy_model_is_a_typed_error_on_every_path() {
+        use crate::service::{ControlService, EvictionPolicy, TenantSpec};
+        use crate::{BoundaryMode, ControllerSpec};
+        use eucon_control::MpcConfig;
+        for p in [1.0, f64::NAN] {
+            let bad = LaneModel::lossy(p, 3);
+            let loss = |e: &CoreError| e.to_string().contains("loss probability");
+            // The distributed finisher.
+            let err = simple()
+                .distributed(NetConfig::channel().command_lanes(bad.clone()))
+                .unwrap_err();
+            assert!(
+                matches!(err, CoreError::Config(_)) && loss(&err),
+                "{p}: {err:?}"
+            );
+            // A service tenant, rejected before it binds a socket.
+            let spec = TenantSpec::new("t", workloads::simple()).report_lanes(bad.clone());
+            let err = ControlService::new(EvictionPolicy::default())
+                .attach(spec)
+                .unwrap_err();
+            assert!(
+                matches!(err, CoreError::Config(_)) && loss(&err),
+                "{p}: {err:?}"
+            );
+            // The shard boundary, through the builder and through the spec.
+            let sharded = ControllerSpec::Sharded {
+                mpc: MpcConfig::medium(),
+                shard_size: 2,
+                boundary: BoundaryMode::LossyLanes(bad),
+            };
+            let err = LoopBuilder::new(workloads::medium())
+                .controller(sharded.clone())
+                .local()
+                .unwrap_err();
+            assert!(
+                matches!(err, CoreError::Control(_)) && loss(&err),
+                "{p}: {err:?}"
+            );
+            let set = workloads::medium();
+            let Err(err) = sharded.build(&set, &eucon_tasks::rms_set_points(&set)) else {
+                panic!("{p}: the spec built a boundary that loses everything");
+            };
+            assert!(err.to_string().contains("loss probability"), "{p}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn certain_command_loss_freezes_the_plant_at_its_initial_rates() {
+        let mut dl = simple()
+            .distributed(NetConfig::channel().command_lanes(LaneModel::lossy(1.0 - 1e-9, 7)))
+            .unwrap();
+        let r0 = Vector::from_slice(dl.simulator().rates_slice());
+        let result = dl.run(30);
+        // Every command lost: the plant never leaves its initial rates.
+        for step in result.trace.steps() {
+            assert!(step.rates.approx_eq(&r0, 0.0));
+        }
+        assert!(result.telemetry.counter("frames_lost").unwrap() >= 30);
+        assert_eq!(dl.transport_stats().dropped, 60, "2 lanes × 30 periods");
     }
 
     #[test]
@@ -728,7 +780,8 @@ mod tests {
         let steps = result.trace.steps();
         assert_eq!(steps[10].annotations.partitioned, vec![1]);
         assert!(steps[9].annotations.partitioned.is_empty());
-        // During the partition the controller sees lane 1's last delivery.
+        // During the partition the controller sees lane 1's last
+        // delivery, while the live lane stays fresh.
         let held = steps[9].utilization[1];
         for (k, step) in steps.iter().enumerate().take(15).skip(10) {
             assert_eq!(
@@ -736,7 +789,30 @@ mod tests {
                 held.to_bits(),
                 "period {k} must reuse the pre-partition report"
             );
+            assert_eq!(
+                step.seen()[0].to_bits(),
+                step.utilization[0].to_bits(),
+                "lane 0 unaffected at period {k}"
+            );
         }
+        // Commands can't reach the partitioned processor either: every
+        // task modulated there holds its rate across the window.
+        let set = workloads::simple();
+        let mut held_tasks = 0;
+        for (t, task) in set.tasks().iter().enumerate() {
+            if task.subtasks()[0].processor.0 == 1 {
+                held_tasks += 1;
+                for (k, step) in steps.iter().enumerate().take(15).skip(10) {
+                    assert_eq!(
+                        step.rates[t].to_bits(),
+                        steps[9].rates[t].to_bits(),
+                        "T{} must hold its rate at period {k}",
+                        t + 1
+                    );
+                }
+            }
+        }
+        assert!(held_tasks > 0, "some task is modulated on P2");
         // After it heals, fresh reports flow again.
         assert!(steps[16].received.is_none());
         assert!(

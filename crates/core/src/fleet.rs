@@ -339,7 +339,7 @@ fn run_one(
     let batch = builder.telemetry_batch;
     let mut cl = builder
         .record_trace(false)
-        .finish(proto.map(Prototype::into_controller))?;
+        .finish(proto.map(Prototype::into_controller), None)?;
     if batch > 0 {
         cl.telemetry_sink(RingBufferSink::new(batch));
     }

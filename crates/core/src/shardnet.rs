@@ -60,19 +60,11 @@ pub enum BoundaryMode {
     /// reference semantics.
     InProcess,
     /// One ideal (lossless, same-period) lane per shard; bit-identical
-    /// to [`BoundaryMode::InProcess`].
+    /// to [`BoundaryMode::InProcess`] — and to `LossyLanes(LaneModel::ideal())`.
     IdealLanes,
-    /// One lane per shard behind delay/loss gates: frames spend `delay`
-    /// periods in flight and each crossing frame drops with probability
-    /// `loss`.
-    LossyLanes {
-        /// Whole sampling periods each boundary frame spends in flight.
-        delay: usize,
-        /// Per-frame drop probability in `[0, 1)`.
-        loss: f64,
-        /// Seed for the per-lane loss draws.
-        seed: u64,
-    },
+    /// One lane per shard behind the delay/loss gates the [`LaneModel`]
+    /// describes, the model a distributed loop's processor lanes take.
+    LossyLanes(LaneModel),
 }
 
 /// Cumulative traffic counters of a [`ShardBoundaryNet`].
@@ -100,8 +92,7 @@ struct ShardLayout {
 
 /// [`BoundaryBus`] over one `eucon-net` lane per shard.
 ///
-/// Build with [`ShardBoundaryNet::ideal`] or
-/// [`ShardBoundaryNet::lossy`], then drive
+/// Build with [`ShardBoundaryNet::new`], then drive
 /// [`ShardedController::update_with_bus`] — or let
 /// [`NetShardedController`] bundle both behind [`RateController`].
 pub struct ShardBoundaryNet {
@@ -132,42 +123,25 @@ impl std::fmt::Debug for ShardBoundaryNet {
 }
 
 impl ShardBoundaryNet {
-    /// Builds the hub with one ideal lane per shard.
-    pub fn ideal(set: &TaskSet, plan: &ShardPlan, set_points: &Vector) -> Self {
-        Self::build(set, plan, set_points, &LaneModel::ideal())
-    }
-
-    /// Builds the hub with a delay/loss gate in front of every sending
-    /// end; lane seeds derive from `seed` so every lane draws an
-    /// independent loss sequence.
+    /// Builds the hub with one lane per shard, `model`'s delay/loss gate
+    /// in front of every sending end (none for an ideal model); lane
+    /// seeds derive from `model.seed` so every lane draws an independent
+    /// loss sequence.
     ///
     /// # Errors
     ///
-    /// [`ControlError::Unsupported`] unless `0 ≤ loss < 1` — through a
-    /// loop builder, a controller-construction failure
-    /// (`eucon::ErrorKind::Controller`).
-    pub fn lossy(
+    /// [`ControlError::Unsupported`] when [`LaneModel::validate`] rejects
+    /// `model` — through a loop builder, a controller-construction
+    /// failure (`eucon::ErrorKind::Controller`).
+    pub fn new(
         set: &TaskSet,
         plan: &ShardPlan,
         set_points: &Vector,
-        delay: usize,
-        loss: f64,
-        seed: u64,
+        model: &LaneModel,
     ) -> Result<Self, ControlError> {
-        if !(0.0..1.0).contains(&loss) {
-            return Err(ControlError::Unsupported(format!(
-                "boundary-lane loss probability must be in [0, 1), got {loss}"
-            )));
-        }
-        let model = LaneModel {
-            delay,
-            loss_probability: loss,
-            seed,
-        };
-        Ok(Self::build(set, plan, set_points, &model))
-    }
-
-    fn build(set: &TaskSet, plan: &ShardPlan, set_points: &Vector, model: &LaneModel) -> Self {
+        model
+            .validate("boundary lanes")
+            .map_err(|e| ControlError::Unsupported(e.to_string()))?;
         let m = set.num_tasks();
         let shards: Vec<ShardLayout> = plan
             .shards()
@@ -189,7 +163,7 @@ impl ShardBoundaryNet {
             seed: model.seed.wrapping_add(1),
             ..model.clone()
         };
-        ShardBoundaryNet {
+        Ok(ShardBoundaryNet {
             fabric: memory_lane_fabric(k),
             up: Direction::new(kind, model, k, 2),
             down: Direction::new(kind, &down_model, k, 2),
@@ -200,7 +174,7 @@ impl ShardBoundaryNet {
             period: 0,
             fetches: 0,
             stale_fetches: 0,
-        }
+        })
     }
 
     /// Cumulative traffic counters across every lane.
@@ -343,7 +317,7 @@ impl NetShardedController {
     ///
     /// Propagates team-construction failures; rejects
     /// [`BoundaryMode::InProcess`] as a dimension error and an
-    /// out-of-domain [`BoundaryMode::LossyLanes`] loss probability as
+    /// out-of-domain [`BoundaryMode::LossyLanes`] model as
     /// [`ControlError::Unsupported`].
     pub fn new(
         set: &TaskSet,
@@ -353,17 +327,17 @@ impl NetShardedController {
         mode: &BoundaryMode,
     ) -> Result<Self, ControlError> {
         let plan = ShardPlanner::new(set).target_size(shard_size).plan();
-        let bus = match mode {
+        let ideal = LaneModel::ideal();
+        let model = match mode {
             BoundaryMode::InProcess => {
                 return Err(ControlError::DimensionMismatch(
                     "in-process boundary mode needs no net-backed controller".into(),
                 ))
             }
-            BoundaryMode::IdealLanes => ShardBoundaryNet::ideal(set, &plan, &set_points),
-            BoundaryMode::LossyLanes { delay, loss, seed } => {
-                ShardBoundaryNet::lossy(set, &plan, &set_points, *delay, *loss, *seed)?
-            }
+            BoundaryMode::IdealLanes => &ideal,
+            BoundaryMode::LossyLanes(model) => model,
         };
+        let bus = ShardBoundaryNet::new(set, &plan, &set_points, model)?;
         let team = ShardedController::new(set, set_points, cfg, plan)?;
         Ok(NetShardedController { team, bus })
     }
@@ -448,11 +422,11 @@ mod tests {
             b.clone(),
             MpcConfig::medium(),
             4,
-            &BoundaryMode::LossyLanes {
+            &BoundaryMode::LossyLanes(LaneModel {
                 delay: 1,
-                loss: 0.3,
+                loss_probability: 0.3,
                 seed: 5,
-            },
+            }),
         )
         .unwrap();
         let f = set.allocation_matrix();
@@ -479,11 +453,7 @@ mod tests {
             b.clone(),
             MpcConfig::medium(),
             2,
-            &BoundaryMode::LossyLanes {
-                delay: 0,
-                loss: 0.99,
-                seed: 3,
-            },
+            &BoundaryMode::LossyLanes(LaneModel::lossy(0.99, 3)),
         )
         .unwrap();
         let f = set.allocation_matrix();

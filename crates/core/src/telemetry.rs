@@ -34,7 +34,7 @@ pub(crate) struct PeriodTimings {
     pub sample_ns: u64,
     /// The controller update (includes the QP solve).
     pub control_ns: u64,
-    /// Quantization and the actuation lanes.
+    /// Quantization and the command lanes.
     pub actuate_ns: u64,
 }
 
@@ -110,9 +110,6 @@ pub(crate) struct PeriodObservation<'a> {
     pub control_error: bool,
     /// Processors crashed this period.
     pub crashed: usize,
-    /// Cumulative actuation-lane drops so far (the injector's total; the
-    /// per-period delta is derived here).
-    pub actuation_drops_total: usize,
     /// The engine's cumulative counters (deltas derived here).
     pub engine: EngineCounters,
     /// Phase timings for the span histograms.
@@ -134,7 +131,6 @@ pub(crate) struct LoopTelemetry {
     c_degraded: CounterId,
     c_mode_transitions: CounterId,
     c_crashed: CounterId,
-    c_act_drops: CounterId,
     c_warm_hits: CounterId,
     c_cold_retries: CounterId,
     c_relaxed: CounterId,
@@ -186,7 +182,6 @@ pub(crate) struct LoopTelemetry {
     h_model_update: HistogramId,
     // State for turning cumulative inputs into per-period increments.
     last_engine: EngineCounters,
-    last_act_drops: usize,
     was_degraded: bool,
     // Batched sink export: when `batch_rows > 0`, export rows accumulate
     // in the preallocated buffers below and drain to the sinks once per
@@ -239,7 +234,6 @@ impl LoopTelemetry {
         let c_degraded = b.counter("degraded_periods");
         let c_mode_transitions = b.counter("mode_transitions");
         let c_crashed = b.counter("crashed_periods");
-        let c_act_drops = b.counter("actuation_drops");
         let c_warm_hits = b.counter("qp_warm_hits");
         let c_cold_retries = b.counter("qp_cold_retries");
         let c_relaxed = b.counter("qp_relaxed");
@@ -296,7 +290,6 @@ impl LoopTelemetry {
             c_degraded,
             c_mode_transitions,
             c_crashed,
-            c_act_drops,
             c_warm_hits,
             c_cold_retries,
             c_relaxed,
@@ -341,7 +334,6 @@ impl LoopTelemetry {
             h_exchange_commands,
             h_model_update,
             last_engine: EngineCounters::default(),
-            last_act_drops: 0,
             was_degraded: false,
             batch_rows: 0,
             batch_periods: Vec::new(),
@@ -388,12 +380,6 @@ impl LoopTelemetry {
             self.was_degraded = ct.degraded;
         }
         reg.add(self.c_crashed, obs.crashed as u64);
-        reg.add(
-            self.c_act_drops,
-            obs.actuation_drops_total
-                .saturating_sub(self.last_act_drops) as u64,
-        );
-        self.last_act_drops = obs.actuation_drops_total;
         if ct.warm_start {
             reg.inc(self.c_warm_hits);
         }
@@ -554,7 +540,6 @@ mod tests {
             controller: ControllerTelemetry::default(),
             control_error: false,
             crashed: 0,
-            actuation_drops_total: 0,
             engine: EngineCounters::default(),
             timings: PeriodTimings::default(),
             net: None,
@@ -568,18 +553,15 @@ mod tests {
         let b = Vector::from_slice(&[0.828, 0.828]);
         let mut lt = LoopTelemetry::new(2);
         let mut o = obs(&u, &b, 0);
-        o.actuation_drops_total = 3;
         o.engine.events = 100;
         lt.record_period(o);
         let mut o = obs(&u, &b, 1);
-        o.actuation_drops_total = 5;
         o.engine.events = 150;
         lt.record_period(o);
         let snap = lt.snapshot();
         assert_eq!(snap.counter("periods"), Some(2));
         // Cumulative totals survive as cumulative counters, not as
-        // double-counted sums of the raw inputs (3 + 5 or 100 + 150).
-        assert_eq!(snap.counter("actuation_drops"), Some(5));
+        // double-counted sums of the raw inputs (100 + 150).
         assert_eq!(snap.counter("engine_events"), Some(150));
         assert_eq!(snap.gauge("u_p2"), Some(0.9));
         let t = snap.histogram("tracking_error").unwrap();

@@ -13,8 +13,6 @@ pub struct StepAnnotations {
     pub degraded: bool,
     /// The controller returned an error this period (previous rates kept).
     pub control_error: bool,
-    /// Processors whose actuation lane dropped this period's rate command.
-    pub actuation_dropped: Vec<usize>,
     /// Processors whose feedback lane was partitioned from the controller
     /// this period (no report out, no command in).
     pub partitioned: Vec<usize>,
@@ -26,7 +24,6 @@ impl StepAnnotations {
         !self.crashed.is_empty()
             || self.degraded
             || self.control_error
-            || !self.actuation_dropped.is_empty()
             || !self.partitioned.is_empty()
     }
 }

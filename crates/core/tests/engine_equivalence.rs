@@ -6,10 +6,10 @@
 //! These tests pin FNV-1a hashes of complete closed-loop traces (every
 //! `f64` hashed by its bit pattern, so even 1-ulp drift fails) captured
 //! from the reference engine, for the paper's SIMPLE and MEDIUM workloads,
-//! fault-free and under a scripted fault plan (processor crash + lossy
-//! actuation lanes).  The scenarios and hash live in `trace_hash/` and are
+//! fault-free.  The scenarios and hash live in `trace_hash/` and are
 //! shared with `transport_equivalence`, which pins the distributed loop to
-//! the same constants.
+//! the same constants and also pins the two faulted scenarios (processor
+//! crash + lossy command lanes), which need a loop with lanes.
 //!
 //! If an intentional semantic change to the engine breaks these, re-capture
 //! with:
@@ -87,18 +87,6 @@ fn golden_medium_fault_free() {
 }
 
 #[test]
-fn golden_simple_faulted() {
-    let s = Scenario::SimpleFaulted;
-    assert_eq!(hash_result(&s.run_single()), s.golden());
-}
-
-#[test]
-fn golden_medium_faulted() {
-    let s = Scenario::MediumFaulted;
-    assert_eq!(hash_result(&s.run_single()), s.golden());
-}
-
-#[test]
 fn golden_scripted_sim_simple() {
     assert_eq!(
         scripted_sim(workloads::simple(), 11),
@@ -124,7 +112,7 @@ fn print_golden_hashes() {
         println!(
             "pub const GOLDEN_{}: u64 = {:#018x};",
             s.name().to_uppercase(),
-            hash_result(&s.run_single())
+            hash_result(&s.run_distributed_channel())
         );
     }
     println!(

@@ -5,7 +5,7 @@
 //! loop's trace digest is a pure function of its builder, never of which
 //! worker ran it or in what order loops were stolen.  This suite runs a
 //! heterogeneous fleet (both paper workloads, stochastic execution
-//! times, supervised loops under a crash + lossy-actuation plan, loops
+//! times, supervised loops under a scripted + random crash plan, loops
 //! that shed load under a 25x overload) at 1, 2 and 8 threads and
 //! requires identical digest vectors, in both debug and release profiles
 //! (CI runs both).
@@ -19,7 +19,7 @@ const PERIODS: usize = 20;
 
 /// A fleet that exercises every per-loop code path whose determinism
 /// matters: warm-started QP solves, seeded stochastic execution times,
-/// fault injection, supervisor degradation and load shedding.
+/// seeded fault injection, supervisor degradation and load shedding.
 fn fleet_loops(batch: usize) -> Vec<LoopBuilder> {
     let mut loops = Vec::new();
     for i in 0..24u64 {
@@ -41,7 +41,7 @@ fn fleet_loops(batch: usize) -> Vec<LoopBuilder> {
                 .faults(
                     FaultPlan::none()
                         .crash(1, 10, 18)
-                        .actuation_loss(0.3)
+                        .random_crashes(0.05, 0.3)
                         .seed(7),
                 ),
             3 => LoopBuilder::new(workloads::medium())

@@ -2,15 +2,16 @@
 //!
 //! One FNV-1a hash over the bit patterns of everything a closed-loop run
 //! observes, the four pinned closed-loop scenarios, and assemblers for
-//! every finisher — so `engine_equivalence` (single-process engine)
-//! and `transport_equivalence` (distributed loop over ideal lanes) pin
-//! the *same* golden constants.
+//! every finisher — so `engine_equivalence` (single-process engine, the
+//! two fault-free scenarios) and `transport_equivalence` (distributed
+//! loop over in-memory and TCP lanes, all four) pin the *same* golden
+//! constants.
 
 // Each test target compiles this module separately and uses a subset.
 #![allow(dead_code)]
 
 use eucon_control::MpcConfig;
-use eucon_core::{ChurnPlan, ControllerSpec, LoopBuilder, NetConfig, RunResult};
+use eucon_core::{ChurnPlan, ControllerSpec, LaneModel, LoopBuilder, NetConfig, RunResult};
 use eucon_math::Vector;
 use eucon_sim::{ExecModel, FaultPlan, SimConfig};
 use eucon_tasks::{workloads, TaskSet};
@@ -45,7 +46,9 @@ impl Fnv {
 
 /// Hashes everything a closed-loop run observes: each step's time, true
 /// utilizations, sensed/received report, applied rates and annotations,
-/// plus the final deadline statistics.
+/// plus the final deadline statistics.  A zero length stands where a
+/// per-step list of dropped commands once was, so the fault-free
+/// constants did not move when command loss became a lane effect.
 pub fn hash_result(result: &RunResult) -> u64 {
     let mut h = Fnv::new();
     for step in result.trace.steps() {
@@ -64,10 +67,7 @@ pub fn hash_result(result: &RunResult) -> u64 {
         for &p in &ann.crashed {
             h.u64(p as u64);
         }
-        h.u64(ann.actuation_dropped.len() as u64);
-        for &p in &ann.actuation_dropped {
-            h.u64(p as u64);
-        }
+        h.u64(0);
         h.byte(ann.degraded as u8);
         h.byte(ann.control_error as u8);
     }
@@ -80,7 +80,9 @@ pub fn hash_result(result: &RunResult) -> u64 {
 // ---- the pinned closed-loop scenarios ----
 
 /// The four closed-loop golden scenarios: the paper's two workloads,
-/// fault-free and under the scripted crash + lossy-actuation plan.
+/// fault-free, and under a scripted crash with 30 % of the rate commands
+/// lost on lossy command lanes (so the faulted two need a finisher with
+/// lanes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scenario {
     SimpleFaultFree,
@@ -95,8 +97,8 @@ pub const GOLDEN_PERIODS: usize = 40;
 /// Golden hashes captured from the reference engine.
 pub const GOLDEN_SIMPLE_FAULT_FREE: u64 = 0xb286_0648_874c_a00f;
 pub const GOLDEN_MEDIUM_FAULT_FREE: u64 = 0xae12_aab1_5672_e1a9;
-pub const GOLDEN_SIMPLE_FAULTED: u64 = 0xb563_f818_262a_d973;
-pub const GOLDEN_MEDIUM_FAULTED: u64 = 0xb7c4_ae83_bfaf_4651;
+pub const GOLDEN_SIMPLE_FAULTED: u64 = 0x58ce_7813_71b9_04c8;
+pub const GOLDEN_MEDIUM_FAULTED: u64 = 0x53e4_044d_d202_be8b;
 
 impl Scenario {
     pub const ALL: [Scenario; 4] = [
@@ -105,6 +107,9 @@ impl Scenario {
         Scenario::SimpleFaulted,
         Scenario::MediumFaulted,
     ];
+
+    /// The scenarios a loop without lanes can run.
+    pub const FAULT_FREE: [Scenario; 2] = [Scenario::SimpleFaultFree, Scenario::MediumFaultFree];
 
     /// The pinned hash of this scenario's trace.
     pub fn golden(self) -> u64 {
@@ -158,14 +163,24 @@ impl Scenario {
     fn faults(self) -> FaultPlan {
         match self {
             Scenario::SimpleFaultFree | Scenario::MediumFaultFree => FaultPlan::none(),
-            // Crash + lossy actuation lanes: exercises NaN sensors,
-            // supervisor degradation, per-processor rate freezing and
-            // recovery reschedules.
-            Scenario::SimpleFaulted | Scenario::MediumFaulted => FaultPlan::none()
-                .crash(1, 10, 18)
-                .actuation_loss(0.3)
-                .seed(7),
+            // A crash exercises NaN sensors, supervisor degradation and
+            // recovery reschedules; the lossy command lanes freeze rates
+            // per processor.
+            Scenario::SimpleFaulted | Scenario::MediumFaulted => FaultPlan::none().crash(1, 10, 18),
         }
+    }
+
+    /// The scenario's command-lane model: ideal, or 30 % loss.
+    fn command_lanes(self) -> LaneModel {
+        match self {
+            Scenario::SimpleFaultFree | Scenario::MediumFaultFree => LaneModel::ideal(),
+            Scenario::SimpleFaulted | Scenario::MediumFaulted => LaneModel::lossy(0.3, 7),
+        }
+    }
+
+    /// `net` carrying the scenario's command-lane model.
+    pub fn lanes(self, net: NetConfig) -> NetConfig {
+        net.command_lanes(self.command_lanes())
     }
 
     /// The scenario as a loop description, ready for a finisher.
@@ -176,19 +191,29 @@ impl Scenario {
             .faults(self.faults())
     }
 
-    /// Runs the scenario through the single-process loop.
+    /// Runs a fault-free scenario through the single-process loop.
     pub fn run_single(self) -> RunResult {
+        assert!(
+            Scenario::FAULT_FREE.contains(&self),
+            "{} needs lanes",
+            self.name()
+        );
         self.builder()
             .local()
             .expect("closed loop")
             .run(GOLDEN_PERIODS)
     }
 
-    /// Runs the scenario through the single-process loop with an
+    /// Runs a fault-free scenario through the single-process loop with an
     /// explicit **empty** churn plan: the builder must treat it exactly
     /// like no plan at all, so the trace stays bit-identical to
     /// [`Scenario::run_single`] and the golden hashes hold.
     pub fn run_single_zero_churn(self) -> RunResult {
+        assert!(
+            Scenario::FAULT_FREE.contains(&self),
+            "{} needs lanes",
+            self.name()
+        );
         self.builder()
             .churn(ChurnPlan::none())
             .local()
@@ -202,29 +227,31 @@ impl Scenario {
     pub fn run_distributed_zero_churn(self) -> RunResult {
         self.builder()
             .churn(ChurnPlan::none())
-            .distributed(NetConfig::channel())
+            .distributed(self.lanes(NetConfig::channel()))
             .expect("distributed loop")
             .run(GOLDEN_PERIODS)
     }
 
-    /// Runs the scenario through the distributed loop over ideal
-    /// in-memory lanes — must be bit-identical to
+    /// Runs the scenario through the distributed loop over in-memory
+    /// lanes — for a fault-free scenario, bit-identical to
     /// [`Scenario::run_single`].
     pub fn run_distributed_channel(self) -> RunResult {
         self.builder()
-            .distributed(NetConfig::channel())
+            .distributed(self.lanes(NetConfig::channel()))
             .expect("distributed loop")
             .run(GOLDEN_PERIODS)
     }
 
     /// Runs the scenario through the distributed loop over real
-    /// loopback-TCP lanes — must be bit-identical to [`Scenario::run_single`].  The generous receive
-    /// window keeps loaded machines deterministic: TCP loses nothing,
-    /// so every report lands within the window and the trace carries no
-    /// timing artifacts.
+    /// loopback-TCP lanes — bit-identical to
+    /// [`Scenario::run_distributed_channel`].  The generous receive
+    /// window keeps loaded machines deterministic: TCP loses nothing, so
+    /// every frame the lane model passes lands within the window and the
+    /// trace carries no timing artifacts.
     pub fn run_distributed_poll(self) -> RunResult {
+        let tcp = NetConfig::tcp().recv_timeout(std::time::Duration::from_millis(200));
         self.builder()
-            .distributed(NetConfig::tcp().recv_timeout(std::time::Duration::from_millis(200)))
+            .distributed(self.lanes(tcp))
             .expect("distributed poll loop")
             .run(GOLDEN_PERIODS)
     }

@@ -8,7 +8,9 @@
 //!    hashes the single-process engine pins in `engine_equivalence`
 //!    (shared via `trace_hash/`): splitting the loop into controller and
 //!    processor nodes exchanging binary frames may not perturb a single
-//!    bit.
+//!    bit.  The two faulted scenarios lose 30 % of their commands on
+//!    lossy command lanes, and the in-memory and TCP links must agree on
+//!    them bit for bit too.
 //!
 //! 2. **Draw-for-draw lane model** — on every report lane of a MEDIUM
 //!    loop over lossy, delayed in-memory lanes, what the controller saw

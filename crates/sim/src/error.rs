@@ -55,7 +55,7 @@ pub enum SimError {
     },
     /// A probability parameter is outside its documented range.
     InvalidProbability {
-        /// Which parameter ("actuation loss", "crash", "recovery").
+        /// Which parameter ("crash", "recovery").
         what: &'static str,
         /// The offending value.
         value: f64,
@@ -137,10 +137,10 @@ mod tests {
         let e = SimError::InvalidFactor { value: -1.0 };
         assert!(e.to_string().contains("-1"));
         let e = SimError::InvalidProbability {
-            what: "actuation loss",
+            what: "crash",
             value: 1.5,
         };
-        assert!(e.to_string().contains("actuation loss"));
+        assert!(e.to_string().contains("crash"));
         assert!(Error::source(&e).is_none());
     }
 }

@@ -13,10 +13,12 @@
 //! * **sensor faults** — a processor's utilization sample is frozen at
 //!   its pre-fault value, replaced by NaN, or forced out of range
 //!   ([`FaultPlan::sensor`]);
-//! * **actuation loss** — rate commands that never reach a processor's
-//!   rate modulator ([`FaultPlan::actuation_loss`]).  Delayed commands
-//!   are a lane effect, not a fault: a distributed loop's
-//!   `NetConfig::command_lanes` in `eucon-core`.
+//! * **lane partitions** — a processor's feedback lane cut off from the
+//!   controller for a window ([`FaultPlan::partition`]).  A partition
+//!   acts on lanes, so only a distributed loop (`eucon-core`'s
+//!   `LoopBuilder::distributed`) accepts one.  Delayed or lost reports
+//!   and commands are lane effects too, not faults: a distributed
+//!   loop's `NetConfig::report_lanes` / `command_lanes`.
 //!
 //! A [`FaultPlan`] is pure configuration; a [`FaultInjector`] is its
 //! seeded runtime state, stepped once per sampling period by the closed
@@ -84,13 +86,15 @@ pub struct RandomCrashes {
 /// ```
 /// use eucon_sim::{FaultPlan, SensorFaultKind};
 ///
-/// // P2 crashes at period 60 and recovers at 100; 20% of rate commands
-/// // to every processor are lost throughout the run.
+/// // P2 crashes at period 60 and recovers at 100; P1's sensor reads
+/// // NaN for ten periods; every processor crashes at random (seeded).
 /// let plan = FaultPlan::none()
 ///     .crash(1, 60, 100)
-///     .actuation_loss(0.2)
+///     .sensor(0, 20, 30, SensorFaultKind::NaN)
+///     .random_crashes(0.01, 0.2)
 ///     .seed(7);
 /// assert!(!plan.is_empty());
+/// assert_eq!(plan.validate(2), Ok(()));
 /// ```
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
@@ -104,11 +108,8 @@ pub struct FaultPlan {
     /// keeps executing — only the network between it and the controller
     /// is down.
     partitions: Vec<Window>,
-    /// Probability that a period's rate command to a given processor's
-    /// rate modulator is lost, in `[0, 1)`.
-    actuation_loss: f64,
     random_crashes: Option<RandomCrashes>,
-    /// Seed for every stochastic draw (actuation loss, random crashes).
+    /// Seed for every stochastic draw (random crashes).
     seed: u64,
 }
 
@@ -124,7 +125,6 @@ impl FaultPlan {
             && self.bursts.is_empty()
             && self.sensors.is_empty()
             && self.partitions.is_empty()
-            && self.actuation_loss == 0.0
             && self.random_crashes.is_none()
     }
 
@@ -198,19 +198,10 @@ impl FaultPlan {
         self
     }
 
-    /// Whether the plan contains any lane-partition windows.
+    /// Whether the plan contains any lane-partition windows (a loop
+    /// without lanes rejects such a plan).
     pub fn has_partitions(&self) -> bool {
         !self.partitions.is_empty()
-    }
-
-    /// Loses each period's rate command to each processor independently
-    /// with probability `p` (the affected processor's tasks keep their
-    /// previous rates that period).
-    ///
-    /// Never panics; [`FaultPlan::validate`] rejects `p` outside `[0, 1)`.
-    pub fn actuation_loss(mut self, p: f64) -> Self {
-        self.actuation_loss = p;
-        self
     }
 
     /// Adds memoryless random crashes on every processor.
@@ -235,9 +226,8 @@ impl FaultPlan {
     /// window is non-empty (`from < until`); crash, sensor and partition
     /// windows do not overlap another window of the same kind on the same
     /// processor (bursts are exempt — overlapping bursts compound by
-    /// design); burst factors are positive and finite; the actuation-loss
-    /// probability is in `[0, 1)`; random-crash probabilities are in
-    /// `[0, 1)` / `(0, 1]`.
+    /// design); burst factors are positive and finite; random-crash
+    /// probabilities are in `[0, 1)` / `(0, 1]`.
     ///
     /// The loop builders in `eucon-core` call this before constructing a
     /// [`FaultInjector`], so a malformed plan fails the build with a typed
@@ -259,12 +249,6 @@ impl FaultPlan {
             if !(factor > 0.0 && factor.is_finite()) {
                 return Err(SimError::InvalidFactor { value: factor });
             }
-        }
-        if !(0.0..1.0).contains(&self.actuation_loss) {
-            return Err(SimError::InvalidProbability {
-                what: "actuation loss",
-                value: self.actuation_loss,
-            });
         }
         if let Some(rc) = self.random_crashes {
             if !(0.0..1.0).contains(&rc.crash) {
@@ -330,10 +314,9 @@ fn check_windows(
 
 /// Runtime state of a [`FaultPlan`], stepped once per sampling period.
 ///
-/// The closed loop calls, in order: [`FaultInjector::begin_period`] before
-/// advancing the plant, [`FaultInjector::corrupt_sensors`] on the sampled
-/// utilization vector, and [`FaultInjector::actuation_lost`] when applying
-/// the controller's rate commands.
+/// The closed loop calls [`FaultInjector::begin_period`] before advancing
+/// the plant and [`FaultInjector::corrupt_sensors`] on the sampled
+/// utilization vector.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
@@ -344,10 +327,7 @@ pub struct FaultInjector {
     random_down: Vec<bool>,
     /// Value a frozen sensor is pinned to, captured at fault onset.
     frozen: Vec<Option<f64>>,
-    /// Scratch: per-processor actuation-loss draws for the current period.
-    lost: Vec<bool>,
     sensor_fault_periods: usize,
-    actuation_drops: usize,
 }
 
 impl FaultInjector {
@@ -359,9 +339,7 @@ impl FaultInjector {
             num_processors,
             random_down: vec![false; num_processors],
             frozen: vec![None; num_processors],
-            lost: vec![false; num_processors],
             sensor_fault_periods: 0,
-            actuation_drops: 0,
         }
     }
 
@@ -388,12 +366,6 @@ impl FaultInjector {
                     self.random_down[p] = !self.random_down[p];
                 }
             }
-        }
-        // Pre-draw this period's actuation losses so the draw order is
-        // independent of how callers interleave the other queries.
-        for p in 0..self.num_processors {
-            self.lost[p] =
-                self.plan.actuation_loss > 0.0 && self.rng.gen::<f64>() < self.plan.actuation_loss;
         }
         (0..self.num_processors)
             .filter(|&p| {
@@ -462,24 +434,9 @@ impl FaultInjector {
             .any(|w| w.processor == processor && w.active(period))
     }
 
-    /// Whether the rate command to `processor`'s modulator is lost this
-    /// period (drawn in [`FaultInjector::begin_period`]).
-    pub fn actuation_lost(&mut self, processor: usize) -> bool {
-        let lost = self.lost[processor];
-        if lost {
-            self.actuation_drops += 1;
-        }
-        lost
-    }
-
     /// Number of periods in which at least one sensor misreported.
     pub fn sensor_fault_periods(&self) -> usize {
         self.sensor_fault_periods
-    }
-
-    /// Number of (period × processor) rate commands lost so far.
-    pub fn actuation_drops(&self) -> usize {
-        self.actuation_drops
     }
 }
 
@@ -497,9 +454,7 @@ mod tests {
         let mut u = Vector::from_slice(&[0.5, 0.6]);
         inj.corrupt_sensors(0, &mut u);
         assert_eq!(u.as_slice(), &[0.5, 0.6]);
-        assert!(!inj.actuation_lost(0));
         assert_eq!(inj.sensor_fault_periods(), 0);
-        assert_eq!(inj.actuation_drops(), 0);
     }
 
     #[test]
@@ -551,22 +506,6 @@ mod tests {
     }
 
     #[test]
-    fn actuation_loss_rate_matches_probability() {
-        let mut inj = FaultInjector::new(FaultPlan::none().actuation_loss(0.2).seed(11), 2);
-        let mut drops = 0;
-        for k in 0..1000 {
-            let _ = inj.begin_period(k);
-            for p in 0..2 {
-                if inj.actuation_lost(p) {
-                    drops += 1;
-                }
-            }
-        }
-        assert!((300..500).contains(&drops), "≈20% of 2000: {drops}");
-        assert_eq!(inj.actuation_drops(), drops);
-    }
-
-    #[test]
     fn random_crashes_are_deterministic_and_recover() {
         let mk = || {
             let mut inj =
@@ -608,7 +547,6 @@ mod tests {
             .burst(0, 15, 25, 3.0) // overlapping bursts compound: legal
             .sensor(2, 0, 30, SensorFaultKind::NaN)
             .partition(0, 5, 9)
-            .actuation_loss(0.3)
             .random_crashes(0.05, 0.3);
         assert_eq!(plan.validate(3), Ok(()));
         assert_eq!(FaultPlan::none().validate(0), Ok(()));
@@ -707,23 +645,6 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, SimError::InvalidFactor { .. }), "{bad}");
         }
-    }
-
-    #[test]
-    fn actuation_loss_validated() {
-        let err = FaultPlan::none()
-            .actuation_loss(1.0)
-            .validate(1)
-            .unwrap_err();
-        assert_eq!(
-            err,
-            SimError::InvalidProbability {
-                what: "actuation loss",
-                value: 1.0,
-            }
-        );
-        assert!(FaultPlan::none().actuation_loss(-0.1).validate(1).is_err());
-        assert!(FaultPlan::none().actuation_loss(0.999).validate(1).is_ok());
     }
 
     #[test]

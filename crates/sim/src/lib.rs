@@ -18,7 +18,7 @@
 //!   (`d_i = n_i / r_i`).
 //! * **Fault injection** ([`FaultPlan`] / [`FaultInjector`]): scripted or
 //!   stochastic processor crash + recovery, execution-time bursts,
-//!   stuck/corrupted utilization sensors, and actuation-lane loss —
+//!   stuck/corrupted utilization sensors and lane-partition windows —
 //!   the infrastructure failures the paper idealizes away.
 //!
 //! # Example

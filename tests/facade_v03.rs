@@ -4,8 +4,10 @@
 //! The golden hashes the core crate pins for the four closed-loop
 //! scenarios (see `crates/core/tests/trace_hash/`) must come out
 //! bit-identical when the same scenarios are assembled through the new
-//! `eucon::LoopBuilder` facade — both the `.local()` finisher and the
-//! `.distributed(NetConfig::tcp())` finisher over loopback-TCP lanes.  And every failure the facade can produce must surface
+//! `eucon::LoopBuilder` facade — both the in-process finishers (`.local()`,
+//! or in-memory lanes for the two faulted scenarios, whose lost commands
+//! live on the command lanes) and the `.distributed(NetConfig::tcp())`
+//! finisher over loopback-TCP lanes.  And every failure the facade can produce must surface
 //! as `eucon::Error` with a stable [`ErrorKind`] and a reachable
 //! `source()` chain.
 
@@ -42,10 +44,7 @@ fn facade_builder(s: Scenario) -> LoopBuilder {
                 mpc: MpcConfig::simple(),
                 supervisor: Default::default(),
             },
-            FaultPlan::none()
-                .crash(1, 10, 18)
-                .actuation_loss(0.3)
-                .seed(7),
+            FaultPlan::none().crash(1, 10, 18),
         ),
         Scenario::MediumFaulted => (
             workloads::medium(),
@@ -56,10 +55,7 @@ fn facade_builder(s: Scenario) -> LoopBuilder {
                 mpc: MpcConfig::medium(),
                 supervisor: Default::default(),
             },
-            FaultPlan::none()
-                .crash(1, 10, 18)
-                .actuation_loss(0.3)
-                .seed(7),
+            FaultPlan::none().crash(1, 10, 18),
         ),
     };
     LoopBuilder::new(set)
@@ -68,10 +64,22 @@ fn facade_builder(s: Scenario) -> LoopBuilder {
         .faults(faults)
 }
 
+/// The in-process finisher of a scenario: `.local()` for the fault-free
+/// two, in-memory lanes for the faulted two (a loop without lanes has no
+/// command lanes to lose commands on).
+fn finish_in_process(s: Scenario, b: LoopBuilder) -> ClosedLoop {
+    if Scenario::FAULT_FREE.contains(&s) {
+        b.local().expect("local loop")
+    } else {
+        b.distributed(s.lanes(NetConfig::channel()))
+            .expect("in-memory loop")
+    }
+}
+
 #[test]
 fn local_finisher_reproduces_all_four_golden_hashes() {
     for s in Scenario::ALL {
-        let mut cl = facade_builder(s).local().expect("local loop");
+        let mut cl = finish_in_process(s, facade_builder(s));
         assert_eq!(
             hash_result(&cl.run(GOLDEN_PERIODS)),
             s.golden(),
@@ -84,8 +92,9 @@ fn local_finisher_reproduces_all_four_golden_hashes() {
 #[test]
 fn poll_engine_finisher_reproduces_all_four_golden_hashes() {
     for s in Scenario::ALL {
+        let tcp = NetConfig::tcp().recv_timeout(Duration::from_millis(200));
         let mut dl = facade_builder(s)
-            .distributed(NetConfig::tcp().recv_timeout(Duration::from_millis(200)))
+            .distributed(s.lanes(tcp))
             .expect("distributed poll loop");
         assert_eq!(
             hash_result(&dl.run(GOLDEN_PERIODS)),
@@ -104,10 +113,7 @@ fn poll_engine_finisher_reproduces_all_four_golden_hashes() {
 #[test]
 fn sim_plant_backend_reproduces_all_four_golden_hashes() {
     for s in Scenario::ALL {
-        let mut cl = facade_builder(s)
-            .plant(SimPlantFactory)
-            .local()
-            .expect("sim-plant loop");
+        let mut cl = finish_in_process(s, facade_builder(s).plant(SimPlantFactory));
         assert_eq!(cl.plant().name(), "sim");
         assert_eq!(
             hash_result(&cl.run(GOLDEN_PERIODS)),
