@@ -1,12 +1,15 @@
 //! CI smoke for cluster-scale sharded control (ISSUE 8): a 256-processor
 //! locality workload under the stochastic execution model, sharded at 16
-//! processors per shard, boundary exchange over `eucon-net` lanes.
+//! processors per shard, boundary exchange over the team's in-memory
+//! board and over `eucon-net` lanes.
 //!
 //! Gates (the process exits nonzero on violation):
 //!
 //! * every processor's tail-window mean utilization within ±0.03 of its
 //!   set point by period 150,
 //! * zero controller-error periods,
+//! * the in-memory board and ideal lanes give every processor the same
+//!   tail mean, bit for bit (one sweep, two buses),
 //! * the same gates with the boundary lanes behind 1-period delay and 5%
 //!   loss — eventual consistency must degrade gracefully, not diverge.
 //!
@@ -58,7 +61,9 @@ fn main() {
     );
 
     let mut rows = Vec::new();
+    let mut means: Vec<Vec<u64>> = Vec::new();
     let scenarios: Vec<(&str, BoundaryMode)> = vec![
+        ("in process", BoundaryMode::InProcess),
         ("ideal lanes", BoundaryMode::IdealLanes),
         (
             "lossy lanes (delay 1, loss 5%)",
@@ -84,11 +89,17 @@ fn main() {
             .local()
             .expect("closed loop");
         let result = cl.run(PERIODS);
-        let mut worst = 0.0f64;
-        for p in 0..PROCS {
-            let s = metrics::window(&result.trace.utilization_series(p), PERIODS - 30, PERIODS);
-            worst = worst.max((s.mean - b[p]).abs());
-        }
+        let tail: Vec<f64> = (0..PROCS)
+            .map(|p| {
+                metrics::window(&result.trace.utilization_series(p), PERIODS - 30, PERIODS).mean
+            })
+            .collect();
+        let worst = tail
+            .iter()
+            .zip(b.iter())
+            .map(|(m, bp)| (m - bp).abs())
+            .fold(0.0f64, f64::max);
+        means.push(tail.iter().map(|m| m.to_bits()).collect());
         rows.push(vec![
             name.to_string(),
             render::f4(worst),
@@ -103,10 +114,15 @@ fn main() {
             "GATE FAILED [{name}]: controller errors"
         );
     }
+    assert!(
+        means[0] == means[1],
+        "GATE FAILED: ideal lanes and the in-memory board disagree on a tail mean"
+    );
     println!(
         "{}",
         render::table(&["boundary", "worst |mean−B|", "ctrl errors"], &rows)
     );
     println!("\nAll gates passed: convergence ±{TOLERANCE} on every processor, zero");
-    println!("controller errors, with and without boundary delay/loss.");
+    println!("controller errors, with and without boundary delay/loss; the in-memory");
+    println!("board and ideal lanes agree on every tail mean bit for bit.");
 }

@@ -34,11 +34,14 @@
 //!   the measured utilization of each shard's home processors and the
 //!   move vector of its owned tasks — and folding peer moves into each
 //!   shard's prediction as a disturbance.
-//! * [`BoundaryBus`] abstracts *how* that boundary state travels: the
-//!   default in-process exchange shares memory; `eucon-core` provides a
-//!   lane-backed implementation (one `eucon-net` lane per shard) whose
-//!   ideal-lane traces are bit-identical to the in-process path and
-//!   which degrades to stale-state reuse (eventual consistency) on loss.
+//! * [`BoundaryBus`] abstracts *how* that boundary state travels.  There
+//!   is one sweep, [`ShardedController::update_with_bus`]; the team's
+//!   own [`RateController::update`] runs it over a private in-memory
+//!   board, and `eucon-core` provides a lane-backed bus (one `eucon-net`
+//!   lane per shard) whose ideal-lane traces are bit-identical to the
+//!   board's and which degrades to stale-state reuse (eventual
+//!   consistency) on loss.  A shard's coupling and views are sized by
+//!   its boundary, never by the global task count.
 //!
 //! With shard size 1 the plan is the singleton partition and the sweep
 //! is the per-processor scheme (its closed-loop trace is pinned in
@@ -317,18 +320,21 @@ struct ShardController {
     neighborhood: Vec<usize>,
     /// Local MPC over the `neighborhood × owned` sub-block of `F`.
     mpc: MpcController,
-    /// Coupling from non-owned tasks into the neighborhood (owned
-    /// columns zeroed).
+    /// Coupling from the boundary tasks into the neighborhood:
+    /// `neighborhood × boundary_tasks`.
     foreign: Matrix,
-    /// Global indices of the non-owned tasks with a nonzero column in
-    /// `foreign` — the moves this shard needs from its peers.
+    /// Global indices of the non-owned tasks that touch the
+    /// neighborhood, ascending — the moves this shard needs from its
+    /// peers.
     boundary_tasks: Vec<usize>,
     /// Neighborhood processors outside the shard's home set — the
     /// utilizations this shard needs from its peers.
     boundary_procs: Vec<usize>,
-    /// Per-shard view of peer moves (length = all tasks; only
-    /// `boundary_tasks` entries are ever written).  Used by the bus
-    /// path; the in-process path shares one vector for the whole team.
+    /// Per neighborhood row: `Some(i)` reads the utilization from
+    /// `view_u[i]`, `None` from the shard's own (home) sample.
+    view_slot: Vec<Option<usize>>,
+    /// Per-shard view of peer moves, indexed like `boundary_tasks`; a
+    /// fetch overwrites only what it has fresher data for.
     view_moves: Vector,
     /// Per-shard view of boundary utilizations, indexed like
     /// `boundary_procs`.
@@ -368,21 +374,61 @@ pub struct ShardedController {
     plan: ShardPlan,
     controllers: Vec<ShardController>,
     rates: Vector,
-    last_moves: Vector,
     num_processors: usize,
     /// Per processor: number of shard controllers with it in their
     /// neighborhood (min 1) — tracking errors are split by this count so
     /// the team's collective correction sums to the needed one.
     actuator_count: Vec<usize>,
     /// Per-period staging, so an update allocates nothing: the team's
-    /// result is assembled here and swapped in only after every local
+    /// rates are assembled here and swapped in only after every local
     /// solve succeeded.
     staged_rates: Vector,
-    staged_moves: Vector,
-    /// In-process sweep: the moves each shard assumes of its peers.
-    predicted_moves: Vector,
-    /// Bus sweep: one shard's publish/fetch payload at a time.
+    /// One shard's publish payload at a time.
     bus_scratch: Vec<f64>,
+    /// The bus [`RateController::update`] sweeps over.
+    board: BoardBus,
+}
+
+/// The in-memory [`BoundaryBus`] behind [`RateController::update`]: every
+/// task's last published move and every processor's utilization this
+/// period.  Phase A publishes every processor before any fetch, so the
+/// utilization board is always fresh; the move board holds this
+/// period's move for the shards already swept and the previous period's
+/// for the rest — the Gauss–Seidel prediction of the peers yet to act.
+#[derive(Debug, Clone, Default)]
+struct BoardBus {
+    moves: Vec<f64>,
+    u: Vec<f64>,
+}
+
+impl BoundaryBus for BoardBus {
+    fn publish_utilization(&mut self, _shard: usize, procs: &[usize], u: &[f64]) {
+        for (&p, &v) in procs.iter().zip(u) {
+            self.u[p] = v;
+        }
+    }
+
+    fn fetch(
+        &mut self,
+        _shard: usize,
+        move_tasks: &[usize],
+        moves: &mut [f64],
+        procs: &[usize],
+        u: &mut [f64],
+    ) {
+        for (dst, &j) in moves.iter_mut().zip(move_tasks) {
+            *dst = self.moves[j];
+        }
+        for (dst, &p) in u.iter_mut().zip(procs) {
+            *dst = self.u[p];
+        }
+    }
+
+    fn publish_moves(&mut self, _shard: usize, tasks: &[usize], moves: &[f64]) {
+        for (&j, &mv) in tasks.iter().zip(moves) {
+            self.moves[j] = mv;
+        }
+    }
 }
 
 impl ShardedController {
@@ -465,20 +511,20 @@ impl ShardedController {
                 local_cfg.clone(),
             )?;
 
-            let foreign = Matrix::from_fn(neighborhood.len(), m, |r, c| {
-                if owned.contains(&c) {
-                    0.0
-                } else {
-                    f[(neighborhood[r], c)]
-                }
-            });
             let boundary_tasks: Vec<usize> = (0..m)
-                .filter(|&c| (0..neighborhood.len()).any(|r| foreign[(r, c)] != 0.0))
+                .filter(|&c| !owned.contains(&c) && neighborhood.iter().any(|&q| f[(q, c)] != 0.0))
                 .collect();
+            let foreign = Matrix::from_fn(neighborhood.len(), boundary_tasks.len(), |r, c| {
+                f[(neighborhood[r], boundary_tasks[c])]
+            });
             let boundary_procs: Vec<usize> = neighborhood
                 .iter()
                 .copied()
                 .filter(|&q| !home.contains(&q))
+                .collect();
+            let view_slot = neighborhood
+                .iter()
+                .map(|q| boundary_procs.iter().position(|bp| bp == q))
                 .collect();
             // Boundary-utilization view defaults to the set point: an
             // undelivered boundary sample contributes zero error rather
@@ -492,9 +538,10 @@ impl ShardedController {
                 neighborhood,
                 mpc,
                 foreign,
+                view_moves: Vector::zeros(boundary_tasks.len()),
                 boundary_tasks,
                 boundary_procs,
-                view_moves: Vector::zeros(m),
+                view_slot,
                 view_u,
                 disturbance: Vector::zeros(neighborhood_len),
                 u_local: Vector::zeros(neighborhood_len),
@@ -516,12 +563,13 @@ impl ShardedController {
             controllers,
             staged_rates: r0.clone(),
             rates: r0,
-            last_moves: Vector::zeros(m),
             num_processors: n,
             actuator_count,
-            staged_moves: Vector::zeros(m),
-            predicted_moves: Vector::zeros(m),
             bus_scratch: Vec::new(),
+            board: BoardBus {
+                moves: vec![0.0; m],
+                u: vec![0.0; n],
+            },
         })
     }
 
@@ -610,14 +658,17 @@ impl ShardedController {
             .collect()
     }
 
-    /// One Gauss–Seidel sweep with boundary state routed through `bus`
-    /// instead of shared memory.
+    /// The team's one Gauss–Seidel sweep, with boundary state routed
+    /// through `bus`: shards act in a fixed order, each seeing the moves
+    /// its earlier peers committed this period and predicting the rest
+    /// by their previous move.
     ///
-    /// Over an ideal (lossless, same-period) bus this is bit-identical
-    /// to [`RateController::update`]; over a lossy bus each shard reuses
-    /// its last delivered boundary view (stale-state hold), so the team
-    /// converges to the same fixed point once the bus delivers again —
-    /// eventual consistency between control domains.
+    /// [`RateController::update`] is this sweep over the team's private
+    /// in-memory board, and an ideal (lossless, same-period) bus is
+    /// bit-identical to it; over a lossy bus each shard reuses its last
+    /// delivered boundary view (stale-state hold), so the team converges
+    /// to the same fixed point once the bus delivers again — eventual
+    /// consistency between control domains.
     ///
     /// # Errors
     ///
@@ -639,10 +690,8 @@ impl ShardedController {
             plan,
             controllers,
             rates,
-            last_moves,
             actuator_count,
             staged_rates: new_rates,
-            staged_moves: new_moves,
             bus_scratch: scratch,
             ..
         } = self;
@@ -659,35 +708,19 @@ impl ShardedController {
         // view refreshed from the bus immediately before its solve and
         // its committed moves published immediately after.
         new_rates.copy_from(rates);
-        new_moves.as_mut_slice().fill(0.0);
         for ctrl in controllers.iter_mut() {
-            scratch.clear();
-            scratch.extend(ctrl.boundary_tasks.iter().map(|&j| ctrl.view_moves[j]));
             bus.fetch(
                 ctrl.shard,
                 &ctrl.boundary_tasks,
-                scratch,
+                ctrl.view_moves.as_mut_slice(),
                 &ctrl.boundary_procs,
                 &mut ctrl.view_u,
             );
-            for (i, &j) in ctrl.boundary_tasks.iter().enumerate() {
-                ctrl.view_moves[j] = scratch[i];
-            }
             ctrl.foreign
                 .mul_vec_into(&ctrl.view_moves, &mut ctrl.disturbance);
-            let home = &plan.shards()[ctrl.shard];
             for (r, &q) in ctrl.neighborhood.iter().enumerate() {
                 let b = ctrl.mpc.set_points()[r];
-                let uq = if home.contains(&q) {
-                    u[q]
-                } else {
-                    let i = ctrl
-                        .boundary_procs
-                        .iter()
-                        .position(|&bp| bp == q)
-                        .expect("non-home neighborhood processor is a boundary processor");
-                    ctrl.view_u[i]
-                };
+                let uq = ctrl.view_slot[r].map_or(u[q], |i| ctrl.view_u[i]);
                 let err = uq + ctrl.disturbance[r] - b;
                 ctrl.u_local[r] = (b + err / actuator_count[q] as f64).clamp(0.0, 1.0);
             }
@@ -695,14 +728,11 @@ impl ShardedController {
             let r_local = ctrl.mpc.rates();
             scratch.clear();
             for (c, &j) in ctrl.owned.iter().enumerate() {
-                let mv = r_local[c] - rates[j];
-                new_moves[j] = mv;
+                scratch.push(r_local[c] - rates[j]);
                 new_rates[j] = r_local[c];
-                scratch.push(mv);
             }
             bus.publish_moves(ctrl.shard, &ctrl.owned, scratch);
         }
-        std::mem::swap(last_moves, new_moves);
         std::mem::swap(rates, new_rates);
         Ok(())
     }
@@ -710,50 +740,10 @@ impl ShardedController {
 
 impl RateController for ShardedController {
     fn update(&mut self, u: &Vector) -> Result<(), ControlError> {
-        if u.len() != self.num_processors {
-            return Err(ControlError::DimensionMismatch(format!(
-                "{} utilization samples for {} processors",
-                u.len(),
-                self.num_processors
-            )));
-        }
-        // The in-process exchange.  Stage the team's result and commit
-        // only after every local solve succeeded.
-        let ShardedController {
-            controllers,
-            rates,
-            last_moves,
-            actuator_count,
-            staged_rates: new_rates,
-            staged_moves: new_moves,
-            predicted_moves,
-            ..
-        } = self;
-        new_rates.copy_from(rates);
-        // Gauss–Seidel coordination: shards act in a fixed order; each
-        // sees the moves already committed this period by earlier shards
-        // and predicts the not-yet-acting ones by their previous move.
-        predicted_moves.copy_from(last_moves);
-        new_moves.as_mut_slice().fill(0.0);
-        for ctrl in controllers.iter_mut() {
-            ctrl.foreign
-                .mul_vec_into(predicted_moves, &mut ctrl.disturbance);
-            for (r, &q) in ctrl.neighborhood.iter().enumerate() {
-                let b = ctrl.mpc.set_points()[r];
-                let err = u[q] + ctrl.disturbance[r] - b;
-                ctrl.u_local[r] = (b + err / actuator_count[q] as f64).clamp(0.0, 1.0);
-            }
-            ctrl.mpc.step_in_place(&ctrl.u_local)?;
-            let r_local = ctrl.mpc.rates();
-            for (c, &j) in ctrl.owned.iter().enumerate() {
-                new_moves[j] = r_local[c] - rates[j];
-                predicted_moves[j] = new_moves[j];
-                new_rates[j] = r_local[c];
-            }
-        }
-        std::mem::swap(last_moves, new_moves);
-        std::mem::swap(rates, new_rates);
-        Ok(())
+        let mut board = std::mem::take(&mut self.board);
+        let result = self.update_with_bus(u, &mut board);
+        self.board = board;
+        result
     }
 
     fn rates(&self) -> &Vector {
@@ -790,9 +780,9 @@ impl RateController for ShardedController {
             for (c, &j) in ctrl.owned.iter().enumerate() {
                 self.rates[j] = ctrl.mpc.rates()[c];
             }
-            ctrl.view_moves = Vector::zeros(ctrl.view_moves.len());
+            ctrl.view_moves.as_mut_slice().fill(0.0);
         }
-        self.last_moves = Vector::zeros(self.last_moves.len());
+        self.board.moves.fill(0.0);
     }
 }
 
@@ -983,84 +973,6 @@ mod tests {
         ));
     }
 
-    /// An in-memory bus with perfect same-period delivery: the reference
-    /// for the bit-identity between the bus path and the direct path.
-    #[derive(Default)]
-    struct IdealBus {
-        move_board: Vec<f64>,
-        u_board: Vec<f64>,
-        u_fresh: Vec<bool>,
-    }
-
-    impl IdealBus {
-        fn new(num_tasks: usize, num_procs: usize) -> Self {
-            IdealBus {
-                move_board: vec![0.0; num_tasks],
-                u_board: vec![0.0; num_procs],
-                u_fresh: vec![false; num_procs],
-            }
-        }
-    }
-
-    impl BoundaryBus for IdealBus {
-        fn publish_utilization(&mut self, _shard: usize, procs: &[usize], u: &[f64]) {
-            for (&p, &v) in procs.iter().zip(u) {
-                self.u_board[p] = v;
-                self.u_fresh[p] = true;
-            }
-        }
-
-        fn fetch(
-            &mut self,
-            _shard: usize,
-            move_tasks: &[usize],
-            moves: &mut [f64],
-            procs: &[usize],
-            u: &mut [f64],
-        ) {
-            for (i, &j) in move_tasks.iter().enumerate() {
-                moves[i] = self.move_board[j];
-            }
-            for (i, &p) in procs.iter().enumerate() {
-                if self.u_fresh[p] {
-                    u[i] = self.u_board[p];
-                }
-            }
-        }
-
-        fn publish_moves(&mut self, _shard: usize, tasks: &[usize], moves: &[f64]) {
-            for (&j, &mv) in tasks.iter().zip(moves) {
-                self.move_board[j] = mv;
-            }
-        }
-    }
-
-    #[test]
-    fn ideal_bus_matches_direct_exchange_bit_for_bit() {
-        let set = RandomWorkload::new(8, 24).seed(4).generate();
-        let b = rms_set_points(&set);
-        let mut direct =
-            ShardedController::with_shard_size(&set, b.clone(), MpcConfig::medium(), 3).unwrap();
-        let mut bussed = direct.clone();
-        let mut bus = IdealBus::new(set.num_tasks(), set.num_processors());
-        let f = set.allocation_matrix();
-        let mut u = set.estimated_utilization(&set.initial_rates()).scale(0.5);
-        let mut prev = direct.rates().clone();
-        for period in 0..100 {
-            direct.update(&u).unwrap();
-            bussed.update_with_bus(&u, &mut bus).unwrap();
-            let same = direct
-                .rates()
-                .iter()
-                .zip(bussed.rates().iter())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "bus and direct paths diverged at period {period}");
-            let r = direct.rates().clone();
-            u = &u + &f.mul_vec(&(&r - &prev)).scale(0.5);
-            prev = r;
-        }
-    }
-
     /// A bus that delivers nothing: every shard must fall back to its
     /// retained view and the team must still converge (the couplings
     /// are simply handled as unpredicted disturbances).
@@ -1101,9 +1013,25 @@ mod tests {
         team.update(&Vector::filled(4, 0.9)).unwrap();
         let r0 = set.initial_rates();
         team.reset(&r0);
-        assert_eq!(team.last_moves.max_abs(), 0.0);
+        assert!(team.board.moves.iter().all(|&mv| mv == 0.0));
         for ctrl in &team.controllers {
             assert_eq!(ctrl.view_moves.max_abs(), 0.0);
+        }
+    }
+
+    #[test]
+    fn shard_state_is_sized_by_the_boundary_not_the_task_count() {
+        let set = RandomWorkload::new(256, 768)
+            .seed(21)
+            .locality(2)
+            .max_chain_len(3)
+            .generate();
+        let b = rms_set_points(&set);
+        let team = ShardedController::singleton(&set, b, MpcConfig::medium()).unwrap();
+        for ctrl in &team.controllers {
+            let boundary = ctrl.boundary_tasks.len();
+            assert_eq!(ctrl.foreign.cols(), boundary, "shard {}", ctrl.shard);
+            assert_eq!(ctrl.view_moves.len(), boundary, "shard {}", ctrl.shard);
         }
     }
 

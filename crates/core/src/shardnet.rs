@@ -23,16 +23,15 @@
 //! ## Consistency model
 //!
 //! Over ideal lanes every frame crosses within the publish/fetch call
-//! that produced it, so the sweep sees exactly the shared-memory
-//! exchange — the equivalence test pins this bit-for-bit.  Under delay
-//! or loss (an `eucon-net` `DelayLossGate` in front of every sending
-//! end), a shard whose down-frame did not arrive simply keeps its
-//! previous boundary view (stale-state hold), and the hub's boards hold
-//! each shard's last
-//! delivered publish: *eventual consistency between control domains* —
-//! the team converges to the same fixed point once frames flow again,
-//! and a completely deaf bus degrades to independent per-shard control,
-//! never to garbage.
+//! that produced it, so the sweep sees exactly what the team's own
+//! in-memory board would show it — the equivalence goldens pin this
+//! bit-for-bit.  Under delay or loss (an `eucon-net` `DelayLossGate` in
+//! front of every sending end), a shard whose down-frame did not arrive
+//! simply keeps its previous boundary view (stale-state hold), and the
+//! hub's boards hold each shard's last delivered publish: *eventual
+//! consistency between control domains* — the team converges to the
+//! same fixed point once frames flow again, and a completely deaf bus
+//! degrades to independent per-shard control, never to garbage.
 //!
 //! The hub's utilization board is seeded with the set points, matching
 //! the shard-side view default: a boundary sample that never arrived
@@ -56,8 +55,9 @@ const TAG_MOVES: f64 = 1.0;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum BoundaryMode {
-    /// Shared-memory exchange inside the sweep (no lanes) — the
-    /// reference semantics.
+    /// The sweep runs over the team's own in-memory board (no lanes):
+    /// [`ShardedController`]'s `RateController::update`, the reference
+    /// semantics.
     InProcess,
     /// One ideal (lossless, same-period) lane per shard; bit-identical
     /// to [`BoundaryMode::InProcess`] — and to `LossyLanes(LaneModel::ideal())`.
@@ -372,6 +372,8 @@ impl RateController for NetShardedController {
 
     fn reset(&mut self, rates: &Vector) {
         self.team.reset(rates);
+        // Forget the peers' moves, as the team's own board does.
+        self.bus.move_board.fill(0.0);
     }
 }
 
@@ -467,6 +469,42 @@ mod tests {
             .fold(0.0f64, f64::max);
         assert!(err < 0.05, "deaf boundary must still track ({err})");
         assert!(net.net_stats().stale_fetches > 0);
+    }
+
+    #[test]
+    fn a_reset_team_forgets_its_peers_moves_in_process_and_over_lanes() {
+        let set = RandomWorkload::new(8, 24).seed(7).generate();
+        let b = rms_set_points(&set);
+        let f = set.allocation_matrix();
+        let r0 = set.initial_rates();
+        let u0 = Vector::from_iter((0..set.num_processors()).map(|p| 0.9 * b[p]));
+        for boundary in [BoundaryMode::InProcess, BoundaryMode::IdealLanes] {
+            let spec = crate::ControllerSpec::Sharded {
+                mpc: MpcConfig::medium(),
+                shard_size: 4,
+                boundary: boundary.clone(),
+            };
+            let mut used = spec.build(&set, &b).unwrap();
+            let mut u = u0.clone();
+            for _ in 0..20 {
+                used.update(&u).unwrap();
+                u = f.mul_vec(used.rates());
+            }
+            used.reset(&r0);
+            let mut fresh = spec.build(&set, &b).unwrap();
+            fresh.reset(&r0);
+            let mut u = u0.clone();
+            for period in 0..50 {
+                used.update(&u).unwrap();
+                fresh.update(&u).unwrap();
+                assert_eq!(
+                    bits(used.rates()),
+                    bits(fresh.rates()),
+                    "{boundary:?}: the reset team diverged from a fresh one at period {period}"
+                );
+                u = f.mul_vec(fresh.rates());
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //!    all build the singleton team, whose closed-loop trace is pinned to
 //!    the hash the separate per-processor `DecentralizedController`
 //!    produced on this scenario before it was deleted as a duplicate.
-//! 2. **Ideal lanes ≡ in-process** — routing the boundary exchange over
-//!    lossless same-period `eucon-net` lanes must not perturb a single
-//!    bit of the sweep.
+//! 2. **The sweep stays what it was** — the team at shard size 2 on
+//!    MEDIUM and at shard size 16 on the `shard_64p` cluster shape is
+//!    pinned to hashes captured before the shared-memory sweep was
+//!    deleted, once over the in-memory board and once over lossless
+//!    same-period `eucon-net` lanes.
 //! 3. Both hold through the full distributed stack (per-processor
 //!    report/command lanes *and* per-shard boundary lanes at once).
 
@@ -18,7 +20,7 @@ mod trace_hash;
 use eucon_control::MpcConfig;
 use eucon_core::{BoundaryMode, ControllerSpec, LoopBuilder, NetConfig, RunResult};
 use eucon_sim::{ExecModel, SimConfig};
-use eucon_tasks::workloads;
+use eucon_tasks::{workloads, workloads::RandomWorkload, TaskSet};
 use trace_hash::hash_result;
 
 const PERIODS: usize = 60;
@@ -33,6 +35,15 @@ fn sim_config() -> SimConfig {
 /// on commit 6f7e9f9 (its last), equal in debug and release builds.
 const GOLDEN_K1: u64 = 0xf707_1808_c8b7_8dd2;
 
+/// The same scenario under the sharded team at shard size 2 — captured
+/// while the team still ran a second, shared-memory sweep beside the bus
+/// sweep, equal in debug and release builds.
+const GOLDEN_K2: u64 = 0x3375_bdd0_6e3e_749e;
+
+/// The `shard_64p` shape ([`cluster_64`]) at shard size 16 under this
+/// file's simulator configuration, captured with [`GOLDEN_K2`].
+const GOLDEN_CLUSTER_K16: u64 = 0xb457_f1ba_d9fb_2b29;
+
 fn builder(spec: ControllerSpec) -> LoopBuilder {
     LoopBuilder::new(workloads::medium())
         .sim_config(sim_config())
@@ -41,6 +52,16 @@ fn builder(spec: ControllerSpec) -> LoopBuilder {
 
 fn run_closed(spec: ControllerSpec) -> RunResult {
     builder(spec).local().expect("closed loop").run(PERIODS)
+}
+
+/// The `shard_64p` benchmark's shape: 64 processors, 192 tasks, chains
+/// of at most three subtasks, each hop within two processors of the last.
+fn cluster_64() -> TaskSet {
+    RandomWorkload::new(64, 192)
+        .seed(21)
+        .locality(2)
+        .max_chain_len(3)
+        .generate()
 }
 
 fn run_distributed(spec: ControllerSpec) -> RunResult {
@@ -82,15 +103,32 @@ fn k1_every_spelling_reproduces_the_deucon_golden() {
     }
 }
 
+/// Asserts `golden` for the team at `shard_size` on `set`, once over the
+/// team's in-memory board and once over ideal boundary lanes.
+fn assert_sweep_golden(name: &str, set: &TaskSet, shard_size: usize, golden: u64) {
+    for boundary in [BoundaryMode::InProcess, BoundaryMode::IdealLanes] {
+        let result = LoopBuilder::new(set.clone())
+            .sim_config(sim_config())
+            .controller(sharded(shard_size, boundary.clone()))
+            .local()
+            .expect("closed loop")
+            .run(PERIODS);
+        assert_eq!(
+            hash_result(&result),
+            golden,
+            "{name}, {boundary:?}: the sharded sweep diverged from its pinned trace"
+        );
+    }
+}
+
 #[test]
-fn ideal_lanes_bit_identical_to_in_process_exchange() {
-    let direct = run_closed(sharded(2, BoundaryMode::InProcess));
-    let lanes = run_closed(sharded(2, BoundaryMode::IdealLanes));
-    assert_eq!(
-        hash_result(&direct),
-        hash_result(&lanes),
-        "boundary lanes perturbed the sweep"
-    );
+fn k2_golden_holds_in_process_and_over_ideal_lanes() {
+    assert_sweep_golden("MEDIUM K=2", &workloads::medium(), 2, GOLDEN_K2);
+}
+
+#[test]
+fn cluster_k16_golden_holds_in_process_and_over_ideal_lanes() {
+    assert_sweep_golden("64x192 K=16", &cluster_64(), 16, GOLDEN_CLUSTER_K16);
 }
 
 #[test]
