@@ -16,20 +16,18 @@ use eucon_tasks::workloads;
 
 /// A heterogeneous fleet: mostly SIMPLE loops (the cheap common case)
 /// with every fourth member running MEDIUM, seeded per index so no two
-/// loops follow identical trajectories.  Telemetry is batched 16 rows
-/// at a time.
+/// loops follow identical trajectories.
 fn loops(n: usize) -> Vec<LoopBuilder> {
     (0..n)
         .map(|i| {
-            let lp = if i % 4 == 3 {
+            if i % 4 == 3 {
                 LoopBuilder::new(workloads::medium())
                     .sim_config(SimConfig::constant_etf(0.9).seed(i as u64))
                     .controller(ControllerSpec::Eucon(MpcConfig::medium()))
             } else {
                 LoopBuilder::new(workloads::simple())
                     .sim_config(SimConfig::constant_etf(0.5).seed(i as u64))
-            };
-            lp.telemetry_batch(16)
+            }
         })
         .collect()
 }

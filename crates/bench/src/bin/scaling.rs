@@ -41,7 +41,7 @@ fn main() {
             .expect("centralized controller");
         let central_us = step_cost(&mut central, &u, 21);
 
-        let mut team = ShardedController::singleton(&set, b.clone(), MpcConfig::medium())
+        let mut team = ShardedController::with_shard_size(&set, b.clone(), MpcConfig::medium(), 1)
             .expect("decentralized team");
         let team_us = step_cost(&mut team, &u, 21);
         // Per-node cost: the team runs sequentially here, but each node
@@ -51,7 +51,11 @@ fn main() {
         // Convergence check (quality must not silently degrade at scale).
         let mut cl = LoopBuilder::new(set.clone())
             .sim_config(SimConfig::constant_etf(0.5).seed(1))
-            .controller(ControllerSpec::Decentralized(MpcConfig::medium()))
+            .controller(ControllerSpec::Sharded {
+                mpc: MpcConfig::medium(),
+                shard_size: 1,
+                boundary: BoundaryMode::InProcess,
+            })
             .local()
             .expect("loop");
         let result = cl.run(120);
@@ -387,8 +391,7 @@ fn fleet_throughput() {
         for i in 0..n {
             fleet.push(
                 LoopBuilder::new(eucon_tasks::workloads::simple())
-                    .sim_config(SimConfig::constant_etf(0.5).seed(i as u64))
-                    .telemetry_batch(16),
+                    .sim_config(SimConfig::constant_etf(0.5).seed(i as u64)),
             );
         }
         let report = fleet.run(periods).expect("fleet runs");

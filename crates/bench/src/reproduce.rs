@@ -11,7 +11,7 @@ use std::fmt::{self, Write as _};
 
 use eucon_control::{stability, ControlPenalty, MoveHold, MpcConfig, OpenLoop};
 use eucon_core::svg::{self, ChartConfig, Series};
-use eucon_core::ControllerSpec::{self, Decentralized, Eucon, Open, Pid, Sharded};
+use eucon_core::ControllerSpec::{self, Eucon, Open, Pid, Sharded};
 use eucon_core::{metrics, render, BoundaryMode, LoopBuilder, RunResult, SteadyRun, VaryingRun};
 use eucon_math::Vector;
 use eucon_sim::{ExecModel, SimConfig};
@@ -638,7 +638,7 @@ impl Reproduction {
             ),
             ("EUCON, P=2 M=1", Eucon(medium().horizons(2, 1))),
             ("EUCON, P=8 M=4", Eucon(medium().horizons(8, 4))),
-            ("DEUCON (decentralized)", Decentralized(medium())),
+            ("DEUCON (decentralized)", deucon(medium())),
             ("PID (decoupled)", Pid { kp: 0.5, ki: 0.05 }),
             ("OPEN", Open),
         ];
@@ -670,7 +670,7 @@ impl Reproduction {
         };
         let variants = vec![
             ("EUCON (centralized)", Eucon(medium())),
-            ("DEUCON (decentralized)", Decentralized(medium())),
+            ("DEUCON (decentralized)", deucon(medium())),
             ("SHARD-EUCON K=1", sharded(1)),
             ("SHARD-EUCON K=4", sharded(4)),
             ("SHARD-EUCON K=16", sharded(16)),
@@ -743,7 +743,7 @@ impl Reproduction {
         self.say("\n== Coupling stress: B1 lowered to 0.4, others at RMS bound (etf = 0.5) ==\n");
         let specs = vec![
             ("EUCON", Eucon(MpcConfig::medium())),
-            ("DEUCON (decentralized)", Decentralized(MpcConfig::medium())),
+            ("DEUCON (decentralized)", deucon(MpcConfig::medium())),
             ("PID (decoupled)", Pid { kp: 0.5, ki: 0.05 }),
         ];
         let mut rows: Vec<Vec<String>> = specs
@@ -783,6 +783,16 @@ impl Reproduction {
             ],
             &rows,
         );
+    }
+}
+
+/// The decentralized (DEUCON) team: one local MPC per processor, the
+/// sharded team at shard size 1.
+fn deucon(mpc: MpcConfig) -> ControllerSpec {
+    Sharded {
+        mpc,
+        shard_size: 1,
+        boundary: BoundaryMode::InProcess,
     }
 }
 

@@ -15,8 +15,8 @@
 //!   decoupled per-processor baseline for ablation.
 //! * [`ShardedController`] — the paper's future-work direction: a team of
 //!   local MPCs, one per processor group, coordinating by boundary-state
-//!   exchange; [`ShardedController::singleton`] is the per-processor
-//!   (DEUCON-style) team.
+//!   exchange; at shard size 1 ([`ShardedController::with_shard_size`])
+//!   it is the per-processor (DEUCON-style) team.
 //!
 //! All controllers implement [`RateController`] so experiments can swap
 //! them uniformly.
@@ -239,6 +239,17 @@ pub trait RateController {
     /// dead monitor.
     fn note_stale(&mut self, processor: usize) {
         let _ = processor;
+    }
+
+    /// A copy of this controller, in its current state, that another
+    /// thread can own and that shares the immutable prepared model
+    /// instead of preparing it again — or `None` when the controller has
+    /// no such model to share (the default).
+    ///
+    /// A fleet builds one controller per group of identical loops and
+    /// hands each member a shared clone of it.
+    fn shared_clone(&self) -> Option<Box<dyn RateController + Send>> {
+        None
     }
 }
 

@@ -695,6 +695,12 @@ impl RateController for MpcController {
         self.warm_rate.clear();
         self.last_info = MpcStepInfo::default();
     }
+
+    /// A clone: the prepared QP core is behind an `Arc`, the warm-start
+    /// state is copied.
+    fn shared_clone(&self) -> Option<Box<dyn RateController + Send>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 #[cfg(test)]

@@ -16,12 +16,13 @@
 //! exactly, so convergence is slightly slower than the centralized
 //! controller (quantified in the ablations of `eucon_bench::reproduce`).
 //!
-//! One local MPC per *processor* ([`ShardedController::singleton`]) is
-//! the finest partition, the DEUCON team.  At cluster scale that
-//! granularity is wasteful in the other direction: tightly coupled
-//! processor groups (tasks chaining back and forth between them) pay the
-//! coordination lag of last-move prediction for couplings that a single
-//! slightly larger local controller would handle exactly.  Hence:
+//! One local MPC per *processor* (shard size 1,
+//! [`ShardPlan::singletons`]) is the finest partition, the DEUCON team.
+//! At cluster scale that granularity is wasteful in the other direction:
+//! tightly coupled processor groups (tasks chaining back and forth
+//! between them) pay the coordination lag of last-move prediction for
+//! couplings that a single slightly larger local controller would handle
+//! exactly.  Hence:
 //!
 //! * [`ShardPlanner`] partitions the processor set by the sparsity
 //!   pattern of the allocation matrix `F`: processors sharing many tasks
@@ -349,7 +350,7 @@ struct ShardController {
 /// boundary-state exchange.
 ///
 /// Drop-in [`RateController`] for the centralized [`MpcController`];
-/// with the singleton plan ([`ShardedController::singleton`]) it is the
+/// at shard size 1 ([`ShardedController::with_shard_size`]) it is the
 /// per-processor DEUCON team.
 ///
 /// # Example
@@ -575,7 +576,8 @@ impl ShardedController {
 
     /// Convenience constructor: plans the partition with
     /// [`ShardPlanner`] at the given target shard size, then builds the
-    /// team.
+    /// team.  Shard size 1 is the singleton plan, one local MPC per
+    /// processor: the DEUCON team.
     ///
     /// # Errors
     ///
@@ -588,25 +590,6 @@ impl ShardedController {
     ) -> Result<Self, ControlError> {
         let plan = ShardPlanner::new(set).target_size(shard_size).plan();
         Self::new(set, set_points, cfg, plan)
-    }
-
-    /// Builds the singleton-plan team: one local MPC per processor,
-    /// coordinating by last-move exchange (DEUCON-style).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ShardedController::new`].
-    pub fn singleton(
-        set: &TaskSet,
-        set_points: Vector,
-        cfg: MpcConfig,
-    ) -> Result<Self, ControlError> {
-        Self::new(
-            set,
-            set_points,
-            cfg,
-            ShardPlan::singletons(set.num_processors()),
-        )
     }
 
     /// The processor partition this team runs under.
@@ -784,6 +767,11 @@ impl RateController for ShardedController {
         }
         self.board.moves.fill(0.0);
     }
+
+    /// A clone: each shard's prepared QP core is behind an `Arc`.
+    fn shared_clone(&self) -> Option<Box<dyn RateController + Send>> {
+        Some(Box::new(self.clone()))
+    }
 }
 
 #[cfg(test)]
@@ -857,7 +845,7 @@ mod tests {
         // SIMPLE: T1 and T2 head on P1, T3 heads on P2 → two controllers.
         let set = workloads::simple();
         let b = rms_set_points(&set);
-        let team = ShardedController::singleton(&set, b, MpcConfig::simple()).unwrap();
+        let team = ShardedController::with_shard_size(&set, b, MpcConfig::simple(), 1).unwrap();
         assert_eq!(team.num_controllers(), 2);
         assert_eq!(team.max_shard_tasks(), 2);
     }
@@ -866,7 +854,7 @@ mod tests {
     fn singleton_local_problems_are_smaller_than_global() {
         let set = workloads::medium();
         let b = rms_set_points(&set);
-        let team = ShardedController::singleton(&set, b, MpcConfig::medium()).unwrap();
+        let team = ShardedController::with_shard_size(&set, b, MpcConfig::medium(), 1).unwrap();
         assert!(team.num_controllers() >= 2);
         assert!(
             team.max_shard_tasks() < set.num_tasks(),
@@ -1027,7 +1015,7 @@ mod tests {
             .max_chain_len(3)
             .generate();
         let b = rms_set_points(&set);
-        let team = ShardedController::singleton(&set, b, MpcConfig::medium()).unwrap();
+        let team = ShardedController::with_shard_size(&set, b, MpcConfig::medium(), 1).unwrap();
         for ctrl in &team.controllers {
             let boundary = ctrl.boundary_tasks.len();
             assert_eq!(ctrl.foreign.cols(), boundary, "shard {}", ctrl.shard);

@@ -65,7 +65,8 @@ fn decentralized_hessians_stay_narrow() {
     // the 2·192-variable centralized problem.
     let set = rack();
     let b = rms_set_points(&set);
-    let team = ShardedController::singleton(&set, b, MpcConfig::medium()).expect("singleton team");
+    let team = ShardedController::with_shard_size(&set, b, MpcConfig::medium(), 1)
+        .expect("singleton team");
     let global_n = 2 * set.num_tasks();
     let sizes = team.shard_problem_sizes();
     for (i, &band) in team.hessian_bandwidths().iter().enumerate() {

@@ -530,8 +530,7 @@ impl ClosedLoop {
 
     /// Attaches a telemetry sink and sends it the column schema; from the
     /// next period on, the loop pushes one row per sampling period into
-    /// every attached sink (in batches under
-    /// [`LoopBuilder::telemetry_batch`]).  Attach before the first
+    /// every attached sink.  Attach before the first
     /// [`ClosedLoop::step`] to see every period.  Without sinks the
     /// metric registry alone is updated, which keeps the period step
     /// allocation-free.
@@ -1108,23 +1107,6 @@ mod tests {
         let snap = cl.telemetry().snapshot();
         assert_eq!(snap.counter("periods"), Some(10));
         assert_eq!(snap.counter("sink_errors"), Some(0));
-    }
-
-    #[test]
-    fn batched_telemetry_run_flushes_partial_batch_once() {
-        use crate::telemetry::RingBufferSink;
-        let mut cl = LoopBuilder::new(workloads::simple())
-            .sim_config(SimConfig::constant_etf(0.5))
-            .telemetry_batch(8)
-            .local()
-            .unwrap();
-        cl.telemetry_sink(RingBufferSink::new(64));
-        // 10 periods with batch = 8: one full drain plus a 2-row partial
-        // batch delivered by the end-of-run flush.
-        let res = cl.run(10);
-        assert_eq!(res.telemetry.counter("periods"), Some(10));
-        assert_eq!(res.telemetry.counter("partial_flushes"), Some(1));
-        assert_eq!(res.telemetry.counter("sink_errors"), Some(0));
     }
 
     #[test]

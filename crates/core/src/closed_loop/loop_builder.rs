@@ -1,7 +1,7 @@
 //! The loop builder: one description of a loop for every execution mode.
 //!
 //! [`LoopBuilder`] describes an experiment once — workload, plant,
-//! controller, faults, churn, telemetry batching — as plain
+//! controller, faults, churn — as plain
 //! `Send + Clone` data, and a finisher picks how it runs:
 //!
 //! * [`LoopBuilder::local`] — the single-process loop;
@@ -69,7 +69,7 @@ use crate::{ControllerSpec, CoreError, FleetRunner, NetConfig, Trace, TraceStep}
 pub struct LoopBuilder {
     // The fleet reads the `pub(crate)` fields: members with equal task
     // set, controller and set points (and no churn or admission) share
-    // one prepared controller model, and the batch sizes their ring sinks.
+    // one prepared controller model.
     pub(crate) set: TaskSet,
     sim: SimConfig,
     pub(crate) controller: ControllerSpec,
@@ -80,7 +80,6 @@ pub struct LoopBuilder {
     quantized_rates: Option<usize>,
     record_trace: bool,
     sampling_period: f64,
-    pub(crate) telemetry_batch: usize,
     plant: Option<Arc<dyn PlantFactory>>,
 }
 
@@ -116,7 +115,6 @@ impl LoopBuilder {
             quantized_rates: None,
             record_trace: true,
             sampling_period: DEFAULT_SAMPLING_PERIOD,
-            telemetry_batch: 0,
             plant: None,
         }
     }
@@ -229,18 +227,6 @@ impl LoopBuilder {
         self
     }
 
-    /// Batches sink export: rows accumulate in preallocated buffers and
-    /// reach the sinks ([`ClosedLoop::telemetry_sink`]) once per `rows`
-    /// periods instead of once per period (default `0` = unbatched).  A
-    /// run that ends mid-batch delivers the partial batch exactly once at
-    /// its final flush and counts it in the `partial_flushes` metric.  A
-    /// fleet attaches a ring sink of `rows` rows to each member built
-    /// with a batch, amortizing per-period sink traffic.
-    pub fn telemetry_batch(mut self, rows: usize) -> Self {
-        self.telemetry_batch = rows;
-        self
-    }
-
     /// Finishes as a single-process loop.
     ///
     /// # Errors
@@ -252,17 +238,45 @@ impl LoopBuilder {
     /// are non-finite, non-positive, or of the wrong arity, a malformed
     /// churn plan, an out-of-range admission policy, or a plant backend
     /// that does not fit the workload — [`CoreError::Sim`] for a
-    /// malformed fault plan, and propagates controller-construction
+    /// malformed fault plan or processor speed list
+    /// ([`SimConfig::validate`]), and propagates controller-construction
     /// failures (a shard boundary lane model out of domain among them)
     /// as [`CoreError::Control`].
     pub fn local(self) -> Result<ClosedLoop, CoreError> {
         self.finish(None, None)
     }
 
+    /// The set points the loop settles on (the RMS bounds unless
+    /// overridden), checked: one positive, finite value per processor.
+    pub(crate) fn resolved_set_points(&self) -> Result<Vector, CoreError> {
+        let set_points = match &self.set_points {
+            Some(b) => b.clone(),
+            None => rms_set_points(&self.set),
+        };
+        if set_points.len() != self.set.num_processors() {
+            return Err(CoreError::Config(format!(
+                "need one set point per processor: got {} for {} processors",
+                set_points.len(),
+                self.set.num_processors()
+            )));
+        }
+        if let Some(p) = (0..set_points.len()).find(|&p| {
+            let b = set_points[p];
+            !b.is_finite() || b <= 0.0
+        }) {
+            return Err(CoreError::Config(format!(
+                "set point for P{} must be positive and finite, got {}",
+                p + 1,
+                set_points[p]
+            )));
+        }
+        Ok(set_points)
+    }
+
     /// Builds the loop, closing it with `prebuilt` instead of a controller
-    /// built from the spec when one is given (the fleet's shared
-    /// prototype; its current rates are applied to the plant at time
-    /// zero), and connecting the lanes `net` describes when one is given.
+    /// built from the spec when one is given (a fleet member's shared
+    /// clone; its current rates are applied to the plant at time zero),
+    /// and connecting the lanes `net` describes when one is given.
     pub(crate) fn finish(
         self,
         prebuilt: Option<Box<dyn RateController>>,
@@ -289,6 +303,7 @@ impl LoopBuilder {
             )));
         }
         self.faults.validate(self.set.num_processors())?;
+        self.sim.validate(self.set.num_processors())?;
         self.churn.validate(&self.set)?;
         if let Some(policy) = &self.admission {
             policy.validate()?;
@@ -300,24 +315,7 @@ impl LoopBuilder {
                 )));
             }
         }
-        let set_points = self.set_points.unwrap_or_else(|| rms_set_points(&self.set));
-        if set_points.len() != self.set.num_processors() {
-            return Err(CoreError::Config(format!(
-                "need one set point per processor: got {} for {} processors",
-                set_points.len(),
-                self.set.num_processors()
-            )));
-        }
-        if let Some(p) = (0..set_points.len()).find(|&p| {
-            let b = set_points[p];
-            !b.is_finite() || b <= 0.0
-        }) {
-            return Err(CoreError::Config(format!(
-                "set point for P{} must be positive and finite, got {}",
-                p + 1,
-                set_points[p]
-            )));
-        }
+        let set_points = self.resolved_set_points()?;
         let controller = match prebuilt {
             Some(controller) => controller,
             None => self.controller.build(&self.set, &set_points)?,
@@ -397,10 +395,7 @@ impl LoopBuilder {
         plant.apply_rates(controller.rates());
         // The full metric registry is declared (and allocated) here, once;
         // per-period recording updates it strictly in place.
-        let mut telemetry = Box::new(LoopTelemetry::new(num_procs));
-        if self.telemetry_batch > 0 {
-            telemetry.set_batch(self.telemetry_batch);
-        }
+        let telemetry = Box::new(LoopTelemetry::new(num_procs));
         let net = match net {
             Some(cfg) => Some(Box::new(NetRuntime::new(&cfg, num_procs, &head_proc)?)),
             None => None,
@@ -476,6 +471,7 @@ mod tests {
     use crate::fleet::digest_run;
     use crate::telemetry::TelemetrySink;
     use crate::LaneModel;
+    use eucon_sim::SimError;
     use eucon_tasks::workloads;
 
     #[test]
@@ -713,6 +709,46 @@ mod tests {
             .local()
             .unwrap_err();
         assert!(matches!(err, CoreError::Config(ref m) if m.contains("per processor")));
+    }
+
+    #[test]
+    fn finisher_rejects_bad_processor_speeds() {
+        // The public field bypasses the setter's assert: the finisher is
+        // the last check before the simulator indexes the list.
+        for (speeds, expected) in [
+            (
+                vec![1.0],
+                SimError::WrongArity {
+                    what: "processor_speeds",
+                    got: 1,
+                    num_processors: 2,
+                },
+            ),
+            (
+                vec![f64::NAN, 1.0],
+                SimError::InvalidFactor { value: f64::NAN },
+            ),
+        ] {
+            let builder = LoopBuilder::new(workloads::simple()).sim_config(SimConfig {
+                processor_speeds: Some(speeds),
+                ..SimConfig::constant_etf(0.5)
+            });
+            let errors = [
+                builder.clone().local().map(|_| ()),
+                builder
+                    .clone()
+                    .distributed(NetConfig::channel())
+                    .map(|_| ()),
+                builder.fleet(2).threads(2).run(3).map(|_| ()),
+            ];
+            for err in errors.map(Result::unwrap_err) {
+                // NaN != NaN, so compare the display.
+                assert_eq!(
+                    err.to_string(),
+                    CoreError::Sim(expected.clone()).to_string()
+                );
+            }
+        }
     }
 
     #[test]

@@ -22,9 +22,9 @@ pub enum CoreError {
     /// Setting up or operating the feedback-lane transport failed
     /// (binding the loopback sockets, a torn-down channel peer, ...).
     Transport(TransportError),
-    /// A fault plan (or other simulator-side configuration) failed
-    /// validation — out-of-range processor, empty/inverted window,
-    /// ambiguous overlap, out-of-range probability.
+    /// A fault plan or the simulator configuration failed validation —
+    /// out-of-range processor, empty/inverted window, ambiguous overlap,
+    /// out-of-range probability, a speed list of the wrong length.
     Sim(SimError),
     /// A telemetry recording fed to the replay plant failed to decode
     /// against the supported schema version, or did not match the
@@ -39,7 +39,7 @@ impl fmt::Display for CoreError {
             CoreError::Task(e) => write!(f, "invalid workload: {e}"),
             CoreError::Config(msg) => write!(f, "invalid configuration: {msg}"),
             CoreError::Transport(e) => write!(f, "feedback-lane transport failure: {e}"),
-            CoreError::Sim(e) => write!(f, "fault-plan validation failed: {e}"),
+            CoreError::Sim(e) => write!(f, "simulator configuration failed validation: {e}"),
             CoreError::Replay(e) => write!(f, "invalid replay recording: {e}"),
         }
     }
@@ -118,7 +118,9 @@ mod tests {
             what: "actuation loss",
             value: 2.0,
         });
-        assert!(e.to_string().contains("fault-plan validation failed"));
+        assert!(e
+            .to_string()
+            .contains("simulator configuration failed validation"));
         assert!(Error::source(&e).is_some());
     }
 }

@@ -1,7 +1,8 @@
 //! The single controller-construction path of [`LoopBuilder`]: a
 //! [`ControllerSpec`] names one of the built-in controllers as plain
 //! data, and the finisher builds it for the loop's task set and set
-//! points.
+//! points.  A fleet builds each group's controller here too, once, and
+//! hands its members [`RateController::shared_clone`]s of it.
 //!
 //! [`LoopBuilder`]: crate::LoopBuilder
 
@@ -29,18 +30,14 @@ pub enum ControllerSpec {
         /// Integral gain.
         ki: f64,
     },
-    /// The decentralized controller team (DEUCON-style): one local MPC
-    /// per processor, coordinating by move exchange — the sharded team
-    /// under the singleton plan ([`ShardedController::singleton`]).
-    Decentralized(MpcConfig),
     /// The cluster-scale sharded team: the processor graph is
     /// partitioned into shards of about `shard_size` processors by
     /// F-matrix coupling (see `ShardPlanner`), each shard runs one local
     /// MPC and shards exchange boundary state per period — in process or
     /// over per-shard `eucon-net` lanes, per [`BoundaryMode`].
     ///
-    /// `shard_size = 1` plans the singleton partition, i.e. the team
-    /// [`ControllerSpec::Decentralized`] builds.
+    /// `shard_size = 1` plans the singleton partition: one local MPC per
+    /// processor, the decentralized (DEUCON-style) team.
     Sharded {
         /// Local-controller (MPC) configuration.
         mpc: MpcConfig,
@@ -79,11 +76,6 @@ impl ControllerSpec {
             ControllerSpec::Pid { kp, ki } => {
                 Box::new(IndependentPid::new(set, set_points.clone(), *kp, *ki)?)
             }
-            ControllerSpec::Decentralized(cfg) => Box::new(ShardedController::singleton(
-                set,
-                set_points.clone(),
-                cfg.clone(),
-            )?),
             ControllerSpec::Sharded {
                 mpc,
                 shard_size,

@@ -8,11 +8,9 @@
 //!
 //! * [`FleetRunner`] — runs a set of [`LoopBuilder`]s (the `Send + Clone`
 //!   description of a loop) to completion on a work-stealing pool
-//!   ([`rayon::par_map_init`]).  Each worker builds its loops locally, so
-//!   the non-`Send` solver state (amortized factorizations behind a
-//!   `RefCell`) never crosses a thread boundary, and steals loop-sized
-//!   work items so an expensive loop (faults, supervisor churn) does not
-//!   stall the pool.
+//!   ([`rayon::par_map`]).  Each worker finishes its loops itself, as
+//!   [`LoopBuilder::local`] does, and steals loop-sized work items so an
+//!   expensive loop (faults, supervisor churn) does not stall the pool.
 //! * [`FleetReport`] — aggregate throughput (periods/s, simulator
 //!   events/s) plus one order-independent digest per loop.
 //!
@@ -27,27 +25,30 @@
 //!
 //! # Steady-state cost
 //!
-//! Loops run with trace recording off and (optionally) batched telemetry
-//! export, so the per-period step stays allocation-free: scratch lives in
-//! per-loop arenas allocated at build time, and a member built with
-//! [`LoopBuilder::telemetry_batch`] gets a ring sink drained once per
-//! batch instead of once per period.
+//! Loops run with trace recording off and no telemetry sink, so the
+//! per-period step stays allocation-free: scratch lives in per-loop
+//! arenas allocated at build time.
 //!
 //! # Shared prepared models
 //!
 //! A homogeneous fleet would otherwise prepare the same controller model
 //! — the `C` prediction matrix, constraint rows `G` and the Cholesky
 //! factor of the Hessian — once per loop.  The runner builds **one
-//! pristine prototype controller per distinct `(task set, controller,
-//! set points)` group** on the calling thread and ships a clone to each
-//! worker.  Clones share the immutable prepared core behind an `Arc`
-//! (inside [`eucon_qp::PreparedQp`]), while warm-start state (active sets, LU
+//! controller per distinct `(task set, controller, set points)` group**
+//! of two or more loops, through [`ControllerSpec::build`] on the calling
+//! thread, and hands each member its [`RateController::shared_clone`].
+//! EUCON's MPC and the in-process sharded team return clones that share
+//! the immutable prepared core behind an `Arc` (inside
+//! [`eucon_qp::PreparedQp`]), while warm-start state (active sets, LU
 //! memos) stays per-loop, so a 10k-loop replicated fleet holds one copy
-//! of the model instead of 10k.  Sharing is memory-only: the
+//! of the model instead of 10k.  Every other controller returns `None`,
+//! and its members build their own.  Sharing is memory-only: the
 //! `shared_prototypes_leave_digests_unchanged` test pins every member's
 //! digest to that of a standalone loop.  Loops with churn plans or
 //! admission policies always build their own controller (membership
 //! edits rebuild the model per loop anyway).
+//!
+//! [`ControllerSpec::build`]: crate::ControllerSpec::build
 //!
 //! # Example
 //!
@@ -71,12 +72,10 @@
 
 use std::time::Instant;
 
-use eucon_control::{MpcController, RateController, ShardedController};
-use eucon_tasks::rms_set_points;
+use eucon_control::RateController;
 
 use crate::admission::ChurnSummary;
-use crate::telemetry::RingBufferSink;
-use crate::{ClosedLoop, ControllerSpec, CoreError, LoopBuilder};
+use crate::{ClosedLoop, CoreError, LoopBuilder};
 
 /// Aggregate outcome of a fleet run.
 #[derive(Debug, Clone)]
@@ -90,14 +89,11 @@ pub struct FleetReport {
     /// Controller-error periods summed across the fleet (0 in a healthy
     /// fleet).
     pub control_errors: u64,
-    /// Partial telemetry batches delivered at end-of-run flushes (0 when
-    /// batching is off or every batch filled exactly).
-    pub partial_flushes: u64,
     /// Runtime-membership activity summed across the fleet (all zero in a
     /// churn-free fleet).
     pub churn: ChurnSummary,
-    /// Loops that were seeded from a shared prototype clone (0 when no
-    /// two loops matched).
+    /// Loops closed by a shared clone of their group's controller (0 when
+    /// no two loops matched, or no matched controller shares).
     pub shared_models: usize,
     /// Wall-clock seconds for the whole fleet.
     pub elapsed_secs: f64,
@@ -175,18 +171,16 @@ impl FleetRunner {
     /// discarded.
     pub fn run(self, periods: usize) -> Result<FleetReport, CoreError> {
         let t0 = Instant::now();
-        let prototypes = share_prototypes(&self.loops)?;
-        let shared_models = prototypes.iter().filter(|p| p.is_some()).count();
-        let items: Vec<(LoopBuilder, Option<Prototype>)> =
-            self.loops.into_iter().zip(prototypes).collect();
-        let outcomes: Result<Vec<LoopOutcome>, CoreError> = rayon::par_map_init(
-            items,
-            self.threads,
-            || (),
-            |(), (builder, proto)| run_one(builder, proto, periods),
-        )
-        .into_iter()
-        .collect();
+        let controllers = shared_controllers(&self.loops)?;
+        let shared_models = controllers.iter().filter(|c| c.is_some()).count();
+        let items: Vec<(LoopBuilder, Option<SharedController>)> =
+            self.loops.into_iter().zip(controllers).collect();
+        let outcomes: Result<Vec<LoopOutcome>, CoreError> =
+            rayon::par_map(items, self.threads, |(builder, controller)| {
+                run_one(builder, controller, periods)
+            })
+            .into_iter()
+            .collect();
         let elapsed_secs = t0.elapsed().as_secs_f64();
         let outcomes = outcomes?;
         let mut report = FleetReport {
@@ -194,7 +188,6 @@ impl FleetRunner {
             total_periods: 0,
             engine_events: 0,
             control_errors: 0,
-            partial_flushes: 0,
             churn: ChurnSummary::default(),
             shared_models,
             elapsed_secs,
@@ -204,7 +197,6 @@ impl FleetRunner {
             report.total_periods += o.periods;
             report.engine_events += o.engine_events;
             report.control_errors += o.control_errors;
-            report.partial_flushes += o.partial_flushes;
             report.churn.add(&o.churn);
             report.digests.push(o.digest);
         }
@@ -212,89 +204,24 @@ impl FleetRunner {
     }
 }
 
-/// A pristine, cloneable controller prepared once per homogeneous group.
-/// Clones share the immutable prepared QP core (`Arc`-backed) and carry
-/// their own warm-start scratch, so handing one to each loop costs a
-/// reference-count bump instead of a Cholesky factorization.
-#[derive(Debug, Clone)]
-enum Prototype {
-    Mpc(Box<MpcController>),
-    Sharded(Box<ShardedController>),
-}
+/// A member's clone of its group's controller, movable to a worker.
+type SharedController = Box<dyn RateController + Send>;
 
-impl Prototype {
-    /// Whether the cache covers this loop: a prepared-MPC controller
-    /// (centralized, decentralized or in-process sharded — not open
-    /// loop, PID, networked shards or supervised stacks) with a static
-    /// task set.  Loops with membership churn rebuild the model online,
-    /// so they always prepare their own.
-    fn eligible(builder: &LoopBuilder) -> bool {
-        builder.churn.is_empty()
-            && builder.admission.is_none()
-            && matches!(
-                builder.controller,
-                ControllerSpec::Eucon(_)
-                    | ControllerSpec::Decentralized(_)
-                    | ControllerSpec::Sharded {
-                        boundary: crate::BoundaryMode::InProcess,
-                        ..
-                    }
-            )
-    }
-
-    /// Builds the prototype for a sharing-eligible loop (`None` when
-    /// [`Prototype::eligible`] is false).
-    fn build(builder: &LoopBuilder) -> Result<Option<Prototype>, CoreError> {
-        if !Prototype::eligible(builder) {
-            return Ok(None);
-        }
-        let b = builder
-            .set_points
-            .clone()
-            .unwrap_or_else(|| rms_set_points(&builder.set));
-        if b.len() != builder.set.num_processors() {
-            // Arity errors surface through the loop builder with its
-            // usual diagnostics; don't preempt them here.
-            return Ok(None);
-        }
-        Ok(match &builder.controller {
-            ControllerSpec::Eucon(cfg) => Some(Prototype::Mpc(Box::new(
-                MpcController::new(&builder.set, b, cfg.clone()).map_err(CoreError::Control)?,
-            ))),
-            ControllerSpec::Decentralized(cfg) => Some(Prototype::Sharded(Box::new(
-                ShardedController::singleton(&builder.set, b, cfg.clone())
-                    .map_err(CoreError::Control)?,
-            ))),
-            ControllerSpec::Sharded {
-                mpc,
-                shard_size,
-                boundary: crate::BoundaryMode::InProcess,
-            } => Some(Prototype::Sharded(Box::new(
-                ShardedController::with_shard_size(&builder.set, b, mpc.clone(), *shard_size)
-                    .map_err(CoreError::Control)?,
-            ))),
-            _ => None,
-        })
-    }
-
-    fn into_controller(self) -> Box<dyn RateController> {
-        match self {
-            Prototype::Mpc(c) => c,
-            Prototype::Sharded(c) => c,
-        }
-    }
-}
-
-/// Groups sharing-eligible loops by `(task set, controller, set points)`
-/// and prepares one prototype per group with at least two members.
-/// Returns one `Option<Prototype>` clone slot per loop, in push order.
-fn share_prototypes(builders: &[LoopBuilder]) -> Result<Vec<Option<Prototype>>, CoreError> {
-    let mut out: Vec<Option<Prototype>> = vec![None; builders.len()];
+/// Groups the loops with static membership by `(task set, controller,
+/// set points)`, builds the controller of each group with at least two
+/// members once, and hands every member its
+/// [`RateController::shared_clone`].  Returns one slot per loop, in push
+/// order; `None` where the loop builds its own controller.
+fn shared_controllers(
+    builders: &[LoopBuilder],
+) -> Result<Vec<Option<SharedController>>, CoreError> {
+    let mut out: Vec<Option<SharedController>> = builders.iter().map(|_| None).collect();
     // (representative index, member indices); linear-scan grouping is
     // O(groups × builders) — fine even at 10k loops, where `groups` is tiny.
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
     for (i, builder) in builders.iter().enumerate() {
-        if !Prototype::eligible(builder) {
+        // Membership edits rebuild the model per loop anyway.
+        if !builder.churn.is_empty() || builder.admission.is_some() {
             continue;
         }
         let key = (&builder.set, &builder.controller, &builder.set_points);
@@ -310,9 +237,16 @@ fn share_prototypes(builders: &[LoopBuilder]) -> Result<Vec<Option<Prototype>>, 
         if members.len() < 2 {
             continue; // a singleton gains nothing from a main-thread build
         }
-        if let Some(proto) = Prototype::build(&builders[rep])? {
-            for i in members {
-                out[i] = Some(proto.clone());
+        let builder = &builders[rep];
+        // Set points the finisher rejects fail there, with its diagnostics.
+        let Ok(set_points) = builder.resolved_set_points() else {
+            continue;
+        };
+        let controller = builder.controller.build(&builder.set, &set_points)?;
+        for i in members {
+            match controller.shared_clone() {
+                Some(clone) => out[i] = Some(clone),
+                None => break,
             }
         }
     }
@@ -326,33 +260,26 @@ struct LoopOutcome {
     periods: u64,
     engine_events: u64,
     control_errors: u64,
-    partial_flushes: u64,
     churn: ChurnSummary,
 }
 
 /// Builds and runs one loop inside a worker thread.
 fn run_one(
     builder: LoopBuilder,
-    proto: Option<Prototype>,
+    controller: Option<SharedController>,
     periods: usize,
 ) -> Result<LoopOutcome, CoreError> {
-    let batch = builder.telemetry_batch;
     let mut cl = builder
         .record_trace(false)
-        .finish(proto.map(Prototype::into_controller), None)?;
-    if batch > 0 {
-        cl.telemetry_sink(RingBufferSink::new(batch));
-    }
+        .finish(controller.map(|c| c as Box<dyn RateController>), None)?;
     let digest = digest_run(&mut cl, periods);
-    // `run(0)` steps nothing further: it flushes the telemetry (delivering
-    // any partial batch exactly once) and snapshots the counters.
+    // `run(0)` steps nothing further: it snapshots the counters.
     let result = cl.run(0);
     Ok(LoopOutcome {
         digest,
         periods: periods as u64,
         engine_events: result.engine.events,
         control_errors: result.control_errors as u64,
-        partial_flushes: result.telemetry.counter("partial_flushes").unwrap_or(0),
         churn: result.churn,
     })
 }
@@ -396,6 +323,7 @@ impl Fnv {
 mod tests {
     use super::*;
     use crate::admission::ChurnPlan;
+    use crate::ControllerSpec;
     use eucon_control::MpcConfig;
     use eucon_math::Vector;
     use eucon_sim::{FaultPlan, SimConfig};
@@ -460,29 +388,8 @@ mod tests {
     }
 
     #[test]
-    fn batched_fleet_counts_partial_flushes() {
-        // 25 periods with batch = 10: two full drains + one 5-row partial
-        // per loop.
-        let builder =
-            LoopBuilder::new(workloads::simple()).sim_config(SimConfig::constant_etf(0.5));
-        let report = builder
-            .clone()
-            .telemetry_batch(10)
-            .fleet(3)
-            .threads(2)
-            .run(25)
-            .expect("fleet runs");
-        assert_eq!(report.partial_flushes, 3);
-        assert_eq!(report.control_errors, 0);
-        // Batching must not perturb the loops themselves.
-        let unbatched = builder.fleet(3).threads(2).run(25).expect("fleet runs");
-        assert_eq!(report.digests, unbatched.digests);
-        assert_eq!(unbatched.partial_flushes, 0);
-    }
-
-    #[test]
     fn shared_prototypes_leave_digests_unchanged() {
-        // The prototype cache is a memory optimization, so every member's
+        // Sharing is a memory optimization, so every member's
         // trace digest must be bit-identical to that of a standalone loop
         // built from the same builder — across centralized, decentralized
         // and sharded controllers at once.
@@ -496,7 +403,11 @@ mod tests {
             loops.push(
                 LoopBuilder::new(workloads::medium())
                     .sim_config(SimConfig::constant_etf(0.9).seed(12))
-                    .controller(ControllerSpec::Decentralized(MpcConfig::medium())),
+                    .controller(ControllerSpec::Sharded {
+                        mpc: MpcConfig::medium(),
+                        shard_size: 1,
+                        boundary: crate::BoundaryMode::InProcess,
+                    }),
             );
             loops.push(
                 LoopBuilder::new(workloads::medium())
@@ -519,6 +430,37 @@ mod tests {
         assert_eq!(shared.digests, standalone);
         // Three groups of three share; the PID singleton does not.
         assert_eq!(shared.shared_models, 9);
+    }
+
+    #[test]
+    fn fleet_groups_whose_controller_does_not_share_build_their_own() {
+        // Two-member groups of every controller without a shareable
+        // model: each member builds its own, and observes exactly what a
+        // standalone loop observes.
+        let specs = [
+            ControllerSpec::Open,
+            ControllerSpec::Pid { kp: 0.5, ki: 0.05 },
+            ControllerSpec::SupervisedEucon {
+                mpc: MpcConfig::medium(),
+                supervisor: Default::default(),
+            },
+            ControllerSpec::Sharded {
+                mpc: MpcConfig::medium(),
+                shard_size: 2,
+                boundary: crate::BoundaryMode::IdealLanes,
+            },
+        ];
+        let mut loops = Vec::new();
+        for spec in specs {
+            let builder = LoopBuilder::new(workloads::medium())
+                .sim_config(SimConfig::constant_etf(0.9).seed(5))
+                .controller(spec);
+            loops.extend([builder.clone(), builder]);
+        }
+        let report = fleet_of(&loops).threads(2).run(20).expect("fleet runs");
+        assert_eq!(report.shared_models, 0);
+        let standalone: Vec<u64> = loops.iter().map(|b| standalone_digest(b, 20)).collect();
+        assert_eq!(report.digests, standalone);
     }
 
     #[test]

@@ -183,15 +183,6 @@ pub(crate) struct LoopTelemetry {
     // State for turning cumulative inputs into per-period increments.
     last_engine: EngineCounters,
     was_degraded: bool,
-    // Batched sink export: when `batch_rows > 0`, export rows accumulate
-    // in the preallocated buffers below and drain to the sinks once per
-    // full batch — or at [`LoopTelemetry::flush`] for a partial one —
-    // instead of once per period.
-    batch_rows: usize,
-    batch_periods: Vec<u64>,
-    batch_times: Vec<f64>,
-    batch_values: Vec<f64>,
-    c_partial_flushes: CounterId,
 }
 
 /// Span-histogram bounds: 1 µs .. 100 ms in decades (nanoseconds).
@@ -238,7 +229,6 @@ impl LoopTelemetry {
         let c_cold_retries = b.counter("qp_cold_retries");
         let c_relaxed = b.counter("qp_relaxed");
         let c_sink_errors = b.counter("sink_errors");
-        let c_partial_flushes = b.counter("partial_flushes");
         let c_engine_events = b.counter("engine_events");
         let c_engine_resched = b.counter("engine_reschedules");
         let c_engine_guard = b.counter("engine_guard_deferrals");
@@ -335,22 +325,7 @@ impl LoopTelemetry {
             h_model_update,
             last_engine: EngineCounters::default(),
             was_degraded: false,
-            batch_rows: 0,
-            batch_periods: Vec::new(),
-            batch_times: Vec::new(),
-            batch_values: Vec::new(),
-            c_partial_flushes,
         }
-    }
-
-    /// Switches sink export to batches of `rows` periods (`0` restores
-    /// per-period export, the default).  Buffers are preallocated here so
-    /// steady-state batched recording stays allocation-free.
-    pub(crate) fn set_batch(&mut self, rows: usize) {
-        self.batch_rows = rows;
-        self.batch_periods = Vec::with_capacity(rows);
-        self.batch_times = Vec::with_capacity(rows);
-        self.batch_values = Vec::with_capacity(rows * self.registry.columns().len());
     }
 
     /// Attaches a sink and sends it the schema.  Sink failures never fail
@@ -446,65 +421,20 @@ impl LoopTelemetry {
         }
         if !self.sinks.is_empty() {
             let row = self.registry.export_row();
-            if self.batch_rows > 0 {
-                self.batch_periods.push(obs.period);
-                self.batch_times.push(obs.time);
-                self.batch_values.extend_from_slice(row);
-                if self.batch_periods.len() == self.batch_rows {
-                    self.drain_batch();
-                }
-            } else {
-                let mut errs = 0u64;
-                for sink in &mut self.sinks {
-                    if sink.record(obs.period, obs.time, row).is_err() {
-                        errs += 1;
-                    }
-                }
-                if errs > 0 {
-                    self.registry.add(self.c_sink_errors, errs);
+            let mut errs = 0u64;
+            for sink in &mut self.sinks {
+                if sink.record(obs.period, obs.time, row).is_err() {
+                    errs += 1;
                 }
             }
-        }
-    }
-
-    /// Delivers the buffered batch to every sink and clears the buffers
-    /// (capacity is retained, so refilling does not allocate).
-    fn drain_batch(&mut self) {
-        if self.batch_periods.is_empty() {
-            return;
-        }
-        let width = self.registry.columns().len();
-        let mut errs = 0u64;
-        for sink in &mut self.sinks {
-            if sink
-                .record_batch(
-                    &self.batch_periods,
-                    &self.batch_times,
-                    &self.batch_values,
-                    width,
-                )
-                .is_err()
-            {
-                errs += 1;
+            if errs > 0 {
+                self.registry.add(self.c_sink_errors, errs);
             }
-        }
-        self.batch_periods.clear();
-        self.batch_times.clear();
-        self.batch_values.clear();
-        if errs > 0 {
-            self.registry.add(self.c_sink_errors, errs);
         }
     }
 
     /// Flushes every sink (safe to call more than once).
     pub(crate) fn flush(&mut self) {
-        if !self.batch_periods.is_empty() {
-            // A run that ends (or a loop evicted) mid-batch still delivers
-            // its partial batch exactly once: draining clears the buffers,
-            // so a repeated flush cannot re-deliver the rows.
-            self.registry.inc(self.c_partial_flushes);
-            self.drain_batch();
-        }
         let mut errs = 0u64;
         for sink in &mut self.sinks {
             if sink.finish().is_err() {
@@ -668,65 +598,6 @@ mod tests {
         assert_eq!(snap.counter("task_mode_changes"), Some(3));
         assert_eq!(snap.counter("model_updates"), Some(2));
         assert_eq!(snap.histogram("model_update_ns").unwrap().count, 2);
-    }
-
-    #[test]
-    fn batched_export_drains_on_full_batches_and_flush() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        /// Records the period of every row it receives, shared with the
-        /// test through an `Rc` so delivery can be asserted after the
-        /// telemetry takes ownership of the box.
-        struct CountingSink {
-            rows: Rc<RefCell<Vec<u64>>>,
-        }
-        impl TelemetrySink for CountingSink {
-            fn begin(&mut self, _c: &[String]) -> std::io::Result<()> {
-                Ok(())
-            }
-            fn record(&mut self, p: u64, _t: f64, _v: &[f64]) -> std::io::Result<()> {
-                self.rows.borrow_mut().push(p);
-                Ok(())
-            }
-        }
-        let rows = Rc::new(RefCell::new(Vec::new()));
-        let u = Vector::from_slice(&[0.5]);
-        let b = Vector::from_slice(&[0.828]);
-        let mut lt = LoopTelemetry::new(1);
-        lt.add_sink(Box::new(CountingSink { rows: rows.clone() }));
-        lt.set_batch(4);
-        for k in 0..6 {
-            lt.record_period(obs(&u, &b, k));
-            if k < 3 {
-                assert!(rows.borrow().is_empty(), "no rows before the batch fills");
-            }
-        }
-        // Periods 0..=3 drained as the one full batch; 4 and 5 are pending.
-        assert_eq!(*rows.borrow(), vec![0, 1, 2, 3]);
-        lt.flush();
-        assert_eq!(*rows.borrow(), vec![0, 1, 2, 3, 4, 5]);
-        // A second flush must not re-deliver the partial batch.
-        lt.flush();
-        assert_eq!(*rows.borrow(), vec![0, 1, 2, 3, 4, 5]);
-        let snap = lt.snapshot();
-        assert_eq!(snap.counter("partial_flushes"), Some(1));
-        assert_eq!(snap.counter("sink_errors"), Some(0));
-    }
-
-    #[test]
-    fn full_batch_runs_report_no_partial_flush() {
-        let u = Vector::from_slice(&[0.5]);
-        let b = Vector::from_slice(&[0.828]);
-        let mut lt = LoopTelemetry::new(1);
-        lt.add_sink(Box::new(RingBufferSink::new(16)));
-        lt.set_batch(3);
-        for k in 0..6 {
-            lt.record_period(obs(&u, &b, k));
-        }
-        lt.flush();
-        let snap = lt.snapshot();
-        assert_eq!(snap.counter("partial_flushes"), Some(0));
-        assert_eq!(snap.counter("sink_errors"), Some(0));
     }
 
     #[test]

@@ -20,7 +20,7 @@ const PERIODS: usize = 20;
 /// A fleet that exercises every per-loop code path whose determinism
 /// matters: warm-started QP solves, seeded stochastic execution times,
 /// seeded fault injection, supervisor degradation and load shedding.
-fn fleet_loops(batch: usize) -> Vec<LoopBuilder> {
+fn fleet_loops() -> Vec<LoopBuilder> {
     let mut loops = Vec::new();
     for i in 0..24u64 {
         let lp = match i % 5 {
@@ -53,14 +53,14 @@ fn fleet_loops(batch: usize) -> Vec<LoopBuilder> {
                 .sim_config(SimConfig::constant_etf(25.0))
                 .admission(AdmissionPolicy::default()),
         };
-        loops.push(lp.telemetry_batch(batch));
+        loops.push(lp);
     }
     loops
 }
 
-fn run_at(threads: usize, batch: usize) -> eucon_core::FleetReport {
+fn run_at(threads: usize) -> eucon_core::FleetReport {
     let mut fleet = FleetRunner::new().threads(threads);
-    for lp in fleet_loops(batch) {
+    for lp in fleet_loops() {
         fleet.push(lp);
     }
     fleet.run(PERIODS).expect("fleet runs")
@@ -68,11 +68,11 @@ fn run_at(threads: usize, batch: usize) -> eucon_core::FleetReport {
 
 #[test]
 fn digests_identical_across_thread_counts() {
-    let baseline = run_at(1, 0);
+    let baseline = run_at(1);
     assert_eq!(baseline.loops, 24);
     assert_eq!(baseline.total_periods, 24 * PERIODS as u64);
     for threads in [2usize, 8] {
-        let parallel = run_at(threads, 0);
+        let parallel = run_at(threads);
         assert_eq!(
             baseline.digests, parallel.digests,
             "digest vector must not depend on thread count ({threads} threads)"
@@ -83,17 +83,6 @@ fn digests_identical_across_thread_counts() {
     }
     let shedding_members = (0..24).filter(|i| i % 5 == 4).count() as u64;
     assert_eq!(baseline.churn.suspended, 2 * shedding_members);
-}
-
-#[test]
-fn batched_telemetry_does_not_perturb_digests() {
-    // Batch = 7 never divides 20 periods: every loop ends mid-batch and
-    // delivers exactly one partial flush — without touching the plant.
-    let unbatched = run_at(2, 0);
-    let batched = run_at(8, 7);
-    assert_eq!(unbatched.digests, batched.digests);
-    assert_eq!(batched.partial_flushes, 24);
-    assert_eq!(unbatched.partial_flushes, 0);
 }
 
 #[test]

@@ -29,7 +29,6 @@ fn record(set: TaskSet, periods: usize, path: &PathBuf) -> Vec<(Vec<u64>, Vec<u6
     let sink = JsonlSink::create(path).expect("scratch file is creatable");
     let mut cl = LoopBuilder::new(set)
         .record_trace(true)
-        .telemetry_batch(1)
         .local()
         .expect("recording loop builds");
     cl.telemetry_sink(sink);

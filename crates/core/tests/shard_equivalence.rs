@@ -2,11 +2,11 @@
 //!
 //! Three bit-identity contracts gate the sharded path:
 //!
-//! 1. **K=1 is DEUCON, and stays what it was** — the decentralized
-//!    spec, the sharded spec at shard size 1 and its ideal-lane variant
-//!    all build the singleton team, whose closed-loop trace is pinned to
-//!    the hash the separate per-processor `DecentralizedController`
-//!    produced on this scenario before it was deleted as a duplicate.
+//! 1. **K=1 is DEUCON, and stays what it was** — the sharded spec at
+//!    shard size 1, in process and over ideal lanes, builds the singleton
+//!    team, whose closed-loop trace is pinned to the hash the separate
+//!    per-processor `DecentralizedController` produced on this scenario
+//!    before it was deleted as a duplicate.
 //! 2. **The sweep stays what it was** — the team at shard size 2 on
 //!    MEDIUM and at shard size 16 on the `shard_64p` cluster shape is
 //!    pinned to hashes captured before the shared-memory sweep was
@@ -82,10 +82,6 @@ fn sharded(shard_size: usize, boundary: BoundaryMode) -> ControllerSpec {
 #[test]
 fn k1_every_spelling_reproduces_the_deucon_golden() {
     for (spelling, spec) in [
-        (
-            "Decentralized",
-            ControllerSpec::Decentralized(MpcConfig::medium()),
-        ),
         (
             "Sharded{1}, in process",
             sharded(1, BoundaryMode::InProcess),

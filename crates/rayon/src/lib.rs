@@ -130,7 +130,7 @@ impl<T: Send> ParIter<T> {
     /// input order in the output.
     pub fn map<O: Send, F: Fn(T) -> O + Sync>(self, f: F) -> ParIter<O> {
         ParIter {
-            items: parallel_map(self.items, &f),
+            items: par_map(self.items, None, f),
         }
     }
 
@@ -151,33 +151,25 @@ impl<T: Send> ParIter<T> {
     }
 }
 
-fn parallel_map<T: Send, O: Send, F: Fn(T) -> O + Sync>(items: Vec<T>, f: &F) -> Vec<O> {
-    par_map_init(items, None, || (), |(), item| f(item))
-}
-
-/// Maps `items` on a pool of work-stealing scoped threads with per-worker
-/// state, preserving input order in the output.
+/// Maps `items` on a pool of work-stealing scoped threads, preserving
+/// input order in the output.
 ///
 /// `threads` overrides the pool size (`None` falls back to
 /// [`current_num_threads`]); fleets that must reproduce bit-identical
 /// results across pool sizes pass it explicitly rather than racing on
-/// process-wide environment variables. `init` runs once *inside* each
-/// spawned worker, so non-`Send` scratch (solver arenas, RNG state) can
-/// live thread-local for the whole batch. With one thread (or one item)
+/// process-wide environment variables. With one thread (or one item)
 /// everything runs sequentially on the caller's thread — no spawn, same
 /// item order.
-pub fn par_map_init<T, O, S, I, F>(items: Vec<T>, threads: Option<usize>, init: I, f: F) -> Vec<O>
+pub fn par_map<T, O, F>(items: Vec<T>, threads: Option<usize>, f: F) -> Vec<O>
 where
     T: Send,
     O: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> O + Sync,
+    F: Fn(T) -> O + Sync,
 {
     let n = items.len();
     let threads = threads.unwrap_or_else(current_num_threads).max(1).min(n);
     if threads <= 1 {
-        let mut state = init();
-        return items.into_iter().map(|item| f(&mut state, item)).collect();
+        return items.into_iter().map(f).collect();
     }
 
     // Index-tagged work queue; slots collect results in input order.
@@ -186,17 +178,13 @@ where
 
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let next = queue.lock().expect("work queue poisoned").pop();
-                    match next {
-                        Some((i, item)) => {
-                            *slots[i].lock().expect("result slot poisoned") =
-                                Some(f(&mut state, item));
-                        }
-                        None => break,
+            scope.spawn(|| loop {
+                let next = queue.lock().expect("work queue poisoned").pop();
+                match next {
+                    Some((i, item)) => {
+                        *slots[i].lock().expect("result slot poisoned") = Some(f(item));
                     }
+                    None => break,
                 }
             });
         }
@@ -264,55 +252,18 @@ mod tests {
     }
 
     #[test]
-    fn par_map_init_matches_sequential_across_thread_counts() {
+    fn par_map_matches_sequential_across_thread_counts() {
         let items: Vec<u64> = (0..257).collect();
         let expect: Vec<u64> = items.iter().map(|&x| x * x + 1).collect();
         for threads in [1usize, 2, 8] {
-            let out = crate::par_map_init(items.clone(), Some(threads), || 0u64, |_s, x| x * x + 1);
+            let out = crate::par_map(items.clone(), Some(threads), |x| x * x + 1);
             assert_eq!(out, expect, "threads={threads}");
         }
     }
 
     #[test]
-    fn par_map_init_builds_state_per_worker() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let inits = AtomicUsize::new(0);
-        let out = crate::par_map_init(
-            (0..64usize).collect(),
-            Some(4),
-            || {
-                inits.fetch_add(1, Ordering::SeqCst);
-                Vec::<usize>::new()
-            },
-            |scratch, x| {
-                scratch.push(x);
-                scratch.len()
-            },
-        );
-        // 4 workers → at most 4 states; each item reuses its worker's state.
-        assert!(inits.load(Ordering::SeqCst) <= 4);
-        assert_eq!(out.len(), 64);
-        // Sequential run threads all items through one state.
-        let inits1 = AtomicUsize::new(0);
-        let seq = crate::par_map_init(
-            (0..64usize).collect(),
-            Some(1),
-            || {
-                inits1.fetch_add(1, Ordering::SeqCst);
-                0usize
-            },
-            |count, _x| {
-                *count += 1;
-                *count
-            },
-        );
-        assert_eq!(inits1.load(Ordering::SeqCst), 1);
-        assert_eq!(seq, (1..=64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_map_init_handles_empty_input() {
-        let out: Vec<i32> = crate::par_map_init(Vec::<i32>::new(), Some(8), || (), |(), x| x);
+    fn par_map_handles_empty_input() {
+        let out: Vec<i32> = crate::par_map(Vec::<i32>::new(), Some(8), |x| x);
         assert!(out.is_empty());
     }
 

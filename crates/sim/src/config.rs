@@ -1,6 +1,8 @@
 //! Simulation configuration: execution-time models and the execution-time
 //! factor profile.
 
+use crate::SimError;
+
 /// Stochastic model for actual subtask execution times.
 ///
 /// The paper's simulator draws actual execution times around a mean of
@@ -225,8 +227,43 @@ impl SimConfig {
         self
     }
 
+    /// Checks the configuration against the deployed processor count:
+    /// [`SimConfig::processor_speeds`], when set, holds one positive,
+    /// finite factor per processor.
+    ///
+    /// The field is public, so a list that never passed through the
+    /// setter's assert can reach a loop; the loop builders in
+    /// `eucon-core` call this (beside [`FaultPlan::validate`]) so such a
+    /// list fails the build with a typed error instead of panicking
+    /// mid-run.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::WrongArity`] for a list of the wrong length, else
+    /// [`SimError::InvalidFactor`] for the first factor that is not
+    /// positive and finite.
+    ///
+    /// [`FaultPlan::validate`]: crate::FaultPlan::validate
+    pub fn validate(&self, num_processors: usize) -> Result<(), SimError> {
+        let Some(speeds) = &self.processor_speeds else {
+            return Ok(());
+        };
+        if speeds.len() != num_processors {
+            return Err(SimError::WrongArity {
+                what: "processor_speeds",
+                got: speeds.len(),
+                num_processors,
+            });
+        }
+        match speeds.iter().find(|&&s| !(s > 0.0 && s.is_finite())) {
+            Some(&value) => Err(SimError::InvalidFactor { value }),
+            None => Ok(()),
+        }
+    }
+
     /// Sets per-processor speed factors (see
-    /// [`SimConfig::processor_speeds`]).
+    /// [`SimConfig::processor_speeds`]).  The count is checked against
+    /// the deployment by [`SimConfig::validate`].
     ///
     /// # Panics
     ///
@@ -366,5 +403,27 @@ mod tests {
     #[should_panic(expected = "positive and finite")]
     fn invalid_speed_rejected() {
         let _ = SimConfig::constant_etf(1.0).processor_speeds(vec![0.0]);
+    }
+
+    #[test]
+    fn validate_checks_the_speed_list_against_the_deployment() {
+        let with = |speeds: Vec<f64>| SimConfig {
+            processor_speeds: Some(speeds),
+            ..SimConfig::default()
+        };
+        assert_eq!(SimConfig::default().validate(3), Ok(()));
+        assert_eq!(with(vec![1.0, 2.0]).validate(2), Ok(()));
+        assert_eq!(
+            with(vec![1.0]).validate(2),
+            Err(SimError::WrongArity {
+                what: "processor_speeds",
+                got: 1,
+                num_processors: 2,
+            })
+        );
+        for bad in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            let err = with(vec![1.0, bad]).validate(2).unwrap_err();
+            assert!(matches!(err, SimError::InvalidFactor { .. }), "{bad}");
+        }
     }
 }

@@ -48,7 +48,18 @@ pub enum SimError {
         /// The `[from, until)` bounds of the later, overlapping window.
         second: (usize, usize),
     },
-    /// A burst execution-time factor is not positive and finite.
+    /// A per-processor list does not hold one entry per deployed
+    /// processor.
+    WrongArity {
+        /// Which list ("processor_speeds").
+        what: &'static str,
+        /// Entries the list holds.
+        got: usize,
+        /// Number of processors actually deployed.
+        num_processors: usize,
+    },
+    /// An execution-time factor (a burst's, or a processor's speed) is
+    /// not positive and finite.
     InvalidFactor {
         /// The offending factor.
         value: f64,
@@ -95,9 +106,19 @@ impl fmt::Display for SimError {
                  {processor}",
                 first.0, first.1, second.0, second.1
             ),
-            SimError::InvalidFactor { value } => {
-                write!(f, "burst factor must be positive and finite, got {value}")
-            }
+            SimError::WrongArity {
+                what,
+                got,
+                num_processors,
+            } => write!(
+                f,
+                "{what} needs one entry per processor: got {got} for \
+                 {num_processors} processors"
+            ),
+            SimError::InvalidFactor { value } => write!(
+                f,
+                "execution-time factor must be positive and finite, got {value}"
+            ),
             SimError::InvalidProbability { what, value } => {
                 write!(f, "{what} probability out of range: {value}")
             }

@@ -30,44 +30,6 @@ pub trait TelemetrySink {
     /// Propagates I/O failures.
     fn record(&mut self, period: u64, time: f64, values: &[f64]) -> io::Result<()>;
 
-    /// Receives several periods' rows at once: row `i` covers period
-    /// `periods[i]` at `times[i]` with values
-    /// `values[i * width..(i + 1) * width]`.
-    ///
-    /// Batching producers (e.g. a fleet of loops amortizing sink traffic)
-    /// call this once per batch instead of [`TelemetrySink::record`] once
-    /// per period.  The default implementation forwards row by row, so
-    /// existing sinks keep working unchanged; sinks with per-call overhead
-    /// can override it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first I/O failure; rows after a failed one are not
-    /// delivered.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `periods`, `times` and `values` disagree on the row
-    /// count, or `values.len()` is not a multiple of `width`.
-    fn record_batch(
-        &mut self,
-        periods: &[u64],
-        times: &[f64],
-        values: &[f64],
-        width: usize,
-    ) -> io::Result<()> {
-        assert_eq!(periods.len(), times.len(), "one time per period");
-        assert_eq!(
-            values.len(),
-            periods.len() * width,
-            "one width-sized row per period"
-        );
-        for (i, (&p, &t)) in periods.iter().zip(times).enumerate() {
-            self.record(p, t, &values[i * width..(i + 1) * width])?;
-        }
-        Ok(())
-    }
-
     /// Flushes and closes the sink (last call).
     ///
     /// # Errors
@@ -418,33 +380,6 @@ mod tests {
                 assert_eq!(l.matches(key).count(), 1, "{key} once in {l}");
             }
         }
-    }
-
-    #[test]
-    fn record_batch_default_matches_row_by_row() {
-        let mut by_row = CsvSink::new(Vec::new());
-        let mut by_batch = CsvSink::new(Vec::new());
-        let schema = cols(&["a", "b"]);
-        by_row.begin(&schema).unwrap();
-        by_batch.begin(&schema).unwrap();
-        let periods = [3u64, 4, 5];
-        let times = [3000.0, 4000.0, 5000.0];
-        let values = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6];
-        for i in 0..3 {
-            by_row
-                .record(periods[i], times[i], &values[i * 2..(i + 1) * 2])
-                .unwrap();
-        }
-        by_batch.record_batch(&periods, &times, &values, 2).unwrap();
-        assert_eq!(by_row.into_inner(), by_batch.into_inner());
-    }
-
-    #[test]
-    #[should_panic(expected = "width-sized row per period")]
-    fn record_batch_rejects_ragged_input() {
-        let mut sink = CsvSink::new(Vec::new());
-        sink.begin(&cols(&["a"])).unwrap();
-        let _ = sink.record_batch(&[0, 1], &[0.0, 1.0], &[1.0], 1);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //!
 //! Run with: `cargo run --release --example multi_tier_cluster`
 
+use eucon::core::BoundaryMode;
 use eucon::prelude::*;
 
 fn main() -> Result<(), eucon::Error> {
@@ -36,7 +37,11 @@ fn main() -> Result<(), eucon::Error> {
                 .exec_model(ExecModel::Uniform { half_width: 0.3 })
                 .seed(8),
         )
-        .controller(ControllerSpec::Decentralized(MpcConfig::medium()))
+        .controller(ControllerSpec::Sharded {
+            mpc: MpcConfig::medium(),
+            shard_size: 1,
+            boundary: BoundaryMode::InProcess,
+        })
         .quantized_rates(32)
         .distributed(NetConfig::tcp().report_lanes(LaneModel {
             delay: 1,
@@ -79,8 +84,8 @@ fn main() -> Result<(), eucon::Error> {
     assert_eq!(net.decode_errors, 0, "every frame decodes");
 
     // The point of decentralization: per-node problems stay small.
-    let team =
-        ShardedController::singleton(&cluster, b, MpcConfig::medium()).expect("controller team");
+    let team = ShardedController::with_shard_size(&cluster, b, MpcConfig::medium(), 1)
+        .expect("controller team");
     println!(
         "\ncontrol team: {} local controllers, largest owns {} of {} pipelines",
         team.num_controllers(),

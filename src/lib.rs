@@ -63,8 +63,8 @@
 //!   `LoopBuilder::new(set).distributed(NetConfig::tcp())`, which returns
 //!   a [`ClosedLoop`](prelude::ClosedLoop) — write `ClosedLoop` wherever
 //!   `DistributedLoop` stood in type position.
-//! * `DecentralizedController::new(..)` →
-//!   [`ShardedController::singleton(..)`](prelude::ShardedController::singleton).
+//! * `DecentralizedController::new(set, b, cfg)` →
+//!   [`ShardedController::with_shard_size(set, b, cfg, 1)`](prelude::ShardedController::with_shard_size).
 //! * `eucon::qp::QuadProg::new(h, f).ineq(g, hvec).solve()` →
 //!   [`PreparedQp::new(h, g)?.solve(&f, &hvec, &[])`](qp::PreparedQp::solve),
 //!   and `ConstrainedLsq::new(c, d)` with its builder knobs →

@@ -2,13 +2,23 @@
 //! future work) against the real simulator, mirroring the centralized
 //! experiments.
 
+use eucon::core::BoundaryMode;
 use eucon::prelude::*;
+
+/// The decentralized team: one local MPC per processor.
+fn deucon(mpc: MpcConfig) -> ControllerSpec {
+    ControllerSpec::Sharded {
+        mpc,
+        shard_size: 1,
+        boundary: BoundaryMode::InProcess,
+    }
+}
 
 #[test]
 fn deucon_reproduces_fig3a_on_simple() {
     let mut cl = LoopBuilder::new(workloads::simple())
         .sim_config(SimConfig::constant_etf(0.5))
-        .controller(ControllerSpec::Decentralized(MpcConfig::simple()))
+        .controller(deucon(MpcConfig::simple()))
         .local()
         .expect("loop");
     let result = cl.run(200);
@@ -27,7 +37,7 @@ fn deucon_reproduces_fig3a_on_simple() {
 fn deucon_handles_experiment_two_disturbance() {
     let result = VaryingRun::paper(
         workloads::medium(),
-        ControllerSpec::Decentralized(MpcConfig::medium()),
+        deucon(MpcConfig::medium()),
         ExecModel::Uniform { half_width: 0.2 },
     )
     .run()
@@ -68,7 +78,7 @@ fn deucon_matches_centralized_quality_on_medium() {
         worst
     };
     let central = run(ControllerSpec::Eucon(MpcConfig::medium()));
-    let team = run(ControllerSpec::Decentralized(MpcConfig::medium()));
+    let team = run(deucon(MpcConfig::medium()));
     assert!(team < 0.03, "decentralized worst error {team:.4}");
     assert!(
         team < central + 0.02,
@@ -85,7 +95,7 @@ fn deucon_scales_to_generated_clusters() {
         let b = rms_set_points(&set);
         let mut cl = LoopBuilder::new(set)
             .sim_config(SimConfig::constant_etf(0.6).seed(seed))
-            .controller(ControllerSpec::Decentralized(MpcConfig::medium()))
+            .controller(deucon(MpcConfig::medium()))
             .local()
             .expect("loop");
         let result = cl.run(150);
