@@ -86,7 +86,9 @@ fn bench_constraint_count(c: &mut Criterion) {
 /// 60 tasks with `P = 4`, `M = 2` — 120 variables, 320 constraint rows
 /// (240 rate-bound rows with one or two nonzeros, 80 utilization rows
 /// carrying the allocation matrix), 200 objective rows — laid out like
-/// `eucon-control` builds it.  A few percent of `G` and `C` is nonzero.
+/// `eucon-control` builds it, except that the controller keeps only the
+/// utilization rows of steps 1..=M (280 rows), the later steps repeating
+/// step M under hold-rate.  A few percent of `G` and `C` is nonzero.
 fn central20() -> (PreparedLsq, Vector) {
     const P: usize = 4;
     const M: usize = 2;

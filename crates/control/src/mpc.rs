@@ -4,7 +4,7 @@ use eucon_math::{Matrix, Vector};
 use eucon_qp::{FactorWork, LsqSolution, PreparedLsq, QpError};
 use eucon_tasks::TaskSet;
 
-use crate::prediction::{constraint_matrix, constraint_rhs_into, Predictor};
+use crate::prediction::{constraint_matrix, constraint_rhs_into, utilization_steps, Predictor};
 use crate::{ControlError, ControllerTelemetry, MpcConfig, RateController};
 
 /// Tiny Tikhonov weight keeping the least-squares problem strictly convex
@@ -461,13 +461,13 @@ impl MpcController {
 
         // Masks over the old constraint layout (see `constraint_matrix`):
         // per control step m upper then m lower rate rows — the task mask,
-        // 2·M times over — then n·P utilization rows, which all survive.
-        let p = self.cfg.prediction_horizon;
+        // 2·M times over — then n utilization rows per kept prediction
+        // step (`utilization_steps`), which all survive.
         let keep_rate = keep.repeat(2 * self.cfg.control_horizon);
         let keep_util: Vec<bool> = keep_rate
             .iter()
             .copied()
-            .chain(std::iter::repeat_n(true, n * p))
+            .chain(std::iter::repeat_n(true, n * utilization_steps(&self.cfg)))
             .collect();
         next.prev_move = sub(&self.prev_move);
         next.warm_util = migrate_warm(&self.warm_util, &keep_util);

@@ -8,8 +8,12 @@
 //! `A_d` once per controller; they depend only on the model, not on
 //! measurements — which is also what makes the closed-loop stability
 //! analysis in [`crate::stability`] possible.
+//!
+//! `A_u` and `A_d` are diagonal blocks — `n·P + m` nonzeros among
+//! `(n·P + m·M)·(n + m)` entries — so they are held as [`SparseRows`],
+//! whose products carry the bits of the dense ones.
 
-use eucon_math::{Matrix, Vector};
+use eucon_math::{Matrix, SparseRows, Vector};
 
 use crate::{ControlPenalty, MoveHold, MpcConfig};
 
@@ -19,10 +23,13 @@ pub(crate) struct Predictor {
     /// Stacked objective matrix: `n·P` tracking rows then `m·M` penalty
     /// rows.
     pub c: Matrix,
-    /// Linear map from the tracking error `u(k) − B` to the rhs `d`.
-    pub a_u: Matrix,
-    /// Linear map from the previous move `Δr(k−1)` to the rhs `d`.
-    pub a_d: Matrix,
+    /// Linear map from the tracking error `u(k) − B` to the rhs `d`:
+    /// the reference-decay diagonal of each tracking block.
+    pub a_u: SparseRows,
+    /// Linear map from the previous move `Δr(k−1)` to the rhs `d`: the
+    /// move-penalty diagonal of the first penalty block (empty for
+    /// [`ControlPenalty::Move`]).
+    pub a_d: SparseRows,
     /// Number of processors.
     pub n: usize,
     /// Number of tasks.
@@ -107,7 +114,13 @@ impl Predictor {
             }
         }
 
-        Predictor { c, a_u, a_d, n, m }
+        Predictor {
+            c,
+            a_u: SparseRows::from_matrix(&a_u),
+            a_d: SparseRows::from_matrix(&a_d),
+            n,
+            m,
+        }
     }
 
     /// Evaluates the rhs `d` for the current tracking error and previous
@@ -160,14 +173,36 @@ pub(crate) fn move_multiplicity(i: usize, j: usize, mh: usize, hold: MoveHold) -
     }
 }
 
+/// Number of prediction steps that get their own utilization rows.
+///
+/// Under [`MoveHold::Rate`] every move has been applied by step `M`, so
+/// the rows of steps `M..=P` are one row `u(k) + F·Σ_j Δr_j ≤ B` repeated,
+/// with one right-hand side: only steps `1..=M` are emitted.  A repeat
+/// could never be the most violated row of a solve, so it never changes
+/// an answer: the row it repeats comes first, and either is inactive and
+/// wins the scan's tie, or is active, with a slack within rounding of
+/// zero that the repeat shares and the scan's tolerance ignores.  Under
+/// [`MoveHold::Delta`] the held final move keeps accumulating and every
+/// step `1..=P` is distinct.
+pub(crate) fn utilization_steps(cfg: &MpcConfig) -> usize {
+    match cfg.move_hold {
+        MoveHold::Rate => cfg.control_horizon.min(cfg.prediction_horizon),
+        MoveHold::Delta => cfg.prediction_horizon,
+    }
+}
+
 /// Builds the inequality constraints of the MPC problem.
 ///
 /// Returns `(G, h)` such that `G·X ≤ h` encodes, for each control-horizon
 /// step `i`:
 ///
 /// * rate bounds `Rmin ≤ r(k−1) + Σ_{j≤i} Δr_j ≤ Rmax` (paper eq. 2), and,
-///   when `utilization` is true, for each prediction step,
+///   when `utilization` is true, for each prediction step that
+///   [`utilization_steps`] keeps,
 /// * utilization bounds `u(k) + F·S_i ≤ B` (paper eq. 1).
+///
+/// Row layout: per control step `i`, `m` upper then `m` lower rate rows
+/// (`2·m·M` in all), then `n` utilization rows per kept prediction step.
 ///
 /// The matrix `G` depends only on the model and horizons while `h` changes
 /// every period; the hot path therefore calls [`constraint_matrix`] once
@@ -197,13 +232,23 @@ pub(crate) fn constraints(
 /// so a controller builds it once at construction and reuses it for every
 /// period (see [`constraint_rhs_into`]).
 pub(crate) fn constraint_matrix(f: &Matrix, cfg: &MpcConfig, utilization: bool) -> Matrix {
+    let steps = if utilization {
+        utilization_steps(cfg)
+    } else {
+        0
+    };
+    constraint_rows(f, cfg, steps)
+}
+
+/// [`constraint_matrix`] with utilization rows for prediction steps
+/// `1..=steps`.
+fn constraint_rows(f: &Matrix, cfg: &MpcConfig, steps: usize) -> Matrix {
     let n = f.rows();
     let m = f.cols();
-    let p = cfg.prediction_horizon;
     let mh = cfg.control_horizon;
     let n_cols = m * mh;
 
-    let util_rows = if utilization { n * p } else { 0 };
+    let util_rows = n * steps;
     let mut g = Matrix::zeros(2 * m * mh + util_rows, n_cols);
 
     // Rate bounds: rows for upper, then lower, per step.
@@ -218,9 +263,9 @@ pub(crate) fn constraint_matrix(f: &Matrix, cfg: &MpcConfig, utilization: bool) 
         }
     }
 
-    if utilization {
+    if steps > 0 {
         let base = 2 * m * mh;
-        for i in 1..=p {
+        for i in 1..=steps {
             let row0 = base + n * (i - 1);
             for j in 0..mh {
                 let mult = move_multiplicity(i, j, mh, cfg.move_hold);
@@ -259,9 +304,13 @@ pub(crate) fn constraint_rhs_into(
 ) {
     let n = f.rows();
     let m = f.cols();
-    let p = cfg.prediction_horizon;
     let mh = cfg.control_horizon;
-    let util_rows = if utilization { n * p } else { 0 };
+    let steps = if utilization {
+        utilization_steps(cfg)
+    } else {
+        0
+    };
+    let util_rows = n * steps;
     assert_eq!(
         h.len(),
         2 * m * mh + util_rows,
@@ -277,7 +326,7 @@ pub(crate) fn constraint_rhs_into(
 
     if utilization {
         let base = 2 * m * mh;
-        for i in 0..p {
+        for i in 0..steps {
             for r in 0..n {
                 h[base + n * i + r] = b[r] - u[r];
             }
@@ -303,6 +352,10 @@ mod tests {
         assert_eq!(pred.c.cols(), 3);
         assert_eq!(pred.a_u.cols(), 2);
         assert_eq!(pred.a_d.cols(), 3);
+        // Only the diagonals are stored: n·P decay entries, m penalty
+        // entries.
+        assert_eq!(pred.a_u.nnz(), 2 * 2);
+        assert_eq!(pred.a_d.nnz(), 3);
     }
 
     #[test]
@@ -322,9 +375,10 @@ mod tests {
         }
         // a_u carries −(1 − λ^i) on the diagonal of each block (the
         // reference starts at u(k), eq. 8).
-        assert!((pred.a_u[(0, 0)] + (1.0 - lambda)).abs() < 1e-15);
-        assert!((pred.a_u[(2, 0)] + (1.0 - lambda * lambda)).abs() < 1e-15);
-        assert_eq!(pred.a_u[(0, 1)], 0.0);
+        let a_u = pred.a_u.to_matrix();
+        assert!((a_u[(0, 0)] + (1.0 - lambda)).abs() < 1e-15);
+        assert!((a_u[(2, 0)] + (1.0 - lambda * lambda)).abs() < 1e-15);
+        assert_eq!(a_u[(0, 1)], 0.0);
     }
 
     #[test]
@@ -352,7 +406,7 @@ mod tests {
         // Penalty block: identity on the move, identity map from Δr(k−1).
         for t in 0..3 {
             assert_eq!(pred.c[(4 + t, t)], 1.0);
-            assert_eq!(pred.a_d[(4 + t, t)], 1.0);
+            assert_eq!(pred.a_d.to_matrix()[(4 + t, t)], 1.0);
         }
     }
 
@@ -361,7 +415,7 @@ mod tests {
         let f = simple_f();
         let cfg = MpcConfig::simple().control_penalty(ControlPenalty::Move);
         let pred = Predictor::new(&f, &cfg);
-        assert_eq!(pred.a_d.max_abs(), 0.0);
+        assert_eq!(pred.a_d.nnz(), 0);
     }
 
     #[test]
@@ -421,6 +475,73 @@ mod tests {
         assert!((d[6] + 0.002).abs() < 1e-15);
     }
 
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Operands with signed zeros, tiny and huge magnitudes.
+        fn entry() -> impl Strategy<Value = f64> {
+            (0..8u64, -2.0..2.0f64).prop_map(|(kind, v)| match kind {
+                0 => 0.0,
+                1 => -0.0,
+                2 => v * 1e-300,
+                3 => v * 1e12,
+                _ => v,
+            })
+        }
+
+        proptest! {
+            #[test]
+            fn rhs_into_is_bit_identical_to_the_dense_maps(
+                shape in 0..4usize,
+                weights in proptest::collection::vec(0..3u64, 2),
+                error in proptest::collection::vec(entry(), 2),
+                prev in proptest::collection::vec(entry(), 3),
+                start in proptest::collection::vec(entry(), 12),
+            ) {
+                let f = simple_f();
+                let (n, m) = (2, 3);
+                // A zero tracking weight stores a `−0.0` decay entry.
+                let q: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
+                let cfg = match shape {
+                    0 => MpcConfig::simple(),
+                    1 => MpcConfig::medium(),
+                    2 => MpcConfig::medium().control_penalty(ControlPenalty::Move),
+                    _ => MpcConfig::simple().horizons(3, 2).move_hold(MoveHold::Delta),
+                }
+                .tracking_weights(Vector::from_slice(&q));
+                let pred = Predictor::new(&f, &cfg);
+                let (p, mh) = (cfg.prediction_horizon, cfg.control_horizon);
+                let rows = n * p + m * mh;
+                // The dense maps as written out entry by entry.
+                let lambda = cfg.reference_decay();
+                let mut a_u = Matrix::zeros(rows, n);
+                let mut a_d = Matrix::zeros(rows, m);
+                for i in 1..=p {
+                    for r in 0..n {
+                        a_u[(n * (i - 1) + r, r)] = -q[r].sqrt() * (1.0 - lambda.powi(i as i32));
+                    }
+                }
+                if cfg.control_penalty == ControlPenalty::MoveDelta {
+                    for t in 0..m {
+                        a_d[(n * p + t, t)] = cfg.control_penalty_weight.sqrt();
+                    }
+                }
+                let (error, prev) = (Vector::from_slice(&error), Vector::from_slice(&prev));
+                // Whatever the buffer held is overwritten.
+                let mut sparse = Vector::from_slice(&start[..rows.min(12)]);
+                sparse.resize(rows);
+                let mut dense = Vector::zeros(rows);
+                pred.rhs_into(&error, &prev, &mut sparse);
+                a_u.mul_vec_into(&error, &mut dense);
+                a_d.mul_vec_acc(&prev, &mut dense);
+                for i in 0..rows {
+                    prop_assert_eq!(sparse[i].to_bits(), dense[i].to_bits(), "row {}", i);
+                }
+            }
+        }
+    }
+
     #[test]
     fn tracking_weights_scale_rows() {
         let f = simple_f();
@@ -441,8 +562,8 @@ mod tests {
         let u = Vector::from_slice(&[0.9, 0.7]);
         let b = Vector::from_slice(&[0.828, 0.828]);
         let (g, h) = constraints(&f, &cfg, &rates, &rmin, &rmax, &u, &b, true);
-        // 2·m·M rate rows + n·P utilization rows.
-        assert_eq!(g.rows(), 6 + 4);
+        // 2·m·M rate rows + n·min(P, M) utilization rows (hold-rate).
+        assert_eq!(g.rows(), 6 + 2);
         // Upper rate bound rows: Δr ≤ Rmax − r.
         assert_eq!(g[(0, 0)], 1.0);
         assert!((h[0] - 0.02).abs() < 1e-15);
@@ -456,6 +577,45 @@ mod tests {
         // Disabled utilization constraints shrink the system.
         let (g2, _) = constraints(&f, &cfg, &rates, &rmin, &rmax, &u, &b, false);
         assert_eq!(g2.rows(), 6);
+    }
+
+    #[test]
+    fn only_repeated_utilization_rows_are_dropped() {
+        let f = simple_f();
+        let (n, m) = (2, 3);
+        let rates = Vector::from_slice(&[0.01, 0.02, 0.015]);
+        let rmin = Vector::from_slice(&[0.001; 3]);
+        let rmax = Vector::from_slice(&[0.03; 3]);
+        let u = Vector::from_slice(&[0.9, 0.7]);
+        let b = Vector::from_slice(&[0.828, 0.8]);
+        for (p, mh) in [(2, 1), (4, 2), (5, 3), (3, 3)] {
+            for hold in [MoveHold::Rate, MoveHold::Delta] {
+                let cfg = MpcConfig::simple().horizons(p, mh).move_hold(hold);
+                let (g, h) = constraints(&f, &cfg, &rates, &rmin, &rmax, &u, &b, true);
+                // Every prediction step's rows, with the right-hand side
+                // each step's rows share.
+                let full = constraint_rows(&f, &cfg, p);
+                let base = 2 * m * mh;
+                let steps = utilization_steps(&cfg);
+                assert_eq!(steps, if hold == MoveHold::Rate { mh } else { p });
+                assert_eq!(g.rows(), base + n * steps);
+                assert_eq!(full.rows(), base + n * p);
+                // The kept rows are the full matrix's leading rows.
+                assert_eq!(g.as_slice(), &full.as_slice()[..g.rows() * g.cols()]);
+                // Every step's utilization rows share one right-hand
+                // side, `B − u`, so a dropped step's `h` repeats too.
+                for k in 0..n * steps {
+                    assert_eq!(h[base + k], b[k % n] - u[k % n]);
+                }
+                // Hold-rate: steps M+1..=P repeat step M row for row.
+                for i in steps + 1..=p {
+                    for r in 0..n {
+                        let (dropped, kept) = (base + n * (i - 1) + r, base + n * (mh - 1) + r);
+                        assert_eq!(full.row(dropped), full.row(kept), "P {p} M {mh} step {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

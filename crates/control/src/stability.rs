@@ -56,8 +56,10 @@ pub fn control_law(f: &Matrix, cfg: &MpcConfig) -> Result<ControlLaw, ControlErr
     let ct = pred.c.transpose();
     let normal = &ct * &pred.c;
     let pinv = &normal.inverse().map_err(ControlError::Math)? * &ct;
-    let k_full_u = &pinv * &pred.a_u;
-    let k_full_d = &pinv * &pred.a_d;
+    // The controller holds the maps sparse; the analysis multiplies the
+    // dense copies.
+    let k_full_u = &pinv * &pred.a_u.to_matrix();
+    let k_full_d = &pinv * &pred.a_d.to_matrix();
     Ok(ControlLaw {
         k_u: k_full_u.submatrix(0, m, 0, k_full_u.cols()),
         k_d: k_full_d.submatrix(0, m, 0, k_full_d.cols()),

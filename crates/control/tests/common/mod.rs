@@ -7,7 +7,8 @@ use eucon_math::Vector;
 use eucon_tasks::{rms_set_points, workloads::RandomWorkload, TaskSet};
 
 /// The `central_20p_over` benchmark shape: 60 tasks × M = 2 → 120
-/// variables, 320 constraint rows.
+/// variables, 280 constraint rows (240 rate bounds, and the utilization
+/// rows of prediction steps 1..=M, which hold-rate leaves distinct).
 pub fn central_20p() -> (TaskSet, MpcController) {
     let set = RandomWorkload::new(20, 60).seed(7).generate();
     let b = rms_set_points(&set);

@@ -3,7 +3,7 @@
 //!
 //! The SIMPLE/MEDIUM closed-loop goldens in `eucon-core` never spend more
 //! than 8 active-set iterations in a solve; these two drive the solver
-//! where the benchmark does — a 120-variable × 320-row centralized QP and
+//! where the benchmark does — a 120-variable × 280-row centralized QP and
 //! a banded 16-processor shard QP, tens of iterations a solve — and pin
 //! every commanded rate bit.  The constants were captured on the commit
 //! before the solver read sparse rows or used a workspace: any reordering

@@ -235,10 +235,11 @@ impl LoopBuilder {
     /// a non-positive or non-finite sampling period, a fault plan with
     /// lane-partition windows (a loop without lanes has nothing to
     /// partition), fewer than two quantized rate levels, set points that
-    /// are non-finite, non-positive, or of the wrong arity, a malformed
+    /// are non-finite, non-positive, or of the wrong arity, a sharded
+    /// controller with `shard_size` 0, a malformed
     /// churn plan, an out-of-range admission policy, or a plant backend
     /// that does not fit the workload — [`CoreError::Sim`] for a
-    /// malformed fault plan or processor speed list
+    /// malformed fault plan, execution-time model or processor speed list
     /// ([`SimConfig::validate`]), and propagates controller-construction
     /// failures (a shard boundary lane model out of domain among them)
     /// as [`CoreError::Control`].
@@ -302,6 +303,7 @@ impl LoopBuilder {
                 "sampling period must be positive and finite, got {ts}"
             )));
         }
+        self.controller.validate()?;
         self.faults.validate(self.set.num_processors())?;
         self.sim.validate(self.set.num_processors())?;
         self.churn.validate(&self.set)?;
@@ -470,8 +472,8 @@ mod tests {
     use super::*;
     use crate::fleet::digest_run;
     use crate::telemetry::TelemetrySink;
-    use crate::LaneModel;
-    use eucon_sim::SimError;
+    use crate::{BoundaryMode, LaneModel};
+    use eucon_sim::{ExecModel, SimError};
     use eucon_tasks::workloads;
 
     #[test]
@@ -748,6 +750,111 @@ mod tests {
                     CoreError::Sim(expected.clone()).to_string()
                 );
             }
+        }
+    }
+
+    #[test]
+    fn finisher_rejects_bad_exec_models() {
+        // The enum's fields are public, so no constructor sees these; a
+        // NaN half-width would otherwise draw NaN execution times.
+        for (model, what, value) in [
+            (
+                ExecModel::Uniform {
+                    half_width: f64::NAN,
+                },
+                "half_width",
+                f64::NAN,
+            ),
+            (ExecModel::Uniform { half_width: 0.0 }, "half_width", 0.0),
+            (ExecModel::Uniform { half_width: 1.0 }, "half_width", 1.0),
+            (ExecModel::Uniform { half_width: -0.2 }, "half_width", -0.2),
+            (
+                ExecModel::Bimodal {
+                    low: 0.0,
+                    high: 2.0,
+                    p_high: 0.5,
+                },
+                "low",
+                0.0,
+            ),
+            (
+                ExecModel::Bimodal {
+                    low: 0.5,
+                    high: f64::INFINITY,
+                    p_high: 0.5,
+                },
+                "high",
+                f64::INFINITY,
+            ),
+            (
+                ExecModel::Bimodal {
+                    low: 0.5,
+                    high: 2.0,
+                    p_high: 1.5,
+                },
+                "p_high",
+                1.5,
+            ),
+            (
+                ExecModel::Bimodal {
+                    low: 0.5,
+                    high: 2.0,
+                    p_high: f64::NAN,
+                },
+                "p_high",
+                f64::NAN,
+            ),
+        ] {
+            let builder = LoopBuilder::new(workloads::simple())
+                .sim_config(SimConfig::constant_etf(0.5).exec_model(model));
+            let errors = [
+                builder.clone().local().map(|_| ()),
+                builder
+                    .clone()
+                    .distributed(NetConfig::channel())
+                    .map(|_| ()),
+                builder.fleet(2).threads(2).run(3).map(|_| ()),
+            ];
+            for err in errors.map(Result::unwrap_err) {
+                // NaN != NaN, so compare the display.
+                assert_eq!(
+                    err.to_string(),
+                    CoreError::Sim(SimError::InvalidExecModel { what, value }).to_string(),
+                    "{model:?}"
+                );
+            }
+        }
+        // The edges of the documented ranges are accepted.
+        let edge = ExecModel::Bimodal {
+            low: 0.5,
+            high: 2.0,
+            p_high: 1.0,
+        };
+        let builder = LoopBuilder::new(workloads::simple())
+            .sim_config(SimConfig::constant_etf(0.5).exec_model(edge));
+        assert!(builder.local().is_ok());
+    }
+
+    #[test]
+    fn finisher_rejects_a_zero_shard_size() {
+        let builder = LoopBuilder::new(workloads::medium()).controller(ControllerSpec::Sharded {
+            mpc: MpcConfig::medium(),
+            shard_size: 0,
+            boundary: BoundaryMode::InProcess,
+        });
+        let errors = [
+            builder.clone().local().map(|_| ()),
+            builder
+                .clone()
+                .distributed(NetConfig::channel())
+                .map(|_| ()),
+            builder.fleet(2).threads(1).run(3).map(|_| ()),
+        ];
+        for err in errors.map(Result::unwrap_err) {
+            assert!(
+                matches!(err, CoreError::Config(ref m) if m.contains("shard_size")),
+                "got {err:?}"
+            );
         }
     }
 

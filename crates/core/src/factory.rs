@@ -14,6 +14,7 @@ use eucon_math::Vector;
 use eucon_tasks::TaskSet;
 
 use crate::shardnet::{BoundaryMode, NetShardedController};
+use crate::CoreError;
 
 /// Which controller to close the loop with.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,6 +59,22 @@ pub enum ControllerSpec {
 }
 
 impl ControllerSpec {
+    /// Checks the spec's own parameters, so an out-of-domain one fails
+    /// the finisher with a typed error rather than panicking inside a
+    /// constructor: a `Sharded` team needs `shard_size >= 1`.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Config`] naming the parameter.
+    pub(crate) fn validate(&self) -> Result<(), CoreError> {
+        match self {
+            ControllerSpec::Sharded { shard_size: 0, .. } => Err(CoreError::Config(
+                "shard_size must be at least 1 processor per shard, got 0".into(),
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Instantiates the controller for a task set and set points.
     ///
     /// # Errors

@@ -238,10 +238,14 @@ fn shared_controllers(
             continue; // a singleton gains nothing from a main-thread build
         }
         let builder = &builders[rep];
-        // Set points the finisher rejects fail there, with its diagnostics.
+        // Set points and specs the finisher rejects fail there, with its
+        // diagnostics.
         let Ok(set_points) = builder.resolved_set_points() else {
             continue;
         };
+        if builder.controller.validate().is_err() {
+            continue;
+        }
         let controller = builder.controller.build(&builder.set, &set_points)?;
         for i in members {
             match controller.shared_clone() {

@@ -25,6 +25,11 @@ use crate::{MathError, Matrix, Vector};
 pub struct Cholesky {
     /// Lower-triangular factor.
     l: Matrix,
+    /// The band of `Lᵀ`, row by row: row `i` holds `L[(i + k, i)]` at
+    /// `lt[i·(band + 1) + k]` for `k ≤ band` (zero past the last row), so
+    /// the back substitution reads each row contiguously instead of
+    /// walking down a column of `l`.
+    lt: Vec<f64>,
     /// Detected lower bandwidth of the input (and hence of `L`).
     band: usize,
 }
@@ -108,7 +113,14 @@ impl Cholesky {
                 }
             }
         }
-        Ok(Cholesky { l, band })
+        let width = band + 1;
+        let mut lt = vec![0.0; n * width];
+        for (i, row) in lt.chunks_exact_mut(width).enumerate() {
+            for (k, v) in row.iter_mut().enumerate().take(n - i) {
+                *v = l[(i + k, i)];
+            }
+        }
+        Ok(Cholesky { l, lt, band })
     }
 
     /// Factors `a` assuming the given lower bandwidth instead of detecting
@@ -168,26 +180,32 @@ impl Cholesky {
             )));
         }
         // Both sweeps only visit the band of `L`; out-of-band entries are
-        // exactly zero, so the skipped terms contribute nothing.
-        // L·y = b
+        // exactly zero, so the skipped terms contribute nothing.  Each
+        // entry is one accumulator, subtracting its terms in ascending
+        // column order (the kernel module's bit-exactness contract), and
+        // each sweep reads contiguous rows: of `L` forward, of the stored
+        // band of `Lᵀ` back.
         x.clone_from(b);
-        let y = x;
+        let y = x.as_mut_slice();
+        // L·y = b
         for i in 0..n {
+            let lo = i.saturating_sub(self.band);
             let row = self.l.row(i);
             let mut acc = y[i];
-            for j in i.saturating_sub(self.band)..i {
-                acc -= row[j] * y[j];
+            for (&v, &yj) in row[lo..i].iter().zip(&y[lo..i]) {
+                acc -= v * yj;
             }
             y[i] = acc / row[i];
         }
         // Lᵀ·x = y
+        let width = self.band + 1;
         for i in (0..n).rev() {
+            let row = &self.lt[i * width..][..width.min(n - i)];
             let mut acc = y[i];
-            let hi = (i + self.band).min(n - 1);
-            for j in (i + 1)..=hi {
-                acc -= self.l[(j, i)] * y[j];
+            for (&v, &yj) in row[1..].iter().zip(&y[i + 1..]) {
+                acc -= v * yj;
             }
-            y[i] = acc / self.l[(i, i)];
+            y[i] = acc / row[0];
         }
         Ok(())
     }
@@ -196,6 +214,34 @@ impl Cholesky {
     pub fn det(&self) -> f64 {
         let d: f64 = self.l.diag().iter().product();
         d * d
+    }
+}
+
+#[cfg(test)]
+impl Cholesky {
+    /// The sweeps `solve_into` replaced, kept as the bit-exactness
+    /// reference: indexed loops, the back sweep walking down the columns
+    /// of `L`.
+    fn solve_reference(&self, b: &Vector) -> Vector {
+        let n = self.l.rows();
+        let mut y = b.clone();
+        for i in 0..n {
+            let row = self.l.row(i);
+            let mut acc = y[i];
+            for j in i.saturating_sub(self.band)..i {
+                acc -= row[j] * y[j];
+            }
+            y[i] = acc / row[i];
+        }
+        for i in (0..n).rev() {
+            let mut acc = y[i];
+            let hi = (i + self.band).min(n - 1);
+            for j in (i + 1)..=hi {
+                acc -= self.l[(j, i)] * y[j];
+            }
+            y[i] = acc / self.l[(i, i)];
+        }
+        y
     }
 }
 
@@ -369,7 +415,61 @@ mod tests {
             })
         }
 
+        /// Small orders and ones that are not a multiple of the kernels'
+        /// unroll width of four.
+        const ORDERS: [usize; 9] = [1, 2, 3, 5, 6, 7, 9, 11, 14];
+        const MAX_N: usize = 14;
+
+        /// Right-hand-side entries with signed zeros, tiny and huge
+        /// magnitudes among ordinary values.
+        fn rhs_entry() -> impl Strategy<Value = f64> {
+            (0..8u64, -5.0..5.0f64).prop_map(|(kind, v)| match kind {
+                0 => 0.0,
+                1 => -0.0,
+                2 => v * 1e-300,
+                3 => v * 1e12,
+                _ => v,
+            })
+        }
+
         proptest! {
+            #[test]
+            fn solve_into_is_bit_identical_to_the_indexed_sweeps(
+                order in 0..ORDERS.len(),
+                band_kind in 0..3usize,
+                small_band in 1..4usize,
+                data in proptest::collection::vec(-2.0..2.0f64, MAX_N * MAX_N),
+                b in proptest::collection::vec(rhs_entry(), MAX_N),
+            ) {
+                let n = ORDERS[order];
+                let band = match band_kind {
+                    0 => 0,
+                    1 => small_band.min(n - 1),
+                    _ => n - 1,
+                };
+                // A random symmetric matrix of lower bandwidth `band`,
+                // made positive definite by diagonal dominance.
+                let mut a = Matrix::zeros(n, n);
+                for i in 0..n {
+                    for j in i.saturating_sub(band)..i {
+                        a[(i, j)] = data[i * MAX_N + j];
+                        a[(j, i)] = a[(i, j)];
+                    }
+                }
+                for i in 0..n {
+                    a[(i, i)] = (0..n).map(|j| a[(i, j)].abs()).sum::<f64>() + 1.0 + data[i].abs();
+                }
+                let chol = Cholesky::decompose(&a).unwrap();
+                prop_assert!(chol.bandwidth() <= band);
+                let b = Vector::from_slice(&b[..n]);
+                let mut x = Vector::zeros(0);
+                chol.solve_into(&b, &mut x).unwrap();
+                let expect = chol.solve_reference(&b);
+                for i in 0..n {
+                    prop_assert_eq!(x[i].to_bits(), expect[i].to_bits(), "n {} band {} entry {}", n, band, i);
+                }
+            }
+
             #[test]
             fn banded_solve_matches_dense_cholesky(
                 a in spd_banded(8, 2),

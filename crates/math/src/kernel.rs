@@ -24,6 +24,15 @@
 //! The precondition — finite operands; `0·∞` is NaN — is enforced by the
 //! callers: `eucon-qp` rejects non-finite per-solve inputs and the
 //! factorizations reject non-finite matrices.
+//!
+//! The triangular sweeps of [`Cholesky::solve_into`] keep the same
+//! contract: each entry is `b_i` minus its in-band terms, in one
+//! accumulator, in ascending column order, divided by the pivot.  The
+//! back sweep reads row `i` of a stored band of `Lᵀ` where it used to walk
+//! down column `i` of `L` — the same terms from another copy of the same
+//! values, so no bit moves.
+//!
+//! [`Cholesky::solve_into`]: crate::Cholesky::solve_into
 
 /// Unroll width for the kernels below.
 ///

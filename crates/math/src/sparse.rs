@@ -133,6 +133,19 @@ impl SparseRows {
         acc
     }
 
+    /// The dense matrix the view was built from (every left-out entry
+    /// reads `+0.0`), for analyses that want the whole matrix.
+    pub fn to_matrix(&self) -> Matrix {
+        let mut m = Matrix::zeros(self.rows(), self.cols);
+        for i in 0..self.rows() {
+            let span = self.offsets[i]..self.offsets[i + 1];
+            for (&j, &v) in self.col_idx[span.clone()].iter().zip(&self.values[span]) {
+                m[(i, j)] = v;
+            }
+        }
+        m
+    }
+
     /// Writes `self · x` into `out` without allocating.
     ///
     /// # Panics
@@ -149,6 +162,27 @@ impl SparseRows {
         let xs = x.as_slice();
         for (i, o) in out.as_mut_slice().iter_mut().enumerate() {
             *o = self.dot(i, xs);
+        }
+    }
+
+    /// Accumulates `self · x` onto `out` (`out[i] += row_i · x`, a row
+    /// without stored entries adding `+0.0`) without allocating — the
+    /// bits of [`Matrix::mul_vec_acc`] on the dense matrix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != self.cols()` or `out.len() != self.rows()`.
+    pub fn mul_vec_acc(&self, x: &Vector, out: &mut Vector) {
+        assert_eq!(
+            out.len(),
+            self.rows(),
+            "mul_vec_acc: output length {} does not match {} rows",
+            out.len(),
+            self.rows()
+        );
+        let xs = x.as_slice();
+        for (i, o) in out.as_mut_slice().iter_mut().enumerate() {
+            *o += self.dot(i, xs);
         }
     }
 }
@@ -206,16 +240,23 @@ mod tests {
         const MAX_COLS: usize = 13;
 
         /// The leading `r × c` block of `data`; `fill` makes a row all
-        /// zero (0), fully dense (1) or leaves it mixed.
+        /// zero (0), fully dense (1), a copy of the row above (3) or
+        /// leaves it mixed.
         fn matrix(r: usize, c: usize, data: &[f64], fill: &[u64]) -> Matrix {
-            Matrix::from_fn(r, c, |i, j| {
+            let mut m = Matrix::from_fn(r, c, |i, j| {
                 let v = data[i * MAX_COLS + j];
                 match fill[i] {
                     0 => 0.0,
                     1 if v == 0.0 => 1.5,
                     _ => v,
                 }
-            })
+            });
+            for i in (1..r).filter(|&i| fill[i] == 3) {
+                for j in 0..c {
+                    m[(i, j)] = m[(i - 1, j)];
+                }
+            }
+            m
         }
 
         proptest! {
@@ -224,7 +265,7 @@ mod tests {
                 r in 1..MAX_ROWS + 1,
                 c in 1..MAX_COLS + 1,
                 data in proptest::collection::vec(entry(), MAX_ROWS * MAX_COLS),
-                fill in proptest::collection::vec(0..3u64, MAX_ROWS),
+                fill in proptest::collection::vec(0..4u64, MAX_ROWS),
                 x in proptest::collection::vec(entry(), MAX_COLS),
                 h in proptest::collection::vec(-2.0..2.0f64, MAX_ROWS),
                 skip in proptest::collection::vec(0..4u64, MAX_ROWS),
@@ -232,6 +273,13 @@ mod tests {
             ) {
                 let m = matrix(r, c, &data, &fill);
                 let rows = SparseRows::from_matrix(&m);
+                // A copied row copies its bound too: an exact tie, which
+                // the first copy must win (the controller's utilization
+                // rows rely on it, see `eucon-control`'s prediction.rs).
+                let mut h = h;
+                for i in (1..r).filter(|&i| fill[i] == 3) {
+                    h[i] = h[i - 1];
+                }
                 // The scan `most_violated` replaced, over the dense rows:
                 // strict `>`, so the first of equal violations wins.
                 let skip: Vec<bool> = skip[..r].iter().map(|&s| s == 0).collect();
@@ -248,7 +296,7 @@ mod tests {
             }
 
             #[test]
-            fn mul_vec_into_is_bit_identical_to_the_dense_product(
+            fn mul_vec_into_and_acc_are_bit_identical_to_the_dense_product(
                 r in 1..MAX_ROWS + 1,
                 c in 1..MAX_COLS + 1,
                 data in proptest::collection::vec(entry(), MAX_ROWS * MAX_COLS),
@@ -256,13 +304,28 @@ mod tests {
                 x in proptest::collection::vec(entry(), MAX_COLS),
             ) {
                 let m = matrix(r, c, &data, &fill);
+                let rows = SparseRows::from_matrix(&m);
                 let x = Vector::from_slice(&x[..c]);
                 let mut dense = Vector::zeros(r);
                 let mut sparse = Vector::zeros(r);
                 m.mul_vec_into(&x, &mut dense);
-                SparseRows::from_matrix(&m).mul_vec_into(&x, &mut sparse);
+                rows.mul_vec_into(&x, &mut sparse);
                 for i in 0..r {
                     prop_assert_eq!(sparse[i].to_bits(), dense[i].to_bits(), "row {}", i);
+                }
+                // Accumulating onto signed zeros and values: an empty row
+                // still adds its `+0.0`, as the dense row does.
+                let start = Vector::from_iter(x.iter().cycle().take(r).copied());
+                let (mut dense, mut sparse) = (start.clone(), start);
+                m.mul_vec_acc(&x, &mut dense);
+                rows.mul_vec_acc(&x, &mut sparse);
+                for i in 0..r {
+                    prop_assert_eq!(sparse[i].to_bits(), dense[i].to_bits(), "row {}", i);
+                }
+                // The dense copy holds every stored entry where it was.
+                let back = rows.to_matrix();
+                for (p, q) in back.as_slice().iter().zip(m.as_slice()) {
+                    prop_assert_eq!(*p, *q);
                 }
             }
         }

@@ -228,23 +228,46 @@ impl SimConfig {
     }
 
     /// Checks the configuration against the deployed processor count:
+    /// the [`ExecModel`]'s parameters lie in their documented ranges, and
     /// [`SimConfig::processor_speeds`], when set, holds one positive,
     /// finite factor per processor.
     ///
-    /// The field is public, so a list that never passed through the
-    /// setter's assert can reach a loop; the loop builders in
-    /// `eucon-core` call this (beside [`FaultPlan::validate`]) so such a
-    /// list fails the build with a typed error instead of panicking
-    /// mid-run.
+    /// The fields are public, so a model or list that never passed
+    /// through a constructor's assert can reach a loop; the loop builders
+    /// in `eucon-core` call this (beside [`FaultPlan::validate`]) so it
+    /// fails the build with a typed error instead of panicking mid-run
+    /// or silently drawing non-finite execution times.
     ///
     /// # Errors
     ///
-    /// [`SimError::WrongArity`] for a list of the wrong length, else
-    /// [`SimError::InvalidFactor`] for the first factor that is not
+    /// [`SimError::InvalidExecModel`] for a `Uniform` half-width that is
+    /// not in `(0, 1)`, a `Bimodal` `low` or `high` that is not positive
+    /// and finite, or a `p_high` outside `[0, 1]`; then
+    /// [`SimError::WrongArity`] for a speed list of the wrong length, else
+    /// [`SimError::InvalidFactor`] for the first speed that is not
     /// positive and finite.
     ///
     /// [`FaultPlan::validate`]: crate::FaultPlan::validate
     pub fn validate(&self, num_processors: usize) -> Result<(), SimError> {
+        let bad = |what, value| Err(SimError::InvalidExecModel { what, value });
+        match self.exec_model {
+            ExecModel::Constant => {}
+            ExecModel::Uniform { half_width } => {
+                if !(half_width > 0.0 && half_width < 1.0) {
+                    return bad("half_width", half_width);
+                }
+            }
+            ExecModel::Bimodal { low, high, p_high } => {
+                for (what, mode) in [("low", low), ("high", high)] {
+                    if !(mode > 0.0 && mode.is_finite()) {
+                        return bad(what, mode);
+                    }
+                }
+                if !(0.0..=1.0).contains(&p_high) {
+                    return bad("p_high", p_high);
+                }
+            }
+        }
         let Some(speeds) = &self.processor_speeds else {
             return Ok(());
         };

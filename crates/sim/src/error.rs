@@ -71,6 +71,16 @@ pub enum SimError {
         /// The offending value.
         value: f64,
     },
+    /// A parameter of the [`ExecModel`](crate::ExecModel) is outside its
+    /// documented range: a `Uniform` half-width outside `(0, 1)`, a
+    /// `Bimodal` mode that is not positive and finite, or a `p_high`
+    /// outside `[0, 1]`.
+    InvalidExecModel {
+        /// Which parameter ("half_width", "low", "high", "p_high").
+        what: &'static str,
+        /// The offending value.
+        value: f64,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -122,6 +132,9 @@ impl fmt::Display for SimError {
             SimError::InvalidProbability { what, value } => {
                 write!(f, "{what} probability out of range: {value}")
             }
+            SimError::InvalidExecModel { what, value } => {
+                write!(f, "execution-time model {what} out of range: {value}")
+            }
         }
     }
 }
@@ -163,5 +176,11 @@ mod tests {
         };
         assert!(e.to_string().contains("crash"));
         assert!(Error::source(&e).is_none());
+        let e = SimError::InvalidExecModel {
+            what: "half_width",
+            value: 1.5,
+        };
+        assert!(e.to_string().contains("half_width"));
+        assert!(e.to_string().contains("1.5"));
     }
 }
