@@ -2,6 +2,8 @@
 
 use eucon_math::Vector;
 
+use crate::ControlError;
+
 /// What the prediction model assumes about control moves beyond the
 /// control horizon `M`.
 ///
@@ -95,13 +97,9 @@ impl MpcConfig {
         }
     }
 
-    /// Sets the horizons.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 ≤ control ≤ prediction`.
+    /// Sets the horizons (`1 ≤ control ≤ prediction`, checked by
+    /// [`validate`](MpcConfig::validate)).
     pub fn horizons(mut self, prediction: usize, control: usize) -> Self {
-        assert!(control >= 1 && control <= prediction, "need 1 <= M <= P");
         self.prediction_horizon = prediction;
         self.control_horizon = control;
         self
@@ -113,13 +111,9 @@ impl MpcConfig {
         self
     }
 
-    /// Sets the control-penalty weight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the weight is negative.
+    /// Sets the control-penalty weight (non-negative, checked by
+    /// [`validate`](MpcConfig::validate)).
     pub fn control_penalty_weight(mut self, weight: f64) -> Self {
-        assert!(weight >= 0.0, "penalty weight must be non-negative");
         self.control_penalty_weight = weight;
         self
     }
@@ -148,25 +142,42 @@ impl MpcConfig {
         (-1.0 / self.tref_over_ts).exp()
     }
 
-    /// Validates internal consistency.
+    /// Checks every field for a controller of `num_processors`
+    /// processors: `1 ≤ M ≤ P`, a positive finite `Tref/Ts`, a finite
+    /// non-negative penalty weight, and tracking weights (when given) one
+    /// per processor, each finite and non-negative.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if horizons or the time constant are invalid.
-    pub fn assert_valid(&self) {
-        assert!(self.prediction_horizon >= 1, "P must be at least 1");
-        assert!(
-            self.control_horizon >= 1 && self.control_horizon <= self.prediction_horizon,
-            "need 1 <= M <= P"
-        );
-        assert!(
-            self.tref_over_ts > 0.0 && self.tref_over_ts.is_finite(),
-            "Tref/Ts must be positive"
-        );
-        assert!(
-            self.control_penalty_weight >= 0.0,
-            "penalty weight must be non-negative"
-        );
+    /// [`ControlError::Config`] naming the first field out of its domain.
+    pub fn validate(&self, num_processors: usize) -> Result<(), ControlError> {
+        let (p, m) = (self.prediction_horizon, self.control_horizon);
+        let (tref, w) = (self.tref_over_ts, self.control_penalty_weight);
+        let q = self.tracking_weights.as_ref();
+        let non_negative = |v: f64| v >= 0.0 && v.is_finite();
+        let bad_weight = q.and_then(|q| q.iter().position(|&v| !non_negative(v)));
+        let msg = if p == 0 {
+            "prediction_horizon must be at least 1, got 0".to_string()
+        } else if m == 0 || m > p {
+            format!("control_horizon must be in 1..=prediction_horizon ({p}), got {m}")
+        } else if !(tref > 0.0 && tref.is_finite()) {
+            format!("tref_over_ts must be positive and finite, got {tref}")
+        } else if !non_negative(w) {
+            format!("control_penalty_weight must be non-negative and finite, got {w}")
+        } else if let Some(q) = q.filter(|q| q.len() != num_processors) {
+            format!(
+                "tracking_weights needs one per processor, got {} for {num_processors}",
+                q.len()
+            )
+        } else if let (Some(q), Some(i)) = (q, bad_weight) {
+            format!(
+                "tracking_weights[{i}] must be non-negative and finite, got {}",
+                q[i]
+            )
+        } else {
+            return Ok(());
+        };
+        Err(ControlError::Config(msg))
     }
 }
 
@@ -196,9 +207,80 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "1 <= M <= P")]
     fn horizons_validated() {
-        let _ = MpcConfig::simple().horizons(2, 3);
+        let err = MpcConfig::simple().horizons(2, 3).validate(2).unwrap_err();
+        assert!(err.to_string().contains("control_horizon"), "{err}");
+    }
+
+    #[test]
+    fn validate_names_the_field_out_of_its_domain() {
+        let cases: [(&str, MpcConfig); 9] = [
+            (
+                "prediction_horizon",
+                MpcConfig {
+                    prediction_horizon: 0,
+                    ..MpcConfig::simple()
+                },
+            ),
+            (
+                "control_horizon",
+                MpcConfig {
+                    control_horizon: 0,
+                    ..MpcConfig::simple()
+                },
+            ),
+            (
+                "control_horizon",
+                MpcConfig {
+                    control_horizon: 3,
+                    ..MpcConfig::simple()
+                },
+            ),
+            (
+                "tref_over_ts",
+                MpcConfig {
+                    tref_over_ts: f64::NAN,
+                    ..MpcConfig::simple()
+                },
+            ),
+            (
+                "tref_over_ts",
+                MpcConfig {
+                    tref_over_ts: 0.0,
+                    ..MpcConfig::simple()
+                },
+            ),
+            (
+                "control_penalty_weight",
+                MpcConfig {
+                    control_penalty_weight: -1.0,
+                    ..MpcConfig::simple()
+                },
+            ),
+            (
+                "control_penalty_weight",
+                MpcConfig {
+                    control_penalty_weight: f64::INFINITY,
+                    ..MpcConfig::simple()
+                },
+            ),
+            (
+                "tracking_weights needs",
+                MpcConfig::simple().tracking_weights(Vector::from_slice(&[1.0])),
+            ),
+            (
+                "tracking_weights[1]",
+                MpcConfig::simple().tracking_weights(Vector::from_slice(&[1.0, -1.0])),
+            ),
+        ];
+        for (field, cfg) in cases {
+            match cfg.validate(2) {
+                Err(ControlError::Config(msg)) => assert!(msg.starts_with(field), "{msg}"),
+                other => panic!("{cfg:?}: {other:?}"),
+            }
+        }
+        let zero_weight = MpcConfig::simple().tracking_weights(Vector::from_slice(&[0.0, 1.0]));
+        assert_eq!(zero_weight.validate(2), Ok(()));
     }
 
     #[test]
@@ -209,7 +291,7 @@ mod tests {
             .control_penalty(ControlPenalty::Move)
             .utilization_constraints(false)
             .tracking_weights(Vector::from_slice(&[2.0, 1.0]));
-        cfg.assert_valid();
+        cfg.validate(2).unwrap();
         assert_eq!(cfg.prediction_horizon, 6);
         assert_eq!(cfg.control_penalty, ControlPenalty::Move);
         assert!(!cfg.utilization_constraints);

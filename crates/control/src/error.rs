@@ -12,6 +12,10 @@ use eucon_qp::QpError;
 pub enum ControlError {
     /// Inputs had inconsistent dimensions.
     DimensionMismatch(String),
+    /// A configuration value is outside its domain; the message names
+    /// the field ([`MpcConfig::validate`](crate::MpcConfig::validate),
+    /// [`SupervisorConfig::validate`](crate::SupervisorConfig::validate)).
+    Config(String),
     /// A utilization sample was rejected before reaching the optimizer
     /// (non-finite — a corrupted or dead monitor).  Feeding such a sample
     /// into the QP would poison the warm-started active set for every
@@ -32,6 +36,7 @@ impl fmt::Display for ControlError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ControlError::DimensionMismatch(msg) => write!(f, "dimension mismatch: {msg}"),
+            ControlError::Config(msg) => write!(f, "invalid configuration: {msg}"),
             ControlError::InvalidSample(msg) => write!(f, "invalid utilization sample: {msg}"),
             ControlError::Optimization(e) => write!(f, "optimization failed: {e}"),
             ControlError::Math(e) => write!(f, "linear algebra failure: {e}"),
@@ -77,6 +82,9 @@ mod tests {
         assert!(Error::source(&e).is_none());
         let e = ControlError::InvalidSample("u[0] = NaN".into());
         assert!(e.to_string().contains("invalid utilization sample"));
+        assert!(Error::source(&e).is_none());
+        let e = ControlError::Config("slew must be in (0, 1], got 0".into());
+        assert!(e.to_string().contains("invalid configuration: slew"));
         assert!(Error::source(&e).is_none());
         let e = ControlError::Unsupported("membership changes".into());
         assert!(e.to_string().contains("unsupported operation"));

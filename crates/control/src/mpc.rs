@@ -67,7 +67,8 @@ pub struct MpcStepInfo {
 /// the controller retries without them — the tracking objective still
 /// drives utilization toward the set points, which mirrors `lsqlin`
 /// practice and keeps the loop alive; the event is reported in
-/// [`MpcController::last_step_info`].
+/// [`MpcController::last_step_info`].  The retry solves over the leading
+/// rate rows of the one prepared problem.
 ///
 /// # Example
 ///
@@ -98,24 +99,22 @@ pub struct MpcController {
     rates: Vector,
     prev_move: Vector,
     last_info: MpcStepInfo,
-    /// Amortized solver with the utilization rows (`None` when the config
-    /// disables utilization constraints).
-    solver_util: Option<PreparedLsq>,
-    /// Amortized solver with rate rows only — the primary problem when
-    /// utilization constraints are off, the infeasibility fallback
-    /// otherwise.
-    solver_rate: PreparedLsq,
+    /// The one prepared problem: `C`, and the `2·m·M` rate rows followed,
+    /// when the config enables them, by the utilization rows.  The
+    /// rate-only problem is a solve over the rate-row prefix.
+    solver: PreparedLsq,
     /// Per-period right-hand-side buffers, rewritten in place: the
-    /// constraint matrices are fixed, only these change with `u` and `r`.
-    h_util: Vector,
+    /// constraint matrix is fixed, only these change with `u` and `r`.
+    /// `h` has one entry per row, `h_rate` one per rate row.
+    h: Vector,
     h_rate: Vector,
     d_buf: Vector,
     /// Tracking-error scratch `u − B`, rewritten in place every period so
     /// the hot path never allocates.
     err_buf: Vector,
-    /// Active sets of the previous period, used to warm-start the dual
-    /// active-set solver.  In steady state the set is unchanged and the
-    /// solve takes zero iterations.
+    /// Active sets of the previous period (over every row, over the rate
+    /// rows), used to warm-start the dual active-set solver.  In steady
+    /// state the set is unchanged and the solve takes zero iterations.
     warm_util: Vec<usize>,
     warm_rate: Vec<usize>,
     /// The period's QP solution, written in place by the solver (its
@@ -130,7 +129,8 @@ impl MpcController {
     /// # Errors
     ///
     /// Returns [`ControlError::DimensionMismatch`] when `set_points` does
-    /// not have one entry per processor.
+    /// not have one entry per processor, and [`ControlError::Config`] when
+    /// `cfg` fails [`MpcConfig::validate`].
     pub fn new(set: &TaskSet, set_points: Vector, cfg: MpcConfig) -> Result<Self, ControlError> {
         let (rmin, rmax) = set.rate_bounds();
         Self::from_model(
@@ -148,7 +148,9 @@ impl MpcController {
     ///
     /// # Errors
     ///
-    /// Returns [`ControlError::DimensionMismatch`] on inconsistent sizes.
+    /// Returns [`ControlError::DimensionMismatch`] on inconsistent sizes,
+    /// and [`ControlError::Config`] when `cfg` fails
+    /// [`MpcConfig::validate`].
     pub fn from_model(
         f: Matrix,
         set_points: Vector,
@@ -170,27 +172,17 @@ impl MpcController {
                 "rate vectors must have {m} entries"
             )));
         }
-        cfg.assert_valid();
-        let pred = Predictor::new(&f, &cfg);
+        let (pred, c) = Predictor::new(&f, &cfg)?;
 
         // Everything that depends only on the model is computed here, once:
-        // the constraint matrices, the Hessian CᵀC + εI, its Cholesky
-        // factor and the per-constraint back-solves.  `step` only rewrites
-        // right-hand sides.
-        let g_rate = constraint_matrix(&f, &cfg, false);
-        let h_rate = Vector::zeros(g_rate.rows());
-        let solver_rate = PreparedLsq::new(pred.c.clone(), g_rate, REGULARIZATION)
-            .map_err(ControlError::Optimization)?;
-        let (solver_util, h_util) = if cfg.utilization_constraints {
-            let g_util = constraint_matrix(&f, &cfg, true);
-            let h_util = Vector::zeros(g_util.rows());
-            let solver = PreparedLsq::new(pred.c.clone(), g_util, REGULARIZATION)
-                .map_err(ControlError::Optimization)?;
-            (Some(solver), h_util)
-        } else {
-            (None, Vector::zeros(0))
-        };
-        let d_buf = Vector::zeros(pred.c.rows());
+        // the constraint matrix, the Hessian CᵀC + εI and its Cholesky
+        // factor; `C` and `G` move into the preparation, which keeps their
+        // nonzeros only.  `step` only rewrites right-hand sides.
+        let g = constraint_matrix(&f, &cfg);
+        let h = Vector::zeros(g.rows());
+        let h_rate = Vector::zeros(2 * m * cfg.control_horizon);
+        let d_buf = Vector::zeros(c.rows());
+        let solver = PreparedLsq::new(c, g, REGULARIZATION).map_err(ControlError::Optimization)?;
         let err_buf = Vector::zeros(n);
 
         Ok(MpcController {
@@ -203,9 +195,8 @@ impl MpcController {
             rates: initial_rates,
             prev_move: Vector::zeros(m),
             last_info: MpcStepInfo::default(),
-            solver_util,
-            solver_rate,
-            h_util,
+            solver,
+            h,
             h_rate,
             d_buf,
             err_buf,
@@ -250,7 +241,7 @@ impl MpcController {
     /// them on a shared processor.  Anything below `num_vars − 1` means
     /// the banded `O(n·b²)` factor/solve paths are active.
     pub fn hessian_bandwidth(&self) -> usize {
-        self.solver_rate.hessian_bandwidth()
+        self.solver.hessian_bandwidth()
     }
 
     /// Computes the control input `Δr(k)` for the measured utilization
@@ -298,53 +289,41 @@ impl MpcController {
         self.pred
             .rhs_into(&self.err_buf, &self.prev_move, &mut self.d_buf);
 
-        let mut relaxed = false;
-        let primary = match &self.solver_util {
-            Some(solver) => {
-                constraint_rhs_into(
-                    &self.f,
-                    &self.cfg,
-                    &self.rates,
-                    &self.rmin,
-                    &self.rmax,
-                    u,
-                    &self.b,
-                    true,
-                    &mut self.h_util,
-                );
-                Some(solve_amortized(
-                    solver,
-                    &self.d_buf,
-                    &self.h_util,
-                    &mut self.warm_util,
-                    &mut self.sol,
-                ))
-            }
-            None => None,
-        };
-        let stats = match primary {
-            Some(Ok(stats)) => stats,
+        // One rhs over every row; the rate-only problem — the primary one
+        // without utilization rows, the fallback of an infeasible
+        // constrained one — reads its leading rate rows.
+        let constrained = self.cfg.utilization_constraints;
+        constraint_rhs_into(
+            &self.f,
+            &self.cfg,
+            &self.rates,
+            &self.rmin,
+            &self.rmax,
+            u,
+            &self.b,
+            &mut self.h,
+        );
+        let primary = constrained.then(|| {
+            let (h, warm) = (&self.h, &mut self.warm_util);
+            solve_amortized(&self.solver, &self.d_buf, h, false, warm, &mut self.sol)
+        });
+        let (stats, relaxed) = match primary {
+            Some(Ok(stats)) => (stats, false),
             Some(Err(QpError::Infeasible)) | None => {
-                relaxed = self.solver_util.is_some();
-                constraint_rhs_into(
-                    &self.f,
-                    &self.cfg,
-                    &self.rates,
-                    &self.rmin,
-                    &self.rmax,
-                    u,
-                    &self.b,
-                    false,
-                    &mut self.h_rate,
-                );
-                solve_amortized(
-                    &self.solver_rate,
-                    &self.d_buf,
-                    &self.h_rate,
-                    &mut self.warm_rate,
-                    &mut self.sol,
-                )
-                .map_err(ControlError::Optimization)?
+                // Without utilization rows, `h` is the rate rows' rhs.
+                let h = if constrained {
+                    let rows = self.h_rate.len();
+                    let rate_rows = &self.h.as_slice()[..rows];
+                    self.h_rate.as_mut_slice().copy_from_slice(rate_rows);
+                    &self.h_rate
+                } else {
+                    &self.h
+                };
+                let warm = &mut self.warm_rate;
+                let stats =
+                    solve_amortized(&self.solver, &self.d_buf, h, true, warm, &mut self.sol)
+                        .map_err(ControlError::Optimization)?;
+                (stats, constrained)
             }
             Some(Err(e)) => return Err(ControlError::Optimization(e)),
         };
@@ -379,12 +358,7 @@ impl MpcController {
     /// independently constructed controllers never alias, even over
     /// identical inputs.
     pub fn shares_model(&self, other: &MpcController) -> bool {
-        let util_shared = match (&self.solver_util, &other.solver_util) {
-            (Some(a), Some(b)) => a.shares_model(b),
-            (None, None) => true,
-            _ => false,
-        };
-        self.solver_rate.shares_model(&other.solver_rate) && util_shared
+        self.solver.shares_model(&other.solver)
     }
 }
 
@@ -459,19 +433,19 @@ impl MpcController {
             self.cfg.clone(),
         )?;
 
-        // Masks over the old constraint layout (see `constraint_matrix`):
+        // A mask over the old constraint rows (see `constraint_matrix`):
         // per control step m upper then m lower rate rows — the task mask,
         // 2·M times over — then n utilization rows per kept prediction
-        // step (`utilization_steps`), which all survive.
-        let keep_rate = keep.repeat(2 * self.cfg.control_horizon);
-        let keep_util: Vec<bool> = keep_rate
-            .iter()
-            .copied()
+        // step (`utilization_steps`), which all survive.  Both warm sets
+        // index these rows (the rate-only one, the leading rate rows).
+        let keep_rows: Vec<bool> = keep
+            .repeat(2 * self.cfg.control_horizon)
+            .into_iter()
             .chain(std::iter::repeat_n(true, n * utilization_steps(&self.cfg)))
             .collect();
         next.prev_move = sub(&self.prev_move);
-        next.warm_util = migrate_warm(&self.warm_util, &keep_util);
-        next.warm_rate = migrate_warm(&self.warm_rate, &keep_rate);
+        next.warm_util = migrate_warm(&self.warm_util, &keep_rows);
+        next.warm_rate = migrate_warm(&self.warm_rate, &keep_rows);
         next.last_info = self.last_info;
         Ok(next)
     }
@@ -536,25 +510,17 @@ impl MpcController {
         // Old constraint row → grown constraint row (every old row
         // survives; indices shift because each step block widens).
         let mh = self.cfg.control_horizon;
-        let map_rate = |row: usize| -> usize {
-            let i = row / (2 * m);
-            let r = row % (2 * m);
-            if r < m {
-                2 * m2 * i + r
-            } else {
-                2 * m2 * i + m2 + (r - m)
-            }
-        };
-        let map_util = |row: usize| -> usize {
-            if row < 2 * m * mh {
-                map_rate(row)
-            } else {
-                2 * m2 * mh + (row - 2 * m * mh)
+        let map = |&row: &usize| -> usize {
+            let (i, r) = (row / (2 * m), row % (2 * m));
+            match row {
+                _ if row >= 2 * m * mh => 2 * m2 * mh + (row - 2 * m * mh),
+                _ if r < m => 2 * m2 * i + r,
+                _ => 2 * m2 * i + m2 + (r - m),
             }
         };
         next.prev_move = push(&self.prev_move, 0.0);
-        next.warm_rate = self.warm_rate.iter().map(|&r| map_rate(r)).collect();
-        next.warm_util = self.warm_util.iter().map(|&r| map_util(r)).collect();
+        next.warm_rate = self.warm_rate.iter().map(map).collect();
+        next.warm_util = self.warm_util.iter().map(map).collect();
         next.last_info = self.last_info;
         Ok(next)
     }
@@ -588,21 +554,27 @@ struct SolveStats {
     active_churn: usize,
 }
 
-/// One amortized solve into `sol`: warm-start from the previous active
-/// set, retry cold if the (extremely rare) warm path hits the iteration
-/// limit, and record the new active set for the next period.
+/// One amortized solve into `sol` — over every row, or with `prefix`
+/// over the first `h.len()` — warm-started from the previous active set,
+/// retried cold if the (extremely rare) warm path hits the iteration
+/// limit, recording the new active set for the next period.
 fn solve_amortized(
     solver: &PreparedLsq,
     d: &Vector,
     h: &Vector,
+    prefix: bool,
     warm: &mut Vec<usize>,
     sol: &mut LsqSolution,
 ) -> Result<SolveStats, QpError> {
+    let solve = |warm: &[usize], sol: &mut LsqSolution| match prefix {
+        true => solver.solve_prefix_into(d, h, warm, sol),
+        false => solver.solve_into(d, h, warm, sol),
+    };
     let mut stats = SolveStats {
         warm_start: !warm.is_empty(),
         ..SolveStats::default()
     };
-    let attempt = solver.solve_into(d, h, warm, sol);
+    let attempt = solve(warm, sol);
     let result = match attempt {
         // The warm start is only a heuristic: a stale active set can make
         // the dual iteration wander (iteration limit) or misreport
@@ -611,7 +583,7 @@ fn solve_amortized(
         // decisions must not depend on the previous period's guess.
         Err(_) if !warm.is_empty() => {
             stats.cold_retry = true;
-            solver.solve_into(d, h, &[], sol)
+            solve(&[], sol)
         }
         other => other,
     };

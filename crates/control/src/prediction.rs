@@ -15,14 +15,13 @@
 
 use eucon_math::{Matrix, SparseRows, Vector};
 
-use crate::{ControlPenalty, MoveHold, MpcConfig};
+use crate::{ControlError, ControlPenalty, MoveHold, MpcConfig};
 
-/// Precomputed cost matrices of the MPC least-squares problem.
+/// The right-hand-side maps of the MPC least-squares problem; the
+/// objective matrix `C` is built beside them and handed to the caller,
+/// which moves it into the solver's preparation.
 #[derive(Debug, Clone)]
 pub(crate) struct Predictor {
-    /// Stacked objective matrix: `n·P` tracking rows then `m·M` penalty
-    /// rows.
-    pub c: Matrix,
     /// Linear map from the tracking error `u(k) − B` to the rhs `d`:
     /// the reference-decay diagonal of each tracking block.
     pub a_u: SparseRows,
@@ -37,14 +36,16 @@ pub(crate) struct Predictor {
 }
 
 impl Predictor {
-    /// Builds the matrices for allocation matrix `f` under `cfg`.
+    /// Builds the maps and the stacked objective matrix `C` (`n·P`
+    /// tracking rows then `m·M` penalty rows) for allocation matrix `f`
+    /// under `cfg`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `cfg` is invalid or the tracking-weight vector does not
-    /// have one entry per processor.
-    pub fn new(f: &Matrix, cfg: &MpcConfig) -> Self {
-        cfg.assert_valid();
+    /// [`ControlError::Config`] when `cfg` fails
+    /// [`MpcConfig::validate`] for `f`'s processor count.
+    pub fn new(f: &Matrix, cfg: &MpcConfig) -> Result<(Self, Matrix), ControlError> {
+        cfg.validate(f.rows())?;
         let n = f.rows();
         let m = f.cols();
         let p = cfg.prediction_horizon;
@@ -52,10 +53,7 @@ impl Predictor {
         let lambda = cfg.reference_decay();
 
         let sqrt_q: Vec<f64> = match &cfg.tracking_weights {
-            Some(w) => {
-                assert_eq!(w.len(), n, "one tracking weight per processor required");
-                w.iter().map(|&x| x.sqrt()).collect()
-            }
+            Some(w) => w.iter().map(|&x| x.sqrt()).collect(),
             None => vec![1.0; n],
         };
         let sqrt_r = cfg.control_penalty_weight.sqrt();
@@ -114,27 +112,17 @@ impl Predictor {
             }
         }
 
-        Predictor {
-            c,
+        let pred = Predictor {
             a_u: SparseRows::from_matrix(&a_u),
             a_d: SparseRows::from_matrix(&a_d),
             n,
             m,
-        }
+        };
+        Ok((pred, c))
     }
 
     /// Evaluates the rhs `d` for the current tracking error and previous
-    /// move.  Allocating convenience form of [`Predictor::rhs_into`], kept
-    /// for tests and the stability analysis.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn rhs(&self, error: &Vector, prev_move: &Vector) -> Vector {
-        let mut d = Vector::zeros(self.c.rows());
-        self.rhs_into(error, prev_move, &mut d);
-        d
-    }
-
-    /// Evaluates the rhs `d` into a caller-owned buffer, the allocation-free
-    /// variant of [`Predictor::rhs`] used on the per-period hot path.
+    /// move into a caller-owned buffer, allocation-free.
     ///
     /// # Panics
     ///
@@ -173,7 +161,8 @@ pub(crate) fn move_multiplicity(i: usize, j: usize, mh: usize, hold: MoveHold) -
     }
 }
 
-/// Number of prediction steps that get their own utilization rows.
+/// Number of prediction steps that get their own utilization rows: none
+/// when `cfg` turns the utilization constraints off.
 ///
 /// Under [`MoveHold::Rate`] every move has been applied by step `M`, so
 /// the rows of steps `M..=P` are one row `u(k) + F·Σ_j Δr_j ≤ B` repeated,
@@ -186,58 +175,29 @@ pub(crate) fn move_multiplicity(i: usize, j: usize, mh: usize, hold: MoveHold) -
 /// step `1..=P` is distinct.
 pub(crate) fn utilization_steps(cfg: &MpcConfig) -> usize {
     match cfg.move_hold {
+        _ if !cfg.utilization_constraints => 0,
         MoveHold::Rate => cfg.control_horizon.min(cfg.prediction_horizon),
         MoveHold::Delta => cfg.prediction_horizon,
     }
 }
 
-/// Builds the inequality constraints of the MPC problem.
-///
-/// Returns `(G, h)` such that `G·X ≤ h` encodes, for each control-horizon
-/// step `i`:
+/// Builds the constraint matrix `G` of the MPC problem: `G·X ≤ h`
+/// encodes, for each control-horizon step `i`,
 ///
 /// * rate bounds `Rmin ≤ r(k−1) + Σ_{j≤i} Δr_j ≤ Rmax` (paper eq. 2), and,
-///   when `utilization` is true, for each prediction step that
-///   [`utilization_steps`] keeps,
+///   for each prediction step that [`utilization_steps`] keeps,
 /// * utilization bounds `u(k) + F·S_i ≤ B` (paper eq. 1).
 ///
 /// Row layout: per control step `i`, `m` upper then `m` lower rate rows
-/// (`2·m·M` in all), then `n` utilization rows per kept prediction step.
-///
-/// The matrix `G` depends only on the model and horizons while `h` changes
-/// every period; the hot path therefore calls [`constraint_matrix`] once
-/// and [`constraint_rhs_into`] per period instead of this combined helper.
-#[allow(clippy::too_many_arguments)] // private helper mirroring the paper's symbol list
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn constraints(
-    f: &Matrix,
-    cfg: &MpcConfig,
-    rates: &Vector,
-    rmin: &Vector,
-    rmax: &Vector,
-    u: &Vector,
-    b: &Vector,
-    utilization: bool,
-) -> (Matrix, Vector) {
-    let g = constraint_matrix(f, cfg, utilization);
-    let mut h = Vector::zeros(g.rows());
-    constraint_rhs_into(f, cfg, rates, rmin, rmax, u, b, utilization, &mut h);
-    (g, h)
-}
-
-/// Builds the constraint matrix `G` alone.
+/// (`2·m·M` in all), then `n` utilization rows per kept prediction step —
+/// the rate rows alone are a prefix of the rows.
 ///
 /// `G` is a pure function of the allocation matrix and the horizons — the
 /// measured utilization and current rates only enter the right-hand side —
-/// so a controller builds it once at construction and reuses it for every
-/// period (see [`constraint_rhs_into`]).
-pub(crate) fn constraint_matrix(f: &Matrix, cfg: &MpcConfig, utilization: bool) -> Matrix {
-    let steps = if utilization {
-        utilization_steps(cfg)
-    } else {
-        0
-    };
-    constraint_rows(f, cfg, steps)
+/// so a controller builds it once at construction and rewrites only `h`
+/// every period (see [`constraint_rhs_into`]).
+pub(crate) fn constraint_matrix(f: &Matrix, cfg: &MpcConfig) -> Matrix {
+    constraint_rows(f, cfg, utilization_steps(cfg))
 }
 
 /// [`constraint_matrix`] with utilization rows for prediction steps
@@ -299,17 +259,12 @@ pub(crate) fn constraint_rhs_into(
     rmax: &Vector,
     u: &Vector,
     b: &Vector,
-    utilization: bool,
     h: &mut Vector,
 ) {
     let n = f.rows();
     let m = f.cols();
     let mh = cfg.control_horizon;
-    let steps = if utilization {
-        utilization_steps(cfg)
-    } else {
-        0
-    };
+    let steps = utilization_steps(cfg);
     let util_rows = n * steps;
     assert_eq!(
         h.len(),
@@ -324,12 +279,10 @@ pub(crate) fn constraint_rhs_into(
         }
     }
 
-    if utilization {
-        let base = 2 * m * mh;
-        for i in 0..steps {
-            for r in 0..n {
-                h[base + n * i + r] = b[r] - u[r];
-            }
+    let base = 2 * m * mh;
+    for i in 0..steps {
+        for r in 0..n {
+            h[base + n * i + r] = b[r] - u[r];
         }
     }
 }
@@ -337,6 +290,26 @@ pub(crate) fn constraint_rhs_into(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `(G, h)` of the MPC problem: [`constraint_matrix`] and
+    /// [`constraint_rhs_into`] together.
+    #[allow(clippy::too_many_arguments)] // mirrors the paper's symbol list
+    fn constraints(
+        f: &Matrix,
+        cfg: &MpcConfig,
+        rates: &Vector,
+        rmin: &Vector,
+        rmax: &Vector,
+        u: &Vector,
+        b: &Vector,
+        utilization: bool,
+    ) -> (Matrix, Vector) {
+        let cfg = &cfg.clone().utilization_constraints(utilization);
+        let g = constraint_matrix(f, cfg);
+        let mut h = Vector::zeros(g.rows());
+        constraint_rhs_into(f, cfg, rates, rmin, rmax, u, b, &mut h);
+        (g, h)
+    }
 
     fn simple_f() -> Matrix {
         // The paper's §5 example: F = [[c11, c21, 0], [0, c22, c31]].
@@ -347,9 +320,9 @@ mod tests {
     fn dimensions_match_horizons() {
         let f = simple_f();
         let cfg = MpcConfig::simple(); // P=2, M=1
-        let pred = Predictor::new(&f, &cfg);
-        assert_eq!(pred.c.rows(), 2 * 2 + 3); // n·P tracking + m·M penalty rows
-        assert_eq!(pred.c.cols(), 3);
+        let (pred, c) = Predictor::new(&f, &cfg).unwrap();
+        assert_eq!(c.rows(), 2 * 2 + 3); // n·P tracking + m·M penalty rows
+        assert_eq!(c.cols(), 3);
         assert_eq!(pred.a_u.cols(), 2);
         assert_eq!(pred.a_d.cols(), 3);
         // Only the diagonals are stored: n·P decay entries, m penalty
@@ -362,14 +335,14 @@ mod tests {
     fn tracking_blocks_hold_rate_and_decay() {
         let f = simple_f();
         let cfg = MpcConfig::simple(); // MoveHold::Rate by default
-        let pred = Predictor::new(&f, &cfg);
+        let (pred, c) = Predictor::new(&f, &cfg).unwrap();
         let lambda = cfg.reference_decay();
         // Hold-rate: the single move (M=1) is applied exactly once at
         // every prediction step.
         for i in 0..2 {
             for r in 0..2 {
                 for t in 0..3 {
-                    assert_eq!(pred.c[(2 * i + r, t)], f[(r, t)]);
+                    assert_eq!(c[(2 * i + r, t)], f[(r, t)]);
                 }
             }
         }
@@ -385,14 +358,14 @@ mod tests {
     fn tracking_blocks_hold_delta_accumulate() {
         let f = simple_f();
         let cfg = MpcConfig::simple().move_hold(MoveHold::Delta);
-        let pred = Predictor::new(&f, &cfg);
+        let (_, c) = Predictor::new(&f, &cfg).unwrap();
         // Hold-delta (the literal eq. 12): the move is re-applied each
         // step, so step 2 carries 2F.
         for i in 0..2 {
             let mult = (i + 1) as f64;
             for r in 0..2 {
                 for t in 0..3 {
-                    assert_eq!(pred.c[(2 * i + r, t)], mult * f[(r, t)]);
+                    assert_eq!(c[(2 * i + r, t)], mult * f[(r, t)]);
                 }
             }
         }
@@ -402,10 +375,10 @@ mod tests {
     fn move_delta_penalty_couples_prev_move() {
         let f = simple_f();
         let cfg = MpcConfig::simple();
-        let pred = Predictor::new(&f, &cfg);
+        let (pred, c) = Predictor::new(&f, &cfg).unwrap();
         // Penalty block: identity on the move, identity map from Δr(k−1).
         for t in 0..3 {
-            assert_eq!(pred.c[(4 + t, t)], 1.0);
+            assert_eq!(c[(4 + t, t)], 1.0);
             assert_eq!(pred.a_d.to_matrix()[(4 + t, t)], 1.0);
         }
     }
@@ -414,7 +387,7 @@ mod tests {
     fn move_penalty_has_no_prev_coupling() {
         let f = simple_f();
         let cfg = MpcConfig::simple().control_penalty(ControlPenalty::Move);
-        let pred = Predictor::new(&f, &cfg);
+        let (pred, _) = Predictor::new(&f, &cfg).unwrap();
         assert_eq!(pred.a_d.nnz(), 0);
     }
 
@@ -424,21 +397,21 @@ mod tests {
         let cfg = MpcConfig::simple()
             .horizons(4, 2)
             .move_hold(MoveHold::Delta);
-        let pred = Predictor::new(&f, &cfg);
+        let (_, c) = Predictor::new(&f, &cfg).unwrap();
         let m = 3;
         let base = 2 * 4; // n*P tracking rows
                           // Second penalty block: +I at block 1, −I at block 0.
         for t in 0..m {
-            assert_eq!(pred.c[(base + m + t, m + t)], 1.0);
-            assert_eq!(pred.c[(base + m + t, t)], -1.0);
+            assert_eq!(c[(base + m + t, m + t)], 1.0);
+            assert_eq!(c[(base + m + t, t)], -1.0);
         }
         // Step i = 1 uses only the first move; by i = 4 the first move has
         // been applied once and the held second move three times (Delta).
-        assert_eq!(pred.c[(0, m)], 0.0);
-        assert_eq!(pred.c[(0, 0)], f[(0, 0)]);
+        assert_eq!(c[(0, m)], 0.0);
+        assert_eq!(c[(0, 0)], f[(0, 0)]);
         let i4 = 2 * 3; // row block of step i = 4 (n = 2)
-        assert_eq!(pred.c[(i4, 0)], f[(0, 0)]);
-        assert_eq!(pred.c[(i4, m)], 3.0 * f[(0, 0)]);
+        assert_eq!(c[(i4, 0)], f[(0, 0)]);
+        assert_eq!(c[(i4, m)], 3.0 * f[(0, 0)]);
     }
 
     #[test]
@@ -464,10 +437,11 @@ mod tests {
     fn rhs_combines_error_and_prev_move() {
         let f = simple_f();
         let cfg = MpcConfig::simple();
-        let pred = Predictor::new(&f, &cfg);
+        let (pred, c) = Predictor::new(&f, &cfg).unwrap();
         let err = Vector::from_slice(&[0.1, -0.2]);
         let prev = Vector::from_slice(&[0.001, 0.0, -0.002]);
-        let d = pred.rhs(&err, &prev);
+        let mut d = Vector::zeros(c.rows());
+        pred.rhs_into(&err, &prev, &mut d);
         let lambda = cfg.reference_decay();
         assert!((d[0] + (1.0 - lambda) * 0.1).abs() < 1e-15);
         assert!((d[3] + (1.0 - lambda * lambda) * -0.2).abs() < 1e-15);
@@ -510,7 +484,7 @@ mod tests {
                     _ => MpcConfig::simple().horizons(3, 2).move_hold(MoveHold::Delta),
                 }
                 .tracking_weights(Vector::from_slice(&q));
-                let pred = Predictor::new(&f, &cfg);
+                let (pred, _) = Predictor::new(&f, &cfg).unwrap();
                 let (p, mh) = (cfg.prediction_horizon, cfg.control_horizon);
                 let rows = n * p + m * mh;
                 // The dense maps as written out entry by entry.
@@ -546,10 +520,10 @@ mod tests {
     fn tracking_weights_scale_rows() {
         let f = simple_f();
         let cfg = MpcConfig::simple().tracking_weights(Vector::from_slice(&[4.0, 1.0]));
-        let pred = Predictor::new(&f, &cfg);
+        let (_, c) = Predictor::new(&f, &cfg).unwrap();
         // √4 = 2 scales processor-0 rows.
-        assert_eq!(pred.c[(0, 0)], 2.0 * f[(0, 0)]);
-        assert_eq!(pred.c[(1, 1)], f[(1, 1)]);
+        assert_eq!(c[(0, 0)], 2.0 * f[(0, 0)]);
+        assert_eq!(c[(1, 1)], f[(1, 1)]);
     }
 
     #[test]

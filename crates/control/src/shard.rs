@@ -444,8 +444,10 @@ impl ShardedController {
     /// # Errors
     ///
     /// Returns [`ControlError::DimensionMismatch`] when `set_points` or
-    /// the plan do not match the set, and propagates local-controller
-    /// construction failures.
+    /// the plan do not match the set, [`ControlError::Config`] when `cfg`
+    /// fails [`MpcConfig::validate`] for the set (a shard's controller
+    /// weighs its neighborhood's processors), and propagates
+    /// local-controller construction failures.
     pub fn new(
         set: &TaskSet,
         set_points: Vector,
@@ -466,6 +468,7 @@ impl ShardedController {
                 plan.shard_of.len()
             )));
         }
+        cfg.validate(n)?;
         let f = set.allocation_matrix();
         let (rmin, rmax) = set.rate_bounds();
         let r0 = set.initial_rates();
@@ -503,13 +506,16 @@ impl ShardedController {
                 f[(neighborhood[r], owned[c])]
             });
             let b_local = Vector::from_iter(neighborhood.iter().map(|&q| set_points[q]));
+            let mut shard_cfg = local_cfg.clone();
+            shard_cfg.tracking_weights = (cfg.tracking_weights.as_ref())
+                .map(|w| Vector::from_iter(neighborhood.iter().map(|&q| w[q])));
             let mpc = MpcController::from_model(
                 f_local,
                 b_local,
                 Vector::from_iter(owned.iter().map(|&j| rmin[j])),
                 Vector::from_iter(owned.iter().map(|&j| rmax[j])),
                 Vector::from_iter(owned.iter().map(|&j| r0[j])),
-                local_cfg.clone(),
+                shard_cfg,
             )?;
 
             let boundary_tasks: Vec<usize> = (0..m)

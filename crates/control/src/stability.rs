@@ -46,15 +46,17 @@ pub struct ControlLaw {
 ///
 /// # Errors
 ///
-/// Returns [`ControlError::Math`] when the normal matrix is singular
-/// (cannot happen with a positive control-penalty weight).
+/// Returns [`ControlError::Config`] when `cfg` fails
+/// [`MpcConfig::validate`], and [`ControlError::Math`] when the normal
+/// matrix is singular (cannot happen with a positive control-penalty
+/// weight).
 pub fn control_law(f: &Matrix, cfg: &MpcConfig) -> Result<ControlLaw, ControlError> {
-    let pred = Predictor::new(f, cfg);
+    let (pred, c) = Predictor::new(f, cfg)?;
     let m = pred.m;
     // X* = (CᵀC)⁻¹ Cᵀ d with d = A_u (u − B) + A_d Δr(k−1); the first m
     // rows of the solution map are the receding-horizon gains.
-    let ct = pred.c.transpose();
-    let normal = &ct * &pred.c;
+    let ct = c.transpose();
+    let normal = &ct * &c;
     let pinv = &normal.inverse().map_err(ControlError::Math)? * &ct;
     // The controller holds the maps sparse; the analysis multiplies the
     // dense copies.
@@ -275,12 +277,13 @@ mod tests {
         // quadratic cost for a specific error/previous-move pair.
         let f = simple_f();
         let cfg = MpcConfig::simple();
-        let pred = crate::prediction::Predictor::new(&f, &cfg);
+        let (pred, c) = crate::prediction::Predictor::new(&f, &cfg).unwrap();
         let law = control_law(&f, &cfg).unwrap();
         let err = Vector::from_slice(&[0.2, -0.1]);
         let prev = Vector::from_slice(&[1e-3, -2e-3, 5e-4]);
-        let d = pred.rhs(&err, &prev);
-        let x = pred.c.least_squares(&d).unwrap();
+        let mut d = Vector::zeros(c.rows());
+        pred.rhs_into(&err, &prev, &mut d);
+        let x = c.least_squares(&d).unwrap();
         let from_law = &law.k_u.mul_vec(&err) + &law.k_d.mul_vec(&prev);
         assert!(x.subvector(0, 3).approx_eq(&from_law, 1e-9));
     }

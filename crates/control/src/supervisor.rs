@@ -63,24 +63,28 @@ impl Default for SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    /// Validates the configuration.
+    /// Checks every field: positive thresholds, a slew in `(0, 1]` and a
+    /// positive finite `u_max`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on non-positive thresholds, a slew outside `(0, 1]` or a
-    /// non-finite `u_max`.
-    pub fn assert_valid(&self) {
-        assert!(self.max_control_errors > 0, "error threshold must be > 0");
-        assert!(self.max_stale > 0, "staleness threshold must be > 0");
-        assert!(self.reengage_hold > 0, "re-engage hold must be > 0");
-        assert!(
-            self.slew > 0.0 && self.slew <= 1.0,
-            "slew must be in (0, 1]"
-        );
-        assert!(
-            self.u_max.is_finite() && self.u_max > 0.0,
-            "u_max must be positive and finite"
-        );
+    /// [`ControlError::Config`] naming the first field out of its domain.
+    pub fn validate(&self) -> Result<(), ControlError> {
+        let counts = [
+            ("max_control_errors", self.max_control_errors),
+            ("max_stale", self.max_stale),
+            ("reengage_hold", self.reengage_hold),
+        ];
+        let msg = if let Some((field, _)) = counts.iter().find(|(_, v)| *v == 0) {
+            format!("{field} must be at least 1, got 0")
+        } else if !(self.slew > 0.0 && self.slew <= 1.0) {
+            format!("slew must be in (0, 1], got {}", self.slew)
+        } else if !(self.u_max > 0.0 && self.u_max.is_finite()) {
+            format!("u_max must be positive and finite, got {}", self.u_max)
+        } else {
+            return Ok(());
+        };
+        Err(ControlError::Config(msg))
     }
 
     /// Sets the consecutive-error threshold.
@@ -186,10 +190,12 @@ impl<C: RateController> Supervised<C> {
     ///
     /// # Errors
     ///
-    /// Returns [`ControlError::DimensionMismatch`] when the inner
-    /// controller's rate vector does not match the task set.
+    /// Returns [`ControlError::Config`] when `cfg` fails
+    /// [`SupervisorConfig::validate`], and
+    /// [`ControlError::DimensionMismatch`] when the inner controller's
+    /// rate vector does not match the task set.
     pub fn new(inner: C, set: &TaskSet, cfg: SupervisorConfig) -> Result<Self, ControlError> {
-        cfg.assert_valid();
+        cfg.validate()?;
         let (rmin, rmax) = set.rate_bounds();
         let m = set.num_tasks();
         let n = set.num_processors();
@@ -710,9 +716,36 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "slew must be in (0, 1]")]
     fn config_validated() {
-        let _ = supervised_mpc(SupervisorConfig::default().slew(0.0));
+        let set = workloads::simple();
+        let b = rms_set_points(&set);
+        let mpc = MpcController::new(&set, b, MpcConfig::simple()).unwrap();
+        let cases = [
+            ("slew", SupervisorConfig::default().slew(0.0)),
+            ("slew", SupervisorConfig::default().slew(f64::NAN)),
+            (
+                "u_max",
+                SupervisorConfig {
+                    u_max: f64::NAN,
+                    ..SupervisorConfig::default()
+                },
+            ),
+            ("max_stale", SupervisorConfig::default().max_stale(0)),
+            (
+                "max_control_errors",
+                SupervisorConfig::default().max_control_errors(0),
+            ),
+            (
+                "reengage_hold",
+                SupervisorConfig::default().reengage_hold(0),
+            ),
+        ];
+        for (field, cfg) in cases {
+            match Supervised::new(mpc.clone(), &set, cfg.clone()) {
+                Err(ControlError::Config(msg)) => assert!(msg.starts_with(field), "{msg}"),
+                other => panic!("{cfg:?}: {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     mod properties {

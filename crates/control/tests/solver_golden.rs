@@ -23,31 +23,40 @@ const CENTRAL_20P_RATE_HASH: u64 = 0x3e81_ff19_9823_eea6;
 const SHARD_16P_RATE_HASH: u64 = 0x1695_2b6f_0cf6_6266;
 
 /// FNV-1a over the bit patterns of every rate commanded along the script,
-/// plus the largest per-period iteration count seen.
-fn drive(set: &TaskSet, ctrl: &mut dyn RateController) -> (u64, usize) {
+/// plus the largest per-period iteration count seen and the number of
+/// steps that dropped the utilization rows.
+fn drive(set: &TaskSet, ctrl: &mut dyn RateController) -> (u64, usize, usize) {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut max_iters = 0;
+    let mut relaxed = 0;
     let mut u = Vector::zeros(set.num_processors());
     for k in 0..SCRIPT_STEPS {
         script_into(k, set, ctrl.rates(), &mut u);
         ctrl.update(&u).expect("script step solves");
         max_iters = max_iters.max(ctrl.telemetry().qp_iterations);
+        relaxed += usize::from(ctrl.telemetry().relaxed_utilization);
         for r in ctrl.rates() {
             for byte in r.to_bits().to_le_bytes() {
                 hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
     }
-    (hash, max_iters)
+    (hash, max_iters, relaxed)
 }
 
 #[test]
 fn central_20p_rates_are_pinned_through_active_set_churn() {
     let (set, mut ctrl) = central_20p();
-    let (hash, max_iters) = drive(&set, &mut ctrl);
+    let (hash, max_iters, relaxed) = drive(&set, &mut ctrl);
     assert!(
         max_iters > 8,
         "script must churn harder than the closed-loop goldens (max {max_iters} iterations)"
+    );
+    // The overload phases make the utilization rows infeasible, so the
+    // hash pins the rate-row fallback's bits too.
+    assert!(
+        relaxed >= 30,
+        "script must run the fallback ({relaxed} relaxed steps)"
     );
     assert_eq!(hash, CENTRAL_20P_RATE_HASH, "rate hash {hash:#018x}");
 }
@@ -55,7 +64,7 @@ fn central_20p_rates_are_pinned_through_active_set_churn() {
 #[test]
 fn one_16p_shard_rates_are_pinned_through_active_set_churn() {
     let (set, mut ctrl) = one_shard_16p();
-    let (hash, max_iters) = drive(&set, &mut ctrl);
+    let (hash, max_iters, _) = drive(&set, &mut ctrl);
     assert!(
         max_iters > 8,
         "script must churn harder than the closed-loop goldens (max {max_iters} iterations)"

@@ -236,7 +236,10 @@ impl LoopBuilder {
     /// lane-partition windows (a loop without lanes has nothing to
     /// partition), fewer than two quantized rate levels, set points that
     /// are non-finite, non-positive, or of the wrong arity, a sharded
-    /// controller with `shard_size` 0, a malformed
+    /// controller with `shard_size` 0, an MPC or supervisor configuration
+    /// out of its domain ([`MpcConfig::validate`],
+    /// [`SupervisorConfig::validate`](eucon_control::SupervisorConfig::validate)),
+    /// a malformed
     /// churn plan, an out-of-range admission policy, or a plant backend
     /// that does not fit the workload — [`CoreError::Sim`] for a
     /// malformed fault plan, execution-time model or processor speed list
@@ -303,7 +306,7 @@ impl LoopBuilder {
                 "sampling period must be positive and finite, got {ts}"
             )));
         }
-        self.controller.validate()?;
+        self.controller.validate(self.set.num_processors())?;
         self.faults.validate(self.set.num_processors())?;
         self.sim.validate(self.set.num_processors())?;
         self.churn.validate(&self.set)?;
@@ -473,6 +476,7 @@ mod tests {
     use crate::fleet::digest_run;
     use crate::telemetry::TelemetrySink;
     use crate::{BoundaryMode, LaneModel};
+    use eucon_control::SupervisorConfig;
     use eucon_sim::{ExecModel, SimError};
     use eucon_tasks::workloads;
 
@@ -855,6 +859,111 @@ mod tests {
                 matches!(err, CoreError::Config(ref m) if m.contains("shard_size")),
                 "got {err:?}"
             );
+        }
+    }
+
+    /// `local`, `distributed(NetConfig::channel())` and a 2-member fleet
+    /// each fail with `CoreError::Config` naming `field`.
+    fn assert_every_finisher_names(builder: LoopBuilder, field: &str) {
+        let errors = [
+            builder.clone().local().map(|_| ()),
+            builder
+                .clone()
+                .distributed(NetConfig::channel())
+                .map(|_| ()),
+            builder.fleet(2).threads(1).run(3).map(|_| ()),
+        ];
+        for err in errors.map(Result::unwrap_err) {
+            assert!(
+                matches!(err, CoreError::Config(ref m) if m.contains(field)),
+                "{field}: got {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn finisher_rejects_bad_mpc_configs() {
+        // Public fields no builder method checks; each case used to panic
+        // in a constructor, or (weights NaN or negative) to fail as a
+        // linear-algebra error.
+        type Spoil = fn(&mut MpcConfig);
+        let cases: [(&str, Spoil); 8] = [
+            ("prediction_horizon", |c| c.prediction_horizon = 0),
+            ("control_horizon", |c| c.control_horizon = 0),
+            ("control_horizon", |c| {
+                c.control_horizon = c.prediction_horizon + 1
+            }),
+            ("tref_over_ts", |c| c.tref_over_ts = f64::NAN),
+            ("control_penalty_weight", |c| {
+                c.control_penalty_weight = -1.0
+            }),
+            ("tracking_weights", |c| {
+                c.tracking_weights = Some(Vector::from_slice(&[1.0; 3]))
+            }),
+            ("tracking_weights[0]", |c| {
+                c.tracking_weights = Some(Vector::from_slice(&[f64::NAN, 1.0, 1.0, 1.0]))
+            }),
+            ("tracking_weights[0]", |c| {
+                c.tracking_weights = Some(Vector::from_slice(&[-1.0, 1.0, 1.0, 1.0]))
+            }),
+        ];
+        for (field, spoil) in cases {
+            let mut mpc = MpcConfig::medium();
+            spoil(&mut mpc);
+            let specs = [
+                ControllerSpec::Eucon(mpc.clone()),
+                ControllerSpec::Sharded {
+                    mpc: mpc.clone(),
+                    shard_size: 2,
+                    boundary: BoundaryMode::InProcess,
+                },
+                ControllerSpec::SupervisedEucon {
+                    mpc,
+                    supervisor: SupervisorConfig::default(),
+                },
+            ];
+            for spec in specs {
+                let builder = LoopBuilder::new(workloads::medium()).controller(spec);
+                assert_every_finisher_names(builder, field);
+            }
+        }
+        // One weight per processor, zeros included, is a clean run, in
+        // the sharded team too (each shard reads its neighborhood's).
+        let weighted =
+            MpcConfig::medium().tracking_weights(Vector::from_slice(&[0.0, 1.0, 2.0, 1.0]));
+        for spec in [
+            ControllerSpec::Eucon(weighted.clone()),
+            ControllerSpec::Sharded {
+                mpc: weighted,
+                shard_size: 2,
+                boundary: BoundaryMode::InProcess,
+            },
+        ] {
+            let mut built = LoopBuilder::new(workloads::medium())
+                .controller(spec)
+                .local()
+                .unwrap();
+            assert_eq!(built.run(20).control_errors, 0);
+        }
+    }
+
+    #[test]
+    fn finisher_rejects_bad_supervisor_configs() {
+        type Spoil = fn(&mut SupervisorConfig);
+        let cases: [(&str, Spoil); 3] = [
+            ("slew", |c| c.slew = 0.0),
+            ("u_max", |c| c.u_max = f64::NAN),
+            ("max_stale", |c| c.max_stale = 0),
+        ];
+        for (field, spoil) in cases {
+            let mut supervisor = SupervisorConfig::default();
+            spoil(&mut supervisor);
+            let builder =
+                LoopBuilder::new(workloads::simple()).controller(ControllerSpec::SupervisedEucon {
+                    mpc: MpcConfig::simple(),
+                    supervisor,
+                });
+            assert_every_finisher_names(builder, field);
         }
     }
 

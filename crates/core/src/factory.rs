@@ -59,20 +59,35 @@ pub enum ControllerSpec {
 }
 
 impl ControllerSpec {
-    /// Checks the spec's own parameters, so an out-of-domain one fails
-    /// the finisher with a typed error rather than panicking inside a
-    /// constructor: a `Sharded` team needs `shard_size >= 1`.
+    /// Checks the spec's own parameters for a loop of `num_processors`
+    /// processors, so an out-of-domain one fails the finisher with a typed
+    /// error rather than panicking inside a constructor: a `Sharded` team
+    /// needs `shard_size >= 1`, every MPC configuration must pass
+    /// [`MpcConfig::validate`] and a supervisor's
+    /// [`SupervisorConfig::validate`].
     ///
     /// # Errors
     ///
     /// [`CoreError::Config`] naming the parameter.
-    pub(crate) fn validate(&self) -> Result<(), CoreError> {
-        match self {
-            ControllerSpec::Sharded { shard_size: 0, .. } => Err(CoreError::Config(
-                "shard_size must be at least 1 processor per shard, got 0".into(),
-            )),
-            _ => Ok(()),
-        }
+    pub(crate) fn validate(&self, num_processors: usize) -> Result<(), CoreError> {
+        let checked = match self {
+            ControllerSpec::Sharded { shard_size: 0, .. } => {
+                return Err(CoreError::Config(
+                    "shard_size must be at least 1 processor per shard, got 0".into(),
+                ))
+            }
+            ControllerSpec::Eucon(mpc) | ControllerSpec::Sharded { mpc, .. } => {
+                mpc.validate(num_processors)
+            }
+            ControllerSpec::SupervisedEucon { mpc, supervisor } => mpc
+                .validate(num_processors)
+                .and_then(|()| supervisor.validate()),
+            ControllerSpec::Open | ControllerSpec::Pid { .. } => Ok(()),
+        };
+        checked.map_err(|e| match e {
+            ControlError::Config(msg) => CoreError::Config(msg),
+            other => CoreError::Control(other),
+        })
     }
 
     /// Instantiates the controller for a task set and set points.

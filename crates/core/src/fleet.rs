@@ -243,7 +243,11 @@ fn shared_controllers(
         let Ok(set_points) = builder.resolved_set_points() else {
             continue;
         };
-        if builder.controller.validate().is_err() {
+        if builder
+            .controller
+            .validate(builder.set.num_processors())
+            .is_err()
+        {
             continue;
         }
         let controller = builder.controller.build(&builder.set, &set_points)?;

@@ -74,6 +74,68 @@ impl SparseRows {
         self.values.len()
     }
 
+    /// The stored entries of row `i`: their columns, ascending, and
+    /// values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.rows()`.
+    pub fn row(&self, i: usize) -> (&[usize], &[f64]) {
+        let span = self.offsets[i]..self.offsets[i + 1];
+        (&self.col_idx[span.clone()], &self.values[span])
+    }
+
+    /// The view of the transpose: the same stored entries, each row's in
+    /// ascending column order — what [`from_matrix`](SparseRows::from_matrix)
+    /// builds from the dense transpose, without forming it.
+    pub fn transpose(&self) -> SparseRows {
+        let mut offsets = vec![0; self.cols + 1];
+        for &j in &self.col_idx {
+            offsets[j + 1] += 1;
+        }
+        for j in 0..self.cols {
+            offsets[j + 1] += offsets[j];
+        }
+        let mut next = offsets[..self.cols].to_vec();
+        let mut col_idx = vec![0; self.nnz()];
+        let mut values = vec![0.0; self.nnz()];
+        for i in 0..self.rows() {
+            let (cols, vals) = self.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                col_idx[next[j]] = i;
+                values[next[j]] = v;
+                next[j] += 1;
+            }
+        }
+        SparseRows {
+            cols: self.rows(),
+            offsets,
+            col_idx,
+            values,
+        }
+    }
+
+    /// The Gram matrix `AᵀA` of the viewed `A`, accumulated row by row.
+    ///
+    /// Each entry sums its products `a_li·a_lj` in ascending `l`, as the
+    /// dense `&a.transpose() * &a` does; the terms it leaves out have an
+    /// exact zero factor, and a sum that starts at `+0.0` and only adds
+    /// finite products is never `−0.0`, so adding `±0.0` to it changes no
+    /// bit.  For finite `A` the result is bit-identical to the dense
+    /// product, at `Σ_l nnz(row l)²` multiplications instead of `cols²·rows`.
+    pub fn gram(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, self.cols);
+        for l in 0..self.rows() {
+            let (cols, vals) = self.row(l);
+            for (&i, &a) in cols.iter().zip(vals) {
+                for (&j, &b) in cols.iter().zip(vals) {
+                    out[(i, j)] += a * b;
+                }
+            }
+        }
+        out
+    }
+
     /// `row_i · x`, accumulated left to right over the stored entries.
     ///
     /// # Panics
@@ -87,13 +149,15 @@ impl SparseRows {
 
     /// The first row `i` with `!skip[i]` whose violation `row_i · x − h[i]`
     /// is the largest and exceeds `tol`, or `None` when no row's does.
-    /// Each violation has the bits of `self.dot(i, x) − h[i]`; the lengths
-    /// are checked once per call rather than once per row.
+    /// Only the first `h.len()` rows are scanned: a prefix of the rows is
+    /// a problem of its own.  Each violation has the bits of
+    /// `self.dot(i, x) − h[i]`; the lengths are checked once per call
+    /// rather than once per row.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != self.cols()` or `h` or `skip` does not have
-    /// one entry per row.
+    /// Panics if `x.len() != self.cols()`, `h` is longer than the row
+    /// count, or `skip` is not as long as `h`.
     pub fn most_violated(&self, x: &[f64], h: &[f64], skip: &[bool], tol: f64) -> Option<usize> {
         assert_eq!(
             x.len(),
@@ -101,8 +165,8 @@ impl SparseRows {
             "most_violated requires one entry per column"
         );
         assert!(
-            h.len() == self.rows() && skip.len() == self.rows(),
-            "most_violated requires h and skip with one entry per row"
+            h.len() <= self.rows() && skip.len() == h.len(),
+            "most_violated requires h and skip with one entry per scanned row"
         );
         let mut worst = tol;
         let mut at = None;
@@ -138,8 +202,8 @@ impl SparseRows {
     pub fn to_matrix(&self) -> Matrix {
         let mut m = Matrix::zeros(self.rows(), self.cols);
         for i in 0..self.rows() {
-            let span = self.offsets[i]..self.offsets[i + 1];
-            for (&j, &v) in self.col_idx[span.clone()].iter().zip(&self.values[span]) {
+            let (cols, vals) = self.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
                 m[(i, j)] = v;
             }
         }
@@ -327,6 +391,35 @@ mod tests {
                 for (p, q) in back.as_slice().iter().zip(m.as_slice()) {
                     prop_assert_eq!(*p, *q);
                 }
+            }
+
+            #[test]
+            fn gram_from_sparse_rows_is_bit_identical_to_the_dense_product(
+                r in 1..MAX_ROWS + 1,
+                c in 1..MAX_COLS + 1,
+                data in proptest::collection::vec(entry(), MAX_ROWS * MAX_COLS),
+                fill in proptest::collection::vec(0..4u64, MAX_ROWS),
+                empty in proptest::collection::vec(0..3u64, MAX_COLS),
+            ) {
+                // Signed zeros, underflowing products and cancelling
+                // pairs come from `entry`; a third of the columns are
+                // emptied (signed zeros only), so whole rows and columns
+                // of the Gram matrix are sums of nothing.
+                let mut m = matrix(r, c, &data, &fill);
+                for j in (0..c).filter(|&j| empty[j] == 0) {
+                    for i in 0..r {
+                        m[(i, j)] = if (i + j) % 2 == 0 { 0.0 } else { -0.0 };
+                    }
+                }
+                let rows = SparseRows::from_matrix(&m);
+                let dense = &m.transpose() * &m;
+                let sparse = rows.gram();
+                prop_assert_eq!((sparse.rows(), sparse.cols()), (c, c));
+                for (k, (p, q)) in sparse.as_slice().iter().zip(dense.as_slice()).enumerate() {
+                    prop_assert_eq!(p.to_bits(), q.to_bits(), "entry ({}, {})", k / c, k % c);
+                }
+                // The transpose's view, without the dense transpose.
+                prop_assert_eq!(rows.transpose(), SparseRows::from_matrix(&m.transpose()));
             }
         }
     }

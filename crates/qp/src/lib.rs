@@ -22,8 +22,10 @@
 //! stops changing and a solve costs two triangular back-substitutions.
 //! Their `solve_into` forms write into a caller-owned solution and work in
 //! a per-instance workspace, so a steady-state solve does not allocate;
-//! constraint rows are read through their nonzeros only.  A single solve
-//! is a fresh instance solved once.
+//! constraint rows are read through their nonzeros only, and their
+//! `solve_prefix_into` forms solve the problem over the leading rows
+//! alone on the same preparation.  A single solve is a fresh instance
+//! solved once.
 //!
 //! Inputs must be finite: a NaN or infinite entry of `G` (at
 //! construction) or of `f`, `h` or `d` (per solve) is

@@ -92,7 +92,7 @@ struct Objective {
 
 impl PreparedLsq {
     /// Prepares `min ‖C·x − d‖²` s.t. `G·x ≤ h` for repeated solves,
-    /// factorizing `H = CᵀC + εI` once.
+    /// factorizing `H = CᵀC + εI` (from the nonzeros of `C`) once.
     ///
     /// # Errors
     ///
@@ -101,8 +101,9 @@ impl PreparedLsq {
     /// * [`QpError::DimensionMismatch`] — `g.cols() != c.cols()`.
     /// * [`QpError::NonFiniteInput`] — `g` has a NaN or infinite entry.
     pub fn new(c: Matrix, g: Matrix, regularization: f64) -> Result<Self, QpError> {
-        let ct = c.transpose();
-        let mut hess = &ct * &c;
+        let c_rows = SparseRows::from_matrix(&c);
+        drop(c);
+        let mut hess = c_rows.gram();
         if regularization > 0.0 {
             for i in 0..hess.rows() {
                 hess[(i, i)] += regularization;
@@ -111,8 +112,8 @@ impl PreparedLsq {
         let qp = PreparedQp::new(hess, g)?;
         Ok(PreparedLsq {
             objective: Arc::new(Objective {
-                c_rows: SparseRows::from_matrix(&c),
-                ct_rows: SparseRows::from_matrix(&ct),
+                ct_rows: c_rows.transpose(),
+                c_rows,
             }),
             qp,
         })
@@ -188,6 +189,33 @@ impl PreparedLsq {
         warm: &[usize],
         out: &mut LsqSolution,
     ) -> Result<(), QpError> {
+        self.solve_rows(d, h, warm, false, out)
+    }
+
+    /// [`solve_into`](PreparedLsq::solve_into) subject to the first `k =
+    /// h.len()` rows of `G` alone: the answer of `PreparedLsq::new(c,
+    /// G[..k], ε)`, bit for bit, from this preparation (see
+    /// [`PreparedQp::solve_prefix_into`]); errors and panics as there.
+    pub fn solve_prefix_into(
+        &self,
+        d: &Vector,
+        h: &Vector,
+        warm: &[usize],
+        out: &mut LsqSolution,
+    ) -> Result<(), QpError> {
+        self.solve_rows(d, h, warm, true, out)
+    }
+
+    /// [`solve_into`](PreparedLsq::solve_into), or with `prefix`
+    /// [`solve_prefix_into`](PreparedLsq::solve_prefix_into).
+    fn solve_rows(
+        &self,
+        d: &Vector,
+        h: &Vector,
+        warm: &[usize],
+        prefix: bool,
+        out: &mut LsqSolution,
+    ) -> Result<(), QpError> {
         let Objective { c_rows, ct_rows } = &*self.objective;
         let (rows, cols) = (c_rows.rows(), c_rows.cols());
         assert_eq!(
@@ -205,7 +233,7 @@ impl PreparedLsq {
         for v in f.as_mut_slice() {
             *v *= -1.0;
         }
-        let solved = self.qp.solve_in(ws, &f, h, warm);
+        let solved = self.qp.solve_in(ws, &f, h, warm, prefix);
         ws.f = f;
         let stats = solved?;
         // ‖C·x − d‖ accumulated row by row; same per-row dots and the same

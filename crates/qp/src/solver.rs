@@ -97,8 +97,12 @@ impl BackSolves {
             return Ok(());
         }
         let n = self.n;
-        for (ni, &gi) in self.ni.as_mut_slice().iter_mut().zip(model.g.row(i)) {
-            *ni = -gi;
+        // `−g_i` scattered from the stored entries; an entry left out
+        // reads as `+0.0`, whose negation is the `−0.0` written first.
+        self.ni.as_mut_slice().fill(-0.0);
+        let (cols, vals) = model.g_rows.row(i);
+        for (&j, &v) in cols.iter().zip(vals) {
+            self.ni[j] = -v;
         }
         model.chol.solve_into(&self.ni, &mut self.sol)?;
         self.hinv[i * n..(i + 1) * n].copy_from_slice(self.sol.as_slice());
@@ -330,7 +334,8 @@ pub(crate) fn check_finite(what: &'static str, v: &[f64]) -> Result<(), QpError>
 }
 
 /// The Goldfarb–Idnani solve behind [`PreparedQp`] and
-/// [`PreparedLsq`](crate::PreparedLsq); the solution is left in `ws`.
+/// [`PreparedLsq`](crate::PreparedLsq) over the first `hvec.len()`
+/// constraint rows; the solution is left in `ws`.
 ///
 /// The subproblem's Cholesky factor follows the active set both ways: a
 /// row that joins is appended, a row that drops is deleted, and only
@@ -352,7 +357,7 @@ fn solve_with_chol(
     check_finite("h", hvec.as_slice())?;
     let n = f.len();
     let rows = &model.g_rows;
-    let m = rows.rows();
+    let m = hvec.len();
     ws.begin(n);
     let mut work = FactorWork::default();
     if n == 0 {
@@ -371,16 +376,17 @@ fn solve_with_chol(
         *v = -*v;
     }
     model.chol.solve_into(&ws.x, &mut ws.x0)?;
-    let tol = tolerance(model.base_scale, hvec);
+    let tol = tolerance(model.scale[m], hvec);
     let max_iter = 50 * (m + 1);
 
     ws.x.clone_from(&ws.x0);
     // `active` and `u` stay parallel throughout; `in_active` mirrors
     // membership for O(1) tests.  Every active row is ready in the memo:
-    // it was made ready before it could join.
+    // it was made ready before it could join.  The memo covers every row
+    // of the model, whichever prefix this solve reads.
     ws.in_active.clear();
     ws.in_active.resize(m, false);
-    ws.memo.fit(m, n);
+    ws.memo.fit(rows.rows(), n);
 
     let warm_held = if warm.is_empty() {
         None
@@ -561,7 +567,7 @@ fn try_warm_start(
     work: &mut FactorWork,
 ) -> Option<Held> {
     let rows = &model.g_rows;
-    let m = rows.rows();
+    let m = hvec.len();
     let QpWorkspace {
         x,
         active,
@@ -680,9 +686,10 @@ fn tolerance(base_scale: f64, hvec: &Vector) -> f64 {
 }
 
 /// The immutable heart of a [`PreparedQp`]: everything fixed at
-/// preparation time (`G`, its sparse view, the Cholesky factor of `H`, the
-/// tolerance scale).  `H` itself is not kept: after construction every use
-/// of it goes through the factor.
+/// preparation time (the nonzeros of `G`, the Cholesky factor of `H`, the
+/// tolerance scales).  Neither `H` nor the dense `G` is kept: after
+/// construction every use of them goes through the factor and the sparse
+/// rows.
 ///
 /// Held behind an [`Arc`] so cloning a prepared problem — e.g. fanning a
 /// homogeneous fleet's shared model out to thousands of loops — shares
@@ -692,12 +699,12 @@ fn tolerance(base_scale: f64, hvec: &Vector) -> f64 {
 /// outside the `Arc`, per clone.
 #[derive(Debug)]
 struct QpCore {
-    g: Matrix,
-    /// The nonzeros of `g`: every `g_i · v` of a solve reads these.
+    /// The nonzeros of `G`: every `g_i · v` of a solve reads these.
     g_rows: SparseRows,
     chol: Cholesky,
-    /// `max(|G|, |H|, 1)`; the per-solve tolerance also folds in `|h|`.
-    base_scale: f64,
+    /// `scale[k] = max(|G[..k]|, |H|, 1)`, the scale of the problem over
+    /// the first `k` rows; the per-solve tolerance also folds in `|h|`.
+    scale: Vec<f64>,
 }
 
 /// Scratch of the debug build's KKT check of a solve: `Lᵀx`, the
@@ -743,7 +750,10 @@ impl QpCore {
             grad[i] += kernel::dot(&l.row(i)[lo..=i], &ltx.as_slice()[lo..=i]);
         }
         for (i, &lam) in lambda.iter().enumerate() {
-            kernel::axpy(grad.as_mut_slice(), lam, self.g.row(i));
+            let (cols, vals) = self.g_rows.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                grad[j] += lam * v;
+            }
         }
         let mut worst = grad.max_abs();
         for (i, &lam) in lambda.iter().enumerate() {
@@ -773,10 +783,12 @@ impl QpCore {
 /// This matches the controller hot path, where the plant model (hence `H`
 /// and the constraint matrix) never changes between sampling periods while
 /// the set-point error (`f`) and constraint slacks (`h`) do.  A single
-/// solve is a fresh instance solved once.
+/// solve is a fresh instance solved once.  The problem over the leading
+/// rows of `G` alone needs no second preparation
+/// ([`solve_prefix_into`](PreparedQp::solve_prefix_into)).
 ///
 /// Cloning is cheap: the immutable model (`QpCore`) is shared through an
-/// `Arc`, only the per-instance warm-start factor memo is copied, and the
+/// `Arc`, only the per-instance warm-start factor memos are copied, and the
 /// clone starts with an empty workspace, back-solves included — so N
 /// homogeneous controllers hold one factorization, not N, and each
 /// derives only the rows its own solves touch.  A clone's solves are
@@ -805,10 +817,11 @@ impl QpCore {
 pub struct PreparedQp {
     core: Arc<QpCore>,
     /// The warm-start subproblem factor memoized across solves (see
-    /// [`WarmFactors`]); interior mutability keeps [`PreparedQp::solve`]
-    /// callable through a shared reference.  Per clone, outside the
-    /// shared core.
-    warm_factors: RefCell<WarmFactors>,
+    /// [`WarmFactors`]): the full solves' and the prefix solves', so the
+    /// two alternating do not evict each other's factor.  Interior
+    /// mutability keeps [`PreparedQp::solve`] callable through a shared
+    /// reference.  Per clone, outside the shared core.
+    warm_factors: [RefCell<WarmFactors>; 2],
     /// Every temporary of a solve and the back-solve memo (see
     /// [`QpWorkspace`]).  Per clone like the factors, and for the same
     /// reason: two loops sharing one model must not share mutable state.
@@ -816,15 +829,15 @@ pub struct PreparedQp {
 }
 
 impl Clone for PreparedQp {
-    /// Shares the immutable model; copies the warm-start factor memo as-is
-    /// (a pristine instance clones to a pristine instance).  The workspace
-    /// is not copied: its back-solves are recomputed bit for bit on first
-    /// touch, and a fleet of clones should each grow only the scratch and
-    /// the rows their own solves reach.
+    /// Shares the immutable model; copies the warm-start factor memos as
+    /// they are (a pristine instance clones to a pristine instance).  The
+    /// workspace is not copied: its back-solves are recomputed bit for bit
+    /// on first touch, and a fleet of clones should each grow only the
+    /// scratch and the rows their own solves reach.
     fn clone(&self) -> Self {
         PreparedQp {
             core: Arc::clone(&self.core),
-            warm_factors: RefCell::new(self.warm_factors.borrow().clone()),
+            warm_factors: self.warm_factors.clone(),
             workspace: RefCell::default(),
         }
     }
@@ -859,17 +872,22 @@ impl PreparedQp {
             other => QpError::Math(other),
         })?;
         let g_rows = SparseRows::from_matrix(&g);
-        let base_scale = g.max_abs().max(h.max_abs()).max(1.0);
+        // `max` is exact: the bits of `G[..k].max_abs().max(h.max_abs()).max(1.0)`.
+        let mut scale = vec![h.max_abs().max(1.0)];
+        for i in 0..g_rows.rows() {
+            scale.push(g_rows.row(i).1.iter().fold(scale[i], |s, v| s.max(v.abs())));
+        }
+        drop((h, g)); // before the memo's tables are written out
+
         let mut workspace = QpWorkspace::default();
-        workspace.memo.fit(g.rows(), g.cols());
+        workspace.memo.fit(g_rows.rows(), g_rows.cols());
         Ok(PreparedQp {
             core: Arc::new(QpCore {
-                g,
                 g_rows,
                 chol,
-                base_scale,
+                scale,
             }),
-            warm_factors: RefCell::default(),
+            warm_factors: Default::default(),
             workspace: RefCell::new(workspace),
         })
     }
@@ -881,11 +899,11 @@ impl PreparedQp {
 
     /// Number of inequality constraints.
     pub fn num_constraints(&self) -> usize {
-        self.core.g.rows()
+        self.core.g_rows.rows()
     }
 
-    /// Whether `self` and `other` share one immutable model (`G`, its
-    /// sparse view, the Cholesky factor of `H`; back-solves are per
+    /// Whether `self` and `other` share one immutable model (the nonzeros
+    /// of `G`, the Cholesky factor of `H`; back-solves are per
     /// instance) — true exactly for clones of a common ancestor.  Probe
     /// for the fleet's shared-model cache tests; sharing never changes
     /// results, only memory.
@@ -955,8 +973,27 @@ impl PreparedQp {
         out: &mut QpSolution,
     ) -> Result<(), QpError> {
         let ws = &mut *self.workspace();
-        let stats = self.solve_in(ws, f, hvec, warm)?;
-        ws.write_solution(self.num_constraints(), stats, out);
+        let stats = self.solve_in(ws, f, hvec, warm, false)?;
+        ws.write_solution(hvec.len(), stats, out);
+        Ok(())
+    }
+
+    /// [`solve_into`](PreparedQp::solve_into) over the first `k =
+    /// hvec.len()` rows of `G` alone (`k` at most the constraint count),
+    /// with the tolerance scale, iteration cap and warm-start factor memo
+    /// of that problem, sharing the factor and the back-solve memo: the
+    /// answer of `PreparedQp::new(h, G[..k])`, factor work and errors
+    /// included, bit for bit.
+    pub fn solve_prefix_into(
+        &self,
+        f: &Vector,
+        hvec: &Vector,
+        warm: &[usize],
+        out: &mut QpSolution,
+    ) -> Result<(), QpError> {
+        let ws = &mut *self.workspace();
+        let stats = self.solve_in(ws, f, hvec, warm, true)?;
+        ws.write_solution(hvec.len(), stats, out);
         Ok(())
     }
 
@@ -992,34 +1029,29 @@ impl PreparedQp {
     }
 
     /// The solve itself, leaving the solution in `ws` (which must be this
-    /// instance's workspace or a fresh one).  In a debug build the
-    /// solution's KKT residual must be within ten times the solve's
-    /// tolerance.
+    /// instance's workspace or a fresh one), over every row or, with
+    /// `prefix`, the first `hvec.len()`.  In a debug build the solution's
+    /// KKT residual must be within ten times the solve's tolerance.
     pub(crate) fn solve_in(
         &self,
         ws: &mut QpWorkspace,
         f: &Vector,
         hvec: &Vector,
         warm: &[usize],
+        prefix: bool,
     ) -> Result<SolveStats, QpError> {
         assert_eq!(
             f.len(),
             self.num_vars(),
             "objective length must match variable count"
         );
-        assert_eq!(
-            hvec.len(),
-            self.num_constraints(),
-            "rhs length must match constraint count"
+        let m = self.num_constraints();
+        assert!(
+            hvec.len() == m || prefix && hvec.len() < m,
+            "rhs length must match constraint count (a prefix's, at most it)"
         );
-        let stats = solve_with_chol(
-            &self.core,
-            f,
-            hvec,
-            warm,
-            &mut self.warm_factors.borrow_mut(),
-            ws,
-        )?;
+        let factors = &mut self.warm_factors[usize::from(prefix)].borrow_mut();
+        let stats = solve_with_chol(&self.core, f, hvec, warm, factors, ws)?;
         #[cfg(debug_assertions)]
         self.assert_certified(ws, f, hvec);
         Ok(stats)
@@ -1048,7 +1080,7 @@ impl PreparedQp {
             lambda[a] = ua;
         }
         let residual = self.core.kkt_residual(f, hvec, x, lambda, ltx, grad);
-        let tol = tolerance(self.core.base_scale, hvec);
+        let tol = tolerance(self.core.scale[hvec.len()], hvec);
         assert!(
             residual <= 10.0 * tol,
             "KKT residual {residual:e} exceeds 10·tol = {:e} (active set {active:?})",
@@ -1543,8 +1575,10 @@ mod tests {
             let order = |p: &PreparedQp| p.workspace().memo.order.clone();
             assert_ne!(order(&qp), order(&other), "the touch orders must differ");
             let core = &*qp.core;
+            // The dense rows' negation, `−0.0` in every zero entry.
+            let g = core.g_rows.to_matrix();
             let eager = |i: usize| {
-                let ni = Vector::from_iter(core.g.row(i).iter().map(|v| -v));
+                let ni = Vector::from_iter(g.row(i).iter().map(|v| -v));
                 core.chol.solve(&ni).unwrap()
             };
             let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
@@ -1790,7 +1824,7 @@ mod tests {
                             prop_assert_eq!(a.warm_retained, b.warm_retained, "step {}", step);
                             // The debug build's postcondition, in release too.
                             let kkt = prepared.kkt_residual(&f, &hvec, a);
-                            let tol = tolerance(prepared.core.base_scale, &hvec);
+                            let tol = tolerance(prepared.core.scale[m], &hvec);
                             prop_assert!(kkt <= 10.0 * tol, "step {}: KKT residual {:e}", step, kkt);
                             last.clone_from(&a.active);
                         }
@@ -1810,6 +1844,91 @@ mod tests {
                                 false,
                                 "step {}: oracle {:?}, solver {:?}", step, x, a
                             ),
+                        }
+                    }
+                }
+            }
+
+            #[test]
+            fn prefix_solves_are_bit_identical_to_a_separately_prepared_problem(
+                n in 1usize..9,
+                m in 0usize..17,
+                k_draw in 0usize..17,
+                steps in 1usize..13,
+                seed in 0u64..1 << 32,
+            ) {
+                // One instance solves the whole problem and its first `k`
+                // rows in turn, sharing one back-solve memo while each
+                // keeps its own warm-start factor memo; each answer must
+                // be that of an instance prepared for its rows alone.
+                // Guesses repeat the last active set (memo hits), or name
+                // random rows, past `k` and past `m` included, with
+                // duplicates; one `h` in five may make a problem
+                // infeasible.  In half the cases the rows past the prefix
+                // (and their bounds) are scaled by 1e4, so the two
+                // problems' tolerance scales differ.
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (h, g) = random_problem(&mut rng, n, m);
+                let k = k_draw % (m + 1);
+                let big = if rng.gen_bool(0.5) { 1e4 } else { 1.0 };
+                let row_scale = |i: usize| if i < k { 1.0 } else { big };
+                let g = Matrix::from_fn(m, n, |i, j| row_scale(i) * g[(i, j)]);
+                let shared = PreparedQp::new(h.clone(), g.clone()).unwrap();
+                let whole = PreparedQp::new(h.clone(), g.clone()).unwrap();
+                let head = PreparedQp::new(h.clone(), Matrix::from_fn(k, n, |i, j| g[(i, j)])).unwrap();
+                let bits = |v: &Vector| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+                let mut last = [Vec::new(), Vec::new()];
+                for step in 0..steps {
+                    let first = usize::from(rng.gen_bool(0.5));
+                    for prefix in [first == 1, first == 0] {
+                        let rows = if prefix { k } else { m };
+                        let f = Vector::from_iter((0..n).map(|_| rng.gen_range_f64(-5.0..5.0)));
+                        let lo = if rng.gen_bool(0.2) { -1.0 } else { 0.0 };
+                        let mut hvec = Vector::from_iter(
+                            (0..rows).map(|i| row_scale(i) * rng.gen_range_f64(lo..2.0)),
+                        );
+                        // One solve in four moves a prefix row's bound to
+                        // 1e-7 inside the unconstrained minimum: a violation
+                        // the prefix problem's tolerance sees and the
+                        // scaled whole problem's does not.
+                        if k > 0 && rng.gen_bool(0.25) {
+                            let x0 = h.solve(&Vector::from_iter(f.iter().map(|v| -v))).unwrap();
+                            let i = rng.gen_range_u64(0..k as u64) as usize;
+                            hvec[i] = kernel::dot(g.row(i), x0.as_slice()) - 1e-7;
+                        }
+                        let mut warm: Vec<usize> = if rng.gen_bool(0.4) {
+                            last[usize::from(prefix)].clone()
+                        } else {
+                            (0..rng.gen_range_u64(0..5))
+                                .map(|_| rng.gen_range_u64(0..m as u64 + 2) as usize)
+                                .collect()
+                        };
+                        if rng.gen_bool(0.2) {
+                            if let Some(&a) = warm.first() {
+                                warm.push(a);
+                            }
+                        }
+                        let (mut got, mut want) = (QpSolution::default(), QpSolution::default());
+                        let (got_r, want_r) = if prefix {
+                            (
+                                shared.solve_prefix_into(&f, &hvec, &warm, &mut got),
+                                head.solve_into(&f, &hvec, &warm, &mut want),
+                            )
+                        } else {
+                            (
+                                shared.solve_into(&f, &hvec, &warm, &mut got),
+                                whole.solve_into(&f, &hvec, &warm, &mut want),
+                            )
+                        };
+                        prop_assert_eq!(&got_r, &want_r, "step {} prefix {}", step, prefix);
+                        if got_r.is_ok() {
+                            prop_assert_eq!(bits(&got.x), bits(&want.x), "step {} prefix {}", step, prefix);
+                            prop_assert_eq!(bits(&got.multipliers), bits(&want.multipliers));
+                            prop_assert_eq!(&got.active, &want.active);
+                            prop_assert_eq!(got.iterations, want.iterations);
+                            prop_assert_eq!(got.warm_retained, want.warm_retained);
+                            prop_assert_eq!(got.factor_work, want.factor_work, "step {} prefix {}", step, prefix);
+                            last[usize::from(prefix)].clone_from(&got.active);
                         }
                     }
                 }
