@@ -39,9 +39,10 @@ pub struct MpcStepInfo {
     /// Symmetric difference between this period's optimal active set and
     /// the previous period's; 0 once the loop has settled.
     pub active_churn: usize,
-    /// What the committed solve did to its subproblem factor: builds and
+    /// What the committed solve did to its subproblem factor — builds and
     /// their `Σq³`, appends, declined appends, deletes and the largest
-    /// order — the cause of a slow step, counted.
+    /// order — and the rows it back-solved for the first time: the cause
+    /// of a slow step, counted.
     pub factor_work: FactorWork,
 }
 
@@ -950,6 +951,32 @@ mod tests {
             assert!((c.rates()[t] - task.rate_max()).abs() < 1e-12);
         }
         assert_eq!(c.last_step_info(), MpcStepInfo::default());
+    }
+
+    #[test]
+    fn factor_work_counts_the_first_touches_of_a_step() {
+        let mut c = simple_controller();
+        let r0 = c.rates().clone();
+        // Overloaded: the utilization rows bind, so the solve back-solves
+        // rows for the first time.
+        let u = Vector::from_slice(&[1.0, 1.0]);
+        let _ = c.step(&u).unwrap();
+        let first = c.last_step_info();
+        assert!(first.factor_work.first_touches > 0, "{first:?}");
+        // The same step again reads the rows the first one made ready.
+        c.reset(&r0);
+        let _ = c.step(&u).unwrap();
+        let second = c.last_step_info();
+        assert_eq!(second.factor_work.first_touches, 0);
+        let work = FactorWork {
+            first_touches: first.factor_work.first_touches,
+            ..second.factor_work
+        };
+        let info = MpcStepInfo {
+            factor_work: work,
+            ..second
+        };
+        assert_eq!(info, first);
     }
 
     #[test]

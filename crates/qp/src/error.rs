@@ -21,18 +21,18 @@ pub enum QpError {
         /// Number of active-set changes attempted.
         iterations: usize,
     },
-    /// An input has a NaN or infinite entry: the constraint matrix at
-    /// construction, or a per-solve vector.  Such a value would not fail
+    /// An input has a NaN or infinite entry: the constraint or objective
+    /// matrix at construction, or a per-solve vector.  Such a value would not fail
     /// loudly on its own: a NaN in `G` or the right-hand side silently
     /// drops its constraint, one infinity makes the feasibility tolerance
     /// infinite and disables all of them, and a non-finite linear term
     /// comes back as a non-finite "minimizer".
     NonFiniteInput {
-        /// Which input: `"g"` (constraint matrix), `"f"` (linear term),
-        /// `"h"` (constraint right-hand side) or `"d"` (least-squares
-        /// target).
+        /// Which input: `"g"` (constraint matrix), `"c"` (objective
+        /// matrix), `"f"` (linear term), `"h"` (constraint right-hand side)
+        /// or `"d"` (least-squares target).
         what: &'static str,
-        /// Position of the first offending entry (row-major for `"g"`).
+        /// Position of the first offending entry (row-major for a matrix).
         index: usize,
     },
     /// An underlying linear-algebra operation failed.

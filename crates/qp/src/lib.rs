@@ -16,7 +16,8 @@
 //! Both are prepared for repeated solves with fixed `H`/`C` and
 //! constraint matrix but varying linear term and right-hand side: the
 //! Cholesky factorization is computed once at construction, each
-//! constraint's back-solve once, by the first solve that touches it, and
+//! constraint's back-solve once, by the first solve that touches it (a
+//! Gram entry is a sparse dot against one, never tabulated), and
 //! each solve can warm-start from the previous active set.  This is the
 //! controller hot path: once the closed loop settles, the active set
 //! stops changing and a solve costs two triangular back-substitutions.
@@ -27,7 +28,7 @@
 //! alone on the same preparation.  A single solve is a fresh instance
 //! solved once.
 //!
-//! Inputs must be finite: a NaN or infinite entry of `G` (at
+//! Inputs must be finite: a NaN or infinite entry of `G` or `C` (at
 //! construction) or of `f`, `h` or `d` (per solve) is
 //! [`QpError::NonFiniteInput`], not a quietly wrong answer.
 //!

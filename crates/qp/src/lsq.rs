@@ -99,8 +99,10 @@ impl PreparedLsq {
     /// * [`QpError::NotStrictlyConvex`] — `CᵀC + εI` is not positive
     ///   definite (rank-deficient `C` with `ε = 0`).
     /// * [`QpError::DimensionMismatch`] — `g.cols() != c.cols()`.
-    /// * [`QpError::NonFiniteInput`] — `g` has a NaN or infinite entry.
+    /// * [`QpError::NonFiniteInput`] — `c` or `g` has a NaN or infinite
+    ///   entry (`what` is `"c"` or `"g"`, `index` its row-major position).
     pub fn new(c: Matrix, g: Matrix, regularization: f64) -> Result<Self, QpError> {
+        check_finite("c", c.as_slice())?;
         let c_rows = SparseRows::from_matrix(&c);
         drop(c);
         let mut hess = c_rows.gram();
@@ -451,6 +453,22 @@ mod tests {
             );
         }
         assert!(p.solve_with(&d, &h, &[]).is_ok());
+    }
+
+    #[test]
+    fn non_finite_objective_matrix_is_rejected_at_construction() {
+        let (c, g, _) = churn_shaped_prepared();
+        let last = c.rows() * c.cols() - 1;
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for index in [0, last] {
+                let mut bad_c = c.clone();
+                bad_c[(index / c.cols(), index % c.cols())] = bad;
+                assert_eq!(
+                    PreparedLsq::new(bad_c, g.clone(), 1e-9).unwrap_err(),
+                    QpError::NonFiniteInput { what: "c", index }
+                );
+            }
+        }
     }
 
     #[test]

@@ -33,25 +33,22 @@ pub struct QpSolution {
     pub factor_work: FactorWork,
 }
 
-/// The back-solves and Gram entries of the constraint rows a workspace's
-/// solves have touched, each computed the first time a solve needs it.
+/// The back-solves of the constraint rows a workspace's solves have
+/// touched, each computed the first time a solve needs it.
 ///
 /// With the constraint normals `n_i = −g_iᵀ` (the `≥` orientation used by
-/// the dual method), a ready row `i` has its back-solve `H⁻¹n_i` and, for
-/// every ready row `j`, both Gram entries `n_i·H⁻¹n_j` and `n_j·H⁻¹n_i`.
-/// The dual iteration's subproblem matrix `M = NᵀH⁻¹N` and right-hand side
-/// are then lookups, once [`ensure`](BackSolves::ensure) has run for the
-/// rows they read.  Every entry is a pure function of `H` and `G`,
-/// computed by one expression whatever order the rows become ready in, so
-/// two memos that hold an entry hold the same bits.
+/// the dual method), a ready row `i` has its back-solve `H⁻¹n_i`, and an
+/// entry of `M = NᵀH⁻¹N` is one sparse dot against it, computed where a
+/// solve reads it ([`gram`](BackSolves::gram)).  Every back-solve is a
+/// pure function of `H` and `G`, computed by one expression whatever order
+/// the rows become ready in, so two memos that hold a row hold the same
+/// bits.
 #[derive(Debug, Default)]
 struct BackSolves {
     /// Columns of `hinv` (the variable count).
     n: usize,
     /// Row-major `m × n`: row `i` is `H⁻¹n_i` once `ready[i]`.
     hinv: Vec<f64>,
-    /// `gram[(a, b)] = n_a · H⁻¹n_b` for every pair of ready rows.
-    gram: Matrix,
     ready: Vec<bool>,
     /// The ready rows, in the order they became ready.
     order: Vec<usize>,
@@ -63,15 +60,14 @@ struct BackSolves {
 impl BackSolves {
     /// Sizes the memo for an `m × n` constraint matrix — at
     /// [`PreparedQp::new`], or at the first solve of a clone — so a later
-    /// first touch allocates nothing.  The tables are written
-    /// out in full with NaN rather than zeroed: zeroed pages would become
-    /// resident as rows are touched or as the allocator recycles memory,
-    /// so the peak resident set would depend on the allocator's history,
-    /// and an entry read before its row is ready would pass for 0 where
-    /// NaN poisons the solve.  Sizing at construction places the tables
-    /// with the rest of the model rather than among whatever a caller
-    /// allocated between build and first solve, so a process that builds
-    /// and drops models over and over settles at one peak.
+    /// first touch allocates nothing.  The table is written out with NaN
+    /// rather than zeroed: zeroed pages would become resident as rows are
+    /// touched or as the allocator recycles memory, so the peak resident
+    /// set would follow the allocator's history, and a row read before it
+    /// is ready would pass for 0 where NaN poisons the solve.  Sized at
+    /// construction, the table sits with the rest of the model rather than
+    /// among a caller's allocations, so a process that builds and drops
+    /// models over and over settles at one peak.
     fn fit(&mut self, m: usize, n: usize) {
         if self.ready.len() == m && self.n == n {
             return;
@@ -79,7 +75,6 @@ impl BackSolves {
         *self = BackSolves {
             n,
             hinv: vec![f64::NAN; m * n],
-            gram: Matrix::from_vec(m, m, vec![f64::NAN; m * m]),
             ready: vec![false; m],
             order: Vec::with_capacity(m),
             ni: Vector::zeros(n),
@@ -87,11 +82,7 @@ impl BackSolves {
         };
     }
 
-    /// Makes row `i` ready: its back-solve, then its Gram entries against
-    /// itself and every ready row.  The two orientations of a pair are
-    /// computed on their own — `gram[(a, b)]` and `gram[(b, a)]` round
-    /// separately, and the subproblem factor reads both (a joining row's
-    /// entries are `gram[(p, b)]`, a solve's right-hand side `gram[(b, p)]`).
+    /// Makes row `i` ready: its back-solve `H⁻¹n_i`.
     fn ensure(&mut self, model: &QpCore, i: usize) -> Result<(), MathError> {
         if self.ready[i] {
             return Ok(());
@@ -108,12 +99,6 @@ impl BackSolves {
         self.hinv[i * n..(i + 1) * n].copy_from_slice(self.sol.as_slice());
         self.ready[i] = true;
         self.order.push(i);
-        let hinv_i = self.sol.as_slice();
-        for &j in &self.order {
-            // n_a · H⁻¹n_b = −g_a · H⁻¹n_b.
-            self.gram[(i, j)] = -model.g_rows.dot(i, &self.hinv[j * n..(j + 1) * n]);
-            self.gram[(j, i)] = -model.g_rows.dot(j, hinv_i);
-        }
         Ok(())
     }
 
@@ -122,12 +107,19 @@ impl BackSolves {
         &self.hinv[i * self.n..(i + 1) * self.n]
     }
 
+    /// `n_a·H⁻¹n_b = −g_a·H⁻¹n_b` for a ready row `b`.  `gram(a, b)` and
+    /// `gram(b, a)` round separately, and the subproblem factors read both.
+    fn gram(&self, g_rows: &SparseRows, a: usize, b: usize) -> f64 {
+        -g_rows.dot(a, self.hinv(b))
+    }
+
     /// Builds `factor` over the ready rows `rows`, appending them in
-    /// order: row `i`'s entries are `gram[(rows[i], b)]` for the rows `b`
+    /// order: row `i`'s entries are `gram(rows[i], b)` for the rows `b`
     /// before it, as a row that joins the active set is appended.  `false`
     /// when a row is dependent on the rows before it.
     fn build(
         &self,
+        g_rows: &SparseRows,
         rows: &[usize],
         factor: &mut GramFactor,
         border: &mut Vec<f64>,
@@ -140,14 +132,14 @@ impl BackSolves {
         factor.clear();
         rows.iter().enumerate().all(|(i, &r)| {
             border.clear();
-            border.extend(rows[..i].iter().map(|&b| self.gram[(r, b)]));
-            factor.append(border, self.gram[(r, r)])
+            border.extend(rows[..i].iter().map(|&b| self.gram(g_rows, r, b)));
+            factor.append(border, self.gram(g_rows, r, r))
         })
     }
 }
 
-/// The subproblem-factor work of one solve: plain counters, filled in as
-/// the solve goes, so reading them allocates nothing.
+/// The subproblem-factor work and first touches of one solve: plain
+/// counters, filled in as the solve goes, so reading them allocates nothing.
 ///
 /// A factor is *built* from scratch (`O(q³)`) only for a warm-start guess
 /// the instance has not seen before and after a declined append; every
@@ -170,6 +162,9 @@ pub struct FactorWork {
     pub deletes: usize,
     /// The largest order the factor reached.
     pub max_order: usize,
+    /// Rows whose back-solve `H⁻¹n_i` this solve computed: rows no earlier
+    /// solve of this instance (a clone's own, not its original's) touched.
+    pub first_touches: usize,
 }
 
 /// The memoized factor of the warm start's subproblem.
@@ -228,17 +223,16 @@ fn working<'a>(
 /// Buffers start empty.  Each is given room for the problem's bound the
 /// first time a solve needs it — `n` entries for whatever follows the
 /// active set, `n(n+1)/2` for the subproblem factor, the memo's `m × n`
-/// and `m × m` tables at construction (a clone's at its first solve) —
+/// back-solve table at construction (a clone's at its first solve) —
 /// and is never shrunk, so which solve first reaches a given active-set
 /// size or touches a given row does not matter: after the first solve
-/// that takes a code path, that path allocates nothing.
-/// (Reserved room is untouched memory until a solve actually fills it;
-/// the memo's tables are written out, with NaN, when they are sized.)
-/// The memo is the one thing kept from solve to solve, and it holds only
-/// entries that are pure functions of `H` and `G`, computed by the same
-/// expression whichever solve first needs them — so a fresh workspace and
-/// a used one give the same bits, and [`PreparedQp::clone`] hands the
-/// clone an empty one instead of copying.  A workspace belongs to one
+/// that takes a code path, that path allocates nothing.  (Reserved room
+/// is untouched memory until a solve fills it.)  The memo is the one
+/// thing kept from solve to solve, and it holds only back-solves, pure
+/// functions of `H` and `G` computed by the same expression whichever
+/// solve first needs them — so a fresh workspace and a used one give the
+/// same bits, and [`PreparedQp::clone`] hands the clone an empty one
+/// instead of copying.  A workspace belongs to one
 /// model: its memo is that model's.  After a successful solve `x`,
 /// `active` and `u` hold the solution.
 #[derive(Debug, Default)]
@@ -270,7 +264,7 @@ pub(crate) struct QpWorkspace {
     seen: Vec<bool>,
     cand: Vec<usize>,
     wu: Vector,
-    /// `H⁻¹n_i` and the Gram entries of the rows touched so far.
+    /// `H⁻¹n_i` of the rows touched so far.
     memo: BackSolves,
 }
 
@@ -387,6 +381,7 @@ fn solve_with_chol(
     ws.in_active.clear();
     ws.in_active.resize(m, false);
     ws.memo.fit(rows.rows(), n);
+    let touched = ws.memo.order.len();
 
     let warm_held = if warm.is_empty() {
         None
@@ -423,6 +418,7 @@ fn solve_with_chol(
     'outer: loop {
         // Most violated inactive constraint (g_p·x − h_p > tol).
         let Some(p) = rows.most_violated(x.as_slice(), hvec.as_slice(), in_active, tol) else {
+            work.first_touches = memo.order.len() - touched;
             return Ok(SolveStats {
                 iterations,
                 warm_retained,
@@ -430,8 +426,7 @@ fn solve_with_chol(
             });
         };
 
-        // H⁻¹n_p for the normal n_p = −g_pᵀ of constraint p in `≥`
-        // orientation, and its Gram entries against the active rows.
+        // H⁻¹n_p for the normal n_p = −g_pᵀ of constraint p (`≥` form).
         memo.ensure(model, p)?;
         let mut u_p = 0.0;
 
@@ -442,18 +437,18 @@ fn solve_with_chol(
             }
 
             // z: primal step direction; r: dual step for active set, from
-            // M r = Nᵀ H⁻¹ n_p, both read from the memo.
+            // M r = Nᵀ H⁻¹ n_p, both from the memo's back-solves.
             let q = active.len();
             z.resize(n);
             z.copy_from_slice(memo.hinv(p));
             r.resize(q);
             for a in 0..q {
-                r[a] = memo.gram[(active[a], p)];
+                r[a] = memo.gram(rows, active[a], p);
             }
             if q > 0 {
                 if held == Held::Stale {
                     chol.reserve(n);
-                    if !memo.build(active, chol, border, &mut work) {
+                    if !memo.build(rows, active, chol, border, &mut work) {
                         return Err(QpError::Math(MathError::Singular));
                     }
                     held = Held::Work;
@@ -515,8 +510,8 @@ fn solve_with_chol(
                 if held != Held::Stale {
                     let factor = working(&mut held, factors, chol, n);
                     border.clear();
-                    border.extend(active.iter().map(|&b| memo.gram[(p, b)]));
-                    if factor.append(border, memo.gram[(p, p)]) {
+                    border.extend(active.iter().map(|&b| memo.gram(rows, p, b)));
+                    if factor.append(border, memo.gram(rows, p, p)) {
                         work.appends += 1;
                         work.max_order = work.max_order.max(factor.order());
                     } else {
@@ -602,7 +597,7 @@ fn try_warm_start(
     if factors.cand != *cand {
         copy_active_set(cand, n, &mut factors.cand);
         factors.factor.reserve(n);
-        factors.built = memo.build(cand, &mut factors.factor, border, work);
+        factors.built = memo.build(rows, cand, &mut factors.factor, border, work);
     }
     if !factors.built {
         return None;
@@ -775,10 +770,10 @@ impl QpCore {
 /// never needs a feasible starting point and certifies infeasibility.
 ///
 /// Construction performs the only Cholesky factorization of `H`.  A
-/// constraint row's back-solve `H⁻¹n_i` and its Gram entries against the
-/// other touched rows are computed the first time a solve needs the row
-/// and kept for every later solve, so rows no solve touches cost nothing;
-/// once the rows a run uses are in, each [`solve`](PreparedQp::solve) is a
+/// constraint row's back-solve `H⁻¹n_i` is computed the first time a
+/// solve needs the row and kept for every later solve (a Gram entry is a
+/// sparse dot against it), so rows no solve touches cost nothing; once
+/// the rows a run uses are in, each [`solve`](PreparedQp::solve) is a
 /// pair of triangular back-substitutions plus active-set bookkeeping.
 /// This matches the controller hot path, where the plant model (hence `H`
 /// and the constraint matrix) never changes between sampling periods while
@@ -877,7 +872,7 @@ impl PreparedQp {
         for i in 0..g_rows.rows() {
             scale.push(g_rows.row(i).1.iter().fold(scale[i], |s, v| s.max(v.abs())));
         }
-        drop((h, g)); // before the memo's tables are written out
+        drop((h, g)); // before the memo's table is written out
 
         let mut workspace = QpWorkspace::default();
         workspace.memo.fit(g_rows.rows(), g_rows.cols());
@@ -1589,7 +1584,8 @@ mod tests {
                     assert_eq!(bits(memo.hinv(a)), bits(eager(a).as_slice()), "row {a}");
                     for &b in &ready {
                         let d = -core.g_rows.dot(a, eager(b).as_slice());
-                        assert_eq!(memo.gram[(a, b)].to_bits(), d.to_bits(), "({a}, {b})");
+                        let entry = memo.gram(&core.g_rows, a, b);
+                        assert_eq!(entry.to_bits(), d.to_bits(), "({a}, {b})");
                     }
                 }
                 // Rows no solve touched hold the NaN written at sizing.
@@ -1607,6 +1603,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn the_memo_holds_one_back_solve_per_row_and_no_gram_table() {
+        let (qp, hvec) = medium_shaped();
+        let (n, m) = (qp.num_vars(), qp.num_constraints());
+        let f = Vector::from_iter((0..n).map(|i| -2.5 * (0.7 * i as f64).sin()));
+        // A guess of up to `n` rows makes each of them ready before its
+        // factor is built, so the guesses touch every row, each once.
+        let mut touches = 0;
+        for chunk in (0..m).collect::<Vec<_>>().chunks(n) {
+            touches += qp
+                .solve(&f, &hvec, chunk)
+                .unwrap()
+                .factor_work
+                .first_touches;
+        }
+        assert_eq!(touches, m);
+        let ws = qp.workspace();
+        // Every field, named: a table added to the memo must be counted
+        // here.
+        let BackSolves {
+            n: cols,
+            hinv,
+            ready,
+            order,
+            ni,
+            sol,
+        } = &ws.memo;
+        assert_eq!(*cols, n);
+        assert!(ready.iter().all(|&r| r) && order.len() == m);
+        assert_eq!((hinv.len(), hinv.capacity()), (m * n, m * n));
+        let rest = ready.capacity() + order.capacity() + ni.len() + sol.len();
+        assert!(rest <= 2 * (m + n), "{rest} further entries");
     }
 
     /// The independent reference: for every set of at most `n` rows of
@@ -1927,7 +1957,18 @@ mod tests {
                             prop_assert_eq!(&got.active, &want.active);
                             prop_assert_eq!(got.iterations, want.iterations);
                             prop_assert_eq!(got.warm_retained, want.warm_retained);
-                            prop_assert_eq!(got.factor_work, want.factor_work, "step {} prefix {}", step, prefix);
+                            // The two problems share one back-solve memo
+                            // here, so a row the other one's solves touched
+                            // first is no first touch: at most as many as on
+                            // the separate instance, whose memo holds a
+                            // subset of the shared one's rows.
+                            let factor_only = |w: FactorWork| FactorWork { first_touches: 0, ..w };
+                            prop_assert_eq!(
+                                factor_only(got.factor_work),
+                                factor_only(want.factor_work),
+                                "step {} prefix {}", step, prefix
+                            );
+                            prop_assert!(got.factor_work.first_touches <= want.factor_work.first_touches);
                             last[usize::from(prefix)].clone_from(&got.active);
                         }
                     }

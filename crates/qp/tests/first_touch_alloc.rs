@@ -1,10 +1,11 @@
 //! Allocation guard for a prepared QP's first touch of a constraint row.
 //!
-//! A `PreparedQp` computes a row's back-solve `H⁻¹nᵢ` and Gram entries
-//! the first time a solve needs the row, into tables sized for every row
-//! at the first solve.  So a row that becomes active for the first time
-//! late in a run — a constraint the controller has never hit — must cost
-//! arithmetic only, not a heap allocation.
+//! A `PreparedQp` computes a row's back-solve `H⁻¹nᵢ` the first time a
+//! solve needs the row, into a table sized for every row at construction,
+//! and the row's Gram entries where the solve reads them.  So a row that
+//! becomes active for the first time late in a run — a constraint the
+//! controller has never hit — must cost arithmetic only, not a heap
+//! allocation.
 //!
 //! A counting `#[global_allocator]` makes that checkable.  The file
 //! contains a single `#[test]` on purpose: the counter is global, so
